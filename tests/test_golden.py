@@ -1,0 +1,54 @@
+"""Byte-identity of each subcommand's ``--stable --format json`` report.
+
+The goldens under tests/golden/ are the behaviour contract for refactors:
+a change that alters one must say which record changed and why.  Rewrite
+them deliberately with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from minrep import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "table1": ["table1"],
+    "check-relations-su22": ["check-relations", "--algebra", "su22"],
+    "check-relations-unn": ["check-relations", "--algebra", "unn"],
+    "check-dual-pair-su22": ["check-dual-pair", "--algebra", "su22"],
+    "check-dual-pair-so-star": ["check-dual-pair", "--algebra", "so-star"],
+    "check-bilocal": ["check-bilocal"],
+    "decompose": ["decompose"],
+    "harmonics": ["harmonics"],
+    "closure-sp-real": ["closure", "--family", "sp-real"],
+    "closure-u-pq-flavors2": ["closure", "--family", "u-pq", "--flavors", "2"],
+}
+
+
+def _stable_json(argv) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(argv + ["--stable", "--format", "json"])
+    return rc, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stable_json_matches_golden(name):
+    rc, text = _stable_json(CASES[name])
+    assert rc == cli.EXIT_OK
+    assert text == (GOLDEN / f"{name}.json").read_text()
+
+
+if __name__ == "__main__":
+    for name, argv in CASES.items():
+        rc, text = _stable_json(argv)
+        if rc != cli.EXIT_OK:
+            sys.exit(f"{name}: exit {rc}")
+        (GOLDEN / f"{name}.json").write_text(text)
