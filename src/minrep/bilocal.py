@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .lincomb import LinComb, combine
 from .reports import Report
 
 # ---------------------------------------------------------------------------
@@ -23,17 +24,10 @@ from .reports import Report
 _EMPTY = ()
 
 
-class DeltaPoly:
+class DeltaPoly(LinComb):
     """Q-polynomial in the symbols D+_{kl}; monomials are sorted pair tuples."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        clean = {m: c for m, c in (terms or {}).items() if c}
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DeltaPoly is immutable")
+    __slots__ = ()
 
     @staticmethod
     def zero() -> "DeltaPoly":
@@ -51,50 +45,17 @@ class DeltaPoly:
     def symbol(k: int, l: int) -> "DeltaPoly":
         return DeltaPoly({((k, l),): Fraction(1)})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, DeltaPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = t.get(m, Fraction(0)) + c
-            if s:
-                t[m] = s
-            else:
-                t.pop(m, None)
-        return DeltaPoly(t)
-
-    def __neg__(self):
-        return DeltaPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        t: dict = {}
+        acc: dict = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                s = t.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    t[m] = s
-                else:
-                    t.pop(m, None)
-        return DeltaPoly(t)
+            combine(((tuple(sorted(m1 + m2)), c1 * c2) for m2, c2 in other.terms.items()),
+                    acc)
+        return DeltaPoly(acc)
 
     def scale(self, c) -> "DeltaPoly":
-        c = Fraction(c)
-        if not c:
-            return _DP_ZERO
-        return DeltaPoly({m: c * v for m, v in self.terms.items()})
+        return self._scaled(Fraction(c))
 
     def __str__(self):
         if not self.terms:
@@ -127,17 +88,10 @@ def delta_double(i: int, j: int) -> DeltaPoly:
 Field = tuple  # (point label, flavor)
 
 
-class WickElement:
+class WickElement(LinComb):
     """Linear combination of normal products with DeltaPoly coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        clean = {m: c for m, c in (terms or {}).items() if c}
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WickElement is immutable")
+    __slots__ = ()
 
     @staticmethod
     def zero() -> "WickElement":
@@ -152,37 +106,10 @@ class WickElement:
     def field(point: int, flavor: int) -> "WickElement":
         return WickElement.normal_product([(point, flavor)])
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, WickElement) and self.terms == other.terms
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = t.get(m, DeltaPoly.zero()) + c
-            if s:
-                t[m] = s
-            else:
-                t.pop(m, None)
-        return WickElement(t)
-
-    def __neg__(self):
-        return WickElement({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c) -> "WickElement":
         if isinstance(c, (int, Fraction)):
             c = DeltaPoly.const(c)
-        if not c:
-            return WickElement.zero()
-        return WickElement({m: c * v for m, v in self.terms.items()})
+        return self._scaled(c)
 
     def __str__(self):
         if not self.terms:
@@ -206,14 +133,9 @@ def wick_product(u: WickElement, v: WickElement) -> WickElement:
     for fa, ca in u.terms.items():
         for fb, cb in v.terms.items():
             base = ca * cb
-            for factor, rest_a, rest_b in _contraction_sets(list(fa), list(fb)):
-                key = tuple(sorted(rest_a + rest_b))
-                add = base * factor
-                s = out.get(key, DeltaPoly.zero()) + add
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+            combine(((tuple(sorted(rest_a + rest_b)), base * factor)
+                     for factor, rest_a, rest_b in _contraction_sets(list(fa), list(fb))),
+                    out)
     return WickElement(out)
 
 
@@ -256,10 +178,6 @@ def bilocal_field(m, p: int, q: int) -> WickElement:
     return out
 
 
-def _scaled(v: WickElement, d: DeltaPoly) -> WickElement:
-    return WickElement({m: d * c for m, c in v.terms.items()})
-
-
 def commutator_rhs(m, mp) -> WickElement:
     """Closed form: D13 V_{tM M'}(2,4) + D24 V_{M tM'}(1,3)
     + D23 V_{M M'}(1,4) + D14 V_{M' M}(3,2)
@@ -272,10 +190,10 @@ def commutator_rhs(m, mp) -> WickElement:
     """
     tm = linalg.transpose(m)
     tmp = linalg.transpose(mp)
-    out = _scaled(bilocal_field(linalg.mat_mul(tm, mp), 2, 4), delta_commutator(1, 3))
-    out = out + _scaled(bilocal_field(linalg.mat_mul(m, tmp), 1, 3), delta_commutator(2, 4))
-    out = out + _scaled(bilocal_field(linalg.mat_mul(m, mp), 1, 4), delta_commutator(2, 3))
-    out = out + _scaled(bilocal_field(linalg.mat_mul(mp, m), 3, 2), delta_commutator(1, 4))
+    out = bilocal_field(linalg.mat_mul(tm, mp), 2, 4).scale(delta_commutator(1, 3))
+    out = out + bilocal_field(linalg.mat_mul(m, tmp), 1, 3).scale(delta_commutator(2, 4))
+    out = out + bilocal_field(linalg.mat_mul(m, mp), 1, 4).scale(delta_commutator(2, 3))
+    out = out + bilocal_field(linalg.mat_mul(mp, m), 3, 2).scale(delta_commutator(1, 4))
     c_34 = linalg.trace(linalg.mat_mul(tm, mp))
     c_43 = linalg.trace(linalg.mat_mul(m, mp))
     const = WickElement({(): delta_double(3, 4).scale(c_34) + delta_double(4, 3).scale(c_43)})

@@ -334,7 +334,8 @@ def run_closure(args) -> Report:
     family = args.family.replace("-", "_")
     return fockspace.truncated_closure_check(family, args.k, args.flavors,
                                              level=args.level,
-                                             pair_limit=args.pair_limit)
+                                             pair_limit=args.pair_limit,
+                                             max_states=args.max_states)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +448,10 @@ def _validate(args):
         if fockspace.basis_size(2 * k, args.level) > args.max_states:
             raise UsageError("requested basis exceeds --max-states; "
                              "lower --level or --n or raise the cap")
+    if args.command == "closure" and args.level > 0 and fockspace.cross_check_basis_size(
+            args.family.replace("-", "_"), args.k, args.flavors, args.level) > args.max_states:
+        raise UsageError("the --level cross-check basis exceeds --max-states; "
+                         "lower --level, --k or --flavors or raise the cap")
 
 
 if __name__ == "__main__":

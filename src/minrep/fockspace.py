@@ -2,9 +2,11 @@
 
 States are unnormalized occupation monomials a*^n |0> so that every matrix
 entry stays Gaussian rational; the squared norms are the factorial weights
-prod n_i!.  Operators that would raise a state past the cutoff flag the
-offending column, and any identity consumed from matrices is restricted to
-columns that cannot overflow.
+prod n_i!.  An operator's images past the cutoff are dropped, so a product
+of matrices matches the operator product only on the columns that
+``safe_columns`` derives from the level raises.  That level budget is the
+one overflow mechanism: every identity consumed from matrices is
+restricted to those columns.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from itertools import combinations_with_replacement
 from math import comb, factorial
 
 from . import linalg, oscrep
+from .lincomb import combine
 from .reports import Report
 from .scalars import QI
 from .weylalg import (Mode, Polarization, WeylElement, WeylMonomial, commutator,
@@ -85,21 +88,16 @@ def enumerate_basis(modes, cutoff: int, max_states: int | None = None) -> Trunca
 @dataclass
 class SparseOperator:
     dim: int
-    entries: dict = field(default_factory=dict)   # (row, col) -> QI
+    entries: dict = field(default_factory=dict)   # (row, col) -> QI, no zeros
     level_raise: int = 0
-    overflow_cols: set = field(default_factory=set)
     fock: TruncatedFock | None = None
 
+    def __post_init__(self):
+        self.entries = {k: v for k, v in self.entries.items() if v}
+
     def __add__(self, other):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k, QI(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return SparseOperator(self.dim, out, max(self.level_raise, other.level_raise),
-                              self.overflow_cols | other.overflow_cols, self.fock)
+        return SparseOperator(self.dim, combine(other.entries.items(), dict(self.entries)),
+                              max(self.level_raise, other.level_raise), self.fock)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -107,31 +105,15 @@ class SparseOperator:
     def scale(self, c) -> "SparseOperator":
         q = QI.of(c)
         if not q:
-            return SparseOperator(self.dim, {}, 0, set(self.overflow_cols), self.fock)
+            return SparseOperator(self.dim, {}, 0, self.fock)
         return SparseOperator(self.dim, {k: q * v for k, v in self.entries.items()},
-                              self.level_raise, set(self.overflow_cols), self.fock)
+                              self.level_raise, self.fock)
 
     def __matmul__(self, other):
-        by_col: dict[int, list] = {}
-        for (r, c), v in self.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        out: dict[tuple, QI] = {}
-        for (r, c), v in other.entries.items():
-            for r2, u in by_col.get(r, ()):
-                key = (r2, c)
-                s = out.get(key, QI(0)) + u * v
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return SparseOperator(self.dim, out, self.level_raise + other.level_raise,
-                              set(other.overflow_cols), self.fock)
-
-    def restrict_columns(self, cols) -> "SparseOperator":
-        cols = set(cols)
-        return SparseOperator(self.dim,
-                              {k: v for k, v in self.entries.items() if k[1] in cols},
-                              self.level_raise, self.overflow_cols & cols, self.fock)
+        by_col = self.column_map()
+        out = combine((((r2, c), u * v) for (r, c), v in other.entries.items()
+                       for r2, u in by_col.get(r, ())), {})
+        return SparseOperator(self.dim, out, self.level_raise + other.level_raise, self.fock)
 
     def equal_on_columns(self, other: "SparseOperator", cols) -> bool:
         cols = set(cols)
@@ -146,15 +128,8 @@ class SparseOperator:
         return out
 
     def apply(self, vec: dict) -> dict:
-        out: dict[int, QI] = {}
-        for (r, c), v in self.entries.items():
-            if c in vec:
-                s = out.get(r, QI(0)) + v * vec[c]
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
-        return out
+        out = combine(((r, v * vec[c]) for (r, c), v in self.entries.items() if c in vec), {})
+        return {r: x for r, x in out.items() if x}
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -171,7 +146,7 @@ class SparseOperator:
         for (r, c), v in self.entries.items():
             w = Fraction(f.norm_weight(r), f.norm_weight(c))
             out[(c, r)] = v.conj() * QI(w)
-        return SparseOperator(self.dim, out, -self.level_raise, set(), f)
+        return SparseOperator(self.dim, out, -self.level_raise, f)
 
 
 def safe_columns(fock: TruncatedFock, *raises: int) -> list[int]:
@@ -186,10 +161,18 @@ def operator_matrix(w: WeylElement, fock: TruncatedFock) -> SparseOperator:
     for m in w.modes():
         if m not in pos:
             raise FockError(f"mode {m} is not part of this Fock module")
-    entries: dict[tuple, QI] = {}
-    overflow: set[int] = set()
     terms = [(q, [pos[m] for m in mono.annihilators], [pos[m] for m in mono.creators])
              for mono, q in w.terms.items()]
+    return SparseOperator(fock.dim, combine(_images(terms, fock), {}),
+                          max(0, w.max_level_raise()), fock)
+
+
+def _images(terms, fock: TruncatedFock):
+    """((row, col), coefficient) for each term on each basis column.
+
+    Images past the cutoff are dropped; safe_columns keeps every identity
+    off the columns where that happens.
+    """
     for col, state in enumerate(fock.states):
         for q, ann, cre in terms:
             occ = list(state)
@@ -205,16 +188,8 @@ def operator_matrix(w: WeylElement, fock: TruncatedFock) -> SparseOperator:
                 continue
             for i in cre:
                 occ[i] += 1
-            if sum(occ) > fock.cutoff:
-                overflow.add(col)
-                continue
-            row = fock.index[tuple(occ)]
-            s = entries.get((row, col), QI(0)) + q * coeff
-            if s:
-                entries[(row, col)] = s
-            else:
-                entries.pop((row, col), None)
-    return SparseOperator(fock.dim, entries, max(0, w.max_level_raise()), overflow, fock)
+            if sum(occ) <= fock.cutoff:
+                yield (fock.index[tuple(occ)], col), q * coeff
 
 
 def helicity_spectrum(fock: TruncatedFock, level: int | None = None) -> dict:
@@ -391,12 +366,10 @@ def _flavored(mode: Mode, flavor: int) -> Mode:
 
 
 def flavored_element(w: WeylElement, flavor: int) -> WeylElement:
-    terms = {}
-    for mono, q in w.terms.items():
-        key = WeylMonomial.make([_flavored(m, flavor) for m in mono.creators],
-                                [_flavored(m, flavor) for m in mono.annihilators])
-        terms[key] = terms.get(key, QI(0)) + q
-    return WeylElement(terms)
+    return WeylElement(combine(
+        ((WeylMonomial.make([_flavored(m, flavor) for m in mono.creators],
+                            [_flavored(m, flavor) for m in mono.annihilators]), q)
+         for mono, q in w.terms.items()), {}))
 
 
 def flavor_sum(w: WeylElement, flavors: int) -> WeylElement:
@@ -494,15 +467,26 @@ def central_pairing(x: WeylElement, y: WeylElement, modes) -> QI:
     return QI(2) * (t1 - t2)
 
 
+# Modes in one flavor's bilinears per unit of k: sp_real uses c_1..c_k,
+# u_pq a_1..a_k and b_1..b_k, so_star a_1..a_2k and b_1..b_2k.
+_CLOSURE_MODES_PER_K = {"sp_real": 1, "u_pq": 2, "so_star": 4}
+
+
+def cross_check_basis_size(family: str, k: int, flavors: int, level: int) -> int:
+    """States in the Fock basis of the closure check's matrix cross-check."""
+    return basis_size(_CLOSURE_MODES_PER_K[family] * k * flavors, level)
+
+
 def truncated_closure_check(family: str, k: int, flavors: int, level: int = 0,
-                            pair_limit: int | None = None) -> Report:
+                            pair_limit: int | None = None,
+                            max_states: int | None = None) -> Report:
     """Commutators of flavored bilinears close with central charge = flavors.
 
     Every pairwise commutator must decompose as (flavor-diagonal quadratic,
     identical across flavors, whose matrix lies in the family algebra) plus
     a scalar equal to flavors * (trace-form pairing of the two bilinears).
     With level > 0 a sparse-matrix cross-check of a sample of commutators
-    runs on a Fock truncation at that level.
+    runs on a Fock truncation at that level, of at most `max_states` states.
     """
     rep = Report(f"closure/{family}/k{k}/N{flavors}")
     elems, modes, pol, spec = one_flavor_bilinears(family, k)
@@ -536,7 +520,7 @@ def truncated_closure_check(family: str, k: int, flavors: int, level: int = 0,
             bool(charges) and all(c == flavors for c in charges),
             detail=f"{len(charges)} nonzero pairings, all at charge {flavors}")
     if level > 0:
-        _matrix_cross_check(rep, family, k, flavors, level, elems, flavored)
+        _matrix_cross_check(rep, family, k, flavors, level, elems, flavored, max_states)
     return rep
 
 
@@ -588,9 +572,9 @@ def _project_flavor(w: WeylElement, flavor: int) -> WeylElement:
     return WeylElement(terms)
 
 
-def _matrix_cross_check(rep, family, k, flavors, level, elems, flavored):
+def _matrix_cross_check(rep, family, k, flavors, level, elems, flavored, max_states):
     all_modes = sorted({m for w in flavored for m in w.modes()})
-    fock = enumerate_basis(all_modes, level)
+    fock = enumerate_basis(all_modes, level, max_states)
     n = len(elems)
     sample = sorted({0, n // 3, (2 * n) // 3, n - 1})
     for s in sample:

@@ -9,6 +9,7 @@ and truthiness (Fraction and QI both do).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def mat_copy(m):
@@ -186,7 +187,7 @@ def rational_roots(coeffs):
         return sorted(roots)
     denom = 1
     for c in cs:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+        denom = denom * c.denominator // gcd(denom, c.denominator)
     ics = [int(c * denom) for c in cs]
     a0, an = abs(ics[0]), abs(ics[-1])
     for p in _divisors(a0):
@@ -202,12 +203,6 @@ def _poly_eval(cs, x):
     for c in reversed(cs):
         v = v * x + c
     return v
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

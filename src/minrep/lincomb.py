@@ -1,0 +1,79 @@
+"""Sparse linear combinations over an exact coefficient ring.
+
+Every algebraic object the package certifies identities between is a
+finite sum of basis keys with exact coefficients: Weyl and Wick elements,
+contraction polynomials, harmonic polynomials and Fock matrices.  They all
+store it the same way, as a ``{key: coefficient}`` dict holding no zero
+coefficient, so equality of two dicts is equality of the elements.
+"""
+
+from __future__ import annotations
+
+
+def combine(pairs, acc: dict) -> dict:
+    """Sum (key, coefficient) pairs into `acc` and return it.
+
+    A key's first coefficient is stored as given, so no zero of the ring is
+    built; sums that cancel stay in `acc` as zeros for the caller (usually
+    a LinComb constructor) to drop.
+    """
+    get = acc.get
+    for key, c in pairs:
+        s = get(key)
+        acc[key] = c if s is None else s + c
+    return acc
+
+
+class LinComb:
+    """Immutable {key: coefficient} element; the constructor drops zeros.
+
+    Subclasses add their constructors, their product and their rendering,
+    and coerce the argument of their public ``scale`` into the ring before
+    calling ``_scaled``.  ``_like`` builds a new element of the same kind.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict | None = None):
+        object.__setattr__(self, "terms",
+                           {k: c for k, c in terms.items() if c} if terms else {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _like(self, terms: dict):
+        return type(self)(terms)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._like(combine(other.terms.items(), dict(self.terms)))
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._like(combine(((k, -c) for k, c in other.terms.items()),
+                                  dict(self.terms)))
+
+    def _scaled(self, c):
+        """This element times `c`, a coefficient already in the ring."""
+        if not c:
+            return self._like({})
+        return self._like({k: c * v for k, v in self.terms.items()})

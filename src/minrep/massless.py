@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .poly import Poly, monomials_up_to
 from .reports import Report
@@ -159,7 +160,7 @@ def inner_product(p: Poly, q: Poly) -> QI:
         a, c, b, d = mono
         if a != b or c != d:
             continue
-        w = Fraction(_factorial(a) * _factorial(c), 2 ** (a + c))
+        w = Fraction(factorial(a) * factorial(c), 2 ** (a + c))
         total = total + coeff.rational_part() * QI(w)
     return total
 
@@ -169,13 +170,6 @@ def _swap_conj(p: Poly) -> Poly:
     for (a, c, b, d), coeff in p.terms.items():
         t[(b, d, a, c)] = coeff.conj()
     return Poly(NVARS, t)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def vacuum_checks() -> Report:

@@ -44,10 +44,6 @@ def mat_is_zero(m):
     return all(not x for row in m for x in row)
 
 
-def qi_identity(n):
-    return [[QI(1) if i == j else QI(0) for j in range(n)] for i in range(n)]
-
-
 def qi_diag(entries):
     n = len(entries)
     return [[QI.of(entries[i]) if i == j else QI(0) for j in range(n)] for i in range(n)]
@@ -72,25 +68,26 @@ class FormSpec:
     sympl: tuple | None = None
 
     def __post_init__(self):
+        one = linalg.identity(self.size, QI(1), QI(0))
         if self.beta is not None:
             b = [list(r) for r in self.beta]
             if not mat_is_zero(linalg.mat_sub(mat_star(b), b)):
                 raise AlgebraError("beta must be hermitean")
-            if not mat_is_zero(linalg.mat_sub(linalg.mat_mul(b, b), qi_identity(self.size))):
+            if not mat_is_zero(linalg.mat_sub(linalg.mat_mul(b, b), one)):
                 raise AlgebraError("beta^2 must be 1")
         if self.sigma is not None:
             s = [list(r) for r in self.sigma]
             if s != linalg.transpose(s):
                 raise AlgebraError("sigma must be symmetric")
-            if not mat_is_zero(linalg.mat_sub(linalg.mat_mul(s, s), qi_identity(self.size))):
+            if not mat_is_zero(linalg.mat_sub(linalg.mat_mul(s, s), one)):
                 raise AlgebraError("sigma^2 must be 1")
         if self.sympl is not None:
             j = [list(r) for r in self.sympl]
             jj = linalg.mat_mul(j, mat_star(j))
-            if not mat_is_zero(linalg.mat_sub(jj, qi_identity(self.size))):
+            if not mat_is_zero(linalg.mat_sub(jj, one)):
                 raise AlgebraError("J J* must be 1")
             mj2 = linalg.mat_scale(QI(-1), linalg.mat_mul(j, j))
-            if not mat_is_zero(linalg.mat_sub(mj2, qi_identity(self.size))):
+            if not mat_is_zero(linalg.mat_sub(mj2, one)):
                 raise AlgebraError("-J^2 must be 1")
 
 

@@ -7,19 +7,20 @@ harmonic polynomials and with QIS for the Gaussian wave-function model.
 
 from __future__ import annotations
 
+from .lincomb import LinComb, combine
 
-class Poly:
+
+class Poly(LinComb):
     """Immutable sparse polynomial: {exponent tuple: coefficient}."""
 
-    __slots__ = ("terms", "nvars")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms: dict | None = None):
-        clean = {m: c for m, c in (terms or {}).items() if c}
-        object.__setattr__(self, "terms", clean)
+        LinComb.__init__(self, terms)
         object.__setattr__(self, "nvars", nvars)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+    def _like(self, terms: dict) -> "Poly":
+        return Poly(self.nvars, terms)
 
     @staticmethod
     def constant(nvars: int, c) -> "Poly":
@@ -31,12 +32,6 @@ class Poly:
         exp[i] = 1
         return Poly(nvars, {tuple(exp): one})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.nvars == other.nvars \
             and self.terms == other.terms
@@ -44,46 +39,20 @@ class Poly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def __add__(self, other):
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = t.get(m)
-            s = c if s is None else s + c
-            if s:
-                t[m] = s
-            else:
-                t.pop(m, None)
-        return Poly(self.nvars, t)
-
-    def __neg__(self):
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
-        t: dict = {}
+        acc: dict = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = t.get(m)
-                p = c1 * c2
-                s = p if s is None else s + p
-                if s:
-                    t[m] = s
-                else:
-                    t.pop(m, None)
-        return Poly(self.nvars, t)
+            combine(((tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+                     for m2, c2 in other.terms.items()), acc)
+        return Poly(self.nvars, acc)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "Poly":
-        if not c:
-            return Poly(self.nvars)
-        return Poly(self.nvars, {m: c * v for m, v in self.terms.items()})
+        return self._scaled(c)
 
     def diff(self, i: int) -> "Poly":
         t = {}

@@ -318,15 +318,10 @@ def _arm_lengths(edges, fork):
 
 _ALIASES = {"C2": "B2", "D3": "A3", "B1": "A1", "C1": "A1", "D2": "A1+A1"}
 
-_COMPONENT_DIM = {"A": lambda r: r * (r + 2), "B": lambda r: r * (2 * r + 1),
-                  "C": lambda r: r * (2 * r + 1), "D": lambda r: r * (2 * r - 1),
-                  "E": {6: 78, 7: 133, 8: 248}, "F": {4: 52}, "G": {2: 14}}
-
 
 def component_dim(label: str) -> int:
     fam, r = label[0], int(label[1:])
-    f = _COMPONENT_DIM[fam]
-    return f[r] if isinstance(f, dict) else f(r)
+    return DIM_FORMULA[fam if fam in "ABCD" else label](r)
 
 
 def canonical_label(parts: list[str], center_dim: int) -> str:

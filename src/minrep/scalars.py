@@ -152,7 +152,8 @@ class QIS:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.u, self.v))
+        # equal to the hash of the QI (and so int or Fraction) it equals
+        return hash((self.u, self.v)) if self.v else hash(self.u)
 
     def __add__(self, other):
         o = QIS.of(other)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, factorial
 
+from .lincomb import LinComb, combine
 from .scalars import QI
 
 Mode = tuple
@@ -104,17 +105,10 @@ def _multiset_minus(items, removed: dict) -> list:
     return out
 
 
-class WeylElement:
+class WeylElement(LinComb):
     """Immutable Q(i)-linear combination of normal-ordered monomials."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        clean = {m: q for m, q in (terms or {}).items() if q}
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeylElement is immutable")
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
 
@@ -144,20 +138,6 @@ class WeylElement:
 
     # -- structure ---------------------------------------------------------
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, WeylElement):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def scalar_part(self) -> QI:
         return self.terms.get(_ONE_MONO, QI(0))
 
@@ -184,26 +164,6 @@ class WeylElement:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        t = dict(self.terms)
-        for m, q in other.terms.items():
-            s = t.get(m, QI(0)) + q
-            if s:
-                t[m] = s
-            else:
-                t.pop(m, None)
-        return WeylElement(t)
-
-    def __neg__(self):
-        return WeylElement({m: -q for m, q in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, WeylElement):
             return normal_product(self, other)
@@ -213,10 +173,7 @@ class WeylElement:
         return self.scale(other)
 
     def scale(self, c) -> "WeylElement":
-        q = QI.of(c)
-        if not q:
-            return _ZERO
-        return WeylElement({m: q * v for m, v in self.terms.items()})
+        return self._scaled(QI.of(c))
 
     def adjoint(self) -> "WeylElement":
         return WeylElement({m.adjoint(): q.conj() for m, q in self.terms.items()})
@@ -244,12 +201,7 @@ def normal_product(x: WeylElement, y: WeylElement) -> WeylElement:
     for mx, qx in x.terms.items():
         for my, qy in y.terms.items():
             q = qx * qy
-            for w, mono in _mono_product(mx, my):
-                s = acc.get(mono, QI(0)) + q * w
-                if s:
-                    acc[mono] = s
-                else:
-                    acc.pop(mono, None)
+            combine(((mono, q * w) for w, mono in _mono_product(mx, my)), acc)
     return WeylElement(acc)
 
 

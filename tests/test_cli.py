@@ -112,6 +112,12 @@ class TestOtherCommands:
                          "--flavors", "2", "--format", "json"], capsys)
         assert code == 0 and json.loads(out)["ok"]
 
+    def test_closure_state_cap_guard(self, capsys):
+        # the --level cross-check basis (41 states here) must respect the cap
+        code, _ = run(["closure", "--family", "sp-real", "--k", "1", "--level", "40",
+                       "--max-states", "10"], capsys)
+        assert code == cli.EXIT_USAGE
+
     def test_dual_pair(self, capsys):
         code, out = run(["check-dual-pair", "--algebra", "su22",
                          "--format", "json"], capsys)

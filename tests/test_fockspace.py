@@ -62,7 +62,7 @@ class TestOperatorMatrix:
     def test_overflow_flagged(self):
         fock = fockspace.enumerate_basis([("c", 1)], 1)
         m = fockspace.operator_matrix(mono([("c", 1)], []), fock)
-        assert m.overflow_cols == {1}
+        assert fockspace.safe_columns(fock, m.level_raise) == [0]
         assert (0, 1) not in m.entries
 
     def test_scalar_entries_are_exact(self):
@@ -170,6 +170,15 @@ class TestClosure:
     def test_u22_with_matrix_cross_check(self):
         rep = fockspace.truncated_closure_check("u_pq", 2, 2, level=2, pair_limit=40)
         assert rep.ok
+
+    @pytest.mark.parametrize("family,k,flavors", [
+        ("sp_real", 1, 3), ("sp_real", 2, 2), ("u_pq", 2, 2), ("so_star", 1, 2),
+    ])
+    def test_cross_check_basis_size(self, family, k, flavors):
+        elems, _, _, _ = fockspace.one_flavor_bilinears(family, k)
+        modes = {m for e in elems for m in fockspace.flavor_sum(e, flavors).modes()}
+        want = fockspace.enumerate_basis(sorted(modes), 2).dim
+        assert fockspace.cross_check_basis_size(family, k, flavors, 2) == want
 
     def test_self_commutator_trivial(self):
         elems, modes, _, _ = fockspace.one_flavor_bilinears("sp_real", 2)

@@ -1,0 +1,122 @@
+"""Algebraic laws of the sparse linear-combination core and its subclasses."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from minrep.bilocal import DeltaPoly, WickElement
+from minrep.lincomb import combine
+from minrep.poly import Poly
+from minrep.scalars import QI
+from minrep.weylalg import WeylElement, WeylMonomial, normal_product
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+# Fixed and derandomized, so every run checks the same examples.
+PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=60,
+                   suppress_health_check=[HealthCheck.too_slow])
+
+# Few keys and small coefficients, so that sums cancel often.
+fractions = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2]))
+gaussians = st.builds(QI, fractions, fractions)
+
+
+def _terms(keys, coeffs):
+    return st.dictionaries(keys, coeffs, max_size=4)
+
+
+def _delta_polys():
+    pairs = st.tuples(st.integers(1, 2), st.integers(1, 2))
+    monos = st.lists(pairs, max_size=2).map(lambda ps: tuple(sorted(ps)))
+    return _terms(monos, fractions).map(DeltaPoly)
+
+
+def _wick_elements():
+    fields = st.tuples(st.integers(1, 2), st.integers(1, 2))
+    keys = st.lists(fields, max_size=2).map(lambda fs: tuple(sorted(fs)))
+    return _terms(keys, _delta_polys()).map(WickElement)
+
+
+def _weyl_elements():
+    modes = st.lists(st.sampled_from([("a", 1), ("a", 2)]), max_size=2)
+    monos = st.builds(WeylMonomial.make, modes, modes)
+    return _terms(monos, gaussians).map(WeylElement)
+
+
+def _polys():
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return _terms(exps, gaussians).map(lambda t: Poly(2, t))
+
+
+# kind -> (element strategy, strategy for a scalar already in the ring)
+KINDS = {
+    "Poly": (_polys(), gaussians),
+    "DeltaPoly": (_delta_polys(), fractions),
+    "WickElement": (_wick_elements(), _delta_polys()),
+    "WeylElement": (_weyl_elements(), gaussians),
+}
+
+
+def _no_zero_coefficient(x) -> bool:
+    return all(c for c in x.terms.values())
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@PROFILE
+@given(data=st.data())
+def test_addition_laws(kind, data):
+    elems, _ = KINDS[kind]
+    a, b, c = data.draw(elems), data.draw(elems), data.draw(elems)
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert (a - b) + b == a
+    assert (a - a).is_zero() and not (a - a)
+    assert all(_no_zero_coefficient(x) for x in (a, a + b, a - b, -a))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@PROFILE
+@given(data=st.data())
+def test_scale_distributes(kind, data):
+    elems, scalars = KINDS[kind]
+    a, b = data.draw(elems), data.draw(elems)
+    s, t = data.draw(scalars), data.draw(scalars)
+    assert (a + b).scale(s) == a.scale(s) + b.scale(s)
+    assert a.scale(s + t) == a.scale(s) + a.scale(t)
+    assert _no_zero_coefficient(a.scale(s))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@PROFILE
+@given(data=st.data())
+def test_equal_elements_hash_equal(kind, data):
+    elems, _ = KINDS[kind]
+    a, b = data.draw(elems), data.draw(elems)
+    rebuilt = (a + b) - b   # same value, dict built in another order
+    assert rebuilt == a
+    assert hash(rebuilt) == hash(a)
+
+
+@PROFILE
+@given(x=_weyl_elements(), y=_weyl_elements(), z=_weyl_elements())
+def test_normal_product_associative(x, y, z):
+    left = normal_product(normal_product(x, y), z)
+    assert left == normal_product(x, normal_product(y, z))
+    assert _no_zero_coefficient(left)
+
+
+def test_combine_leaves_cancelled_sums_for_the_constructor():
+    d12 = ((1, 2),)
+    acc = combine([(d12, Fraction(1)), ((), Fraction(2)), (d12, Fraction(-1))], {})
+    assert acc == {d12: 0, (): 2}
+    assert DeltaPoly(acc).terms == {(): 2}
+
+
+def test_elements_are_immutable():
+    for x in (Poly(2), DeltaPoly(), WickElement(), WeylElement()):
+        with pytest.raises(AttributeError):
+            x.terms = {}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 from minrep import massless, oscrep
 from minrep.massless import (ccr_check, inner_product, lightlike_identity,
@@ -61,20 +62,13 @@ class TestVacuum:
         # independent check of the pairing: |z1^k|^2 = k!/2^k
         for k in range(5):
             p = Poly(4, {(k, 0, 0, 0): QIS(QI(1))})
-            want = QI(Fraction(_factorial(k), 2 ** k))
+            want = QI(Fraction(factorial(k), 2 ** k))
             assert inner_product(p, p) == want
 
     def test_orthogonality_of_distinct_monomials(self):
         p = Poly(4, {(1, 0, 0, 0): QIS(QI(1))})
         q = Poly(4, {(0, 1, 0, 0): QIS(QI(1))})
         assert inner_product(p, q) == QI(0)
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 class TestLightlike:

@@ -222,7 +222,7 @@ class TestGroupLevelGolden:
             for name in (f"E_{1}{2}", f"E_{1}{2 * n}"):
                 x = matrix_from_quadratic(gens.extras[name], pol)
                 assert oscrep.mat_is_zero(linalg.mat_mul(x, x))
-                g = linalg.mat_add(oscrep.qi_identity(spec.size), x)
+                g = linalg.mat_add(linalg.identity(spec.size, QI(1), QI(0)), x)
                 left = linalg.mat_mul(linalg.transpose(g), linalg.mat_mul(sigma, g))
                 assert left == sigma
 
@@ -232,7 +232,7 @@ class TestGroupLevelGolden:
         spec = oscrep.form_spec("so_star", 1)
         beta = [list(r) for r in spec.beta]
         sigma = [list(r) for r in spec.sigma]
-        one = oscrep.qi_identity(spec.size)
+        one = linalg.identity(spec.size, QI(1), QI(0))
         half = QI(Fraction(1, 2))
         for x in oscrep.so_star_matrix_basis(1):
             a = linalg.mat_scale(half, x)

@@ -59,3 +59,12 @@ def test_immutability():
         QI(1).re = Fraction(2)
     with pytest.raises(AttributeError):
         QIS(QI(1)).u = QI(2)
+
+
+def test_qis_hash_agrees_with_equality():
+    # a == b must imply hash(a) == hash(b), also across the ring embeddings
+    for x in (1, Fraction(-3, 4), QI(2), QI(1, -5)):
+        assert QIS(QI.of(x)) == x
+        assert hash(QIS(QI.of(x))) == hash(x)
+    assert {QIS(QI(1)): "one"}[1] == "one"
+    assert QIS(QI(1), QI(1)) != QI(1)
