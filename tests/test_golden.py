@@ -29,6 +29,9 @@ CASES = {
     "harmonics": ["harmonics"],
     "closure-sp-real": ["closure", "--family", "sp-real"],
     "closure-u-pq-flavors2": ["closure", "--family", "u-pq", "--flavors", "2"],
+    "check-relations-so-star-n2": ["check-relations", "--algebra", "so-star", "--n", "2"],
+    "closure-so-star-k2-pairs100": ["closure", "--family", "so-star", "--k", "2",
+                                    "--flavors", "1", "--pair-limit", "100"],
 }
 
 
