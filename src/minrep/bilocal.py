@@ -194,8 +194,8 @@ def commutator_rhs(m, mp) -> WickElement:
     out = out + bilocal_field(linalg.mat_mul(m, tmp), 1, 3).scale(delta_commutator(2, 4))
     out = out + bilocal_field(linalg.mat_mul(m, mp), 1, 4).scale(delta_commutator(2, 3))
     out = out + bilocal_field(linalg.mat_mul(mp, m), 3, 2).scale(delta_commutator(1, 4))
-    c_34 = linalg.trace(linalg.mat_mul(tm, mp))
-    c_43 = linalg.trace(linalg.mat_mul(m, mp))
+    c_34 = linalg.trace_product(tm, mp)
+    c_43 = linalg.trace_product(m, mp)
     const = WickElement({(): delta_double(3, 4).scale(c_34) + delta_double(4, 3).scale(c_43)})
     return out + const
 
@@ -217,7 +217,7 @@ def verify_commutator_formula(m, mp) -> Report:
 def frobenius(m1, m2) -> Fraction:
     if len(m1) != len(m2) or len(m1[0]) != len(m2[0]):
         raise ValueError("shape mismatch in the Frobenius pairing")
-    return linalg.trace(linalg.mat_mul(linalg.transpose(m1), m2))
+    return linalg.trace_product(linalg.transpose(m1), m2)
 
 
 def frobenius_property_check(m1, m2, m3) -> Report:

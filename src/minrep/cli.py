@@ -173,12 +173,12 @@ def run_check_relations(args) -> Report:
             rep.add(f"{gens.algebra_label}/adjoint/E{i}", e.adjoint() == f)
         if args.n == 2:
             rep.extend(oscrep.nilpotent_cone_check())
-        if args.n <= 2:
+        if args.n <= 3:
             _, crep = oscrep.casimir_defect(args.n)
             rep.extend(crep)
         else:
             rep.add(f"{gens.algebra_label}/casimir/deferred", True,
-                    detail="quadratic Casimir suite runs here for n <= 2; "
+                    detail="quadratic Casimir suite runs here for n <= 3; "
                            "call oscrep.casimir_defect(n) for larger ranks")
     return rep
 

@@ -95,7 +95,13 @@ class SparseOperator:
     def __post_init__(self):
         self.entries = {k: v for k, v in self.entries.items() if v}
 
+    def _require_same_space(self, other: "SparseOperator"):
+        if self.dim != other.dim or (self.fock is not other.fock and self.fock != other.fock):
+            raise FockError(f"operators act on different Fock bases "
+                            f"(dim {self.dim} and {other.dim})")
+
     def __add__(self, other):
+        self._require_same_space(other)
         return SparseOperator(self.dim, combine(other.entries.items(), dict(self.entries)),
                               max(self.level_raise, other.level_raise), self.fock)
 
@@ -110,6 +116,7 @@ class SparseOperator:
                               self.level_raise, self.fock)
 
     def __matmul__(self, other):
+        self._require_same_space(other)
         by_col = self.column_map()
         out = combine((((r2, c), u * v) for (r, c), v in other.entries.items()
                        for r2, u in by_col.get(r, ())), {})
@@ -462,8 +469,8 @@ def central_pairing(x: WeylElement, y: WeylElement, modes) -> QI:
     """
     _, bx, gx = quadratic_blocks(x.without_scalar(), modes)
     _, by, gy = quadratic_blocks(y.without_scalar(), modes)
-    t1 = linalg.trace(linalg.mat_mul(gx, by))
-    t2 = linalg.trace(linalg.mat_mul(bx, gy))
+    t1 = linalg.trace_product(gx, by)
+    t2 = linalg.trace_product(bx, gy)
     return QI(2) * (t1 - t2)
 
 

@@ -1,15 +1,19 @@
 """Exact dense linear algebra over Fraction or QI entries.
 
-Matrices are lists of lists.  Everything is plain Gauss-Jordan with exact
-field arithmetic, so there are no pivoting tolerances: a pivot is any
-nonzero entry.  The helpers work for any entry type supporting +, -, *, /
-and truthiness (Fraction and QI both do).
+Matrices are lists of lists.  Products and trace products skip zero
+entries, since the matrices the suites multiply are mostly zeros.
+Elimination is plain Gauss-Jordan with exact field arithmetic, so there
+are no pivoting tolerances: a pivot is any nonzero entry.  The helpers
+work for any entry type supporting +, -, *, / and truthiness (Fraction
+and QI both do).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+from .lincomb import combine
 
 
 def mat_copy(m):
@@ -33,18 +37,33 @@ def mat_scale(c, m):
 
 
 def mat_mul(a, b):
-    n, k = len(a), len(b)
+    """The product ab, multiplying only nonzero entries of a by those of b.
+
+    Each row of the result sums x * b[k][j] over the nonzero x = a[i][k]
+    and the nonzero entries of row k of b.  An entry that no such product
+    reaches holds the zero of the entry ring: QI for QI operands, Fraction
+    for Fraction operands.
+    """
     p = len(b[0]) if b else 0
-    bt = transpose(b)
-    return [[_dot(arow, bcol) for bcol in bt] for arow in a]
+    if not a or not p:
+        return [[] for _ in a]
+    zero = 0 * (a[0][0] * b[0][0])
+    brows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for arow in a:
+        row = [zero] * p
+        acc = combine(((j, x * y) for x, brow in zip(arow, brows) if x for j, y in brow), {})
+        for j, s in acc.items():
+            row[j] = s
+        out.append(row)
+    return out
 
 
-def _dot(u, v):
-    it = iter(x * y for x, y in zip(u, v))
-    s = next(it)
-    for t in it:
-        s = s + t
-    return s
+def trace_product(a, b):
+    """tr(ab) for a n x m and b m x n, from the nonzero entries, never forming ab."""
+    zero = 0 * (a[0][0] * b[0][0])
+    return sum((x * y for i, arow in enumerate(a) for k, x in enumerate(arow)
+                if x and (y := b[k][i])), zero)
 
 
 def trace(m):

@@ -131,19 +131,16 @@ def matrix_membership(x, spec: FormSpec) -> bool:
                 and [row[k:] for row in x[:k]] == mat_conj(b))
     if spec.family == "u_pq":
         beta = [list(r) for r in spec.beta]
-        lhs = linalg.mat_mul(mat_star(x), beta)
-        rhs = linalg.mat_scale(QI(-1), linalg.mat_mul(beta, x))
-        return mat_is_zero(linalg.mat_sub(lhs, rhs))
+        return mat_is_zero(linalg.mat_add(linalg.mat_mul(mat_star(x), beta),
+                                          linalg.mat_mul(beta, x)))
     if spec.family == "so_star":
         beta = [list(r) for r in spec.beta]
         sigma = [list(r) for r in spec.sigma]
-        lhs = linalg.mat_mul(mat_star(x), beta)
-        rhs = linalg.mat_scale(QI(-1), linalg.mat_mul(beta, x))
-        if not mat_is_zero(linalg.mat_sub(lhs, rhs)):
+        if not mat_is_zero(linalg.mat_add(linalg.mat_mul(mat_star(x), beta),
+                                          linalg.mat_mul(beta, x))):
             return False
-        lhs2 = linalg.mat_mul(linalg.transpose(x), sigma)
-        rhs2 = linalg.mat_scale(QI(-1), linalg.mat_mul(sigma, x))
-        if not mat_is_zero(linalg.mat_sub(lhs2, rhs2)):
+        if not mat_is_zero(linalg.mat_add(linalg.mat_mul(linalg.transpose(x), sigma),
+                                          linalg.mat_mul(sigma, x))):
             return False
         m = n // 2
         u = [row[:m] for row in x[:m]]
@@ -209,6 +206,12 @@ def cartan_d_type(r):
     return c
 
 
+def _require(ok: bool, what: str):
+    """Raise AlgebraError unless a generator invariant holds (kept under -O)."""
+    if not ok:
+        raise AlgebraError(f"generator invariant fails: {what}")
+
+
 def su22_generators() -> GeneratorSet:
     """Chevalley-Cartan basis of su(2,2) over modes a1, a2, b1, b2."""
     mono = WeylElement.monomial
@@ -222,12 +225,13 @@ def su22_generators() -> GeneratorSet:
     hs = [commutator(e, f) for e, f in zip(es, fs)]
 
     n_op = lambda m: mono([m], [m])
-    assert hs[0] == n_op(_a(1)) - n_op(_a(2))
-    assert hs[1] == n_op(_a(2)) + n_op(_b(1)) + WeylElement.one()     # a2*a2 + b1 b1*
-    assert hs[2] == n_op(_b(2)) - n_op(_b(1))
+    _require(hs[0] == n_op(_a(1)) - n_op(_a(2)), "su(2,2): H1 != N_a1 - N_a2")
+    _require(hs[1] == n_op(_a(2)) + n_op(_b(1)) + WeylElement.one(),     # a2*a2 + b1 b1*
+             "su(2,2): H2 != N_a2 + N_b1 + 1")
+    _require(hs[2] == n_op(_b(2)) - n_op(_b(1)), "su(2,2): H3 != N_b2 - N_b1")
 
     e_theta = commutator(commutator(e1, e2), e3)
-    assert e_theta == mono([_a(1), _b(2)], [])
+    _require(e_theta == mono([_a(1), _b(2)], []), "su(2,2): [[E1, E2], E3] != a1* b2*")
     f_theta = mono([], [_b(2), _a(1)], -1)
     h_theta = commutator(e_theta, f_theta)
     h = n_op(_a(1)) + n_op(_a(2)) - n_op(_b(1)) - n_op(_b(2))
@@ -304,7 +308,7 @@ def so_star_generators(n: int) -> GeneratorSet:
     n_op = lambda m: mono([m], [m])
     expect_last = (n_op(_a(k - 1)) + n_op(_a(k)) + n_op(_b(k - 1)) + n_op(_b(k))
                    + WeylElement.scalar(2))
-    assert hs[-1] == expect_last
+    _require(hs[-1] == expect_last, f"so*({4 * n}): spin-node H is not N + 2 on the last modes")
 
     extras = {}
     for i in range(1, k + 1):
@@ -324,7 +328,7 @@ def so_star_generators(n: int) -> GeneratorSet:
         sp_e = sp_e + mono([_a(i)], [_b(i)])
         sp_f = sp_f + mono([_b(i)], [_a(i)])
     sp_q = commutator(sp_e, sp_f)
-    assert sp_q == q
+    _require(sp_q == q, f"so*({4 * n}): [sp2_E, sp2_F] != Q")
     extras.update({"Q": q, "H": h_center, "sp2_E": sp_e, "sp2_F": sp_f, "sp2_Q": sp_q})
 
     return GeneratorSet(
@@ -607,20 +611,12 @@ def antihermitian_basis(k: int, traceless: bool = False):
 def _dual_basis(basis, trace_form):
     # real_fraction raises if the trace form fails to be real on the basis
     gram = [[trace_form(x, y).real_fraction() for y in basis] for x in basis]
-    inv = linalg.inverse(gram)
-    duals = []
-    for a in range(len(basis)):
-        m = [[QI(0)] * len(basis[0]) for _ in range(len(basis[0]))]
-        for b, xb in enumerate(basis):
-            c = QI(inv[a][b])
-            if c:
-                m = linalg.mat_add(m, linalg.mat_scale(c, xb))
-        duals.append(m)
-    return duals
-
-
-def _trace_product(x, y):
-    return linalg.trace(linalg.mat_mul(x, y))
+    inv = [[QI(c) for c in row] for row in linalg.inverse(gram)]
+    # dual a = sum_b inv[a][b] basis[b]: one sparse product of inv with the
+    # basis matrices flattened to rows, which touches only their nonzeros
+    n = len(basis[0])
+    flat = linalg.mat_mul(inv, [[x for row in xb for x in row] for xb in basis])
+    return [[d[i * n:(i + 1) * n] for i in range(n)] for d in flat]
 
 
 def embed_u_block(u, k: int):
@@ -649,14 +645,14 @@ def casimir_elements(n: int):
     gens = so_star_generators(n)
 
     so_basis = so_star_matrix_basis(n)
-    so_dual = _dual_basis(so_basis, _trace_product)
+    so_dual = _dual_basis(so_basis, linalg.trace_product)
     c_so = WeylElement.zero()
     for x, xd in zip(so_basis, so_dual):
         c_so = c_so + normal_product(quadratic_from_matrix(x, pol),
                                      quadratic_from_matrix(xd, pol))
 
     su_basis = [embed_u_block(u, k) for u in antihermitian_basis(k, traceless=True)]
-    su_dual = _dual_basis(su_basis, _trace_product)
+    su_dual = _dual_basis(su_basis, linalg.trace_product)
     c_su = WeylElement.zero()
     for x, xd in zip(su_basis, su_dual):
         c_su = c_su + normal_product(quadratic_from_matrix(x, pol),

@@ -50,6 +50,26 @@ class TestRelations:
         ids = {r["check_id"] for r in json.loads(out)["records"]}
         assert any("casimir" in i for i in ids)
 
+    def test_so12_runs_the_casimir_suite(self, capsys):
+        code, out = run(["check-relations", "--algebra", "so-star", "--n", "3",
+                         "--format", "json"], capsys)
+        assert code == 0
+        records = {r["check_id"]: r for r in json.loads(out)["records"]}
+        assert "so*(12)/casimir/deferred" not in records
+        casimir = [r for cid, r in records.items() if cid.startswith("so*(12)/casimir/")]
+        # [D, E_i], [D, F_i], [D, H_i] for the six D_6 nodes, plus the scale search
+        assert len(casimir) == 19
+        assert all(r["passed"] for r in casimir)
+        assert (records["so*(12)/casimir/scale-search"]["detail"]
+                == "exact equality at lambda = 1")
+
+    def test_casimir_deferred_above_so12(self, capsys):
+        code, out = run(["check-relations", "--algebra", "so-star", "--n", "4",
+                         "--format", "json"], capsys)
+        assert code == 0
+        ids = {r["check_id"] for r in json.loads(out)["records"]}
+        assert "so*(16)/casimir/deferred" in ids
+
     def test_desk_scale_guard(self, capsys):
         code, _ = run(["check-relations", "--algebra", "unn", "--n", "9999"], capsys)
         assert code == cli.EXIT_USAGE

@@ -74,6 +74,25 @@ class TestOperatorMatrix:
         for v in m.entries.values():
             assert isinstance(v, QI)
 
+    def test_operators_on_different_bases_do_not_combine(self):
+        # a 3-state plus a 6-state operator must not yield a dim-3 operator
+        # holding entries at rows 3 and 4
+        n1 = mono([("c", 1)], [("c", 1)])
+        small = fockspace.operator_matrix(n1, fockspace.enumerate_basis([("c", 1)], 2))
+        big = fockspace.operator_matrix(
+            n1, fockspace.enumerate_basis([("c", 1), ("c", 2)], 2))
+        other_mode = fockspace.operator_matrix(
+            mono([("d", 1)], [("d", 1)]), fockspace.enumerate_basis([("d", 1)], 2))
+        assert small.dim == other_mode.dim == 3 and big.dim == 6
+        for x, y in ((small, big), (big, small), (small, other_mode)):
+            for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p @ q):
+                with pytest.raises(fockspace.FockError):
+                    op(x, y)
+        # an equal basis enumerated again is the same space
+        again = fockspace.operator_matrix(n1, fockspace.enumerate_basis([("c", 1)], 2))
+        assert (small + again).entries == {(1, 1): QI(2), (2, 2): QI(4)}
+        assert (small @ again).entries == {(1, 1): QI(1), (2, 2): QI(4)}
+
 
 class TestHelicity:
     def test_levels(self):

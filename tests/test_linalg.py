@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from minrep import linalg
 from minrep.scalars import QI
 
@@ -71,3 +73,82 @@ def test_in_span():
     vs = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
     assert linalg.in_span(vs, [Fraction(5), Fraction(3)])
     assert not linalg.in_span([vs[0]], [Fraction(0), Fraction(1)])
+
+
+# ---------------------------------------------------------------------------
+# Sparse products against the dense dot-product formula they replaced
+
+
+def _dense_mat_mul(a, b):
+    """Every entry the full sum of x * y over a row of a and a column of b."""
+    def dot(u, v):
+        it = iter(x * y for x, y in zip(u, v))
+        s = next(it)
+        for t in it:
+            s = s + t
+        return s
+    return [[dot(arow, bcol) for bcol in zip(*b)] for arow in a]
+
+
+def _types(m):
+    return [[type(x) for x in row] for row in m]
+
+
+def _check_on_random_products(check, square_product=False):
+    """Run check(a, b) on random sparse Fraction or QI matrix pairs.
+
+    Shapes are n x m and m x p, with p = n when `square_product`.  Half the
+    drawn entries are zero and the rest are small, so zero rows and
+    columns and products that cancel to zero are common.  The profile is
+    fixed and derandomized, so every run checks the same examples.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small = st.builds(Fraction, st.integers(-1, 1), st.sampled_from([1, 2]))
+    rings = [(Fraction(0), small), (QI(0), st.builds(QI, small, small))]
+
+    @st.composite
+    def pairs(draw):
+        n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        p = n if square_product else draw(st.integers(1, 5))
+        zero, values = draw(st.sampled_from(rings))
+        entry = st.one_of(st.just(zero), values)
+
+        def matrix(rows, cols):
+            return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                 min_size=rows, max_size=rows))
+        return matrix(n, m), matrix(m, p)
+
+    profile = hypothesis.settings(derandomize=True, database=None, deadline=None,
+                                  max_examples=100)
+    profile(hypothesis.given(pairs())(lambda ab: check(*ab)))()
+
+
+def test_mat_mul_matches_dense_oracle():
+    def check(a, b):
+        got, want = linalg.mat_mul(a, b), _dense_mat_mul(a, b)
+        assert got == want
+        assert _types(got) == _types(want)
+    _check_on_random_products(check)
+
+
+def test_trace_product_is_trace_of_product():
+    def check(a, b):
+        t = linalg.trace_product(a, b)
+        want = linalg.trace(_dense_mat_mul(a, b))
+        assert t == want == linalg.trace(linalg.mat_mul(a, b))
+        assert type(t) is type(want)
+    _check_on_random_products(check, square_product=True)
+
+
+@pytest.mark.parametrize("zero, one", [(Fraction(0), Fraction(1)), (QI(0), QI(1))])
+def test_sparse_product_zeros_keep_the_ring(zero, one):
+    # a zero row of a, a zero column of b, and an entry that cancels
+    a = [[one, one, zero], [zero, zero, zero]]           # 2 x 3
+    b = [[one, zero], [-one, zero], [one, zero]]         # 3 x 2
+    for prod in (linalg.mat_mul(a, b), _dense_mat_mul(a, b)):
+        assert prod == [[zero, zero], [zero, zero]]
+        assert all(type(x) is type(zero) for row in prod for x in row)
+    t = linalg.trace_product(a, b)
+    assert t == zero and type(t) is type(zero)
+    assert linalg.trace_product([[one, one]], [[one], [-one]]) == zero

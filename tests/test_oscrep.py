@@ -109,6 +109,13 @@ class TestSoStar:
             assert commutator(q, e) == e.scale(2)
             assert commutator(q, f) == f.scale(-2)
 
+    def test_broken_generator_invariant_raises(self, monkeypatch):
+        # the invariants are checked by raising, so they also hold under -O
+        monkeypatch.setattr(oscrep, "commutator", lambda x, y: WeylElement.zero())
+        for build in (oscrep.su22_generators, lambda: oscrep.so_star_generators(1)):
+            with pytest.raises(oscrep.AlgebraError, match="generator invariant"):
+                build()
+
 
 class TestDualPairs:
     @pytest.mark.parametrize("n", [1, 2, 3])
