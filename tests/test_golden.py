@@ -32,6 +32,10 @@ CASES = {
     "check-relations-so-star-n2": ["check-relations", "--algebra", "so-star", "--n", "2"],
     "closure-so-star-k2-pairs100": ["closure", "--family", "so-star", "--k", "2",
                                     "--flavors", "1", "--pair-limit", "100"],
+    "massless": ["massless"],
+    "closure-u-pq-k2-flavors2-level2": ["closure", "--family", "u-pq", "--k", "2",
+                                        "--flavors", "2", "--level", "2"],
+    "check-relations-so-star-n3": ["check-relations", "--algebra", "so-star", "--n", "3"],
 }
 
 
