@@ -242,11 +242,10 @@ def frobenius_property_check(m1, m2, m3) -> Report:
 @dataclass
 class TAlgebra:
     basis: list
-    unital: bool = True
 
     def __post_init__(self):
         vecs = [_vec(m) for m in self.basis]
-        if linalg.span_rank(vecs) != len(vecs):
+        if linalg.rank(vecs) != len(vecs):
             raise ValueError("t-algebra basis is linearly dependent")
         for i, a in enumerate(self.basis):
             if not linalg.in_span(vecs, _vec(linalg.transpose(a))):
@@ -254,10 +253,8 @@ class TAlgebra:
             for j, b in enumerate(self.basis):
                 if not linalg.in_span(vecs, _vec(linalg.mat_mul(a, b))):
                     raise ValueError(f"product {i}*{j} leaves the span")
-        if self.unital:
-            n = len(self.basis[0])
-            if not linalg.in_span(vecs, _vec(linalg.identity(n))):
-                raise ValueError("unital t-algebra must contain the identity")
+        if not linalg.in_span(vecs, _vec(linalg.identity(len(self.basis[0])))):
+            raise ValueError("unital t-algebra must contain the identity")
 
     @property
     def size(self) -> int:
@@ -378,24 +375,21 @@ def _independent(mats, want):
 
 
 def _positive_definite(g):
-    n = len(g)
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in g[:k]]
-        if _det(minor) <= 0:
+    """Sylvester's criterion by one elimination pass without row swaps.
+
+    The k-th pivot is the ratio of the k-th to the (k-1)-th leading minor,
+    so every leading minor is positive exactly when every pivot is.
+    """
+    a = linalg.mat_copy(g)
+    for k, pivot_row in enumerate(a):
+        p = pivot_row[k]
+        if p <= 0:
             return False
+        for row in a[k + 1:]:
+            f = row[k] / p
+            for j in range(k, len(row)):
+                row[j] -= f * pivot_row[j]
     return True
-
-
-def _det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        sub = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * _det(sub)
-        total += term if j % 2 == 0 else -term
-    return total
 
 
 def _reducible_message(alg):

@@ -217,8 +217,10 @@ def run_check_bilocal(args) -> Report:
 
     for left in range(1, args.L + 1):
         ident = [[Fraction(int(i == j)) for j in range(left)] for i in range(left)]
-        rep.extend(_retitle(bilocal.verify_commutator_formula(ident, ident),
-                            f"bilocal/identity/L{left}"))
+        sub = bilocal.verify_commutator_formula(ident, ident)
+        for r in sub.records:
+            r.check_id = f"bilocal/identity/L{left}/{r.check_id}"
+        rep.extend(sub)
     ok_all = True
     first_defect = ""
     for t in range(args.trials):
@@ -251,14 +253,6 @@ def run_check_bilocal(args) -> Report:
     for kind_name, n in (("R", 2), ("C", 1), ("H", 1)):
         rep.extend(bilocal.canonical_form_check(kind_name, n))
     return rep
-
-
-def _retitle(rep: Report, prefix: str) -> Report:
-    out = Report(rep.title)
-    for r in rep.records:
-        out.add(f"{prefix}/{r.check_id}", r.passed, negative_control=r.negative_control,
-                detail=r.detail, defect=r.defect)
-    return out
 
 
 def run_decompose(args) -> tuple[Report, list]:

@@ -287,11 +287,7 @@ def lowest_weight_vectors(alg, fock: TruncatedFock):
                 for r, v in cm.get(c, ()):
                     block[rpos[r]][j] = v
             mat.extend(block)
-        if rows_used:
-            kern = linalg.kernel(mat, one=QI(1), zero=QI(0))
-        else:
-            kern = [[QI(1) if i == j else QI(0) for j in range(len(cols))]
-                    for i in range(len(cols))]
+        kern = linalg.kernel(mat) if rows_used else linalg.identity(len(cols), QI(1))
         if kern:
             out[key] = [(cols, v) for v in kern]
     return out
@@ -425,39 +421,18 @@ def one_flavor_bilinears(family: str, k: int):
         modes = ([("a", i) for i in range(1, size + 1)]
                  + [("b", i) for i in range(1, size + 1)])
         if family == "u_pq":
-            mats = u_pq_matrix_basis(2 * size)
+            mats = oscrep.unitary_basis([1] * size + [-1] * size)
             spec = oscrep.form_spec("u_pq", k)
+            if not all(oscrep.matrix_membership(m, spec) for m in mats):
+                raise FockError("u(p,q) basis element fails membership")
+            if len(mats) != (2 * size) ** 2:
+                raise FockError("u(p,q) basis has the wrong dimension")
         else:
             mats = oscrep.so_star_matrix_basis(k)
             spec = oscrep.form_spec("so_star", k)
         elems = [quadratic_from_matrix(m, pol).without_scalar() for m in mats]
         return elems, modes, pol, spec
     raise FockError(f"unknown closure family {family!r}")
-
-
-def u_pq_matrix_basis(size: int):
-    """Real basis of u(p,q), p = q = size/2, as size x size QI matrices."""
-    p = size // 2
-    sgn = [1] * p + [-1] * p
-    out = []
-    for a in range(size):
-        out.append(oscrep.basis_matrix(size, a, a, QI(0, 1)))
-    for a in range(size):
-        for b in range(a + 1, size):
-            s = sgn[a] * sgn[b]
-            m = oscrep.basis_matrix(size, a, b, 1)
-            m[b][a] = QI(-s)
-            out.append(m)
-            m2 = oscrep.basis_matrix(size, a, b, QI(0, 1))
-            m2[b][a] = QI(0, s)
-            out.append(m2)
-    spec = oscrep.form_spec("u_pq", p)
-    for m in out:
-        if not oscrep.matrix_membership(m, spec):
-            raise FockError("u(p,q) basis element fails membership")
-    if len(out) != size * size:
-        raise FockError("u(p,q) basis has the wrong dimension")
-    return out
 
 
 def central_pairing(x: WeylElement, y: WeylElement, modes) -> QI:

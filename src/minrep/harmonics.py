@@ -114,7 +114,7 @@ def _top_seed(n: int, l: int) -> Poly:
         kern = [[_ONE] + [QI(0)] * (len(cands) - 1)]
     else:
         mat = [[im.terms.get(mm, QI(0)) for im in images] for mm in monos]
-        kern = linalg.kernel(mat, one=QI(1), zero=QI(0))
+        kern = linalg.kernel(mat)
     if len(kern) != 1:
         raise HarmonicError(f"harmonic seed for (n,l) = ({n},{l}) is not unique")
     out = Poly(NVARS)
@@ -131,7 +131,7 @@ def _normalize_leading(p: Poly) -> Poly:
     return p.scale(_ONE / lead)
 
 
-def build_harmonic(n: int, l: int, m: int, normalize=_normalize_leading) -> HarmonicMode:
+def build_harmonic(n: int, l: int, m: int) -> HarmonicMode:
     """Construct h_{n,l,m}; raises on invalid label ranges."""
     if n < 1 or not 0 <= l <= n - 1 or not -l <= m <= l:
         raise HarmonicError(f"invalid mode labels (n,l,m) = ({n},{l},{m})")
@@ -140,7 +140,7 @@ def build_harmonic(n: int, l: int, m: int, normalize=_normalize_leading) -> Harm
         p = lowering(p)
         if p.is_zero():
             raise HarmonicError(f"lowering annihilated the mode ({n},{l},{m})")
-    return HarmonicMode(n, l, m, normalize(p))
+    return HarmonicMode(n, l, m, _normalize_leading(p))
 
 
 def verify_mode(h: Poly, n: int, l: int, m: int) -> Report:

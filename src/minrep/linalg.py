@@ -73,12 +73,9 @@ def trace(m):
     return s
 
 
-def identity(n, one=Fraction(1), zero=Fraction(0)):
+def identity(n, one=Fraction(1)):
+    zero = one - one
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def zeros(rows, cols, zero=Fraction(0)):
-    return [[zero] * cols for _ in range(rows)]
 
 
 def commutator(a, b):
@@ -116,7 +113,7 @@ def rank(m):
     return len(rref(m)[1])
 
 
-def kernel(m, one=Fraction(1), zero=Fraction(0)):
+def kernel(m):
     """Basis of the right null space of m (vectors of length ncols)."""
     if not m:
         return []
@@ -125,15 +122,15 @@ def kernel(m, one=Fraction(1), zero=Fraction(0)):
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [zero] * cols
-        v[fc] = one
+        v = [0 * m[0][0]] * cols
+        v[fc] += 1
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
 
 
-def solve(a, b, one=Fraction(1), zero=Fraction(0)):
+def solve(a, b):
     """Solve a x = b for a single consistent right-hand side; None if none."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -141,15 +138,15 @@ def solve(a, b, one=Fraction(1), zero=Fraction(0)):
     red, pivots = rref(aug)
     if cols in pivots:
         return None
-    x = [zero] * cols
+    x = [0 * a[0][0]] * cols if cols else []
     for r, pc in enumerate(pivots):
         x[pc] = red[r][cols]
     return x
 
 
-def inverse(m, one=Fraction(1), zero=Fraction(0)):
+def inverse(m):
     n = len(m)
-    aug = [list(m[i]) + [one if i == j else zero for j in range(n)] for i in range(n)]
+    aug = [list(row) + e for row, e in zip(m, identity(n, 0 * m[0][0] + 1))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -162,12 +159,6 @@ def in_span(vectors, target):
         return not any(target)
     m = transpose(vectors)
     return solve(m, list(target)) is not None
-
-
-def span_rank(vectors):
-    if not vectors:
-        return 0
-    return rank(list(vectors))
 
 
 def char_poly(m):

@@ -68,7 +68,7 @@ class FormSpec:
     sympl: tuple | None = None
 
     def __post_init__(self):
-        one = linalg.identity(self.size, QI(1), QI(0))
+        one = linalg.identity(self.size, QI(1))
         if self.beta is not None:
             b = [list(r) for r in self.beta]
             if not mat_is_zero(linalg.mat_sub(mat_star(b), b)):
@@ -528,15 +528,9 @@ def sl2_centralizer_check() -> Report:
 
 
 def _in_weyl_span(basis: list, target: WeylElement) -> bool:
-    monos = sorted({m for el in basis + [target] for m in el.terms},
-                   key=lambda m: (m.creators, m.annihilators))
-    if not monos:
-        return True
-    cols = [[el.terms.get(m, QI(0)) for m in monos] for el in basis]
-    rhs = [target.terms.get(m, QI(0)) for m in monos]
-    if not cols:
-        return all(not x for x in rhs)
-    return linalg.solve(linalg.transpose(cols), rhs, one=QI(1), zero=QI(0)) is not None
+    monos = list({m for el in basis + [target] for m in el.terms})
+    return linalg.in_span([[el.terms.get(m, QI(0)) for m in monos] for el in basis],
+                          [target.terms.get(m, QI(0)) for m in monos])
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +558,7 @@ def so_star_matrix_basis(n: int):
         return x
 
     zero_k = [[QI(0)] * k for _ in range(k)]
-    for u in antihermitian_basis(k):
+    for u in unitary_basis([1] * k):
         out.append(embed(u, zero_k))
     for a in range(k):
         for b in range(a + 1, k):
@@ -581,30 +575,32 @@ def so_star_matrix_basis(n: int):
     return out
 
 
-def antihermitian_basis(k: int, traceless: bool = False):
-    """Real basis of u(k) (or su(k)) as k x k antihermitian QI matrices."""
-    out = []
+def unitary_basis(signs, traceless: bool = False):
+    """Real basis of u(p,q) (su(p,q) if traceless) as QI matrices X with
+    X* D + D X = 0, D = diag(signs); u(k) is the case of k signs +1.
+
+    The diagonal elements come first (i e_aa, or i(e_aa - e_{a+1,a+1})
+    when traceless), then the pair e_ab - s e_ba, i(e_ab + s e_ba) for
+    each a < b, where s = signs[a] signs[b].
+    """
+    k = len(signs)
+    i = QI(0, 1)
+
+    def unit(entries):
+        m = [[QI(0)] * k for _ in range(k)]
+        for (a, b), c in entries.items():
+            m[a][b] = c
+        return m
+
     if traceless:
-        for a in range(k - 1):
-            m = [[QI(0)] * k for _ in range(k)]
-            m[a][a] = QI(0, 1)
-            m[a + 1][a + 1] = QI(0, -1)
-            out.append(m)
+        out = [unit({(a, a): i, (a + 1, a + 1): -i}) for a in range(k - 1)]
     else:
-        for a in range(k):
-            m = [[QI(0)] * k for _ in range(k)]
-            m[a][a] = QI(0, 1)
-            out.append(m)
+        out = [unit({(a, a): i}) for a in range(k)]
     for a in range(k):
         for b in range(a + 1, k):
-            m = [[QI(0)] * k for _ in range(k)]
-            m[a][b] = QI(1)
-            m[b][a] = QI(-1)
-            out.append(m)
-            m2 = [[QI(0)] * k for _ in range(k)]
-            m2[a][b] = QI(0, 1)
-            m2[b][a] = QI(0, 1)
-            out.append(m2)
+            s = signs[a] * signs[b]
+            out.append(unit({(a, b): QI(1), (b, a): QI(-s)}))
+            out.append(unit({(a, b): i, (b, a): QI(0, s)}))
     return out
 
 
@@ -651,7 +647,7 @@ def casimir_elements(n: int):
         c_so = c_so + normal_product(quadratic_from_matrix(x, pol),
                                      quadratic_from_matrix(xd, pol))
 
-    su_basis = [embed_u_block(u, k) for u in antihermitian_basis(k, traceless=True)]
+    su_basis = [embed_u_block(u, k) for u in unitary_basis([1] * k, traceless=True)]
     su_dual = _dual_basis(su_basis, linalg.trace_product)
     c_su = WeylElement.zero()
     for x, xd in zip(su_basis, su_dual):

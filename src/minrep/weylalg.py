@@ -278,23 +278,12 @@ def quadratic_from_matrix(x_matrix, pol: Polarization) -> WeylElement:
 def matrix_from_quadratic(w: WeylElement, pol: Polarization):
     """Invert quadratic_from_matrix via the adjoint action on phi.
 
-    [phi~ X phi, phi^c] = -sum_b X_cb phi^b, which is blind to any scalar
-    part of w.  Raises if ad_w does not preserve the span of phi.
+    [phi~ X phi, phi^c] = -sum_b X_cb phi^b, so X is minus the transpose
+    of the mode action matrix on phi; this is blind to any scalar part of
+    w.  Raises if ad_w does not preserve the span of phi.
     """
-    n = pol.size
-    basis = {}
-    for b, el in enumerate(pol.phi):
-        (mono, coeff), = el.terms.items()
-        basis[mono] = (b, coeff)
-    x = [[QI(0)] * n for _ in range(n)]
-    for c in range(n):
-        br = commutator(w, pol.phi[c])
-        for mono, q in br.terms.items():
-            if mono not in basis:
-                raise ValueError(f"bracket leaves the polarization span: {mono}")
-            b, coeff = basis[mono]
-            x[c][b] = -q / coeff
-    return x
+    m = mode_action_matrix(w, pol.phi)
+    return [[-x for x in col] for col in zip(*m)]
 
 
 def mode_action_matrix(w: WeylElement, xi: list[WeylElement]):

@@ -299,3 +299,44 @@ class TestRightIdeals:
         e22 = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]]
         rep = bilocal.right_ideal_orthogonal_check([one, e11, e22], [e11])
         assert rep.ok
+
+
+# ---------------------------------------------------------------------------
+# Sylvester's criterion against the leading-minor cofactor test it replaced
+
+
+def _cofactor_det(m):
+    if not m:
+        return Fraction(1)
+    return sum(((-1) ** j * m[0][j] * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+                for j in range(len(m))), Fraction(0))
+
+
+def _leading_minors_positive(g):
+    return all(_cofactor_det([row[:k] for row in g[:k]]) > 0 for k in range(1, len(g) + 1))
+
+
+def test_positive_definite_matches_leading_minor_oracle():
+    rng = random.Random(17)
+
+    def rand(rows, cols):
+        return [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
+                for _ in range(rows)]
+
+    def gram(a, n):
+        # a^T a: positive definite when a has rank n, singular when it has fewer rows
+        return [[sum((r[i] * r[j] for r in a), Fraction(0)) for j in range(n)]
+                for i in range(n)]
+
+    seen = set()
+    for n in range(1, 5):
+        for _ in range(40):
+            a = rand(n, n)
+            cases = {"indefinite": [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)],
+                     "gram": gram(a, n),
+                     "singular": gram(rand(n - 1, n), n)}
+            for kind, g in cases.items():
+                want = _leading_minors_positive(g)
+                assert bilocal._positive_definite(g) is want, (kind, g)
+                seen.add((kind, want))
+    assert {("gram", True), ("singular", False), ("indefinite", False)} <= seen

@@ -45,14 +45,50 @@ def test_inverse_roundtrip():
     assert linalg.mat_mul(m, inv) == linalg.identity(4)
 
 
+def _check_results_stay_in_ring(one, c):
+    """kernel, solve and inverse take no ring argument: on matrices over the
+    ring of `one` every entry of each result has the type of `one`.
+
+    `c` is a nonzero ring element with c^2 != 2, so [[1, c], [1/c, 1]] is
+    singular and [[1, c], [c, 2]] is not.
+    """
+    zero = one - one
+    ring = type(one)
+
+    def in_ring(vals):
+        return all(type(x) is ring for x in vals)
+
+    def apply(m, v):
+        return [sum((x * y for x, y in zip(row, v)), zero) for row in m]
+
+    singular = [[one, c], [one / c, one]]
+    assert linalg.rank(singular) == 1
+    for m in (singular, [[zero, zero]], [[zero, one, zero]]):
+        kern = linalg.kernel(m)
+        assert len(kern) == len(m[0]) - linalg.rank(m)
+        for v in kern:
+            assert in_ring(v) and any(v)
+            assert apply(m, v) == [zero] * len(m)
+
+    # consistent but singular, so the free unknown holds the ring's zero
+    x = linalg.solve(singular, [one, one / c])
+    assert in_ring(x) and x[1] == zero
+    assert apply(singular, x) == [one, one / c]
+    assert linalg.solve([[one, c], [one, c]], [one, zero]) is None
+
+    m = [[one, c], [c, one + one]]
+    inv = linalg.inverse(m)
+    assert all(in_ring(row) for row in inv)
+    assert linalg.mat_mul(m, inv) == linalg.identity(2, one)
+    assert all(in_ring(row) for row in linalg.identity(3, one))
+
+
 def test_qi_entries_work_throughout():
-    i = QI(0, 1)
-    m = [[QI(1), i], [-i, QI(1)]]
-    assert linalg.rank(m) == 1
-    kern = linalg.kernel(m, one=QI(1), zero=QI(0))
-    assert len(kern) == 1
-    v = kern[0]
-    assert m[0][0] * v[0] + m[0][1] * v[1] == QI(0)
+    _check_results_stay_in_ring(QI(1), QI(0, 1))
+
+
+def test_fraction_entries_stay_fraction():
+    _check_results_stay_in_ring(Fraction(1), Fraction(3))
 
 
 def test_char_poly_and_rational_roots():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -214,6 +215,25 @@ class TestMembership:
         assert not oscrep.matrix_membership(y, spec)
 
 
+class TestUnitaryBasis:
+    @pytest.mark.parametrize("traceless", [False, True])
+    def test_every_sign_pattern(self, traceless):
+        for k in range(1, 5):
+            for signs in itertools.product((1, -1), repeat=k):
+                basis = oscrep.unitary_basis(signs, traceless)
+                d = oscrep.qi_diag(signs)
+                assert len(basis) == k * k - traceless
+                for x in basis:
+                    form = linalg.mat_add(linalg.mat_mul(oscrep.mat_star(x), d),
+                                          linalg.mat_mul(d, x))
+                    assert oscrep.mat_is_zero(form)
+                    assert not traceless or linalg.trace(x) == 0
+                # independent over R: real and imaginary parts as coordinates
+                coords = [[c for row in x for q in row for c in (q.re, q.im)]
+                          for x in basis]
+                assert linalg.rank(coords) == len(basis)
+
+
 class TestGroupLevelGolden:
     def test_nilpotent_raising_exponential_preserves_sigma(self):
         # The raising images square to zero, so exp(X) = 1 + X exactly, and
@@ -229,7 +249,7 @@ class TestGroupLevelGolden:
             for name in (f"E_{1}{2}", f"E_{1}{2 * n}"):
                 x = matrix_from_quadratic(gens.extras[name], pol)
                 assert oscrep.mat_is_zero(linalg.mat_mul(x, x))
-                g = linalg.mat_add(linalg.identity(spec.size, QI(1), QI(0)), x)
+                g = linalg.mat_add(linalg.identity(spec.size, QI(1)), x)
                 left = linalg.mat_mul(linalg.transpose(g), linalg.mat_mul(sigma, g))
                 assert left == sigma
 
@@ -239,13 +259,12 @@ class TestGroupLevelGolden:
         spec = oscrep.form_spec("so_star", 1)
         beta = [list(r) for r in spec.beta]
         sigma = [list(r) for r in spec.sigma]
-        one = linalg.identity(spec.size, QI(1), QI(0))
+        one = linalg.identity(spec.size, QI(1))
         half = QI(Fraction(1, 2))
         for x in oscrep.so_star_matrix_basis(1):
             a = linalg.mat_scale(half, x)
             g = linalg.mat_mul(linalg.mat_add(one, a),
-                               linalg.inverse(linalg.mat_sub(one, a),
-                                              one=QI(1), zero=QI(0)))
+                               linalg.inverse(linalg.mat_sub(one, a)))
             assert linalg.mat_mul(oscrep.mat_star(g),
                                   linalg.mat_mul(beta, g)) == beta
             assert linalg.mat_mul(linalg.transpose(g),
