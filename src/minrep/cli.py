@@ -2,9 +2,10 @@
 
 Every subcommand runs a batch of exact checks, emits a machine-readable
 report (json, csv or text) and exits 0 only if all checks pass.  Exit
-codes: 0 all pass, 1 check failure, 2 usage error, 3 internal invariant
-breach.  Reports are byte-stable for fixed arguments and seed when
---stable is given (wall times omitted, sorted keys).
+codes: 0 all pass, 1 check failure, 2 usage error (bad flags or config,
+unwritable output), 3 internal error (any exception a suite raises).
+Reports are byte-stable for fixed arguments and seed when --stable is
+given (wall times omitted, sorted keys).
 """
 
 from __future__ import annotations
@@ -99,8 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config(args, argv):
-    """File values fill in for any flag not given explicitly on the line."""
+def _apply_config(parser, args, argv):
+    """Parse the line again with the config file's values in front of it.
+
+    The values go through the parser's own types and choices, and a flag
+    given on the line comes after them, so it wins.
+    """
     if not args.config:
         return args
     try:
@@ -108,14 +113,19 @@ def _apply_config(args, argv):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {args.config}: {exc}")
-    given = set(argv if argv is not None else sys.argv[1:])
+    if not isinstance(data, dict):
+        raise UsageError(f"config {args.config} must hold a JSON object")
+    tokens = []
     for key, value in data.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if not hasattr(args, key.replace("-", "_")):
             raise UsageError(f"unknown config key {key!r}")
-        if f"--{key.replace('_', '-')}" not in given:
-            setattr(args, attr, value)
-    return args
+        flag = f"--{key.replace('_', '-')}"
+        if value is True:
+            tokens.append(flag)
+        elif value is not False and value is not None:
+            tokens += [flag, str(value)]
+    line = list(sys.argv[1:] if argv is None else argv)
+    return parser.parse_args(line[:1] + tokens + line[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +396,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(args, argv)
+        args = _apply_config(parser, args, argv)
         if args.json is not None:
             args.format = "json"
             if args.json != "-":
@@ -398,9 +408,9 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         result = COMMANDS[args.command](args)
-    except (fockspace.FockError, oscrep.AlgebraError, rootsys.RootSystemError,
-            harmonics.HarmonicError) as exc:
-        print(f"internal invariant breach: {exc}", file=sys.stderr)
+    except Exception as exc:
+        msg = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return EXIT_INTERNAL
     if isinstance(result, tuple):
         report, table = result
@@ -410,7 +420,11 @@ def main(argv=None) -> int:
         for r in report.records:
             if r.wall_ms is None:
                 r.wall_ms = (time.monotonic() - start) * 1000 / max(1, len(report.records))
-    emit(report, args, table)
+    try:
+        emit(report, args, table)
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
@@ -428,8 +442,8 @@ def _validate(args):
         raise UsageError("--flavors must be between 1 and 4")
     if getattr(args, "nmax", 1) < 1 or getattr(args, "nmax", 1) > 12:
         raise UsageError("--nmax must be between 1 and 12")
-    if getattr(args, "trials", 1) < 0:
-        raise UsageError("--trials must be nonnegative")
+    if getattr(args, "trials", 1) < 1:
+        raise UsageError("--trials must be at least 1")
     if getattr(args, "seed", 0) < 0 or getattr(args, "seed", 0) >= 2 ** 64:
         raise UsageError("--seed must fit in 64 bits")
     if getattr(args, "level", 0) < 0:

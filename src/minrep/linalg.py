@@ -5,7 +5,9 @@ entries, since the matrices the suites multiply are mostly zeros.
 Elimination is plain Gauss-Jordan with exact field arithmetic, so there
 are no pivoting tolerances: a pivot is any nonzero entry.  The helpers
 work for any entry type supporting +, -, *, / and truthiness (Fraction
-and QI both do).
+and QI both do), and their results stay in the operands' ring: the zero
+of a result is ``0 * entry``.  Only ``identity(n, one)`` takes a ring
+argument, since it has no operand to read it from.
 """
 
 from __future__ import annotations

@@ -50,7 +50,8 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return all(r.passed for r in self.records)
+        """Every record passed, and there is at least one: an empty report checked nothing."""
+        return bool(self.records) and all(r.passed for r in self.records)
 
     @property
     def counts(self) -> dict:

@@ -1,14 +1,32 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from minrep import cli
+import pytest
+
+from minrep import bilocal, cli, harmonics
+from minrep.reports import Report
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def run_process(argv, cwd):
+    """Run `python -m minrep` in a fresh interpreter: (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-m", "minrep"] + argv, cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestTable1:
@@ -98,6 +116,11 @@ class TestBilocalCommand:
             assert {"check_id", "passed", "negative_control",
                     "detail", "defect"} <= set(rec)
 
+    def test_zero_trials_refused(self, capsys):
+        # zero trials would report passing random and Frobenius records that checked nothing
+        code, out = run(["check-bilocal", "--trials", "0"], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+
     def test_l_bound(self, capsys):
         code, _ = run(["check-bilocal", "--L", "9"], capsys)
         assert code == cli.EXIT_USAGE
@@ -159,6 +182,30 @@ class TestExitCodes:
         assert code == cli.EXIT_CHECK_FAILED
         assert json.loads(out)["ok"] is False
 
+    @pytest.mark.parametrize("error", [
+        bilocal.ReducibleAlgebraError("forced reducible algebra"),
+        harmonics.ConformalInfinityError("forced point at conformal infinity"),
+        ValueError("bracket leaves the mode span: forced"),
+        RuntimeError("a message\nover two lines"),
+    ])
+    def test_any_exception_in_a_suite_exits_three(self, capsys, monkeypatch, error):
+        def exploding(*a, **kw):
+            raise error
+
+        monkeypatch.setattr(cli.rootsys, "table1_report", exploding)
+        code = cli.main(["table1"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_INTERNAL
+        assert out == "" and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_empty_report_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "COMMANDS", dict(cli.COMMANDS,
+                                                  massless=lambda args: Report("empty")))
+        code, out = run(["massless", "--format", "json"], capsys)
+        assert code == cli.EXIT_CHECK_FAILED
+        assert json.loads(out)["ok"] is False
+
     def test_internal_breach_exits_three(self, capsys, monkeypatch):
         def exploding(*a, **kw):
             raise cli.rootsys.RootSystemError("forced breach")
@@ -190,3 +237,26 @@ class TestConfigAndOutput:
         data = json.loads((tmp_path / "rep.json").read_text())
         assert data["ok"] is True
         assert not any("wall_ms" in r for r in data["records"])
+
+    @pytest.mark.parametrize("value, code", [("2", cli.EXIT_OK), ("x", cli.EXIT_USAGE)])
+    def test_config_values_parsed_like_flags(self, tmp_path, value, code):
+        (tmp_path / "cfg.json").write_text(json.dumps({"nmax": value}))
+        got, out, err = run_process(["harmonics", "--config", "cfg.json",
+                                     "--format", "json"], tmp_path)
+        assert got == code and "Traceback" not in err
+        if code == cli.EXIT_OK:
+            assert json.loads(out)["title"] == "harmonics/nmax2"
+
+    def test_line_flag_wins_over_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nmax": "3", "format": "csv"}))
+        code, out = run(["harmonics", "--config", str(cfg), "--nmax", "1",
+                         "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["title"] == "harmonics/nmax1"
+
+    def test_unwritable_out_path_exits_two(self, tmp_path):
+        missing = tmp_path / "no" / "such" / "dir" / "x.json"
+        code, out, err = run_process(["table1", "--out", str(missing)], tmp_path)
+        assert code == cli.EXIT_USAGE
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1

@@ -12,6 +12,15 @@ def test_ok_requires_every_record_including_controls():
     assert not rep.ok
 
 
+def test_empty_report_is_not_ok():
+    # a report with no records checked nothing, so it must not pass
+    rep = Report("t")
+    assert not rep.ok
+    assert rep.as_dict()["ok"] is False
+    rep.add("a", True)
+    assert rep.ok
+
+
 def test_counts_and_failures():
     rep = Report("t")
     rep.add("a", True)
