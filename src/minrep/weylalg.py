@@ -283,7 +283,7 @@ def matrix_from_quadratic(w: WeylElement, pol: Polarization):
     w.  Raises if ad_w does not preserve the span of phi.
     """
     m = mode_action_matrix(w, pol.phi)
-    return [[-x for x in col] for col in zip(*m)]
+    return [[-x if x else x for x in col] for col in zip(*m)]
 
 
 def mode_action_matrix(w: WeylElement, xi: list[WeylElement]):

@@ -22,8 +22,7 @@ def run(argv, capsys):
 
 def run_process(argv, cwd):
     """Run `python -m minrep` in a fresh interpreter: (exit code, stdout, stderr)."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-m", "minrep"] + argv, cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
