@@ -20,9 +20,9 @@ from . import linalg, oscrep
 from .lincomb import combine
 from .reports import Report
 from .scalars import QI
-from .weylalg import (Mode, Polarization, WeylElement, WeylMonomial, commutator,
-                      matrix_from_quadratic, mode_action_matrix, quadratic_blocks,
-                      quadratic_from_matrix)
+from .weylalg import (Mode, Polarization, SpanError, WeylElement, WeylMonomial,
+                      commutator, matrix_from_quadratic, mode_action_matrix,
+                      quadratic_blocks, quadratic_from_matrix)
 
 
 class FockError(ValueError):
@@ -510,7 +510,7 @@ def _closure_structure(quad, family, flavors, modes, pol, spec):
     """Split a commutator by flavor and test membership of its matrix."""
     try:
         parts = [_project_flavor(quad, f) for f in range(1, flavors + 1)]
-    except ValueError:
+    except SpanError:
         return False, False
     total = WeylElement.zero()
     for p in parts:
@@ -527,7 +527,7 @@ def _closure_structure(quad, family, flavors, modes, pol, spec):
             mats = [matrix_from_quadratic(p, flavored_polarization(pol, f))
                     for f, p in enumerate(parts, start=1)]
             member = oscrep.matrix_membership(mats[0], spec)
-    except ValueError:
+    except SpanError:
         return False, False
     same = all(m == mats[0] for m in mats[1:])
     return same, member
@@ -548,7 +548,7 @@ def _project_flavor(w: WeylElement, flavor: int) -> WeylElement:
             continue
         fs = {m[1] for m in ms}
         if len(fs) > 1:
-            raise ValueError("cross-flavor monomial in a closure commutator")
+            raise SpanError("cross-flavor monomial in a closure commutator")
         if fs == {flavor}:
             terms[mono] = q
     return WeylElement(terms)

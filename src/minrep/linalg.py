@@ -148,6 +148,8 @@ def solve(a, b):
 
 def inverse(m):
     n = len(m)
+    if n == 0:
+        return []   # the empty matrix is its own inverse
     aug = [list(row) + e for row, e in zip(m, identity(n, 0 * m[0][0] + 1))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):

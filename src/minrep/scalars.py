@@ -1,113 +1,187 @@
 """Exact scalar rings: Gaussian rationals and their sqrt(2) extension.
 
 All coefficient arithmetic in the package is exact.  ``QI`` is the field
-Q(i) with both components stored as ``fractions.Fraction``; ``QIS`` is the
-ring Q(i)[s]/(s^2 - 2), used where a 1/sqrt(2) normalization appears in a
-first-order operator but cancels out of every bilinear.
+Q(i).  A ``QI`` holds three ints ``(a, b, d)``, the value (a + b*i)/d,
+kept reduced: d > 0 and gcd(a, b, d) = 1, with zero stored as (0, 0, 1).
+Equal values therefore have equal fields, and arithmetic runs on ints;
+``.re`` and ``.im`` give the components as ``fractions.Fraction``.
+``QIS`` is the ring Q(i)[s]/(s^2 - 2), used where a 1/sqrt(2)
+normalization appears in a first-order operator but cancels out of every
+bilinear.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+_new = object.__new__
 
 
-def _frac(x) -> Fraction:
+def _parts(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction."""
+    if type(x) is int:
+        return x, 1
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
     raise TypeError(f"cannot build an exact scalar from {type(x).__name__}")
 
 
 class QI:
-    """Gaussian rational re + im*i with exact Fraction components."""
+    """Gaussian rational (a + b*i)/d, stored reduced as three ints."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+    def __new__(cls, re=0, im=0):
+        p, q = _parts(re)
+        r, s = _parts(im)
+        # p/q and r/s are in lowest terms, so over lcm(q, s) the triple
+        # is already reduced.
+        d = lcm(q, s)
+        return _triple(p * (d // q), r * (d // s), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QI is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def of(x) -> "QI":
         if isinstance(x, QI):
             return x
-        return QI(_frac(x))
+        p, q = _parts(x)
+        return _triple(p, 0, q)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
         if isinstance(other, QI):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (self._b == 0 and self._a == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
+        # that of the Fraction when real, of the (re, im) pair otherwise
+        if self._b == 0:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
         return hash((self.re, self.im))
 
     def __add__(self, other):
-        o = QI.of(other)
-        return QI(self.re + o.re, self.im + o.im)
+        a, b, d = self._a, self._b, self._d
+        if type(other) is not QI:
+            if type(other) is int:
+                # a + k*d keeps gcd(., b, d) = 1: no reduction
+                return _triple(a + other * d, b, d)
+            other = QI.of(other)
+        e = other._d
+        if d == e:
+            return _reduced(a + other._a, b + other._b, d)
+        return _reduced(a * e + other._a * d, b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        o = QI.of(other)
-        return QI(self.re - o.re, self.im - o.im)
+        a, b, d = self._a, self._b, self._d
+        if type(other) is not QI:
+            if type(other) is int:
+                return _triple(a - other * d, b, d)
+            other = QI.of(other)
+        e = other._d
+        if d == e:
+            return _reduced(a - other._a, b - other._b, d)
+        return _reduced(a * e - other._a * d, b * e - other._b * d, d * e)
 
     def __rsub__(self, other):
         return QI.of(other) - self
 
     def __mul__(self, other):
-        o = QI.of(other)
-        return QI(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        a, b, d = self._a, self._b, self._d
+        if type(other) is not QI:
+            if type(other) is int:
+                return _reduced(a * other, b * other, d)
+            other = QI.of(other)
+        c, e = other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = QI.of(other)
-        n = o.re * o.re + o.im * o.im
+        c, e = o._a, o._b
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero in QI")
-        return QI((self.re * o.re + self.im * o.im) / n, (self.im * o.re - self.re * o.im) / n)
+        # (a + b i)/d / ((c + e i)/f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
+        a, b, f = self._a, self._b, o._d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __rtruediv__(self, other):
         return QI.of(other) / self
 
     def conj(self) -> "QI":
-        return QI(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     def real_fraction(self) -> Fraction:
-        if self.im != 0:
+        if self._b != 0:
             raise ValueError(f"{self} is not real")
-        return self.re
+        return Fraction(self._a, self._d)
 
     def __repr__(self):
         return f"QI({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return _imag_str(self.im)
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{_imag_str(abs(self.im))[1:] if self.im < 0 else _imag_str(self.im)}"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return _imag_str(im)
+        return f"{re}{'+' if im > 0 else '-'}{_imag_str(abs(im))}"
+
+
+_set_a, _set_b, _set_d = QI._a.__set__, QI._b.__set__, QI._d.__set__
+
+
+def _triple(a: int, b: int, d: int) -> QI:
+    """The QI (a + b*i)/d for a triple that is already reduced."""
+    q = _new(QI)
+    _set_a(q, a)
+    _set_b(q, b)
+    _set_d(q, d)
+    return q
+
+
+def _reduced(a: int, b: int, d: int) -> QI:
+    """The QI (a + b*i)/d for any d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    q = _new(QI)
+    _set_a(q, a)
+    _set_b(q, b)
+    _set_d(q, d)
+    return q
 
 
 def _imag_str(im: Fraction) -> str:
@@ -128,9 +202,8 @@ class QIS:
 
     __slots__ = ("u", "v")
 
-    def __init__(self, u=QI_ZERO, v=QI_ZERO):
-        object.__setattr__(self, "u", QI.of(u))
-        object.__setattr__(self, "v", QI.of(v))
+    def __new__(cls, u=QI_ZERO, v=QI_ZERO):
+        return _pair(QI.of(u), QI.of(v))
 
     def __setattr__(self, name, value):
         raise AttributeError("QIS is immutable")
@@ -139,7 +212,7 @@ class QIS:
     def of(x) -> "QIS":
         if isinstance(x, QIS):
             return x
-        return QIS(QI.of(x))
+        return _pair(QI.of(x), QI_ZERO)
 
     def __bool__(self):
         return bool(self.u) or bool(self.v)
@@ -157,16 +230,16 @@ class QIS:
 
     def __add__(self, other):
         o = QIS.of(other)
-        return QIS(self.u + o.u, self.v + o.v)
+        return _pair(self.u + o.u, self.v + o.v)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QIS(-self.u, -self.v)
+        return _pair(-self.u, -self.v)
 
     def __sub__(self, other):
         o = QIS.of(other)
-        return QIS(self.u - o.u, self.v - o.v)
+        return _pair(self.u - o.u, self.v - o.v)
 
     def __rsub__(self, other):
         return QIS.of(other) - self
@@ -174,13 +247,18 @@ class QIS:
     def __mul__(self, other):
         o = QIS.of(other)
         # (u1 + v1 s)(u2 + v2 s) = u1 u2 + 2 v1 v2 + (u1 v2 + v1 u2) s
-        return QIS(self.u * o.u + QI(2) * self.v * o.v, self.u * o.v + self.v * o.u)
+        u1, v1, u2, v2 = self.u, self.v, o.u, o.v
+        if not v1:
+            return _pair(u1 * u2, u1 * v2)
+        if not v2:
+            return _pair(u1 * u2, v1 * u2)
+        return _pair(u1 * u2 + v1 * v2 * 2, u1 * v2 + v1 * u2)
 
     __rmul__ = __mul__
 
     def conj(self) -> "QIS":
         # s is real, so conjugation acts on the Q(i) components only.
-        return QIS(self.u.conj(), self.v.conj())
+        return _pair(self.u.conj(), self.v.conj())
 
     def rational_part(self) -> QI:
         """The Q(i) value, requiring the s-component to have cancelled."""
@@ -197,6 +275,17 @@ class QIS:
         if not self.u:
             return f"({self.v})s"
         return f"({self.u})+({self.v})s"
+
+
+_set_u, _set_v = QIS.u.__set__, QIS.v.__set__
+
+
+def _pair(u: QI, v: QI) -> QIS:
+    """The QIS u + v*s for two QIs."""
+    x = _new(QIS)
+    _set_u(x, u)
+    _set_v(x, v)
+    return x
 
 
 QIS_SQRT2 = QIS(QI_ZERO, QI_ONE)

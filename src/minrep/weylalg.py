@@ -21,6 +21,10 @@ from .scalars import QI
 Mode = tuple
 
 
+class SpanError(ValueError):
+    """An element or bracket falls outside the span a reader expects."""
+
+
 def mode_str(m: Mode) -> str:
     return str(m[0]) + "_".join(str(x) for x in m[1:])
 
@@ -280,7 +284,7 @@ def matrix_from_quadratic(w: WeylElement, pol: Polarization):
 
     [phi~ X phi, phi^c] = -sum_b X_cb phi^b, so X is minus the transpose
     of the mode action matrix on phi; this is blind to any scalar part of
-    w.  Raises if ad_w does not preserve the span of phi.
+    w.  Raises SpanError if ad_w does not preserve the span of phi.
     """
     m = mode_action_matrix(w, pol.phi)
     return [[-x if x else x for x in col] for col in zip(*m)]
@@ -302,7 +306,7 @@ def mode_action_matrix(w: WeylElement, xi: list[WeylElement]):
         br = commutator(w, xi[r])
         for mono, q in br.terms.items():
             if mono not in basis:
-                raise ValueError(f"bracket leaves the mode span: {mono}")
+                raise SpanError(f"bracket leaves the mode span: {mono}")
             b, coeff = basis[mono]
             a[r][b] = q / coeff
     return [[a[r][c] for r in range(n)] for c in range(n)]
@@ -325,7 +329,7 @@ def quadratic_blocks(w: WeylElement, modes: list[Mode]):
         if (nc, na) == (0, 0):
             continue
         if nc + na != 2:
-            raise ValueError(f"element is not quadratic: {mono}")
+            raise SpanError(f"element is not quadratic: {mono}")
         if (nc, na) == (1, 1):
             alpha[idx[mono.creators[0]]][idx[mono.annihilators[0]]] += q
         elif (nc, na) == (2, 0):

@@ -6,7 +6,7 @@ import pytest
 
 from minrep import fockspace, oscrep
 from minrep.scalars import QI
-from minrep.weylalg import WeylElement, commutator
+from minrep.weylalg import WeylElement, commutator, standard_polarization
 
 mono = WeylElement.monomial
 
@@ -217,6 +217,17 @@ class TestClosure:
                         scalar = commutator(flav[s], flav[t]).scalar_part()
                         found.append(scalar / omega)
             assert found and all(c == flavors for c in found)
+
+    def test_structure_fails_span_errors_and_raises_breaches(self):
+        modes, pol = [("a", 1), ("a", 2)], standard_polarization(2)
+        spec = oscrep.form_spec("u_pq", 1)
+        # a cross-flavor quadratic leaves the flavor-diagonal span: a failed check
+        cross = WeylElement.monomial([("a", 1, 1)], [("a", 2, 1)])
+        assert fockspace._closure_structure(cross, "u_pq", 2, modes, pol, spec) == (False, False)
+        # a 4x4 matrix tested against the u(1,1) form is an internal breach
+        quad = WeylElement.monomial([("a", 1, 1)], [("a", 1, 2)])
+        with pytest.raises(oscrep.AlgebraError, match="does not match the u_pq form"):
+            fockspace._closure_structure(quad, "u_pq", 1, modes, pol, spec)
 
 
 class TestGaugeAction:

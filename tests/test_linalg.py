@@ -45,6 +45,10 @@ def test_inverse_roundtrip():
     assert linalg.mat_mul(m, inv) == linalg.identity(4)
 
 
+def test_inverse_of_empty_matrix_is_empty():
+    assert linalg.inverse([]) == []
+
+
 def _check_results_stay_in_ring(one, c):
     """kernel, solve and inverse take no ring argument: on matrices over the
     ring of `one` every entry of each result has the type of `one`.

@@ -1,4 +1,5 @@
-"""Algebraic laws of the sparse linear-combination core and its subclasses."""
+"""Algebraic laws of the sparse linear-combination core, its subclasses and the
+Weyl algebra: products, commutators, adjoints and Fock matrices."""
 
 from __future__ import annotations
 
@@ -7,10 +8,11 @@ from fractions import Fraction
 import pytest
 
 from minrep.bilocal import DeltaPoly, WickElement
+from minrep.fockspace import enumerate_basis, operator_matrix, safe_columns
 from minrep.lincomb import combine
 from minrep.poly import Poly
 from minrep.scalars import QI
-from minrep.weylalg import WeylElement, WeylMonomial, normal_product
+from minrep.weylalg import WeylElement, WeylMonomial, commutator, normal_product
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -107,6 +109,35 @@ def test_normal_product_associative(x, y, z):
     left = normal_product(normal_product(x, y), z)
     assert left == normal_product(x, normal_product(y, z))
     assert _no_zero_coefficient(left)
+
+
+@PROFILE
+@given(x=_weyl_elements(), y=_weyl_elements(), z=_weyl_elements())
+def test_commutator_jacobi_identity(x, y, z):
+    total = (commutator(x, commutator(y, z)) + commutator(y, commutator(z, x))
+             + commutator(z, commutator(x, y)))
+    assert total.is_zero()
+
+
+@PROFILE
+@given(x=_weyl_elements(), y=_weyl_elements())
+def test_adjoint_reverses_normal_products(x, y):
+    assert normal_product(x, y).adjoint() == normal_product(y.adjoint(), x.adjoint())
+    assert x.adjoint().adjoint() == x
+
+
+# Two modes up to level 6: 28 states, and the level-0 to level-2 columns
+# survive two factors that each raise the level by at most 2.
+_FOCK = enumerate_basis([("a", 1), ("a", 2)], 6)
+
+
+@PROFILE
+@given(x=_weyl_elements(), y=_weyl_elements())
+def test_operator_matrix_is_multiplicative_on_safe_columns(x, y):
+    mx, my = operator_matrix(x, _FOCK), operator_matrix(y, _FOCK)
+    cols = safe_columns(_FOCK, mx.level_raise, my.level_raise)
+    assert cols
+    assert operator_matrix(normal_product(x, y), _FOCK).equal_on_columns(mx @ my, cols)
 
 
 def test_combine_leaves_cancelled_sums_for_the_constructor():

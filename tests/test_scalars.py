@@ -58,6 +58,13 @@ def test_immutability():
     with pytest.raises(AttributeError):
         QI(1).re = Fraction(2)
     with pytest.raises(AttributeError):
+        QI(1)._d = 2
+    # construction happens in __new__, so calling __init__ rewrites nothing
+    q, x = QI(1), QIS(QI(1))
+    q.__init__(5)
+    x.__init__(QI(5))
+    assert q == 1 and x == 1
+    with pytest.raises(AttributeError):
         QIS(QI(1)).u = QI(2)
 
 

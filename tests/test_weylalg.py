@@ -5,7 +5,7 @@ import pytest
 
 from minrep import fockspace
 from minrep.scalars import QI
-from minrep.weylalg import (WeylElement, commutator, matrix_from_quadratic,
+from minrep.weylalg import (SpanError, WeylElement, commutator, matrix_from_quadratic,
                             mode_action_matrix, normal_product,
                             quadratic_blocks, quadratic_from_matrix,
                             standard_polarization)
@@ -203,8 +203,13 @@ def test_matrix_from_quadratic_roundtrip():
 def test_matrix_from_quadratic_rejects_nonpolarized():
     pol = standard_polarization(1)
     w = WeylElement.monomial([A1, A1], [])  # a*a* does not preserve phi-span
-    with pytest.raises(ValueError):
+    with pytest.raises(SpanError, match="leaves the mode span"):
         matrix_from_quadratic(w, pol)
+
+
+def test_quadratic_blocks_rejects_higher_degree():
+    with pytest.raises(SpanError, match="not quadratic"):
+        quadratic_blocks(WeylElement.monomial([A1, A1], [A2]), [A1, A2])
 
 
 def test_mode_action_matrix_is_homomorphism():
