@@ -448,6 +448,11 @@ def _validate(args):
         raise UsageError("--seed must fit in 64 bits")
     if getattr(args, "level", 0) < 0:
         raise UsageError("--level must be nonnegative")
+    for fam, least in rootsys._MIN_RANK.items():
+        ranks = getattr(args, f"ranks_{fam.lower()}", None)
+        if ranks is not None and (not ranks or ranks[0] < least):
+            raise UsageError(f"--ranks-{fam.lower()} must be a nonempty range of ranks "
+                             f">= {least}")
     lcap = getattr(args, "L", 1)
     if args.command == "check-bilocal" and not 1 <= lcap <= 8:
         raise UsageError("--L must be between 1 and 8")

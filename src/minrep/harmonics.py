@@ -157,13 +157,6 @@ def verify_mode(h: Poly, n: int, l: int, m: int) -> Report:
     return rep
 
 
-def all_modes(nmax: int) -> list:
-    return [build_harmonic(n, l, m)
-            for n in range(1, nmax + 1)
-            for l in range(n)
-            for m in range(-l, l + 1)]
-
-
 def level_count_check(nmax: int) -> Report:
     """Each level n carries exactly n^2 linearly independent modes."""
     rep = Report(f"harmonics/levels<={nmax}")

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from .reports import Report
+from .rootsys import cartan_a_type, cartan_d_type
 from .scalars import QI
 from .weylalg import (WeylElement, Polarization, commutator, ad_power,
                       normal_product, quadratic_from_matrix,
@@ -188,22 +189,6 @@ def _a(i):
 
 def _b(i):
     return ("b", i)
-
-
-def cartan_a_type(r):
-    return [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(r)] for i in range(r)]
-
-
-def cartan_d_type(r):
-    """D_r Cartan matrix: chain 1..r-1 with node r attached to node r-2."""
-    c = [[0] * r for _ in range(r)]
-    for i in range(r):
-        c[i][i] = 2
-    for i in range(r - 2):
-        c[i][i + 1] = c[i + 1][i] = -1
-    if r >= 3:
-        c[r - 3][r - 1] = c[r - 1][r - 3] = -1
-    return c
 
 
 def _require(ok: bool, what: str):

@@ -1,20 +1,19 @@
 """Root systems of the simple Lie algebras and their highest-root grading.
 
-Roots are kept as exact rational vectors in the standard orthonormal-basis
-realizations (type A in the sum-zero hyperplane of n coordinates, F4 with
-half-integer roots, E-types in the even coordinate lattice of R^8).  All
-derived data (Cartan matrix, grading, centralizer type, orbit dimensions)
-is integer arithmetic with no tolerances.
+Each family is one entry of an integer Dynkin table: its Cartan matrix and
+the squared lengths of its simple roots (Bourbaki numbering, short simple
+roots of length 1).  Roots are integer tuples in simple-root coordinates,
+generated by the simple reflections s_i(b) = b - <b, a_i^v> a_i.  Every
+inner product comes from the doubled Gram matrix G_ij = A_ij |a_j|^2 =
+2(a_i|a_j), which is integral, so all derived data (grading, centralizer
+type, orbit dimensions) is integer arithmetic with no tolerances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import linalg
-
-Vector = tuple[Fraction, ...]
+Root = tuple[int, ...]
 
 EXCEPTIONAL_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 
@@ -23,61 +22,54 @@ class RootSystemError(ValueError):
     pass
 
 
-def _v(*xs) -> Vector:
-    return tuple(Fraction(x) for x in xs)
+def cartan_a_type(r):
+    return [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(r)] for i in range(r)]
 
 
-def dot(a: Vector, b: Vector) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def cartan_d_type(r):
+    """D_r Cartan matrix: chain 1..r-1 with node r attached to node r-2."""
+    c = [[0] * r for _ in range(r)]
+    for i in range(r):
+        c[i][i] = 2
+    for i in range(r - 2):
+        c[i][i + 1] = c[i + 1][i] = -1
+    if r >= 3:
+        c[r - 3][r - 1] = c[r - 1][r - 3] = -1
+    return c
 
 
-def _unit(n, i, c=1) -> list[Fraction]:
-    v = [Fraction(0)] * n
-    v[i] = Fraction(c)
-    return v
+def _bc_type(r, long_last):
+    """B_r (node r short) or C_r (node r long): a chain whose last bond is
+    double, with A_ij = -2 where a_j is the short root of the bond."""
+    c = cartan_a_type(r)
+    i, j = (r - 1, r - 2) if long_last else (r - 2, r - 1)
+    c[i][j] = -2
+    return c
 
 
-def _simple_roots(family: str, rank: int) -> list[Vector]:
-    if family == "A":
-        n = rank + 1
-        return [tuple(a - b for a, b in zip(_unit(n, i), _unit(n, i + 1))) for i in range(rank)]
-    if family == "B":
-        out = [tuple(a - b for a, b in zip(_unit(rank, i), _unit(rank, i + 1))) for i in range(rank - 1)]
-        out.append(tuple(_unit(rank, rank - 1)))
-        return out
-    if family == "C":
-        out = [tuple(a - b for a, b in zip(_unit(rank, i), _unit(rank, i + 1))) for i in range(rank - 1)]
-        out.append(tuple(_unit(rank, rank - 1, 2)))
-        return out
-    if family == "D":
-        out = [tuple(a - b for a, b in zip(_unit(rank, i), _unit(rank, i + 1))) for i in range(rank - 1)]
-        out.append(tuple(a + b for a, b in zip(_unit(rank, rank - 2), _unit(rank, rank - 1))))
-        return out
-    if family == "G2":
-        return [_v(1, -1, 0), _v(-2, 1, 1)]
-    if family == "F4":
-        h = Fraction(1, 2)
-        return [
-            _v(0, 1, -1, 0),
-            _v(0, 0, 1, -1),
-            _v(0, 0, 0, 1),
-            (h, -h, -h, -h),
-        ]
-    if family in ("E6", "E7", "E8"):
-        h = Fraction(1, 2)
-        alpha = [
-            (h, -h, -h, -h, -h, -h, -h, h),
-            _v(1, 1, 0, 0, 0, 0, 0, 0),
-            _v(-1, 1, 0, 0, 0, 0, 0, 0),
-            _v(0, -1, 1, 0, 0, 0, 0, 0),
-            _v(0, 0, -1, 1, 0, 0, 0, 0),
-            _v(0, 0, 0, -1, 1, 0, 0, 0),
-            _v(0, 0, 0, 0, -1, 1, 0, 0),
-            _v(0, 0, 0, 0, 0, -1, 1, 0),
-        ]
-        return alpha[: EXCEPTIONAL_RANK[family]]
-    raise RootSystemError(f"unknown family {family!r}")
+def _e_type(r):
+    """E_r in Bourbaki numbering: chain 1-3-4-...-r with node 2 on node 4."""
+    order = [0] + list(range(2, r))
+    c = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
+    for i, j in zip(order, order[1:]):
+        c[i][j] = c[j][i] = -1
+    c[1][3] = c[3][1] = -1
+    return c
 
+
+# family -> rank -> (Cartan matrix, squared simple-root lengths)
+DYNKIN = {
+    "A": lambda r: (cartan_a_type(r), [1] * r),
+    "B": lambda r: (_bc_type(r, False), [2] * (r - 1) + [1]),
+    "C": lambda r: (_bc_type(r, True), [1] * (r - 1) + [2]),
+    "D": lambda r: (cartan_d_type(r), [1] * r),
+    "E6": lambda r: (_e_type(r), [1] * r),
+    "E7": lambda r: (_e_type(r), [1] * r),
+    "E8": lambda r: (_e_type(r), [1] * r),
+    "F4": lambda r: ([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+                     [2, 2, 1, 1]),
+    "G2": lambda r: ([[2, -1], [-3, 2]], [1, 3]),
+}
 
 DIM_FORMULA = {
     "A": lambda r: (r + 1) ** 2 - 1,
@@ -98,13 +90,13 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 class RootSystem:
     family: str
     rank: int
-    simple_roots: tuple[Vector, ...]
-    roots: tuple[Vector, ...]
-    positive_roots: tuple[Vector, ...]
+    simple_roots: tuple[Root, ...]
+    roots: tuple[Root, ...]
+    positive_roots: tuple[Root, ...]
     cartan_matrix: tuple[tuple[int, ...], ...]
-    highest_root: Vector
-    # expansion of each root in the simple-root basis, parallel to `roots`
-    coefficients: tuple[tuple[int, ...], ...]
+    # doubled Gram matrix 2(a_i|a_j) of the simple roots
+    gram: tuple[tuple[int, ...], ...]
+    highest_root: Root
 
     @property
     def label(self) -> str:
@@ -113,6 +105,10 @@ class RootSystem:
     @property
     def dim(self) -> int:
         return len(self.roots) + self.rank
+
+    def form(self, a: Root, b: Root) -> int:
+        """2(a|b), from the doubled Gram matrix."""
+        return sum(x * g * y for x, row in zip(a, self.gram) for g, y in zip(row, b))
 
 
 def build_root_system(family: str, rank: int | None = None) -> RootSystem:
@@ -129,80 +125,53 @@ def build_root_system(family: str, rank: int | None = None) -> RootSystem:
         if rank is None or rank < _MIN_RANK[family]:
             raise RootSystemError(f"type {family} requires rank >= {_MIN_RANK[family]}, got {rank}")
 
-    simples = _simple_roots(family, rank)
-    norms = [dot(a, a) for a in simples]
+    cartan, lengths = DYNKIN[family](rank)
+    gram = [[cartan[i][j] * lengths[j] for j in range(rank)] for i in range(rank)]
+    if any(gram[i][j] != gram[j][i] for i in range(rank) for j in range(i)):
+        raise RootSystemError(f"{family}{rank}: lengths {lengths} do not symmetrize "
+                              f"the Cartan matrix {cartan}")
 
+    expected_count = DIM_FORMULA[family](rank) - rank
+    simples = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     roots = set(simples)
     frontier = list(simples)
     while frontier:
         new = []
         for beta in frontier:
-            for alpha, n2 in zip(simples, norms):
-                c = 2 * dot(beta, alpha) / n2
-                refl = tuple(b - c * a for b, a in zip(beta, alpha))
+            for i in range(rank):
+                c = sum(b * row[i] for b, row in zip(beta, cartan))
+                refl = beta[:i] + (beta[i] - c,) + beta[i + 1:]
                 if refl not in roots:
                     roots.add(refl)
                     new.append(refl)
+        if len(roots) > expected_count:
+            raise RootSystemError(f"{family}{rank}: the reflection closure passed "
+                                  f"{expected_count} roots")
         frontier = new
     all_roots = sorted(roots)
-
-    expected_count = DIM_FORMULA[family](rank) - rank
     if len(all_roots) != expected_count:
         raise RootSystemError(
             f"{family}{rank}: generated {len(all_roots)} roots, expected {expected_count}")
 
-    # Expansion in the simple basis via the Gram matrix (exact solve).
-    gram = [[dot(a, b) for b in simples] for a in simples]
-    gram_inv = linalg.inverse(gram)
-    coeffs = []
-    for r in all_roots:
-        v = [dot(a, r) for a in simples]
-        x = [sum(gram_inv[i][j] * v[j] for j in range(rank)) for i in range(rank)]
-        ints = []
-        for c in x:
-            if c.denominator != 1:
-                raise RootSystemError(f"non-integer simple-root coefficient {c} for {r}")
-            ints.append(int(c))
-        coeffs.append(tuple(ints))
-
-    positives = [(r, c) for r, c in zip(all_roots, coeffs) if all(k >= 0 for k in c)]
+    positives = [r for r in all_roots if all(k >= 0 for k in r)]
     if 2 * len(positives) != len(all_roots):
         raise RootSystemError("positive roots are not half of all roots")
 
-    max_height = max(sum(c) for _, c in positives)
-    tops = [(r, c) for r, c in positives if sum(c) == max_height]
+    max_height = max(sum(r) for r in positives)
+    tops = [r for r in positives if sum(r) == max_height]
     if len(tops) != 1:
         raise RootSystemError("highest root is not unique")
-    theta = tops[0][0]
-    root_set = set(all_roots)
-    for alpha in simples:
-        if tuple(t + a for t, a in zip(theta, alpha)) in root_set:
-            raise RootSystemError("theta + simple root is still a root")
-
-    cartan = []
-    for i, a in enumerate(simples):
-        row = []
-        for j, b in enumerate(simples):
-            c = 2 * dot(a, b) / norms[j]
-            if c.denominator != 1:
-                raise RootSystemError("non-integer Cartan entry")
-            c = int(c)
-            if i == j and c != 2:
-                raise RootSystemError("Cartan diagonal is not 2")
-            if i != j and c > 0:
-                raise RootSystemError("positive off-diagonal Cartan entry")
-            row.append(c)
-        cartan.append(tuple(row))
+    theta = tops[0]
 
     return RootSystem(
         family=family,
         rank=rank,
         simple_roots=tuple(simples),
         roots=tuple(all_roots),
-        positive_roots=tuple(r for r, _ in positives),
-        cartan_matrix=tuple(cartan),
+        positive_roots=tuple(positives),
+        cartan_matrix=tuple(tuple(row) for row in cartan),
+        gram=tuple(tuple(row) for row in gram),
         highest_root=theta,
-        coefficients=tuple(coeffs),
     )
 
 
@@ -218,13 +187,13 @@ class FiveGrading:
 
 def grade_by_highest_root(rs: RootSystem) -> FiveGrading:
     theta = rs.highest_root
-    tt = dot(theta, theta)
+    tt = rs.form(theta, theta)
     dims = {-2: 0, -1: 0, 0: rs.rank, 1: 0, 2: 0}
     for r in rs.roots:
-        e = 2 * dot(r, theta) / tt
-        if e.denominator != 1 or not -2 <= e <= 2:
-            raise RootSystemError(f"grading eigenvalue {e} out of range")
-        dims[int(e)] += 1
+        e, rem = divmod(2 * rs.form(r, theta), tt)
+        if rem or not -2 <= e <= 2:
+            raise RootSystemError(f"grading eigenvalue of {r} is not an integer in -2..2")
+        dims[e] += 1
     if dims[2] != 1 or dims[-2] != 1 or dims[1] != dims[-1]:
         raise RootSystemError(f"grading shape violated: {dims}")
     if sum(dims.values()) != rs.dim:
@@ -236,7 +205,7 @@ def grade_by_highest_root(rs: RootSystem) -> FiveGrading:
 # Centralizer classification
 
 
-def _classify_component(simples: list[Vector]) -> str:
+def _classify_component(simples: list[Root], form) -> str:
     """Type of one connected simple system, canonicalized up to isomorphism.
 
     Canonical aliases: rank-2 double edge is 'B2' (= C2), and the
@@ -246,14 +215,12 @@ def _classify_component(simples: list[Vector]) -> str:
     r = len(simples)
     if r == 1:
         return "A1"
-    norms = [dot(a, a) for a in simples]
+    norms = [form(a, a) for a in simples]
     mult = {}
     edges = {i: [] for i in range(r)}
     for i in range(r):
         for j in range(i + 1, r):
-            cij = 2 * dot(simples[i], simples[j]) / norms[j]
-            cji = 2 * dot(simples[j], simples[i]) / norms[i]
-            m = int(cij * cji)
+            m = 4 * form(simples[i], simples[j]) ** 2 // (norms[i] * norms[j])
             if m:
                 mult[(i, j)] = m
                 edges[i].append(j)
@@ -374,14 +341,12 @@ def minimal_orbit_report(rs: RootSystem) -> MinOrbitReport:
     """Orbit dimensions and the type of the centralizer of the top sl2."""
     grading = grade_by_highest_root(rs)
     theta = rs.highest_root
-    ortho = [r for r in rs.roots if dot(r, theta) == 0]
-    coeff = {r: c for r, c in zip(rs.roots, rs.coefficients)}
-    pos = [r for r in ortho if all(k >= 0 for k in coeff[r])]
+    pos = [r for r in rs.positive_roots if rs.form(r, theta) == 0]
     pos_set = set(pos)
     simples = [r for r in pos
                if not any(tuple(x - y for x, y in zip(r, s)) in pos_set for s in pos if s != r)]
-    components = _connected_components(simples)
-    labels = [_classify_component(comp) for comp in components]
+    components = _connected_components(simples, rs.form)
+    labels = [_classify_component(comp, rs.form) for comp in components]
     sub_rank = len(simples)
     center_dim = rs.rank - 1 - sub_rank
     if center_dim < 0:
@@ -409,7 +374,7 @@ def minimal_orbit_report(rs: RootSystem) -> MinOrbitReport:
     return rep
 
 
-def _connected_components(simples: list[Vector]) -> list[list[Vector]]:
+def _connected_components(simples: list[Root], form) -> list[list[Root]]:
     unvisited = list(simples)
     comps = []
     while unvisited:
@@ -418,7 +383,7 @@ def _connected_components(simples: list[Vector]) -> list[list[Vector]]:
         while grew:
             grew = False
             for v in unvisited[:]:
-                if any(dot(v, w) != 0 for w in comp):
+                if any(form(v, w) != 0 for w in comp):
                     comp.append(v)
                     unvisited.remove(v)
                     grew = True

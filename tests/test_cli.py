@@ -51,6 +51,17 @@ class TestTable1:
         labels = {r[0] for r in rows[1:]}
         assert "C2" in labels and "C3" in labels and "C6" not in labels
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--ranks-a", "5..2"),   # empty range
+        ("--ranks-a", "0"),      # below A's minimum rank 1
+        ("--ranks-b", "1"),      # below B's minimum rank 2
+        ("--ranks-c", "1..3"),   # below C's minimum rank 2
+        ("--ranks-d", "2..3"),   # below D's minimum rank 3
+    ])
+    def test_bad_rank_range_exits_two(self, capsys, flag, value):
+        code, _ = run(["table1", flag, value], capsys)
+        assert code == cli.EXIT_USAGE
+
 
 class TestRelations:
     def test_su22_all_pass(self, capsys):

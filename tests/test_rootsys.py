@@ -147,3 +147,108 @@ def test_label_aliases():
     assert rootsys.same_algebra_label("A1+A1", "D2")
     assert not rootsys.same_algebra_label("B3", "C3")
     assert rootsys.same_algebra_label("A2+u(1)", "u(1)+A2")
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the orthonormal realizations of the simple roots (Bourbaki
+# numbering), kept here as an independent reference for the Dynkin table.
+
+
+def _oracle_simple_roots(family, rank):
+    def v(*xs):
+        return tuple(Fraction(x) for x in xs)
+
+    def unit(n, i, c=1):
+        return tuple(Fraction(c) if k == i else Fraction(0) for k in range(n))
+
+    def diff(n, i):
+        return tuple(a - b for a, b in zip(unit(n, i), unit(n, i + 1)))
+
+    h = Fraction(1, 2)
+    if family == "A":
+        return [diff(rank + 1, i) for i in range(rank)]
+    if family == "B":
+        return [diff(rank, i) for i in range(rank - 1)] + [unit(rank, rank - 1)]
+    if family == "C":
+        return [diff(rank, i) for i in range(rank - 1)] + [unit(rank, rank - 1, 2)]
+    if family == "D":
+        last = tuple(a + b for a, b in zip(unit(rank, rank - 2), unit(rank, rank - 1)))
+        return [diff(rank, i) for i in range(rank - 1)] + [last]
+    if family == "G2":
+        return [v(1, -1, 0), v(-2, 1, 1)]
+    if family == "F4":
+        return [v(0, 1, -1, 0), v(0, 0, 1, -1), v(0, 0, 0, 1), (h, -h, -h, -h)]
+    e8 = [(h, -h, -h, -h, -h, -h, -h, h), v(1, 1, 0, 0, 0, 0, 0, 0)]
+    e8 += [tuple(-x for x in diff(8, i)) for i in range(6)]
+    return e8[:rank]
+
+
+def _dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def _coords(basis, vec):
+    """Coefficients of vec in the given basis (Gauss-Jordan on the Gram system)."""
+    n = len(basis)
+    rows = [[_dot(a, b) for b in basis] + [_dot(a, vec)] for a in basis]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        rows[col] = [x / p for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[n] for row in rows]
+
+
+def _oracle_data(family, rank):
+    simples = _oracle_simple_roots(family, rank)
+    cartan = [[2 * _dot(a, b) / _dot(b, b) for b in simples] for a in simples]
+    roots, frontier = set(simples), list(simples)
+    while frontier:
+        new = []
+        for beta in frontier:
+            for a in simples:
+                c = 2 * _dot(beta, a) / _dot(a, a)
+                r = tuple(x - c * y for x, y in zip(beta, a))
+                if r not in roots:
+                    roots.add(r)
+                    new.append(r)
+        frontier = new
+    height, theta = max((sum(_coords(simples, r)), r) for r in roots)
+    dims = {-2: 0, -1: 0, 0: rank, 1: 0, 2: 0}
+    for r in roots:
+        dims[int(2 * _dot(r, theta) / _dot(theta, theta))] += 1
+    return cartan, len(roots), height, dims
+
+
+_ORACLE_CASES = ([("A", 1)]
+                 + [(fam, r) for fam, ranks in rootsys.DEFAULT_TABLE_RANKS.items()
+                    for r in ranks]
+                 + [("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8)])
+
+
+@pytest.mark.parametrize("family,rank", _ORACLE_CASES)
+def test_root_system_agrees_with_orthonormal_oracle(family, rank):
+    cartan, count, height, dims = _oracle_data(family, rank)
+    rs = build_root_system(family, rank)
+    assert [list(row) for row in rs.cartan_matrix] == cartan
+    assert len(rs.roots) == count
+    assert sum(_coords(rs.simple_roots, rs.highest_root)) == height
+    assert grade_by_highest_root(rs).dims == dims
+
+
+@pytest.mark.parametrize("entry,message", [
+    # the affine A1 matrix: the closure never ends without its bound
+    (([[2, -2], [-2, 2]], [1, 1]), "closure passed 12 roots"),
+    # equal lengths cannot symmetrize the G2 matrix
+    (([[2, -1], [-3, 2]], [1, 1]), "do not symmetrize"),
+    # a finite type, but not the one whose size DIM_FORMULA expects
+    (([[2, -1], [-1, 2]], [1, 1]), "generated 6 roots, expected 12"),
+])
+def test_bad_dynkin_entry_raises(monkeypatch, entry, message):
+    monkeypatch.setitem(rootsys.DYNKIN, "G2", lambda r: entry)
+    with pytest.raises(rootsys.RootSystemError, match=message):
+        build_root_system("G2")
