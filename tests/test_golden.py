@@ -36,6 +36,8 @@ CASES = {
     "closure-u-pq-k2-flavors2-level2": ["closure", "--family", "u-pq", "--k", "2",
                                         "--flavors", "2", "--level", "2"],
     "check-relations-so-star-n3": ["check-relations", "--algebra", "so-star", "--n", "3"],
+    "check-bilocal-L4-trials50-seed101": ["check-bilocal", "--L", "4", "--trials", "50",
+                                          "--seed", "101"],
 }
 
 
