@@ -3,10 +3,13 @@
 Fields phi_f(x_k) carry a flavor f and a point label k; the two-point
 contractions D+_{kl} are kept as algebraically independent commuting
 symbols, so every identity proved here is an identity of Wick
-combinatorics with no analytic input.  On top of the engine sit the
-closed commutator formula for matrix-labeled bilinears, the Frobenius
-pairing of the labeling matrix algebra, and the real/complex/quaternionic
-commutant classification.
+combinatorics with no analytic input.  Wick coefficients are polynomials
+in those symbols with ``QI`` coefficients; a contraction set is a tuple
+of (k, l) monomial keys, which the product appends to the keys of each
+coefficient.  On top of the engine sit the closed commutator formula for
+matrix-labeled bilinears, the Frobenius pairing of the labeling matrix
+algebra, and the real/complex/quaternionic commutant classification;
+the labeling matrices are ``Fraction`` matrices.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from fractions import Fraction
 from . import linalg
 from .lincomb import LinComb, combine
 from .reports import Report
+from .scalars import QI, QI_ONE
 
 # ---------------------------------------------------------------------------
 # Polynomials in the contraction symbols D+_{kl}
@@ -25,7 +29,7 @@ _EMPTY = ()
 
 
 class DeltaPoly(LinComb):
-    """Q-polynomial in the symbols D+_{kl}; monomials are sorted pair tuples."""
+    """QI-polynomial in the symbols D+_{kl}; monomials are sorted pair tuples."""
 
     __slots__ = ()
 
@@ -39,14 +43,14 @@ class DeltaPoly(LinComb):
 
     @staticmethod
     def const(c) -> "DeltaPoly":
-        return DeltaPoly({_EMPTY: Fraction(c)})
+        return DeltaPoly({_EMPTY: QI.of(c)})
 
     @staticmethod
     def symbol(k: int, l: int) -> "DeltaPoly":
-        return DeltaPoly({((k, l),): Fraction(1)})
+        return DeltaPoly({((k, l),): QI_ONE})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, QI)):
             return self.scale(other)
         acc: dict = {}
         for m1, c1 in self.terms.items():
@@ -55,7 +59,7 @@ class DeltaPoly(LinComb):
         return DeltaPoly(acc)
 
     def scale(self, c) -> "DeltaPoly":
-        return self._scaled(Fraction(c))
+        return self._scaled(QI.of(c))
 
     def __str__(self):
         if not self.terms:
@@ -68,7 +72,7 @@ class DeltaPoly(LinComb):
 
 
 _DP_ZERO = DeltaPoly({})
-_DP_ONE = DeltaPoly({_EMPTY: Fraction(1)})
+_DP_ONE = DeltaPoly({_EMPTY: QI_ONE})
 
 
 def delta_commutator(k: int, l: int) -> DeltaPoly:
@@ -107,7 +111,7 @@ class WickElement(LinComb):
         return WickElement.normal_product([(point, flavor)])
 
     def scale(self, c) -> "WickElement":
-        if isinstance(c, (int, Fraction)):
+        if isinstance(c, (int, Fraction, QI)):
             c = DeltaPoly.const(c)
         return self._scaled(c)
 
@@ -126,36 +130,48 @@ def wick_product(u: WickElement, v: WickElement) -> WickElement:
 
     A left field (k, f) contracts with a right field (l, g) to
     delta_{fg} D+_{kl}; uncontracted fields recombine into one normal
-    product.  Enumeration walks the left fields one at a time, pairing
-    each either with nothing or with one unused right field.
+    product.  Each contraction set multiplies the coefficient product by
+    a monomial of coefficient one, so its pairs are appended to every
+    monomial key of that product and summed into one flat dict per
+    normal product; the DeltaPolys are built once, at the end.
     """
     out: dict = {}
     for fa, ca in u.terms.items():
         for fb, cb in v.terms.items():
-            base = ca * cb
-            combine(((tuple(sorted(rest_a + rest_b)), base * factor)
-                     for factor, rest_a, rest_b in _contraction_sets(list(fa), list(fb))),
-                    out)
-    return WickElement(out)
+            base = (ca * cb).terms.items()
+            for pairs, rest_a, rest_b in _contraction_sets(fa, fb):
+                key = tuple(sorted(rest_a + rest_b))
+                acc = out.get(key)
+                if acc is None:
+                    acc = out[key] = {}
+                if pairs:
+                    combine(((tuple(sorted(m + pairs)), c) for m, c in base), acc)
+                else:
+                    combine(base, acc)
+    return WickElement({key: DeltaPoly(acc) for key, acc in out.items()})
 
 
-def _contraction_sets(left: list, right: list):
-    """Yield (DeltaPoly factor, uncontracted left, uncontracted right)."""
+def _contraction_sets(left: tuple, right: tuple):
+    """Yield (contracted (k, l) pairs, uncontracted left, uncontracted right).
+
+    Walks the left fields one at a time, pairing each either with nothing
+    or with one unused right field of the same flavor.
+    """
     if not left or not right:
-        yield DeltaPoly.one(), left, right
+        yield _EMPTY, left, right
         return
     head, tail = left[0], left[1:]
     # head stays uncontracted
-    for factor, ra, rb in _contraction_sets(tail, right):
-        yield factor, [head] + ra, rb
+    for pairs, ra, rb in _contraction_sets(tail, right):
+        yield pairs, (head,) + ra, rb
     # head contracts with each matching right field
     for idx, other in enumerate(right):
         if head[1] != other[1]:
             continue
-        sym = DeltaPoly.symbol(head[0], other[0])
+        pair = ((head[0], other[0]),)
         rest = right[:idx] + right[idx + 1:]
-        for factor, ra, rb in _contraction_sets(tail, rest):
-            yield sym * factor, ra, rb
+        for pairs, ra, rb in _contraction_sets(tail, rest):
+            yield pair + pairs, ra, rb
 
 
 def wick_commutator(u: WickElement, v: WickElement) -> WickElement:
@@ -171,7 +187,6 @@ def bilocal_field(m, p: int, q: int) -> WickElement:
     out = WickElement.zero()
     for i, row in enumerate(m, start=1):
         for j, c in enumerate(row, start=1):
-            c = Fraction(c)
             if c:
                 out = out + WickElement.normal_product([(p, i), (q, j)],
                                                        DeltaPoly.const(c))
