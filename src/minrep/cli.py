@@ -274,7 +274,7 @@ def run_decompose(args) -> tuple[Report, list]:
                                 F=[gens.extras["sp2_F"]], H=[gens.extras["sp2_Q"]])
     table = fockspace.joint_weight_decomposition(gens, gauge, fock)
     rep = Report(f"decompose/{gens.algebra_label}/level{args.level}")
-    lw = fockspace.lowest_weight_vectors(gens, fock)
+    lw = table.lowest_weight
     for level in range(args.level + 1):
         total = sum(len(vs) for (lvl, _), vs in lw.items() if lvl == level)
         rep.add(f"decompose/level{level}/bookkeeping",

@@ -234,6 +234,7 @@ class MultiplicityRow:
 class MultiplicityTable:
     rows: list
     level_range: tuple
+    lowest_weight: dict    # the lowest_weight_vectors the rows were built from
 
     def as_dicts(self):
         return [{"level": r.level, "weight": list(r.weight),
@@ -332,7 +333,7 @@ def joint_weight_decomposition(alg, gauge, fock: TruncatedFock) -> MultiplicityT
                 raise FockError("charge profile does not match the irrep content")
         for q, m in sorted(mults.items()):
             rows.append(MultiplicityRow(level, weight, q, m))
-    return MultiplicityTable(rows=rows, level_range=(0, fock.cutoff))
+    return MultiplicityTable(rows=rows, level_range=(0, fock.cutoff), lowest_weight=lw)
 
 
 def _check_gauge_ladder(buckets, e_mat, fock):

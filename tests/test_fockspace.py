@@ -170,6 +170,7 @@ class TestDecomposition:
         gens, gauge, fock = _so_star_setup(2, 3)
         table = fockspace.joint_weight_decomposition(gens, gauge, fock)
         lw = fockspace.lowest_weight_vectors(gens, fock)
+        assert table.lowest_weight == lw   # the table carries the vectors it used
         for level in range(4):
             total = sum(len(vs) for (lvl, _), vs in lw.items() if lvl == level)
             assert total == table.lw_dimension(level)
