@@ -17,7 +17,6 @@ import json
 import os
 import random
 import sys
-import time
 from fractions import Fraction
 
 from . import bilocal, fockspace, harmonics, massless, oscrep, rootsys
@@ -405,7 +404,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    start = time.monotonic()
     try:
         result = COMMANDS[args.command](args)
     except Exception as exc:
@@ -416,10 +414,6 @@ def main(argv=None) -> int:
         report, table = result
     else:
         report, table = result, None
-    if not args.stable:
-        for r in report.records:
-            if r.wall_ms is None:
-                r.wall_ms = (time.monotonic() - start) * 1000 / max(1, len(report.records))
     try:
         emit(report, args, table)
     except OSError as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 
@@ -36,17 +37,38 @@ class CheckRecord:
 
 @dataclass
 class Report:
+    """Check records in the order they were made.
+
+    Each added record is timed from the previous record, or from the
+    report's creation: the work a check does runs just before its ``add``.
+    """
+
     title: str
     records: list[CheckRecord] = field(default_factory=list)
+    _stamp: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._stamp = time.perf_counter()
+
+    def _lap(self) -> float:
+        """Milliseconds since the last stamp; the stamp moves to now."""
+        now = time.perf_counter()
+        ms, self._stamp = (now - self._stamp) * 1000, now
+        return ms
 
     def add(self, check_id: str, passed: bool, *, negative_control: bool = False,
             detail: str = "", defect: str = "", wall_ms: float | None = None) -> CheckRecord:
-        rec = CheckRecord(check_id, bool(passed), negative_control, detail, defect, wall_ms)
+        lap = self._lap()
+        rec = CheckRecord(check_id, bool(passed), negative_control, detail, defect,
+                          lap if wall_ms is None else wall_ms)
         self.records.append(rec)
         return rec
 
     def extend(self, other: "Report") -> None:
+        """Merge `other`'s records, which carry their own times; the work
+        that built them is not charged to this report's next record."""
         self.records.extend(other.records)
+        self._lap()
 
     @property
     def ok(self) -> bool:

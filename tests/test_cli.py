@@ -5,10 +5,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from minrep import bilocal, cli, harmonics
+from minrep import bilocal, cli, harmonics, reports
 from minrep.reports import Report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -247,6 +248,21 @@ class TestConfigAndOutput:
         data = json.loads((tmp_path / "rep.json").read_text())
         assert data["ok"] is True
         assert not any("wall_ms" in r for r in data["records"])
+
+    def test_wall_ms_is_measured_per_record(self, capsys, monkeypatch):
+        # a clock whose steps keep growing: averaged times would all be equal
+        steps = iter(range(10 ** 6))
+        now = [0.0]
+
+        def clock():
+            now[0] += next(steps) / 1000
+            return now[0]
+
+        monkeypatch.setattr(reports, "time", SimpleNamespace(perf_counter=clock))
+        code, out = run(["table1", "--ranks-a", "2..4", "--format", "json"], capsys)
+        assert code == 0
+        times = [r["wall_ms"] for r in json.loads(out)["records"]]
+        assert len(times) > 1 and len(set(times)) == len(times)
 
     @pytest.mark.parametrize("value, code", [("2", cli.EXIT_OK), ("x", cli.EXIT_USAGE)])
     def test_config_values_parsed_like_flags(self, tmp_path, value, code):

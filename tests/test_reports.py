@@ -1,5 +1,9 @@
 import json
+from types import SimpleNamespace
 
+import pytest
+
+from minrep import reports
 from minrep.reports import Report
 
 
@@ -59,3 +63,17 @@ def test_text_rendering_shows_defects():
     rep.add("bad", False, defect="(1) a1* a1")
     text = rep.to_text()
     assert "FAIL bad" in text and "(1) a1* a1" in text
+
+
+def test_each_record_is_timed_from_the_one_before(monkeypatch):
+    ticks = iter([0.0, 0.002, 0.010, 0.011, 0.014, 0.040, 0.041])
+    monkeypatch.setattr(reports, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    rep = Report("t")            # 0.000
+    rep.add("a", True)           # 0.002
+    rep.add("b", True)           # 0.010
+    sub = Report("sub")          # 0.011
+    sub.add("c", True)           # 0.014
+    rep.extend(sub)              # 0.040: building sub is not charged to "d"
+    rep.add("d", True)           # 0.041
+    got = [r.wall_ms for r in rep.records]
+    assert got == pytest.approx([2.0, 8.0, 3.0, 1.0])
