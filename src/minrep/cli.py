@@ -19,7 +19,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import bilocal, fockspace, harmonics, massless, oscrep, rootsys
+from . import bilocal, fockspace, harmonics, linalg, massless, oscrep, rootsys
 from .reports import Report
 
 EXIT_OK = 0
@@ -261,6 +261,18 @@ def run_check_bilocal(args) -> Report:
 
     for kind_name, n in (("R", 2), ("C", 1), ("H", 1)):
         rep.extend(bilocal.canonical_form_check(kind_name, n))
+
+    # negative control: with a non-symmetric M' the closed form taken at
+    # the transpose of M' must miss the Wick commutator
+    size = max(2, args.L)
+    m, mp = rnd(size), rnd(size)
+    mp[0][1] = mp[1][0] + 1
+    lhs = bilocal.wick_commutator(bilocal.bilocal_field(m, 1, 2),
+                                  bilocal.bilocal_field(mp, 3, 4))
+    fires = lhs != bilocal.commutator_rhs(m, linalg.transpose(mp))
+    rep.add("bilocal/negative-control/transposed-rhs", fires, negative_control=True,
+            detail=f"[V_M(1,2), V_M'(3,4)] must differ from the closed form at tM', "
+                   f"L{size}")
     return rep
 
 

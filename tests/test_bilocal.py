@@ -187,6 +187,21 @@ class TestCommutatorFormula:
             assert verify_commutator_formula(m, mp).ok
 
 
+    def test_transposed_rhs_detects_exactly_the_asymmetry(self):
+        # the check-bilocal negative control: the closed form at tM' equals
+        # the Wick commutator for symmetric M' and misses it otherwise
+        rng = random.Random(5)
+        m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)]
+             for _ in range(3)]
+        mp = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)]
+              for _ in range(3)]
+        sym = linalg.mat_add(mp, linalg.transpose(mp))
+        for label, fires in ((sym, False), (mp, True)):
+            lhs = wick_commutator(bilocal_field(m, 1, 2), bilocal_field(label, 3, 4))
+            wrong = bilocal.commutator_rhs(m, linalg.transpose(label))
+            assert (lhs != wrong) is fires
+
+
 class TestFrobenius:
     def test_identity_pairing(self):
         assert frobenius(linalg.identity(5), linalg.identity(5)) == 5
