@@ -147,6 +147,62 @@ class TestEngineAgainstOracle:
         assert got == want
 
 
+    def test_real_coefficients_print_and_hash_as_fractions(self):
+        c = DeltaPoly.const(Fraction(-3, 4))
+        assert str(c) == "(-3/4)"
+        assert hash(c) == hash(frozenset({(): Fraction(-3, 4)}.items()))
+        assert c == DeltaPoly({(): Fraction(-3, 4)})
+
+
+# ---------------------------------------------------------------------------
+# Property tests of the engine on random multi-term elements: normal
+# products of 1-3 fields at points 1-4 with flavors 1-2, and coefficients
+# mixing a non-integer constant with contraction monomials.  The profile
+# is fixed and derandomized, so every run checks the same examples.
+
+
+def _engine_profile(max_examples):
+    hypothesis = pytest.importorskip("hypothesis")
+    return hypothesis, hypothesis.settings(
+        derandomize=True, database=None, deadline=None, max_examples=max_examples,
+        suppress_health_check=[hypothesis.HealthCheck.too_slow])
+
+
+def _wick_elements(st, max_terms, max_fields):
+    points = st.integers(1, 4)
+    field = st.tuples(points, st.integers(1, 2))
+    key = st.lists(field, min_size=1, max_size=max_fields).map(lambda fs: tuple(sorted(fs)))
+    halves = st.builds(Fraction, st.sampled_from([-5, -3, -1, 1, 3, 5]),
+                       st.sampled_from([2, 4]))
+    mono = st.lists(st.tuples(points, points), max_size=2).map(lambda ps: tuple(sorted(ps)))
+    coeff = st.dictionaries(mono, halves, min_size=1, max_size=2).map(DeltaPoly)
+    return st.dictionaries(key, coeff, min_size=1, max_size=max_terms).map(WickElement)
+
+
+def test_wick_product_matches_oracle_on_random_elements():
+    hypothesis, profile = _engine_profile(60)
+    elems = _wick_elements(hypothesis.strategies, max_terms=3, max_fields=3)
+
+    @profile
+    @hypothesis.given(elems, elems)
+    def check(u, v):
+        assert oracle_from_wick(wick_product(u, v)) == oracle_product(u, v)
+
+    check()
+
+
+def test_wick_product_is_associative():
+    hypothesis, profile = _engine_profile(60)
+    elems = _wick_elements(hypothesis.strategies, max_terms=2, max_fields=2)
+
+    @profile
+    @hypothesis.given(elems, elems, elems)
+    def check(u, v, w):
+        assert wick_product(wick_product(u, v), w) == wick_product(u, wick_product(v, w))
+
+    check()
+
+
 class TestBilocalFields:
     def test_identity_matrix_gives_flavor_sum(self):
         m = linalg.identity(3)
