@@ -140,14 +140,8 @@ def wick_product(u: WickElement, v: WickElement) -> WickElement:
         for fb, cb in v.terms.items():
             base = (ca * cb).terms.items()
             for pairs, rest_a, rest_b in _contraction_sets(fa, fb):
-                key = tuple(sorted(rest_a + rest_b))
-                acc = out.get(key)
-                if acc is None:
-                    acc = out[key] = {}
-                if pairs:
-                    combine(((tuple(sorted(m + pairs)), c) for m, c in base), acc)
-                else:
-                    combine(base, acc)
+                acc = out.setdefault(tuple(sorted(rest_a + rest_b)), {})
+                combine(((tuple(sorted(m + pairs)), c) for m, c in base), acc)
     return WickElement({key: DeltaPoly(acc) for key, acc in out.items()})
 
 
