@@ -27,6 +27,7 @@ CASES = {
     "check-bilocal": ["check-bilocal"],
     "decompose": ["decompose"],
     "harmonics": ["harmonics"],
+    "harmonics-nmax7": ["harmonics", "--nmax", "7"],
     "closure-sp-real": ["closure", "--family", "sp-real"],
     "closure-u-pq-flavors2": ["closure", "--family", "u-pq", "--flavors", "2"],
     "check-relations-so-star-n2": ["check-relations", "--algebra", "so-star", "--n", "2"],
