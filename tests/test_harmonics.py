@@ -54,6 +54,23 @@ class TestConstruction:
             assert raising(build_harmonic(n, l, l).poly).is_zero()
 
 
+def _per_mode_oracle(n, l, m):
+    """h_{n,l,m} from its own top seed, lowered l - m times."""
+    p = harmonics._top_seed(n, l)
+    for _ in range(l - m):
+        p = lowering(p)
+    return harmonics._normalize_leading(p)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_modes_match_per_mode_oracle(n):
+    for l in range(n):
+        for m in range(-l, l + 1):
+            mode = build_harmonic(n, l, m)
+            assert (mode.n, mode.l, mode.m) == (n, l, m)
+            assert mode.poly == _per_mode_oracle(n, l, m)
+
+
 class TestVerification:
     @pytest.mark.parametrize("n,l,m", [(2, 1, 0), (3, 2, -1), (4, 1, 1), (5, 3, 0)])
     def test_modes_pass_all_checks(self, n, l, m):

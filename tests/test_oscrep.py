@@ -35,6 +35,17 @@ class TestSu22:
         assert commutator(g.E[0], g.E[1]) == mono([A1, B1], [])
         assert commutator(g.E[1], g.E[2]) == mono([A2, B2], [])
 
+    def test_su22_agrees_with_u22(self):
+        # su(2,2) and u(2,2) share the A3 Chevalley set; the helicity h
+        # is the u(2,2) charge Q
+        s, u = oscrep.su22_generators(), oscrep.unn_generators(2)
+        assert (s.E, s.F, s.H) == (u.E, u.F, u.H)
+        assert s.cartan_matrix == u.cartan_matrix
+        assert s.polarization == u.polarization
+        for key in ("E_theta", "F_theta", "H_theta"):
+            assert s.extras[key] == u.extras[key]
+        assert s.extras["h"] == u.extras["Q"]
+
     def test_corrupted_generator_detected(self):
         g = oscrep.su22_generators()
         g.E[0] = g.E[0] + g.E[1]   # corrupt E1
