@@ -479,22 +479,15 @@ def quaternion_right(q: str):
     return m
 
 
-def complex_unit(n: int):
-    """Block-diagonal J with J^2 = -1 on R^(2n)."""
-    j = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for b in range(n):
-        j[2 * b][2 * b + 1] = Fraction(-1)
-        j[2 * b + 1][2 * b] = Fraction(1)
-    return j
+# the complex unit i on R^2 = C, with J^2 = -1
+_J = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]
 
 
 def _block_diag(block, copies: int):
     b = len(block)
     out = [[Fraction(0)] * (b * copies) for _ in range(b * copies)]
     for c in range(copies):
-        for i in range(b):
-            for j in range(b):
-                out[c * b + i][c * b + j] = Fraction(block[i][j])
+        _put(out, c, c, block, b)
     return out
 
 
@@ -513,7 +506,7 @@ def canonical_m_span(kind: str, n: int):
     if kind == "R":
         return [linalg.identity(n)]
     if kind == "C":
-        return [linalg.identity(2 * n), complex_unit(n)]
+        return [linalg.identity(2 * n), _block_diag(_J, n)]
     if kind == "H":
         return [_block_diag(quaternion_right(q), n) for q in _UNITS]
     raise ValueError(f"unknown kind {kind!r}")
@@ -522,19 +515,11 @@ def canonical_m_span(kind: str, n: int):
 def gauge_algebra_basis(kind: str, n: int):
     """Antisymmetric generators of O(N), U(N) or Sp(2N) on flavor space."""
     if kind == "R":
-        out = []
-        for a in range(n):
-            for b in range(a + 1, n):
-                m = [[Fraction(0)] * n for _ in range(n)]
-                m[a][b] = Fraction(1)
-                m[b][a] = Fraction(-1)
-                out.append(m)
-        return out
+        return _flavor_blocks(n, 1, diag_blocks=[], sym_off=[],
+                              antisym_off=[linalg.identity(1)])
     if kind == "C":
-        j2 = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]
-        one2 = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-        return _flavor_blocks(n, 2, diag_blocks=[j2],
-                              sym_off=[j2], antisym_off=[one2])
+        return _flavor_blocks(n, 2, diag_blocks=[_J],
+                              sym_off=[_J], antisym_off=[linalg.identity(2)])
     if kind == "H":
         ls = {q: quaternion_left(q) for q in _UNITS}
         one4 = ls["1"]

@@ -45,8 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--out", help="output path (default stdout); directory taken "
                                       "from MINREP_OUT_DIR when set")
-    common.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH",
-                        help="shorthand for --format json [--out PATH]")
     common.add_argument("--stable", action="store_true",
                         help="byte-stable output: no wall times")
     common.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP,
@@ -278,13 +276,14 @@ def run_check_bilocal(args) -> Report:
 
 def run_decompose(args) -> tuple[Report, list]:
     gens = oscrep.so_star_generators(args.n)
+    # created before the decomposition, so its first record is charged with it
+    rep = Report(f"decompose/{gens.algebra_label}/level{args.level}")
     k = 2 * args.n
     modes = [("a", i) for i in range(1, k + 1)] + [("b", i) for i in range(1, k + 1)]
     fock = fockspace.enumerate_basis(modes, args.level, max_states=args.max_states)
     gauge = oscrep.GeneratorSet("sp2", [[2]], E=[gens.extras["sp2_E"]],
                                 F=[gens.extras["sp2_F"]], H=[gens.extras["sp2_Q"]])
     table = fockspace.joint_weight_decomposition(gens, gauge, fock)
-    rep = Report(f"decompose/{gens.algebra_label}/level{args.level}")
     lw = table.lowest_weight
     for level in range(args.level + 1):
         total = sum(len(vs) for (lvl, _), vs in lw.items() if lvl == level)
@@ -300,12 +299,11 @@ def run_decompose(args) -> tuple[Report, list]:
 
 def run_harmonics(args) -> Report:
     rep = Report(f"harmonics/nmax{args.nmax}")
-    for n in range(1, args.nmax + 1):
-        for l in range(n):
-            for m in range(-l, l + 1):
-                mode = harmonics.build_harmonic(n, l, m)
-                rep.extend(harmonics.verify_mode(mode.poly, n, l, m))
-    rep.extend(harmonics.level_count_check(args.nmax))
+    modes = [mode for n in range(1, args.nmax + 1) for l in range(n)
+             for mode in harmonics.harmonic_ladder(n, l)]
+    for mode in modes:
+        rep.extend(harmonics.verify_mode(mode.poly, mode.n, mode.l, mode.m))
+    rep.extend(harmonics.level_count_check(modes))
     rep.extend(harmonics.angular_algebra_check())
     rep.add("harmonics/negative-control/z1^2",
             not harmonics.verify_mode(
@@ -408,10 +406,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _apply_config(parser, args, argv)
-        if args.json is not None:
-            args.format = "json"
-            if args.json != "-":
-                args.out = args.json
         _validate(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,9 +53,6 @@ class TruncatedFock:
             w *= factorial(n)
         return w
 
-    def level_indices(self, level: int) -> list[int]:
-        return [i for i, s in enumerate(self.states) if sum(s) == level]
-
     def vacuum_index(self) -> int:
         return self.index[(0,) * len(self.modes)]
 

@@ -3,8 +3,9 @@
 Homogeneous harmonic polynomials h_{n,l,m} of degree n-1 in four complex
 variables, simultaneous eigenfunctions of the conformal Hamiltonian
 H = z.d/dz + 1, the total angular momentum L^2 and its third component L3.
-Each mode is built from an explicit top seed at m = l and lowered with
-L- = L1 - i L2; construction and verification are exact over Q(i).
+Each (n, l) ladder is built once: an explicit top seed at m = l, lowered
+step by step with L- = L1 - i L2 down to m = -l; construction and
+verification are exact over Q(i).
 
 Also provides the rational embedding of Minkowski points into the complex
 quadric coordinates z(x) and its sphere identity sum z^2 = conj(w)/w.
@@ -131,16 +132,25 @@ def _normalize_leading(p: Poly) -> Poly:
     return p.scale(_ONE / lead)
 
 
+def harmonic_ladder(n: int, l: int) -> list[HarmonicMode]:
+    """h_{n,l,m} for m = l, l-1, ..., -l from one seed; raises on invalid labels."""
+    if n < 1 or not 0 <= l <= n - 1:
+        raise HarmonicError(f"invalid ladder labels (n,l) = ({n},{l})")
+    p = _top_seed(n, l)
+    modes = [HarmonicMode(n, l, l, _normalize_leading(p))]
+    for m in range(l - 1, -l - 1, -1):
+        p = lowering(p)
+        if p.is_zero():
+            raise HarmonicError(f"lowering annihilated the mode ({n},{l},{m})")
+        modes.append(HarmonicMode(n, l, m, _normalize_leading(p)))
+    return modes
+
+
 def build_harmonic(n: int, l: int, m: int) -> HarmonicMode:
     """Construct h_{n,l,m}; raises on invalid label ranges."""
     if n < 1 or not 0 <= l <= n - 1 or not -l <= m <= l:
         raise HarmonicError(f"invalid mode labels (n,l,m) = ({n},{l},{m})")
-    p = _top_seed(n, l)
-    for _ in range(l - m):
-        p = lowering(p)
-        if p.is_zero():
-            raise HarmonicError(f"lowering annihilated the mode ({n},{l},{m})")
-    return HarmonicMode(n, l, m, _normalize_leading(p))
+    return harmonic_ladder(n, l)[l - m]
 
 
 def verify_mode(h: Poly, n: int, l: int, m: int) -> Report:
@@ -157,17 +167,19 @@ def verify_mode(h: Poly, n: int, l: int, m: int) -> Report:
     return rep
 
 
-def level_count_check(nmax: int) -> Report:
-    """Each level n carries exactly n^2 linearly independent modes."""
+def level_count_check(modes: list[HarmonicMode]) -> Report:
+    """Each level n up to the highest of `modes` carries exactly n^2
+    linearly independent modes among them."""
+    nmax = max((mode.n for mode in modes), default=0)
     rep = Report(f"harmonics/levels<={nmax}")
     for n in range(1, nmax + 1):
-        modes = [build_harmonic(n, l, m) for l in range(n) for m in range(-l, l + 1)]
+        level = [mode for mode in modes if mode.n == n]
         monos = sorted(set(monomials_of_degree(NVARS, n - 1)))
-        mat = [[mode.poly.terms.get(mm, QI(0)) for mm in monos] for mode in modes]
+        mat = [[mode.poly.terms.get(mm, QI(0)) for mm in monos] for mode in level]
         r = linalg.rank(mat)
         rep.add(f"harmonics/level{n}/count",
-                len(modes) == n * n and r == n * n,
-                detail=f"{len(modes)} modes, rank {r}, expected {n * n}")
+                len(level) == n * n and r == n * n,
+                detail=f"{len(level)} modes, rank {r}, expected {n * n}")
     return rep
 
 

@@ -68,9 +68,6 @@ class DiffOpRealization:
 
     ops: dict
 
-    def mode_op(self, mode, star: bool):
-        return self.ops[(mode, star)]
-
     def apply_monomial(self, creators, annihilators, p: Poly) -> Poly:
         for m in reversed(list(annihilators)):
             p = self.ops[(m, False)](p)

@@ -9,7 +9,7 @@ so*(8) are all verified as exact symbolic identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import linalg
@@ -177,11 +177,6 @@ class GeneratorSet:
     def rank(self) -> int:
         return len(self.E)
 
-    def all_elements(self) -> list:
-        out = list(self.E) + list(self.F) + list(self.H)
-        out += [v for v in self.extras.values()]
-        return out
-
 
 def _a(i):
     return ("a", i)
@@ -191,6 +186,11 @@ def _b(i):
     return ("b", i)
 
 
+def _number(m) -> WeylElement:
+    """The number operator m* m of one mode."""
+    return WeylElement.monomial([m], [m])
+
+
 def _require(ok: bool, what: str):
     """Raise AlgebraError unless a generator invariant holds (kept under -O)."""
     if not ok:
@@ -198,36 +198,22 @@ def _require(ok: bool, what: str):
 
 
 def su22_generators() -> GeneratorSet:
-    """Chevalley-Cartan basis of su(2,2) over modes a1, a2, b1, b2."""
-    mono = WeylElement.monomial
-    e1 = mono([_a(1)], [_a(2)])
-    e2 = mono([_a(2), _b(1)], [])
-    e3 = mono([_b(2)], [_b(1)], -1)          # -b1 b2* in normal order
-    f1 = mono([_a(2)], [_a(1)])
-    f2 = mono([], [_b(1), _a(2)], -1)
-    f3 = mono([_b(1)], [_b(2)], -1)
-    es, fs = [e1, e2, e3], [f1, f2, f3]
-    hs = [commutator(e, f) for e, f in zip(es, fs)]
+    """Chevalley-Cartan basis of su(2,2) over modes a1, a2, b1, b2.
 
-    n_op = lambda m: mono([m], [m])
-    _require(hs[0] == n_op(_a(1)) - n_op(_a(2)), "su(2,2): H1 != N_a1 - N_a2")
-    _require(hs[1] == n_op(_a(2)) + n_op(_b(1)) + WeylElement.one(),     # a2*a2 + b1 b1*
+    It is the u(2,2) set relabelled: the same A3 chain, the same theta
+    triple, and the u(2,2) charge Q as the helicity h.
+    """
+    gens = unn_generators(2)
+    hs = gens.H
+    _require(hs[0] == _number(_a(1)) - _number(_a(2)), "su(2,2): H1 != N_a1 - N_a2")
+    _require(hs[1] == _number(_a(2)) + _number(_b(1)) + WeylElement.one(),  # a2*a2 + b1 b1*
              "su(2,2): H2 != N_a2 + N_b1 + 1")
-    _require(hs[2] == n_op(_b(2)) - n_op(_b(1)), "su(2,2): H3 != N_b2 - N_b1")
-
-    e_theta = commutator(commutator(e1, e2), e3)
-    _require(e_theta == mono([_a(1), _b(2)], []), "su(2,2): [[E1, E2], E3] != a1* b2*")
-    f_theta = mono([], [_b(2), _a(1)], -1)
-    h_theta = commutator(e_theta, f_theta)
-    h = n_op(_a(1)) + n_op(_a(2)) - n_op(_b(1)) - n_op(_b(2))
-
-    return GeneratorSet(
-        algebra_label="su22",
-        cartan_matrix=cartan_a_type(3),
-        E=es, F=fs, H=hs,
-        extras={"E_theta": e_theta, "F_theta": f_theta, "H_theta": h_theta, "h": h},
-        polarization=standard_polarization(2),
-    )
+    _require(hs[2] == _number(_b(2)) - _number(_b(1)), "su(2,2): H3 != N_b2 - N_b1")
+    e1, e2, e3 = gens.E
+    _require(commutator(commutator(e1, e2), e3) == gens.extras["E_theta"],
+             "su(2,2): [[E1, E2], E3] != a1* b2*")
+    extras = {k: gens.extras[k] for k in ("E_theta", "F_theta", "H_theta")}
+    return replace(gens, algebra_label="su22", extras={**extras, "h": gens.extras["Q"]})
 
 
 def unn_generators(n: int) -> GeneratorSet:
@@ -250,10 +236,9 @@ def unn_generators(n: int) -> GeneratorSet:
         fs.append(mono([_b(j)], [_b(j + 1)], -1))
     hs = [commutator(e, f) for e, f in zip(es, fs)]
 
-    n_op = lambda m: mono([m], [m])
     q = WeylElement.zero()
     for i in range(1, n + 1):
-        q = q + n_op(_a(i)) - n_op(_b(i))
+        q = q + _number(_a(i)) - _number(_b(i))
     e_theta = mono([_a(1), _b(n)], [])
     f_theta = mono([], [_b(n), _a(1)], -1)
     h_theta = commutator(e_theta, f_theta)
@@ -290,9 +275,8 @@ def so_star_generators(n: int) -> GeneratorSet:
     fs.append(f_spin)
     hs = [commutator(e, f) for e, f in zip(es, fs)]
 
-    n_op = lambda m: mono([m], [m])
-    expect_last = (n_op(_a(k - 1)) + n_op(_a(k)) + n_op(_b(k - 1)) + n_op(_b(k))
-                   + WeylElement.scalar(2))
+    expect_last = (_number(_a(k - 1)) + _number(_a(k)) + _number(_b(k - 1))
+                   + _number(_b(k)) + WeylElement.scalar(2))
     _require(hs[-1] == expect_last, f"so*({4 * n}): spin-node H is not N + 2 on the last modes")
 
     extras = {}
@@ -308,8 +292,8 @@ def so_star_generators(n: int) -> GeneratorSet:
     sp_e = WeylElement.zero()
     sp_f = WeylElement.zero()
     for i in range(1, k + 1):
-        q = q + n_op(_a(i)) - n_op(_b(i))
-        h_center = h_center + n_op(_a(i)) + n_op(_b(i)) + WeylElement.one()  # a*a + b b*
+        q = q + _number(_a(i)) - _number(_b(i))
+        h_center = h_center + _number(_a(i)) + _number(_b(i)) + WeylElement.one()  # a*a + b b*
         sp_e = sp_e + mono([_a(i)], [_b(i)])
         sp_f = sp_f + mono([_b(i)], [_a(i)])
     sp_q = commutator(sp_e, sp_f)
@@ -522,36 +506,29 @@ def _in_weyl_span(basis: list, target: WeylElement) -> bool:
 # Casimir relation
 
 
+def so_star_block(u, v):
+    """The so*(4n) block matrix [[u, v], [v*, -t(u)]] from k x k blocks u, v."""
+    vs = mat_star(v)
+    mtu = linalg.mat_scale(QI(-1), linalg.transpose(u))
+    return [list(row) + list(vrow) for row, vrow in zip(u, v)] + \
+        [vrow + trow for vrow, trow in zip(vs, mtu)]
+
+
 def so_star_matrix_basis(n: int):
     """Real basis of so*(4n) as 4n x 4n matrices in the block form."""
     k = 2 * n
     spec = form_spec("so_star", n)
     out = []
-
-    def embed(u, v):
-        x = [[QI(0)] * (2 * k) for _ in range(2 * k)]
-        for i in range(k):
-            for j in range(k):
-                x[i][j] = u[i][j]
-                x[i][k + j] = v[i][j]
-        vs = mat_star(v)
-        mtu = linalg.mat_scale(QI(-1), linalg.transpose(u))
-        for i in range(k):
-            for j in range(k):
-                x[k + i][j] = vs[i][j]
-                x[k + i][k + j] = mtu[i][j]
-        return x
-
     zero_k = [[QI(0)] * k for _ in range(k)]
     for u in unitary_basis([1] * k):
-        out.append(embed(u, zero_k))
+        out.append(so_star_block(u, zero_k))
     for a in range(k):
         for b in range(a + 1, k):
             for c in (QI(1), QI(0, 1)):
                 v = [[QI(0)] * k for _ in range(k)]
                 v[a][b] = c
                 v[b][a] = -c
-                out.append(embed(zero_k, v))
+                out.append(so_star_block(zero_k, v))
     for x in out:
         if not matrix_membership(x, spec):
             raise AlgebraError("constructed basis element fails membership")
@@ -600,17 +577,6 @@ def _dual_basis(basis, trace_form):
     return [[d[i * n:(i + 1) * n] for i in range(n)] for d in flat]
 
 
-def embed_u_block(u, k: int):
-    """Embed u in u(k) as the block matrix diag(u, -t(u)) of size 2k."""
-    x = [[QI(0)] * (2 * k) for _ in range(2 * k)]
-    mtu = linalg.mat_scale(QI(-1), linalg.transpose(u))
-    for i in range(k):
-        for j in range(k):
-            x[i][j] = u[i][j]
-            x[k + i][k + j] = mtu[i][j]
-    return x
-
-
 def casimir_elements(n: int):
     """(C_so, C_u, symmetrized sum of E_ij E_ij*) for so*(4n).
 
@@ -632,7 +598,8 @@ def casimir_elements(n: int):
         c_so = c_so + normal_product(quadratic_from_matrix(x, pol),
                                      quadratic_from_matrix(xd, pol))
 
-    su_basis = [embed_u_block(u, k) for u in unitary_basis([1] * k, traceless=True)]
+    zero_k = [[QI(0)] * k for _ in range(k)]
+    su_basis = [so_star_block(u, zero_k) for u in unitary_basis([1] * k, traceless=True)]
     su_dual = _dual_basis(su_basis, linalg.trace_product)
     c_su = WeylElement.zero()
     for x, xd in zip(su_basis, su_dual):
@@ -654,9 +621,10 @@ def casimir_elements(n: int):
 
 def casimir_defect(n: int):
     """Defect D = C_so - C_u + sym(E E*) with centrality report and scale search."""
+    # created before the Casimir elements, so its first record is charged with them
+    rep = Report(f"casimir/so*({4 * n})")
     c_so, c_u, ee, gens = casimir_elements(n)
     d = c_so - c_u + ee
-    rep = Report(f"casimir/{gens.algebra_label}")
     for i, (e, f, h) in enumerate(zip(gens.E, gens.F, gens.H), start=1):
         for tag, g in (("E", e), ("F", f), ("H", h)):
             c = commutator(d, g)

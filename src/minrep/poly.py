@@ -74,10 +74,6 @@ class Poly(LinComb):
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=-1)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
-
     def coefficient(self, mono: tuple):
         return self.terms.get(mono)
 

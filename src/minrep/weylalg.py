@@ -241,11 +241,11 @@ class Polarization:
         return len(self.phi)
 
 
-def standard_polarization(k: int, a_name: str = "a", b_name: str = "b") -> Polarization:
-    phi = tuple([WeylElement.annihilator((a_name, i)) for i in range(1, k + 1)]
-                + [WeylElement.creator((b_name, i)) for i in range(1, k + 1)])
-    phit = tuple([WeylElement.creator((a_name, i)) for i in range(1, k + 1)]
-                 + [WeylElement.annihilator((b_name, i), -1) for i in range(1, k + 1)])
+def standard_polarization(k: int) -> Polarization:
+    phi = tuple([WeylElement.annihilator(("a", i)) for i in range(1, k + 1)]
+                + [WeylElement.creator(("b", i)) for i in range(1, k + 1)])
+    phit = tuple([WeylElement.creator(("a", i)) for i in range(1, k + 1)]
+                 + [WeylElement.annihilator(("b", i), -1) for i in range(1, k + 1)])
     pol = Polarization(phi, phit)
     _check_polarization(pol)
     return pol

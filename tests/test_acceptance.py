@@ -231,7 +231,9 @@ def test_criterion_09_harmonics():
                 ok &= harmonics.verify_mode(mode.poly, n, l, m).ok
                 count += 1
         ok &= count == n * n
-    ok &= harmonics.level_count_check(6).ok
+    ok &= harmonics.level_count_check(
+        [mode for n in range(1, 7) for l in range(n)
+         for mode in harmonics.harmonic_ladder(n, l)]).ok
     rng = random.Random(19)
     pts = 0
     while pts < 20:

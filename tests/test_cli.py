@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from minrep import bilocal, cli, harmonics, reports
+from minrep import bilocal, cli, fockspace, harmonics, reports
 from minrep.reports import Report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -146,6 +147,23 @@ class TestDecompose:
         data = json.loads(out)
         assert data["ok"] is True
         assert len(data["table"]) == 4
+
+    def test_records_are_charged_with_the_decomposition(self, capsys, monkeypatch):
+        # a clock that jumps 1000 ms inside the decomposition must show in
+        # the records' wall_ms: the report exists before that work
+        skew = [0.0]
+        monkeypatch.setattr(reports, "time",
+                            SimpleNamespace(perf_counter=lambda: time.perf_counter() + skew[0]))
+        decompose = fockspace.joint_weight_decomposition
+
+        def slow(*args):
+            skew[0] += 1.0
+            return decompose(*args)
+
+        monkeypatch.setattr(fockspace, "joint_weight_decomposition", slow)
+        code, out = run(["decompose", "--n", "2", "--level", "2", "--format", "json"], capsys)
+        assert code == 0
+        assert sum(r["wall_ms"] for r in json.loads(out)["records"]) >= 1000
 
     def test_state_cap_guard(self, capsys):
         code, _ = run(["decompose", "--n", "2", "--level", "8",

@@ -1,9 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from minrep import harmonics, linalg
+from minrep import cli, harmonics, linalg
 from minrep.harmonics import (HarmonicError, angular_momentum, build_harmonic,
                               compactify, conformal_hamiltonian,
                               l_squared, lowering, raising,
@@ -71,6 +72,39 @@ def test_modes_match_per_mode_oracle(n):
             assert mode.poly == _per_mode_oracle(n, l, m)
 
 
+def test_each_ladder_is_built_once(monkeypatch, capsys):
+    # nmax 7 has 28 (n, l) ladders and 140 modes
+    calls = []
+    seed = harmonics._top_seed
+
+    def counted(n, l):
+        calls.append((n, l))
+        return seed(n, l)
+
+    monkeypatch.setattr(harmonics, "_top_seed", counted)
+    assert cli.main(["harmonics", "--nmax", "7", "--format", "json"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ok"]
+    assert sorted(calls) == [(n, l) for n in range(1, 8) for l in range(n)]
+
+
+def test_ladder_runs_from_top_to_bottom():
+    ladder = harmonics.harmonic_ladder(4, 2)
+    assert [mode.m for mode in ladder] == [2, 1, 0, -1, -2]
+    assert all((mode.n, mode.l) == (4, 2) for mode in ladder)
+    for bad in [(0, 0), (2, 2), (3, -1)]:
+        with pytest.raises(HarmonicError):
+            harmonics.harmonic_ladder(*bad)
+
+
+def test_level_count_fails_on_a_missing_mode():
+    modes = [mode for n in range(1, 4) for l in range(n)
+             for mode in harmonics.harmonic_ladder(n, l)]
+    assert harmonics.level_count_check(modes).ok
+    rep = harmonics.level_count_check(modes[:-1])
+    assert [r.check_id for r in rep.failures()] == ["harmonics/level3/count"]
+    assert not harmonics.level_count_check([]).ok
+
+
 class TestVerification:
     @pytest.mark.parametrize("n,l,m", [(2, 1, 0), (3, 2, -1), (4, 1, 1), (5, 3, 0)])
     def test_modes_pass_all_checks(self, n, l, m):
@@ -85,7 +119,9 @@ class TestVerification:
         assert any("laplacian" in f for f in failed)
 
     def test_counts_are_squares(self):
-        assert harmonics.level_count_check(6).ok
+        assert harmonics.level_count_check(
+            [mode for n in range(1, 7) for l in range(n)
+             for mode in harmonics.harmonic_ladder(n, l)]).ok
 
     def test_independence_within_level(self):
         n = 4

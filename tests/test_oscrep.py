@@ -1,9 +1,11 @@
 import itertools
+import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from minrep import fockspace, linalg, oscrep
+from minrep import fockspace, linalg, oscrep, reports
 from minrep.scalars import QI
 from minrep.weylalg import WeylElement, commutator, normal_product
 
@@ -294,6 +296,23 @@ class TestCasimir:
         d, rep = oscrep.casimir_defect(1)
         assert rep.ok
         assert d.is_zero()
+
+    def test_records_are_charged_with_the_casimir_elements(self, monkeypatch):
+        # a clock that jumps 1000 ms while the elements are built must show
+        # in the records' wall_ms: the report exists before that work
+        skew = [0.0]
+        monkeypatch.setattr(reports, "time",
+                            SimpleNamespace(perf_counter=lambda: time.perf_counter() + skew[0]))
+        build = oscrep.casimir_elements
+
+        def slow(n):
+            skew[0] += 1.0
+            return build(n)
+
+        monkeypatch.setattr(oscrep, "casimir_elements", slow)
+        _, rep = oscrep.casimir_defect(1)
+        assert rep.ok
+        assert sum(r.wall_ms for r in rep.records) >= 1000
 
     def test_n1_scale_search_reports_unity(self):
         _, rep = oscrep.casimir_defect(1)
