@@ -213,7 +213,8 @@ def su22_generators() -> GeneratorSet:
     _require(commutator(commutator(e1, e2), e3) == gens.extras["E_theta"],
              "su(2,2): [[E1, E2], E3] != a1* b2*")
     extras = {k: gens.extras[k] for k in ("E_theta", "F_theta", "H_theta")}
-    return replace(gens, algebra_label="su22", extras={**extras, "h": gens.extras["Q"]})
+    extras["h"] = gens.extras["Q"]
+    return replace(gens, algebra_label="su22", extras=extras)
 
 
 def unn_generators(n: int) -> GeneratorSet:
@@ -508,10 +509,8 @@ def _in_weyl_span(basis: list, target: WeylElement) -> bool:
 
 def so_star_block(u, v):
     """The so*(4n) block matrix [[u, v], [v*, -t(u)]] from k x k blocks u, v."""
-    vs = mat_star(v)
     mtu = linalg.mat_scale(QI(-1), linalg.transpose(u))
-    return [list(row) + list(vrow) for row, vrow in zip(u, v)] + \
-        [vrow + trow for vrow, trow in zip(vs, mtu)]
+    return [r + s for r, s in zip(u, v)] + [r + s for r, s in zip(mat_star(v), mtu)]
 
 
 def so_star_matrix_basis(n: int):
