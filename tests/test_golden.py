@@ -39,6 +39,8 @@ CASES = {
     "check-relations-so-star-n3": ["check-relations", "--algebra", "so-star", "--n", "3"],
     "check-bilocal-L4-trials50-seed101": ["check-bilocal", "--L", "4", "--trials", "50",
                                           "--seed", "101"],
+    "check-bilocal-L8-trials3-seed101": ["check-bilocal", "--L", "8", "--trials", "3",
+                                         "--seed", "101"],
 }
 
 
