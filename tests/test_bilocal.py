@@ -9,6 +9,7 @@ from minrep.bilocal import (DeltaPoly, TAlgebra, WickElement, bilocal_field,
                             delta_commutator, frobenius,
                             frobenius_property_check, verify_commutator_formula,
                             wick_commutator, wick_product)
+from minrep.scalars import QI
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +169,14 @@ def _engine_profile(max_examples):
         suppress_health_check=[hypothesis.HealthCheck.too_slow])
 
 
-def _wick_elements(st, max_terms, max_fields):
+def _wick_elements(st, max_terms, max_fields, flavors=2, scalars=None):
     points = st.integers(1, 4)
-    field = st.tuples(points, st.integers(1, 2))
+    field = st.tuples(points, st.integers(1, flavors))
     key = st.lists(field, min_size=1, max_size=max_fields).map(lambda fs: tuple(sorted(fs)))
     halves = st.builds(Fraction, st.sampled_from([-5, -3, -1, 1, 3, 5]),
                        st.sampled_from([2, 4]))
     mono = st.lists(st.tuples(points, points), max_size=2).map(lambda ps: tuple(sorted(ps)))
-    coeff = st.dictionaries(mono, halves, min_size=1, max_size=2).map(DeltaPoly)
+    coeff = st.dictionaries(mono, halves if scalars is None else scalars, min_size=1, max_size=2).map(DeltaPoly)
     return st.dictionaries(key, coeff, min_size=1, max_size=max_terms).map(WickElement)
 
 
@@ -199,6 +200,29 @@ def test_wick_product_is_associative():
     @hypothesis.given(elems, elems, elems)
     def check(u, v, w):
         assert wick_product(wick_product(u, v), w) == wick_product(u, wick_product(v, w))
+
+    check()
+
+
+def test_wick_commutator_is_the_difference_of_the_products():
+    # Both sides draw points 1-4 with 1-3 flavors, so fields repeat within a
+    # normal product and u and v share points, which makes D+_{kk} appear;
+    # coefficients are QI with a non-integer real and imaginary part.
+    hypothesis, profile = _engine_profile(80)
+    st = hypothesis.strategies
+    odd = st.sampled_from([-5, -3, -1, 1, 3, 5])
+    gaussian = st.builds(lambda a, b: QI(Fraction(a, 2), Fraction(b, 3)), odd, odd)
+
+    def pair(flavors):
+        elems = _wick_elements(st, max_terms=3, max_fields=3, flavors=flavors,
+                               scalars=gaussian)
+        return st.tuples(elems, elems)
+
+    @profile
+    @hypothesis.given(st.integers(1, 3).flatmap(pair))
+    def check(uv):
+        u, v = uv
+        assert wick_commutator(u, v) == wick_product(u, v) - wick_product(v, u)
 
     check()
 

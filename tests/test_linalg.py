@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -192,3 +193,101 @@ def test_sparse_product_zeros_keep_the_ring(zero, one):
     t = linalg.trace_product(a, b)
     assert t == zero and type(t) is type(zero)
     assert linalg.trace_product([[one, one]], [[one], [-one]]) == zero
+
+
+# ---------------------------------------------------------------------------
+# Elimination against the dense Gauss-Jordan it replaced
+
+
+def _dense_rref(m):
+    """Reduced row echelon form by whole-row operations on the dense matrix."""
+    a = linalg.mat_copy(m)
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def _outcome(f, *args):
+    """f's result, or the type of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def _types_deep(x):
+    return [_types_deep(y) for y in x] if isinstance(x, (list, tuple)) else type(x)
+
+
+def test_rref_matches_dense_oracle():
+    """rref and everything built on it agree with the dense Gauss-Jordan.
+
+    Fraction and QI matrices of 1-6 rows and columns, so tall, wide and
+    square, with half their entries zero, so zero rows and columns and
+    all-zero matrices are common; up to two rows are added as combinations
+    of drawn rows, so many are rank-deficient.  kernel, solve, inverse and
+    rank run once on rref and once with the oracle in its place.  The
+    profile is fixed and derandomized, so every run checks the same examples.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 3]))
+    rings = [(Fraction(0), small), (QI(0), st.builds(QI, small, small))]
+
+    @st.composite
+    def cases(draw):
+        zero, values = draw(st.sampled_from(rings))
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        entry = st.one_of(st.just(zero), values)
+        m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.integers(0, len(m) - 1)), draw(st.integers(0, len(m) - 1))
+            c = draw(values)
+            m.append([c * x + y for x, y in zip(m[i], m[j])])
+        x = draw(st.lists(entry, min_size=cols, max_size=cols))
+        b = draw(st.lists(entry, min_size=len(m), max_size=len(m)))
+        return m, x, b
+
+    def derived(m, x, b):
+        consistent = [sum((p * q for p, q in zip(row, x)), 0 * row[0]) for row in m]
+        return (linalg.rank(m), linalg.kernel(m), linalg.solve(m, consistent),
+                linalg.solve(m, b), _outcome(linalg.inverse, m))
+
+    profile = hypothesis.settings(derandomize=True, database=None, deadline=None,
+                                  max_examples=200)
+    zeros, qi_zeros = [[Fraction(0)] * 3] * 2, [[QI(0)] * 2] * 4
+
+    @profile
+    @hypothesis.given(cases())
+    @hypothesis.example((zeros, zeros[0], zeros[0][:2]))
+    @hypothesis.example((qi_zeros, qi_zeros[0], [QI(0)] * 4))
+    def check(case):
+        m, x, b = case
+        got, want = linalg.rref(m), _dense_rref(m)
+        assert got == want
+        assert _types_deep(got) == _types_deep(want)
+        with mock.patch.object(linalg, "rref", _dense_rref):
+            want = derived(m, x, b)
+        got = derived(m, x, b)
+        assert got == want
+        assert _types_deep(got) == _types_deep(want)
+
+    check()
