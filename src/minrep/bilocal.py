@@ -125,24 +125,39 @@ class WickElement(LinComb):
         return " + ".join(parts)
 
 
-def wick_product(u: WickElement, v: WickElement) -> WickElement:
-    """Product of normal-ordered elements by summing over contraction sets.
+def _contracted_terms(u: WickElement, v: WickElement):
+    """Yield (uncontracted normal product, contracted pairs, coefficient terms).
 
-    A left field (k, f) contracts with a right field (l, g) to
-    delta_{fg} D+_{kl}; uncontracted fields recombine into one normal
-    product.  Each contraction set multiplies the coefficient product by
-    a monomial of coefficient one, so its pairs are appended to every
-    monomial key of that product and summed into one flat dict per
-    normal product; the DeltaPolys are built once, at the end.
+    One item per pair of terms of u and v and contraction set between
+    them: a left field (k, f) contracts with a right field (l, g) to
+    delta_{fg} D+_{kl}, the uncontracted fields recombine into one normal
+    product, and the coefficient is the product of the two terms'
+    coefficients, formed once per pair of terms.
     """
-    out: dict = {}
     for fa, ca in u.terms.items():
         for fb, cb in v.terms.items():
             base = (ca * cb).terms.items()
             for pairs, rest_a, rest_b in _contraction_sets(fa, fb):
-                acc = out.setdefault(tuple(sorted(rest_a + rest_b)), {})
-                combine(((tuple(sorted(m + pairs)), c) for m, c in base), acc)
+                yield tuple(sorted(rest_a + rest_b)), pairs, base
+
+
+def _sum_terms(terms) -> WickElement:
+    """Sum (normal product, pairs, coefficient terms) items.
+
+    A contraction set multiplies its coefficient by a monomial of
+    coefficient one, so its pairs are appended to every monomial key of
+    that coefficient and summed into one flat dict per normal product; the
+    DeltaPolys are built once, at the end.
+    """
+    out: dict = {}
+    for key, pairs, base in terms:
+        combine(((tuple(sorted(m + pairs)), c) for m, c in base), out.setdefault(key, {}))
     return WickElement({key: DeltaPoly(acc) for key, acc in out.items()})
+
+
+def wick_product(u: WickElement, v: WickElement) -> WickElement:
+    """Product of normal-ordered elements by summing over contraction sets."""
+    return _sum_terms(_contracted_terms(u, v))
 
 
 def _contraction_sets(left: tuple, right: tuple):
@@ -169,7 +184,19 @@ def _contraction_sets(left: tuple, right: tuple):
 
 
 def wick_commutator(u: WickElement, v: WickElement) -> WickElement:
-    return wick_product(u, v) - wick_product(v, u)
+    """[u, v] = uv - vu from one walk over the contraction sets of uv.
+
+    The contraction sets of vu are those of uv with every pair (k, l) read
+    as (l, k), over the same coefficients and uncontracted fields.  So each
+    nonempty set S of uv adds D+_S - D+_tS; the empty set gives the same
+    normal product in uv and in vu and is skipped.
+    """
+    def terms():
+        for key, pairs, base in _contracted_terms(u, v):
+            if pairs:
+                yield key, pairs, base
+                yield key, tuple((l, k) for k, l in pairs), [(m, -c) for m, c in base]
+    return _sum_terms(terms())
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +205,9 @@ def wick_commutator(u: WickElement, v: WickElement) -> WickElement:
 
 def bilocal_field(m, p: int, q: int) -> WickElement:
     """V_M(x_p, x_q) = sum_ij M_ij :phi_i(x_p) phi_j(x_q):, linear in M."""
-    out = WickElement.zero()
-    for i, row in enumerate(m, start=1):
-        for j, c in enumerate(row, start=1):
-            if c:
-                out = out + WickElement.normal_product([(p, i), (q, j)],
-                                                       DeltaPoly.const(c))
-    return out
+    return WickElement(combine(
+        ((tuple(sorted(((p, i), (q, j)))), DeltaPoly.const(c))
+         for i, row in enumerate(m, start=1) for j, c in enumerate(row, start=1) if c), {}))
 
 
 def commutator_rhs(m, mp) -> WickElement:

@@ -85,28 +85,36 @@ def commutator(a, b):
 
 
 def rref(m):
-    """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
-    a = mat_copy(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    """Reduced row echelon form.  Returns (rref_matrix, pivot_columns).
+
+    Gauss-Jordan on the rows held as {column: entry} dicts of their nonzero
+    entries, so scaling the pivot row and subtracting multiples of it touch
+    only its nonzero entries.  The result is a dense matrix again, whose
+    zeros are the zero of the entry ring.
+    """
+    if not m or not m[0]:
+        return mat_copy(m), []
+    zero = 0 * m[0][0]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
     pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if a[i][c]), None)
+    for c in range(len(m[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if pr is None:
             continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c]
+        rows[r] = {j: x / inv for j, x in rows[r].items()}
+        pivot_row = rows[r].items()
+        for i, row in enumerate(rows):
+            f = row.get(c)
+            if f and i != r:
+                rows[i] = {j: x for j, x in combine(((j, -f * y) for j, y in pivot_row),
+                                                    row).items() if x}
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if r + 1 == len(rows):
             break
-    return a, pivots
+    return [[row.get(j, zero) for j in range(len(m[0]))] for row in rows], pivots
 
 
 def rank(m):
