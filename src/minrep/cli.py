@@ -162,8 +162,10 @@ def _generators(algebra: str, n: int):
 
 
 def run_check_relations(args) -> Report:
+    # created before the generators, so its first record is charged with them
+    rep = Report("check-relations")
     gens = _generators(args.algebra, args.n)
-    rep = Report(f"check-relations/{gens.algebra_label}")
+    rep.title += f"/{gens.algebra_label}"
     rep.extend(oscrep.check_chevalley(gens))
     rep.extend(oscrep.check_theta_sl2(gens))
     derived = oscrep.derive_cartan_matrix(gens)

@@ -46,9 +46,10 @@ class Report:
     title: str
     records: list[CheckRecord] = field(default_factory=list)
     _stamp: float = field(init=False, repr=False, compare=False)
+    _created: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._stamp = time.perf_counter()
+        self._stamp = self._created = time.perf_counter()
 
     def _lap(self) -> float:
         """Milliseconds since the last stamp; the stamp moves to now."""
@@ -65,8 +66,15 @@ class Report:
         return rec
 
     def extend(self, other: "Report") -> None:
-        """Merge `other`'s records, which carry their own times; the work
-        that built them is not charged to this report's next record."""
+        """Merge `other`'s records, which carry their own times.
+
+        The work done between this report's last stamp and the creation of
+        `other`, such as building what `other` checks, is charged to
+        `other`'s first record; the work that built `other`'s records is
+        not charged to this report's next record.
+        """
+        if other.records:
+            other.records[0].wall_ms += max(0.0, (other._created - self._stamp) * 1000)
         self.records.extend(other.records)
         self._lap()
 

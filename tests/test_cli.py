@@ -23,6 +23,24 @@ def run(argv, capsys):
     return code, out
 
 
+def slow_down(monkeypatch, owner, name):
+    """Make each call of owner.name advance the reports' clock by 1000 ms.
+
+    Returns the list of those calls' arguments.
+    """
+    calls = []
+    monkeypatch.setattr(reports, "time", SimpleNamespace(
+        perf_counter=lambda: time.perf_counter() + len(calls)))
+    original = getattr(owner, name)
+
+    def slow(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, slow)
+    return calls
+
+
 def run_process(argv, cwd):
     """Run `python -m minrep` in a fresh interpreter: (exit code, stdout, stderr)."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -73,6 +91,15 @@ class TestRelations:
         assert code == 0
         data = json.loads(out)
         assert data["ok"] is True
+
+    @pytest.mark.parametrize("algebra", ["su22", "unn", "so-star"])
+    def test_records_are_charged_with_the_generators(self, capsys, monkeypatch, algebra):
+        # the report exists before its generators are built
+        calls = slow_down(monkeypatch, cli, "_generators")
+        code, out = run(["check-relations", "--algebra", algebra, "--n", "1",
+                         "--format", "json"], capsys)
+        assert code == 0 and len(calls) == 1
+        assert sum(r["wall_ms"] for r in json.loads(out)["records"]) >= 1000
 
     def test_so_star_includes_cone_and_casimir(self, capsys):
         code, out = run(["check-relations", "--algebra", "so-star", "--n", "1",
@@ -151,16 +178,7 @@ class TestDecompose:
     def test_records_are_charged_with_the_decomposition(self, capsys, monkeypatch):
         # a clock that jumps 1000 ms inside the decomposition must show in
         # the records' wall_ms: the report exists before that work
-        skew = [0.0]
-        monkeypatch.setattr(reports, "time",
-                            SimpleNamespace(perf_counter=lambda: time.perf_counter() + skew[0]))
-        decompose = fockspace.joint_weight_decomposition
-
-        def slow(*args):
-            skew[0] += 1.0
-            return decompose(*args)
-
-        monkeypatch.setattr(fockspace, "joint_weight_decomposition", slow)
+        slow_down(monkeypatch, fockspace, "joint_weight_decomposition")
         code, out = run(["decompose", "--n", "2", "--level", "2", "--format", "json"], capsys)
         assert code == 0
         assert sum(r["wall_ms"] for r in json.loads(out)["records"]) >= 1000
@@ -175,6 +193,13 @@ class TestOtherCommands:
     def test_harmonics(self, capsys):
         code, out = run(["harmonics", "--nmax", "2", "--format", "json"], capsys)
         assert code == 0 and json.loads(out)["ok"]
+
+    def test_harmonics_records_are_charged_with_the_ladders(self, capsys, monkeypatch):
+        # every ladder is built before the first mode's report exists
+        calls = slow_down(monkeypatch, harmonics, "harmonic_ladder")
+        code, out = run(["harmonics", "--nmax", "2", "--format", "json"], capsys)
+        assert code == 0 and len(calls) == 3
+        assert sum(r["wall_ms"] for r in json.loads(out)["records"]) >= 3000
 
     def test_massless(self, capsys):
         code, out = run(["massless", "--format", "json"], capsys)

@@ -71,9 +71,22 @@ def test_each_record_is_timed_from_the_one_before(monkeypatch):
     rep = Report("t")            # 0.000
     rep.add("a", True)           # 0.002
     rep.add("b", True)           # 0.010
-    sub = Report("sub")          # 0.011
+    sub = Report("sub")          # 0.011: the work before sub goes to "c"
     sub.add("c", True)           # 0.014
     rep.extend(sub)              # 0.040: building sub is not charged to "d"
     rep.add("d", True)           # 0.041
     got = [r.wall_ms for r in rep.records]
-    assert got == pytest.approx([2.0, 8.0, 3.0, 1.0])
+    assert got == pytest.approx([2.0, 8.0, 4.0, 1.0])
+
+
+def test_work_before_a_sub_report_is_charged_once(monkeypatch):
+    ticks = iter([0.0, 0.001, 0.005, 0.006, 0.020, 0.030, 0.031])
+    monkeypatch.setattr(reports, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    rep = Report("t")            # 0.000
+    sub = Report("sub")          # 0.001: made before "a", so it inherits nothing
+    rep.add("a", True)           # 0.005
+    sub.add("c", True)           # 0.006
+    rep.extend(sub)              # 0.020
+    empty = Report("empty")      # 0.030: no record to charge
+    rep.extend(empty)            # 0.031
+    assert [r.wall_ms for r in rep.records] == pytest.approx([5.0, 5.0])
