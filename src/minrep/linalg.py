@@ -94,27 +94,30 @@ def rref(m):
     """
     if not m or not m[0]:
         return mat_copy(m), []
-    zero = 0 * m[0][0]
+    cols, zero = len(m[0]), 0 * m[0][0]
     rows = [{j: x for j, x in enumerate(row) if x} for row in m]
     pivots = []
-    for c in range(len(m[0])):
+    for c in range(cols):
         r = len(pivots)
         pr = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = rows[r][c]
-        rows[r] = {j: x / inv for j, x in rows[r].items()}
-        pivot_row = rows[r].items()
-        for i, row in enumerate(rows):
+        pivot_row = rows[r] = {j: x / inv for j, x in rows[r].items()}
+        for row in rows:
             f = row.get(c)
-            if f and i != r:
-                rows[i] = {j: x for j, x in combine(((j, -f * y) for j, y in pivot_row),
-                                                    row).items() if x}
+            if f and row is not pivot_row:
+                for j, y in pivot_row.items():
+                    x = row.get(j, zero) - f * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
         pivots.append(c)
         if r + 1 == len(rows):
             break
-    return [[row.get(j, zero) for j in range(len(m[0]))] for row in rows], pivots
+    return [[row.get(j, zero) for j in range(cols)] for row in rows], pivots
 
 
 def rank(m):
