@@ -6,7 +6,9 @@ symbols, so every identity proved here is an identity of Wick
 combinatorics with no analytic input.  Wick coefficients are polynomials
 in those symbols with ``QI`` coefficients; a contraction set is a tuple
 of (k, l) monomial keys, which the product appends to the keys of each
-coefficient.  On top of the engine sit the closed commutator formula for
+coefficient.  The commutator is formed from the contracted terms of uv in
+one pass, each set with its transpose, since the uncontracted terms of uv
+and vu cancel.  On top of the engine sit the closed commutator formula for
 matrix-labeled bilinears, the Frobenius pairing of the labeling matrix
 algebra, and the real/complex/quaternionic commutant classification;
 the labeling matrices are ``Fraction`` matrices.
@@ -126,13 +128,12 @@ class WickElement(LinComb):
 
 
 def _contracted_terms(u: WickElement, v: WickElement):
-    """Yield (uncontracted normal product, contracted pairs, coefficient terms).
+    """Yield (uncontracted normal product, contracted pairs, coefficient terms)
+    for each pair of terms of u and v and each contraction set between them.
 
-    One item per pair of terms of u and v and contraction set between
-    them: a left field (k, f) contracts with a right field (l, g) to
-    delta_{fg} D+_{kl}, the uncontracted fields recombine into one normal
-    product, and the coefficient is the product of the two terms'
-    coefficients, formed once per pair of terms.
+    A left field (k, f) contracts with a right field (l, g) to
+    delta_{fg} D+_{kl}; the coefficient product is formed once per pair of
+    terms.
     """
     for fa, ca in u.terms.items():
         for fb, cb in v.terms.items():
@@ -142,13 +143,9 @@ def _contracted_terms(u: WickElement, v: WickElement):
 
 
 def _sum_terms(terms) -> WickElement:
-    """Sum (normal product, pairs, coefficient terms) items.
-
-    A contraction set multiplies its coefficient by a monomial of
-    coefficient one, so its pairs are appended to every monomial key of
-    that coefficient and summed into one flat dict per normal product; the
-    DeltaPolys are built once, at the end.
-    """
+    """Sum (normal product, pairs, coefficient terms) items: the pairs are
+    appended to every monomial key of the coefficient and summed into one
+    flat dict per normal product, and the DeltaPolys are built at the end."""
     out: dict = {}
     for key, pairs, base in terms:
         combine(((tuple(sorted(m + pairs)), c) for m, c in base), out.setdefault(key, {}))

@@ -1,9 +1,10 @@
-"""Exact dense linear algebra over Fraction or QI entries.
+"""Exact linear algebra over Fraction or QI entries.
 
 Matrices are lists of lists.  Products and trace products skip zero
-entries, since the matrices the suites multiply are mostly zeros.
-Elimination is plain Gauss-Jordan with exact field arithmetic, so there
-are no pivoting tolerances: a pivot is any nonzero entry.  The helpers
+entries, since the matrices the suites multiply and reduce are mostly
+zeros.  Elimination is Gauss-Jordan on sparse rows, with exact field
+arithmetic, so there are no pivoting tolerances: a pivot is any nonzero
+entry, and the reduced form is unique whatever the order.  The helpers
 work for any entry type supporting +, -, *, / and truthiness (Fraction
 and QI both do), and their results stay in the operands' ring: the zero
 of a result is ``0 * entry``.  Only ``identity(n, one)`` takes a ring
@@ -108,12 +109,9 @@ def rref(m):
         for row in rows:
             f = row.get(c)
             if f and row is not pivot_row:
-                for j, y in pivot_row.items():
-                    x = row.get(j, zero) - f * y
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
+                combine(((j, -f * y) for j, y in pivot_row.items()), row)
+                for j in [j for j in pivot_row if not row[j]]:
+                    del row[j]
         pivots.append(c)
         if r + 1 == len(rows):
             break
