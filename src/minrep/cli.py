@@ -135,8 +135,8 @@ def run_table1(args) -> tuple[Report, list]:
         arg = getattr(args, f"ranks_{fam.lower()}")
         if arg:
             ranks[fam] = tuple(arg)
+    rep = Report("table1")   # created first, so its first record is charged with the table
     rows = rootsys.table1_report(ranks or None)
-    rep = Report("table1")
     table = []
     for r in rows:
         fam = r.algebra_label if r.algebra_label[0] not in "ABCD" else r.algebra_label[0]

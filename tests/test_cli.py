@@ -50,6 +50,12 @@ def run_process(argv, cwd):
 
 
 class TestTable1:
+    def test_records_are_charged_with_the_table(self, capsys, monkeypatch):
+        calls = slow_down(monkeypatch, cli.rootsys, "table1_report")
+        code, out = run(["table1", "--ranks-a", "2..3", "--format", "json"], capsys)
+        assert code == 0 and len(calls) == 1
+        assert sum(r["wall_ms"] for r in json.loads(out)["records"]) >= 1000
+
     def test_csv_columns(self, capsys):
         code, out = run(["table1", "--format", "csv"], capsys)
         assert code == 0
