@@ -6,12 +6,12 @@ symbols, so every identity proved here is an identity of Wick
 combinatorics with no analytic input.  Wick coefficients are polynomials
 in those symbols with ``QI`` coefficients; a contraction set is a tuple
 of (k, l) monomial keys, which the product appends to the keys of each
-coefficient.  The commutator is formed from the contracted terms of uv in
-one pass, each set with its transpose, since the uncontracted terms of uv
-and vu cancel.  On top of the engine sit the closed commutator formula for
-matrix-labeled bilinears, the Frobenius pairing of the labeling matrix
-algebra, and the real/complex/quaternionic commutant classification;
-the labeling matrices are ``Fraction`` matrices.
+coefficient.  The commutator is formed from the contracted terms alone,
+in one pass, since the uncontracted terms of uv and vu cancel.  On top of
+the engine sit the closed commutator formula for matrix-labeled
+bilinears, the Frobenius pairing of the labeling matrix algebra, and the
+real/complex/quaternionic commutant classification; the labeling
+matrices are ``Fraction`` matrices.
 """
 
 from __future__ import annotations
@@ -129,12 +129,8 @@ class WickElement(LinComb):
 
 def _contracted_terms(u: WickElement, v: WickElement):
     """Yield (uncontracted normal product, contracted pairs, coefficient terms)
-    for each pair of terms of u and v and each contraction set between them.
-
-    A left field (k, f) contracts with a right field (l, g) to
-    delta_{fg} D+_{kl}; the coefficient product is formed once per pair of
-    terms.
-    """
+    for each pair of terms of u and v and each contraction set between them;
+    a left field (k, f) contracts with a right field (l, g) to delta_{fg} D+_{kl}."""
     for fa, ca in u.terms.items():
         for fb, cb in v.terms.items():
             base = (ca * cb).terms.items()
@@ -181,13 +177,9 @@ def _contraction_sets(left: tuple, right: tuple):
 
 
 def wick_commutator(u: WickElement, v: WickElement) -> WickElement:
-    """[u, v] = uv - vu from one walk over the contraction sets of uv.
-
-    The contraction sets of vu are those of uv with every pair (k, l) read
-    as (l, k), over the same coefficients and uncontracted fields.  So each
-    nonempty set S of uv adds D+_S - D+_tS; the empty set gives the same
-    normal product in uv and in vu and is skipped.
-    """
+    """[u, v] from one walk over the contraction sets S of uv: those of vu are
+    the transposes tS, over the same coefficients and uncontracted fields, so
+    each nonempty S adds D+_S - D+_tS, and the empty set cancels."""
     def terms():
         for key, pairs, base in _contracted_terms(u, v):
             if pairs:

@@ -88,10 +88,9 @@ def commutator(a, b):
 def rref(m):
     """Reduced row echelon form.  Returns (rref_matrix, pivot_columns).
 
-    Gauss-Jordan on the rows held as {column: entry} dicts of their nonzero
-    entries, so scaling the pivot row and subtracting multiples of it touch
-    only its nonzero entries.  The result is a dense matrix again, whose
-    zeros are the zero of the entry ring.
+    Gauss-Jordan on rows held as {column: entry} dicts of their nonzero
+    entries, so a row update touches only the pivot row's nonzero entries.
+    The zeros of the dense result are the zero of the entry ring.
     """
     if not m or not m[0]:
         return mat_copy(m), []
