@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -6,7 +7,7 @@ from minrep.massless import (ccr_check, inner_product, lightlike_identity,
                              pauli_bilinears, realize_schrodinger,
                              surd_cancellation_check, vacuum,
                              vacuum_checks)
-from minrep.poly import Poly
+from minrep.poly import Poly, monomials_up_to
 from minrep.scalars import QI, QIS
 
 
@@ -69,6 +70,25 @@ class TestVacuum:
         p = Poly(4, {(1, 0, 0, 0): QIS(QI(1))})
         q = Poly(4, {(0, 1, 0, 0): QIS(QI(1))})
         assert inner_product(p, q) == QI(0)
+
+    def test_first_order_operators_pair_with_their_adjoints(self):
+        # <p, x y q> = <y^+ x^+ p, q>, where the adjoint of c is c* and of
+        # c* is c: the pairing and the realization agree in any coordinates
+        real = realize_schrodinger()
+        vac = vacuum()
+        monos = []
+        for m in monomials_up_to(4, 2):
+            p = vac
+            for i, e in enumerate(m):
+                p = p.mul_var(i, e)
+            monos.append(p)
+        for (kx, x), (ky, y) in itertools.product(real.ops.items(), repeat=2):
+            xd, yd = real.ops[(kx[0], not kx[1])], real.ops[(ky[0], not ky[1])]
+            for p in monos:
+                left = yd(xd(p))
+                for q in monos:
+                    assert inner_product(p, x(y(q))) == inner_product(left, q), \
+                        (kx, ky, p, q)
 
 
 class TestLightlike:
