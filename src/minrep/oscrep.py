@@ -140,22 +140,10 @@ def matrix_membership(x, spec: FormSpec) -> bool:
         if not mat_is_zero(linalg.mat_add(linalg.mat_mul(mat_star(x), beta),
                                           linalg.mat_mul(beta, x))):
             return False
-        if not mat_is_zero(linalg.mat_add(linalg.mat_mul(linalg.transpose(x), sigma),
-                                          linalg.mat_mul(sigma, x))):
-            return False
-        m = n // 2
-        u = [row[:m] for row in x[:m]]
-        v = [row[m:] for row in x[:m]]
-        if not mat_is_zero(linalg.mat_add(u, mat_star(u))):
-            return False
-        if not mat_is_zero(linalg.mat_add(v, linalg.transpose(v))):
-            return False
-        if [row[:m] for row in x[m:]] != mat_star(v):
-            return False
-        mtu = linalg.mat_scale(QI(-1), linalg.transpose(u))
-        if [row[m:] for row in x[m:]] != mtu:
-            return False
-        return not linalg.trace(x)
+        # the two forms fix the block shape [[u, v], [v*, -u^T]] with u
+        # antihermitian and v antisymmetric, so X is traceless
+        return mat_is_zero(linalg.mat_add(linalg.mat_mul(linalg.transpose(x), sigma),
+                                          linalg.mat_mul(sigma, x)))
     raise AlgebraError(f"unknown form family {spec.family!r}")
 
 

@@ -218,6 +218,72 @@ class TestMembership:
         x[3][3] = QI(-1)
         assert not oscrep.matrix_membership(x, spec)
 
+    @staticmethod
+    def _so_star_block_oracle(x, spec):
+        """so*(4n) membership as the two form conditions plus the five
+        block conditions they imply: u + u* = 0, v + v^T = 0, lower left
+        v*, lower right -u^T and tr X = 0."""
+        x = oscrep.qi_mat(x)
+        beta = [list(r) for r in spec.beta]
+        sigma = [list(r) for r in spec.sigma]
+        if not oscrep.mat_is_zero(linalg.mat_add(linalg.mat_mul(oscrep.mat_star(x), beta),
+                                                 linalg.mat_mul(beta, x))):
+            return False
+        if not oscrep.mat_is_zero(linalg.mat_add(linalg.mat_mul(linalg.transpose(x), sigma),
+                                                 linalg.mat_mul(sigma, x))):
+            return False
+        m = spec.size // 2
+        u = [row[:m] for row in x[:m]]
+        v = [row[m:] for row in x[:m]]
+        if not oscrep.mat_is_zero(linalg.mat_add(u, oscrep.mat_star(u))):
+            return False
+        if not oscrep.mat_is_zero(linalg.mat_add(v, linalg.transpose(v))):
+            return False
+        if [row[:m] for row in x[m:]] != oscrep.mat_star(v):
+            return False
+        if [row[m:] for row in x[m:]] != linalg.mat_scale(QI(-1), linalg.transpose(u)):
+            return False
+        return not linalg.trace(x)
+
+    def test_so_star_agrees_with_the_block_oracle(self):
+        # Real combinations of the so*(4n) basis, n = 1, 2, with up to two
+        # entries perturbed by a Gaussian rational that may be zero.  The
+        # profile is fixed and derandomized, so every run checks the same
+        # examples.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        small = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 3]))
+        bases = {n: oscrep.so_star_matrix_basis(n) for n in (1, 2)}
+        verdicts = []
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.sampled_from(sorted(bases)))
+            basis, size = bases[n], 4 * n
+            coeffs = draw(st.lists(small, min_size=len(basis), max_size=len(basis)))
+            x = [[QI(0)] * size for _ in range(size)]
+            for c, b in zip(coeffs, basis):
+                for i, j in itertools.product(range(size), repeat=2):
+                    if b[i][j]:
+                        x[i][j] = x[i][j] + b[i][j] * c
+            for _ in range(draw(st.integers(0, 2))):
+                i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+                x[i][j] = x[i][j] + draw(st.builds(QI, small, small))
+            return n, x
+
+        @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                             max_examples=300)
+        @hypothesis.given(cases())
+        def check(case):
+            n, x = case
+            spec = oscrep.form_spec("so_star", n)
+            got = oscrep.matrix_membership(x, spec)
+            assert got == self._so_star_block_oracle(x, spec)
+            verdicts.append(got)
+
+        check()
+        assert True in verdicts and False in verdicts
+
     def test_sp_real_reality(self):
         spec = oscrep.form_spec("sp_real", 1)
         # i * number operator direction: A = i, conjugate block -i
