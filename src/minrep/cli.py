@@ -193,19 +193,22 @@ def run_check_relations(args) -> Report:
 
 
 def run_check_dual_pair(args) -> Report:
+    # created before the generators, so its first record is charged with them
+    rep = Report("dual-pair")
     if args.algebra == "su22":
         gens = oscrep.su22_generators()
         basis = oscrep.u22_weight_basis()
-        return oscrep.check_dual_pair(
-            [gens.extras["h"]], [w for _, w in basis],
-            label="dual-pair/helicity-u22",
-            names_a=["h"], names_b=[n for n, _ in basis])
+        rep.title += "/helicity-u22"
+        rep.extend(oscrep.check_dual_pair(
+            [gens.extras["h"]], [w for _, w in basis], label=rep.title,
+            names_a=["h"], names_b=[n for n, _ in basis]))
+        return rep
     gens = oscrep.so_star_generators(args.n)
     pairs = oscrep.so_star_pair_elements(gens)
-    rep = oscrep.check_dual_pair(
-        oscrep.sp2_triple(args.n), [w for _, w in pairs],
-        label=f"dual-pair/sp2-{gens.algebra_label}",
-        names_a=["E", "F", "Q"], names_b=[n for n, _ in pairs])
+    rep.title += f"/sp2-{gens.algebra_label}"
+    rep.extend(oscrep.check_dual_pair(
+        oscrep.sp2_triple(args.n), [w for _, w in pairs], label=rep.title,
+        names_a=["E", "F", "Q"], names_b=[n for n, _ in pairs]))
     # negative control: a quadratic outside the commutant must not commute
     from .weylalg import WeylElement, commutator
     bad = WeylElement.monomial([("a", 1)], [("a", 1)])

@@ -227,6 +227,16 @@ class TestOtherCommands:
                          "--format", "json"], capsys)
         assert code == 0 and json.loads(out)["ok"]
 
+    @pytest.mark.parametrize("algebra,builder", [("su22", "u22_weight_basis"),
+                                                 ("so-star", "so_star_pair_elements")])
+    def test_dual_pair_records_are_charged_with_the_pair(self, capsys, monkeypatch,
+                                                         algebra, builder):
+        # the report exists before the pair's elements are built
+        calls = slow_down(monkeypatch, cli.oscrep, builder)
+        code, out = run(["check-dual-pair", "--algebra", algebra, "--format", "json"], capsys)
+        assert code == 0 and len(calls) == 1
+        assert sum(r["wall_ms"] for r in json.loads(out)["records"]) >= 1000
+
 
 class TestExitCodes:
     def test_failing_check_exits_one(self, capsys, monkeypatch):
