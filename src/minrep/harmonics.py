@@ -255,11 +255,10 @@ def sphere_identity_polynomial_check() -> bool:
     Expanded as a polynomial identity in the four real coordinates, using
     the same exact polynomial engine that backs the harmonic modes.
     """
-    one = Fraction(1)
-    xs = [Poly.variable(4, i, one) for i in range(4)]  # x0..x3
+    xs = [Poly.variable(4, i, _ONE) for i in range(4)]  # x0..x3
     xsq = xs[1] * xs[1] + xs[2] * xs[2] + xs[3] * xs[3] - xs[0] * xs[0]
-    c1 = Poly.constant(4, one)
-    lhs = (xs[1] * xs[1] + xs[2] * xs[2] + xs[3] * xs[3]).scale(Fraction(4)) \
+    c1 = Poly.constant(4, _ONE)
+    lhs = (xs[1] * xs[1] + xs[2] * xs[2] + xs[3] * xs[3]).scale(QI(4)) \
         + (c1 - xsq) * (c1 - xsq)
-    rhs = (c1 + xsq) * (c1 + xsq) + (xs[0] * xs[0]).scale(Fraction(4))
+    rhs = (c1 + xsq) * (c1 + xsq) + (xs[0] * xs[0]).scale(QI(4))
     return lhs == rhs

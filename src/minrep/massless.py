@@ -1,11 +1,12 @@
 """Light-cone momentum-space realization of the 4-mode oscillator algebra.
 
-States are polynomials P(z1, z2, zb1, zb2) standing for P times the
-Gaussian ground state; the 1/sqrt(2) in the first-order operators lives in
-the ring Q(i)[s]/(s^2-2), and every quadratic lands back in Q(i).  The
-Gaussian factor is folded into the effective derivative action, and the
-inner product is evaluated by the exact moment rule, normalized so the
-ground state has unit norm.
+States are polynomials P(u1, u2, ub1, ub2) standing for P times the
+Gaussian ground state e^(-u.ub/2), in the coordinates u = sqrt(2) z of the
+light-cone spinor z, where every coefficient is a Gaussian rational.  With
+v a mode's own variable (u_alpha for a_alpha, ub_alpha for b_alpha) and vb
+its partner, the mode acts as c = d/dv and c* = v - d/dvb: the Gaussian is
+folded into the action.  The inner product is evaluated by the exact
+moment rule u^a ub^a -> a!, which gives the ground state unit norm.
 """
 
 from __future__ import annotations
@@ -16,15 +17,17 @@ from math import factorial
 
 from .poly import Poly, monomials_up_to
 from .reports import Report
-from .scalars import QI, QIS
+from .scalars import QI
 from .weylalg import WeylElement
 
-# variable order: z1, z2, zb1, zb2
+# variable order: u1, u2, ub1, ub2
 NVARS = 4
-_Z = (0, 1)
-_ZB = (2, 3)
-_HALF_S = QIS(QI(0), QI(Fraction(1, 2)))   # 1/sqrt(2)
-_ONE = QIS(QI(1))
+_U = (0, 1)
+_UB = (2, 3)
+MODES = (("a", 1), ("a", 2), ("b", 1), ("b", 2))
+_ONE = QI(1)
+_TWO = QI(2)
+_HALF = QI(Fraction(1, 2))
 
 
 def vacuum() -> Poly:
@@ -36,35 +39,23 @@ def _conj_var(i: int) -> int:
 
 
 def eff_diff(p: Poly, i: int) -> Poly:
-    """Derivative through the Gaussian: d_i(P e^-zzb) = (d_i P - zc P) e^-zzb."""
-    return p.diff(i) - p.mul_var(_conj_var(i))
+    """Derivative through the Gaussian: d_i(P e^-u.ub/2) = (d_i P - vb P/2) e^-u.ub/2."""
+    return p.diff(i) - p.mul_var(_conj_var(i)).scale(_HALF)
 
 
-def op_a(alpha: int):
-    return lambda p: p.diff(_Z[alpha - 1]).scale(_HALF_S)
-
-
-def op_a_star(alpha: int):
-    def act(p):
-        z = _Z[alpha - 1]
-        return (p.mul_var(z).scale(QIS(QI(2))) - p.diff(_ZB[alpha - 1])).scale(_HALF_S)
-    return act
-
-
-def op_b(alpha: int):
-    return lambda p: p.diff(_ZB[alpha - 1]).scale(_HALF_S)
-
-
-def op_b_star(alpha: int):
-    def act(p):
-        zb = _ZB[alpha - 1]
-        return (p.mul_var(zb).scale(QIS(QI(2))) - p.diff(_Z[alpha - 1])).scale(_HALF_S)
-    return act
+def _operator(mode, creator: bool):
+    """c = d/dv, or c* = v - d/dvb, for the mode's own variable v."""
+    kind, alpha = mode
+    v = (_U if kind == "a" else _UB)[alpha - 1]
+    if not creator:
+        return lambda p: p.diff(v)
+    vb = _conj_var(v)
+    return lambda p: p.mul_var(v) - p.diff(vb)
 
 
 @dataclass(frozen=True)
 class DiffOpRealization:
-    """The eight first-order operators keyed by mode, plus application maps."""
+    """The eight first-order operators keyed by (mode, creator), plus application maps."""
 
     ops: dict
 
@@ -79,18 +70,13 @@ class DiffOpRealization:
         out = Poly(NVARS)
         for mono, q in w.terms.items():
             img = self.apply_monomial(mono.creators, mono.annihilators, p)
-            out = out + img.scale(QIS(q))
+            out = out + img.scale(q)
         return out
 
 
 def realize_schrodinger() -> DiffOpRealization:
-    ops = {}
-    for alpha in (1, 2):
-        ops[(("a", alpha), False)] = op_a(alpha)
-        ops[(("a", alpha), True)] = op_a_star(alpha)
-        ops[(("b", alpha), False)] = op_b(alpha)
-        ops[(("b", alpha), True)] = op_b_star(alpha)
-    return DiffOpRealization(ops)
+    return DiffOpRealization({(mode, creator): _operator(mode, creator)
+                              for mode in MODES for creator in (False, True)})
 
 
 def _basis(degree: int):
@@ -123,42 +109,20 @@ def ccr_check(degree: int = 6) -> Report:
     return rep
 
 
-def surd_cancellation_check(degree: int = 3) -> Report:
-    """Composite quadratics have no residual sqrt(2) component."""
-    real = realize_schrodinger()
-    rep = Report("massless/surd")
-    basis = _basis(degree)
-    ok = True
-    for mode in (("a", 1), ("a", 2), ("b", 1), ("b", 2)):
-        num = lambda p, m=mode: real.ops[(m, True)](real.ops[(m, False)](p))
-        for p in basis:
-            img = num(p)
-            for c in img.terms.values():
-                if c.v:
-                    ok = False
-    rep.add("surd/quadratics-rational", ok,
-            detail="s-components cancel in every bilinear")
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # Exact Gaussian inner product
 
 
 def inner_product(p: Poly, q: Poly) -> QI:
-    """<P, Q> for states P e^-zzb, Q e^-zzb with unit ground-state norm.
+    """<P, Q> for states P e^-u.ub/2, Q e^-u.ub/2 with unit ground-state norm.
 
-    The moment rule: a monomial z1^a zb1^b z2^c zb2^d in conj(P) Q
-    integrates to delta_ab delta_cd a! c! / 2^(a+c).
+    The moment rule: a monomial u1^a ub1^b u2^c ub2^d in conj(P) Q
+    integrates to delta_ab delta_cd a! c!.
     """
-    prod = _swap_conj(p) * q
     total = QI(0)
-    for mono, coeff in prod.terms.items():
-        a, c, b, d = mono
-        if a != b or c != d:
-            continue
-        w = Fraction(factorial(a) * factorial(c), 2 ** (a + c))
-        total = total + coeff.rational_part() * QI(w)
+    for (a, c, b, d), coeff in (_swap_conj(p) * q).terms.items():
+        if a == b and c == d:
+            total = total + coeff * (factorial(a) * factorial(c))
     return total
 
 
@@ -187,17 +151,16 @@ def vacuum_checks() -> Report:
 
     center = gens.H[0] + gens.H[1].scale(2) + gens.H[2]
     img = real.apply(center, vac)
-    rep.add("vacuum/(H1+2H2+H3)|0>=2|0>", img == vac.scale(QIS(QI(2))),
-            defect=str(img - vac.scale(QIS(QI(2)))))
+    rep.add("vacuum/(H1+2H2+H3)|0>=2|0>", img == vac.scale(_TWO),
+            defect=str(img - vac.scale(_TWO)))
 
-    # the same operator in closed form: (z zb - dbar d) P, Gaussian folded
+    # the same operator in closed form: (u.ub/2 - 2 dbar.d) P, Gaussian folded
     direct = Poly(NVARS)
-    for alpha in (0, 1):
-        z, zb = _Z[alpha], _ZB[alpha]
-        direct = direct + vac.mul_var(z).mul_var(zb)
-        direct = direct - eff_diff(eff_diff(vac, z), zb)
-    rep.add("vacuum/(zzb-dbar.d)|0>=2|0>", direct == vac.scale(QIS(QI(2))),
-            defect=str(direct - vac.scale(QIS(QI(2)))))
+    for u, ub in zip(_U, _UB):
+        direct = direct + vac.mul_var(u).mul_var(ub).scale(_HALF)
+        direct = direct - eff_diff(eff_diff(vac, u), ub).scale(_TWO)
+    rep.add("vacuum/(zzb-dbar.d)|0>=2|0>", direct == vac.scale(_TWO),
+            defect=str(direct - vac.scale(_TWO)))
 
     rep.add("vacuum/<0|0>=1", inner_product(vac, vac) == QI(1),
             detail=f"<0|0> = {inner_product(vac, vac)}")
@@ -207,6 +170,15 @@ def vacuum_checks() -> Report:
     a1s = real.ops[(("a", 1), True)](vac)
     rep.add("vacuum/|a1*0|^2=1", inner_product(a1s, a1s) == QI(1),
             detail=f"norm {inner_product(a1s, a1s)}")
+
+    # and against the ladder: |(c*)^k|0>|^2 = <0| c^k (c*)^k |0> = k!
+    ok = True
+    for mode in MODES:
+        state = vac
+        for k in range(5):
+            ok &= inner_product(state, state) == factorial(k)
+            state = real.ops[(mode, True)](state)
+    rep.add("vacuum/|c*^k 0|^2=k!", ok, detail="each creator c*, k = 0..4")
     return rep
 
 
@@ -236,7 +208,7 @@ def realization_functoriality_check(degree: int = 4) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# Light-like momentum identity
+# Light-like momentum identity, in the spinor z itself
 
 
 def pauli_bilinears():

@@ -1,8 +1,9 @@
 """Multivariate polynomials over an exact coefficient ring.
 
 Monomials are exponent tuples; coefficients are any ring type supporting
-+, -, *, truthiness and (for conjugation) .conj().  Used with QI for the
-harmonic polynomials and with QIS for the Gaussian wave-function model.
++, -, *, truthiness and (for conjugation) .conj().  Every polynomial the
+package builds has ``QI`` coefficients: the harmonic modes, the sphere
+identity and the Gaussian wave functions of the massless model.
 """
 
 from __future__ import annotations

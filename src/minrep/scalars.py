@@ -5,9 +5,10 @@ Q(i).  A ``QI`` holds three ints ``(a, b, d)``, the value (a + b*i)/d,
 kept reduced: d > 0 and gcd(a, b, d) = 1, with zero stored as (0, 0, 1).
 Equal values therefore have equal fields, and arithmetic runs on ints;
 ``.re`` and ``.im`` give the components as ``fractions.Fraction``.
-``QIS`` is the ring Q(i)[s]/(s^2 - 2), used where a 1/sqrt(2)
-normalization appears in a first-order operator but cancels out of every
-bilinear.
+``QIS`` is the ring Q(i)[s]/(s^2 - 2).  No suite computes in it:
+the massless model runs over ``QI`` in u = sqrt(2) z coordinates.  The
+class stays only because the benchmark's layer tracer counts
+``QIS.__mul__`` by name; it goes when that counter is retired.
 """
 
 from __future__ import annotations
