@@ -11,18 +11,18 @@ in one pass, since the uncontracted terms of uv and vu cancel.  On top of
 the engine sit the closed commutator formula for matrix-labeled
 bilinears, the Frobenius pairing of the labeling matrix algebra, and the
 real/complex/quaternionic commutant classification; the labeling
-matrices are ``Fraction`` matrices.
+matrices are ``QI`` matrices too, and a sign test on one of their values
+asserts that the value is real.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .lincomb import LinComb, combine
 from .reports import Report
-from .scalars import QI, QI_ONE
+from .scalars import QI, QI_ONE, QI_ZERO
 
 # ---------------------------------------------------------------------------
 # Polynomials in the contraction symbols D+_{kl}
@@ -52,7 +52,7 @@ class DeltaPoly(LinComb):
         return DeltaPoly({((k, l),): QI_ONE})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QI)):
+        if not isinstance(other, DeltaPoly):
             return self.scale(other)
         acc: dict = {}
         for m1, c1 in self.terms.items():
@@ -113,7 +113,7 @@ class WickElement(LinComb):
         return WickElement.normal_product([(point, flavor)])
 
     def scale(self, c) -> "WickElement":
-        if isinstance(c, (int, Fraction, QI)):
+        if not isinstance(c, DeltaPoly):
             c = DeltaPoly.const(c)
         return self._scaled(c)
 
@@ -235,7 +235,7 @@ def verify_commutator_formula(m, mp) -> Report:
 # Frobenius pairing
 
 
-def frobenius(m1, m2) -> Fraction:
+def frobenius(m1, m2) -> QI:
     if len(m1) != len(m2) or len(m1[0]) != len(m2[0]):
         raise ValueError("shape mismatch in the Frobenius pairing")
     return linalg.trace_product(linalg.transpose(m1), m2)
@@ -251,7 +251,7 @@ def frobenius_property_check(m1, m2, m3) -> Report:
     rep.add("frobenius/symmetry", frobenius(m1, m2) == frobenius(m2, m1))
     sq = frobenius(m1, m1)
     nonzero = any(c for row in m1 for c in row)
-    rep.add("frobenius/positivity", sq > 0 if nonzero else sq == 0,
+    rep.add("frobenius/positivity", sq.real_fraction() > 0 if nonzero else sq == 0,
             detail=f"<M,M> = {sq}")
     return rep
 
@@ -296,10 +296,10 @@ def commutant_basis(mats, size: int):
     for m in mats:
         for i in range(size):
             for j in range(size):
-                row = [Fraction(0)] * (size * size)
+                row = [QI_ZERO] * (size * size)
                 for k in range(size):
-                    row[k * size + j] += Fraction(m[i][k])
-                    row[i * size + k] -= Fraction(m[k][j])
+                    row[k * size + j] += m[i][k]
+                    row[i * size + k] -= m[k][j]
                 rows.append(row)
     kern = linalg.kernel(rows)
     return [[v[i * size:(i + 1) * size] for i in range(size)] for v in kern]
@@ -313,8 +313,7 @@ def commutant_type(alg: TAlgebra):
     needs the traceless generator to square to a negative scalar;
     dimension 4 needs the traceless part to satisfy a Clifford relation
     with negative definite Gram matrix.  Anything else means the algebra
-    was reducible over R, reported as an error with a witness when a
-    rational invariant subspace exists.
+    was reducible over R, reported as an error.
     """
     size = alg.size
     comm = commutant_basis(alg.basis, size)
@@ -326,8 +325,8 @@ def commutant_type(alg: TAlgebra):
         j = _traceless_part(_non_scalar(comm, size), size)
         sq = linalg.mat_mul(j, j)
         lam = _scalar_value(sq, size)
-        if lam is None or lam >= 0:
-            raise ReducibleAlgebraError(_reducible_message(alg))
+        if lam is None or lam.real_fraction() >= 0:
+            raise ReducibleAlgebraError(_REDUCIBLE)
         return "C", comm
     if dim == 4:
         traceless = []
@@ -336,19 +335,19 @@ def commutant_type(alg: TAlgebra):
             if any(any(row) for row in t):
                 traceless.append(t)
         basis3 = _independent(traceless, 3)
-        gram = [[Fraction(0)] * 3 for _ in range(3)]
+        gram = [[QI_ZERO] * 3 for _ in range(3)]
         for i in range(3):
             for j in range(3):
                 anti = linalg.mat_add(linalg.mat_mul(basis3[i], basis3[j]),
                                       linalg.mat_mul(basis3[j], basis3[i]))
                 lam = _scalar_value(anti, size)
                 if lam is None:
-                    raise ReducibleAlgebraError(_reducible_message(alg))
+                    raise ReducibleAlgebraError(_REDUCIBLE)
                 gram[i][j] = -lam / 2
         if not _positive_definite(gram):
-            raise ReducibleAlgebraError(_reducible_message(alg))
+            raise ReducibleAlgebraError(_REDUCIBLE)
         return "H", comm
-    raise ReducibleAlgebraError(_reducible_message(alg))
+    raise ReducibleAlgebraError(_REDUCIBLE)
 
 
 def _non_scalar(comm, size):
@@ -404,7 +403,7 @@ def _positive_definite(g):
     a = linalg.mat_copy(g)
     for k, pivot_row in enumerate(a):
         p = pivot_row[k]
-        if p <= 0:
+        if p.real_fraction() <= 0:
             return False
         for row in a[k + 1:]:
             f = row[k] / p
@@ -413,50 +412,8 @@ def _positive_definite(g):
     return True
 
 
-def _reducible_message(alg):
-    witness = invariant_subspace_witness(alg.basis, alg.size)
-    hint = f"; invariant subspace witness: {witness}" if witness else ""
-    return ("algebra acts reducibly over R: decompose into isotypic blocks "
-            "before classifying" + hint)
-
-
-def invariant_subspace_witness(mats, size: int):
-    """Search for a proper rational invariant subspace.
-
-    Tries cyclic subspaces generated from rational eigenvectors of the
-    basis elements and from coordinate vectors; exact arithmetic
-    throughout.  Returns a basis of a proper invariant subspace or None
-    (absence of a rational witness does not certify irreducibility).
-    """
-    seeds = []
-    for i in range(size):
-        e = [Fraction(0)] * size
-        e[i] = Fraction(1)
-        seeds.append(e)
-    for m in mats:
-        fm = [[Fraction(c) for c in row] for row in m]
-        for root in linalg.rational_roots(linalg.char_poly(fm)):
-            shifted = [row[:] for row in fm]
-            for i in range(size):
-                shifted[i][i] -= root
-            seeds.extend(linalg.kernel(shifted))
-    for seed in seeds:
-        if not any(seed):
-            continue
-        space = [seed]
-        grew = True
-        while grew:
-            grew = False
-            for m in mats:
-                for v in list(space):
-                    img = [sum(Fraction(m[i][k]) * v[k] for k in range(size))
-                           for i in range(size)]
-                    if any(img) and not linalg.in_span(space, img):
-                        space.append(img)
-                        grew = True
-        if len(space) < size:
-            return space
-    return None
+_REDUCIBLE = ("algebra acts reducibly over R: decompose into isotypic blocks "
+              "before classifying")
 
 
 # ---------------------------------------------------------------------------
@@ -474,30 +431,30 @@ _UNITS = ("1", "i", "j", "k")
 
 
 def quaternion_left(q: str):
-    """4x4 rational matrix of left multiplication by a unit quaternion."""
-    m = [[Fraction(0)] * 4 for _ in range(4)]
+    """4x4 matrix of left multiplication by a unit quaternion."""
+    m = [[QI_ZERO] * 4 for _ in range(4)]
     for col, u in enumerate(_UNITS):
         prod, sign = _QUAT[(q, u)]
-        m[_UNITS.index(prod)][col] = Fraction(sign)
+        m[_UNITS.index(prod)][col] = QI(sign)
     return m
 
 
 def quaternion_right(q: str):
-    """4x4 rational matrix of right multiplication by a unit quaternion."""
-    m = [[Fraction(0)] * 4 for _ in range(4)]
+    """4x4 matrix of right multiplication by a unit quaternion."""
+    m = [[QI_ZERO] * 4 for _ in range(4)]
     for col, u in enumerate(_UNITS):
         prod, sign = _QUAT[(u, q)]
-        m[_UNITS.index(prod)][col] = Fraction(sign)
+        m[_UNITS.index(prod)][col] = QI(sign)
     return m
 
 
 # the complex unit i on R^2 = C, with J^2 = -1
-_J = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]
+_J = [[QI_ZERO, QI(-1)], [QI_ONE, QI_ZERO]]
 
 
 def _block_diag(block, copies: int):
     b = len(block)
-    out = [[Fraction(0)] * (b * copies) for _ in range(b * copies)]
+    out = [[QI_ZERO] * (b * copies) for _ in range(b * copies)]
     for c in range(copies):
         _put(out, c, c, block, b)
     return out
@@ -545,18 +502,18 @@ def _flavor_blocks(n: int, b: int, diag_blocks, sym_off, antisym_off):
     out = []
     for f in range(n):
         for blk in diag_blocks:
-            m = [[Fraction(0)] * (n * b) for _ in range(n * b)]
+            m = [[QI_ZERO] * (n * b) for _ in range(n * b)]
             _put(m, f, f, blk, b)
             out.append(m)
     for f in range(n):
         for g in range(f + 1, n):
             for blk in antisym_off:
-                m = [[Fraction(0)] * (n * b) for _ in range(n * b)]
+                m = [[QI_ZERO] * (n * b) for _ in range(n * b)]
                 _put(m, f, g, blk, b)
                 _put(m, g, f, [[-x for x in row] for row in blk], b)
                 out.append(m)
             for blk in sym_off:
-                m = [[Fraction(0)] * (n * b) for _ in range(n * b)]
+                m = [[QI_ZERO] * (n * b) for _ in range(n * b)]
                 _put(m, f, g, blk, b)
                 _put(m, g, f, blk, b)
                 out.append(m)
@@ -566,7 +523,7 @@ def _flavor_blocks(n: int, b: int, diag_blocks, sym_off, antisym_off):
 def _put(m, f, g, blk, b):
     for i in range(b):
         for j in range(b):
-            m[f * b + i][g * b + j] = Fraction(blk[i][j])
+            m[f * b + i][g * b + j] = blk[i][j]
 
 
 def canonical_form_check(kind: str, n: int) -> Report:
@@ -610,33 +567,14 @@ def canonical_form_check(kind: str, n: int) -> Report:
             detail="tA M + M A = 0 for all gauge generators")
     rep.add(f"canonical/{kind}/N{n}/gauge-wick", ok_wick,
             detail="transformed bilocal vanishes in the Wick engine")
-    t_alg = TAlgebra(span)
-    rep.add(f"canonical/{kind}/N{n}/t-algebra", True,
-            detail="span verified closed under products and transposition")
+    try:
+        TAlgebra(span)
+    except ValueError as exc:
+        ok, defect = False, str(exc)
+    else:
+        ok, defect = True, ""
+    rep.add(f"canonical/{kind}/N{n}/t-algebra", ok,
+            detail="span verified closed under products and transposition",
+            defect=defect)
     return rep
 
-
-def right_ideal_orthogonal_check(basis, ideal) -> Report:
-    """Orthogonal complement of a right ideal is again a right ideal."""
-    rep = Report("bilocal/right-ideal")
-    alg_vecs = [_vec(m) for m in basis]
-    ideal_vecs = [_vec(m) for m in ideal]
-    closed = all(linalg.in_span(ideal_vecs, _vec(linalg.mat_mul(i, a)))
-                 for i in ideal for a in basis)
-    rep.add("right-ideal/given-ideal-closed", closed)
-    # orthogonal complement inside the algebra span w.r.t. the Frobenius form
-    rows = [[frobenius(i, b) for b in basis] for i in ideal]
-    comp_coeffs = linalg.kernel(rows) if rows else []
-    comp = []
-    for v in comp_coeffs:
-        m = None
-        for c, b in zip(v, basis):
-            scaled = linalg.mat_scale(c, b)
-            m = scaled if m is None else linalg.mat_add(m, scaled)
-        comp.append(m)
-    comp_vecs = [_vec(m) for m in comp]
-    is_ideal = all(linalg.in_span(comp_vecs, _vec(linalg.mat_mul(c, a)))
-                   for c in comp for a in basis)
-    rep.add("right-ideal/orthogonal-complement-closed", is_ideal,
-            detail=f"complement dimension {len(comp)}")
-    return rep

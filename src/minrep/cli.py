@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from . import bilocal, fockspace, harmonics, linalg, massless, oscrep, rootsys
 from .reports import Report
+from .scalars import QI
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -182,13 +183,8 @@ def run_check_relations(args) -> Report:
             rep.add(f"{gens.algebra_label}/adjoint/E{i}", e.adjoint() == f)
         if args.n == 2:
             rep.extend(oscrep.nilpotent_cone_check())
-        if args.n <= 3:
-            _, crep = oscrep.casimir_defect(args.n)
-            rep.extend(crep)
-        else:
-            rep.add(f"{gens.algebra_label}/casimir/deferred", True,
-                    detail="quadratic Casimir suite runs here for n <= 3; "
-                           "call oscrep.casimir_defect(n) for larger ranks")
+        _, crep = oscrep.casimir_defect(args.n)
+        rep.extend(crep)
     return rep
 
 
@@ -224,11 +220,11 @@ def run_check_bilocal(args) -> Report:
     rep = Report(f"check-bilocal/L{args.L}/seed{args.seed}")
 
     def rnd(size):
-        return [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return [[QI(rng.randint(-9, 9)) / rng.randint(1, 4)
                  for _ in range(size)] for _ in range(size)]
 
     for left in range(1, args.L + 1):
-        ident = [[Fraction(int(i == j)) for j in range(left)] for i in range(left)]
+        ident = linalg.identity(left)
         sub = bilocal.verify_commutator_formula(ident, ident)
         for r in sub.records:
             r.check_id = f"bilocal/identity/L{left}/{r.check_id}"
@@ -249,8 +245,7 @@ def run_check_bilocal(args) -> Report:
                   for _ in range(args.trials))
     rep.add(f"bilocal/frobenius/trials{args.trials}", ok_frob)
 
-    mats2 = [[[Fraction(int(i == a and j == b)) for j in range(2)] for i in range(2)]
-             for a in range(2) for b in range(2)]
+    mats2 = [oscrep.basis_matrix(2, a, b) for a in range(2) for b in range(2)]
     kind, comm = bilocal.commutant_type(bilocal.TAlgebra(mats2))
     rep.add("bilocal/commutant/full-mat2", kind == "R" and len(comm) == 1,
             detail=f"type {kind}, dim {len(comm)}")
@@ -312,7 +307,7 @@ def run_harmonics(args) -> Report:
     rep.extend(harmonics.angular_algebra_check())
     rep.add("harmonics/negative-control/z1^2",
             not harmonics.verify_mode(
-                harmonics.Poly(4, {(2, 0, 0, 0): harmonics.QI(1)}), 3, 0, 0).ok,
+                harmonics.Poly(4, {(2, 0, 0, 0): QI(1)}), 3, 0, 0).ok,
             negative_control=True,
             detail="a non-harmonic polynomial must fail the eigen-checks")
     rng = random.Random(11)

@@ -12,7 +12,6 @@ restricted to those columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial
 
@@ -142,15 +141,6 @@ class SparseOperator:
         if any(r != c for r, c in self.entries):
             raise FockError("operator is not diagonal in the occupation basis")
         return [self.entries.get((i, i), QI(0)) for i in range(self.dim)]
-
-    def conj_transpose_weighted(self) -> "SparseOperator":
-        """W^-1 t(conj M) W with W the diagonal of norm weights."""
-        f = self.fock
-        out = {}
-        for (r, c), v in self.entries.items():
-            w = Fraction(f.norm_weight(r), f.norm_weight(c))
-            out[(c, r)] = v.conj() * QI(w)
-        return SparseOperator(self.dim, out, -self.level_raise, f)
 
 
 def safe_columns(fock: TruncatedFock, *raises: int) -> list[int]:
@@ -285,7 +275,7 @@ def lowest_weight_vectors(alg, fock: TruncatedFock):
                 for r, v in cm.get(c, ()):
                     block[rpos[r]][j] = v
             mat.extend(block)
-        kern = linalg.kernel(mat) if rows_used else linalg.identity(len(cols), QI(1))
+        kern = linalg.kernel(mat) if rows_used else linalg.identity(len(cols))
         if kern:
             out[key] = [(cols, v) for v in kern]
     return out

@@ -1,22 +1,20 @@
-"""Exact linear algebra over Fraction or QI entries.
+"""Exact linear algebra over QI entries.
 
 Matrices are lists of lists.  Products and trace products skip zero
 entries, since the matrices the suites multiply and reduce are mostly
 zeros.  Elimination is Gauss-Jordan on sparse rows, with exact field
 arithmetic, so there are no pivoting tolerances: a pivot is any nonzero
 entry, and the reduced form is unique whatever the order.  The helpers
-work for any entry type supporting +, -, *, / and truthiness (Fraction
-and QI both do), and their results stay in the operands' ring: the zero
-of a result is ``0 * entry``.  Only ``identity(n, one)`` takes a ring
-argument, since it has no operand to read it from.
+need only +, -, *, / and truthiness of their entries, and their results
+stay in the operands' ring: the zero of a result is ``0 * entry``.  Only
+``identity(n, one)`` takes a ring argument, since it has no operand to
+read it from; it defaults to ``QI``, the ring every suite computes in.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
 from .lincomb import combine
+from .scalars import QI
 
 
 def mat_copy(m):
@@ -44,8 +42,7 @@ def mat_mul(a, b):
 
     Each row of the result sums x * b[k][j] over the nonzero x = a[i][k]
     and the nonzero entries of row k of b.  An entry that no such product
-    reaches holds the zero of the entry ring: QI for QI operands, Fraction
-    for Fraction operands.
+    reaches holds the zero of the operands' entry ring.
     """
     p = len(b[0]) if b else 0
     if not a or not p:
@@ -76,7 +73,7 @@ def trace(m):
     return s
 
 
-def identity(n, one=Fraction(1)):
+def identity(n, one=QI(1)):
     zero = one - one
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
@@ -172,70 +169,3 @@ def in_span(vectors, target):
     m = transpose(vectors)
     return solve(m, list(target)) is not None
 
-
-def char_poly(m):
-    """Characteristic polynomial coefficients [c0, ..., cn] of det(xI - m).
-
-    Faddeev-LeVerrier over exact Fractions; cn = 1.
-    """
-    n = len(m)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = identity(n)
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        mk = mat_mul(m, mk)
-        c = -trace(mk) / k
-        coeffs[n - k] = c
-        for i in range(n):
-            mk[i][i] = mk[i][i] + c
-    return coeffs
-
-
-def rational_roots(coeffs):
-    """All rational roots of a polynomial with Fraction coefficients."""
-    # Strip leading zeros and factor out x^k.
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    roots = set()
-    k = 0
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        k += 1
-    if k:
-        roots.add(Fraction(0))
-    if not cs or len(cs) == 1:
-        return sorted(roots)
-    denom = 1
-    for c in cs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ics = [int(c * denom) for c in cs]
-    a0, an = abs(ics[0]), abs(ics[-1])
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if _poly_eval(cs, cand) == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
-def _poly_eval(cs, x):
-    v = Fraction(0)
-    for c in reversed(cs):
-        v = v * x + c
-    return v
-
-
-def _divisors(n):
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)

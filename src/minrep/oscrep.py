@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import linalg
 from .reports import Report
 from .rootsys import cartan_a_type, cartan_d_type
-from .scalars import QI
+from .scalars import QI, QI_ZERO
 from .weylalg import (WeylElement, Polarization, commutator, ad_power,
                       normal_product, quadratic_from_matrix,
                       standard_polarization)
@@ -69,7 +69,7 @@ class FormSpec:
     sympl: tuple | None = None
 
     def __post_init__(self):
-        one = linalg.identity(self.size, QI(1))
+        one = linalg.identity(self.size)
         if self.beta is not None:
             b = [list(r) for r in self.beta]
             if not mat_is_zero(linalg.mat_sub(mat_star(b), b)):
@@ -553,10 +553,19 @@ def unitary_basis(signs, traceless: bool = False):
     return out
 
 
-def _dual_basis(basis, trace_form):
-    # real_fraction raises if the trace form fails to be real on the basis
-    gram = [[trace_form(x, y).real_fraction() for y in basis] for x in basis]
-    inv = [[QI(c) for c in row] for row in linalg.inverse(gram)]
+def _dual_basis(basis):
+    """The basis dual to `basis` under the trace form tr(xy).
+
+    Each Gram entry tr(xy) = sum v * y[k][i] runs over the nonzero entries
+    (i, k, v) of x alone and multiplies only where y[k][i] is nonzero.
+    """
+    nonzero = [[(i, k, v) for i, row in enumerate(x) for k, v in enumerate(row) if v]
+               for x in basis]
+    gram = [[sum((v * w for i, k, v in xs if (w := y[k][i])), QI_ZERO) for y in basis]
+            for xs in nonzero]
+    if not all(c.is_real() for row in gram for c in row):
+        raise AlgebraError("the trace form is not real on the basis")
+    inv = linalg.inverse(gram)
     # dual a = sum_b inv[a][b] basis[b]: one sparse product of inv with the
     # basis matrices flattened to rows, which touches only their nonzeros
     n = len(basis[0])
@@ -579,7 +588,7 @@ def casimir_elements(n: int):
     gens = so_star_generators(n)
 
     so_basis = so_star_matrix_basis(n)
-    so_dual = _dual_basis(so_basis, linalg.trace_product)
+    so_dual = _dual_basis(so_basis)
     c_so = WeylElement.zero()
     for x, xd in zip(so_basis, so_dual):
         c_so = c_so + normal_product(quadratic_from_matrix(x, pol),
@@ -587,7 +596,7 @@ def casimir_elements(n: int):
 
     zero_k = [[QI(0)] * k for _ in range(k)]
     su_basis = [so_star_block(u, zero_k) for u in unitary_basis([1] * k, traceless=True)]
-    su_dual = _dual_basis(su_basis, linalg.trace_product)
+    su_dual = _dual_basis(su_basis)
     c_su = WeylElement.zero()
     for x, xd in zip(su_basis, su_dual):
         c_su = c_su + normal_product(quadratic_from_matrix(x, pol),

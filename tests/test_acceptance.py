@@ -119,14 +119,14 @@ def test_criterion_05_bilocal_commutator_theorem():
         ok &= bilocal.verify_commutator_formula(ident, ident).ok
         rng = random.Random(500 + size)
         for _ in range(50):
-            m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            m = [[QI(rng.randint(-9, 9)) / rng.randint(1, 4)
                   for _ in range(size)] for _ in range(size)]
-            mp = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            mp = [[QI(rng.randint(-9, 9)) / rng.randint(1, 4)
                    for _ in range(size)] for _ in range(size)]
             ok &= bilocal.verify_commutator_formula(m, mp).ok
     rng = random.Random(77)
     for _ in range(50):
-        ms = [[[Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        ms = [[[QI(rng.randint(-6, 6)) / rng.randint(1, 3)
                 for _ in range(3)] for _ in range(3)] for _ in range(3)]
         ok &= bilocal.frobenius_property_check(*ms).ok
     mats2 = []

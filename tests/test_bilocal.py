@@ -293,7 +293,7 @@ class TestFrobenius:
     def test_property_random_triples(self):
         rng = random.Random(17)
         for _ in range(50):
-            ms = [[[Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            ms = [[[QI(rng.randint(-6, 6)) / rng.randint(1, 3)
                     for _ in range(3)] for _ in range(3)] for _ in range(3)]
             assert frobenius_property_check(*ms).ok
 
@@ -340,11 +340,6 @@ class TestCommutantClassification:
         with pytest.raises(bilocal.ReducibleAlgebraError):
             commutant_type(TAlgebra([linalg.identity(2), d]))
 
-    def test_invariant_subspace_witness(self):
-        d = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
-        w = bilocal.invariant_subspace_witness([linalg.identity(2), d], 2)
-        assert w is not None and len(w) == 1
-
     def test_t_algebra_validation(self):
         e12 = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
         with pytest.raises(ValueError):
@@ -372,28 +367,6 @@ class TestCanonicalForms:
         assert len(bilocal.gauge_algebra_basis("R", 3)) == 3       # o(3)
         assert len(bilocal.gauge_algebra_basis("C", 2)) == 4       # u(2)
         assert len(bilocal.gauge_algebra_basis("H", 2)) == 10      # sp(4)
-
-
-class TestRightIdeals:
-    def test_orthogonal_complement_of_right_ideal(self):
-        # Mat(2,R) plus the column ideal spanned by E11, E21
-        basis = []
-        for a in range(2):
-            for b in range(2):
-                m = [[Fraction(0)] * 2 for _ in range(2)]
-                m[a][b] = Fraction(1)
-                basis.append(m)
-        col = [basis[0], basis[2]]  # E11, E21: a left ideal... use rows
-        row_ideal = [basis[0], basis[1]]  # E11, E12 spans a right ideal
-        rep = bilocal.right_ideal_orthogonal_check(basis, row_ideal)
-        assert rep.ok
-
-    def test_block_diagonal_ideal(self):
-        one = linalg.identity(2)
-        e11 = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]]
-        e22 = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]]
-        rep = bilocal.right_ideal_orthogonal_check([one, e11, e22], [e11])
-        assert rep.ok
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +405,7 @@ def test_positive_definite_matches_leading_minor_oracle():
                      "singular": gram(rand(n - 1, n), n)}
             for kind, g in cases.items():
                 want = _leading_minors_positive(g)
-                assert bilocal._positive_definite(g) is want, (kind, g)
+                qi_g = [[QI.of(x) for x in row] for row in g]
+                assert bilocal._positive_definite(qi_g) is want, (kind, g)
                 seen.add((kind, want))
     assert {("gram", True), ("singular", False), ("indefinite", False)} <= seen

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from minrep import bilocal, cli, fockspace, harmonics, reports
+from minrep import bilocal, cli, fockspace, harmonics, linalg, oscrep, reports
 from minrep.reports import Report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -127,12 +127,17 @@ class TestRelations:
         assert (records["so*(12)/casimir/scale-search"]["detail"]
                 == "exact equality at lambda = 1")
 
-    def test_casimir_deferred_above_so12(self, capsys):
+    def test_so16_runs_the_casimir_suite(self, capsys):
         code, out = run(["check-relations", "--algebra", "so-star", "--n", "4",
                          "--format", "json"], capsys)
         assert code == 0
-        ids = {r["check_id"] for r in json.loads(out)["records"]}
-        assert "so*(16)/casimir/deferred" in ids
+        records = {r["check_id"]: r for r in json.loads(out)["records"]}
+        casimir = [r for cid, r in records.items() if cid.startswith("so*(16)/casimir/")]
+        # [D, E_i], [D, F_i], [D, H_i] for the eight D_8 nodes, plus the scale search
+        assert len(casimir) == 25
+        assert all(r["passed"] for r in casimir)
+        assert (records["so*(16)/casimir/scale-search"]["detail"]
+                == "exact equality at lambda = 1")
 
     def test_desk_scale_guard(self, capsys):
         code, _ = run(["check-relations", "--algebra", "unn", "--n", "9999"], capsys)
@@ -170,6 +175,23 @@ class TestBilocalCommand:
     def test_l_bound(self, capsys):
         code, _ = run(["check-bilocal", "--L", "9"], capsys)
         assert code == cli.EXIT_USAGE
+
+    def test_t_algebra_record_fails_on_a_span_open_under_transpose(self, capsys, monkeypatch):
+        original = bilocal.canonical_m_span
+
+        def span(kind, n):
+            if kind == "R":
+                return [linalg.identity(n), oscrep.basis_matrix(n, 0, 1)]
+            return original(kind, n)
+
+        monkeypatch.setattr(bilocal, "canonical_m_span", span)
+        code, out = run(["check-bilocal", "--L", "1", "--trials", "1",
+                         "--format", "json"], capsys)
+        assert code == cli.EXIT_CHECK_FAILED
+        records = {r["check_id"]: r for r in json.loads(out)["records"]}
+        rec = records["canonical/R/N2/t-algebra"]
+        assert rec["passed"] is False
+        assert rec["defect"] == "basis element 1 transposes out of the span"
 
 
 class TestDecompose:

@@ -96,20 +96,6 @@ def test_fraction_entries_stay_fraction():
     _check_results_stay_in_ring(Fraction(1), Fraction(3))
 
 
-def test_char_poly_and_rational_roots():
-    m = frac_mat([[2, 0, 0], [0, 3, 1], [0, 0, 3]])
-    cp = linalg.char_poly(m)
-    # det(xI - m) = (x-2)(x-3)^2 = x^3 - 8x^2 + 21x - 18
-    assert cp == [Fraction(-18), Fraction(21), Fraction(-8), Fraction(1)]
-    assert linalg.rational_roots(cp) == [Fraction(2), Fraction(3)]
-
-
-def test_rational_roots_with_denominators():
-    # (2x - 1)(x + 3) = 2x^2 + 5x - 3
-    roots = linalg.rational_roots([Fraction(-3), Fraction(5), Fraction(2)])
-    assert roots == [Fraction(-3), Fraction(1, 2)]
-
-
 def test_in_span():
     vs = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
     assert linalg.in_span(vs, [Fraction(5), Fraction(3)])

@@ -386,6 +386,18 @@ class TestCasimir:
         assert scale and scale[0].passed
         assert "lambda = 1" in scale[0].detail
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dual_basis_is_dual_under_the_trace_form(self, n):
+        basis = oscrep.so_star_matrix_basis(n)
+        dual = oscrep._dual_basis(basis)
+        for a, x in enumerate(basis):
+            for b, y in enumerate(dual):
+                assert linalg.trace_product(x, y) == int(a == b)
+
+    def test_dual_basis_refuses_a_trace_form_that_is_not_real(self):
+        with pytest.raises(oscrep.AlgebraError):
+            oscrep._dual_basis([[[QI(1)]], [[QI(0, 1)]]])
+
     def test_vacuum_eigenvalue(self):
         d, _ = oscrep.casimir_defect(1)
         modes = [A1, A2, B1, B2]
