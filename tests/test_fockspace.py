@@ -230,6 +230,19 @@ class TestClosure:
         with pytest.raises(oscrep.AlgebraError, match="does not match the u_pq form"):
             fockspace._closure_structure(quad, "u_pq", 1, modes, pol, spec)
 
+    @pytest.mark.parametrize("family,k", [("so_star", 1), ("u_pq", 2)])
+    @pytest.mark.parametrize("creators,annihilators", [
+        ([], [("a", 1, 1), ("a", 1, 2)]), ([("b", 1, 1), ("b", 1, 2)], []),
+    ], ids=["a1a2", "b1*b2*"])
+    def test_stray_quadratic_is_not_inside_the_algebra(self, family, k, creators,
+                                                       annihilators):
+        # a1 a2 and b1* b2* of flavor 1 are no phi~ X phi, so a commutator
+        # carrying one must not pass as a member of the algebra
+        _, modes, pol, spec = fockspace.one_flavor_bilinears(family, k)
+        stray = mono(creators, annihilators)
+        got = fockspace._closure_structure(stray, family, 1, modes, pol, spec)
+        assert got != (True, True)
+
 
 class TestGaugeAction:
     @pytest.mark.parametrize("family,k,flavors,count", [

@@ -207,6 +207,16 @@ def test_matrix_from_quadratic_rejects_nonpolarized():
         matrix_from_quadratic(w, pol)
 
 
+@pytest.mark.parametrize("creators,annihilators", [([], [A1, A2]), ([B1, B2], [])],
+                         ids=["a1a2", "b1*b2*"])
+def test_matrix_from_quadratic_rejects_monomials_outside_the_products(creators, annihilators):
+    # a1 a2 and b1* b2* commute with every phi^b, so an adjoint-action
+    # readback maps them to the zero matrix; no phi~_a phi^b gives either
+    pol = standard_polarization(2)
+    with pytest.raises(SpanError, match="leaves the mode span"):
+        matrix_from_quadratic(WeylElement.monomial(creators, annihilators), pol)
+
+
 def test_quadratic_blocks_rejects_higher_degree():
     with pytest.raises(SpanError, match="not quadratic"):
         quadratic_blocks(WeylElement.monomial([A1, A1], [A2]), [A1, A2])
