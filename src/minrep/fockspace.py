@@ -19,9 +19,9 @@ from . import linalg, oscrep
 from .lincomb import combine
 from .reports import Report
 from .scalars import QI
-from .weylalg import (Mode, Polarization, SpanError, WeylElement, WeylMonomial,
-                      commutator, matrix_from_quadratic, mode_action_matrix,
-                      quadratic_blocks, quadratic_from_matrix)
+from .weylalg import (Mode, SpanError, WeylElement, WeylMonomial, commutator,
+                      matrix_from_quadratic, mode_action_matrix, quadratic_blocks,
+                      quadratic_from_matrix)
 
 
 class FockError(ValueError):
@@ -370,11 +370,6 @@ def flavor_sum(w: WeylElement, flavors: int) -> WeylElement:
     return out
 
 
-def flavored_polarization(pol: Polarization, flavor: int) -> Polarization:
-    return Polarization(tuple(flavored_element(p, flavor) for p in pol.phi),
-                        tuple(flavored_element(p, flavor) for p in pol.phi_tilde))
-
-
 def one_flavor_bilinears(family: str, k: int):
     """Spanning bilinears of one flavor plus the mode/polarization data.
 
@@ -423,18 +418,18 @@ def one_flavor_bilinears(family: str, k: int):
     raise FockError(f"unknown closure family {family!r}")
 
 
-def central_pairing(x: WeylElement, y: WeylElement, modes) -> QI:
+def central_pairing(x_blocks, y_blocks) -> QI:
     """Closed-form central term 2 tr(gamma_x beta_y) - 2 tr(beta_x gamma_y).
 
-    beta/gamma are the creator-creator and annihilator-annihilator blocks;
-    this is the trace-form cocycle produced by the double contractions and
-    serves as the matrix-side cross-check of the symbolic scalar part.
+    Each argument is a bilinear's (alpha, beta, gamma) from
+    quadratic_blocks, built once per bilinear by the caller; beta/gamma
+    are the creator-creator and annihilator-annihilator blocks.  This is
+    the trace-form cocycle produced by the double contractions and serves
+    as the matrix-side cross-check of the symbolic scalar part.
     """
-    _, bx, gx = quadratic_blocks(x.without_scalar(), modes)
-    _, by, gy = quadratic_blocks(y.without_scalar(), modes)
-    t1 = linalg.trace_product(gx, by)
-    t2 = linalg.trace_product(bx, gy)
-    return QI(2) * (t1 - t2)
+    _, bx, gx = x_blocks
+    _, by, gy = y_blocks
+    return QI(2) * (linalg.trace_product(gx, by) - linalg.trace_product(bx, gy))
 
 
 # Modes in one flavor's bilinears per unit of k: sp_real uses c_1..c_k,
@@ -464,14 +459,15 @@ def truncated_closure_check(family: str, k: int, flavors: int, level: int = 0,
 
     charges = []
     pairs = [(s, t) for s in range(len(elems)) for t in range(s, len(elems))]
+    blocks = [quadratic_blocks(e, modes) for e in elems]
+    omegas = {(s, t): central_pairing(blocks[s], blocks[t]) for s, t in pairs}
     if pair_limit is not None and pair_limit < len(pairs):
         # keep every pair with a nonzero trace-form pairing (the central
         # charge is read off there), fill up with an even subsample
-        keep = [(s, t) for s, t in pairs
-                if central_pairing(elems[s], elems[t], modes)]
+        keep = {p for p in pairs if omegas[p]}
         step = max(1, len(pairs) // pair_limit)
         sampled = [p for p in pairs[::step] if p not in keep]
-        pairs = sorted(keep + sampled[:max(0, pair_limit - len(keep))])
+        pairs = sorted(keep.union(sampled[:max(0, pair_limit - len(keep))]))
     for s, t in pairs:
         br = commutator(flavored[s], flavored[t])
         scalar = br.scalar_part()
@@ -479,7 +475,7 @@ def truncated_closure_check(family: str, k: int, flavors: int, level: int = 0,
         same, member = _closure_structure(quad, family, flavors, modes, pol, spec)
         rep.add(f"{family}/k{k}N{flavors}/pair{s:03d},{t:03d}/closure", same and member,
                 detail="flavor-uniform quadratic inside the algebra")
-        omega = central_pairing(elems[s], elems[t], modes)
+        omega = omegas[s, t]
         want = omega * flavors
         rep.add(f"{family}/k{k}N{flavors}/pair{s:03d},{t:03d}/central", scalar == want,
                 detail=f"scalar {scalar}, trace form {omega}",
@@ -497,49 +493,38 @@ def truncated_closure_check(family: str, k: int, flavors: int, level: int = 0,
 def _closure_structure(quad, family, flavors, modes, pol, spec):
     """Split a commutator by flavor and test membership of its matrix."""
     try:
-        parts = [_project_flavor(quad, f) for f in range(1, flavors + 1)]
-    except SpanError:
-        return False, False
-    total = WeylElement.zero()
-    for p in parts:
-        total = total + p
-    if total != quad:
-        return False, False
-    try:
+        parts = _flavor_parts(quad, flavors)
         if family == "sp_real":
-            mats = [mode_action_matrix(p, _mode_frame(modes, f))
-                    for f, p in enumerate(parts, start=1)]
-            # sign and transpose are irrelevant: the family is stable under both
-            member = oscrep.matrix_membership(mats[0], spec)
+            frame = ([WeylElement.annihilator(m) for m in modes]
+                     + [WeylElement.creator(m) for m in modes])
+            mats = [mode_action_matrix(p, frame) for p in parts]
         else:
-            mats = [matrix_from_quadratic(p, flavored_polarization(pol, f))
-                    for f, p in enumerate(parts, start=1)]
-            member = oscrep.matrix_membership(mats[0], spec)
+            mats = [matrix_from_quadratic(p, pol) for p in parts]
     except SpanError:
         return False, False
+    # sign and transpose are irrelevant for sp_real: the family is stable under both
+    member = oscrep.matrix_membership(mats[0], spec)
     same = all(m == mats[0] for m in mats[1:])
     return same, member
 
 
-def _mode_frame(modes, flavor: int):
-    """Elementary (annihilator, creator) frame over one flavor's modes."""
-    fl = [_flavored(m, flavor) for m in modes]
-    return ([WeylElement.annihilator(m) for m in fl]
-            + [WeylElement.creator(m) for m in fl])
+def _flavor_parts(w: WeylElement, flavors: int) -> list:
+    """w's part in each flavor 1..flavors, written in one flavor's modes.
 
-
-def _project_flavor(w: WeylElement, flavor: int) -> WeylElement:
-    terms = {}
+    Raises SpanError on a monomial that is not in exactly one of them.
+    """
+    parts = [{} for _ in range(flavors)]
     for mono, q in w.terms.items():
-        ms = list(mono.creators) + list(mono.annihilators)
-        if not ms:
-            continue
-        fs = {m[1] for m in ms}
-        if len(fs) > 1:
-            raise SpanError("cross-flavor monomial in a closure commutator")
-        if fs == {flavor}:
-            terms[mono] = q
-    return WeylElement(terms)
+        fs = {m[1] for m in mono.creators + mono.annihilators}
+        if len(fs) != 1 or not 1 <= (f := fs.pop()) <= flavors:
+            raise SpanError(f"monomial {mono} is not in one flavor of 1..{flavors}")
+        parts[f - 1][WeylMonomial.make([_unflavored(m) for m in mono.creators],
+                                       [_unflavored(m) for m in mono.annihilators])] = q
+    return [WeylElement(p) for p in parts]
+
+
+def _unflavored(mode: Mode) -> Mode:
+    return mode[:1] + mode[2:]
 
 
 def _matrix_cross_check(rep, family, k, flavors, level, elems, flavored, max_states):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import linalg
+from .lincomb import combine
 from .reports import Report
 from .rootsys import cartan_a_type, cartan_d_type
 from .scalars import QI, QI_ZERO
@@ -27,14 +28,6 @@ class AlgebraError(ValueError):
 
 # ---------------------------------------------------------------------------
 # QI-matrix helpers
-
-def qi_mat(rows):
-    return [[QI.of(x) for x in row] for row in rows]
-
-
-def mat_conj(m):
-    return [[x.conj() for x in row] for row in m]
-
 
 def mat_star(m):
     """Conjugate transpose."""
@@ -62,13 +55,20 @@ def basis_matrix(n, i, j, c=1):
 
 @dataclass(frozen=True)
 class FormSpec:
+    """The forms fixing a family's algebra, with each form's nonzero
+    entries by row and by column in ``nonzero`` (keyed by field name)."""
+
     family: str        # "sp_real" | "u_pq" | "so_star"
     size: int
     beta: tuple | None = None
     sigma: tuple | None = None
     sympl: tuple | None = None
+    nonzero: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "nonzero", {
+            name: _by_row_and_col(form) for name in ("beta", "sigma", "sympl")
+            if (form := getattr(self, name)) is not None})
         one = linalg.identity(self.size)
         if self.beta is not None:
             b = [list(r) for r in self.beta]
@@ -90,6 +90,18 @@ class FormSpec:
             mj2 = linalg.mat_scale(QI(-1), linalg.mat_mul(j, j))
             if not mat_is_zero(linalg.mat_sub(mj2, one)):
                 raise AlgebraError("-J^2 must be 1")
+
+
+def _by_row_and_col(form):
+    """({row: [(col, f)]}, {col: [(row, f)]}) over the nonzero entries f."""
+    rows: dict[int, list] = {}
+    cols: dict[int, list] = {}
+    for i, row in enumerate(form):
+        for j, f in enumerate(row):
+            if f:
+                rows.setdefault(i, []).append((j, f))
+                cols.setdefault(j, []).append((i, f))
+    return rows, cols
 
 
 def form_spec(family: str, k: int) -> FormSpec:
@@ -116,35 +128,43 @@ def form_spec(family: str, k: int) -> FormSpec:
 
 
 def matrix_membership(x, spec: FormSpec) -> bool:
+    """Whether X lies in the family's algebra: X*beta + beta X = 0 and
+    t(X) sigma + sigma X = 0 for the forms the spec has, or, for sp_real,
+    X J + J t(X) = 0 with X of the real shape [[a, conj b], [b, conj a]].
+
+    Each condition is summed over X's nonzero entries (and the form's), so
+    no dense product is formed.
+    """
     n = spec.size
     if len(x) != n or any(len(row) != n for row in x):
         raise AlgebraError(f"matrix size does not match the {spec.family} form ({n})")
-    x = qi_mat(x)
+    entries = {(i, k): QI.of(v) for i, row in enumerate(x) for k, v in enumerate(row) if v}
+    nonzero = [(i, k, v) for (i, k), v in entries.items()]
+    trans = [(k, i, v) for i, k, v in nonzero]
     if spec.family == "sp_real":
-        j = [list(r) for r in spec.sympl]
-        cond = linalg.mat_add(linalg.mat_mul(x, j), linalg.mat_mul(j, linalg.transpose(x)))
-        if not mat_is_zero(cond):
-            return False
-        k = n // 2
-        a = [row[:k] for row in x[:k]]
-        b = [row[:k] for row in x[k:]]
-        return ([row[k:] for row in x[k:]] == mat_conj(a)
-                and [row[k:] for row in x[:k]] == mat_conj(b))
+        # the real shape: moving an entry by half the size in both indices conjugates it
+        h = n // 2
+        return (_form_vanishes(nonzero, spec.nonzero["sympl"], trans)
+                and {((i + h) % n, (k + h) % n): v.conj() for i, k, v in nonzero} == entries)
+    star = [(k, i, v.conj()) for i, k, v in nonzero]
     if spec.family == "u_pq":
-        beta = [list(r) for r in spec.beta]
-        return mat_is_zero(linalg.mat_add(linalg.mat_mul(mat_star(x), beta),
-                                          linalg.mat_mul(beta, x)))
+        return _form_vanishes(star, spec.nonzero["beta"], nonzero)
     if spec.family == "so_star":
-        beta = [list(r) for r in spec.beta]
-        sigma = [list(r) for r in spec.sigma]
-        if not mat_is_zero(linalg.mat_add(linalg.mat_mul(mat_star(x), beta),
-                                          linalg.mat_mul(beta, x))):
-            return False
         # the two forms fix the block shape [[u, v], [v*, -u^T]] with u
         # antihermitian and v antisymmetric, so X is traceless
-        return mat_is_zero(linalg.mat_add(linalg.mat_mul(linalg.transpose(x), sigma),
-                                          linalg.mat_mul(sigma, x)))
+        return (_form_vanishes(star, spec.nonzero["beta"], nonzero)
+                and _form_vanishes(trans, spec.nonzero["sigma"], nonzero))
     raise AlgebraError(f"unknown form family {spec.family!r}")
+
+
+def _form_vanishes(left, form, right) -> bool:
+    """Whether L F + F R = 0, for L and R given as (row, col, value) lists
+    of their nonzero entries and F as its nonzero entries by row and by
+    column."""
+    rows, cols = form
+    acc = combine((((i, j), v * f) for i, k, v in left for j, f in rows.get(k, ())), {})
+    combine((((i, j), f * v) for k, j, v in right for i, f in cols.get(k, ())), acc)
+    return not any(acc.values())
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +517,7 @@ def _in_weyl_span(basis: list, target: WeylElement) -> bool:
 
 def so_star_block(u, v):
     """The so*(4n) block matrix [[u, v], [v*, -t(u)]] from k x k blocks u, v."""
-    mtu = linalg.mat_scale(QI(-1), linalg.transpose(u))
+    mtu = [[-x if x else x for x in row] for row in linalg.transpose(u)]
     return [r + s for r, s in zip(u, v)] + [r + s for r, s in zip(mat_star(v), mtu)]
 
 

@@ -10,13 +10,13 @@ the term dictionaries is semantic equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, factorial
 
 from .lincomb import LinComb, combine
-from .scalars import QI
+from .scalars import QI, QI_ZERO
 
 Mode = tuple
 
@@ -230,15 +230,38 @@ class Polarization:
     """Spinor pair (phi, phi_tilde) with [phi^b, phi~_a] = delta_a^b.
 
     The standard split over k creation/annihilation pairs of each charge is
-    phi = (a_1..a_k, b*_1..b*_k), phi~ = (a*_1..a*_k, -b_1..-b_k).
+    phi = (a_1..a_k, b*_1..b*_k), phi~ = (a*_1..a*_k, -b_1..-b_k).  Every
+    entry is one creator or annihilator with a coefficient, so phi~_a phi^b
+    normal-orders to c~_a c_b times one monomial, plus a scalar;
+    ``products`` maps that monomial to (a, b, c~_a c_b), and no two (a, b)
+    may share one.
     """
 
     phi: tuple[WeylElement, ...]
     phi_tilde: tuple[WeylElement, ...]
+    products: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        products = {}
+        for a, (mt, ct) in enumerate(map(_single_mode, self.phi_tilde)):
+            for b, (m, c) in enumerate(map(_single_mode, self.phi)):
+                mono = WeylMonomial.make(mt.creators + m.creators,
+                                         mt.annihilators + m.annihilators)
+                if mono in products:
+                    raise ValueError(f"two products phi~_a phi^b share the monomial {mono}")
+                products[mono] = (a, b, ct * c)
+        object.__setattr__(self, "products", products)
 
     @property
     def size(self) -> int:
         return len(self.phi)
+
+
+def _single_mode(el: WeylElement):
+    """(monomial, coefficient) of an element that is one creator or annihilator."""
+    if len(el.terms) != 1 or next(iter(el.terms)).degree != 1:
+        raise ValueError(f"polarization entry is not a single mode: {el}")
+    return next(iter(el.terms.items()))
 
 
 def standard_polarization(k: int) -> Polarization:
@@ -280,14 +303,24 @@ def quadratic_from_matrix(x_matrix, pol: Polarization) -> WeylElement:
 
 
 def matrix_from_quadratic(w: WeylElement, pol: Polarization):
-    """Invert quadratic_from_matrix via the adjoint action on phi.
+    """Invert quadratic_from_matrix by reading X off w's monomials.
 
-    [phi~ X phi, phi^c] = -sum_b X_cb phi^b, so X is minus the transpose
-    of the mode action matrix on phi; this is blind to any scalar part of
-    w.  Raises SpanError if ad_w does not preserve the span of phi.
+    The monomial of phi~_a phi^b carries X_ab c~_a c_b (pol.products), so
+    each entry is one coefficient of w over c~_a c_b; w's scalar part is
+    ignored.  Raises SpanError on any other monomial: a1 a2 and b1* b2*,
+    say, are in no phi~ X phi, although they commute with every phi^b.
     """
-    m = mode_action_matrix(w, pol.phi)
-    return [[-x if x else x for x in col] for col in zip(*m)]
+    n = pol.size
+    x = [[QI_ZERO] * n for _ in range(n)]
+    for mono, q in w.terms.items():
+        if mono == _ONE_MONO:
+            continue
+        entry = pol.products.get(mono)
+        if entry is None:
+            raise SpanError(f"quadratic leaves the mode span of the polarization: {mono}")
+        a, b, c = entry
+        x[a][b] = q / c
+    return x
 
 
 def mode_action_matrix(w: WeylElement, xi: list[WeylElement]):

@@ -6,7 +6,7 @@ import pytest
 
 from minrep import fockspace, oscrep
 from minrep.scalars import QI
-from minrep.weylalg import WeylElement, commutator, standard_polarization
+from minrep.weylalg import WeylElement, commutator, quadratic_blocks, standard_polarization
 
 mono = WeylElement.monomial
 
@@ -210,14 +210,36 @@ class TestClosure:
         for flavors in (1, 2):
             elems, modes, _, _ = fockspace.one_flavor_bilinears("sp_real", 1)
             flav = [fockspace.flavor_sum(e, flavors) for e in elems]
+            blocks = [quadratic_blocks(e, modes) for e in elems]
             found = []
             for s in range(len(elems)):
                 for t in range(len(elems)):
-                    omega = fockspace.central_pairing(elems[s], elems[t], modes)
+                    omega = fockspace.central_pairing(blocks[s], blocks[t])
                     if omega:
                         scalar = commutator(flav[s], flav[t]).scalar_part()
                         found.append(scalar / omega)
             assert found and all(c == flavors for c in found)
+
+    def test_blocks_and_pairings_are_computed_once(self, monkeypatch):
+        # one so*(4) check builds each bilinear's blocks once and pairs
+        # each pair once, for both the keep set and the central record
+        calls = {"blocks": 0, "pairing": 0}
+        blocks, pairing = fockspace.quadratic_blocks, fockspace.central_pairing
+
+        def counted_blocks(*args):
+            calls["blocks"] += 1
+            return blocks(*args)
+
+        def counted_pairing(*args):
+            calls["pairing"] += 1
+            return pairing(*args)
+
+        monkeypatch.setattr(fockspace, "quadratic_blocks", counted_blocks)
+        monkeypatch.setattr(fockspace, "central_pairing", counted_pairing)
+        n = len(fockspace.one_flavor_bilinears("so_star", 1)[0])
+        rep = fockspace.truncated_closure_check("so_star", 1, 1, pair_limit=10)
+        assert rep.ok
+        assert calls == {"blocks": n, "pairing": n * (n + 1) // 2}
 
     def test_structure_fails_span_errors_and_raises_breaches(self):
         modes, pol = [("a", 1), ("a", 2)], standard_polarization(2)

@@ -7,7 +7,7 @@ import pytest
 
 from minrep import fockspace, linalg, oscrep, reports
 from minrep.scalars import QI
-from minrep.weylalg import WeylElement, commutator, normal_product
+from minrep.weylalg import WeylElement, commutator, mode_action_matrix, normal_product
 
 A1, A2, B1, B2 = ("a", 1), ("a", 2), ("b", 1), ("b", 2)
 mono = WeylElement.monomial
@@ -161,6 +161,76 @@ class TestGradingAndCentralizer:
         assert oscrep.sl2_centralizer_check().ok
 
 
+def _qi_mat(rows):
+    return [[QI.of(x) for x in row] for row in rows]
+
+
+def _dense_membership_oracle(x, spec):
+    """Membership from the form conditions as dense matrix products:
+    X*beta + beta X = 0, t(X) sigma + sigma X = 0, X J + J t(X) = 0, and
+    for sp_real the reality of the blocks [[a, conj b], [b, conj a]]."""
+    x = _qi_mat(x)
+    forms = [(oscrep.mat_star(x), spec.beta, x), (linalg.transpose(x), spec.sigma, x),
+             (x, spec.sympl, linalg.transpose(x))]
+    for left, form, right in forms:
+        if form is not None:
+            f = [list(r) for r in form]
+            if not oscrep.mat_is_zero(linalg.mat_add(linalg.mat_mul(left, f),
+                                                     linalg.mat_mul(f, right))):
+                return False
+    if spec.family != "sp_real":
+        return True
+    k = spec.size // 2
+    a = [row[:k] for row in x[:k]]
+    b = [row[:k] for row in x[k:]]
+    return ([row[k:] for row in x[k:]] == [[v.conj() for v in row] for row in a]
+            and [row[k:] for row in x[:k]] == [[v.conj() for v in row] for row in b])
+
+
+def _verdicts_against_oracle(family, bases, oracle):
+    """matrix_membership's verdicts on `family` matrices, each checked
+    against `oracle`.
+
+    The matrices are real combinations of the bases ({k: basis}), with up
+    to two entries perturbed by a Gaussian rational that may be zero.  The
+    profile is fixed and derandomized, so every run checks the same
+    examples.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 3]))
+    verdicts = []
+
+    @st.composite
+    def cases(draw):
+        k = draw(st.sampled_from(sorted(bases)))
+        basis = bases[k]
+        size = len(basis[0])
+        coeffs = draw(st.lists(small, min_size=len(basis), max_size=len(basis)))
+        x = [[QI(0)] * size for _ in range(size)]
+        for c, b in zip(coeffs, basis):
+            for i, j in itertools.product(range(size), repeat=2):
+                if b[i][j]:
+                    x[i][j] = x[i][j] + b[i][j] * c
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+            x[i][j] = x[i][j] + draw(st.builds(QI, small, small))
+        return k, x
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                         max_examples=300)
+    @hypothesis.given(cases())
+    def check(case):
+        k, x = case
+        spec = oscrep.form_spec(family, k)
+        got = oscrep.matrix_membership(x, spec)
+        assert got == oracle(x, spec)
+        verdicts.append(got)
+
+    check()
+    return verdicts
+
+
 class TestMembership:
     def test_zero_matrix(self):
         for fam, k in (("sp_real", 2), ("u_pq", 2), ("so_star", 1)):
@@ -223,14 +293,8 @@ class TestMembership:
         """so*(4n) membership as the two form conditions plus the five
         block conditions they imply: u + u* = 0, v + v^T = 0, lower left
         v*, lower right -u^T and tr X = 0."""
-        x = oscrep.qi_mat(x)
-        beta = [list(r) for r in spec.beta]
-        sigma = [list(r) for r in spec.sigma]
-        if not oscrep.mat_is_zero(linalg.mat_add(linalg.mat_mul(oscrep.mat_star(x), beta),
-                                                 linalg.mat_mul(beta, x))):
-            return False
-        if not oscrep.mat_is_zero(linalg.mat_add(linalg.mat_mul(linalg.transpose(x), sigma),
-                                                 linalg.mat_mul(sigma, x))):
+        x = _qi_mat(x)
+        if not _dense_membership_oracle(x, spec):
             return False
         m = spec.size // 2
         u = [row[:m] for row in x[:m]]
@@ -246,42 +310,22 @@ class TestMembership:
         return not linalg.trace(x)
 
     def test_so_star_agrees_with_the_block_oracle(self):
-        # Real combinations of the so*(4n) basis, n = 1, 2, with up to two
-        # entries perturbed by a Gaussian rational that may be zero.  The
-        # profile is fixed and derandomized, so every run checks the same
-        # examples.
-        hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
-        small = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 3]))
         bases = {n: oscrep.so_star_matrix_basis(n) for n in (1, 2)}
-        verdicts = []
+        verdicts = _verdicts_against_oracle("so_star", bases, self._so_star_block_oracle)
+        assert True in verdicts and False in verdicts
 
-        @st.composite
-        def cases(draw):
-            n = draw(st.sampled_from(sorted(bases)))
-            basis, size = bases[n], 4 * n
-            coeffs = draw(st.lists(small, min_size=len(basis), max_size=len(basis)))
-            x = [[QI(0)] * size for _ in range(size)]
-            for c, b in zip(coeffs, basis):
-                for i, j in itertools.product(range(size), repeat=2):
-                    if b[i][j]:
-                        x[i][j] = x[i][j] + b[i][j] * c
-            for _ in range(draw(st.integers(0, 2))):
-                i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
-                x[i][j] = x[i][j] + draw(st.builds(QI, small, small))
-            return n, x
-
-        @hypothesis.settings(derandomize=True, database=None, deadline=None,
-                             max_examples=300)
-        @hypothesis.given(cases())
-        def check(case):
-            n, x = case
-            spec = oscrep.form_spec("so_star", n)
-            got = oscrep.matrix_membership(x, spec)
-            assert got == self._so_star_block_oracle(x, spec)
-            verdicts.append(got)
-
-        check()
+    @pytest.mark.parametrize("family", ["u_pq", "sp_real"])
+    def test_agrees_with_the_dense_oracle(self, family):
+        if family == "u_pq":
+            bases = {k: oscrep.unitary_basis([1] * k + [-1] * k) for k in (1, 2)}
+        else:
+            bases = {}
+            for k in (1, 2):
+                elems, modes, _, _ = fockspace.one_flavor_bilinears("sp_real", k)
+                frame = ([WeylElement.annihilator(m) for m in modes]
+                         + [WeylElement.creator(m) for m in modes])
+                bases[k] = [mode_action_matrix(e, frame) for e in elems]
+        verdicts = _verdicts_against_oracle(family, bases, _dense_membership_oracle)
         assert True in verdicts and False in verdicts
 
     def test_sp_real_reality(self):
