@@ -230,11 +230,10 @@ class Polarization:
     """Spinor pair (phi, phi_tilde) with [phi^b, phi~_a] = delta_a^b.
 
     The standard split over k creation/annihilation pairs of each charge is
-    phi = (a_1..a_k, b*_1..b*_k), phi~ = (a*_1..a*_k, -b_1..-b_k).  Every
-    entry is one creator or annihilator with a coefficient, so phi~_a phi^b
-    normal-orders to c~_a c_b times one monomial, plus a scalar;
-    ``products`` maps that monomial to (a, b, c~_a c_b), and no two (a, b)
-    may share one.
+    phi = (a_1..a_k, b*_1..b*_k), phi~ = (a*_1..a*_k, -b_1..-b_k).  Each
+    phi~_a phi^b must normal-order to a coefficient c_ab times a monomial
+    of its own, plus a scalar; ``products`` maps that monomial to
+    (a, b, c_ab).  Construction raises ValueError if either condition fails.
     """
 
     phi: tuple[WeylElement, ...]
@@ -243,13 +242,16 @@ class Polarization:
 
     def __post_init__(self):
         products = {}
-        for a, (mt, ct) in enumerate(map(_single_mode, self.phi_tilde)):
-            for b, (m, c) in enumerate(map(_single_mode, self.phi)):
-                mono = WeylMonomial.make(mt.creators + m.creators,
-                                         mt.annihilators + m.annihilators)
-                if mono in products:
-                    raise ValueError(f"two products phi~_a phi^b share the monomial {mono}")
-                products[mono] = (a, b, ct * c)
+        for a, ft in enumerate(self.phi_tilde):
+            for b, f in enumerate(self.phi):
+                prod = normal_product(ft, f)
+                if normal_product(f, ft) - prod != (_IDENTITY if a == b else _ZERO):
+                    raise ValueError("polarization does not satisfy the CCR pairing")
+                terms = prod.without_scalar().terms
+                if len(terms) != 1 or next(iter(terms)) in products:
+                    raise ValueError("phi~_a phi^b do not normal-order to distinct monomials")
+                (mono, c), = terms.items()
+                products[mono] = (a, b, c)
         object.__setattr__(self, "products", products)
 
     @property
@@ -257,30 +259,12 @@ class Polarization:
         return len(self.phi)
 
 
-def _single_mode(el: WeylElement):
-    """(monomial, coefficient) of an element that is one creator or annihilator."""
-    if len(el.terms) != 1 or next(iter(el.terms)).degree != 1:
-        raise ValueError(f"polarization entry is not a single mode: {el}")
-    return next(iter(el.terms.items()))
-
-
 def standard_polarization(k: int) -> Polarization:
     phi = tuple([WeylElement.annihilator(("a", i)) for i in range(1, k + 1)]
                 + [WeylElement.creator(("b", i)) for i in range(1, k + 1)])
     phit = tuple([WeylElement.creator(("a", i)) for i in range(1, k + 1)]
                  + [WeylElement.annihilator(("b", i), -1) for i in range(1, k + 1)])
-    pol = Polarization(phi, phit)
-    _check_polarization(pol)
-    return pol
-
-
-def _check_polarization(pol: Polarization) -> None:
-    n = pol.size
-    for b in range(n):
-        for a in range(n):
-            want = WeylElement.scalar(1) if a == b else WeylElement.zero()
-            if commutator(pol.phi[b], pol.phi_tilde[a]) != want:
-                raise ValueError("polarization does not satisfy the CCR pairing")
+    return Polarization(phi, phit)
 
 
 def quadratic_from_matrix(x_matrix, pol: Polarization) -> WeylElement:
@@ -305,10 +289,10 @@ def quadratic_from_matrix(x_matrix, pol: Polarization) -> WeylElement:
 def matrix_from_quadratic(w: WeylElement, pol: Polarization):
     """Invert quadratic_from_matrix by reading X off w's monomials.
 
-    The monomial of phi~_a phi^b carries X_ab c~_a c_b (pol.products), so
-    each entry is one coefficient of w over c~_a c_b; w's scalar part is
-    ignored.  Raises SpanError on any other monomial: a1 a2 and b1* b2*,
-    say, are in no phi~ X phi, although they commute with every phi^b.
+    The monomial of phi~_a phi^b carries X_ab c_ab (pol.products), so each
+    entry is one coefficient of w over c_ab; w's scalar part is ignored.
+    Raises SpanError on any other monomial: a1 a2 and b1* b2*, say, are
+    in no phi~ X phi, although they commute with every phi^b.
     """
     n = pol.size
     x = [[QI_ZERO] * n for _ in range(n)]

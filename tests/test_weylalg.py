@@ -5,8 +5,8 @@ import pytest
 
 from minrep import fockspace
 from minrep.scalars import QI
-from minrep.weylalg import (SpanError, WeylElement, commutator, matrix_from_quadratic,
-                            mode_action_matrix, normal_product,
+from minrep.weylalg import (Polarization, SpanError, WeylElement, commutator,
+                            matrix_from_quadratic, mode_action_matrix, normal_product,
                             quadratic_blocks, quadratic_from_matrix,
                             standard_polarization)
 
@@ -215,6 +215,17 @@ def test_matrix_from_quadratic_rejects_monomials_outside_the_products(creators, 
     pol = standard_polarization(2)
     with pytest.raises(SpanError, match="leaves the mode span"):
         matrix_from_quadratic(WeylElement.monomial(creators, annihilators), pol)
+
+
+def test_polarization_needs_the_pairing_and_one_monomial_per_product():
+    a1, a2 = WeylElement.annihilator(A1), WeylElement.annihilator(A2)
+    c1, c2 = WeylElement.creator(A1), WeylElement.creator(A2)
+    with pytest.raises(ValueError, match="CCR pairing"):
+        Polarization((a1, a2), (c2, c1))
+    # a rotated frame keeps the pairing, but its products mix monomials
+    half = QI(Fraction(1, 2))
+    with pytest.raises(ValueError, match="distinct monomials"):
+        Polarization((a1 + a2, a1 - a2), ((c1 + c2).scale(half), (c1 - c2).scale(half)))
 
 
 def test_quadratic_blocks_rejects_higher_degree():
