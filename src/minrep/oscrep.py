@@ -56,17 +56,17 @@ def basis_matrix(n, i, j, c=1):
 @dataclass(frozen=True)
 class FormSpec:
     """The forms fixing a family's algebra, with each form's nonzero
-    entries by row and by column in ``nonzero`` (keyed by field name)."""
+    entries by row and by column in ``sparse`` (keyed by field name)."""
 
     family: str        # "sp_real" | "u_pq" | "so_star"
     size: int
     beta: tuple | None = None
     sigma: tuple | None = None
     sympl: tuple | None = None
-    nonzero: dict = field(init=False, repr=False, compare=False)
+    sparse: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nonzero", {
+        object.__setattr__(self, "sparse", {
             name: _by_row_and_col(form) for name in ("beta", "sigma", "sympl")
             if (form := getattr(self, name)) is not None})
         one = linalg.identity(self.size)
@@ -144,16 +144,16 @@ def matrix_membership(x, spec: FormSpec) -> bool:
     if spec.family == "sp_real":
         # the real shape: moving an entry by half the size in both indices conjugates it
         h = n // 2
-        return (_form_vanishes(nonzero, spec.nonzero["sympl"], trans)
+        return (_form_vanishes(nonzero, spec.sparse["sympl"], trans)
                 and {((i + h) % n, (k + h) % n): v.conj() for i, k, v in nonzero} == entries)
     star = [(k, i, v.conj()) for i, k, v in nonzero]
     if spec.family == "u_pq":
-        return _form_vanishes(star, spec.nonzero["beta"], nonzero)
+        return _form_vanishes(star, spec.sparse["beta"], nonzero)
     if spec.family == "so_star":
         # the two forms fix the block shape [[u, v], [v*, -u^T]] with u
         # antihermitian and v antisymmetric, so X is traceless
-        return (_form_vanishes(star, spec.nonzero["beta"], nonzero)
-                and _form_vanishes(trans, spec.nonzero["sigma"], nonzero))
+        return (_form_vanishes(star, spec.sparse["beta"], nonzero)
+                and _form_vanishes(trans, spec.sparse["sigma"], nonzero))
     raise AlgebraError(f"unknown form family {spec.family!r}")
 
 
