@@ -127,15 +127,14 @@ class WickElement(LinComb):
         return " + ".join(parts)
 
 
-def _contracted_terms(u: WickElement, v: WickElement):
+def _contracted_terms(term_pairs):
     """Yield (uncontracted normal product, contracted pairs, coefficient terms)
-    for each pair of terms of u and v and each contraction set between them;
-    a left field (k, f) contracts with a right field (l, g) to delta_{fg} D+_{kl}."""
-    for fa, ca in u.terms.items():
-        for fb, cb in v.terms.items():
-            base = (ca * cb).terms.items()
-            for pairs, rest_a, rest_b in _contraction_sets(fa, fb):
-                yield tuple(sorted(rest_a + rest_b)), pairs, base
+    for each pair of terms ((fa, ca), (fb, cb)) and each contraction set between
+    them; a left field (k, f) contracts with a right field (l, g) to delta_{fg} D+_{kl}."""
+    for (fa, ca), (fb, cb) in term_pairs:
+        base = (ca * cb).terms.items()
+        for pairs, rest_a, rest_b in _contraction_sets(fa, fb):
+            yield tuple(sorted(rest_a + rest_b)), pairs, base
 
 
 def _sum_terms(terms) -> WickElement:
@@ -150,7 +149,8 @@ def _sum_terms(terms) -> WickElement:
 
 def wick_product(u: WickElement, v: WickElement) -> WickElement:
     """Product of normal-ordered elements by summing over contraction sets."""
-    return _sum_terms(_contracted_terms(u, v))
+    return _sum_terms(_contracted_terms(
+        (a, b) for a in u.terms.items() for b in v.terms.items()))
 
 
 def _contraction_sets(left: tuple, right: tuple):
@@ -176,12 +176,29 @@ def _contraction_sets(left: tuple, right: tuple):
             yield pair + pairs, ra, rb
 
 
+def _flavor_sharing_pairs(u: WickElement, v: WickElement):
+    """The pairs of terms of u and v that have a flavor in common, which are
+    exactly those with a nonempty contraction set, found by indexing v's
+    terms by flavor."""
+    by_flavor: dict = {}
+    for fb, cb in v.terms.items():
+        for _, g in fb:
+            by_flavor.setdefault(g, {})[fb] = cb
+    for term in u.terms.items():
+        shared: dict = {}
+        for _, f in term[0]:
+            shared.update(by_flavor.get(f, {}))
+        for other in shared.items():
+            yield term, other
+
+
 def wick_commutator(u: WickElement, v: WickElement) -> WickElement:
     """[u, v] from one walk over the contraction sets S of uv: those of vu are
     the transposes tS, over the same coefficients and uncontracted fields, so
-    each nonempty S adds D+_S - D+_tS, and the empty set cancels."""
+    each nonempty S adds D+_S - D+_tS, and the empty set cancels.  So only the
+    pairs of terms that share a flavor are visited."""
     def terms():
-        for key, pairs, base in _contracted_terms(u, v):
+        for key, pairs, base in _contracted_terms(_flavor_sharing_pairs(u, v)):
             if pairs:
                 yield key, pairs, base
                 yield key, tuple((l, k) for k, l in pairs), [(m, -c) for m, c in base]
@@ -283,7 +300,8 @@ class TAlgebra:
 
 
 def _vec(m):
-    return [c for row in m for c in row]
+    """The matrix's nonzero entries as a sparse vector over its row-major positions."""
+    return {k: c for k, c in enumerate(c for row in m for c in row) if c}
 
 
 class ReducibleAlgebraError(ValueError):
@@ -296,13 +314,14 @@ def commutant_basis(mats, size: int):
     for m in mats:
         for i in range(size):
             for j in range(size):
-                row = [QI_ZERO] * (size * size)
-                for k in range(size):
-                    row[k * size + j] += m[i][k]
-                    row[i * size + k] -= m[k][j]
-                rows.append(row)
-    kern = linalg.kernel(rows)
-    return [[v[i * size:(i + 1) * size] for i in range(size)] for v in kern]
+                row = combine(((k * size + j, QI.of(m[i][k])) for k in range(size)
+                               if m[i][k]), {})
+                combine(((i * size + k, -QI.of(m[k][j])) for k in range(size) if m[k][j]),
+                        row)
+                rows.append({col: x for col, x in row.items() if x})
+    kern = linalg.kernel(rows, size * size)
+    return [[[v.get(i * size + j, QI_ZERO) for j in range(size)] for i in range(size)]
+            for v in kern]
 
 
 def commutant_type(alg: TAlgebra):

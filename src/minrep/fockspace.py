@@ -251,14 +251,14 @@ def _diag_int(op: SparseOperator) -> list[int]:
 def lowest_weight_vectors(alg, fock: TruncatedFock):
     """Joint kernel of the lowering operators, block by (level, weight).
 
-    Returns {(level, weight): [(cols, vector)]} with each vector a QI column
-    over the block's basis states.  The Cartan operators must be diagonal in
-    the occupation basis, which holds for every generator set here, so the
-    weight blocks are coordinate subspaces and the kernel can be taken
-    block by block.
+    Returns {(level, weight): [vector]} with each vector a {state index: QI}
+    dict of its nonzero entries, all on the block's basis states.  The
+    Cartan operators must be diagonal in the occupation basis, which holds
+    for every generator set here, so the weight blocks are coordinate
+    subspaces and the kernel can be taken block by block, on the sparse
+    rows that the lowering operators' nonzero entries make.
     """
-    f_mats = [operator_matrix(f, fock) for f in alg.F]
-    f_cols = [fm.column_map() for fm in f_mats]
+    f_cols = [operator_matrix(f, fock).column_map() for f in alg.F]
     h_diags = [_diag_int(operator_matrix(h, fock)) for h in alg.H]
     blocks: dict[tuple, list[int]] = {}
     for i in range(fock.dim):
@@ -266,18 +266,16 @@ def lowest_weight_vectors(alg, fock: TruncatedFock):
         blocks.setdefault(key, []).append(i)
     out = {}
     for key, cols in sorted(blocks.items()):
-        rows_used = sorted({r for cm in f_cols for c in cols for r, _ in cm.get(c, ())})
-        rpos = {r: i for i, r in enumerate(rows_used)}
-        mat = []
+        rows = []
         for cm in f_cols:
-            block = [[QI(0)] * len(cols) for _ in rows_used]
+            by_row: dict[int, dict] = {}
             for j, c in enumerate(cols):
                 for r, v in cm.get(c, ()):
-                    block[rpos[r]][j] = v
-            mat.extend(block)
-        kern = linalg.kernel(mat) if rows_used else linalg.identity(len(cols))
+                    by_row.setdefault(r, {})[j] = v
+            rows.extend(by_row[r] for r in sorted(by_row))
+        kern = linalg.kernel(rows, len(cols))
         if kern:
-            out[key] = [(cols, v) for v in kern]
+            out[key] = [{cols[j]: x for j, x in v.items()} for v in kern]
     return out
 
 
@@ -296,15 +294,15 @@ def joint_weight_decomposition(alg, gauge, fock: TruncatedFock) -> MultiplicityT
     rows = []
     for (level, weight), vecs in sorted(lw.items()):
         buckets: dict[int, list] = {}
-        for cols, v in vecs:
-            qs = {q_diag[c] for c, x in zip(cols, v) if x}
+        for v in vecs:
+            qs = {q_diag[c] for c in v}
             if len(qs) != 1:
                 raise FockError("lowest-weight vector mixes gauge charges")
-            buckets.setdefault(qs.pop(), []).append((cols, v))
+            buckets.setdefault(qs.pop(), []).append(v)
         counts = {q: len(vs) for q, vs in buckets.items()}
         if any(counts.get(q, 0) != counts.get(-q, 0) for q in counts):
             raise FockError(f"asymmetric gauge charge profile {counts}")
-        _check_gauge_ladder(buckets, e_mat, fock)
+        _check_gauge_ladder(buckets, e_mat)
         mults = {}
         for q in sorted((q for q in counts if q >= 0), reverse=True):
             m = counts.get(q, 0) - counts.get(q + 2, 0)
@@ -323,29 +321,18 @@ def joint_weight_decomposition(alg, gauge, fock: TruncatedFock) -> MultiplicityT
     return MultiplicityTable(rows=rows, level_range=(0, fock.cutoff), lowest_weight=lw)
 
 
-def _check_gauge_ladder(buckets, e_mat, fock):
+def _check_gauge_ladder(buckets, e_mat):
     """Raising by the gauge E must stay inside the lowest-weight space."""
     for q, vs in buckets.items():
         target = buckets.get(q + 2, [])
-        tgt_vectors = [_full_vector(cols, v, fock.dim) for cols, v in target]
-        for cols, v in vs:
-            image = e_mat.apply({c: x for c, x in zip(cols, v) if x})
+        for v in vs:
+            image = e_mat.apply(v)
             if not image:
                 continue
-            vec = [QI(0)] * fock.dim
-            for r, x in image.items():
-                vec[r] = x
-            if not tgt_vectors:
+            if not target:
                 raise FockError("gauge raising hits an empty charge space")
-            if not linalg.in_span([list(t) for t in tgt_vectors], vec):
+            if not linalg.in_span(target, image):
                 raise FockError("gauge raising leaves the lowest-weight space")
-
-
-def _full_vector(cols, v, dim):
-    out = [QI(0)] * dim
-    for c, x in zip(cols, v):
-        out[c] = x
-    return out
 
 
 # ---------------------------------------------------------------------------

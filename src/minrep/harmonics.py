@@ -109,18 +109,16 @@ def _top_seed(n: int, l: int) -> Poly:
             f = f * rho2
         f = f.mul_var(3, d - 2 * b)
         cands.append(ul * f)
-    images = [laplacian(c) for c in cands]
-    monos = sorted({mm for im in images for mm in im.terms})
-    if not monos:
-        kern = [[_ONE] + [QI(0)] * (len(cands) - 1)]
-    else:
-        mat = [[im.terms.get(mm, QI(0)) for im in images] for mm in monos]
-        kern = linalg.kernel(mat)
+    rows: dict = {}   # one row per monomial of the Laplacians, over the candidates
+    for ci, cand in enumerate(cands):
+        for mm, q in laplacian(cand).terms.items():
+            rows.setdefault(mm, {})[ci] = q
+    kern = linalg.kernel(list(rows.values()), len(cands))
     if len(kern) != 1:
         raise HarmonicError(f"harmonic seed for (n,l) = ({n},{l}) is not unique")
     out = Poly(NVARS)
-    for c, cand in zip(kern[0], cands):
-        out = out + cand.scale(c)
+    for ci, c in kern[0].items():
+        out = out + cands[ci].scale(c)
     return out
 
 
@@ -174,9 +172,9 @@ def level_count_check(modes: list[HarmonicMode]) -> Report:
     rep = Report(f"harmonics/levels<={nmax}")
     for n in range(1, nmax + 1):
         level = [mode for mode in modes if mode.n == n]
-        monos = sorted(set(monomials_of_degree(NVARS, n - 1)))
-        mat = [[mode.poly.terms.get(mm, QI(0)) for mm in monos] for mode in level]
-        r = linalg.rank(mat)
+        pos = {mm: i for i, mm in enumerate(monomials_of_degree(NVARS, n - 1))}
+        r = linalg.rank([{pos[mm]: q for mm, q in mode.poly.terms.items() if mm in pos}
+                         for mode in level])
         rep.add(f"harmonics/level{n}/count",
                 len(level) == n * n and r == n * n,
                 detail=f"{len(level)} modes, rank {r}, expected {n * n}")

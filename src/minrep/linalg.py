@@ -1,14 +1,19 @@
 """Exact linear algebra over QI entries.
 
-Matrices are lists of lists.  Products and trace products skip zero
-entries, since the matrices the suites multiply and reduce are mostly
-zeros.  Elimination is Gauss-Jordan on sparse rows, with exact field
-arithmetic, so there are no pivoting tolerances: a pivot is any nonzero
-entry, and the reduced form is unique whatever the order.  The helpers
-need only +, -, *, / and truthiness of their entries, and their results
-stay in the operands' ring: the zero of a result is ``0 * entry``.  Only
-``identity(n, one)`` takes a ring argument, since it has no operand to
-read it from; it defaults to ``QI``, the ring every suite computes in.
+Products stay dense: ``mat_mul`` and ``trace_product`` take lists of
+lists and skip their zero entries, since the matrices the suites multiply
+are mostly zeros.  Elimination is sparse end to end: ``rref``, ``rank``,
+``kernel``, ``solve``, ``inverse`` and ``in_span`` take rows as
+``{column: entry}`` dicts and return rows and vectors the same way, none
+holding a zero entry.  Gauss-Jordan runs in exact field arithmetic, so
+there are no pivoting tolerances: a pivot is any nonzero entry, and the
+reduced form is unique whatever the order.  The helpers need only +, -,
+*, / and truthiness of their entries, and their results stay in the
+operands' ring: the zero of a dense product is ``0 * entry``, and a
+kernel's unit is its first pivot.  Only ``identity(n, one)`` takes a ring
+argument, since it has no operand to read it from; it defaults to ``QI``,
+the ring every suite computes in, which is also the ring of a kernel of
+rows with no entry.
 """
 
 from __future__ import annotations
@@ -82,90 +87,113 @@ def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def rref(m):
-    """Reduced row echelon form.  Returns (rref_matrix, pivot_columns).
+def rref(rows):
+    """Reduced row echelon form of sparse rows.  Returns (rows, pivot_columns).
 
-    Gauss-Jordan on rows held as {column: entry} dicts of their nonzero
-    entries, so a row update touches only the pivot row's nonzero entries.
-    The zeros of the dense result are the zero of the entry ring.
+    Each row is a {column: entry} dict; the input rows are copied, without
+    any zero entry, and left as they are.  The result holds one row per pivot column, in column order,
+    each with entry 1 at its pivot; the zero rows of the reduced form are
+    dropped.  The columns are taken in increasing order, so the result is
+    the canonical reduced form.  A column -> rows index lets each pivot
+    step touch only the rows that hold its column, and the pivot row is
+    the shortest of those not yet used, which keeps the fill-in low.
     """
-    if not m or not m[0]:
-        return mat_copy(m), []
-    cols, zero = len(m[0]), 0 * m[0][0]
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
-    pivots = []
-    for c in range(cols):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(rows)) if c in rows[i]), None)
-        if pr is None:
+    rows = [{j: x for j, x in row.items() if x} for row in rows]
+    holders: dict = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    unused = set(range(len(rows)))
+    reduced, pivots = [], []
+    for c in sorted(holders):
+        candidates = holders[c] & unused
+        if not candidates:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c]
-        pivot_row = rows[r] = {j: x / inv for j, x in rows[r].items()}
-        for row in rows:
-            f = row.get(c)
-            if f and row is not pivot_row:
-                combine(((j, -f * y) for j, y in pivot_row.items()), row)
-                for j in [j for j in pivot_row if not row[j]]:
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        unused.remove(p)
+        inv = rows[p][c]
+        pivot_row = rows[p] = {j: x / inv for j, x in rows[p].items()}
+        for i in holders[c] - {p}:
+            row = rows[i]
+            f = row[c]
+            for j, y in pivot_row.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * y
+                    holders[j].add(i)
+                elif x := x - f * y:
+                    row[j] = x
+                else:
                     del row[j]
+                    holders[j].discard(i)
+        reduced.append(pivot_row)
         pivots.append(c)
-        if r + 1 == len(rows):
+        if not unused:
             break
-    return [[row.get(j, zero) for j in range(cols)] for row in rows], pivots
+    return reduced, pivots
 
 
-def rank(m):
-    if not m:
-        return 0
-    return len(rref(m)[1])
+def rank(rows):
+    return len(rref(rows)[1])
 
 
-def kernel(m):
-    """Basis of the right null space of m (vectors of length ncols)."""
-    if not m:
-        return []
-    cols = len(m[0])
-    red, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0 * m[0][0]] * cols
-        v[fc] += 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+def kernel(rows, ncols):
+    """Basis of the right null space of the rows, over columns 0 .. ncols-1.
+
+    One vector per free column fc: 1 at fc and minus each reduced row's
+    fc entry at that row's pivot column.
+    """
+    # perfbench/layerkernels.py sizes each row list rref is handed by its
+    # first row, so an empty list never goes there
+    red, pivots = rref(rows) if rows else ([], [])
+    one = red[0][pivots[0]] if red else QI(1)
+    pivot_cols = set(pivots)
+    basis = {fc: {fc: one} for fc in range(ncols) if fc not in pivot_cols}
+    for row, pc in zip(red, pivots):
+        for j, x in row.items():
+            if j != pc:
+                basis[j][pc] = -x
+    return list(basis.values())
 
 
-def solve(a, b):
-    """Solve a x = b for a single consistent right-hand side; None if none."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [b[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
+def solve(rows, b):
+    """A sparse x with rows x = b, for b sparse over the row indices; None if none.
+
+    The free unknowns are 0.  b is appended as a column past every column
+    of the rows, so it is a pivot exactly when the system is inconsistent.
+    """
+    aug = 1 + max((j for row in rows for j in row), default=-1)
+    red, pivots = rref([{**row, aug: b[i]} if i in b else row
+                        for i, row in enumerate(rows)])
+    if aug in pivots:
         return None
-    x = [0 * a[0][0]] * cols if cols else []
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
+    return {pc: row[aug] for row, pc in zip(red, pivots) if aug in row}
 
 
-def inverse(m):
-    n = len(m)
+def inverse(rows):
+    """The inverse of the n x n matrix given by its n sparse rows, as sparse rows."""
+    n = len(rows)
+    if any(j >= n for row in rows for j in row):
+        raise ValueError("matrix is not square")
+    if not all(rows):
+        raise ValueError("matrix is singular")
     if n == 0:
         return []   # the empty matrix is its own inverse
-    aug = [list(row) + e for row, e in zip(m, identity(n, 0 * m[0][0] + 1))]
-    red, pivots = rref(aug)
+    first = next(iter(rows[0].values()))
+    one = first / first
+    red, pivots = rref([{**row, n + i: one} for i, row in enumerate(rows)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [{j - n: x for j, x in row.items() if j >= n} for row in red]
 
 
 def in_span(vectors, target):
-    """Whether target is a linear combination of the given vectors."""
-    if not vectors:
-        return not any(target)
-    m = transpose(vectors)
-    return solve(m, list(target)) is not None
+    """Whether the sparse vector target is a linear combination of the vectors.
 
+    With the vectors reduced, target less its entry at each pivot times
+    that pivot's row is zero exactly when target lies in their span.
+    """
+    red, pivots = rref(vectors)
+    residual = combine(((j, -target[pc] * y) for row, pc in zip(red, pivots)
+                        if pc in target for j, y in row.items()), dict(target))
+    return not any(residual.values())

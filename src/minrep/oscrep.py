@@ -506,9 +506,11 @@ def sl2_centralizer_check() -> Report:
 
 
 def _in_weyl_span(basis: list, target: WeylElement) -> bool:
-    monos = list({m for el in basis + [target] for m in el.terms})
-    return linalg.in_span([[el.terms.get(m, QI(0)) for m in monos] for el in basis],
-                          [target.terms.get(m, QI(0)) for m in monos])
+    pos: dict = {}   # monomial -> column, numbered as the monomials turn up
+
+    def row(el):
+        return {pos.setdefault(m, len(pos)): q for m, q in el.terms.items()}
+    return linalg.in_span([row(el) for el in basis], row(target))
 
 
 # ---------------------------------------------------------------------------
@@ -576,21 +578,32 @@ def unitary_basis(signs, traceless: bool = False):
 def _dual_basis(basis):
     """The basis dual to `basis` under the trace form tr(xy).
 
-    Each Gram entry tr(xy) = sum v * y[k][i] runs over the nonzero entries
-    (i, k, v) of x alone and multiplies only where y[k][i] is nonzero.
+    The Gram entry tr(x_a x_b) sums v * w over the nonzero entries v =
+    x_a[i][k] and w = x_b[k][i], so an index from each position to the
+    basis matrices nonzero there reaches only the pairs that share one.
     """
     nonzero = [[(i, k, v) for i, row in enumerate(x) for k, v in enumerate(row) if v]
                for x in basis]
-    gram = [[sum((v * w for i, k, v in xs if (w := y[k][i])), QI_ZERO) for y in basis]
-            for xs in nonzero]
-    if not all(c.is_real() for row in gram for c in row):
+    at: dict = {}
+    for b, xs in enumerate(nonzero):
+        for i, k, v in xs:
+            at.setdefault((i, k), []).append((b, v))
+    gram = []
+    for xs in nonzero:
+        row = combine(((b, v * w) for i, k, v in xs for b, w in at.get((k, i), ())), {})
+        gram.append({b: c for b, c in row.items() if c})
+    if not all(c.is_real() for row in gram for c in row.values()):
         raise AlgebraError("the trace form is not real on the basis")
-    inv = linalg.inverse(gram)
-    # dual a = sum_b inv[a][b] basis[b]: one sparse product of inv with the
-    # basis matrices flattened to rows, which touches only their nonzeros
+    # dual a = sum_b inv[a][b] basis[b], over the nonzeros of both
     n = len(basis[0])
-    flat = linalg.mat_mul(inv, [[x for row in xb for x in row] for xb in basis])
-    return [[d[i * n:(i + 1) * n] for i in range(n)] for d in flat]
+    out = []
+    for inv_row in linalg.inverse(gram):
+        d = [[QI_ZERO] * n for _ in range(n)]
+        for (i, k), c in combine((((i, k), c * v) for b, c in inv_row.items()
+                                  for i, k, v in nonzero[b]), {}).items():
+            d[i][k] = c
+        out.append(d)
+    return out
 
 
 def casimir_elements(n: int):

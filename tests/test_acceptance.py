@@ -174,8 +174,8 @@ def test_criterion_06_fock_decomposition_pattern():
     for (lvl, _), vecs in lw.items():
         if lvl != 2:
             continue
-        for cols, v in vecs:
-            states = {fock.states[c] for c, x in zip(cols, v) if x}
+        for v in vecs:
+            states = {fock.states[c] for c, x in v.items() if x}
             ok &= len(states) == 1
             support |= states
     a4 = tuple(2 if m == ("a", 4) else 0 for m in fock.modes)

@@ -112,6 +112,22 @@ class TestEngineAgainstOracle:
         v = WickElement.field(2, 2)
         assert wick_commutator(u, v).is_zero()
 
+    def test_disjoint_flavor_bilinears_form_no_coefficient_product(self, monkeypatch):
+        # no term of u shares a flavor with a term of v, so no pair of terms
+        # has a contraction and none of their coefficients is multiplied
+        products = []
+        original = DeltaPoly.__mul__
+        monkeypatch.setattr(DeltaPoly, "__mul__",
+                            lambda a, b: products.append(1) or original(a, b))
+        m = [[QI(1), QI(2, 1)], [QI(0), QI(0)]]           # flavor 1 with 1, 2
+        mp = [[QI(0), QI(0), QI(0)], [QI(0), QI(0), QI(0)],
+              [QI(0), QI(0), QI(-3)]]                       # flavor 3 with 3
+        u, v = bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4)
+        assert wick_commutator(u, v).is_zero()
+        assert products == []
+        assert not wick_commutator(u, bilocal_field(linalg.transpose(m), 3, 4)).is_zero()
+        assert products
+
     def test_products_match_oracle_on_pairs(self):
         u = WickElement.normal_product([(1, 1), (2, 1)])
         v = WickElement.normal_product([(3, 1), (4, 1)])

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 
-from minrep import fockspace, oscrep
+from minrep import fockspace, linalg, oscrep
 from minrep.scalars import QI
 from minrep.weylalg import WeylElement, commutator, quadratic_blocks, standard_polarization
 
@@ -156,8 +157,8 @@ class TestDecomposition:
         (key, vecs), = level2.items()
         # the triplet is spanned by a4*^2, a4*b4*, b4*^2 on the vacuum
         spans = set()
-        for cols, v in vecs:
-            support = {fock.states[c] for c, x in zip(cols, v) if x}
+        for v in vecs:
+            support = {fock.states[c] for c, x in v.items() if x}
             assert len(support) == 1
             spans.add(next(iter(support)))
         a4 = tuple(1 if m == ("a", 4) else 0 for m in fock.modes)
@@ -165,6 +166,24 @@ class TestDecomposition:
         mixed = tuple(x + y for x, y in zip(a4, b4))
         expect = {tuple(2 * x for x in a4), tuple(2 * x for x in b4), mixed}
         assert spans == expect
+
+    def test_weight_blocks_reach_rref_as_sparse_rows(self):
+        # perfbench/layerkernels.py captures the matrices lowest_weight_vectors
+        # hands to linalg.rref by patching that module attribute, and sizes
+        # them by len(m) * len(m[0])
+        gens, _, fock = _so_star_setup(2, 3)
+        captured = []
+        original = linalg.rref
+        with mock.patch.object(linalg, "rref",
+                               lambda m: captured.append(m) or original(m)):
+            lw = fockspace.lowest_weight_vectors(gens, fock)
+        assert captured
+        for rows in captured:
+            assert rows and all(row and all(row.values()) for row in rows)
+        assert max(len(m) * len(m[0]) for m in captured) > 0
+        assert lw == fockspace.lowest_weight_vectors(gens, fock)
+        for vecs in lw.values():
+            assert all(v and all(v.values()) for v in vecs)
 
     def test_bookkeeping_identity_up_to_level_three(self):
         gens, gauge, fock = _so_star_setup(2, 3)

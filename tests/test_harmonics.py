@@ -127,8 +127,9 @@ class TestVerification:
         n = 4
         modes = [build_harmonic(n, l, m) for l in range(n) for m in range(-l, l + 1)]
         monos = sorted(set(monomials_of_degree(4, n - 1)))
-        mat = [[mode.poly.terms.get(mm, QI(0)) for mm in monos] for mode in modes]
-        assert linalg.rank(mat) == n * n
+        rows = [{j: x for j, mm in enumerate(monos) if (x := mode.poly.terms.get(mm))}
+                for mode in modes]
+        assert linalg.rank(rows) == n * n
 
 
 class TestOperatorAlgebra:

@@ -12,10 +12,20 @@ def frac_mat(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def sparse(m):
+    """The rows of a dense matrix as {column: entry} dicts of their nonzeros."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def dense(v, n, zero):
+    """A sparse vector as a list of length n, zero where it holds no entry."""
+    return [v.get(j, zero) for j in range(n)]
+
+
 def test_rref_and_rank():
     m = frac_mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    assert linalg.rank(m) == 2
-    red, pivots = linalg.rref(m)
+    assert linalg.rank(sparse(m)) == 2
+    red, pivots = linalg.rref(sparse(m))
     assert pivots == [0, 1]
 
 
@@ -23,31 +33,41 @@ def test_kernel_annihilates():
     rng = random.Random(5)
     for _ in range(10):
         m = [[Fraction(rng.randint(-4, 4)) for _ in range(5)] for _ in range(3)]
-        for v in linalg.kernel(m):
-            img = [sum(r[i] * v[i] for i in range(5)) for r in m]
+        for v in linalg.kernel(sparse(m), 5):
+            img = [sum(r[i] * v.get(i, 0) for i in range(5)) for r in m]
             assert all(x == 0 for x in img)
 
 
 def test_solve_consistent_and_inconsistent():
     a = frac_mat([[1, 1], [1, -1]])
-    x = linalg.solve(a, [Fraction(3), Fraction(1)])
-    assert x == [Fraction(2), Fraction(1)]
+    x = linalg.solve(sparse(a), {0: Fraction(3), 1: Fraction(1)})
+    assert x == {0: Fraction(2), 1: Fraction(1)}
     bad = frac_mat([[1, 1], [2, 2]])
-    assert linalg.solve(bad, [Fraction(1), Fraction(3)]) is None
+    assert linalg.solve(sparse(bad), {0: Fraction(1), 1: Fraction(3)}) is None
 
 
 def test_inverse_roundtrip():
     rng = random.Random(9)
     while True:
         m = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
-        if linalg.rank(m) == 4:
+        if linalg.rank(sparse(m)) == 4:
             break
-    inv = linalg.inverse(m)
+    inv = [dense(row, 4, Fraction(0)) for row in linalg.inverse(sparse(m))]
     assert linalg.mat_mul(m, inv) == linalg.identity(4)
 
 
 def test_inverse_of_empty_matrix_is_empty():
     assert linalg.inverse([]) == []
+
+
+def test_inverse_rejects_singular_and_wide_matrices():
+    one = Fraction(1)
+    with pytest.raises(ValueError):
+        linalg.inverse([{0: one}, {}])                   # a zero row
+    with pytest.raises(ValueError):
+        linalg.inverse([{0: one, 1: one}, {0: one, 1: one}])
+    with pytest.raises(ValueError):
+        linalg.inverse([{0: one}, {2: one}])             # a column past n
 
 
 def _check_results_stay_in_ring(one, c):
@@ -67,24 +87,28 @@ def _check_results_stay_in_ring(one, c):
         return [sum((x * y for x, y in zip(row, v)), zero) for row in m]
 
     singular = [[one, c], [one / c, one]]
-    assert linalg.rank(singular) == 1
-    for m in (singular, [[zero, zero]], [[zero, one, zero]]):
-        kern = linalg.kernel(m)
-        assert len(kern) == len(m[0]) - linalg.rank(m)
+    assert linalg.rank(sparse(singular)) == 1
+    for m in (singular, [[zero, one, zero]]):
+        kern = linalg.kernel(sparse(m), len(m[0]))
+        assert len(kern) == len(m[0]) - linalg.rank(sparse(m))
         for v in kern:
-            assert in_ring(v) and any(v)
-            assert apply(m, v) == [zero] * len(m)
+            assert in_ring(v.values()) and all(v.values()) and v
+            assert apply(m, dense(v, len(m[0]), zero)) == [zero] * len(m)
+    # a zero matrix has no entry to read a ring from, so its kernel is over QI
+    kern = linalg.kernel(sparse([[zero, zero]]), 2)
+    assert kern == [{0: one}, {1: one}]
+    assert all(type(x) is QI for v in kern for x in v.values())
 
-    # consistent but singular, so the free unknown holds the ring's zero
-    x = linalg.solve(singular, [one, one / c])
-    assert in_ring(x) and x[1] == zero
-    assert apply(singular, x) == [one, one / c]
-    assert linalg.solve([[one, c], [one, c]], [one, zero]) is None
+    # consistent but singular, so the free unknown holds no entry
+    x = linalg.solve(sparse(singular), {0: one, 1: one / c})
+    assert in_ring(x.values()) and 1 not in x
+    assert apply(singular, dense(x, 2, zero)) == [one, one / c]
+    assert linalg.solve(sparse([[one, c], [one, c]]), {0: one}) is None
 
     m = [[one, c], [c, one + one]]
-    inv = linalg.inverse(m)
-    assert all(in_ring(row) for row in inv)
-    assert linalg.mat_mul(m, inv) == linalg.identity(2, one)
+    inv = linalg.inverse(sparse(m))
+    assert all(in_ring(row.values()) for row in inv)
+    assert linalg.mat_mul(m, [dense(row, 2, zero) for row in inv]) == linalg.identity(2, one)
     assert all(in_ring(row) for row in linalg.identity(3, one))
 
 
@@ -97,9 +121,10 @@ def test_fraction_entries_stay_fraction():
 
 
 def test_in_span():
-    vs = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
-    assert linalg.in_span(vs, [Fraction(5), Fraction(3)])
-    assert not linalg.in_span([vs[0]], [Fraction(0), Fraction(1)])
+    vs = [{0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
+    assert linalg.in_span(vs, {0: Fraction(5), 1: Fraction(3)})
+    assert not linalg.in_span([vs[0]], {1: Fraction(1)})
+    assert linalg.in_span([], {}) and not linalg.in_span([], {0: Fraction(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +244,67 @@ def _outcome(f, *args):
 
 
 def _types_deep(x):
+    if isinstance(x, dict):
+        return {k: _types_deep(y) for k, y in x.items()}
     return [_types_deep(y) for y in x] if isinstance(x, (list, tuple)) else type(x)
 
 
-def test_rref_matches_dense_oracle():
+def _oracle_rref(rows):
+    """The dense Gauss-Jordan behind rref's sparse interface: the rows are
+    filled out to every column up to the last one they hold, and the zero
+    rows of the dense result are dropped."""
+    cols = 1 + max((j for row in rows for j in row), default=-1)
+    zero = next((0 * x for row in rows for x in row.values()), QI(0))
+    red, pivots = _dense_rref([dense(row, cols, zero) for row in rows])
+    return sparse(red[:len(pivots)]), pivots
+
+
+def _check_against_oracle(case):
     """rref and everything built on it agree with the dense Gauss-Jordan.
 
-    Fraction and QI matrices of 1-6 rows and columns, so tall, wide and
+    rref's rows must be the dense reduced form's nonzero rows, the rows it
+    drops must be zero, and its input must come back unchanged.  kernel,
+    solve, inverse and rank run once on rref and once with the oracle in
+    its place.  in_span must say whether appending the vector to the rows
+    leaves the dense rank unchanged, for x and for the rows' combination
+    with coefficients b.
+    """
+    m, x, b = case
+    rows = sparse(m)
+    got = linalg.rref(rows)
+    want, pivots = _dense_rref(m)
+    assert rows == sparse(m)
+    assert not any(any(row) for row in want[len(pivots):])
+    want = sparse(want[:len(pivots)]), pivots
+    assert got == want
+    assert _types_deep(got) == _types_deep(want)
+
+    def derived():
+        consistent = sparse([[sum((p * q for p, q in zip(row, x)), 0 * row[0])
+                              for row in m]])[0]
+        return (linalg.rank(rows), linalg.kernel(rows, len(m[0])),
+                linalg.solve(rows, consistent), linalg.solve(rows, sparse([b])[0]),
+                _outcome(linalg.inverse, rows))
+
+    combination = [sum((c * row[j] for c, row in zip(b, m)), 0 * m[0][0])
+                   for j in range(len(m[0]))]
+    for t in (x, combination):
+        want = len(_dense_rref(m + [t])[1]) == len(_dense_rref(m)[1])
+        assert linalg.in_span(rows, sparse([t])[0]) is want
+
+    with mock.patch.object(linalg, "rref", _oracle_rref):
+        want = derived()
+    got = derived()
+    assert got == want
+    assert _types_deep(got) == _types_deep(want)
+
+
+def test_rref_matches_dense_oracle():
+    """Fraction and QI matrices of 1-6 rows and columns, so tall, wide and
     square, with half their entries zero, so zero rows and columns and
     all-zero matrices are common; up to two rows are added as combinations
-    of drawn rows, so many are rank-deficient.  kernel, solve, inverse and
-    rank run once on rref and once with the oracle in its place.  The
-    profile is fixed and derandomized, so every run checks the same examples.
+    of drawn rows, so many are rank-deficient.  The profile is fixed and
+    derandomized, so every run checks the same examples.
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -252,11 +326,6 @@ def test_rref_matches_dense_oracle():
         b = draw(st.lists(entry, min_size=len(m), max_size=len(m)))
         return m, x, b
 
-    def derived(m, x, b):
-        consistent = [sum((p * q for p, q in zip(row, x)), 0 * row[0]) for row in m]
-        return (linalg.rank(m), linalg.kernel(m), linalg.solve(m, consistent),
-                linalg.solve(m, b), _outcome(linalg.inverse, m))
-
     profile = hypothesis.settings(derandomize=True, database=None, deadline=None,
                                   max_examples=200)
     zeros, qi_zeros = [[Fraction(0)] * 3] * 2, [[QI(0)] * 2] * 4
@@ -266,14 +335,35 @@ def test_rref_matches_dense_oracle():
     @hypothesis.example((zeros, zeros[0], zeros[0][:2]))
     @hypothesis.example((qi_zeros, qi_zeros[0], [QI(0)] * 4))
     def check(case):
-        m, x, b = case
-        got, want = linalg.rref(m), _dense_rref(m)
-        assert got == want
-        assert _types_deep(got) == _types_deep(want)
-        with mock.patch.object(linalg, "rref", _dense_rref):
-            want = derived(m, x, b)
-        got = derived(m, x, b)
-        assert got == want
-        assert _types_deep(got) == _types_deep(want)
+        _check_against_oracle(case)
 
     check()
+
+
+def test_rref_matches_dense_oracle_on_tall_sparse_blocks():
+    """The shape of the decompose weight blocks: 8-24 rows over 2-8
+    columns, with about one entry in six nonzero, QI entries built from
+    small integers as the lowering operators' are, and rows repeated up to
+    a scale, so the rank is well below the row count.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values = st.builds(QI, st.integers(-3, 3).filter(bool), st.integers(-1, 1))
+    zero = QI(0)
+
+    @st.composite
+    def cases(draw):
+        rows, cols = draw(st.integers(8, 24)), draw(st.integers(2, 8))
+        entry = st.one_of(*[st.just(zero)] * 5, values)
+        m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+        for _ in range(draw(st.integers(0, 4))):
+            i, c = draw(st.integers(0, rows - 1)), draw(values)
+            m.append([c * y for y in m[i]])
+        x = draw(st.lists(entry, min_size=cols, max_size=cols))
+        b = draw(st.lists(entry, min_size=len(m), max_size=len(m)))
+        return m, x, b
+
+    profile = hypothesis.settings(derandomize=True, database=None, deadline=None,
+                                  max_examples=100)
+    profile(hypothesis.given(cases())(_check_against_oracle))()

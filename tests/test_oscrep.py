@@ -352,8 +352,8 @@ class TestUnitaryBasis:
                     assert oscrep.mat_is_zero(form)
                     assert not traceless or linalg.trace(x) == 0
                 # independent over R: real and imaginary parts as coordinates
-                coords = [[c for row in x for q in row for c in (q.re, q.im)]
-                          for x in basis]
+                coords = [{j: c for j, c in enumerate(
+                    c for row in x for q in row for c in (q.re, q.im)) if c} for x in basis]
                 assert linalg.rank(coords) == len(basis)
 
 
@@ -386,8 +386,11 @@ class TestGroupLevelGolden:
         half = QI(Fraction(1, 2))
         for x in oscrep.so_star_matrix_basis(1):
             a = linalg.mat_scale(half, x)
-            g = linalg.mat_mul(linalg.mat_add(one, a),
-                               linalg.inverse(linalg.mat_sub(one, a)))
+            rows = [{j: x for j, x in enumerate(row) if x}
+                    for row in linalg.mat_sub(one, a)]
+            inv = [[row.get(j, QI(0)) for j in range(spec.size)]
+                   for row in linalg.inverse(rows)]
+            g = linalg.mat_mul(linalg.mat_add(one, a), inv)
             assert linalg.mat_mul(oscrep.mat_star(g),
                                   linalg.mat_mul(beta, g)) == beta
             assert linalg.mat_mul(linalg.transpose(g),
