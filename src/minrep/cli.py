@@ -446,6 +446,8 @@ def _validate(args):
         raise UsageError("--seed must fit in 64 bits")
     if getattr(args, "level", 0) < 0:
         raise UsageError("--level must be nonnegative")
+    if getattr(args, "pair_limit", None) is not None and args.pair_limit < 1:
+        raise UsageError("--pair-limit must be at least 1")
     for fam, least in rootsys._MIN_RANK.items():
         ranks = getattr(args, f"ranks_{fam.lower()}", None)
         if ranks is not None and (not ranks or ranks[0] < least):

@@ -11,6 +11,7 @@ restricted to those columns.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import comb, factorial
@@ -137,11 +138,6 @@ class SparseOperator:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def diagonal(self) -> list:
-        if any(r != c for r, c in self.entries):
-            raise FockError("operator is not diagonal in the occupation basis")
-        return [self.entries.get((i, i), QI(0)) for i in range(self.dim)]
-
 
 def safe_columns(fock: TruncatedFock, *raises: int) -> list[int]:
     """Columns whose level survives applying operators with the given raises."""
@@ -186,23 +182,34 @@ def _images(terms, fock: TruncatedFock):
                 yield (fock.index[tuple(occ)], col), q * coeff
 
 
-def helicity_spectrum(fock: TruncatedFock, level: int | None = None) -> dict:
-    """Histogram of the helicity eigenvalues on one level (or the whole space).
+def diagonal_weights(w: WeylElement, fock: TruncatedFock) -> list[int]:
+    """Eigenvalue of w on each basis state, read off its terms in ints.
 
-    Requires the four modes a1, a2, b1, b2; h is diagonal with eigenvalue
-    (n_a1 + n_a2) - (n_b1 + n_b2).
+    w must be a scalar plus number operators m* m with real integer
+    coefficients, so that the eigenvalue is const + sum_m c_m n_m.
     """
-    want = {("a", 1), ("a", 2), ("b", 1), ("b", 2)}
-    if set(fock.modes) != want:
-        raise FockError("helicity spectrum needs exactly the modes a1,a2,b1,b2")
-    signs = [1 if m[0] == "a" else -1 for m in fock.modes]
-    hist: dict[int, int] = {}
-    for s in fock.states:
-        if level is not None and sum(s) != level:
-            continue
-        h = sum(sg * n for sg, n in zip(signs, s))
-        hist[h] = hist.get(h, 0) + 1
-    return dict(sorted(hist.items()))
+    pos = {m: i for i, m in enumerate(fock.modes)}
+    const, coeffs = 0, []
+    for mono, q in w.terms.items():
+        if mono.creators != mono.annihilators or len(mono.creators) > 1:
+            raise FockError("operator is not diagonal in the occupation basis")
+        f = q.real_fraction() if q.is_real() else None
+        if f is None or f.denominator != 1:
+            raise FockError(f"coefficient {q} of {mono} is not a real integer")
+        if not mono.creators:
+            const = f.numerator
+        elif mono.creators[0] not in pos:
+            raise FockError(f"mode {mono.creators[0]} is not part of this Fock module")
+        else:
+            coeffs.append((pos[mono.creators[0]], f.numerator))
+    return [const + sum(c * s[i] for i, c in coeffs) for s in fock.states]
+
+
+def helicity_spectrum(fock: TruncatedFock, level: int | None = None) -> dict:
+    """Histogram of the helicity (n_a1 + n_a2) - (n_b1 + n_b2) on one level or all."""
+    weights = diagonal_weights(oscrep.su22_generators().extras["h"], fock)
+    return dict(sorted(Counter(h for h, s in zip(weights, fock.states)
+                               if level is None or sum(s) == level).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +227,6 @@ class MultiplicityRow:
 @dataclass
 class MultiplicityTable:
     rows: list
-    level_range: tuple
     lowest_weight: dict    # the lowest_weight_vectors the rows were built from
 
     def as_dicts(self):
@@ -238,16 +244,6 @@ class MultiplicityTable:
                       key=lambda r: (r.weight, r.isospin_double))
 
 
-def _diag_int(op: SparseOperator) -> list[int]:
-    out = []
-    for q in op.diagonal():
-        f = q.real_fraction()
-        if f.denominator != 1:
-            raise FockError("Cartan eigenvalue is not an integer")
-        out.append(int(f))
-    return out
-
-
 def lowest_weight_vectors(alg, fock: TruncatedFock):
     """Joint kernel of the lowering operators, block by (level, weight).
 
@@ -259,7 +255,7 @@ def lowest_weight_vectors(alg, fock: TruncatedFock):
     rows that the lowering operators' nonzero entries make.
     """
     f_cols = [operator_matrix(f, fock).column_map() for f in alg.F]
-    h_diags = [_diag_int(operator_matrix(h, fock)) for h in alg.H]
+    h_diags = [diagonal_weights(h, fock) for h in alg.H]
     blocks: dict[tuple, list[int]] = {}
     for i in range(fock.dim):
         key = (fock.level(i), tuple(d[i] for d in h_diags))
@@ -289,7 +285,7 @@ def joint_weight_decomposition(alg, gauge, fock: TruncatedFock) -> MultiplicityT
     otherwise the decomposition is inconsistent and an error is raised.
     """
     lw = lowest_weight_vectors(alg, fock)
-    q_diag = _diag_int(operator_matrix(gauge.H[0], fock))
+    q_diag = diagonal_weights(gauge.H[0], fock)
     e_mat = operator_matrix(gauge.E[0], fock)
     rows = []
     for (level, weight), vecs in sorted(lw.items()):
@@ -318,7 +314,7 @@ def joint_weight_decomposition(alg, gauge, fock: TruncatedFock) -> MultiplicityT
                 raise FockError("charge profile does not match the irrep content")
         for q, m in sorted(mults.items()):
             rows.append(MultiplicityRow(level, weight, q, m))
-    return MultiplicityTable(rows=rows, level_range=(0, fock.cutoff), lowest_weight=lw)
+    return MultiplicityTable(rows=rows, lowest_weight=lw)
 
 
 def _check_gauge_ladder(buckets, e_mat):

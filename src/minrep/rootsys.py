@@ -341,10 +341,9 @@ def minimal_orbit_report(rs: RootSystem) -> MinOrbitReport:
     """Orbit dimensions and the type of the centralizer of the top sl2."""
     grading = grade_by_highest_root(rs)
     theta = rs.highest_root
-    pos = [r for r in rs.positive_roots if rs.form(r, theta) == 0]
-    pos_set = set(pos)
-    simples = [r for r in pos
-               if not any(tuple(x - y for x, y in zip(r, s)) in pos_set for s in pos if s != r)]
+    # theta is dominant, so a positive root is orthogonal to it exactly when its
+    # support is: the simple roots orthogonal to theta are the centralizer's base
+    simples = [s for s in rs.simple_roots if rs.form(s, theta) == 0]
     components = _connected_components(simples, rs.form)
     labels = [_classify_component(comp, rs.form) for comp in components]
     sub_rank = len(simples)

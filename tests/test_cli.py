@@ -244,6 +244,17 @@ class TestOtherCommands:
                        "--max-states", "10"], capsys)
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_pair_limit_below_one_exits_two(self, tmp_path, capsys, value):
+        # 0 divided by zero; -3 kept only the pairs with a nonzero pairing
+        argv = ["closure", "--family", "so-star", "--k", "1", "--format", "json"]
+        code, out = run(argv + ["--pair-limit", str(value)], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pair_limit": value}))
+        code, out = run(argv + ["--config", str(cfg)], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+
     def test_dual_pair(self, capsys):
         code, out = run(["check-dual-pair", "--algebra", "su22",
                          "--format", "json"], capsys)

@@ -114,6 +114,54 @@ class TestHelicity:
             fockspace.helicity_spectrum(fock)
 
 
+def _diagonal_generators():
+    """(element, modes) for every diagonal generator the suites use."""
+    out = []
+    for label, gens, size in (("so*(4)", oscrep.so_star_generators(1), 2),
+                              ("so*(8)", oscrep.so_star_generators(2), 4),
+                              ("u(2,2)", oscrep.unn_generators(2), 2),
+                              ("u(3,3)", oscrep.unn_generators(3), 3)):
+        modes = [("a", i) for i in range(1, size + 1)] + [("b", i) for i in range(1, size + 1)]
+        named = [(f"H{i}", h) for i, h in enumerate(gens.H, start=1)]
+        named += [(k, gens.extras[k]) for k in ("Q", "sp2_Q") if k in gens.extras]
+        out += [pytest.param(w, modes, id=f"{label}/{name}") for name, w in named]
+    return out
+
+
+class TestDiagonalWeights:
+    @pytest.mark.parametrize("w,modes", _diagonal_generators())
+    def test_agrees_with_the_operator_matrix_diagonal(self, w, modes):
+        fock = fockspace.enumerate_basis(modes, 3)
+        entries = fockspace.operator_matrix(w, fock).entries
+        assert all(r == c for r, c in entries)
+        oracle = [entries.get((i, i), QI(0)).real_fraction() for i in range(fock.dim)]
+        weights = fockspace.diagonal_weights(w, fock)
+        assert all(type(x) is int for x in weights)
+        assert weights == oracle
+
+    @pytest.mark.parametrize("w,message", [
+        (oscrep.so_star_generators(2).E[0], "not diagonal in the occupation basis"),
+        (mono([("a", 1)], [("a", 1)], Fraction(1, 2)), "not a real integer"),
+        (mono([("a", 1)], [("a", 1)], QI(0, 1)), "not a real integer"),
+        (mono([("c", 1)], [("c", 1)]), "not part of this Fock module"),
+    ], ids=["E1", "half-number", "imaginary-number", "mode-outside"])
+    def test_rejects_what_is_not_an_integer_number_sum(self, w, message):
+        modes = [("a", i) for i in range(1, 5)] + [("b", i) for i in range(1, 5)]
+        fock = fockspace.enumerate_basis(modes, 1)
+        with pytest.raises(fockspace.FockError, match=message):
+            fockspace.diagonal_weights(w, fock)
+
+    def test_decomposition_builds_only_the_off_diagonal_matrices(self):
+        # four lowering operators and the gauge raising operator of so*(8)
+        gens, gauge, fock = _so_star_setup(2, 2)
+        calls = []
+        original = fockspace.operator_matrix
+        with mock.patch.object(fockspace, "operator_matrix",
+                               lambda w, f: calls.append(w) or original(w, f)):
+            fockspace.joint_weight_decomposition(gens, gauge, fock)
+        assert len(calls) == 5
+
+
 def _so_star_setup(n, level):
     gens = oscrep.so_star_generators(n)
     k = 2 * n

@@ -141,6 +141,33 @@ def test_gk_dim_formulas_for_classical_ranges():
         assert minimal_orbit_report(build_root_system("C", rank)).gk_dim == rank
 
 
+def _searched_centralizer_base(rs):
+    """The positive roots orthogonal to theta that are no sum of two of them."""
+    theta = rs.highest_root
+    pos = [r for r in rs.positive_roots if rs.form(r, theta) == 0]
+    pos_set = set(pos)
+    return {r for r in pos
+            if not any(tuple(x - y for x, y in zip(r, s)) in pos_set for s in pos if s != r)}
+
+
+_CENTRALIZER_CASES = ([("A", r) for r in range(1, 13)] + [("B", r) for r in range(2, 13)]
+                      + [("C", r) for r in range(2, 13)] + [("D", r) for r in range(3, 13)]
+                      + [(fam, None) for fam in rootsys.EXCEPTIONAL_RANK])
+
+
+@pytest.mark.parametrize("family,rank", _CENTRALIZER_CASES)
+def test_centralizer_base_matches_the_pair_search(monkeypatch, family, rank):
+    rs = build_root_system(family, rank)
+    bases = []
+    original = rootsys._connected_components
+    monkeypatch.setattr(rootsys, "_connected_components",
+                        lambda simples, form: bases.append(simples) or original(simples, form))
+    minimal_orbit_report(rs)
+    (base,) = bases
+    assert len(base) == len(set(base))
+    assert set(base) == _searched_centralizer_base(rs)
+
+
 def test_label_aliases():
     assert rootsys.same_algebra_label("B2", "C2")
     assert rootsys.same_algebra_label("A3+A1", "D3+A1")
