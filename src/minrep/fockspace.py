@@ -478,9 +478,7 @@ def _closure_structure(quad, family, flavors, modes, pol, spec):
     try:
         parts = _flavor_parts(quad, flavors)
         if family == "sp_real":
-            frame = ([WeylElement.annihilator(m) for m in modes]
-                     + [WeylElement.creator(m) for m in modes])
-            mats = [mode_action_matrix(p, frame) for p in parts]
+            mats = [mode_action_matrix(p, modes) for p in parts]
         else:
             mats = [matrix_from_quadratic(p, pol) for p in parts]
     except SpanError:

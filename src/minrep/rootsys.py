@@ -185,12 +185,17 @@ class FiveGrading:
         return sum(self.dims.values())
 
 
+def _theta_pairings(rs: RootSystem) -> list[int]:
+    """2(a_i|theta) for each simple root a_i: the vector G theta."""
+    return [sum(g * t for g, t in zip(row, rs.highest_root)) for row in rs.gram]
+
+
 def grade_by_highest_root(rs: RootSystem) -> FiveGrading:
-    theta = rs.highest_root
-    tt = rs.form(theta, theta)
+    g_theta = _theta_pairings(rs)
+    tt = sum(t * p for t, p in zip(rs.highest_root, g_theta))
     dims = {-2: 0, -1: 0, 0: rs.rank, 1: 0, 2: 0}
     for r in rs.roots:
-        e, rem = divmod(2 * rs.form(r, theta), tt)
+        e, rem = divmod(2 * sum(b * p for b, p in zip(r, g_theta)), tt)
         if rem or not -2 <= e <= 2:
             raise RootSystemError(f"grading eigenvalue of {r} is not an integer in -2..2")
         dims[e] += 1
@@ -205,82 +210,59 @@ def grade_by_highest_root(rs: RootSystem) -> FiveGrading:
 # Centralizer classification
 
 
-def _classify_component(simples: list[Root], form) -> str:
-    """Type of one connected simple system, canonicalized up to isomorphism.
+def _connected_components(nodes: list[int], cartan) -> list[list[int]]:
+    """Group simple-root indices, joining i and j when A_ij != 0."""
+    unvisited = set(nodes)
+    comps = []
+    for start in nodes:
+        if start not in unvisited:
+            continue
+        unvisited.remove(start)
+        comp, stack = [], [start]
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            linked = [j for j in unvisited if cartan[i][j]]
+            unvisited.difference_update(linked)
+            stack.extend(linked)
+        comps.append(sorted(comp))
+    return comps
 
-    Canonical aliases: rank-2 double edge is 'B2' (= C2), and the
-    simply-laced degenerates D3 = A3, D2 = A1+A1 never arise here because
-    components are connected and produced by rank.
+
+def _component_type(cartan: list[list[int]], lengths: list[int]) -> str:
+    """Type of one connected component from its Cartan matrix and root lengths.
+
+    Bareiss elimination without row swaps makes the k-th pivot the k-th
+    leading principal minor; the matrix is of finite type exactly when all
+    of them are positive (Kac, ch. 4).  Rank, determinant (A_r: r+1, B_r and
+    C_r: 2, D_r: 4, E_r: 9-r, F4 and G2: 1) and whether the roots have one
+    length then fix the type.  Rank 3 with determinant 4 reads A3 (= D3),
+    and rank 2 with one short root B2 (= C2).
     """
-    r = len(simples)
-    if r == 1:
-        return "A1"
-    norms = [form(a, a) for a in simples]
-    mult = {}
-    edges = {i: [] for i in range(r)}
-    for i in range(r):
-        for j in range(i + 1, r):
-            m = 4 * form(simples[i], simples[j]) ** 2 // (norms[i] * norms[j])
-            if m:
-                mult[(i, j)] = m
-                edges[i].append(j)
-                edges[j].append(i)
-    degs = sorted(len(v) for v in edges.values())
-    is_chain = degs == [1, 1] + [2] * (r - 2) if r >= 2 else True
-    ms = sorted(mult.values())
-    if 3 in ms:
-        if r == 2:
-            return "G2"
-        raise RootSystemError("triple edge in a component of rank > 2")
-    if 2 in ms:
-        if ms.count(2) != 1 or not is_chain:
-            raise RootSystemError("unclassifiable multiply-laced component")
-        (i, j), = [e for e, m in mult.items() if m == 2]
-        if r == 2:
-            return "B2"
-        if r == 4 and len(edges[i]) == 2 and len(edges[j]) == 2:
-            return "F4"
-        # the double edge must involve a chain end
-        if len(edges[i]) == 1:
-            end, inner = i, j
-        elif len(edges[j]) == 1:
-            end, inner = j, i
-        else:
-            raise RootSystemError("interior double edge outside F4")
-        return (f"B{r}" if norms[end] < norms[inner] else f"C{r}")
-    # simply laced
-    forks = [i for i in range(r) if len(edges[i]) == 3]
-    if not forks:
-        if not is_chain:
-            raise RootSystemError("disconnected or cyclic component")
-        return f"A{r}"
-    if len(forks) != 1:
-        raise RootSystemError("multiple fork vertices")
-    arms = sorted(_arm_lengths(edges, forks[0]))
-    if arms[:2] == [1, 1]:
-        return f"D{r}"
-    if arms == [1, 2, 2]:
-        return "E6"
-    if arms == [1, 2, 3]:
-        return "E7"
-    if arms == [1, 2, 4]:
-        return "E8"
-    raise RootSystemError(f"unclassifiable fork arms {arms}")
-
-
-def _arm_lengths(edges, fork):
-    lengths = []
-    for start in edges[fork]:
-        prev, cur, n = fork, start, 1
-        while True:
-            nxt = [k for k in edges[cur] if k != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                raise RootSystemError("nested fork")
-            prev, cur, n = cur, nxt[0], n + 1
-        lengths.append(n)
-    return lengths
+    r = len(cartan)
+    m = [list(row) for row in cartan]
+    det = 1
+    for k in range(r):
+        pivot = m[k][k]
+        if pivot <= 0:
+            raise RootSystemError(f"Cartan matrix {cartan} is not of finite type")
+        for i in range(k + 1, r):
+            for j in range(k + 1, r):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // det
+        det = pivot
+    if len(set(lengths)) == 1:
+        if det == r + 1:
+            return f"A{r}"
+        if det == 4:
+            return f"D{r}"
+        if det == 9 - r and r in (6, 7, 8):
+            return f"E{r}"
+    elif det == 1 and r in (2, 4):
+        return "G2" if r == 2 else "F4"
+    elif det == 2:
+        return f"B{r}" if lengths.count(min(lengths)) == 1 else f"C{r}"
+    raise RootSystemError(f"no finite type of rank {r} has determinant {det} "
+                          f"and root lengths {lengths}")
 
 
 _ALIASES = {"C2": "B2", "D3": "A3", "B1": "A1", "C1": "A1", "D2": "A1+A1"}
@@ -340,13 +322,13 @@ class MinOrbitReport:
 def minimal_orbit_report(rs: RootSystem) -> MinOrbitReport:
     """Orbit dimensions and the type of the centralizer of the top sl2."""
     grading = grade_by_highest_root(rs)
-    theta = rs.highest_root
     # theta is dominant, so a positive root is orthogonal to it exactly when its
     # support is: the simple roots orthogonal to theta are the centralizer's base
-    simples = [s for s in rs.simple_roots if rs.form(s, theta) == 0]
-    components = _connected_components(simples, rs.form)
-    labels = [_classify_component(comp, rs.form) for comp in components]
-    sub_rank = len(simples)
+    base = [i for i, p in enumerate(_theta_pairings(rs)) if p == 0]
+    a, g = rs.cartan_matrix, rs.gram
+    labels = [_component_type([[a[i][j] for j in comp] for i in comp], [g[i][i] for i in comp])
+              for comp in _connected_components(base, a)]
+    sub_rank = len(base)
     center_dim = rs.rank - 1 - sub_rank
     if center_dim < 0:
         raise RootSystemError("centralizer rank exceeds rank - 1")
@@ -371,23 +353,6 @@ def minimal_orbit_report(rs: RootSystem) -> MinOrbitReport:
     if dim_g1 % 2 or not rep.identities_hold():
         raise RootSystemError(f"{rs.label}: orbit dimension identities violated")
     return rep
-
-
-def _connected_components(simples: list[Root], form) -> list[list[Root]]:
-    unvisited = list(simples)
-    comps = []
-    while unvisited:
-        comp = [unvisited.pop()]
-        grew = True
-        while grew:
-            grew = False
-            for v in unvisited[:]:
-                if any(form(v, w) != 0 for w in comp):
-                    comp.append(v)
-                    unvisited.remove(v)
-                    grew = True
-        comps.append(comp)
-    return comps
 
 
 DEFAULT_TABLE_RANKS = {

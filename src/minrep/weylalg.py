@@ -307,33 +307,26 @@ def matrix_from_quadratic(w: WeylElement, pol: Polarization):
     return x
 
 
-def mode_action_matrix(w: WeylElement, xi: list[WeylElement]):
-    """Matrix M with [w, xi_a] = sum_b A_ab xi_b returned as M = t(A).
+def mode_action_matrix(w: WeylElement, modes: list[Mode]):
+    """Matrix M = t(A) with [w, xi_a] = sum_b A_ab xi_b on xi = (c_1..c_n, c*_1..c*_n).
 
-    The transpose makes w -> M a Lie algebra homomorphism.  Each xi entry
-    must be a single creator or annihilator term.
+    With (alpha, beta, gamma) = quadratic_blocks(w, modes), the brackets
+    [w, c_r] and [w, c*_r] give M = [[-t(alpha), 2 gamma], [-2 beta, alpha]];
+    the transpose makes w -> M a Lie algebra homomorphism.  Raises SpanError
+    if w is not quadratic in the modes.
     """
-    n = len(xi)
-    basis = {}
-    for b, el in enumerate(xi):
-        (mono, coeff), = el.terms.items()
-        basis[mono] = (b, coeff)
-    a = [[QI(0)] * n for _ in range(n)]
-    for r in range(n):
-        br = commutator(w, xi[r])
-        for mono, q in br.terms.items():
-            if mono not in basis:
-                raise SpanError(f"bracket leaves the mode span: {mono}")
-            b, coeff = basis[mono]
-            a[r][b] = q / coeff
-    return [[a[r][c] for r in range(n)] for c in range(n)]
+    alpha, beta, gamma = quadratic_blocks(w, modes)
+    n = len(modes)
+    return ([[-alpha[j][i] for j in range(n)] + [2 * x for x in gamma[i]] for i in range(n)]
+            + [[-2 * x for x in beta[i]] + alpha[i] for i in range(n)])
 
 
 def quadratic_blocks(w: WeylElement, modes: list[Mode]):
     """Split a quadratic into (alpha, beta, gamma) coefficient matrices.
 
     w = sum alpha_ij c*_i c_j + sum beta_ij c*_i c*_j + sum gamma_ij c_i c_j
-    + scalar, with beta and gamma returned as symmetric matrices.
+    + scalar, with beta and gamma returned as symmetric matrices.  Raises
+    SpanError on a monomial that is not quadratic in the modes.
     """
     idx = {m: i for i, m in enumerate(modes)}
     n = len(modes)
@@ -347,6 +340,8 @@ def quadratic_blocks(w: WeylElement, modes: list[Mode]):
             continue
         if nc + na != 2:
             raise SpanError(f"element is not quadratic: {mono}")
+        if not idx.keys() >= {*mono.creators, *mono.annihilators}:
+            raise SpanError(f"element leaves the mode span: {mono}")
         if (nc, na) == (1, 1):
             alpha[idx[mono.creators[0]]][idx[mono.annihilators[0]]] += q
         elif (nc, na) == (2, 0):

@@ -322,9 +322,7 @@ class TestMembership:
             bases = {}
             for k in (1, 2):
                 elems, modes, _, _ = fockspace.one_flavor_bilinears("sp_real", k)
-                frame = ([WeylElement.annihilator(m) for m in modes]
-                         + [WeylElement.creator(m) for m in modes])
-                bases[k] = [mode_action_matrix(e, frame) for e in elems]
+                bases[k] = [mode_action_matrix(e, modes) for e in elems]
         verdicts = _verdicts_against_oracle(family, bases, _dense_membership_oracle)
         assert True in verdicts and False in verdicts
 

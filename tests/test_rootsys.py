@@ -161,11 +161,125 @@ def test_centralizer_base_matches_the_pair_search(monkeypatch, family, rank):
     bases = []
     original = rootsys._connected_components
     monkeypatch.setattr(rootsys, "_connected_components",
-                        lambda simples, form: bases.append(simples) or original(simples, form))
+                        lambda nodes, cartan: bases.append(nodes) or original(nodes, cartan))
     minimal_orbit_report(rs)
     (base,) = bases
     assert len(base) == len(set(base))
-    assert set(base) == _searched_centralizer_base(rs)
+    assert {rs.simple_roots[i] for i in base} == _searched_centralizer_base(rs)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the Dynkin graph walk that classified each centralizer component
+# before the determinant classifier, kept as its reference.
+
+
+def _graph_components(simples, form):
+    unvisited = list(simples)
+    comps = []
+    while unvisited:
+        comp = [unvisited.pop()]
+        grew = True
+        while grew:
+            grew = False
+            for v in unvisited[:]:
+                if any(form(v, w) != 0 for w in comp):
+                    comp.append(v)
+                    unvisited.remove(v)
+                    grew = True
+        comps.append(comp)
+    return comps
+
+
+def _graph_walk_type(simples, form):
+    r = len(simples)
+    if r == 1:
+        return "A1"
+    norms = [form(a, a) for a in simples]
+    mult = {}
+    edges = {i: [] for i in range(r)}
+    for i in range(r):
+        for j in range(i + 1, r):
+            m = 4 * form(simples[i], simples[j]) ** 2 // (norms[i] * norms[j])
+            if m:
+                mult[(i, j)] = m
+                edges[i].append(j)
+                edges[j].append(i)
+    degs = sorted(len(v) for v in edges.values())
+    is_chain = degs == [1, 1] + [2] * (r - 2)
+    ms = sorted(mult.values())
+    if 3 in ms:
+        assert r == 2
+        return "G2"
+    if 2 in ms:
+        assert ms.count(2) == 1 and is_chain
+        (i, j), = [e for e, m in mult.items() if m == 2]
+        if r == 2:
+            return "B2"
+        if r == 4 and len(edges[i]) == 2 and len(edges[j]) == 2:
+            return "F4"
+        end, inner = (i, j) if len(edges[i]) == 1 else (j, i)
+        assert len(edges[end]) == 1
+        return f"B{r}" if norms[end] < norms[inner] else f"C{r}"
+    forks = [i for i in range(r) if len(edges[i]) == 3]
+    if not forks:
+        assert is_chain
+        return f"A{r}"
+    (fork,) = forks
+    arms = []
+    for start in edges[fork]:
+        prev, cur, n = fork, start, 1
+        while len(nxt := [k for k in edges[cur] if k != prev]) == 1:
+            prev, cur, n = cur, nxt[0], n + 1
+        assert not nxt
+        arms.append(n)
+    arms.sort()
+    if arms[:2] == [1, 1]:
+        return f"D{r}"
+    return {(1, 2, 2): "E6", (1, 2, 3): "E7", (1, 2, 4): "E8"}[tuple(arms)]
+
+
+def _graph_walk_label(rs):
+    theta = rs.highest_root
+    simples = [s for s in rs.simple_roots if rs.form(s, theta) == 0]
+    labels = [_graph_walk_type(c, rs.form) for c in _graph_components(simples, rs.form)]
+    return rootsys.canonical_label(labels, rs.rank - 1 - len(simples))
+
+
+_LABEL_CASES = ([("A", r) for r in range(1, 31)] + [("B", r) for r in range(2, 25)]
+                + [("C", r) for r in range(2, 25)] + [("D", r) for r in range(3, 25)]
+                + [(fam, None) for fam in rootsys.EXCEPTIONAL_RANK])
+
+
+def test_centralizer_label_matches_the_graph_walk():
+    assert len(_LABEL_CASES) == 103
+    for family, rank in _LABEL_CASES:
+        rs = build_root_system(family, rank)
+        assert minimal_orbit_report(rs).centralizer_label == _graph_walk_label(rs), rs.label
+
+
+@pytest.mark.parametrize("family,rank", [("A", r) for r in range(1, 9)]
+                         + [("B", r) for r in range(2, 9)] + [("C", r) for r in range(3, 9)]
+                         + [("D", r) for r in range(4, 9)]
+                         + [(fam, None) for fam in rootsys.EXCEPTIONAL_RANK])
+def test_component_type_names_every_dynkin_entry(family, rank):
+    # the centralizers reach no E6, E8, F4 or G2 component, so each
+    # connected Dynkin diagram is also classified on its own
+    rs = build_root_system(family, rank)
+    lengths = [rs.gram[i][i] for i in range(rs.rank)]
+    assert rootsys._component_type(rs.cartan_matrix, lengths) == rs.label
+
+
+@pytest.mark.parametrize("cartan,lengths,message", [
+    # affine A1: the 2x2 minor is 0
+    ([[2, -2], [-2, 2]], [1, 1], "not of finite type"),
+    # affine A2, the 3-cycle: the 3x3 minor is 0
+    ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [1, 1, 1], "not of finite type"),
+    # the A2 matrix has determinant 3, which no non-simply-laced type has
+    ([[2, -1], [-1, 2]], [1, 2], "no finite type of rank 2 has determinant 3"),
+])
+def test_component_type_rejects_what_is_not_a_finite_type(cartan, lengths, message):
+    with pytest.raises(rootsys.RootSystemError, match=message):
+        rootsys._component_type(cartan, lengths)
 
 
 def test_label_aliases():

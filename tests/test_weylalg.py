@@ -236,15 +236,45 @@ def test_quadratic_blocks_rejects_higher_degree():
 def test_mode_action_matrix_is_homomorphism():
     rng = random.Random(42)
     modes = [("c", 1), ("c", 2)]
-    xi = [WeylElement.annihilator(m) for m in modes] + [WeylElement.creator(m) for m in modes]
     from minrep import linalg
     for _ in range(10):
         x = _random_quadratic(rng, modes, 2).without_scalar()
         y = _random_quadratic(rng, modes, 2).without_scalar()
-        mx = mode_action_matrix(x, xi)
-        my = mode_action_matrix(y, xi)
-        mxy = mode_action_matrix(commutator(x, y).without_scalar(), xi)
+        mx = mode_action_matrix(x, modes)
+        my = mode_action_matrix(y, modes)
+        mxy = mode_action_matrix(commutator(x, y).without_scalar(), modes)
         assert mxy == linalg.commutator(mx, my)
+
+
+def _commutator_action_matrix(w, modes):
+    """Oracle: [w, xi_r] = sum_b A_rb xi_b read off 2n brackets on the
+    frame xi = (c_1..c_n, c*_1..c*_n), returned transposed."""
+    xi = [WeylElement.annihilator(m) for m in modes] + [WeylElement.creator(m) for m in modes]
+    basis = {next(iter(el.terms)): b for b, el in enumerate(xi)}
+    n = len(xi)
+    a = [[QI(0)] * n for _ in range(n)]
+    for r in range(n):
+        for mono, q in commutator(w, xi[r]).terms.items():
+            a[r][basis[mono]] = q
+    return [[a[r][c] for r in range(n)] for c in range(n)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_mode_action_matrix_matches_the_commutator_oracle(k):
+    rng = random.Random(100 + k)
+    modes = [("c", i) for i in range(1, k + 1)]
+    for _ in range(30):
+        w = _random_quadratic(rng, modes, 2 * k) + WeylElement.scalar(rng.randint(-2, 2))
+        assert mode_action_matrix(w, modes) == _commutator_action_matrix(w, modes)
+
+
+@pytest.mark.parametrize("w,message", [
+    (WeylElement.monomial([A1, A1], [A2]), "not quadratic"),
+    (WeylElement.monomial([B1], [A1]), "leaves the mode span"),
+], ids=["cubic", "mode-outside"])
+def test_mode_action_matrix_rejects_what_is_not_quadratic_in_the_modes(w, message):
+    with pytest.raises(SpanError, match=message):
+        mode_action_matrix(w, [A1, A2])
 
 
 def test_quadratic_blocks_split():
