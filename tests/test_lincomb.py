@@ -15,7 +15,7 @@ from minrep.scalars import QI
 from minrep.weylalg import WeylElement, WeylMonomial, commutator, normal_product
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 # Fixed and derandomized, so every run checks the same examples.
@@ -124,6 +124,34 @@ def test_commutator_jacobi_identity(x, y, z):
 def test_adjoint_reverses_normal_products(x, y):
     assert normal_product(x, y).adjoint() == normal_product(y.adjoint(), x.adjoint())
     assert x.adjoint().adjoint() == x
+
+
+# Modes of two flavors (the second index), shared between the operands or
+# not; lists of up to three modes repeat them, and an empty pair of lists
+# is the scalar monomial.  Coefficients have non-integer real and
+# imaginary parts.
+_FLAVOR_MODES = [("a", 1, 1), ("a", 2, 1), ("a", 1, 2), ("b", 1, 2)]
+_thirds = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+
+
+def _two_flavor_elements():
+    modes = st.lists(st.sampled_from(_FLAVOR_MODES), max_size=3)
+    monos = st.builds(WeylMonomial.make, modes, modes)
+    return _terms(monos, st.builds(QI, _thirds, _thirds)).map(WeylElement)
+
+
+_A1 = ("a", 1, 1)
+
+
+@PROFILE
+@given(x=_two_flavor_elements(), y=_two_flavor_elements())
+@example(x=WeylElement.monomial([_A1, _A1], [_A1, _A1], QI(Fraction(1, 2), Fraction(-2, 3))),
+         y=WeylElement.monomial([_A1, _A1], [_A1], QI(Fraction(-1, 3), Fraction(3, 2)))
+         + WeylElement.scalar(QI(Fraction(5, 2), Fraction(1, 3))))
+def test_commutator_is_the_difference_of_the_normal_products(x, y):
+    br = commutator(x, y)
+    assert br == normal_product(x, y) - normal_product(y, x)
+    assert _no_zero_coefficient(br)
 
 
 # Two modes up to level 6: 28 states, and the level-0 to level-2 columns

@@ -154,6 +154,31 @@ def test_quadratic_single_entry():
     assert quadratic_from_matrix(x, pol) == WeylElement.monomial([A1], [A1])
 
 
+def _quadratic_by_normal_products(x_matrix, pol):
+    """sum_ab phi~_a X_ab phi^b as the sum of the normal products that define it."""
+    out = WeylElement.zero()
+    for a, row in enumerate(x_matrix):
+        for b, c in enumerate(row):
+            out = out + normal_product(pol.phi_tilde[a], pol.phi[b]).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_quadratic_from_matrix_matches_the_normal_product_oracle(k):
+    rng = random.Random(300 + k)
+    pol = standard_polarization(k)
+
+    def entry():
+        if rng.random() < 0.3:
+            return rng.choice([0, 1, -2])
+        return QI(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])),
+                  Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])))
+
+    for _ in range(12):
+        x = [[entry() for _ in range(2 * k)] for _ in range(2 * k)]
+        assert quadratic_from_matrix(x, pol) == _quadratic_by_normal_products(x, pol)
+
+
 def test_quadratic_identity_vs_helicity():
     # the center direction: the identity matrix maps to the helicity up to
     # the reordering constant, h = (phi~ phi + phi phi~)/2 exactly
