@@ -132,11 +132,17 @@ class SparseOperator:
         return out
 
     def apply(self, vec: dict) -> dict:
-        out = combine(((r, v * vec[c]) for (r, c), v in self.entries.items() if c in vec), {})
-        return {r: x for r, x in out.items() if x}
+        return apply_columns(self.column_map(), vec)
 
     def is_zero(self) -> bool:
         return not self.entries
+
+
+def apply_columns(cols: dict, vec: dict) -> dict:
+    """Image of a {state: entry} vector under the operator whose column_map
+    is `cols`, reaching only the vector's columns."""
+    out = combine(((r, v * x) for c, x in vec.items() for r, v in cols.get(c, ())), {})
+    return {r: x for r, x in out.items() if x}
 
 
 def safe_columns(fock: TruncatedFock, *raises: int) -> list[int]:
@@ -286,7 +292,7 @@ def joint_weight_decomposition(alg, gauge, fock: TruncatedFock) -> MultiplicityT
     """
     lw = lowest_weight_vectors(alg, fock)
     q_diag = diagonal_weights(gauge.H[0], fock)
-    e_mat = operator_matrix(gauge.E[0], fock)
+    e_cols = operator_matrix(gauge.E[0], fock).column_map()
     rows = []
     for (level, weight), vecs in sorted(lw.items()):
         buckets: dict[int, list] = {}
@@ -298,7 +304,7 @@ def joint_weight_decomposition(alg, gauge, fock: TruncatedFock) -> MultiplicityT
         counts = {q: len(vs) for q, vs in buckets.items()}
         if any(counts.get(q, 0) != counts.get(-q, 0) for q in counts):
             raise FockError(f"asymmetric gauge charge profile {counts}")
-        _check_gauge_ladder(buckets, e_mat)
+        _check_gauge_ladder(buckets, e_cols)
         mults = {}
         for q in sorted((q for q in counts if q >= 0), reverse=True):
             m = counts.get(q, 0) - counts.get(q + 2, 0)
@@ -317,12 +323,13 @@ def joint_weight_decomposition(alg, gauge, fock: TruncatedFock) -> MultiplicityT
     return MultiplicityTable(rows=rows, lowest_weight=lw)
 
 
-def _check_gauge_ladder(buckets, e_mat):
-    """Raising by the gauge E must stay inside the lowest-weight space."""
+def _check_gauge_ladder(buckets, e_cols):
+    """Raising by the gauge E (given by its column_map) must stay inside
+    the lowest-weight space."""
     for q, vs in buckets.items():
         target = buckets.get(q + 2, [])
         for v in vs:
-            image = e_mat.apply(v)
+            image = apply_columns(e_cols, v)
             if not image:
                 continue
             if not target:
@@ -401,18 +408,31 @@ def one_flavor_bilinears(family: str, k: int):
     raise FockError(f"unknown closure family {family!r}")
 
 
+def pairing_blocks(w: WeylElement, modes) -> tuple[dict, dict]:
+    """The nonzero entries of w's beta and gamma blocks (quadratic_blocks),
+    each as {(i, j): entry}: the creator-creator and the
+    annihilator-annihilator parts that central_pairing sums over."""
+    _, beta, gamma = quadratic_blocks(w, modes)
+    return tuple({(i, j): x for i, row in enumerate(m) for j, x in enumerate(row) if x}
+                 for m in (beta, gamma))
+
+
 def central_pairing(x_blocks, y_blocks) -> QI:
     """Closed-form central term 2 tr(gamma_x beta_y) - 2 tr(beta_x gamma_y).
 
-    Each argument is a bilinear's (alpha, beta, gamma) from
-    quadratic_blocks, built once per bilinear by the caller; beta/gamma
-    are the creator-creator and annihilator-annihilator blocks.  This is
+    Each argument is a bilinear's pairing_blocks, built once per bilinear
+    by the caller, so each trace sums over nonzero entries only.  This is
     the trace-form cocycle produced by the double contractions and serves
     as the matrix-side cross-check of the symbolic scalar part.
     """
-    _, bx, gx = x_blocks
-    _, by, gy = y_blocks
-    return QI(2) * (linalg.trace_product(gx, by) - linalg.trace_product(bx, gy))
+    bx, gx = x_blocks
+    by, gy = y_blocks
+    return QI(2) * (_trace_of_product(gx, by) - _trace_of_product(bx, gy))
+
+
+def _trace_of_product(a: dict, b: dict) -> QI:
+    """tr(ab) for matrices given as {(i, j): entry} of their nonzero entries."""
+    return sum((x * y for (i, k), x in a.items() if (y := b.get((k, i)))), QI(0))
 
 
 # Modes in one flavor's bilinears per unit of k: sp_real uses c_1..c_k,
@@ -442,7 +462,7 @@ def truncated_closure_check(family: str, k: int, flavors: int, level: int = 0,
 
     charges = []
     pairs = [(s, t) for s in range(len(elems)) for t in range(s, len(elems))]
-    blocks = [quadratic_blocks(e, modes) for e in elems]
+    blocks = [pairing_blocks(e, modes) for e in elems]
     omegas = {(s, t): central_pairing(blocks[s], blocks[t]) for s, t in pairs}
     if pair_limit is not None and pair_limit < len(pairs):
         # keep every pair with a nonzero trace-form pairing (the central

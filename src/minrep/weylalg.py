@@ -5,7 +5,10 @@ c*_{m1}...c*_{mp} c_{n1}...c_{nq} over an arbitrary universe of modes.
 A mode is any hashable, totally ordered tuple, e.g. ("a", 1) or
 ("h", 2, 1, 0); products are rewritten to canonical normal order through
 the contraction rule [c_m, c*_n] = delta_{mn}, so structural equality of
-the term dictionaries is semantic equality.
+the term dictionaries is semantic equality.  A commutator is formed from
+the pairs of terms that contract, and only from their contracted terms:
+the uncontracted term is the same in both orders.  Quadratics phi~ X phi
+are read off the polarization's table of normal-ordered products.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, factorial
+from typing import NamedTuple
 
 from .lincomb import LinComb, combine
 from .scalars import QI, QI_ZERO
@@ -29,15 +33,7 @@ def mode_str(m: Mode) -> str:
     return str(m[0]) + "_".join(str(x) for x in m[1:])
 
 
-def _sorted_counts(modes) -> tuple[tuple[Mode, int], ...]:
-    counts: dict[Mode, int] = {}
-    for m in modes:
-        counts[m] = counts.get(m, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
-@dataclass(frozen=True)
-class WeylMonomial:
+class WeylMonomial(NamedTuple):
     """Normal-ordered monomial: creator multiset then annihilator multiset."""
 
     creators: tuple[Mode, ...]
@@ -68,31 +64,34 @@ _ONE_MONO = WeylMonomial((), ())
 
 
 def _mono_product(x: WeylMonomial, y: WeylMonomial):
-    """Yield (integer weight, monomial) terms of the normal-ordered product.
+    """Yield (integer weight, monomial) terms of the normal-ordered product:
+    the uncontracted term first, then those of _contractions."""
+    yield 1, WeylMonomial.make(x.creators + y.creators, x.annihilators + y.annihilators)
+    yield from _contractions(x, y)
+
+
+def _contractions(x: WeylMonomial, y: WeylMonomial):
+    """Yield the (integer weight, monomial) terms of x.y with a contraction.
 
     Only the annihilators of x interact with the creators of y; a mode with
     p annihilators meeting q creators contributes k! C(p,k) C(q,k) for each
     number k of contractions, independently across modes.
     """
-    ax = _sorted_counts(x.annihilators)
-    cy = _sorted_counts(y.creators)
-    cy_map = dict(cy)
-    shared = [(m, p, cy_map[m]) for m, p in ax if m in cy_map]
+    xa, yc = x.annihilators, y.creators
+    shared = [(m, xa.count(m), yc.count(m)) for m in dict.fromkeys(xa) if m in yc]
     if not shared:
-        yield 1, WeylMonomial.make(x.creators + y.creators, x.annihilators + y.annihilators)
         return
-    choices = [range(min(p, q) + 1) for _, p, q in shared]
-    for ks in iproduct(*choices):
+    counts = iproduct(*[range(min(p, q) + 1) for _, p, q in shared])
+    next(counts)   # no contraction at all: the uncontracted term
+    for ks in counts:
         weight = 1
-        removed_a: dict[Mode, int] = {}
-        removed_c: dict[Mode, int] = {}
+        removed: dict[Mode, int] = {}
         for (m, p, q), k in zip(shared, ks):
             if k:
                 weight *= factorial(k) * comb(p, k) * comb(q, k)
-                removed_a[m] = k
-                removed_c[m] = k
-        creators = list(x.creators) + _multiset_minus(y.creators, removed_c)
-        annihilators = _multiset_minus(x.annihilators, removed_a) + list(y.annihilators)
+                removed[m] = k
+        creators = list(x.creators) + _multiset_minus(yc, removed)
+        annihilators = _multiset_minus(xa, removed) + list(y.annihilators)
         yield weight, WeylMonomial.make(creators, annihilators)
 
 
@@ -210,7 +209,36 @@ def normal_product(x: WeylElement, y: WeylElement) -> WeylElement:
 
 
 def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
-    return normal_product(x, y) - normal_product(y, x)
+    """[x, y] from the contracted terms of the pairs of terms that contract.
+
+    A pair's uncontracted term is the same in mx.my and my.mx, so it
+    cancels and is never formed.  y's terms are indexed by the modes of
+    their creators and of their annihilators, so each term of x meets only
+    the terms of y whose creators its annihilators contract (in mx.my) or
+    whose annihilators its creators contract (in my.mx).
+    """
+    by_creator: dict[Mode, dict] = {}
+    by_annihilator: dict[Mode, dict] = {}
+    for my, qy in y.terms.items():
+        for m in my.creators:
+            by_creator.setdefault(m, {})[my] = qy
+        for m in my.annihilators:
+            by_annihilator.setdefault(m, {})[my] = qy
+    acc: dict[WeylMonomial, QI] = {}
+    for mx, qx in x.terms.items():
+        after: dict = {}
+        for m in mx.annihilators:
+            after.update(by_creator.get(m, ()))
+        for my, qy in after.items():
+            q = qx * qy
+            combine(((mono, q * w) for w, mono in _contractions(mx, my)), acc)
+        before: dict = {}
+        for m in mx.creators:
+            before.update(by_annihilator.get(m, ()))
+        for my, qy in before.items():
+            q = -(qy * qx)
+            combine(((mono, q * w) for w, mono in _contractions(my, mx)), acc)
+    return WeylElement(acc)
 
 
 def ad_power(x: WeylElement, y: WeylElement, k: int) -> WeylElement:
@@ -233,16 +261,20 @@ class Polarization:
     phi = (a_1..a_k, b*_1..b*_k), phi~ = (a*_1..a*_k, -b_1..-b_k).  Each
     phi~_a phi^b must normal-order to a coefficient c_ab times a monomial
     of its own, plus a scalar; ``products`` maps that monomial to
-    (a, b, c_ab).  Construction raises ValueError if either condition fails.
+    (a, b, c_ab), and ``table[a][b]`` is (monomial, c_ab, scalar).
+    Construction raises ValueError if either condition fails.
     """
 
     phi: tuple[WeylElement, ...]
     phi_tilde: tuple[WeylElement, ...]
     products: dict = field(init=False, repr=False, compare=False)
+    table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         products = {}
+        table = []
         for a, ft in enumerate(self.phi_tilde):
+            row = []
             for b, f in enumerate(self.phi):
                 prod = normal_product(ft, f)
                 if normal_product(f, ft) - prod != (_IDENTITY if a == b else _ZERO):
@@ -252,7 +284,10 @@ class Polarization:
                     raise ValueError("phi~_a phi^b do not normal-order to distinct monomials")
                 (mono, c), = terms.items()
                 products[mono] = (a, b, c)
+                row.append((mono, c, prod.scalar_part()))
+            table.append(tuple(row))
         object.__setattr__(self, "products", products)
+        object.__setattr__(self, "table", tuple(table))
 
     @property
     def size(self) -> int:
@@ -272,18 +307,23 @@ def quadratic_from_matrix(x_matrix, pol: Polarization) -> WeylElement:
 
     Reordering constants (e.g. b b* = b*b + 1) are kept, so the map is an
     exact Lie algebra homomorphism on matrices; any scalar offset against
-    other conventions is visible in the output rather than absorbed.
+    other conventions is visible in the output rather than absorbed.  Each
+    entry X_ab adds X_ab c_ab on its own monomial and X_ab times the scalar
+    of phi~_a phi^b, both from pol.table.
     """
     n = pol.size
     if len(x_matrix) != n or any(len(row) != n for row in x_matrix):
         raise ValueError(f"matrix must be {n}x{n} to match the polarization")
-    out = WeylElement.zero()
-    for a in range(n):
-        for b in range(n):
-            c = QI.of(x_matrix[a][b])
-            if c:
-                out = out + normal_product(pol.phi_tilde[a], pol.phi[b]).scale(c)
-    return out
+    acc: dict[WeylMonomial, QI] = {}
+    scalars = []
+    for row, products in zip(x_matrix, pol.table):
+        for x, (mono, c, scalar) in zip(row, products):
+            x = QI.of(x)
+            if x:
+                acc[mono] = x * c
+                if scalar:
+                    scalars.append((_ONE_MONO, x * scalar))
+    return WeylElement(combine(scalars, acc))
 
 
 def matrix_from_quadratic(w: WeylElement, pol: Polarization):

@@ -7,7 +7,7 @@ import pytest
 
 from minrep import fockspace, linalg, oscrep
 from minrep.scalars import QI
-from minrep.weylalg import WeylElement, commutator, quadratic_blocks, standard_polarization
+from minrep.weylalg import WeylElement, commutator, standard_polarization
 
 mono = WeylElement.monomial
 
@@ -277,7 +277,7 @@ class TestClosure:
         for flavors in (1, 2):
             elems, modes, _, _ = fockspace.one_flavor_bilinears("sp_real", 1)
             flav = [fockspace.flavor_sum(e, flavors) for e in elems]
-            blocks = [quadratic_blocks(e, modes) for e in elems]
+            blocks = [fockspace.pairing_blocks(e, modes) for e in elems]
             found = []
             for s in range(len(elems)):
                 for t in range(len(elems)):

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from minrep import fockspace
+from minrep import fockspace, weylalg
 from minrep.scalars import QI
-from minrep.weylalg import (Polarization, SpanError, WeylElement, commutator,
+from minrep.weylalg import (Polarization, SpanError, WeylElement, WeylMonomial, commutator,
                             matrix_from_quadratic, mode_action_matrix, normal_product,
                             quadratic_blocks, quadratic_from_matrix,
                             standard_polarization)
@@ -73,6 +73,67 @@ def test_associativity_random():
         y = _random_quadratic(rng, modes, 2)
         z = _random_quadratic(rng, modes, 2)
         assert normal_product(normal_product(x, y), z) == normal_product(x, normal_product(y, z))
+
+
+def _record_monomials(monkeypatch) -> list:
+    """Record every monomial built through WeylMonomial.make from now on."""
+    made, make = [], WeylMonomial.make
+
+    def recording(creators, annihilators):
+        made.append(make(creators, annihilators))
+        return made[-1]
+
+    monkeypatch.setattr(WeylMonomial, "make", staticmethod(recording))
+    return made
+
+
+def _no_normal_products(monkeypatch):
+    def refuse(x, y):
+        raise AssertionError("normal_product called")
+
+    monkeypatch.setattr(weylalg, "normal_product", refuse)
+
+
+def test_flavor_sum_bracket_does_n_times_the_one_flavor_work(monkeypatch):
+    # terms of different flavors share no mode, so the bracket of two sums
+    # over N flavors is N copies of the one-flavor bracket, and should cost
+    # N times its work, not N^2 times
+    elems, _, _, _ = fockspace.one_flavor_bilinears("so_star", 1)
+    flavored = {n: [fockspace.flavor_sum(e, n) for e in elems[:6]] for n in (1, 3)}
+    made = _record_monomials(monkeypatch)
+    counts = {}
+    for n, ws in flavored.items():
+        made.clear()
+        for x in ws:
+            for y in ws:
+                commutator(x, y)
+        counts[n] = len(made)
+    assert counts[1] and counts[3] == 3 * counts[1]
+
+
+@pytest.mark.parametrize("x,y", [
+    (WeylElement.monomial([A1, A1], [A1, A1], QI(Fraction(1, 2), 1)),
+     WeylElement.monomial([A1, A1], [A1, A2], QI(-1, Fraction(1, 3)))),
+    (WeylElement.monomial([A1], [A2]), WeylElement.monomial([A2, B1], [A1, B1])),
+    (WeylElement.monomial([B1, B1], []), WeylElement.monomial([], [B1, B1])),
+    (WeylElement.annihilator(A1), WeylElement.creator(A1)),
+], ids=["repeated-modes", "both-orders", "pair-creation", "ccr"])
+def test_commutator_forms_only_contracted_terms(monkeypatch, x, y):
+    # the uncontracted term of x.y and y.x is the same monomial, of the full
+    # degree, and cancels; every term formed has at least one contraction
+    want = normal_product(x, y) - normal_product(y, x)
+    _no_normal_products(monkeypatch)
+    made = _record_monomials(monkeypatch)
+    assert commutator(x, y) == want
+    assert made and all(m.degree <= x.degree() + y.degree() - 2 for m in made)
+
+
+def test_quadratic_from_matrix_makes_no_normal_product(monkeypatch):
+    pol = standard_polarization(2)
+    x = [[QI(i - j, i * j) for j in range(4)] for i in range(4)]
+    want = _quadratic_by_normal_products(x, pol)
+    _no_normal_products(monkeypatch)
+    assert quadratic_from_matrix(x, pol) == want
 
 
 def test_renormalization_idempotent():
