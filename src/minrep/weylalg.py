@@ -209,36 +209,33 @@ def normal_product(x: WeylElement, y: WeylElement) -> WeylElement:
 
 
 def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
-    """[x, y] from the contracted terms of the pairs of terms that contract.
+    """[x, y] from the contracted terms of x.y and of y.x alone.
 
-    A pair's uncontracted term is the same in mx.my and my.mx, so it
-    cancels and is never formed.  y's terms are indexed by the modes of
-    their creators and of their annihilators, so each term of x meets only
-    the terms of y whose creators its annihilators contract (in mx.my) or
-    whose annihilators its creators contract (in my.mx).
+    A pair of terms has the same uncontracted term in both orders, so it
+    cancels and is never formed, and a pair that does not contract in an
+    order is not visited in it.
+    """
+    return WeylElement(_add_contractions(y, x, -1, _add_contractions(x, y, 1, {})))
+
+
+def _add_contractions(x: WeylElement, y: WeylElement, sign: int, acc: dict) -> dict:
+    """Add sign times the contracted terms of x.y to acc and return it.
+
+    y's terms are indexed by the modes of their creators, so each term of
+    x meets only the terms of y whose creators its annihilators contract.
     """
     by_creator: dict[Mode, dict] = {}
-    by_annihilator: dict[Mode, dict] = {}
     for my, qy in y.terms.items():
         for m in my.creators:
             by_creator.setdefault(m, {})[my] = qy
-        for m in my.annihilators:
-            by_annihilator.setdefault(m, {})[my] = qy
-    acc: dict[WeylMonomial, QI] = {}
     for mx, qx in x.terms.items():
-        after: dict = {}
+        meets: dict = {}
         for m in mx.annihilators:
-            after.update(by_creator.get(m, ()))
-        for my, qy in after.items():
+            meets.update(by_creator.get(m, ()))
+        for my, qy in meets.items():
             q = qx * qy
-            combine(((mono, q * w) for w, mono in _contractions(mx, my)), acc)
-        before: dict = {}
-        for m in mx.creators:
-            before.update(by_annihilator.get(m, ()))
-        for my, qy in before.items():
-            q = -(qy * qx)
-            combine(((mono, q * w) for w, mono in _contractions(my, mx)), acc)
-    return WeylElement(acc)
+            combine(((mono, q * (sign * w)) for w, mono in _contractions(mx, my)), acc)
+    return acc
 
 
 def ad_power(x: WeylElement, y: WeylElement, k: int) -> WeylElement:
