@@ -132,13 +132,13 @@ class SparseOperator:
         return out
 
     def apply(self, vec: dict) -> dict:
-        return apply_columns(self.column_map(), vec)
+        return _apply_columns(self.column_map(), vec)
 
     def is_zero(self) -> bool:
         return not self.entries
 
 
-def apply_columns(cols: dict, vec: dict) -> dict:
+def _apply_columns(cols: dict, vec: dict) -> dict:
     """Image of a {state: entry} vector under the operator whose column_map
     is `cols`, reaching only the vector's columns."""
     out = combine(((r, v * x) for c, x in vec.items() for r, v in cols.get(c, ())), {})
@@ -329,7 +329,7 @@ def _check_gauge_ladder(buckets, e_cols):
     for q, vs in buckets.items():
         target = buckets.get(q + 2, [])
         for v in vs:
-            image = apply_columns(e_cols, v)
+            image = _apply_columns(e_cols, v)
             if not image:
                 continue
             if not target:
