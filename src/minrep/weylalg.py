@@ -79,8 +79,6 @@ def _contractions(x: WeylMonomial, y: WeylMonomial):
     """
     xa, yc = x.annihilators, y.creators
     shared = [(m, xa.count(m), yc.count(m)) for m in dict.fromkeys(xa) if m in yc]
-    if not shared:
-        return
     counts = iproduct(*[range(min(p, q) + 1) for _, p, q in shared])
     next(counts)   # no contraction at all: the uncontracted term
     for ks in counts:
@@ -96,8 +94,6 @@ def _contractions(x: WeylMonomial, y: WeylMonomial):
 
 
 def _multiset_minus(items, removed: dict) -> list:
-    if not removed:
-        return list(items)
     left = dict(removed)
     out = []
     for m in items:
