@@ -41,6 +41,13 @@ CASES = {
                                           "--seed", "101"],
     "check-bilocal-L8-trials3-seed101": ["check-bilocal", "--L", "8", "--trials", "3",
                                          "--seed", "101"],
+    "decompose-so-star-n2-level5": ["decompose", "--algebra", "so-star", "--n", "2",
+                                    "--level", "5"],
+    "closure-sp-real-k2-flavors2-level4": ["closure", "--family", "sp-real", "--k", "2",
+                                           "--flavors", "2", "--level", "4"],
+    "check-dual-pair-so-star-n3": ["check-dual-pair", "--algebra", "so-star", "--n", "3"],
+    "closure-so-star-k1-flavors3": ["closure", "--family", "so-star", "--k", "1",
+                                    "--flavors", "3"],
 }
 
 
