@@ -22,6 +22,7 @@ from fractions import Fraction
 from . import bilocal, fockspace, harmonics, linalg, massless, oscrep, rootsys
 from .reports import Report
 from .scalars import QI
+from .weylalg import WeylElement, commutator
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -155,17 +156,19 @@ def run_table1(args) -> tuple[Report, list]:
 
 
 def _generators(algebra: str, n: int):
-    if algebra == "su22":
-        return oscrep.su22_generators()
-    if algebra == "unn":
-        return oscrep.unn_generators(n)
-    return oscrep.so_star_generators(n)
+    """The dual pair whose A side --algebra names, and A's Chevalley set;
+    su22 is the u(2,2) pair with its set relabelled."""
+    if algebra == "so-star":
+        pair = fockspace.dual_pair("so_star", n)
+        return pair, pair.chevalley
+    pair = fockspace.dual_pair("u_pq", 2 if algebra == "su22" else n)
+    return pair, (oscrep.su22_generators(pair.chevalley) if algebra == "su22" else pair.chevalley)
 
 
 def run_check_relations(args) -> Report:
     # created before the generators, so its first record is charged with them
     rep = Report("check-relations")
-    gens = _generators(args.algebra, args.n)
+    pair, gens = _generators(args.algebra, args.n)
     rep.title += f"/{gens.algebra_label}"
     rep.extend(oscrep.check_chevalley(gens))
     rep.extend(oscrep.check_theta_sl2(gens))
@@ -173,8 +176,8 @@ def run_check_relations(args) -> Report:
     rep.add(f"{gens.algebra_label}/cartan-derived", derived == gens.cartan_matrix,
             detail=f"{derived}")
     if args.algebra == "su22":
-        rep.extend(oscrep.theta_grading_check())
-        rep.extend(oscrep.sl2_centralizer_check())
+        rep.extend(oscrep.theta_grading_check(gens, pair.polarization))
+        rep.extend(oscrep.sl2_centralizer_check(gens, pair.polarization))
         # adjoint pairing holds on the compact chain nodes
         rep.add("su22/adjoint/E1F1", gens.E[0].adjoint() == gens.F[0])
         rep.add("su22/adjoint/E3F3", gens.E[2].adjoint() == gens.F[2])
@@ -182,8 +185,8 @@ def run_check_relations(args) -> Report:
         for i, (e, f) in enumerate(zip(gens.E[:-1], gens.F[:-1]), start=1):
             rep.add(f"{gens.algebra_label}/adjoint/E{i}", e.adjoint() == f)
         if args.n == 2:
-            rep.extend(oscrep.nilpotent_cone_check())
-        _, crep = oscrep.casimir_defect(args.n)
+            rep.extend(oscrep.nilpotent_cone_check(gens))
+        _, crep = oscrep.casimir_defect(gens, pair.polarization)
         rep.extend(crep)
     return rep
 
@@ -191,27 +194,23 @@ def run_check_relations(args) -> Report:
 def run_check_dual_pair(args) -> Report:
     # created before the generators, so its first record is charged with them
     rep = Report("dual-pair")
+    pair, gens = _generators(args.algebra, args.n)
     if args.algebra == "su22":
-        gens = oscrep.su22_generators()
-        basis = oscrep.u22_weight_basis()
         rep.title += "/helicity-u22"
-        rep.extend(oscrep.check_dual_pair(
-            [gens.extras["h"]], [w for _, w in basis], label=rep.title,
-            names_a=["h"], names_b=[n for n, _ in basis]))
-        return rep
-    gens = oscrep.so_star_generators(args.n)
-    pairs = oscrep.so_star_pair_elements(gens)
-    rep.title += f"/sp2-{gens.algebra_label}"
+        gauge_names, elements = ["h"], oscrep.u22_weight_basis(gens, pair.polarization)
+    else:
+        rep.title += f"/sp2-{gens.algebra_label}"
+        gauge_names, elements = ["E", "F", "Q"], oscrep.so_star_pair_elements(gens)
     rep.extend(oscrep.check_dual_pair(
-        oscrep.sp2_triple(args.n), [w for _, w in pairs], label=rep.title,
-        names_a=["E", "F", "Q"], names_b=[n for n, _ in pairs]))
-    # negative control: a quadratic outside the commutant must not commute
-    from .weylalg import WeylElement, commutator
-    bad = WeylElement.monomial([("a", 1)], [("a", 1)])
-    fires = not commutator(bad, gens.extras["sp2_E"]).is_zero()
-    rep.add(f"dual-pair/{gens.algebra_label}/negative-control", fires,
-            negative_control=True,
-            detail="a1*a1 must fail to commute with the gauge sp(2)")
+        pair.gauge.span, [w for _, w in elements], label=rep.title,
+        names_a=gauge_names, names_b=[n for n, _ in elements]))
+    if pair.gauge.raising:
+        # negative control: a quadratic outside the commutant must not commute
+        bad = WeylElement.monomial([("a", 1)], [("a", 1)])
+        fires = not commutator(bad, pair.gauge.raising[0]).is_zero()
+        rep.add(f"dual-pair/{gens.algebra_label}/negative-control", fires,
+                negative_control=True,
+                detail=f"a1*a1 must fail to commute with the gauge {pair.gauge.label}")
     return rep
 
 
@@ -275,15 +274,11 @@ def run_check_bilocal(args) -> Report:
 
 
 def run_decompose(args) -> tuple[Report, list]:
-    gens = oscrep.so_star_generators(args.n)
+    pair = fockspace.dual_pair("so_star", args.n)
     # created before the decomposition, so its first record is charged with it
-    rep = Report(f"decompose/{gens.algebra_label}/level{args.level}")
-    k = 2 * args.n
-    modes = [("a", i) for i in range(1, k + 1)] + [("b", i) for i in range(1, k + 1)]
-    fock = fockspace.enumerate_basis(modes, args.level, max_states=args.max_states)
-    gauge = oscrep.GeneratorSet("sp2", [[2]], E=[gens.extras["sp2_E"]],
-                                F=[gens.extras["sp2_F"]], H=[gens.extras["sp2_Q"]])
-    table = fockspace.joint_weight_decomposition(gens, gauge, fock)
+    rep = Report(f"decompose/{pair.chevalley.algebra_label}/level{args.level}")
+    fock = fockspace.enumerate_basis(pair.modes, args.level, max_states=args.max_states)
+    table = fockspace.joint_weight_decomposition(pair, fock)
     lw = table.lowest_weight
     for level in range(args.level + 1):
         total = sum(len(vs) for (lvl, _), vs in lw.items() if lvl == level)
@@ -457,8 +452,8 @@ def _validate(args):
     if args.command == "check-bilocal" and not 1 <= lcap <= 8:
         raise UsageError("--L must be between 1 and 8")
     if args.command == "decompose":
-        k = 2 * args.n
-        if fockspace.basis_size(2 * k, args.level) > args.max_states:
+        modes = fockspace.dual_pair("so_star", args.n).modes
+        if fockspace.basis_size(len(modes), args.level) > args.max_states:
             raise UsageError("requested basis exceeds --max-states; "
                              "lower --level or --n or raise the cap")
     if args.command == "closure" and args.level > 0 and fockspace.cross_check_basis_size(

@@ -7,22 +7,27 @@ of matrices matches the operator product only on the columns that
 ``safe_columns`` derives from the level raises.  That level budget is the
 one overflow mechanism: every identity consumed from matrices is
 restricted to those columns.
+
+A dual pair (A, B), with B the flavor gauge algebra, is built once by
+``dual_pair``; the decomposition, the closure and the helicity read it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from functools import cached_property
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
+from typing import NamedTuple
 
 from . import linalg, oscrep
 from .lincomb import combine
 from .reports import Report
 from .scalars import QI
-from .weylalg import (Mode, SpanError, WeylElement, WeylMonomial, commutator,
+from .weylalg import (Mode, Polarization, SpanError, WeylElement, WeylMonomial, commutator,
                       matrix_from_quadratic, mode_action_matrix, quadratic_blocks,
-                      quadratic_from_matrix)
+                      quadratic_from_matrix, standard_polarization)
 
 
 class FockError(ValueError):
@@ -212,8 +217,8 @@ def diagonal_weights(w: WeylElement, fock: TruncatedFock) -> list[int]:
 
 
 def helicity_spectrum(fock: TruncatedFock, level: int | None = None) -> dict:
-    """Histogram of the helicity (n_a1 + n_a2) - (n_b1 + n_b2) on one level or all."""
-    weights = diagonal_weights(oscrep.su22_generators().extras["h"], fock)
+    """Histogram of the helicity, B's Cartan in the (u(2,2), u(1)) pair, on one level or all."""
+    weights = diagonal_weights(dual_pair("u_pq", 2).gauge.cartan[0], fock)
     return dict(sorted(Counter(h for h, s in zip(weights, fock.states)
                                if level is None or sum(s) == level).items()))
 
@@ -281,18 +286,22 @@ def lowest_weight_vectors(alg, fock: TruncatedFock):
     return out
 
 
-def joint_weight_decomposition(alg, gauge, fock: TruncatedFock) -> MultiplicityTable:
-    """Organize lowest-weight vectors of `alg` into gauge irreps.
+def joint_weight_decomposition(pair: "DualPair", fock: TruncatedFock) -> MultiplicityTable:
+    """Organize lowest-weight vectors of the pair's A (its Chevalley set)
+    into irreps of its B, which must have rank one.
 
-    The gauge Cartan (first H of `gauge`) is diagonal; within each
-    (level, weight) block the sl2 ladder count m_{2j} = N_{2j} - N_{2j+2}
-    gives the multiplicities.  The charge profile must be symmetric and
-    unimodal and the gauge raising operator must act inside the block,
-    otherwise the decomposition is inconsistent and an error is raised.
+    B's Cartan operator is diagonal; within each (level, weight) block the
+    sl2 ladder count m_{2j} = N_{2j} - N_{2j+2} gives the multiplicities.
+    The charge profile must be symmetric and unimodal and B's raising
+    operator must act inside the block, otherwise the decomposition is
+    inconsistent and an error is raised.
     """
-    lw = lowest_weight_vectors(alg, fock)
-    q_diag = diagonal_weights(gauge.H[0], fock)
-    e_cols = operator_matrix(gauge.E[0], fock).column_map()
+    gauge = pair.gauge
+    if len(gauge.cartan) != 1 or len(gauge.raising) != 1:
+        raise FockError(f"the gauge ladder needs B of rank one, not {gauge.label}")
+    lw = lowest_weight_vectors(pair.chevalley, fock)
+    q_diag = diagonal_weights(gauge.cartan[0], fock)
+    e_cols = operator_matrix(gauge.raising[0], fock).column_map()
     rows = []
     for (level, weight), vecs in sorted(lw.items()):
         buckets: dict[int, list] = {}
@@ -360,52 +369,141 @@ def flavor_sum(w: WeylElement, flavors: int) -> WeylElement:
     return out
 
 
-def one_flavor_bilinears(family: str, k: int):
-    """Spanning bilinears of one flavor plus the mode/polarization data.
+class GaugeAlgebra(NamedTuple):
+    """The B side of a dual pair: o(N), u(N) or sp(2N) acting on flavors."""
 
-    sp_real: the anti-hermitian quadratics over k modes c_1..c_k, a real
-             basis of sp(2k,R) whose brackets stay in the real span.
-    u_pq:    phi~ X phi for a real basis of u(k,k), scalar part dropped.
-    so_star: likewise for so*(4k).
+    label: str
+    span: tuple      # spanning quadratics
+    cartan: tuple    # commuting diagonal operators
+    raising: tuple   # a raising operator for each positive root
+
+
+# Mode kinds of one flavor and, per unit of k, the modes of each kind:
+# sp_real uses c_1..c_k, u_pq a_1..a_k and b_1..b_k, so_star a_1..a_2k
+# and b_1..b_2k.
+_MODE_SHAPES = {"sp_real": (("c",), 1), "u_pq": (("a", "b"), 1), "so_star": (("a", "b"), 2)}
+
+
+@dataclass(frozen=True)
+class DualPair:
+    """A reductive dual pair (A, B) in sp(W) over `flavors` copies of one
+    flavor's modes (Howe, Trans. AMS 313, 1989).
+
+    A is sp(2k,R), u(k,k) or so*(4k), spanned by quadratics in one
+    flavor's modes and acting on N flavors through flavor sums.  B is the
+    flavor gauge algebra o(N), u(N) or sp(2N), which commutes with those
+    sums.  With one flavor B is written in one flavor's modes, those of
+    A's Chevalley set.  Each part is built on first use, so a command
+    builds only what it reads.
     """
-    mono = WeylElement.monomial
-    if family == "sp_real":
-        modes = [("c", i) for i in range(1, k + 1)]
-        i_one = QI(0, 1)
-        elems = []
-        for i in range(k):
-            elems.append(mono([modes[i]], [modes[i]], i_one))
-        for i in range(k):
-            for j in range(i + 1, k):
-                elems.append(mono([modes[i]], [modes[j]]) - mono([modes[j]], [modes[i]]))
-                elems.append(mono([modes[i]], [modes[j]], i_one)
-                             + mono([modes[j]], [modes[i]], i_one))
-        for i in range(k):
-            for j in range(i, k):
-                elems.append(mono([modes[i], modes[j]], []) - mono([], [modes[i], modes[j]]))
-                elems.append(mono([modes[i], modes[j]], [], i_one)
-                             + mono([], [modes[i], modes[j]], i_one))
-        if len(elems) != k * (2 * k + 1):
-            raise FockError("sp(2k,R) bilinear basis has the wrong dimension")
-        return elems, modes, None, oscrep.form_spec("sp_real", k)
-    if family in ("u_pq", "so_star"):
-        size = k if family == "u_pq" else 2 * k
-        pol = oscrep.standard_polarization(size)
-        modes = ([("a", i) for i in range(1, size + 1)]
-                 + [("b", i) for i in range(1, size + 1)])
-        if family == "u_pq":
-            mats = oscrep.unitary_basis([1] * size + [-1] * size)
-            spec = oscrep.form_spec("u_pq", k)
-            if not all(oscrep.matrix_membership(m, spec) for m in mats):
+
+    family: str
+    k: int
+    flavors: int = 1
+
+    @property
+    def _size(self) -> int:
+        return _MODE_SHAPES[self.family][1] * self.k
+
+    @cached_property
+    def modes(self) -> tuple:
+        """One flavor's modes."""
+        return tuple((kind, i) for kind in _MODE_SHAPES[self.family][0]
+                     for i in range(1, self._size + 1))
+
+    @cached_property
+    def polarization(self) -> Polarization | None:
+        """The standard polarization of the a and b modes; none for sp_real."""
+        return None if self.family == "sp_real" else standard_polarization(self._size)
+
+    @cached_property
+    def spec(self) -> oscrep.FormSpec:
+        return oscrep.form_spec(self.family, self.k)
+
+    @cached_property
+    def a_span(self) -> tuple:
+        """A's spanning quadratics in one flavor's modes.
+
+        sp_real: the anti-hermitian quadratics over c_1..c_k, a real basis
+                 of sp(2k,R) whose brackets stay in the real span.
+        u_pq:    phi~ X phi for a real basis of u(k,k), scalar part dropped.
+        so_star: likewise for so*(4k).
+        """
+        if self.family == "sp_real":
+            mono, i1 = WeylElement.monomial, QI(0, 1)
+            out = [mono([c], [c], i1) for c in self.modes]
+            for x, y in combinations(self.modes, 2):
+                out += [mono([x], [y]) - mono([y], [x]), mono([x], [y], i1) + mono([y], [x], i1)]
+            for x, y in combinations_with_replacement(self.modes, 2):
+                out += [mono([x, y], []) - mono([], [x, y]),
+                        mono([x, y], [], i1) + mono([], [x, y], i1)]
+            return tuple(out)
+        if self.family == "u_pq":
+            mats = oscrep.unitary_basis([1] * self.k + [-1] * self.k)
+            if not all(oscrep.matrix_membership(m, self.spec) for m in mats):
                 raise FockError("u(p,q) basis element fails membership")
-            if len(mats) != (2 * size) ** 2:
+            if len(mats) != (2 * self.k) ** 2:
                 raise FockError("u(p,q) basis has the wrong dimension")
         else:
-            mats = oscrep.so_star_matrix_basis(k)
-            spec = oscrep.form_spec("so_star", k)
-        elems = [quadratic_from_matrix(m, pol).without_scalar() for m in mats]
-        return elems, modes, pol, spec
-    raise FockError(f"unknown closure family {family!r}")
+            mats = oscrep.so_star_matrix_basis(self.k)
+        return tuple(quadratic_from_matrix(m, self.polarization).without_scalar() for m in mats)
+
+    @cached_property
+    def chevalley(self) -> oscrep.GeneratorSet | None:
+        """A's Chevalley set; none for sp_real.  The builder is looked up on
+        `oscrep` when this is first read, so a tracer or a test that wraps
+        it there sees the call."""
+        if self.family == "u_pq":
+            return oscrep.unn_generators(self.k)
+        if self.family == "so_star":
+            return oscrep.so_star_generators(self.k)
+        return None
+
+    @cached_property
+    def gauge(self) -> GaugeAlgebra:
+        """B, from the hops sum_i x*_{f i} y_{g i} between flavors f and g:
+
+        o(N):   L_fg = hop(c, f; c, g) - hop(c, g; c, f) for f < g;
+        u(N):   E_fg = hop(a, f; a, g) - hop(b, g; b, f), Cartan E_ff;
+        sp(2N): u(N) plus S_fg = hop(a, f; b, g) + hop(a, g; b, f) for
+                f <= g, the diagonal term written once, and each S_fg*.
+        """
+        n = self.flavors
+        mode = _flavored if n > 1 else (lambda m, f: m)
+        fl = range(1, n + 1)
+
+        def hop(x, f, y, g):
+            out = WeylElement.zero()
+            for i in range(1, self._size + 1):
+                out = out + WeylElement.monomial([mode((x, i), f)], [mode((y, i), g)])
+            return out
+
+        if self.family == "sp_real":
+            span = tuple(hop("c", f, "c", g) - hop("c", g, "c", f)
+                         for f in fl for g in fl if f < g)
+            return GaugeAlgebra(f"o({n})", span, (), ())
+        u = {(f, g): hop("a", f, "a", g) - hop("b", g, "b", f) for f in fl for g in fl}
+        cartan = tuple(u[f, f] for f in fl)
+        upper = tuple(u[f, g] for f in fl for g in fl if f < g)
+        if self.family == "u_pq":
+            return GaugeAlgebra(f"u({n})", tuple(u.values()), cartan, upper)
+        s = {(f, g): hop("a", f, "b", g) + hop("a", g, "b", f) if f < g else hop("a", f, "b", f)
+             for f in fl for g in fl if f <= g}
+        for f in fl:
+            if commutator(s[f, f], s[f, f].adjoint()) != u[f, f]:
+                raise oscrep.AlgebraError(
+                    f"generator invariant fails: sp({2 * n}): [S_{f}{f}, S_{f}{f}*] != E_{f}{f}")
+        raising = tuple(s.values())
+        return GaugeAlgebra(f"sp({2 * n})",
+                            raising + tuple(x.adjoint() for x in raising) + tuple(u.values()),
+                            cartan, raising + upper)
+
+
+def dual_pair(family: str, k: int, flavors: int = 1) -> DualPair:
+    """The dual pair of sp_real, u_pq or so_star at rank k over N flavors."""
+    if family not in _MODE_SHAPES:
+        raise FockError(f"unknown dual-pair family {family!r}")
+    return DualPair(family, k, flavors)
 
 
 def pairing_blocks(w: WeylElement, modes) -> tuple[dict, dict]:
@@ -435,14 +533,9 @@ def _trace_of_product(a: dict, b: dict) -> QI:
     return sum((x * y for (i, k), x in a.items() if (y := b.get((k, i)))), QI(0))
 
 
-# Modes in one flavor's bilinears per unit of k: sp_real uses c_1..c_k,
-# u_pq a_1..a_k and b_1..b_k, so_star a_1..a_2k and b_1..b_2k.
-_CLOSURE_MODES_PER_K = {"sp_real": 1, "u_pq": 2, "so_star": 4}
-
-
 def cross_check_basis_size(family: str, k: int, flavors: int, level: int) -> int:
     """States in the Fock basis of the closure check's matrix cross-check."""
-    return basis_size(_CLOSURE_MODES_PER_K[family] * k * flavors, level)
+    return basis_size(len(dual_pair(family, k).modes) * flavors, level)
 
 
 def truncated_closure_check(family: str, k: int, flavors: int, level: int = 0,
@@ -457,7 +550,8 @@ def truncated_closure_check(family: str, k: int, flavors: int, level: int = 0,
     runs on a Fock truncation at that level, of at most `max_states` states.
     """
     rep = Report(f"closure/{family}/k{k}/N{flavors}")
-    elems, modes, pol, spec = one_flavor_bilinears(family, k)
+    pair = dual_pair(family, k, flavors)
+    elems, modes, pol, spec = pair.a_span, pair.modes, pair.polarization, pair.spec
     flavored = [flavor_sum(e, flavors) for e in elems]
 
     charges = []
@@ -545,78 +639,3 @@ def _matrix_cross_check(rep, family, k, flavors, level, elems, flavored, max_sta
             rep.add(f"{family}/k{k}N{flavors}/matrix/pair{s:03d},{t:03d}",
                     sym.equal_on_columns(prod, cols),
                     detail=f"Fock cross-check at level {level}")
-
-
-# ---------------------------------------------------------------------------
-# Gauge groups acting on flavors
-
-
-def gauge_generators(family: str, k: int, flavors: int) -> list:
-    """Generators of the flavor gauge action: O(N), U(N) or Sp(2N) type.
-
-    These are the quadratics mixing flavors that commute with every
-    flavored bilinear of the family; the commutation is itself verified by
-    check_dual_pair in the test suites rather than assumed.
-    """
-    mono = WeylElement.monomial
-    out = []
-    if family == "sp_real":
-        modes = [("c", i) for i in range(1, k + 1)]
-        for f in range(1, flavors + 1):
-            for g in range(f + 1, flavors + 1):
-                el = WeylElement.zero()
-                for m in modes:
-                    el = el + mono([_flavored(m, f)], [_flavored(m, g)]) \
-                        - mono([_flavored(m, g)], [_flavored(m, f)])
-                out.append(el)
-        return out
-    if family == "u_pq":
-        # u(N) acting on flavors: a-modes in the defining rep, b-modes in
-        # the conjugate, so the generator of A is sum A a*a + conj(A) b*b.
-        size = k
-        a_modes = [("a", i) for i in range(1, size + 1)]
-        b_modes = [("b", i) for i in range(1, size + 1)]
-
-        def add_gen(f, g, c):
-            el = WeylElement.zero()
-            for m in a_modes:
-                el = el + mono([_flavored(m, f)], [_flavored(m, g)], c)
-                if f != g:
-                    el = el - mono([_flavored(m, g)], [_flavored(m, f)], c.conj())
-            for m in b_modes:
-                el = el + mono([_flavored(m, f)], [_flavored(m, g)], c.conj())
-                if f != g:
-                    el = el - mono([_flavored(m, g)], [_flavored(m, f)], c)
-            out.append(el)
-
-        for f in range(1, flavors + 1):
-            add_gen(f, f, QI(0, 1))
-        for f in range(1, flavors + 1):
-            for g in range(f + 1, flavors + 1):
-                add_gen(f, g, QI(1))
-                add_gen(f, g, QI(0, 1))
-        return out
-    if family == "so_star":
-        size = 2 * k
-        a_modes = [("a", i) for i in range(1, size + 1)]
-        b_modes = [("b", i) for i in range(1, size + 1)]
-        for f in range(1, flavors + 1):
-            for g in range(1, flavors + 1):
-                el = WeylElement.zero()
-                for am, bm in zip(a_modes, b_modes):
-                    el = el + mono([_flavored(am, f)], [_flavored(am, g)]) \
-                        - mono([_flavored(bm, g)], [_flavored(bm, f)])
-                out.append(el)
-        for f in range(1, flavors + 1):
-            for g in range(f, flavors + 1):
-                e_el = WeylElement.zero()
-                f_el = WeylElement.zero()
-                for am, bm in zip(a_modes, b_modes):
-                    e_el = e_el + mono([_flavored(am, f)], [_flavored(bm, g)]) \
-                        + mono([_flavored(am, g)], [_flavored(bm, f)])
-                    f_el = f_el + mono([_flavored(bm, f)], [_flavored(am, g)]) \
-                        + mono([_flavored(bm, g)], [_flavored(am, f)])
-                out.append(e_el)
-                out.append(f_el)
-        return out
-    raise FockError(f"unknown gauge family {family!r}")

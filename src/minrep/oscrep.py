@@ -18,8 +18,7 @@ from .reports import Report
 from .rootsys import cartan_a_type, cartan_d_type
 from .scalars import QI, QI_ZERO
 from .weylalg import (WeylElement, Polarization, commutator, ad_power,
-                      normal_product, quadratic_from_matrix,
-                      standard_polarization)
+                      normal_product, quadratic_from_matrix)
 
 
 class AlgebraError(ValueError):
@@ -179,7 +178,6 @@ class GeneratorSet:
     F: list
     H: list
     extras: dict = field(default_factory=dict)
-    polarization: Polarization | None = None
 
     @property
     def rank(self) -> int:
@@ -205,13 +203,13 @@ def _require(ok: bool, what: str):
         raise AlgebraError(f"generator invariant fails: {what}")
 
 
-def su22_generators() -> GeneratorSet:
+def su22_generators(gens: GeneratorSet | None = None) -> GeneratorSet:
     """Chevalley-Cartan basis of su(2,2) over modes a1, a2, b1, b2.
 
-    It is the u(2,2) set relabelled: the same A3 chain, the same theta
-    triple, and the u(2,2) charge Q as the helicity h.
+    It is the u(2,2) set `gens` (built if not given) relabelled: the same
+    A3 chain and theta triple, and the u(2,2) charge Q as the helicity h.
     """
-    gens = unn_generators(2)
+    gens = gens or unn_generators(2)
     hs = gens.H
     _require(hs[0] == _number(_a(1)) - _number(_a(2)), "su(2,2): H1 != N_a1 - N_a2")
     _require(hs[1] == _number(_a(2)) + _number(_b(1)) + WeylElement.one(),  # a2*a2 + b1 b1*
@@ -257,7 +255,6 @@ def unn_generators(n: int) -> GeneratorSet:
         cartan_matrix=cartan_a_type(2 * n - 1),
         E=es, F=fs, H=hs,
         extras={"Q": q, "E_theta": e_theta, "F_theta": f_theta, "H_theta": h_theta},
-        polarization=standard_polarization(n),
     )
 
 
@@ -266,8 +263,8 @@ def so_star_generators(n: int) -> GeneratorSet:
 
     E_i = a_i* a_{i+1} + b_{i+1} b_i* with F_i = E_i* for the compact chain;
     the spin node is E_{2n} = a_{2n-1}* b_{2n}* - a_{2n}* b_{2n-1}*.  Extras
-    carry all noncompact raising operators E_ij, the u(1) generators Q and
-    H, and the commuting sp(2) triple.
+    carry all noncompact raising operators E_ij and the u(1) generators Q
+    and H.
     """
     if n < 1:
         raise AlgebraError("so*(4n) requires n >= 1")
@@ -298,29 +295,17 @@ def so_star_generators(n: int) -> GeneratorSet:
 
     q = WeylElement.zero()
     h_center = WeylElement.zero()
-    sp_e = WeylElement.zero()
-    sp_f = WeylElement.zero()
     for i in range(1, k + 1):
         q = q + _number(_a(i)) - _number(_b(i))
         h_center = h_center + _number(_a(i)) + _number(_b(i)) + WeylElement.one()  # a*a + b b*
-        sp_e = sp_e + mono([_a(i)], [_b(i)])
-        sp_f = sp_f + mono([_b(i)], [_a(i)])
-    sp_q = commutator(sp_e, sp_f)
-    _require(sp_q == q, f"so*({4 * n}): [sp2_E, sp2_F] != Q")
-    extras.update({"Q": q, "H": h_center, "sp2_E": sp_e, "sp2_F": sp_f, "sp2_Q": sp_q})
+    extras.update({"Q": q, "H": h_center})
 
     return GeneratorSet(
         algebra_label=f"so*({4 * n})",
         cartan_matrix=cartan_d_type(k),
         E=es, F=fs, H=hs,
         extras=extras,
-        polarization=standard_polarization(k),
     )
-
-
-def sp2_triple(n: int) -> list:
-    gens = so_star_generators(n)
-    return [gens.extras["sp2_E"], gens.extras["sp2_F"], gens.extras["sp2_Q"]]
 
 
 def so_star_pair_elements(gens: GeneratorSet):
@@ -328,8 +313,8 @@ def so_star_pair_elements(gens: GeneratorSet):
 
     Chevalley triples, every noncompact E_ij with its adjoint, and the
     u(1) generator H of the maximal compact u(2n).  The charge operator Q
-    and the sp(2) triple live in the commutant, not in so*(4n), so they
-    are deliberately not included here.
+    lives in the commutant sp(2), not in so*(4n), so it is deliberately
+    not included here.
     """
     out = []
     for i, (e, f, h) in enumerate(zip(gens.E, gens.F, gens.H), start=1):
@@ -437,16 +422,15 @@ def check_dual_pair(gens_a: list, gens_b: list, label: str = "dual-pair",
 # u(2,2) weight basis and structure of the theta grading
 
 
-def u22_weight_basis():
+def u22_weight_basis(gens: GeneratorSet, pol: Polarization):
     """16 weight-adapted basis elements spanning u(2,2) over the complex span.
 
-    Off-diagonal matrix units through the polarization map, then three
-    traceless diagonals chosen so membership in the sl2 centralizer is
-    readable element by element, then the helicity generator h.  Weight
+    Off-diagonal matrix units through the polarization map `pol`, then
+    three traceless diagonals chosen so membership in the sl2 centralizer
+    is readable element by element, then the helicity h of `gens`.  Weight
     vectors diagonalize ad of any Cartan element, which is what the
     grading and centralizer checks need.
     """
-    pol = standard_polarization(2)
     out = []
     for alpha in range(4):
         for beta in range(4):
@@ -456,22 +440,21 @@ def u22_weight_basis():
     diags = {"H_a": [1, -1, 0, 0, ], "H_b": [0, 1, -1, 0], "H_c": [1, -1, -1, 1]}
     for name, d in diags.items():
         out.append((name, quadratic_from_matrix(qi_diag(d), pol)))
-    gens = su22_generators()
     out.append(("h", gens.extras["h"]))
     return out
 
 
-def su22_weight_basis():
-    return [(n, w) for n, w in u22_weight_basis() if n != "h"]
+def su22_weight_basis(gens: GeneratorSet, pol: Polarization):
+    return [(n, w) for n, w in u22_weight_basis(gens, pol) if n != "h"]
 
 
-def theta_grading_check() -> Report:
+def theta_grading_check(gens: GeneratorSet, pol: Polarization) -> Report:
     """ad(H_theta) eigenvalues on the su(2,2) basis lie in -2..2, ends 1-dim."""
     rep = Report("theta-grading/su22")
-    ht = su22_generators().extras["H_theta"]
+    ht = gens.extras["H_theta"]
     eigencount: dict[int, int] = {}
     ok_all = True
-    for name, x in su22_weight_basis():
+    for name, x in su22_weight_basis(gens, pol):
         lam = scalar_ratio(commutator(ht, x), x)
         ok = lam is not None and lam.is_real() and lam.real_fraction().denominator == 1 \
             and -2 <= lam.real_fraction() <= 2
@@ -486,16 +469,15 @@ def theta_grading_check() -> Report:
     return rep
 
 
-def sl2_centralizer_check() -> Report:
+def sl2_centralizer_check(gens: GeneratorSet, pol: Polarization) -> Report:
     """Exactly 4 su(2,2) basis elements commute with the full theta sl2."""
     rep = Report("sl2-centralizer/su22")
-    gens = su22_generators()
     triple = [gens.extras[k] for k in ("E_theta", "F_theta", "H_theta")]
-    commuting = [name for name, x in su22_weight_basis()
+    elems = dict(su22_weight_basis(gens, pol))
+    commuting = [name for name, x in elems.items()
                  if all(commutator(x, t).is_zero() for t in triple)]
     rep.add("su22/centralizer/dimension", len(commuting) == 4,
             detail=f"commuting basis elements: {commuting}")
-    elems = dict(su22_weight_basis())
     closed = all(
         _in_weyl_span([elems[n] for n in commuting],
                       commutator(elems[x], elems[y]))
@@ -606,8 +588,9 @@ def _dual_basis(basis):
     return out
 
 
-def casimir_elements(n: int):
-    """(C_so, C_u, symmetrized sum of E_ij E_ij*) for so*(4n).
+def casimir_elements(gens: GeneratorSet, pol: Polarization):
+    """(C_so, C_u, symmetrized sum of E_ij E_ij*) for the so*(4n) set `gens`,
+    with quadratics read through the polarization `pol` of its 4n modes.
 
     All dual bases are taken with respect to one uniform pairing, the trace
     form of the defining 4n-dimensional representation; the center term of
@@ -616,10 +599,8 @@ def casimir_elements(n: int):
     Casimir relation holds exactly with unit scale, which the scale search
     in casimir_defect certifies rather than assumes.
     """
-    k = 2 * n
-    pol = standard_polarization(k)
-    gens = so_star_generators(n)
-
+    k = pol.size // 2
+    n = k // 2
     so_basis = so_star_matrix_basis(n)
     so_dual = _dual_basis(so_basis)
     c_so = WeylElement.zero()
@@ -645,14 +626,14 @@ def casimir_elements(n: int):
             eij = gens.extras[f"E_{i}{j}"]
             fij = eij.adjoint()
             ee = ee + (normal_product(eij, fij) + normal_product(fij, eij)).scale(half)
-    return c_so, c_u, ee, gens
+    return c_so, c_u, ee
 
 
-def casimir_defect(n: int):
+def casimir_defect(gens: GeneratorSet, pol: Polarization):
     """Defect D = C_so - C_u + sym(E E*) with centrality report and scale search."""
     # created before the Casimir elements, so its first record is charged with them
-    rep = Report(f"casimir/so*({4 * n})")
-    c_so, c_u, ee, gens = casimir_elements(n)
+    rep = Report(f"casimir/{gens.algebra_label}")
+    c_so, c_u, ee = casimir_elements(gens, pol)
     d = c_so - c_u + ee
     for i, (e, f, h) in enumerate(zip(gens.E, gens.F, gens.H), start=1):
         for tag, g in (("E", e), ("F", f), ("H", h)):
@@ -684,18 +665,19 @@ def casimir_defect(n: int):
 # Nilpotent cone relation for so*(8)
 
 
-def nilpotent_cone_defect():
-    ex = so_star_generators(2).extras
+def nilpotent_cone_defect(gens: GeneratorSet):
+    """The degree-two relation among the so*(8) set's raising operators."""
+    ex = gens.extras
     lhs = (normal_product(ex["E_12"], ex["E_34"])
            + normal_product(ex["E_14"], ex["E_23"]))
     return lhs - normal_product(ex["E_13"], ex["E_24"])
 
 
-def nilpotent_cone_check() -> Report:
+def nilpotent_cone_check(gens: GeneratorSet) -> Report:
     rep = Report("nilpotent-cone/so*(8)")
-    d = nilpotent_cone_defect()
+    d = nilpotent_cone_defect(gens)
     rep.add("so*(8)/cone/identity", d.is_zero(), defect=str(d))
-    ex = so_star_generators(2).extras
+    ex = gens.extras
     corrupted = (normal_product(ex["E_12"], ex["E_34"])
                  + normal_product(ex["E_14"], ex["E_23"])
                  - normal_product(ex["E_14"], ex["E_24"]))

@@ -81,17 +81,17 @@ def test_criterion_02_chevalley_serre_suites():
 def test_criterion_03_dual_pair_commutants():
     ok = True
     for n in (1, 2, 3):
-        gens = oscrep.so_star_generators(n)
-        elems = oscrep.so_star_pair_elements(gens)
-        ok &= oscrep.check_dual_pair(oscrep.sp2_triple(n),
-                                     [w for _, w in elems]).ok
-    basis = oscrep.u22_weight_basis()
+        pair = fockspace.dual_pair("so_star", n)
+        elems = oscrep.so_star_pair_elements(pair.chevalley)
+        ok &= oscrep.check_dual_pair(pair.gauge.span, [w for _, w in elems]).ok
+    u22 = fockspace.dual_pair("u_pq", 2)
+    gens = oscrep.su22_generators(u22.chevalley)
+    basis = oscrep.u22_weight_basis(gens, u22.polarization)
     ok &= len(basis) == 16
-    h = oscrep.su22_generators().extras["h"]
-    ok &= oscrep.check_dual_pair([h], [w for _, w in basis]).ok
+    ok &= oscrep.check_dual_pair(u22.gauge.span, [w for _, w in basis]).ok
     # negative controls must fire
     bad = WeylElement.monomial([("a", 1)], [("a", 1)])
-    control1 = not commutator(bad, oscrep.sp2_triple(1)[0]).is_zero()
+    control1 = not commutator(bad, fockspace.dual_pair("so_star", 1).gauge.raising[0]).is_zero()
     control2 = not commutator(WeylElement.monomial([("a", 1)], [("a", 2)]),
                               WeylElement.monomial([("a", 2)], [("a", 1)])).is_zero()
     ok &= control1 and control2
@@ -99,8 +99,9 @@ def test_criterion_03_dual_pair_commutants():
 
 
 def test_criterion_04_nilpotent_cone():
-    ok = oscrep.nilpotent_cone_defect().is_zero()
-    ex = oscrep.so_star_generators(2).extras
+    gens = oscrep.so_star_generators(2)
+    ok = oscrep.nilpotent_cone_defect(gens).is_zero()
+    ex = gens.extras
     modes = [("a", i) for i in range(1, 5)] + [("b", i) for i in range(1, 5)]
     fock = fockspace.enumerate_basis(modes, 4)
     m = {k: fockspace.operator_matrix(ex[k], fock)
@@ -108,7 +109,7 @@ def test_criterion_04_nilpotent_cone():
     lhs = (m["E_12"] @ m["E_34"]) + (m["E_14"] @ m["E_23"])
     rhs = m["E_13"] @ m["E_24"]
     ok &= lhs.equal_on_columns(rhs, fockspace.safe_columns(fock, 2, 2))
-    ok &= fockspace.operator_matrix(oscrep.nilpotent_cone_defect(), fock).is_zero()
+    ok &= fockspace.operator_matrix(oscrep.nilpotent_cone_defect(gens), fock).is_zero()
     _criterion("04-nilpotent-cone", ok, "symbolic and Fock cutoff 4")
 
 
@@ -149,18 +150,16 @@ def test_criterion_05_bilocal_commutator_theorem():
 
 def test_criterion_06_fock_decomposition_pattern():
     start = time.monotonic()
-    gens = oscrep.so_star_generators(2)
-    modes = [("a", i) for i in range(1, 5)] + [("b", i) for i in range(1, 5)]
-    fock = fockspace.enumerate_basis(modes, 3)
-    gauge = oscrep.GeneratorSet("sp2", [[2]], E=[gens.extras["sp2_E"]],
-                                F=[gens.extras["sp2_F"]], H=[gens.extras["sp2_Q"]])
-    table = fockspace.joint_weight_decomposition(gens, gauge, fock)
+    pair = fockspace.dual_pair("so_star", 2)
+    gens = pair.chevalley
+    fock = fockspace.enumerate_basis(pair.modes, 3)
+    table = fockspace.joint_weight_decomposition(pair, fock)
     rows0 = table.rows_at(0)
     ok = rows0 == [fockspace.MultiplicityRow(0, (0, 0, 0, 2), 0, 1)]
     rows1 = table.rows_at(1)
     ok &= len(rows1) == 1 and rows1[0].isospin_double == 1 and rows1[0].multiplicity == 1
     vac = fock.vacuum_index()
-    e_mat = fockspace.operator_matrix(gauge.E[0], fock)
+    e_mat = fockspace.operator_matrix(pair.gauge.raising[0], fock)
     for j in range(1, 5):
         b_state = fockspace.operator_matrix(
             WeylElement.monomial([("b", j)], []), fock).apply({vac: QI(1)})
@@ -248,7 +247,8 @@ def test_criterion_10_casimir_relation():
     ok = True
     details = []
     for n in (1, 2):
-        d, rep = oscrep.casimir_defect(n)
+        pair = fockspace.dual_pair("so_star", n)
+        d, rep = oscrep.casimir_defect(pair.chevalley, pair.polarization)
         ok &= rep.ok
         scale = [r for r in rep.records if "scale-search" in r.check_id]
         ok &= bool(scale) and scale[0].passed

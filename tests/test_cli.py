@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from minrep import bilocal, cli, fockspace, harmonics, linalg, oscrep, reports
+from minrep import bilocal, cli, fockspace, harmonics, linalg, oscrep, reports, weylalg
 from minrep.reports import Report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -271,11 +271,62 @@ class TestOtherCommands:
         assert sum(r["wall_ms"] for r in json.loads(out)["records"]) >= 1000
 
 
+def count_builds(monkeypatch) -> dict:
+    """Count polarizations, Chevalley sets and so*(4n) matrix bases built,
+    by wrapping Polarization.__post_init__ and the builders on their module."""
+    counts = {"polarizations": 0, "sets": 0, "matrix bases": 0}
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(weylalg.Polarization, "__post_init__", "polarizations")
+    counted(oscrep, "unn_generators", "sets")
+    counted(oscrep, "so_star_generators", "sets")
+    counted(oscrep, "so_star_matrix_basis", "matrix bases")
+    return counts
+
+
+class TestBuildCounts:
+    # Each command builds its dual pair once and only the parts it reads.
+    # Before the pair, check-relations su22 built 9 polarizations and 6
+    # u(2,2) sets, and decompose built a polarization it never read.
+    # (polarizations, Chevalley sets, so*(4n) matrix bases) per command
+    BUILDS = [
+        (["check-relations", "--algebra", "su22"], (1, 1, 0)),
+        (["check-relations", "--algebra", "unn"], (0, 1, 0)),
+        (["check-relations", "--algebra", "so-star", "--n", "2"], (1, 1, 1)),
+        (["check-dual-pair", "--algebra", "su22"], (1, 1, 0)),
+        (["check-dual-pair", "--algebra", "so-star"], (0, 1, 0)),
+        (["decompose"], (0, 1, 0)),
+        (["closure", "--family", "so-star", "--k", "2", "--pair-limit", "20"], (1, 0, 1)),
+        (["closure", "--family", "sp-real", "--flavors", "2"], (0, 0, 0)),
+    ]
+
+    @pytest.mark.parametrize("argv,want", [pytest.param(a, w, id=" ".join(a)) for a, w in BUILDS])
+    def test_each_part_is_built_once_and_only_when_read(self, capsys, monkeypatch,
+                                                        argv, want):
+        counts = count_builds(monkeypatch)
+        code, _ = run(argv + ["--format", "json"], capsys)
+        assert code == 0
+        assert (counts["polarizations"], counts["sets"], counts["matrix bases"]) == want
+
+    def test_massless_builds_no_polarization(self, capsys, monkeypatch):
+        counts = count_builds(monkeypatch)
+        code, _ = run(["massless", "--format", "json"], capsys)
+        assert code == 0 and counts["polarizations"] == 0
+
+
 class TestExitCodes:
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         from minrep.reports import Report
 
-        def broken():
+        def broken(*args):
             rep = Report("sabotaged")
             rep.add("sabotaged/identity", False, defect="forced failure")
             return rep

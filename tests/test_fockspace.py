@@ -117,14 +117,16 @@ class TestHelicity:
 def _diagonal_generators():
     """(element, modes) for every diagonal generator the suites use."""
     out = []
-    for label, gens, size in (("so*(4)", oscrep.so_star_generators(1), 2),
-                              ("so*(8)", oscrep.so_star_generators(2), 4),
-                              ("u(2,2)", oscrep.unn_generators(2), 2),
-                              ("u(3,3)", oscrep.unn_generators(3), 3)):
-        modes = [("a", i) for i in range(1, size + 1)] + [("b", i) for i in range(1, size + 1)]
+    for label, pair in (("so*(4)", fockspace.dual_pair("so_star", 1)),
+                        ("so*(8)", fockspace.dual_pair("so_star", 2)),
+                        ("u(2,2)", fockspace.dual_pair("u_pq", 2)),
+                        ("u(3,3)", fockspace.dual_pair("u_pq", 3))):
+        gens = pair.chevalley
         named = [(f"H{i}", h) for i, h in enumerate(gens.H, start=1)]
-        named += [(k, gens.extras[k]) for k in ("Q", "sp2_Q") if k in gens.extras]
-        out += [pytest.param(w, modes, id=f"{label}/{name}") for name, w in named]
+        named.append(("Q", gens.extras["Q"]))
+        if pair.family == "so_star":
+            named.append(("sp2_Q", pair.gauge.cartan[0]))
+        out += [pytest.param(w, pair.modes, id=f"{label}/{name}") for name, w in named]
     return out
 
 
@@ -153,42 +155,37 @@ class TestDiagonalWeights:
 
     def test_decomposition_builds_only_the_off_diagonal_matrices(self):
         # four lowering operators and the gauge raising operator of so*(8)
-        gens, gauge, fock = _so_star_setup(2, 2)
+        pair, fock = _so_star_setup(2, 2)
         calls = []
         original = fockspace.operator_matrix
         with mock.patch.object(fockspace, "operator_matrix",
                                lambda w, f: calls.append(w) or original(w, f)):
-            fockspace.joint_weight_decomposition(gens, gauge, fock)
+            fockspace.joint_weight_decomposition(pair, fock)
         assert len(calls) == 5
 
 
 def _so_star_setup(n, level):
-    gens = oscrep.so_star_generators(n)
-    k = 2 * n
-    modes = [("a", i) for i in range(1, k + 1)] + [("b", i) for i in range(1, k + 1)]
-    fock = fockspace.enumerate_basis(modes, level)
-    gauge = oscrep.GeneratorSet("sp2", [[2]], E=[gens.extras["sp2_E"]],
-                                F=[gens.extras["sp2_F"]], H=[gens.extras["sp2_Q"]])
-    return gens, gauge, fock
+    pair = fockspace.dual_pair("so_star", n)
+    return pair, fockspace.enumerate_basis(pair.modes, level)
 
 
 class TestDecomposition:
     def test_vacuum_weight(self):
-        gens, gauge, fock = _so_star_setup(2, 0)
-        table = fockspace.joint_weight_decomposition(gens, gauge, fock)
+        pair, fock = _so_star_setup(2, 0)
+        table = fockspace.joint_weight_decomposition(pair, fock)
         rows = table.rows_at(0)
         assert len(rows) == 1
         assert rows[0].weight == (0, 0, 0, 2)
         assert rows[0].isospin_double == 0 and rows[0].multiplicity == 1
 
     def test_level_one_doublet_and_ladder(self):
-        gens, gauge, fock = _so_star_setup(2, 1)
-        table = fockspace.joint_weight_decomposition(gens, gauge, fock)
+        pair, fock = _so_star_setup(2, 1)
+        table = fockspace.joint_weight_decomposition(pair, fock)
         rows = table.rows_at(1)
         assert len(rows) == 1 and rows[0].isospin_double == 1
         # the gauge raising maps b_j*|0> to a_j*|0> for every j
         vac = fock.vacuum_index()
-        e_mat = fockspace.operator_matrix(gauge.E[0], fock)
+        e_mat = fockspace.operator_matrix(pair.gauge.raising[0], fock)
         k = 4
         for j in range(1, k + 1):
             b_state = fockspace.operator_matrix(mono([("b", j)], []), fock).apply({vac: QI(1)})
@@ -196,11 +193,11 @@ class TestDecomposition:
             assert e_mat.apply(b_state) == a_state
 
     def test_level_two_isotriplet(self):
-        gens, gauge, fock = _so_star_setup(2, 2)
-        table = fockspace.joint_weight_decomposition(gens, gauge, fock)
+        pair, fock = _so_star_setup(2, 2)
+        table = fockspace.joint_weight_decomposition(pair, fock)
         rows = table.rows_at(2)
         assert [r.isospin_double for r in rows] == [2]
-        lw = fockspace.lowest_weight_vectors(gens, fock)
+        lw = fockspace.lowest_weight_vectors(pair.chevalley, fock)
         level2 = {key: vs for key, vs in lw.items() if key[0] == 2}
         (key, vecs), = level2.items()
         # the triplet is spanned by a4*^2, a4*b4*, b4*^2 on the vacuum
@@ -219,7 +216,8 @@ class TestDecomposition:
         # perfbench/layerkernels.py captures the matrices lowest_weight_vectors
         # hands to linalg.rref by patching that module attribute, and sizes
         # them by len(m) * len(m[0])
-        gens, _, fock = _so_star_setup(2, 3)
+        pair, fock = _so_star_setup(2, 3)
+        gens = pair.chevalley
         captured = []
         original = linalg.rref
         with mock.patch.object(linalg, "rref",
@@ -234,9 +232,9 @@ class TestDecomposition:
             assert all(v and all(v.values()) for v in vecs)
 
     def test_bookkeeping_identity_up_to_level_three(self):
-        gens, gauge, fock = _so_star_setup(2, 3)
-        table = fockspace.joint_weight_decomposition(gens, gauge, fock)
-        lw = fockspace.lowest_weight_vectors(gens, fock)
+        pair, fock = _so_star_setup(2, 3)
+        table = fockspace.joint_weight_decomposition(pair, fock)
+        lw = fockspace.lowest_weight_vectors(pair.chevalley, fock)
         assert table.lowest_weight == lw   # the table carries the vectors it used
         for level in range(4):
             total = sum(len(vs) for (lvl, _), vs in lw.items() if lvl == level)
@@ -262,22 +260,22 @@ class TestClosure:
         ("sp_real", 1, 3), ("sp_real", 2, 2), ("u_pq", 2, 2), ("so_star", 1, 2),
     ])
     def test_cross_check_basis_size(self, family, k, flavors):
-        elems, _, _, _ = fockspace.one_flavor_bilinears(family, k)
+        elems = fockspace.dual_pair(family, k).a_span
         modes = {m for e in elems for m in fockspace.flavor_sum(e, flavors).modes()}
         want = fockspace.enumerate_basis(sorted(modes), 2).dim
         assert fockspace.cross_check_basis_size(family, k, flavors, 2) == want
 
     def test_self_commutator_trivial(self):
-        elems, modes, _, _ = fockspace.one_flavor_bilinears("sp_real", 2)
-        v = fockspace.flavor_sum(elems[0], 1)
+        v = fockspace.flavor_sum(fockspace.dual_pair("sp_real", 2).a_span[0], 1)
         br = commutator(v, v)
         assert br.is_zero()
 
     def test_central_charge_equals_flavor_count(self):
         for flavors in (1, 2):
-            elems, modes, _, _ = fockspace.one_flavor_bilinears("sp_real", 1)
+            pair = fockspace.dual_pair("sp_real", 1)
+            elems = pair.a_span
             flav = [fockspace.flavor_sum(e, flavors) for e in elems]
-            blocks = [fockspace.pairing_blocks(e, modes) for e in elems]
+            blocks = [fockspace.pairing_blocks(e, pair.modes) for e in elems]
             found = []
             for s in range(len(elems)):
                 for t in range(len(elems)):
@@ -303,7 +301,7 @@ class TestClosure:
 
         monkeypatch.setattr(fockspace, "quadratic_blocks", counted_blocks)
         monkeypatch.setattr(fockspace, "central_pairing", counted_pairing)
-        n = len(fockspace.one_flavor_bilinears("so_star", 1)[0])
+        n = len(fockspace.dual_pair("so_star", 1).a_span)
         rep = fockspace.truncated_closure_check("so_star", 1, 1, pair_limit=10)
         assert rep.ok
         assert calls == {"blocks": n, "pairing": n * (n + 1) // 2}
@@ -327,10 +325,97 @@ class TestClosure:
                                                        annihilators):
         # a1 a2 and b1* b2* of flavor 1 are no phi~ X phi, so a commutator
         # carrying one must not pass as a member of the algebra
-        _, modes, pol, spec = fockspace.one_flavor_bilinears(family, k)
+        pair = fockspace.dual_pair(family, k)
         stray = mono(creators, annihilators)
-        got = fockspace._closure_structure(stray, family, 1, modes, pol, spec)
+        got = fockspace._closure_structure(stray, family, 1, pair.modes, pair.polarization,
+                                           pair.spec)
         assert got != (True, True)
+
+
+def _gauge_generators_oracle(family: str, k: int, flavors: int) -> list:
+    """The flavor gauge generators as written before the dual-pair
+    constructor, always in flavored modes: i E_ff and the real and
+    imaginary parts of E_fg for u(N), and the doubled diagonal S_ff for
+    sp(2N).  They span the same complex space as the pair's B."""
+    flavored = fockspace._flavored
+    out = []
+    if family == "sp_real":
+        modes = [("c", i) for i in range(1, k + 1)]
+        for f in range(1, flavors + 1):
+            for g in range(f + 1, flavors + 1):
+                el = WeylElement.zero()
+                for m in modes:
+                    el = el + mono([flavored(m, f)], [flavored(m, g)]) \
+                        - mono([flavored(m, g)], [flavored(m, f)])
+                out.append(el)
+        return out
+    if family == "u_pq":
+        a_modes = [("a", i) for i in range(1, k + 1)]
+        b_modes = [("b", i) for i in range(1, k + 1)]
+
+        def add_gen(f, g, c):
+            el = WeylElement.zero()
+            for m in a_modes:
+                el = el + mono([flavored(m, f)], [flavored(m, g)], c)
+                if f != g:
+                    el = el - mono([flavored(m, g)], [flavored(m, f)], c.conj())
+            for m in b_modes:
+                el = el + mono([flavored(m, f)], [flavored(m, g)], c.conj())
+                if f != g:
+                    el = el - mono([flavored(m, g)], [flavored(m, f)], c)
+            out.append(el)
+
+        for f in range(1, flavors + 1):
+            add_gen(f, f, QI(0, 1))
+        for f in range(1, flavors + 1):
+            for g in range(f + 1, flavors + 1):
+                add_gen(f, g, QI(1))
+                add_gen(f, g, QI(0, 1))
+        return out
+    a_modes = [("a", i) for i in range(1, 2 * k + 1)]
+    b_modes = [("b", i) for i in range(1, 2 * k + 1)]
+    for f in range(1, flavors + 1):
+        for g in range(1, flavors + 1):
+            el = WeylElement.zero()
+            for am, bm in zip(a_modes, b_modes):
+                el = el + mono([flavored(am, f)], [flavored(am, g)]) \
+                    - mono([flavored(bm, g)], [flavored(bm, f)])
+            out.append(el)
+    for f in range(1, flavors + 1):
+        for g in range(f, flavors + 1):
+            e_el = WeylElement.zero()
+            f_el = WeylElement.zero()
+            for am, bm in zip(a_modes, b_modes):
+                e_el = e_el + mono([flavored(am, f)], [flavored(bm, g)]) \
+                    + mono([flavored(am, g)], [flavored(bm, f)])
+                f_el = f_el + mono([flavored(bm, f)], [flavored(am, g)]) \
+                    + mono([flavored(bm, g)], [flavored(am, f)])
+            out.append(e_el)
+            out.append(f_el)
+    return out
+
+
+def _weyl_rank(elements) -> int:
+    """Rank of the elements over Q(i), with their Weyl terms as coordinates."""
+    pos: dict = {}
+    return linalg.rank([{pos.setdefault(m, len(pos)): q for m, q in w.terms.items()}
+                        for w in elements])
+
+
+def _acting_span(pair) -> list:
+    """A's span as it acts on the pair's flavors, in the modes B is written
+    in: the span itself for one flavor, its flavor sums otherwise."""
+    if pair.flavors == 1:
+        return pair.a_span
+    return [fockspace.flavor_sum(e, pair.flavors) for e in pair.a_span]
+
+
+_GAUGE_DIMENSION = {"sp_real": lambda n: n * (n - 1) // 2,    # o(N)
+                    "u_pq": lambda n: n * n,                  # u(N)
+                    "so_star": lambda n: 2 * n * n + n}       # sp(2N)
+
+_FAMILIES_K_FLAVORS = [(family, k, flavors) for family in ("sp_real", "u_pq", "so_star")
+                       for k in (1, 2) for flavors in (1, 2, 3)]
 
 
 class TestGaugeAction:
@@ -341,18 +426,18 @@ class TestGaugeAction:
         ("so_star", 1, 2, 10),     # sp(4) compact
     ])
     def test_gauge_commutes_with_bilinears(self, family, k, flavors, count):
-        elems, modes, _, _ = fockspace.one_flavor_bilinears(family, k)
-        flav = [fockspace.flavor_sum(e, flavors) for e in elems]
-        gauge = fockspace.gauge_generators(family, k, flavors)
+        pair = fockspace.dual_pair(family, k, flavors)
+        flav = [fockspace.flavor_sum(e, flavors) for e in pair.a_span]
+        gauge = pair.gauge.span
         assert len(gauge) == count
         for g in gauge:
             for v in flav:
                 assert commutator(g, v).is_zero()
 
     def test_gauge_matrix_action_at_low_level(self):
-        elems, modes, _, _ = fockspace.one_flavor_bilinears("u_pq", 1)
-        flav = [fockspace.flavor_sum(e, 2) for e in elems]
-        gauge = fockspace.gauge_generators("u_pq", 1, 2)
+        pair = fockspace.dual_pair("u_pq", 1, 2)
+        flav = [fockspace.flavor_sum(e, 2) for e in pair.a_span]
+        gauge = list(pair.gauge.span)
         all_modes = sorted({m for w in flav + gauge for m in w.modes()})
         fock = fockspace.enumerate_basis(all_modes, 3)
         for g in gauge[:2]:
@@ -361,6 +446,74 @@ class TestGaugeAction:
                 mv = fockspace.operator_matrix(v, fock)
                 cols = fockspace.safe_columns(fock, mg.level_raise, mv.level_raise)
                 assert (mg @ mv).equal_on_columns(mv @ mg, cols)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_flavor_sp2_is_the_triple(self, k):
+        # E = sum_i a_i* b_i, F = E*, Q = [E, F], the so*(4k) set's charge
+        modes = range(1, 2 * k + 1)
+        e = sum((mono([("a", i)], [("b", i)]) for i in modes), WeylElement.zero())
+        f = sum((mono([("b", i)], [("a", i)]) for i in modes), WeylElement.zero())
+        q = commutator(e, f)
+        gauge = fockspace.dual_pair("so_star", k).gauge
+        assert gauge.span == (e, f, q)
+        assert gauge.cartan == (q,) and gauge.raising == (e,)
+        assert q == oscrep.so_star_generators(k).extras["Q"]
+        assert commutator(q, e) == e.scale(2) and commutator(q, f) == f.scale(-2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_flavor_u1_is_the_charge(self, k):
+        gauge = fockspace.dual_pair("u_pq", k).gauge
+        assert gauge.span == gauge.cartan == (oscrep.unn_generators(k).extras["Q"],)
+        assert gauge.raising == ()
+        if k == 2:
+            assert gauge.span == (oscrep.su22_generators().extras["h"],)
+
+    @pytest.mark.parametrize("family,k,flavors", _FAMILIES_K_FLAVORS)
+    def test_gauge_dimension_and_commutant(self, family, k, flavors):
+        pair = fockspace.dual_pair(family, k, flavors)
+        gauge = pair.gauge.span
+        assert len(gauge) == _weyl_rank(gauge) == _GAUGE_DIMENSION[family](flavors)
+        for g in gauge:
+            for v in _acting_span(pair):
+                assert commutator(g, v).is_zero()
+
+    @pytest.mark.parametrize("family,k,flavors", _FAMILIES_K_FLAVORS)
+    def test_gauge_spans_the_oracle_space(self, family, k, flavors):
+        gauge = list(fockspace.dual_pair(family, k, flavors).gauge.span)
+        oracle = _gauge_generators_oracle(family, k, flavors)
+        if flavors == 1:   # the pair writes one flavor's B without the flavor index
+            oracle = [fockspace._flavor_parts(w, 1)[0] for w in oracle]
+        assert _weyl_rank(gauge) == _weyl_rank(oracle) == _weyl_rank(gauge + oracle)
+
+    @pytest.mark.parametrize("family,k,flavors", [
+        ("u_pq", 1, 2), ("u_pq", 2, 3), ("so_star", 1, 2), ("so_star", 2, 3),
+    ])
+    def test_negative_control_one_mode_number_operator(self, family, k, flavors):
+        gauge = fockspace.dual_pair(family, k, flavors).gauge
+        bad = mono([("a", 1, 1)], [("a", 1, 1)])
+        assert any(not commutator(bad, g).is_zero() for g in gauge.span)
+
+    @pytest.mark.parametrize("family", ["u_pq", "so_star"])
+    def test_raising_operators_are_positive_root_vectors(self, family):
+        # each raising operator lies in the span and is a joint eigenvector of
+        # the commuting Cartan operators whose first nonzero weight is positive
+        gauge = fockspace.dual_pair(family, 1, 3).gauge
+        assert _weyl_rank(gauge.span + gauge.cartan + gauge.raising) == len(gauge.span)
+        assert all(commutator(h, g).is_zero() for h in gauge.cartan for g in gauge.cartan)
+        for e in gauge.raising:
+            weight = [oscrep.scalar_ratio(commutator(h, e), e) for h in gauge.cartan]
+            assert None not in weight
+            assert next(x for x in weight if x).real_fraction() > 0
+
+    def test_sp2n_invariant_raises(self, monkeypatch):
+        # [S_ff, S_ff*] = E_ff is checked by raising, so it also holds under -O
+        monkeypatch.setattr(fockspace, "commutator", lambda x, y: WeylElement.zero())
+        with pytest.raises(oscrep.AlgebraError, match="generator invariant"):
+            fockspace.dual_pair("so_star", 1).gauge
+
+    def test_unknown_family_is_refused(self):
+        with pytest.raises(fockspace.FockError, match="unknown dual-pair family"):
+            fockspace.dual_pair("so_odd", 1)
 
 
 def conj_transpose_weighted(m: fockspace.SparseOperator) -> fockspace.SparseOperator:

@@ -40,13 +40,14 @@ class TestSu22:
     def test_su22_agrees_with_u22(self):
         # su(2,2) and u(2,2) share the A3 Chevalley set; the helicity h
         # is the u(2,2) charge Q
-        s, u = oscrep.su22_generators(), oscrep.unn_generators(2)
-        assert (s.E, s.F, s.H) == (u.E, u.F, u.H)
-        assert s.cartan_matrix == u.cartan_matrix
-        assert s.polarization == u.polarization
-        for key in ("E_theta", "F_theta", "H_theta"):
-            assert s.extras[key] == u.extras[key]
-        assert s.extras["h"] == u.extras["Q"]
+        u = oscrep.unn_generators(2)
+        for s in (oscrep.su22_generators(), oscrep.su22_generators(u)):
+            assert s.algebra_label == "su22"
+            assert (s.E, s.F, s.H) == (u.E, u.F, u.H)
+            assert s.cartan_matrix == u.cartan_matrix
+            for key in ("E_theta", "F_theta", "H_theta"):
+                assert s.extras[key] == u.extras[key]
+            assert s.extras["h"] == u.extras["Q"]
 
     def test_corrupted_generator_detected(self):
         g = oscrep.su22_generators()
@@ -117,8 +118,7 @@ class TestSoStar:
 
     def test_sp2_triple_relation(self):
         for n in (1, 2):
-            g = oscrep.so_star_generators(n)
-            e, f, q = g.extras["sp2_E"], g.extras["sp2_F"], g.extras["sp2_Q"]
+            e, f, q = fockspace.dual_pair("so_star", n).gauge.span
             assert commutator(e, f) == q
             assert commutator(q, e) == e.scale(2)
             assert commutator(q, f) == f.scale(-2)
@@ -134,14 +134,15 @@ class TestSoStar:
 class TestDualPairs:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sp2_commutes_with_so_star(self, n):
-        g = oscrep.so_star_generators(n)
-        elems = oscrep.so_star_pair_elements(g)
-        rep = oscrep.check_dual_pair(oscrep.sp2_triple(n), [w for _, w in elems])
+        pair = fockspace.dual_pair("so_star", n)
+        elems = oscrep.so_star_pair_elements(pair.chevalley)
+        rep = oscrep.check_dual_pair(pair.gauge.span, [w for _, w in elems])
         assert rep.ok
 
     def test_helicity_commutes_with_u22(self):
-        h = oscrep.su22_generators().extras["h"]
-        basis = oscrep.u22_weight_basis()
+        gens, pol = _su22()
+        h = gens.extras["h"]
+        basis = oscrep.u22_weight_basis(gens, pol)
         assert len(basis) == 16
         rep = oscrep.check_dual_pair([h], [w for _, w in basis])
         assert rep.ok
@@ -155,10 +156,22 @@ class TestDualPairs:
 
 class TestGradingAndCentralizer:
     def test_theta_grading(self):
-        assert oscrep.theta_grading_check().ok
+        assert oscrep.theta_grading_check(*_su22()).ok
 
     def test_sl2_centralizer_dimension(self):
-        assert oscrep.sl2_centralizer_check().ok
+        assert oscrep.sl2_centralizer_check(*_su22()).ok
+
+
+def _su22():
+    """The su(2,2) set and the polarization of a1, a2, b1, b2, off one pair."""
+    pair = fockspace.dual_pair("u_pq", 2)
+    return oscrep.su22_generators(pair.chevalley), pair.polarization
+
+
+def _so_star(n):
+    """The so*(4n) set and its polarization, off one pair."""
+    pair = fockspace.dual_pair("so_star", n)
+    return pair.chevalley, pair.polarization
 
 
 def _qi_mat(rows):
@@ -321,8 +334,8 @@ class TestMembership:
         else:
             bases = {}
             for k in (1, 2):
-                elems, modes, _, _ = fockspace.one_flavor_bilinears("sp_real", k)
-                bases[k] = [mode_action_matrix(e, modes) for e in elems]
+                pair = fockspace.dual_pair("sp_real", k)
+                bases[k] = [mode_action_matrix(e, pair.modes) for e in pair.a_span]
         verdicts = _verdicts_against_oracle(family, bases, _dense_membership_oracle)
         assert True in verdicts and False in verdicts
 
@@ -395,7 +408,7 @@ class TestGroupLevelGolden:
                                   linalg.mat_mul(sigma, g)) == sigma
 
     def test_u22_weight_basis_closes_under_brackets(self):
-        basis = [w for _, w in oscrep.u22_weight_basis()]
+        basis = [w for _, w in oscrep.u22_weight_basis(*_su22())]
         for x in basis:
             for y in basis:
                 assert oscrep._in_weyl_span(basis + [WeylElement.one()],
@@ -404,7 +417,7 @@ class TestGroupLevelGolden:
 
 class TestCasimir:
     def test_n1_defect_vanishes(self):
-        d, rep = oscrep.casimir_defect(1)
+        d, rep = oscrep.casimir_defect(*_so_star(1))
         assert rep.ok
         assert d.is_zero()
 
@@ -416,17 +429,17 @@ class TestCasimir:
                             SimpleNamespace(perf_counter=lambda: time.perf_counter() + skew[0]))
         build = oscrep.casimir_elements
 
-        def slow(n):
+        def slow(*args):
             skew[0] += 1.0
-            return build(n)
+            return build(*args)
 
         monkeypatch.setattr(oscrep, "casimir_elements", slow)
-        _, rep = oscrep.casimir_defect(1)
+        _, rep = oscrep.casimir_defect(*_so_star(1))
         assert rep.ok
         assert sum(r.wall_ms for r in rep.records) >= 1000
 
     def test_n1_scale_search_reports_unity(self):
-        _, rep = oscrep.casimir_defect(1)
+        _, rep = oscrep.casimir_defect(*_so_star(1))
         scale = [r for r in rep.records if "scale-search" in r.check_id]
         assert scale and scale[0].passed
         assert "lambda = 1" in scale[0].detail
@@ -444,7 +457,7 @@ class TestCasimir:
             oscrep._dual_basis([[[QI(1)]], [[QI(0, 1)]]])
 
     def test_vacuum_eigenvalue(self):
-        d, _ = oscrep.casimir_defect(1)
+        d, _ = oscrep.casimir_defect(*_so_star(1))
         modes = [A1, A2, B1, B2]
         fock = fockspace.enumerate_basis(modes, 2)
         m = fockspace.operator_matrix(d, fock)
@@ -455,9 +468,10 @@ class TestCasimir:
 
 class TestNilpotentCone:
     def test_symbolic_identity(self):
-        rep = oscrep.nilpotent_cone_check()
+        gens = oscrep.so_star_generators(2)
+        rep = oscrep.nilpotent_cone_check(gens)
         assert rep.ok
-        assert oscrep.nilpotent_cone_defect().is_zero()
+        assert oscrep.nilpotent_cone_defect(gens).is_zero()
 
     def test_corrupted_identity_fails(self):
         ex = oscrep.so_star_generators(2).extras
@@ -467,7 +481,8 @@ class TestNilpotentCone:
         assert not bad.is_zero()
 
     def test_matrix_image_at_cutoff_four(self):
-        ex = oscrep.so_star_generators(2).extras
+        gens = oscrep.so_star_generators(2)
+        ex = gens.extras
         modes = [("a", i) for i in range(1, 5)] + [("b", i) for i in range(1, 5)]
         fock = fockspace.enumerate_basis(modes, 4)
         m = {k: fockspace.operator_matrix(ex[k], fock)
@@ -476,5 +491,5 @@ class TestNilpotentCone:
         rhs = m["E_13"] @ m["E_24"]
         cols = fockspace.safe_columns(fock, 2, 2)
         assert lhs.equal_on_columns(rhs, cols)
-        sym = fockspace.operator_matrix(oscrep.nilpotent_cone_defect(), fock)
+        sym = fockspace.operator_matrix(oscrep.nilpotent_cone_defect(gens), fock)
         assert sym.is_zero()

@@ -98,7 +98,7 @@ def test_flavor_sum_bracket_does_n_times_the_one_flavor_work(monkeypatch):
     # terms of different flavors share no mode, so the bracket of two sums
     # over N flavors is N copies of the one-flavor bracket, and should cost
     # N times its work, not N^2 times
-    elems, _, _, _ = fockspace.one_flavor_bilinears("so_star", 1)
+    elems = fockspace.dual_pair("so_star", 1).a_span
     flavored = {n: [fockspace.flavor_sum(e, n) for e in elems[:6]] for n in (1, 3)}
     made = _record_monomials(monkeypatch)
     counts = {}
