@@ -429,6 +429,8 @@ def _validate(args):
         raise UsageError("--n must be at least 1")
     if getattr(args, "n", 1) > DESK_SCALE_N:
         raise UsageError(f"--n is capped at the desk scale {DESK_SCALE_N}")
+    if getattr(args, "algebra", None) == "su22" and args.n != 2:
+        raise UsageError("--algebra su22 has rank 2: --n must be 2")
     if getattr(args, "k", 1) < 1 or getattr(args, "k", 1) > DESK_SCALE_N:
         raise UsageError(f"--k must be between 1 and {DESK_SCALE_N}")
     if getattr(args, "flavors", 1) < 1 or getattr(args, "flavors", 1) > 4:

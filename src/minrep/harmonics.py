@@ -5,7 +5,9 @@ variables, simultaneous eigenfunctions of the conformal Hamiltonian
 H = z.d/dz + 1, the total angular momentum L^2 and its third component L3.
 Each (n, l) ladder is built once: an explicit top seed at m = l, lowered
 step by step with L- = L1 - i L2 down to m = -l; construction and
-verification are exact over Q(i).
+verification are exact over Q(i).  Each operator (the Laplacian, Euler,
+H, L1, L2, L3 and L+-) is one ``poly.DiffOp`` built once at import and
+applied in one pass over a polynomial's terms; L^2 applies each L_j twice.
 
 Also provides the rational embedding of Minkowski points into the complex
 quadric coordinates z(x) and its sphere identity sum z^2 = conj(w)/w.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .poly import Poly, monomials_of_degree
+from .poly import DiffOp, Poly, monomials_of_degree
 from .reports import Report
 from .scalars import QI
 
@@ -34,51 +36,58 @@ def _z(i: int) -> Poly:
     return Poly.variable(NVARS, i, _ONE)
 
 
+def _x_d(u: int, d: int) -> DiffOp:
+    """z_u d/dz_d."""
+    return DiffOp({(u, d, 1): 1})
+
+
+_LAPLACIAN = DiffOp({(None, i, 2): 1 for i in range(NVARS)})
+_EULER = DiffOp({(i, i, 1): 1 for i in range(NVARS)})
+_HAMILTONIAN = _EULER + DiffOp({(None, None, 0): 1})
+
+_EPS = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
+
+# L_j = i eps_{jkl} z_l d/dz_k on the first three variables: for each
+# positively oriented (k, l) = (a, b), i (z_b d_a - z_a d_b).
+_L = {j: (_x_d(b - 1, a - 1) - _x_d(a - 1, b - 1)).scale(_I)
+      for (a, b), j in _EPS.items()}
+_LOWERING = _L[1] - _L[2].scale(_I)
+_RAISING = _L[1] + _L[2].scale(_I)
+
+
 def laplacian(p: Poly) -> Poly:
-    out = Poly(NVARS)
-    for i in range(NVARS):
-        out = out + p.diff(i).diff(i)
-    return out
+    return _LAPLACIAN(p)
 
 
 def euler(p: Poly) -> Poly:
-    out = Poly(NVARS)
-    for i in range(NVARS):
-        out = out + p.diff(i).mul_var(i)
-    return out
+    return _EULER(p)
 
 
 def conformal_hamiltonian(p: Poly) -> Poly:
-    return euler(p) + p
-
-
-_EPS = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
+    """H = z.d/dz + 1."""
+    return _HAMILTONIAN(p)
 
 
 def angular_momentum(j: int, p: Poly) -> Poly:
     """L_j = i eps_{jkl} z_l d/dz_k acting on the first three variables."""
-    out = Poly(NVARS)
-    for (a, b), c in _EPS.items():
-        if c == j:
-            # eps_{j k l} with (k, l) = (a, b) positive orientation
-            out = out + p.diff(a - 1).mul_var(b - 1).scale(_I)
-            out = out - p.diff(b - 1).mul_var(a - 1).scale(_I)
-    return out
+    return _L[j](p)
 
 
 def l_squared(p: Poly) -> Poly:
     out = Poly(NVARS)
     for j in (1, 2, 3):
-        out = out + angular_momentum(j, angular_momentum(j, p))
+        out = out + _L[j](_L[j](p))
     return out
 
 
 def lowering(p: Poly) -> Poly:
-    return angular_momentum(1, p) - angular_momentum(2, p).scale(_I)
+    """L- = L1 - i L2."""
+    return _LOWERING(p)
 
 
 def raising(p: Poly) -> Poly:
-    return angular_momentum(1, p) + angular_momentum(2, p).scale(_I)
+    """L+ = L1 + i L2."""
+    return _RAISING(p)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,12 @@ Gaussian ground state e^(-u.ub/2), in the coordinates u = sqrt(2) z of the
 light-cone spinor z, where every coefficient is a Gaussian rational.  With
 v a mode's own variable (u_alpha for a_alpha, ub_alpha for b_alpha) and vb
 its partner, the mode acts as c = d/dv and c* = v - d/dvb: the Gaussian is
-folded into the action.  The inner product is evaluated by the exact
-moment rule u^a ub^a -> a!, which gives the ground state unit norm.
+folded into the action.  Each of the eight operators, and each
+derivative through the Gaussian, is one ``poly.DiffOp`` built once at
+import and applied in one pass over a polynomial's terms; a Weyl element
+sums all its terms' images into one accumulator.  The inner product is
+evaluated by the exact moment rule u^a ub^a -> a!, which gives the
+ground state unit norm.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .poly import Poly, monomials_up_to
+from .lincomb import combine
+from .poly import DiffOp, Poly, monomials_up_to
 from .reports import Report
 from .scalars import QI
 from .weylalg import WeylElement
@@ -38,19 +43,26 @@ def _conj_var(i: int) -> int:
     return i + 2 if i < 2 else i - 2
 
 
+_EFF_DIFF = tuple(DiffOp({(None, i, 1): 1, (_conj_var(i), None, 0): -_HALF})
+                  for i in range(NVARS))
+
+
 def eff_diff(p: Poly, i: int) -> Poly:
     """Derivative through the Gaussian: d_i(P e^-u.ub/2) = (d_i P - vb P/2) e^-u.ub/2."""
-    return p.diff(i) - p.mul_var(_conj_var(i)).scale(_HALF)
+    return _EFF_DIFF[i](p)
 
 
-def _operator(mode, creator: bool):
+def _operator(mode, creator: bool) -> DiffOp:
     """c = d/dv, or c* = v - d/dvb, for the mode's own variable v."""
     kind, alpha = mode
     v = (_U if kind == "a" else _UB)[alpha - 1]
     if not creator:
-        return lambda p: p.diff(v)
-    vb = _conj_var(v)
-    return lambda p: p.mul_var(v) - p.diff(vb)
+        return DiffOp({(None, v, 1): 1})
+    return DiffOp({(v, None, 0): 1, (None, _conj_var(v), 1): -1})
+
+
+_OPS = {(mode, creator): _operator(mode, creator)
+        for mode in MODES for creator in (False, True)}
 
 
 @dataclass(frozen=True)
@@ -67,16 +79,15 @@ class DiffOpRealization:
         return p
 
     def apply(self, w: WeylElement, p: Poly) -> Poly:
-        out = Poly(NVARS)
+        acc: dict = {}
         for mono, q in w.terms.items():
             img = self.apply_monomial(mono.creators, mono.annihilators, p)
-            out = out + img.scale(q)
-        return out
+            combine(((m, c * q) for m, c in img.terms.items()), acc)
+        return Poly(NVARS, acc)
 
 
 def realize_schrodinger() -> DiffOpRealization:
-    return DiffOpRealization({(mode, creator): _operator(mode, creator)
-                              for mode in MODES for creator in (False, True)})
+    return DiffOpRealization(dict(_OPS))
 
 
 def _basis(degree: int):

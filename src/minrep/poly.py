@@ -4,11 +4,20 @@ Monomials are exponent tuples; coefficients are any ring type supporting
 +, -, *, truthiness and (for conjugation) .conj().  Every polynomial the
 package builds has ``QI`` coefficients: the harmonic modes, the sphere
 identity and the Gaussian wave functions of the massless model.
+
+``DiffOp`` is the one kernel for the linear differential operators that
+act on them, sums of c * x_u * (d/dx_d)^k with k = 0, 1 or 2 and the
+factor x_u optional.  Applying one walks the polynomial's terms once,
+sums every term's images into one dict and builds one ``Poly``.  An
+operator coefficient that is a real integer is kept as an ``int``, so a
+term's coefficient is multiplied by an int, or not at all when the
+factor is 1.
 """
 
 from __future__ import annotations
 
 from .lincomb import LinComb, combine
+from .scalars import QI
 
 
 class Poly(LinComb):
@@ -82,7 +91,12 @@ class Poly(LinComb):
         return Poly(self.nvars, {m: c.conj() for m, c in self.terms.items()})
 
     def evaluate(self, point):
-        """Evaluate at a point given as a list of coefficient-ring values."""
+        """Evaluate at a point given as a list of coefficient-ring values.
+
+        The zero polynomial evaluates to the zero of the point's ring.
+        """
+        if not self.terms:
+            return point[0] * 0 if point else 0
         total = None
         for m, c in self.terms.items():
             v = c
@@ -107,6 +121,64 @@ class Poly(LinComb):
                             for i, e in enumerate(m) if e)
             parts.append(f"({c})" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
+
+
+class DiffOp(LinComb):
+    """Immutable operator {(u, d, k): c} standing for the sum of c * x_u * d_d^k.
+
+    u is a variable index or None (no factor), d a variable index or None
+    when k = 0; the identity is {(None, None, 0): 1}.  Operators add,
+    subtract and scale like any ``LinComb``; calling one on a ``Poly``
+    applies it.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms: dict | None = None):
+        LinComb.__init__(self, {key: _int_if_integer(c)
+                                for key, c in (terms or {}).items()})
+
+    def scale(self, c) -> "DiffOp":
+        return self._scaled(c)
+
+    def __call__(self, p: Poly) -> Poly:
+        """p with this operator applied, in one walk over p's terms.
+
+        d_d^k takes x_d^n to n x_d^(n-1) for k = 1 and to
+        n (n-1) x_d^(n-2) for k = 2.
+        """
+        acc: dict = {}
+        get = acc.get
+        steps = self.terms.items()
+        for m, c in p.terms.items():
+            for (u, d, k), a in steps:
+                f = a
+                if k:
+                    n = m[d]
+                    if n < k:
+                        continue
+                    e = list(m)
+                    e[d] = n - k
+                    if k == 2:
+                        n *= n - 1
+                    if n != 1:
+                        f = a * n
+                else:
+                    e = list(m)
+                if u is not None:
+                    e[u] += 1
+                key = tuple(e)
+                v = c if type(f) is int and f == 1 else c * f
+                s = get(key)
+                acc[key] = v if s is None else s + v
+        return Poly(p.nvars, acc)
+
+
+def _int_if_integer(c):
+    """c as an int when it is a real integer ``QI``, else c itself."""
+    if type(c) is QI and c.is_real() and c.real_fraction().denominator == 1:
+        return int(c.real_fraction())
+    return c
 
 
 def monomials_of_degree(nvars: int, degree: int):

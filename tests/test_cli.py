@@ -100,9 +100,11 @@ class TestRelations:
 
     @pytest.mark.parametrize("algebra", ["su22", "unn", "so-star"])
     def test_records_are_charged_with_the_generators(self, capsys, monkeypatch, algebra):
-        # the report exists before its generators are built
+        # the report exists before its generators are built; su(2,2) has
+        # rank 2 only
         calls = slow_down(monkeypatch, cli, "_generators")
-        code, out = run(["check-relations", "--algebra", algebra, "--n", "1",
+        rank = "2" if algebra == "su22" else "1"
+        code, out = run(["check-relations", "--algebra", algebra, "--n", rank,
                          "--format", "json"], capsys)
         assert code == 0 and len(calls) == 1
         assert sum(r["wall_ms"] for r in json.loads(out)["records"]) >= 1000
@@ -254,6 +256,20 @@ class TestOtherCommands:
         cfg.write_text(json.dumps({"pair_limit": value}))
         code, out = run(argv + ["--config", str(cfg)], capsys)
         assert code == cli.EXIT_USAGE and out == ""
+
+    @pytest.mark.parametrize("command", ["check-relations", "check-dual-pair"])
+    @pytest.mark.parametrize("value", [1, 5])
+    def test_su22_refuses_another_rank(self, tmp_path, capsys, command, value):
+        # su(2,2) has one rank; a run asked for another once checked su(2,2)
+        argv = [command, "--algebra", "su22", "--format", "json"]
+        code, out = run(argv + ["--n", str(value)], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": value}))
+        code, out = run(argv + ["--config", str(cfg)], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        code, out = run(argv + ["--n", "2"], capsys)
+        assert code == cli.EXIT_OK and json.loads(out)["ok"]
 
     def test_dual_pair(self, capsys):
         code, out = run(["check-dual-pair", "--algebra", "su22",

@@ -113,3 +113,10 @@ _polys = st.dictionaries(st.tuples(*[st.integers(0, 4)] * NVARS), _qi,
 def test_operators_match_oracles_on_random_polynomials(p):
     for name, op, oracle in PAIRS:
         assert op(p) == oracle(p), name
+
+
+def test_zero_polynomial_evaluates_to_the_rings_zero():
+    zero = Poly(NVARS).evaluate([QI(1)] * NVARS)
+    assert type(zero) is QI and zero == QI(0)
+    assert Poly(2).evaluate([Fraction(1, 2)] * 2) == 0
+    assert Poly(NVARS, {(1, 0, 1, 0): QI(2)}).evaluate([QI(0, 1)] * NVARS) == QI(-2)
