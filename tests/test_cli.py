@@ -260,7 +260,7 @@ class TestOtherCommands:
     @pytest.mark.parametrize("command", ["check-relations", "check-dual-pair"])
     @pytest.mark.parametrize("value", [1, 5])
     def test_su22_refuses_another_rank(self, tmp_path, capsys, command, value):
-        # su(2,2) has one rank; a run asked for another once checked su(2,2)
+        # su(2,2) has rank 2 only: another --n is refused, not ignored
         argv = [command, "--algebra", "su22", "--format", "json"]
         code, out = run(argv + ["--n", str(value)], capsys)
         assert code == cli.EXIT_USAGE and out == ""

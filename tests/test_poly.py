@@ -91,10 +91,6 @@ PAIRS = _massless_pairs() + [
 IDS = [name for name, _, _ in PAIRS]
 
 
-def test_every_operator_has_an_oracle():
-    assert len(PAIRS) == 8 + 4 + 3 + 5
-
-
 @pytest.mark.parametrize("name,op,oracle", PAIRS, ids=IDS)
 def test_operator_matches_oracle_on_every_monomial(name, op, oracle):
     for mono in monomials_up_to(NVARS, 5):
