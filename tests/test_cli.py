@@ -218,6 +218,17 @@ class TestDecompose:
                        "--max-states", "500"], capsys)
         assert code == cli.EXIT_USAGE
 
+    def test_bookkeeping_fails_when_b_raises_nothing(self, capsys, monkeypatch):
+        # with B's raising operator zero every lowest-weight vector is an sl2
+        # highest-weight vector, so the irrep content no longer adds up
+        gauge = fockspace.DualPair.gauge.func
+        monkeypatch.setattr(fockspace.DualPair, "gauge", property(
+            lambda self: gauge(self)._replace(raising=(weylalg.WeylElement.zero(),))))
+        code, out = run(["decompose", "--n", "2", "--level", "4", "--format", "json"], capsys)
+        assert code == cli.EXIT_CHECK_FAILED
+        failed = {r["check_id"] for r in json.loads(out)["records"] if not r["passed"]}
+        assert failed == {f"decompose/level{level}/bookkeeping" for level in (2, 3, 4)}
+
 
 class TestOtherCommands:
     def test_harmonics(self, capsys):

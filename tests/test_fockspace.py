@@ -231,6 +231,20 @@ class TestDecomposition:
         for vecs in lw.values():
             assert all(v and all(v.values()) for v in vecs)
 
+    def test_raising_out_of_the_lowest_weight_space_is_refused(self):
+        # a1* b4 raises the gauge charge by 2 like B's E, but does not
+        # commute with so*(8), so it maps lowest-weight vectors out of the space
+        pair, fock = _so_star_setup(2, 3)
+        pair.__dict__["gauge"] = pair.gauge._replace(raising=(mono([("a", 1)], [("b", 4)]),))
+        with pytest.raises(fockspace.FockError, match="leaves the lowest-weight space"):
+            fockspace.joint_weight_decomposition(pair, fock)
+
+    def test_gauge_of_higher_rank_is_refused(self):
+        pair = fockspace.dual_pair("u_pq", 2, flavors=2)
+        fock = fockspace.enumerate_basis(pair.modes, 1)
+        with pytest.raises(fockspace.FockError, match="needs B of rank one"):
+            fockspace.joint_weight_decomposition(pair, fock)
+
     def test_bookkeeping_identity_up_to_level_three(self):
         pair, fock = _so_star_setup(2, 3)
         table = fockspace.joint_weight_decomposition(pair, fock)

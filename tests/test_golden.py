@@ -48,6 +48,8 @@ CASES = {
     "check-dual-pair-so-star-n3": ["check-dual-pair", "--algebra", "so-star", "--n", "3"],
     "closure-so-star-k1-flavors3": ["closure", "--family", "so-star", "--k", "1",
                                     "--flavors", "3"],
+    "decompose-so-star-n3-level4": ["decompose", "--algebra", "so-star", "--n", "3",
+                                    "--level", "4"],
 }
 
 
