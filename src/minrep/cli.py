@@ -38,7 +38,7 @@ class UsageError(ValueError):
 
 def _parse_ranks(text: str):
     lo, _, hi = text.partition("..")
-    return tuple(range(int(lo), int(hi or lo) + 1))
+    return range(int(lo), int(hi or lo) + 1)   # a range, so a huge request is refused unbuilt
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,6 +422,7 @@ def main(argv=None) -> int:
 
 
 DESK_SCALE_N = 8
+TABLE1_MAX_RANK = 30   # table1 costs about rank^4.6 in type A; CI runs up to A30
 
 
 def _validate(args):
@@ -447,9 +448,9 @@ def _validate(args):
         raise UsageError("--pair-limit must be at least 1")
     for fam, least in rootsys._MIN_RANK.items():
         ranks = getattr(args, f"ranks_{fam.lower()}", None)
-        if ranks is not None and (not ranks or ranks[0] < least):
+        if ranks is not None and (not ranks or ranks[0] < least or ranks[-1] > TABLE1_MAX_RANK):
             raise UsageError(f"--ranks-{fam.lower()} must be a nonempty range of ranks "
-                             f">= {least}")
+                             f"from {least} to {TABLE1_MAX_RANK}")
     lcap = getattr(args, "L", 1)
     if args.command == "check-bilocal" and not 1 <= lcap <= 8:
         raise UsageError("--L must be between 1 and 8")

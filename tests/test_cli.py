@@ -84,6 +84,11 @@ class TestTable1:
         ("--ranks-b", "1"),      # below B's minimum rank 2
         ("--ranks-c", "1..3"),   # below C's minimum rank 2
         ("--ranks-d", "2..3"),   # below D's minimum rank 3
+        ("--ranks-a", "2..31"),  # above the top rank 30, for each family
+        ("--ranks-b", "31"),
+        ("--ranks-c", "20..40"),
+        ("--ranks-d", "3..200"),
+        ("--ranks-a", "2..1000000000000"),
     ])
     def test_bad_rank_range_exits_two(self, capsys, flag, value):
         code, _ = run(["table1", flag, value], capsys)
