@@ -47,9 +47,12 @@ def mat_mul(a, b):
 
     Each row of the result sums x * b[k][j] over the nonzero x = a[i][k]
     and the nonzero entries of row k of b.  An entry that no such product
-    reaches holds the zero of the operands' entry ring.
+    reaches holds the zero of the operands' entry ring.  Operands whose
+    shapes do not chain raise ValueError.
     """
     p = len(b[0]) if b else 0
+    if any(len(row) != len(b) for row in a) or any(len(row) != p for row in b):
+        raise ValueError("shape mismatch in mat_mul")
     if not a or not p:
         return [[] for _ in a]
     zero = 0 * (a[0][0] * b[0][0])
@@ -65,7 +68,10 @@ def mat_mul(a, b):
 
 
 def trace_product(a, b):
-    """tr(ab) for a n x m and b m x n, from the nonzero entries, never forming ab."""
+    """tr(ab) for a n x m and b m x n, from the nonzero entries, never forming ab.
+    Any other shapes raise ValueError."""
+    if any(len(row) != len(b) for row in a) or any(len(row) != len(a) for row in b):
+        raise ValueError("shape mismatch in trace_product")
     zero = 0 * (a[0][0] * b[0][0])
     return sum((x * y for i, arow in enumerate(a) for k, x in enumerate(arow)
                 if x and (y := b[k][i])), zero)

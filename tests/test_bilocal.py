@@ -114,19 +114,38 @@ class TestEngineAgainstOracle:
 
     def test_disjoint_flavor_bilinears_form_no_coefficient_product(self, monkeypatch):
         # no term of u shares a flavor with a term of v, so no pair of terms
-        # has a contraction and none of their coefficients is multiplied
-        products = []
-        original = DeltaPoly.__mul__
-        monkeypatch.setattr(DeltaPoly, "__mul__",
-                            lambda a, b: products.append(1) or original(a, b))
+        # has a contraction and none of their coefficients is multiplied; the
+        # coefficient polynomials are summed, never multiplied as DeltaPolys
         m = [[QI(1), QI(2, 1)], [QI(0), QI(0)]]           # flavor 1 with 1, 2
         mp = [[QI(0), QI(0), QI(0)], [QI(0), QI(0), QI(0)],
               [QI(0), QI(0), QI(-3)]]                       # flavor 3 with 3
         u, v = bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4)
+        w = bilocal_field(linalg.transpose(m), 3, 4)
+        products, poly_products = [], []
+        original, poly_original = QI.__mul__, DeltaPoly.__mul__
+        monkeypatch.setattr(QI, "__mul__", lambda a, b: products.append(1) or original(a, b))
+        monkeypatch.setattr(DeltaPoly, "__mul__",
+                            lambda a, b: poly_products.append(1) or poly_original(a, b))
         assert wick_commutator(u, v).is_zero()
         assert products == []
-        assert not wick_commutator(u, bilocal_field(linalg.transpose(m), 3, 4)).is_zero()
+        assert not wick_commutator(u, w).is_zero()
         assert products
+        assert poly_products == []
+
+    def test_contraction_cache_is_bounded_and_changes_no_result(self):
+        rng = random.Random(3)
+        m, mp = ([[QI(rng.randint(-5, 5), rng.randint(-2, 2)) for _ in range(3)]
+                  for _ in range(3)] for _ in range(2))
+        u, v = bilocal_field(m, 1, 2), bilocal_field(mp, 1, 3)
+        bilocal._contractions.cache_clear()
+        cold = wick_commutator(u, v), wick_product(u, v), wick_product(v, u)
+        assert bilocal._contractions.cache_info().currsize > 0
+        warm = wick_commutator(u, v), wick_product(u, v), wick_product(v, u)
+        assert bilocal._contractions.cache_info().hits > 0
+        assert cold == warm
+        assert cold[0] == cold[1] - cold[2] and not cold[0].is_zero()
+        assert bilocal._contractions.cache_info().maxsize == bilocal._CONTRACTION_CACHE_SIZE
+        assert isinstance(bilocal._CONTRACTION_CACHE_SIZE, int)
 
     def test_products_match_oracle_on_pairs(self):
         u = WickElement.normal_product([(1, 1), (2, 1)])
@@ -296,6 +315,29 @@ class TestCommutatorFormula:
             lhs = wick_commutator(bilocal_field(m, 1, 2), bilocal_field(label, 3, 4))
             wrong = bilocal.commutator_rhs(m, linalg.transpose(label))
             assert (lhs != wrong) is fires
+
+    def test_failing_record_renders_a_bounded_defect(self, monkeypatch):
+        # the closed form taken at tM' misses the commutator of a non-symmetric
+        # M'; the record shows the first terms of lhs - rhs and their count,
+        # and a symmetric M' still passes with defect "0"
+        closed = bilocal.commutator_rhs
+        monkeypatch.setattr(bilocal, "commutator_rhs",
+                            lambda a, b: closed(a, linalg.transpose(b)))
+        rng = random.Random(8)
+        for size in (2, 4, 8):
+            m, mp = ([[QI(rng.randint(-9, 9)) / rng.randint(1, 4) for _ in range(size)]
+                      for _ in range(size)] for _ in range(2))
+            mp[0][1] = mp[1][0] + 1
+            rec, = verify_commutator_formula(m, mp).records
+            lhs = wick_commutator(bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4))
+            defect = lhs - closed(m, linalg.transpose(mp))
+            shown = WickElement(dict(sorted(defect.terms.items())[:bilocal._DEFECT_TERMS]))
+            assert not rec.passed
+            assert len(defect.terms) > bilocal._DEFECT_TERMS
+            assert rec.defect == f"{shown} + ... ({len(defect.terms)} terms)"
+            assert len(rec.defect) < 400 < len(str(defect))
+            sym, = verify_commutator_formula(m, linalg.mat_add(mp, linalg.transpose(mp))).records
+            assert sym.passed and sym.defect == "0"
 
 
 class TestFrobenius:

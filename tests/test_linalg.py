@@ -206,6 +206,28 @@ def test_sparse_product_zeros_keep_the_ring(zero, one):
     assert linalg.trace_product([[one, one]], [[one], [-one]]) == zero
 
 
+@pytest.mark.parametrize("a, b", [
+    (linalg.identity(2), linalg.identity(3)),             # inner 2 vs 3
+    (linalg.identity(3), linalg.identity(2)),             # inner 3 vs 2
+    ([[QI(1), QI(2)], [QI(3)]], linalg.identity(2)),       # ragged a
+    (linalg.identity(2), [[QI(1), QI(2)], [QI(3)]]),       # ragged b
+    ([[QI(1)]], []),                                      # 1 x 1 times no rows
+])
+def test_products_refuse_shapes_that_do_not_chain(a, b):
+    with pytest.raises(ValueError, match="shape mismatch in mat_mul"):
+        linalg.mat_mul(a, b)
+    with pytest.raises(ValueError, match="shape mismatch in trace_product"):
+        linalg.trace_product(a, b)
+
+
+def test_trace_product_refuses_a_product_that_is_not_square():
+    a = [[QI(1), QI(2), QI(3)]]                            # 1 x 3
+    b = [[QI(1), QI(0)], [QI(0), QI(1)], [QI(1), QI(1)]]   # 3 x 2: ab is 1 x 2
+    assert linalg.mat_mul(a, b) == [[QI(4), QI(5)]]
+    with pytest.raises(ValueError, match="shape mismatch in trace_product"):
+        linalg.trace_product(a, b)
+
+
 # ---------------------------------------------------------------------------
 # Elimination against the dense Gauss-Jordan it replaced
 
