@@ -147,6 +147,17 @@ class TestOperatorAlgebra:
         p = build_harmonic(4, 2, 2).poly
         assert l_squared(lowering(p)) == lowering(l_squared(p))
 
+    def test_angular_algebra_fails_on_a_scaled_l1(self, monkeypatch):
+        # with L1 doubled each bracket that holds L1 is off by a factor 2,
+        # while H still commutes with L^2 and L3
+        monkeypatch.setitem(harmonics._L, 1, harmonics._L[1].scale(QI(2)))
+        rep = harmonics.angular_algebra_check(3)
+        named = [r for r in rep.records if "L1" in r.check_id]
+        others = [r for r in rep.records if "L1" not in r.check_id]
+        assert len(named) == 3 and len(others) == 2
+        assert any(not r.passed for r in named)
+        assert all(r.passed for r in others)
+
 
 class TestCompactification:
     def test_origin(self):

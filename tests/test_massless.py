@@ -6,7 +6,7 @@ from minrep import massless, oscrep
 from minrep.massless import (ccr_check, inner_product, lightlike_identity,
                              pauli_bilinears, realize_schrodinger, vacuum,
                              vacuum_checks)
-from minrep.poly import Poly, monomials_up_to
+from minrep.poly import DiffOp, Poly, monomials_up_to
 from minrep.scalars import QI, QIS
 
 
@@ -110,6 +110,49 @@ class TestFunctoriality:
         real = realize_schrodinger()
         h = oscrep.su22_generators().extras["h"]
         assert real.apply(h, vacuum()).is_zero()
+
+
+# a1* = u1 - d/dub1 with the sign of its derivative flipped: [a1*, b1*] is
+# then -2, not 0, while every pair of the other seven operators keeps its CCR
+_A1_STAR = (("a", 1), True)
+_A1_STAR_FLIPPED = DiffOp({(0, None, 0): 1, (None, 2, 1): 1})
+
+
+def _split(report, names_perturbed):
+    named = [r for r in report.records if names_perturbed(r.check_id)]
+    others = [r for r in report.records if not names_perturbed(r.check_id)]
+    return named, others
+
+
+class TestNegativeControls:
+    """Each operator-identity check must fail exactly where an operator is wrong."""
+
+    def test_ccr_fails_on_a_flipped_creator(self, monkeypatch):
+        monkeypatch.setitem(massless._OPS, _A1_STAR, _A1_STAR_FLIPPED)
+        named, others = _split(ccr_check(6), lambda cid: "a1*" in cid)
+        assert len(named) == 7 and len(others) == 21
+        assert any(not r.passed for r in named)
+        assert all(r.passed for r in others)
+
+    def test_functoriality_fails_on_a_flipped_creator(self, monkeypatch):
+        gens = oscrep.su22_generators()
+        named_gens = [(f"E{i+1}", e) for i, e in enumerate(gens.E)]
+        named_gens += [(f"F{i+1}", f) for i, f in enumerate(gens.F)]
+        named_gens += [("E_theta", gens.extras["E_theta"]),
+                       ("H_theta", gens.extras["H_theta"])]
+        uses = {n for n, w in named_gens
+                if any(_A1_STAR[0] in mono.creators for mono in w.terms)}
+        assert uses == {"E1", "E_theta", "H_theta"}
+        monkeypatch.setitem(massless._OPS, _A1_STAR, _A1_STAR_FLIPPED)
+
+        def names_perturbed(cid):
+            return bool(uses & set(cid.split("[")[1].rstrip("]").split(",")))
+
+        named, others = _split(massless.realization_functoriality_check(3),
+                               names_perturbed)
+        assert named and others
+        assert any(not r.passed for r in named)
+        assert all(r.passed for r in others)
 
 
 class TestZPicture:
