@@ -426,6 +426,8 @@ TABLE1_MAX_RANK = 30   # table1 costs about rank^4.6 in type A; CI runs up to A3
 
 
 def _validate(args):
+    if args.max_states < 1:
+        raise UsageError("--max-states must be at least 1")
     if getattr(args, "n", 1) < 1:
         raise UsageError("--n must be at least 1")
     if getattr(args, "n", 1) > DESK_SCALE_N:

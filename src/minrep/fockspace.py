@@ -35,7 +35,10 @@ class FockError(ValueError):
 
 
 def basis_size(num_modes: int, cutoff: int) -> int:
-    return sum(comb(num_modes + j - 1, j) for j in range(cutoff + 1))
+    """States of total occupation <= cutoff over num_modes modes: the sum over
+    j of comb(num_modes + j - 1, j), which is comb(num_modes + cutoff, cutoff)
+    (hockey-stick identity), so a huge cutoff costs no loop."""
+    return comb(num_modes + cutoff, cutoff)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,9 @@ step by step with L- = L1 - i L2 down to m = -l; construction and
 verification are exact over Q(i).  Each operator (the Laplacian, Euler,
 H, L1, L2, L3 and L+-) is one ``poly.DiffOp`` built once at import and
 applied in one pass over a polynomial's terms; L^2 applies each L_j twice.
+The angular algebra check wraps H, L^2 and each L_j in a
+``poly.ColumnMap``, built per call, so each operator's image of a unit
+monomial is formed once and every bracket is read off those columns.
 
 Also provides the rational embedding of Minkowski points into the complex
 quadric coordinates z(x) and its sphere identity sum z^2 = conj(w)/w.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .poly import DiffOp, Poly, monomials_of_degree
+from .poly import ColumnMap, DiffOp, Poly, monomials_of_degree, monomials_up_to
 from .reports import Report
 from .scalars import QI
 
@@ -197,21 +200,15 @@ def angular_algebra_check(degree: int = 3) -> Report:
     the given degree.
     """
     rep = Report("harmonics/angular-algebra")
-    basis = [Poly(NVARS, {mm: _ONE}) for d in range(degree + 1)
-             for mm in monomials_of_degree(NVARS, d)]
+    monos = list(monomials_up_to(NVARS, degree))
+    ls = {j: ColumnMap(op, NVARS) for j, op in _L.items()}
     for (j, k), l in _EPS.items():
-        ok = True
-        for p in basis:
-            lhs = angular_momentum(j, angular_momentum(k, p)) \
-                - angular_momentum(k, angular_momentum(j, p))
-            rhs = angular_momentum(l, p).scale(_I)
-            if lhs != rhs:
-                ok = False
-                break
+        ok = all(ls[j].bracket_column(ls[k], m) == ls[l].column(m).scale(_I)
+                 for m in monos)
         rep.add(f"angular/[L{j},L{k}]=iL{l}", ok)
-    for name, op in (("L2", l_squared), ("L3", lambda q: angular_momentum(3, q))):
-        ok = all(conformal_hamiltonian(op(p)) == op(conformal_hamiltonian(p))
-                 for p in basis)
+    h = ColumnMap(_HAMILTONIAN, NVARS)
+    for name, op in (("L2", ColumnMap(l_squared, NVARS)), ("L3", ls[3])):
+        ok = all(h.bracket_column(op, m).is_zero() for m in monos)
         rep.add(f"angular/[H,{name}]=0", ok)
     return rep
 

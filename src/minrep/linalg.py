@@ -27,6 +27,9 @@ def mat_copy(m):
 
 
 def transpose(m):
+    """The transpose of m; a ragged m raises ValueError, so no entry is dropped."""
+    if any(len(row) != len(m[0]) for row in m):
+        raise ValueError("ragged matrix in transpose")
     return [list(col) for col in zip(*m)] if m else []
 
 

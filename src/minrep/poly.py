@@ -12,6 +12,14 @@ sums every term's images into one dict and builds one ``Poly``.  An
 operator coefficient that is a real integer is kept as an ``int``, so a
 term's coefficient is multiplied by an int, or not at all when the
 factor is 1.
+
+``ColumnMap`` holds one linear map Poly -> Poly with its column images:
+the image of each unit monomial, which carries the int 1, formed on the
+first read and then reused.  The image of a polynomial sum c * m is read
+off those columns as sum c * column(m), and a bracket [X, Y] is checked
+column by column, so an operator-identity check applies each operator
+once per monomial it reaches, not once per pair and monomial.  Columns
+live as long as the map, which each check builds afresh.
 """
 
 from __future__ import annotations
@@ -172,6 +180,41 @@ class DiffOp(LinComb):
                 s = get(key)
                 acc[key] = v if s is None else s + v
         return Poly(p.nvars, acc)
+
+
+class ColumnMap:
+    """The linear map `op` on polynomials in `nvars` variables, with each
+    column image formed on its first read and then reused."""
+
+    __slots__ = ("op", "nvars", "columns")
+
+    def __init__(self, op, nvars: int):
+        self.op = op
+        self.nvars = nvars
+        self.columns: dict = {}
+
+    def column(self, m: tuple) -> Poly:
+        """The image of the unit monomial m."""
+        col = self.columns.get(m)
+        if col is None:
+            col = self.columns[m] = self.op(Poly(self.nvars, {m: 1}))
+        return col
+
+    def _add_image(self, p: Poly, acc: dict, sign: int = 1) -> dict:
+        """Sum sign * (the image of p), read off the columns, into acc."""
+        for m, c in p.terms.items():
+            c = c if sign > 0 else -c
+            col = self.column(m).terms.items()
+            combine(col if type(c) is int and c == 1 else ((k, c * v) for k, v in col), acc)
+        return acc
+
+    def __call__(self, p: Poly) -> Poly:
+        return Poly(self.nvars, self._add_image(p, {}))
+
+    def bracket_column(self, other: "ColumnMap", m: tuple) -> Poly:
+        """[self, other] applied to the unit monomial m."""
+        acc = self._add_image(other.column(m), {})
+        return Poly(self.nvars, other._add_image(self.column(m), acc, -1))
 
 
 def _int_if_integer(c):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import itertools
@@ -39,6 +40,29 @@ def slow_down(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, slow)
     return calls
+
+
+def no_suite(args):
+    pytest.fail(f"the {args.command} suite started on a request it must refuse")
+
+
+def subcommands():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+# the shortest valid line of each subcommand
+MINIMAL_ARGV = {
+    "table1": ["table1"],
+    "check-relations": ["check-relations", "--algebra", "su22"],
+    "check-dual-pair": ["check-dual-pair", "--algebra", "su22"],
+    "check-bilocal": ["check-bilocal"],
+    "decompose": ["decompose"],
+    "harmonics": ["harmonics"],
+    "massless": ["massless"],
+    "closure": ["closure", "--family", "so-star"],
+}
 
 
 def run_process(argv, cwd):
@@ -392,6 +416,45 @@ class TestExitCodes:
         code, out = run(["massless", "--format", "json"], capsys)
         assert code == cli.EXIT_CHECK_FAILED
         assert json.loads(out)["ok"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--algebra", "so-star", "--n", "2",
+         "--level", "99999999999999999999"],
+        ["closure", "--family", "so-star", "--level", "99999999999999999999"],
+    ])
+    def test_huge_level_is_refused_before_any_suite_starts(self, capsys, monkeypatch,
+                                                           argv):
+        # the basis is sized in closed form, so the --max-states cap refuses
+        # it at once; a suite that starts fails the test
+        monkeypatch.setattr(cli, "COMMANDS", {name: no_suite for name in cli.COMMANDS})
+        code, out = run(argv, capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_max_states_below_one_exits_two_for_every_subcommand(self, tmp_path, capsys,
+                                                                 monkeypatch, value):
+        started = []
+
+        def suite(args):
+            started.append(args.command)
+            rep = Report(args.command)
+            rep.add(f"{args.command}/started", True)
+            return rep
+
+        monkeypatch.setattr(cli, "COMMANDS", {name: suite for name in cli.COMMANDS})
+        assert set(MINIMAL_ARGV) == set(subcommands())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_states": value}))
+        for name, argv in MINIMAL_ARGV.items():
+            code, out = run(argv + ["--max-states", str(value)], capsys)
+            assert code == cli.EXIT_USAGE and out == "", argv
+            code, out = run(argv + ["--config", str(cfg)], capsys)
+            assert code == cli.EXIT_USAGE and out == "", argv
+            assert not started
+            # the same line under the default cap starts its suite
+            code, _ = run(argv, capsys)
+            assert code == cli.EXIT_OK and started == [name]
+            started.clear()
 
     def test_internal_breach_exits_three(self, capsys, monkeypatch):
         def exploding(*a, **kw):

@@ -39,6 +39,28 @@ class TestBasis:
         with pytest.raises(fockspace.FockError):
             fockspace.enumerate_basis([("c", i) for i in range(8)], 3, max_states=100)
 
+    def test_basis_size_closed_form_equals_the_level_sum(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                             max_examples=200)
+        @hypothesis.given(st.integers(1, 40), st.integers(0, 60))
+        def check(num_modes, cutoff):
+            want = sum(comb(num_modes + j - 1, j) for j in range(cutoff + 1))
+            assert fockspace.basis_size(num_modes, cutoff) == want
+
+        check()
+
+    def test_basis_size_matches_the_enumeration(self):
+        for k, cutoff in ((1, 5), (3, 4), (8, 3)):
+            modes = [("c", i) for i in range(k)]
+            assert fockspace.basis_size(k, cutoff) == fockspace.enumerate_basis(modes, cutoff).dim
+
+    def test_basis_size_of_a_huge_cutoff_is_immediate(self):
+        # the level sum would take about 10^20 steps
+        assert fockspace.basis_size(8, 10 ** 20) == comb(10 ** 20 + 8, 8)
+
 
 class TestOperatorMatrix:
     def test_number_operator(self):

@@ -228,6 +228,21 @@ def test_trace_product_refuses_a_product_that_is_not_square():
         linalg.trace_product(a, b)
 
 
+def test_transpose_refuses_a_ragged_matrix():
+    # zip(*m) would drop the 2 and return [[1, 3]]
+    with pytest.raises(ValueError, match="ragged matrix in transpose"):
+        linalg.transpose([[1, 2], [3]])
+    assert linalg.transpose([[1, 2], [3, 4]]) == [[1, 3], [2, 4]]
+    assert linalg.transpose([]) == []
+
+
+def test_frobenius_refuses_a_ragged_matrix_instead_of_dropping_an_entry():
+    from minrep.bilocal import frobenius
+    # passes frobenius's first-row shape check; before, the 4 was dropped
+    with pytest.raises(ValueError, match="ragged"):
+        frobenius([[1], [3, 4]], [[1], [1]])
+
+
 # ---------------------------------------------------------------------------
 # Elimination against the dense Gauss-Jordan it replaced
 

@@ -124,6 +124,43 @@ def _split(report, names_perturbed):
     return named, others
 
 
+class TestColumnImages:
+    """Each check forms an operator's image of a unit monomial once."""
+
+    @staticmethod
+    def _count_applications(monkeypatch):
+        calls = []
+        original = DiffOp.__call__
+
+        def counted(self, p):
+            calls.append(p)
+            return original(self, p)
+
+        monkeypatch.setattr(DiffOp, "__call__", counted)
+        return calls
+
+    def test_ccr_applies_each_operator_once_per_monomial(self, monkeypatch):
+        calls = self._count_applications(monkeypatch)
+        assert ccr_check(6).ok
+        # 8 operators x 330 monomials of degree <= 7; 23 520 when each
+        # bracket applied both operators to every monomial
+        assert 0 < len(calls) <= 8 * len(list(monomials_up_to(4, 7))) == 2640
+        # every column is formed in int arithmetic from the int unit
+        assert all(type(c) is int for p in calls for c in p.terms.values())
+
+    def test_functoriality_reuses_each_column(self, monkeypatch):
+        calls = self._count_applications(monkeypatch)
+        assert massless.realization_functoriality_check(3).ok
+        assert 0 < len(calls) <= 3000   # 10 010 when realized per bracket
+
+    def test_checks_keep_no_columns_between_calls(self, monkeypatch):
+        calls = self._count_applications(monkeypatch)
+        ccr_check(2)
+        first = len(calls)
+        ccr_check(2)
+        assert len(calls) == 2 * first
+
+
 class TestNegativeControls:
     """Each operator-identity check must fail exactly where an operator is wrong."""
 

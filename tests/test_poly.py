@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minrep import harmonics, massless
-from minrep.poly import Poly, monomials_up_to
+from minrep.poly import ColumnMap, Poly, monomials_up_to
 from minrep.scalars import QI
 
 NVARS = 4
@@ -116,3 +116,48 @@ def test_zero_polynomial_evaluates_to_the_rings_zero():
     assert type(zero) is QI and zero == QI(0)
     assert Poly(2).evaluate([Fraction(1, 2)] * 2) == 0
     assert Poly(NVARS, {(1, 0, 1, 0): QI(2)}).evaluate([QI(0, 1)] * NVARS) == QI(-2)
+
+
+# ---------------------------------------------------------------------------
+# ColumnMap: a linear map read off its cached unit-monomial images
+
+
+def _counted(op):
+    calls = []
+
+    def wrapped(p):
+        calls.append(p)
+        return op(p)
+    return wrapped, calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_polys)
+def test_column_map_image_equals_the_map(p):
+    for name, op, _ in PAIRS:
+        assert ColumnMap(op, NVARS)(p) == op(p), name
+
+
+def test_column_map_forms_each_column_once_from_an_int_unit():
+    op, calls = _counted(harmonics.laplacian)
+    lap = ColumnMap(op, NVARS)
+    monos = list(monomials_up_to(NVARS, 3))
+    for _ in range(2):
+        for m in monos:
+            lap.column(m)
+    assert len(calls) == len(monos)
+    assert all(q.terms == {m: 1} and type(q.terms[m]) is int
+               for q, m in zip(calls, monos))
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=_polys)
+def test_bracket_columns_are_the_composed_bracket(p):
+    ops = {name: op for name, op, _ in PAIRS}
+    for a, b in (("a1", "a1*"), ("a1*", "b1*"), ("L1", "L2"), ("H", "L-"), ("L+", "laplacian")):
+        x, y = ColumnMap(ops[a], NVARS), ColumnMap(ops[b], NVARS)
+        want = ops[a](ops[b](p)) - ops[b](ops[a](p))
+        got = Poly(NVARS)
+        for m, c in p.terms.items():
+            got = got + x.bracket_column(y, m).scale(c)
+        assert got == want, (a, b)
