@@ -71,14 +71,9 @@ class DeltaPoly(LinComb):
     def scale(self, c) -> "DeltaPoly":
         return self._scaled(QI.of(c))
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in sorted(self.terms.items()):
-            sym = "*".join(f"D{k}{l}" for k, l in m)
-            parts.append(f"({c})" + (f"*{sym}" if sym else ""))
-        return " + ".join(parts)
+    def _term(self, m, c) -> str:
+        sym = "*".join(f"D{k}{l}" for k, l in m)
+        return f"({c})" + (f"*{sym}" if sym else "")
 
 
 _DP_ZERO = DeltaPoly({})
@@ -100,9 +95,6 @@ def delta_double(i: int, j: int) -> DeltaPoly:
 # Wick elements
 
 Field = tuple  # (point label, flavor)
-
-# A failing formula record renders this many terms of lhs - rhs, then the count.
-_DEFECT_TERMS = 4
 
 
 class WickElement(LinComb):
@@ -128,19 +120,8 @@ class WickElement(LinComb):
             c = DeltaPoly.const(c)
         return self._scaled(c)
 
-    def __str__(self):
-        return self.render()
-
-    def render(self, limit: int | None = None) -> str:
-        """The terms in sorted order; past `limit` of them, only their count."""
-        if not self.terms:
-            return "0"
-        items = sorted(self.terms.items())
-        parts = [f"[{c}] " + ("".join(f":phi{f}(x{p})" for p, f in m) + ":" if m else "1")
-                 for m, c in items[:limit]]
-        if len(parts) < len(items):
-            parts.append(f"... ({len(items)} terms)")
-        return " + ".join(parts)
+    def _term(self, m, c) -> str:
+        return f"[{c}] " + ("".join(f":phi{f}(x{p})" for p, f in m) + ":" if m else "1")
 
 
 def _contraction_sets(left: tuple, right: tuple):
@@ -276,14 +257,12 @@ def commutator_rhs(m, mp) -> WickElement:
 
 
 def verify_commutator_formula(m, mp) -> Report:
-    """Exact equality of the Wick commutator against the closed form.  A
-    failing record shows the first _DEFECT_TERMS terms of lhs - rhs."""
+    """Exact equality of the Wick commutator against the closed form."""
     rep = Report("bilocal/commutator-formula")
     lhs = wick_commutator(bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4))
     rhs = commutator_rhs(m, mp)
-    ok = lhs == rhs
-    rep.add(f"bilocal/formula/L{len(m)}", ok,
-            defect="0" if ok else (lhs - rhs).render(_DEFECT_TERMS))
+    # the difference costs more than the comparison, so only a failure forms it
+    rep.identity(f"bilocal/formula/L{len(m)}", WickElement.zero() if lhs == rhs else lhs - rhs)
     return rep
 
 
@@ -343,6 +322,11 @@ def _vec(m):
     return {k: c for k, c in enumerate(c for row in m for c in row) if c}
 
 
+def _mat(v, size: int):
+    """The size x size matrix of a sparse vector over row-major positions."""
+    return [[v.get(i * size + j, QI_ZERO) for j in range(size)] for i in range(size)]
+
+
 class ReducibleAlgebraError(ValueError):
     """The algebra acts reducibly; decompose before classifying."""
 
@@ -358,9 +342,19 @@ def commutant_basis(mats, size: int):
                 combine(((i * size + k, -QI.of(m[k][j])) for k in range(size) if m[k][j]),
                         row)
                 rows.append({col: x for col, x in row.items() if x})
-    kern = linalg.kernel(rows, size * size)
-    return [[[v.get(i * size + j, QI_ZERO) for j in range(size)] for i in range(size)]
-            for v in kern]
+    return [_mat(v, size) for v in linalg.kernel(rows, size * size)]
+
+
+def invariance_algebra(span, size: int):
+    """Basis of every antisymmetric A with tA M + M A = 0 for all M in `span`.
+
+    For antisymmetric A that is [M, A] = 0, so these are the antisymmetric
+    elements of the commutant.  When the span is closed under transposition
+    the commutant is too, and they are the parts X - tX of its elements;
+    one reduction of those parts gives the basis.
+    """
+    parts = [_vec(linalg.mat_sub(x, linalg.transpose(x))) for x in commutant_basis(span, size)]
+    return [_mat(v, size) for v in linalg.rref(parts)[0]]
 
 
 def commutant_type(alg: TAlgebra):
@@ -514,7 +508,8 @@ def _block_diag(block, copies: int):
     b = len(block)
     out = [[QI_ZERO] * (b * copies) for _ in range(b * copies)]
     for c in range(copies):
-        _put(out, c, c, block, b)
+        for i in range(b):
+            out[c * b + i][c * b:(c + 1) * b] = block[i]
     return out
 
 
@@ -539,59 +534,21 @@ def canonical_m_span(kind: str, n: int):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def gauge_algebra_basis(kind: str, n: int):
-    """Antisymmetric generators of O(N), U(N) or Sp(2N) on flavor space."""
-    if kind == "R":
-        return _flavor_blocks(n, 1, diag_blocks=[], sym_off=[],
-                              antisym_off=[linalg.identity(1)])
-    if kind == "C":
-        return _flavor_blocks(n, 2, diag_blocks=[_J],
-                              sym_off=[_J], antisym_off=[linalg.identity(2)])
-    if kind == "H":
-        ls = {q: quaternion_left(q) for q in _UNITS}
-        one4 = ls["1"]
-        imag = [ls["i"], ls["j"], ls["k"]]
-        return _flavor_blocks(n, 4, diag_blocks=imag,
-                              sym_off=imag, antisym_off=[one4])
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _flavor_blocks(n: int, b: int, diag_blocks, sym_off, antisym_off):
-    out = []
-    for f in range(n):
-        for blk in diag_blocks:
-            m = [[QI_ZERO] * (n * b) for _ in range(n * b)]
-            _put(m, f, f, blk, b)
-            out.append(m)
-    for f in range(n):
-        for g in range(f + 1, n):
-            for blk in antisym_off:
-                m = [[QI_ZERO] * (n * b) for _ in range(n * b)]
-                _put(m, f, g, blk, b)
-                _put(m, g, f, [[-x for x in row] for row in blk], b)
-                out.append(m)
-            for blk in sym_off:
-                m = [[QI_ZERO] * (n * b) for _ in range(n * b)]
-                _put(m, f, g, blk, b)
-                _put(m, g, f, blk, b)
-                out.append(m)
-    return out
-
-
-def _put(m, f, g, blk, b):
-    for i in range(b):
-        for j in range(b):
-            m[f * b + i][g * b + j] = blk[i][j]
+def gauge_dimension(kind: str, n: int) -> int:
+    """dim o(N), u(N) or sp(2N): the full invariance algebra of the R, C or H labels."""
+    return {"R": n * (n - 1) // 2, "C": n * n, "H": n * (2 * n + 1)}[kind]
 
 
 def canonical_form_check(kind: str, n: int) -> Report:
-    """Closure of the canonical span and gauge invariance of its bilinears.
+    """Closure of the canonical span and its full invariance algebra.
 
     (a) the span of the labeling matrices is closed under the four
     products of the commutator formula (tM M', M tM', M M', M' M);
-    (b) every gauge generator A satisfies tA M + M A = 0, so the bilocal
-    transforms trivially; checked both on matrices and through the Wick
-    engine as V_{tA M + M A} = 0.
+    (b) the antisymmetric A with tA M + M A = 0 for every M in the span,
+    read off one kernel, span o(N), u(N) or sp(2N) by dimension, so the
+    gauge group is all of the bilocal's invariance group;
+    (c) every generator of that kernel leaves the bilocal invariant,
+    checked both on matrices and through the Wick engine as V_{tA M + M A} = 0.
     """
     rep = Report(f"bilocal/canonical/{kind}/N{n}")
     span = canonical_m_span(kind, n)
@@ -608,7 +565,10 @@ def canonical_form_check(kind: str, n: int) -> Report:
                 closed = False
     rep.add(f"canonical/{kind}/N{n}/closure", closed,
             detail="span closed under transpose and the four products")
-    gauge = gauge_algebra_basis(kind, n)
+    gauge = invariance_algebra(span, len(span[0]))
+    want = gauge_dimension(kind, n)
+    rep.add(f"canonical/{kind}/N{n}/full-invariance", len(gauge) == want,
+            detail=f"dim {len(gauge)}, expected {want}")
     ok_mat = True
     ok_wick = True
     for a in gauge:
@@ -622,9 +582,10 @@ def canonical_form_check(kind: str, n: int) -> Report:
             if not bilocal_field(var, 1, 2).is_zero():
                 ok_wick = False
     rep.add(f"canonical/{kind}/N{n}/gauge-matrix", ok_mat,
-            detail="tA M + M A = 0 for all gauge generators")
+            detail=f"tA M + M A = 0 for each of the {len(gauge)} kernel generators")
     rep.add(f"canonical/{kind}/N{n}/gauge-wick", ok_wick,
-            detail="transformed bilocal vanishes in the Wick engine")
+            detail=f"transformed bilocal vanishes in the Wick engine for each of the "
+                   f"{len(gauge)} kernel generators")
     try:
         TAlgebra(span)
     except ValueError as exc:

@@ -259,6 +259,13 @@ def run_check_bilocal(args) -> Report:
     for kind_name, n in (("R", 2), ("C", 1), ("H", 1)):
         rep.extend(bilocal.canonical_form_check(kind_name, n))
 
+    # negative control: without J the complex span at N = 2 is the identity
+    # alone, whose invariance algebra is all of o(4), not u(2)
+    dim = len(bilocal.invariance_algebra(bilocal.canonical_m_span("C", 2)[:1], 4))
+    want = bilocal.gauge_dimension("C", 2)
+    rep.add("bilocal/negative-control/C-N2-without-J", dim != want, negative_control=True,
+            detail=f"dim {dim} must differ from dim u(2) = {want}")
+
     # negative control: with a non-symmetric M' the closed form taken at
     # the transpose of M' must miss the Wick commutator
     size = max(2, args.L)
@@ -423,6 +430,7 @@ def main(argv=None) -> int:
 
 DESK_SCALE_N = 8
 TABLE1_MAX_RANK = 30   # table1 costs about rank^4.6 in type A; CI runs up to A30
+MAX_TRIALS = 1000      # check-bilocal runs 1000 trials at --L 8 in about 35 s
 
 
 def _validate(args):
@@ -440,8 +448,8 @@ def _validate(args):
         raise UsageError("--flavors must be between 1 and 4")
     if getattr(args, "nmax", 1) < 1 or getattr(args, "nmax", 1) > 12:
         raise UsageError("--nmax must be between 1 and 12")
-    if getattr(args, "trials", 1) < 1:
-        raise UsageError("--trials must be at least 1")
+    if not 1 <= getattr(args, "trials", 1) <= MAX_TRIALS:
+        raise UsageError(f"--trials must be between 1 and {MAX_TRIALS}")
     if getattr(args, "seed", 0) < 0 or getattr(args, "seed", 0) >= 2 ** 64:
         raise UsageError("--seed must fit in 64 bits")
     if getattr(args, "level", 0) < 0:

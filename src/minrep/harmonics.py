@@ -7,7 +7,8 @@ Each (n, l) ladder is built once: an explicit top seed at m = l, lowered
 step by step with L- = L1 - i L2 down to m = -l; construction and
 verification are exact over Q(i).  Each operator (the Laplacian, Euler,
 H, L1, L2, L3 and L+-) is one ``poly.DiffOp`` built once at import and
-applied in one pass over a polynomial's terms; L^2 applies each L_j twice.
+applied in one pass over a polynomial's terms; L^2 is L- L+ + L3 (L3 + 1),
+three applications once L3 is applied, which rests on [L1, L2] = i L3.
 The angular algebra check wraps H, L^2 and each L_j in a
 ``poly.ColumnMap``, built per call, so each operator's image of a unit
 monomial is formed once and every bracket is read off those columns.
@@ -77,10 +78,13 @@ def angular_momentum(j: int, p: Poly) -> Poly:
 
 
 def l_squared(p: Poly) -> Poly:
-    out = Poly(NVARS)
-    for j in (1, 2, 3):
-        out = out + _L[j](_L[j](p))
-    return out
+    """L^2 = L- L+ + L3 (L3 + 1), which rests on [L1, L2] = i L3."""
+    return _l_squared(p, _L[3](p))
+
+
+def _l_squared(p: Poly, l3p: Poly) -> Poly:
+    """L^2 p from p and its image l3p = L3 p."""
+    return _LOWERING(_RAISING(p)) + _L[3](l3p) + l3p
 
 
 def lowering(p: Poly) -> Poly:
@@ -169,9 +173,10 @@ def verify_mode(h: Poly, n: int, l: int, m: int) -> Report:
     rep.add(f"mode/{n},{l},{m}/laplacian", laplacian(h).is_zero())
     d = conformal_hamiltonian(h) - h.scale(QI(n))
     rep.add(f"mode/{n},{l},{m}/conformal-hamiltonian", d.is_zero())
-    d2 = l_squared(h) - h.scale(QI(l * (l + 1)))
+    l3h = angular_momentum(3, h)
+    d2 = _l_squared(h, l3h) - h.scale(QI(l * (l + 1)))
     rep.add(f"mode/{n},{l},{m}/L2", d2.is_zero())
-    d3 = angular_momentum(3, h) - h.scale(QI(m))
+    d3 = l3h - h.scale(QI(m))
     rep.add(f"mode/{n},{l},{m}/L3", d3.is_zero())
     rep.add(f"mode/{n},{l},{m}/nonzero", not h.is_zero())
     return rep

@@ -27,9 +27,10 @@ def combine(pairs, acc: dict) -> dict:
 class LinComb:
     """Immutable {key: coefficient} element; the constructor drops zeros.
 
-    Subclasses add their constructors, their product and their rendering,
-    and coerce the argument of their public ``scale`` into the ring before
-    calling ``_scaled``.  ``_like`` builds a new element of the same kind.
+    Subclasses add their constructors and their product, render one term
+    in ``_term``, and coerce the argument of their public ``scale`` into
+    the ring before calling ``_scaled``.  ``_like`` builds a new element of
+    the same kind.
     """
 
     __slots__ = ("terms",)
@@ -77,3 +78,19 @@ class LinComb:
         if not c:
             return self._like({})
         return self._like({k: c * v for k, v in self.terms.items()})
+
+    def _term(self, key, c) -> str:
+        return f"({c}) {key}"
+
+    def render(self, limit: int | None = None) -> str:
+        """The terms in sorted key order; past `limit` of them, only their count."""
+        if not self.terms:
+            return "0"
+        items = sorted(self.terms.items())
+        parts = [self._term(key, c) for key, c in items[:limit]]
+        if len(parts) < len(items):
+            parts.append(f"... ({len(items)} terms)")
+        return " + ".join(parts)
+
+    def __str__(self):
+        return self.render()

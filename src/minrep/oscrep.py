@@ -351,29 +351,29 @@ def check_chevalley(gens: GeneratorSet) -> Report:
     c = gens.cartan_matrix
     for i in range(r):
         d = commutator(gens.E[i], gens.F[i]) - gens.H[i]
-        rep.add(f"{gens.algebra_label}/EF/{i + 1}", d.is_zero(), defect=str(d))
+        rep.identity(f"{gens.algebra_label}/EF/{i + 1}", d)
     for i in range(r):
         for j in range(r):
             if i != j:
                 d = commutator(gens.E[i], gens.F[j])
-                rep.add(f"{gens.algebra_label}/EFcross/{i + 1},{j + 1}", d.is_zero(), defect=str(d))
+                rep.identity(f"{gens.algebra_label}/EFcross/{i + 1},{j + 1}", d)
             dh = commutator(gens.H[i], gens.E[j]) - gens.E[j].scale(c[i][j])
-            rep.add(f"{gens.algebra_label}/HE/{i + 1},{j + 1}", dh.is_zero(), defect=str(dh))
+            rep.identity(f"{gens.algebra_label}/HE/{i + 1},{j + 1}", dh)
             df = commutator(gens.H[i], gens.F[j]) + gens.F[j].scale(c[i][j])
-            rep.add(f"{gens.algebra_label}/HF/{i + 1},{j + 1}", df.is_zero(), defect=str(df))
+            rep.identity(f"{gens.algebra_label}/HF/{i + 1},{j + 1}", df)
     for i in range(r):
         for j in range(i + 1, r):
             d = commutator(gens.H[i], gens.H[j])
-            rep.add(f"{gens.algebra_label}/HH/{i + 1},{j + 1}", d.is_zero(), defect=str(d))
+            rep.identity(f"{gens.algebra_label}/HH/{i + 1},{j + 1}", d)
     for i in range(r):
         for j in range(r):
             if i == j:
                 continue
             k = 1 - c[i][j]
             de = ad_power(gens.E[i], gens.E[j], k)
-            rep.add(f"{gens.algebra_label}/serreE/{i + 1},{j + 1}", de.is_zero(), defect=str(de))
+            rep.identity(f"{gens.algebra_label}/serreE/{i + 1},{j + 1}", de)
             df = ad_power(gens.F[i], gens.F[j], k)
-            rep.add(f"{gens.algebra_label}/serreF/{i + 1},{j + 1}", df.is_zero(), defect=str(df))
+            rep.identity(f"{gens.algebra_label}/serreF/{i + 1},{j + 1}", df)
     return rep
 
 
@@ -397,11 +397,11 @@ def check_theta_sl2(gens: GeneratorSet) -> Report:
     rep = Report(f"theta-sl2/{gens.algebra_label}")
     et, ft, ht = (gens.extras[k] for k in ("E_theta", "F_theta", "H_theta"))
     d1 = commutator(ht, et) - et.scale(2)
-    rep.add(f"{gens.algebra_label}/theta/HE", d1.is_zero(), defect=str(d1))
+    rep.identity(f"{gens.algebra_label}/theta/HE", d1)
     d2 = commutator(ht, ft) + ft.scale(2)
-    rep.add(f"{gens.algebra_label}/theta/HF", d2.is_zero(), defect=str(d2))
+    rep.identity(f"{gens.algebra_label}/theta/HF", d2)
     d3 = commutator(et, ft) - ht
-    rep.add(f"{gens.algebra_label}/theta/EF", d3.is_zero(), defect=str(d3))
+    rep.identity(f"{gens.algebra_label}/theta/EF", d3)
     return rep
 
 
@@ -414,7 +414,7 @@ def check_dual_pair(gens_a: list, gens_b: list, label: str = "dual-pair",
     for na, x in zip(names_a, gens_a):
         for nb, y in zip(names_b, gens_b):
             d = commutator(x, y)
-            rep.add(f"{label}/[{na},{nb}]", d.is_zero(), defect=str(d))
+            rep.identity(f"{label}/[{na},{nb}]", d)
     return rep
 
 
@@ -638,7 +638,7 @@ def casimir_defect(gens: GeneratorSet, pol: Polarization):
     for i, (e, f, h) in enumerate(zip(gens.E, gens.F, gens.H), start=1):
         for tag, g in (("E", e), ("F", f), ("H", h)):
             c = commutator(d, g)
-            rep.add(f"{gens.algebra_label}/casimir/[D,{tag}{i}]", c.is_zero(), defect=str(c))
+            rep.identity(f"{gens.algebra_label}/casimir/[D,{tag}{i}]", c)
 
     # scale search: lambda C_so = C_u - sym(E E*) up to a central constant
     target = c_u - ee
@@ -676,7 +676,7 @@ def nilpotent_cone_defect(gens: GeneratorSet):
 def nilpotent_cone_check(gens: GeneratorSet) -> Report:
     rep = Report("nilpotent-cone/so*(8)")
     d = nilpotent_cone_defect(gens)
-    rep.add("so*(8)/cone/identity", d.is_zero(), defect=str(d))
+    rep.identity("so*(8)/cone/identity", d)
     ex = gens.extras
     corrupted = (normal_product(ex["E_12"], ex["E_34"])
                  + normal_product(ex["E_14"], ex["E_23"])

@@ -117,18 +117,9 @@ class Poly(LinComb):
     def leading_monomial(self) -> tuple:
         return min(self.terms)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            mono = "*".join(f"x{i}^{e}" if e > 1 else f"x{i}"
-                            for i, e in enumerate(m) if e)
-            parts.append(f"({c})" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
+    def _term(self, m, c) -> str:
+        mono = "*".join(f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(m) if e)
+        return f"({c})" + (f"*{mono}" if mono else "")
 
 
 class DiffOp(LinComb):

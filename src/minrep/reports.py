@@ -6,6 +6,9 @@ import json
 import time
 from dataclasses import dataclass, field
 
+# A failing identity record renders this many terms of its defect, then the count.
+DEFECT_TERMS = 4
+
 
 @dataclass
 class CheckRecord:
@@ -64,6 +67,10 @@ class Report:
                           lap if wall_ms is None else wall_ms)
         self.records.append(rec)
         return rec
+
+    def identity(self, check_id: str, defect) -> CheckRecord:
+        """Record the identity whose defect, an exact element, must be zero."""
+        return self.add(check_id, defect.is_zero(), defect=defect.render(DEFECT_TERMS))
 
     def extend(self, other: "Report") -> None:
         """Merge `other`'s records, which carry their own times.

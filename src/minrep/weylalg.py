@@ -179,15 +179,7 @@ class WeylElement(LinComb):
 
     # -- rendering ---------------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0].creators, kv[0].annihilators))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({q}) {m}" for m, q in self.sorted_terms())
-
-    __repr__ = __str__
+    __repr__ = LinComb.__str__
 
 
 _ZERO = WeylElement({})

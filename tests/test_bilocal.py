@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from minrep import bilocal, linalg
+from minrep import bilocal, linalg, reports
 from minrep.bilocal import (DeltaPoly, TAlgebra, WickElement, bilocal_field,
                             canonical_form_check, commutant_type,
                             delta_commutator, frobenius,
@@ -331,9 +331,9 @@ class TestCommutatorFormula:
             rec, = verify_commutator_formula(m, mp).records
             lhs = wick_commutator(bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4))
             defect = lhs - closed(m, linalg.transpose(mp))
-            shown = WickElement(dict(sorted(defect.terms.items())[:bilocal._DEFECT_TERMS]))
+            shown = WickElement(dict(sorted(defect.terms.items())[:reports.DEFECT_TERMS]))
             assert not rec.passed
-            assert len(defect.terms) > bilocal._DEFECT_TERMS
+            assert len(defect.terms) > reports.DEFECT_TERMS
             assert rec.defect == f"{shown} + ... ({len(defect.terms)} terms)"
             assert len(rec.defect) < 400 < len(str(defect))
             sym, = verify_commutator_formula(m, linalg.mat_add(mp, linalg.transpose(mp))).records
@@ -422,9 +422,74 @@ class TestCanonicalForms:
                 assert linalg.in_span(vecs, bilocal._vec(linalg.mat_mul(a, b)))
 
     def test_gauge_dimensions(self):
-        assert len(bilocal.gauge_algebra_basis("R", 3)) == 3       # o(3)
-        assert len(bilocal.gauge_algebra_basis("C", 2)) == 4       # u(2)
-        assert len(bilocal.gauge_algebra_basis("H", 2)) == 10      # sp(4)
+        assert len(gauge_oracle("R", 3)) == 3       # o(3)
+        assert len(gauge_oracle("C", 2)) == 4       # u(2)
+        assert len(gauge_oracle("H", 2)) == 10      # sp(4)
+
+    @pytest.mark.parametrize("kind", ["R", "C", "H"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_invariance_algebra_is_the_oracle_gauge_algebra(self, kind, n):
+        span = bilocal.canonical_m_span(kind, n)
+        kernel = bilocal.invariance_algebra(span, len(span[0]))
+        oracle = gauge_oracle(kind, n)
+        assert len(kernel) == len(oracle) == bilocal.gauge_dimension(kind, n)
+        assert same_span(kernel, oracle)
+        # a list missing one generator spans less than the kernel
+        if oracle:
+            assert not same_span(kernel, oracle[1:])
+
+    def test_complex_span_without_j_has_a_larger_invariance_algebra(self):
+        one, _ = bilocal.canonical_m_span("C", 2)
+        assert len(bilocal.invariance_algebra([one], 4)) == 6      # o(4), not u(2)
+
+    def test_full_invariance_record_fails_on_a_short_kernel(self, monkeypatch):
+        kernel = bilocal.invariance_algebra
+        monkeypatch.setattr(bilocal, "invariance_algebra", lambda s, n: kernel(s, n)[1:])
+        records = {r.check_id: r for r in canonical_form_check("C", 2).records}
+        rec = records["canonical/C/N2/full-invariance"]
+        assert not rec.passed and rec.detail == "dim 3, expected 4"
+
+
+# ---------------------------------------------------------------------------
+# The gauge algebras o(N), u(N) and sp(2N) built by hand, block by block on
+# flavor space, as the oracle for the invariance algebra read off the kernel.
+
+
+def gauge_oracle(kind: str, n: int):
+    """Antisymmetric generators of O(N), U(N) or Sp(2N) on flavor space."""
+    if kind == "R":
+        return _flavor_blocks(n, 1, diag_blocks=[], sym_off=[],
+                              antisym_off=[linalg.identity(1)])
+    if kind == "C":
+        return _flavor_blocks(n, 2, diag_blocks=[bilocal._J],
+                              sym_off=[bilocal._J], antisym_off=[linalg.identity(2)])
+    imag = [bilocal.quaternion_left(q) for q in "ijk"]
+    return _flavor_blocks(n, 4, diag_blocks=imag, sym_off=imag,
+                          antisym_off=[bilocal.quaternion_left("1")])
+
+
+def _flavor_blocks(n, b, diag_blocks, sym_off, antisym_off):
+    def placed(*blocks):
+        m = [[QI(0)] * (n * b) for _ in range(n * b)]
+        for f, g, blk in blocks:
+            for i in range(b):
+                for j in range(b):
+                    m[f * b + i][g * b + j] = blk[i][j]
+        return m
+
+    out = [placed((f, f, blk)) for f in range(n) for blk in diag_blocks]
+    for f in range(n):
+        for g in range(f + 1, n):
+            out += [placed((f, g, blk), (g, f, [[-x for x in row] for row in blk]))
+                    for blk in antisym_off]
+            out += [placed((f, g, blk), (g, f, blk)) for blk in sym_off]
+    return out
+
+
+def same_span(mats, others):
+    vecs = [bilocal._vec(m) for m in mats]
+    return (linalg.rank(vecs) == linalg.rank(vecs + [bilocal._vec(m) for m in others])
+            == linalg.rank([bilocal._vec(m) for m in others]))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,31 @@ MINIMAL_ARGV = {
 }
 
 
+def exit_code(argv, capsys):
+    """(exit code, stdout) of one line, also when argparse exits on it."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def typed_options():
+    """(subcommand, flag, config key) for every option that has a type."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[0], action.dest)
+            for name, parser in sub.choices.items()
+            for action in parser._actions if action.type is not None]
+
+
+# every typed option refuses these; a huge value is refused too, except where
+# it only raises a cap
+BAD_VALUES = ["abc", 1.5, "", -1]
+HUGE = 10 ** 20
+RAISES_A_CAP = {"--max-states", "--pair-limit"}
+
+
 def run_process(argv, cwd):
     """Run `python -m minrep` in a fresh interpreter: (exit code, stdout, stderr)."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -416,6 +441,24 @@ class TestExitCodes:
         code, out = run(["massless", "--format", "json"], capsys)
         assert code == cli.EXIT_CHECK_FAILED
         assert json.loads(out)["ok"] is False
+
+    @pytest.mark.parametrize("command,flag,key", typed_options())
+    def test_every_typed_option_refuses_bad_values(self, tmp_path, capsys, monkeypatch,
+                                                   command, flag, key):
+        # on the line and through --config alike, before any suite starts
+        monkeypatch.setattr(cli, "COMMANDS", {name: no_suite for name in cli.COMMANDS})
+        cfg = tmp_path / "cfg.json"
+        for value in BAD_VALUES + ([] if flag in RAISES_A_CAP else [HUGE]):
+            code, out = exit_code(MINIMAL_ARGV[command] + [flag, str(value)], capsys)
+            assert (code, out) == (cli.EXIT_USAGE, ""), value
+            cfg.write_text(json.dumps({key: value}))
+            code, out = exit_code(MINIMAL_ARGV[command] + ["--config", str(cfg)], capsys)
+            assert (code, out) == (cli.EXIT_USAGE, ""), value
+
+    def test_the_walk_reaches_every_subcommand_and_the_trials_cap(self):
+        walked = typed_options()
+        assert {name for name, _, _ in walked} == set(subcommands()) == set(MINIMAL_ARGV)
+        assert ("check-bilocal", "--trials", "trials") in walked
 
     @pytest.mark.parametrize("argv", [
         ["decompose", "--algebra", "so-star", "--n", "2",

@@ -9,7 +9,7 @@ from minrep.harmonics import (HarmonicError, angular_momentum, build_harmonic,
                               compactify, conformal_hamiltonian,
                               l_squared, lowering, raising,
                               sphere_identity_defect, verify_mode)
-from minrep.poly import Poly, monomials_of_degree
+from minrep.poly import Poly, monomials_of_degree, monomials_up_to
 from minrep.scalars import QI
 
 
@@ -142,6 +142,15 @@ class TestOperatorAlgebra:
             mono = tuple(rng.randint(0, d) for _ in range(4))
             p = Poly(4, {mono: QI(1)})
             assert conformal_hamiltonian(p) == p.scale(QI(sum(mono) + 1))
+
+    def test_l2_from_the_ladder_agrees_with_the_sum_of_squares(self):
+        # the oracle L^2 = L1^2 + L2^2 + L3^2, on every monomial of degree <= 6
+        for mono in monomials_up_to(4, 6):
+            p = Poly(4, {mono: QI(1)})
+            want = Poly(4)
+            for j in (1, 2, 3):
+                want = want + angular_momentum(j, angular_momentum(j, p))
+            assert l_squared(p) == want
 
     def test_l2_commutes_with_lowering(self):
         p = build_harmonic(4, 2, 2).poly

@@ -57,6 +57,19 @@ class TestSu22:
         failing = {r.check_id for r in rep.failures()}
         assert "su22/EFcross/1,2" in failing
 
+    def test_broken_set_renders_a_bounded_defect(self):
+        # each failing record shows at most DEFECT_TERMS terms and the count
+        g = oscrep.unn_generators(3)
+        g.H[0] = g.H[0] + g.H[1] + g.H[2] + g.E[0] + g.F[2]
+        failing = {r.check_id: r for r in oscrep.check_chevalley(g).failures()}
+        assert failing
+        for rec in failing.values():
+            assert rec.defect.count(" + ") <= reports.DEFECT_TERMS
+        defect = commutator(g.E[0], g.F[0]) - g.H[0]
+        shown = WeylElement(dict(sorted(defect.terms.items())[:reports.DEFECT_TERMS]))
+        assert len(defect.terms) > reports.DEFECT_TERMS
+        assert failing["u(3,3)/EF/1"].defect == f"{shown} + ... ({len(defect.terms)} terms)"
+
 
 class TestUnn:
     @pytest.mark.parametrize("n", [1, 2, 3])

@@ -4,7 +4,9 @@ from types import SimpleNamespace
 import pytest
 
 from minrep import reports
+from minrep.poly import Poly
 from minrep.reports import Report
+from minrep.scalars import QI
 
 
 def test_ok_requires_every_record_including_controls():
@@ -63,6 +65,17 @@ def test_text_rendering_shows_defects():
     rep.add("bad", False, defect="(1) a1* a1")
     text = rep.to_text()
     assert "FAIL bad" in text and "(1) a1* a1" in text
+
+
+def test_identity_passes_on_a_zero_defect_and_bounds_a_nonzero_one():
+    rep = Report("t")
+    zero = Poly(2)
+    assert rep.identity("zero", zero).passed and rep.records[0].defect == "0"
+    big = Poly(2, {(e, 0): QI(e + 1) for e in range(reports.DEFECT_TERMS + 2)})
+    rec = rep.identity("big", big)
+    assert not rec.passed
+    assert rec.defect == "(1) + (2)*x0 + (3)*x0^2 + (4)*x0^3 + ... (6 terms)"
+    assert str(big).count(" + ") == 5
 
 
 def test_each_record_is_timed_from_the_one_before(monkeypatch):
