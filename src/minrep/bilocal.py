@@ -6,15 +6,19 @@ symbols, so every identity proved here is an identity of Wick
 combinatorics with no analytic input.  Wick coefficients are polynomials
 in those symbols with ``QI`` coefficients; a contraction set is a tuple
 of (k, l) monomial keys, which the product appends to the keys of each
-coefficient.  The product and the commutator share one kernel: it sums
-every Wick term into one flat {normal product: {D-monomial: coefficient}}
-dict and builds each DeltaPoly once at the end, and it reads each pair of
-normal products' contraction sets from a bounded cache, since the same
+coefficient.  The product and the commutator share one kernel: it hands
+every Wick term's coefficient product to ``scalars.sum_products``, which
+sums them in ints per (normal product, D-monomial) and reduces each total
+once, and builds each DeltaPoly once from those totals; it reads each pair
+of normal products' contraction sets from a bounded cache, since the same
 pairs of fields meet again in every product of bilinears.  The commutator
 is formed from the contracted terms alone, in one pass, since the
 uncontracted terms of uv and vu cancel.  The closed form is summed into
-the same dict shape, so the formula check is one dict comparison, and a
-failing check renders only the first terms of its defect.  On top of
+the same dict shape through ``linalg``'s products, a route apart from the
+Wick combinatorics, so the formula check is one dict comparison, and a
+failing check renders only the first terms of its defect.  Over ``QI``
+both routes sum their scalar products through ``scalars.sum_products``, so
+the check does not test that kernel; its oracle tests do.  On top of
 the engine sit the closed commutator formula for matrix-labeled
 bilinears, the Frobenius pairing of the labeling matrix algebra, and the
 real/complex/quaternionic commutant classification; the labeling
@@ -30,7 +34,7 @@ from functools import lru_cache
 from . import linalg
 from .lincomb import LinComb, combine
 from .reports import Report
-from .scalars import QI, QI_ONE, QI_ZERO
+from .scalars import QI, QI_ONE, QI_ZERO, sum_products
 
 # ---------------------------------------------------------------------------
 # Polynomials in the contraction symbols D+_{kl}
@@ -89,6 +93,11 @@ def delta_double(i: int, j: int) -> DeltaPoly:
     """Central double contraction D+_{1i} D+_{2j} - D+_{i1} D+_{j2}."""
     return (DeltaPoly.symbol(1, i) * DeltaPoly.symbol(2, j)
             - DeltaPoly.symbol(i, 1) * DeltaPoly.symbol(j, 2))
+
+
+# the two central double contractions of the closed commutator formula
+_DD_12_34 = delta_double(3, 4)
+_DD_12_43 = delta_double(4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -180,24 +189,30 @@ def _contractions(left: tuple, right: tuple) -> tuple:
 
 def _wick_sum(term_pairs, commutator: bool) -> WickElement:
     """Sum the Wick terms of the given pairs of terms into one flat
-    {normal product: {D-monomial: coefficient}} dict and build each DeltaPoly
-    once at the end.  Each pair's coefficient products c1*c2 are formed once
-    and added under every contraction set S; for the commutator the empty set
-    is skipped and each S also adds -c1*c2 under its transpose tS."""
+    {(normal product, D-monomial): coefficient} dict and build each DeltaPoly
+    once at the end.  Each pair's coefficient products c1*c2 go to
+    scalars.sum_products under every contraction set S, which sums them in
+    ints and reduces each total once; for the commutator the empty set is
+    skipped and each S also adds -c1*c2 under its transpose tS."""
     out: dict = {}
+    for (key, mono), c in sum_products(_wick_items(term_pairs, commutator)).items():
+        out.setdefault(key, {})[mono] = c
+    return WickElement({key: DeltaPoly(acc) for key, acc in out.items()})
+
+
+def _wick_items(term_pairs, commutator: bool):
+    """((normal product, D-monomial), c1, c2, sign) for every Wick term."""
     for (fa, ca), (fb, cb) in term_pairs:
         sets = _contractions(fa, fb)
-        prods = [(m1 + m2, c1 * c2) for m1, c1 in ca.terms.items()
-                 for m2, c2 in cb.terms.items()]
         if commutator:
             sets = sets[1:]
-            negs = [(m, -c) for m, c in prods]
-        for key, pairs, tpairs in sets:
-            acc = out.setdefault(key, {})
-            combine(((tuple(sorted(m + pairs)), c) for m, c in prods), acc)
-            if commutator:
-                combine(((tuple(sorted(m + tpairs)), c) for m, c in negs), acc)
-    return WickElement({key: DeltaPoly(acc) for key, acc in out.items()})
+        for m1, c1 in ca.terms.items():
+            for m2, c2 in cb.terms.items():
+                m = m1 + m2
+                for key, pairs, tpairs in sets:
+                    yield (key, tuple(sorted(m + pairs)) if m else pairs), c1, c2, 1
+                    if commutator:
+                        yield (key, tuple(sorted(m + tpairs)) if m else tpairs), c1, c2, -1
 
 
 def wick_product(u: WickElement, v: WickElement) -> WickElement:
@@ -249,10 +264,10 @@ def commutator_rhs(m, mp) -> WickElement:
                     combine(((((k, l),), c), (((l, k),), -c)),
                             out.setdefault(tuple(sorted(((p, i), (q, j)))), {}))
     central = out.setdefault(_EMPTY, {})
-    for (i, j), c in (((3, 4), linalg.trace_product(tm, mp)),
-                      ((4, 3), linalg.trace_product(m, mp))):
+    for dd, c in ((_DD_12_34, linalg.trace_product(tm, mp)),
+                  (_DD_12_43, linalg.trace_product(m, mp))):
         c = QI.of(c)
-        combine(((mono, c * s) for mono, s in delta_double(i, j).terms.items()), central)
+        combine(((mono, c * s) for mono, s in dd.terms.items()), central)
     return WickElement({key: DeltaPoly(acc) for key, acc in out.items()})
 
 

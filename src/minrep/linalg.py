@@ -2,7 +2,9 @@
 
 Products stay dense: ``mat_mul`` and ``trace_product`` take lists of
 lists and skip their zero entries, since the matrices the suites multiply
-are mostly zeros.  Elimination is sparse end to end: ``rref``, ``rank``,
+are mostly zeros.  Over ``QI`` they sum each entry's products in ints
+through ``scalars.sum_products``; other rings (Fraction, Poly) add them
+with ``combine``.  Elimination is sparse end to end: ``rref``, ``rank``,
 ``kernel``, ``solve``, ``inverse`` and ``in_span`` take rows as
 ``{column: entry}`` dicts and return rows and vectors the same way, none
 holding a zero entry.  Gauss-Jordan runs in exact field arithmetic, so
@@ -19,7 +21,7 @@ rows with no entry.
 from __future__ import annotations
 
 from .lincomb import combine
-from .scalars import QI
+from .scalars import QI, sum_products
 
 
 def mat_copy(m):
@@ -63,7 +65,12 @@ def mat_mul(a, b):
     out = []
     for arow in a:
         row = [zero] * p
-        acc = combine(((j, x * y) for x, brow in zip(arow, brows) if x for j, y in brow), {})
+        if type(zero) is QI:
+            acc = sum_products((j, x, y, 1) for x, brow in zip(arow, brows) if x
+                               for j, y in brow)
+        else:
+            acc = combine(((j, x * y) for x, brow in zip(arow, brows) if x for j, y in brow),
+                          {})
         for j, s in acc.items():
             row[j] = s
         out.append(row)
@@ -76,8 +83,11 @@ def trace_product(a, b):
     if any(len(row) != len(b) for row in a) or any(len(row) != len(a) for row in b):
         raise ValueError("shape mismatch in trace_product")
     zero = 0 * (a[0][0] * b[0][0])
-    return sum((x * y for i, arow in enumerate(a) for k, x in enumerate(arow)
-                if x and (y := b[k][i])), zero)
+    terms = ((x, y) for i, arow in enumerate(a) for k, x in enumerate(arow)
+             if x and (y := b[k][i]))
+    if type(zero) is QI:
+        return sum_products((0, x, y, 1) for x, y in terms).get(0, zero)
+    return sum((x * y for x, y in terms), zero)
 
 
 def trace(m):

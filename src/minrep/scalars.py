@@ -5,6 +5,10 @@ Q(i).  A ``QI`` holds three ints ``(a, b, d)``, the value (a + b*i)/d,
 kept reduced: d > 0 and gcd(a, b, d) = 1, with zero stored as (0, 0, 1).
 Equal values therefore have equal fields, and arithmetic runs on ints;
 ``.re`` and ``.im`` give the components as ``fractions.Fraction``.
+``sum_products`` sums many products x*y per key in ints and reduces each
+total once, giving the QI that ``+`` and ``*`` give without building one
+per operation; outside QI's own methods it is the one reader of the
+fields.
 ``QIS`` is the ring Q(i)[s]/(s^2 - 2).  No suite computes in it:
 the massless model runs over ``QI`` in u = sqrt(2) z coordinates.  The
 class stays only because the benchmark's layer tracer counts
@@ -183,6 +187,43 @@ def _reduced(a: int, b: int, d: int) -> QI:
     _set_b(q, b)
     _set_d(q, d)
     return q
+
+
+def sum_products(items) -> dict:
+    """{key: sum of sign * x * y} over (key, x, y, sign) items, sign 1 or -1.
+
+    x and y are QI, int or Fraction, read as QI.of reads them.  Each key's
+    sum is kept as two int numerators over a running denominator: a product
+    adds its numerators when their denominators agree, and otherwise both
+    sides are brought over the lcm of the two, found through their gcd.
+    Each total is reduced once, at the end, into the same QI that QI
+    arithmetic gives; keys whose total is zero are left out.
+    """
+    acc: dict = {}
+    get = acc.get
+    for key, x, y, sign in items:
+        if type(x) is not QI:
+            x = QI.of(x)
+        if type(y) is not QI:
+            y = QI.of(y)
+        a, b, d = x._a, x._b, x._d
+        c, e, f = y._a, y._b, y._d
+        if sign < 0:
+            a, b = -a, -b
+        re, im, den = a * c - b * e, a * e + b * c, d * f
+        s = get(key)
+        if s is None:
+            acc[key] = [re, im, den]
+        elif s[2] == den:
+            s[0] += re
+            s[1] += im
+        else:
+            g = gcd(s[2], den)
+            u, v = den // g, s[2] // g
+            s[0] = s[0] * u + re * v
+            s[1] = s[1] * u + im * v
+            s[2] *= u
+    return {key: _reduced(*s) for key, s in acc.items() if s[0] or s[1]}
 
 
 def _imag_str(im: Fraction) -> str:

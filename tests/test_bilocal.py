@@ -114,23 +114,33 @@ class TestEngineAgainstOracle:
 
     def test_disjoint_flavor_bilinears_form_no_coefficient_product(self, monkeypatch):
         # no term of u shares a flavor with a term of v, so no pair of terms
-        # has a contraction and none of their coefficients is multiplied; the
-        # coefficient polynomials are summed, never multiplied as DeltaPolys
+        # is visited and none of their coefficients is multiplied; the
+        # coefficient products are summed in ints by sum_products, never built
+        # as QI or DeltaPoly products
         m = [[QI(1), QI(2, 1)], [QI(0), QI(0)]]           # flavor 1 with 1, 2
         mp = [[QI(0), QI(0), QI(0)], [QI(0), QI(0), QI(0)],
               [QI(0), QI(0), QI(-3)]]                       # flavor 3 with 3
         u, v = bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4)
         w = bilocal_field(linalg.transpose(m), 3, 4)
-        products, poly_products = [], []
-        original, poly_original = QI.__mul__, DeltaPoly.__mul__
-        monkeypatch.setattr(QI, "__mul__", lambda a, b: products.append(1) or original(a, b))
+        visited, products, qi_products, poly_products = [], [], [], []
+        kernel, original, poly_original = bilocal.sum_products, QI.__mul__, DeltaPoly.__mul__
+        contractions = bilocal._contractions
+
+        def counting_kernel(items):
+            items = list(items)
+            products.extend(items)
+            return kernel(items)
+        monkeypatch.setattr(bilocal, "sum_products", counting_kernel)
+        monkeypatch.setattr(bilocal, "_contractions",
+                            lambda a, b: visited.append(1) or contractions(a, b))
+        monkeypatch.setattr(QI, "__mul__", lambda a, b: qi_products.append(1) or original(a, b))
         monkeypatch.setattr(DeltaPoly, "__mul__",
                             lambda a, b: poly_products.append(1) or poly_original(a, b))
         assert wick_commutator(u, v).is_zero()
-        assert products == []
+        assert visited == [] and products == []
         assert not wick_commutator(u, w).is_zero()
-        assert products
-        assert poly_products == []
+        assert visited and products
+        assert qi_products == [] and poly_products == []
 
     def test_contraction_cache_is_bounded_and_changes_no_result(self):
         rng = random.Random(3)

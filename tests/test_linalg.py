@@ -404,3 +404,25 @@ def test_rref_matches_dense_oracle_on_tall_sparse_blocks():
     profile = hypothesis.settings(derandomize=True, database=None, deadline=None,
                                   max_examples=100)
     profile(hypothesis.given(cases())(_check_against_oracle))()
+
+
+def test_mixed_qi_fraction_products_keep_their_types():
+    # TAlgebra([identity(2), d]) multiplies a QI matrix by a Fraction one, in
+    # both orders; those products are over QI, and Fraction-only ones stay
+    # Fraction, as the dense oracle's entrywise products give them
+    rng = random.Random(11)
+    for _ in range(20):
+        q = [[QI(Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-1, 1))
+              for _ in range(3)] for _ in range(3)]
+        f = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)]
+             for _ in range(3)]
+        for a, b in ((q, f), (f, q), (f, f), (q, q), (linalg.identity(3), f)):
+            got, want = linalg.mat_mul(a, b), _dense_mat_mul(a, b)
+            assert got == want and _types(got) == _types(want)
+            t = linalg.trace_product(a, b)
+            assert t == linalg.trace(want) and type(t) is type(linalg.trace(want))
+    d = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
+    for a, b in ((linalg.identity(2), d), (d, linalg.identity(2))):
+        assert linalg.mat_mul(a, b) == [[QI(1), QI(0)], [QI(0), QI(2)]]
+        assert _types(linalg.mat_mul(a, b)) == [[QI, QI], [QI, QI]]
+    assert _types(linalg.mat_mul(d, d)) == [[Fraction, Fraction], [Fraction, Fraction]]

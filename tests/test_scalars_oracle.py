@@ -15,7 +15,7 @@ from math import gcd
 
 import pytest
 
-from minrep.scalars import QI
+from minrep.scalars import QI, sum_products
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -213,3 +213,65 @@ def test_str_renders_a_negative_imaginary_part_in_full():
     assert str(QI(2, -1)) == "2-i"
     assert str(QI(Fraction(1, 2), Fraction(-5, 3))) == "1/2-5/3i"
     assert str(QI(2, 3)) == "2+3i" and str(QI(0, -1)) == "-i"
+
+
+# ---------------------------------------------------------------------------
+# sum_products: sums of products in ints, each total reduced once
+
+operands = st.one_of(plain, st.builds(lambda c: QI(*c), components))
+product_items = st.lists(st.tuples(st.integers(0, 3), operands, operands,
+                                   st.sampled_from([1, -1])), max_size=12)
+
+
+def _oracle_sums(items) -> dict:
+    out: dict = {}
+    for key, x, y, sign in items:
+        out[key] = out.get(key, FractionQI(0)) + _value(x) * _value(y) * sign
+    return {k: v for k, v in out.items() if v}
+
+
+def _value(x):
+    return FractionQI(x.re, x.im) if isinstance(x, QI) else FractionQI.of(x)
+
+
+@PROFILE
+@given(items=product_items)
+def test_sum_products_agrees_with_the_oracle(items):
+    got, want = sum_products(items), _oracle_sums(items)
+    assert got.keys() == want.keys()
+    for key, s in got.items():
+        assert _agrees(s, want[key]), key
+        assert _fields(s) == _fields(QI(want[key].re, want[key].im))
+
+
+@PROFILE
+@given(items=product_items)
+def test_sum_products_equals_plain_qi_sums(items):
+    plain_sums: dict = {}
+    for key, x, y, sign in items:
+        plain_sums[key] = plain_sums.get(key, QI(0)) + QI.of(x) * QI.of(y) * sign
+    got = sum_products(items)
+    assert got == {k: v for k, v in plain_sums.items() if v}
+    assert all(_fields(s) == _fields(plain_sums[k]) and _reduced(s) for k, s in got.items())
+
+
+@PROFILE
+@given(items=product_items)
+def test_sum_products_drops_totals_that_cancel(items):
+    # each product once with each sign: every total is zero
+    assert sum_products(items + [(k, x, y, -sign) for k, x, y, sign in items]) == {}
+    # a key whose products cancel is left out, the others are kept
+    cancelled = [("gone", x, y, s) for _, x, y, s in items]
+    cancelled += [("gone", y, x, -s) for _, x, y, s in items]
+    assert sum_products(items + cancelled) == sum_products(items)
+
+
+def test_sum_products_reads_int_fraction_and_qi_operands():
+    half = Fraction(1, 2)
+    got = sum_products([("a", 2, half, 1), ("a", QI(0, 1), QI(0, 1), 1),
+                        ("b", half, QI(1, Fraction(1, 3)), -1), ("c", 3, 4, 1)])
+    assert got == {"b": QI(-half, Fraction(-1, 6)), "c": QI(12)}   # "a": 1 - 1 = 0
+    assert _fields(got["b"]) == (-3, -1, 6) and _fields(got["c"]) == (12, 0, 1)
+    assert sum_products([]) == {} and sum_products(iter(())) == {}
+    with pytest.raises(TypeError):
+        sum_products([("a", 1.5, 1, 1)])
