@@ -9,7 +9,8 @@ of (k, l) monomial keys, which the product appends to the keys of each
 coefficient.  The product and the commutator share one kernel: it hands
 every Wick term's coefficient product to ``scalars.sum_products``, which
 sums them in ints per (normal product, D-monomial) and reduces each total
-once, and builds each DeltaPoly once from those totals; it reads each pair
+once, and builds each DeltaPoly once from those totals, without testing
+them for zero again; it reads each pair
 of normal products' contraction sets from a bounded cache, since the same
 pairs of fields meet again in every product of bilinears.  The commutator
 is formed from the contracted terms alone, in one pass, since the
@@ -197,11 +198,12 @@ def _wick_sum(term_pairs, commutator: bool) -> WickElement:
     out: dict = {}
     for (key, mono), c in sum_products(_wick_items(term_pairs, commutator)).items():
         out.setdefault(key, {})[mono] = c
-    return WickElement({key: DeltaPoly(acc) for key, acc in out.items()})
+    return WickElement._nonzero({key: DeltaPoly._nonzero(acc) for key, acc in out.items()})
 
 
 def _wick_items(term_pairs, commutator: bool):
-    """((normal product, D-monomial), c1, c2, sign) for every Wick term."""
+    """((normal product, D-monomial), c1, c2, w) for every Wick term, with
+    sum_products' int weight w = 1 or -1."""
     for (fa, ca), (fb, cb) in term_pairs:
         sets = _contractions(fa, fb)
         if commutator:

@@ -218,8 +218,12 @@ def run_check_bilocal(args) -> Report:
     rng = random.Random(args.seed)
     rep = Report(f"check-bilocal/L{args.L}/seed{args.seed}")
 
+    # every entry k/r comes from this table, the numerator drawn before the
+    # denominator, so no entry costs a QI division
+    labels = {(k, r): QI(k) / r for k in range(-9, 10) for r in range(1, 5)}
+
     def rnd(size):
-        return [[QI(rng.randint(-9, 9)) / rng.randint(1, 4)
+        return [[labels[rng.randint(-9, 9), rng.randint(1, 4)]
                  for _ in range(size)] for _ in range(size)]
 
     for left in range(1, args.L + 1):

@@ -7,8 +7,12 @@ Each (n, l) ladder is built once: an explicit top seed at m = l, lowered
 step by step with L- = L1 - i L2 down to m = -l; construction and
 verification are exact over Q(i).  Each operator (the Laplacian, Euler,
 H, L1, L2, L3 and L+-) is one ``poly.DiffOp`` built once at import and
-applied in one pass over a polynomial's terms; L^2 is L- L+ + L3 (L3 + 1),
-three applications once L3 is applied, which rests on [L1, L2] = i L3.
+applied in one pass over a polynomial's terms; L^2 is L- L+ + (L3 + 1) L3,
+which rests on [L1, L2] = i L3.  ``verify_mode`` forms each eigen-defect
+in one pass: (H - n) h and (L3 - m) h by the operators shifted by an
+identity term, and (L^2 - l(l+1)) h as one ``scalars.sum_products`` over
+the walks of L- on L+ h and of L3 + 1 on L3 h and the terms of
+-l(l+1) h, with no scaled or subtracted intermediate.
 The angular algebra check wraps H, L^2 and each L_j in a
 ``poly.ColumnMap``, built per call, so each operator's image of a unit
 monomial is formed once and every bracket is read off those columns.
@@ -21,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import linalg
 from .poly import ColumnMap, DiffOp, Poly, monomials_of_degree, monomials_up_to
 from .reports import Report
-from .scalars import QI
+from .scalars import QI, sum_products
 
 NVARS = 4
 _ONE = QI(1)
@@ -45,9 +50,14 @@ def _x_d(u: int, d: int) -> DiffOp:
     return DiffOp({(u, d, 1): 1})
 
 
+def _shifted(op: DiffOp, c: int) -> DiffOp:
+    """op - c, the operator with c times the identity taken off."""
+    return op + DiffOp({(None, None, 0): -c})
+
+
 _LAPLACIAN = DiffOp({(None, i, 2): 1 for i in range(NVARS)})
 _EULER = DiffOp({(i, i, 1): 1 for i in range(NVARS)})
-_HAMILTONIAN = _EULER + DiffOp({(None, None, 0): 1})
+_HAMILTONIAN = _shifted(_EULER, -1)
 
 _EPS = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
 
@@ -57,6 +67,7 @@ _L = {j: (_x_d(b - 1, a - 1) - _x_d(a - 1, b - 1)).scale(_I)
       for (a, b), j in _EPS.items()}
 _LOWERING = _L[1] - _L[2].scale(_I)
 _RAISING = _L[1] + _L[2].scale(_I)
+_L3_PLUS_ONE = _shifted(_L[3], -1)
 
 
 def laplacian(p: Poly) -> Poly:
@@ -78,13 +89,14 @@ def angular_momentum(j: int, p: Poly) -> Poly:
 
 
 def l_squared(p: Poly) -> Poly:
-    """L^2 = L- L+ + L3 (L3 + 1), which rests on [L1, L2] = i L3."""
-    return _l_squared(p, _L[3](p))
+    """L^2 = L- L+ + (L3 + 1) L3, which rests on [L1, L2] = i L3."""
+    return Poly(p.nvars, sum_products(_l_squared_walk(p)))
 
 
-def _l_squared(p: Poly, l3p: Poly) -> Poly:
-    """L^2 p from p and its image l3p = L3 p."""
-    return _LOWERING(_RAISING(p)) + _L[3](l3p) + l3p
+def _l_squared_walk(p: Poly):
+    """The sum_products items of L^2 p: the walks of L- over L+ p and of
+    L3 + 1 over L3 p."""
+    return chain(_LOWERING.walk(_RAISING(p)), _L3_PLUS_ONE.walk(_L[3](p)))
 
 
 def lowering(p: Poly) -> Poly:
@@ -168,16 +180,19 @@ def build_harmonic(n: int, l: int, m: int) -> HarmonicMode:
 
 
 def verify_mode(h: Poly, n: int, l: int, m: int) -> Report:
-    """Exact eigen-checks: harmonicity, H, L^2 and L3."""
+    """Exact eigen-checks: harmonicity, H, L^2 and L3, each defect formed in
+    one pass: (H - n) h and (L3 - m) h by operators shifted by the identity,
+    and (L^2 - l(l+1)) h by one sum over the items of L^2 h and of
+    -l(l+1) h."""
     rep = Report(f"harmonic/{n},{l},{m}")
     rep.add(f"mode/{n},{l},{m}/laplacian", laplacian(h).is_zero())
-    d = conformal_hamiltonian(h) - h.scale(QI(n))
-    rep.add(f"mode/{n},{l},{m}/conformal-hamiltonian", d.is_zero())
-    l3h = angular_momentum(3, h)
-    d2 = _l_squared(h, l3h) - h.scale(QI(l * (l + 1)))
-    rep.add(f"mode/{n},{l},{m}/L2", d2.is_zero())
-    d3 = l3h - h.scale(QI(m))
-    rep.add(f"mode/{n},{l},{m}/L3", d3.is_zero())
+    rep.add(f"mode/{n},{l},{m}/conformal-hamiltonian",
+            _shifted(_HAMILTONIAN, n)(h).is_zero())
+    eigen = l * (l + 1)
+    d2 = sum_products(chain(_l_squared_walk(h),
+                            ((mono, c, -eigen, 1) for mono, c in h.terms.items())))
+    rep.add(f"mode/{n},{l},{m}/L2", not d2)
+    rep.add(f"mode/{n},{l},{m}/L3", _shifted(_L[3], m)(h).is_zero())
     rep.add(f"mode/{n},{l},{m}/nonzero", not h.is_zero())
     return rep
 

@@ -9,6 +9,8 @@ coefficient, so equality of two dicts is equality of the elements.
 
 from __future__ import annotations
 
+_new = object.__new__
+
 
 def combine(pairs, acc: dict) -> dict:
     """Sum (key, coefficient) pairs into `acc` and return it.
@@ -30,7 +32,8 @@ class LinComb:
     Subclasses add their constructors and their product, render one term
     in ``_term``, and coerce the argument of their public ``scale`` into
     the ring before calling ``_scaled``.  ``_like`` builds a new element of
-    the same kind.
+    the same kind.  A kernel whose sums already left out every zero, such
+    as ``scalars.sum_products``, builds through ``_nonzero`` instead.
     """
 
     __slots__ = ("terms",)
@@ -38,6 +41,15 @@ class LinComb:
     def __init__(self, terms: dict | None = None):
         object.__setattr__(self, "terms",
                            {k: c for k, c in terms.items() if c} if terms else {})
+
+    @classmethod
+    def _nonzero(cls, terms: dict):
+        """The element with these terms, which must hold no zero coefficient:
+        for a kernel whose sums already left the zeros out, where the
+        constructor's filter would test every coefficient again."""
+        obj = _new(cls)
+        _set_terms(obj, terms)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -94,3 +106,6 @@ class LinComb:
 
     def __str__(self):
         return self.render()
+
+
+_set_terms = LinComb.terms.__set__

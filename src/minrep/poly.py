@@ -7,11 +7,16 @@ identity and the Gaussian wave functions of the massless model.
 
 ``DiffOp`` is the one kernel for the linear differential operators that
 act on them, sums of c * x_u * (d/dx_d)^k with k = 0, 1 or 2 and the
-factor x_u optional.  Applying one walks the polynomial's terms once,
-sums every term's images into one dict and builds one ``Poly``.  An
-operator coefficient that is a real integer is kept as an ``int``, so a
-term's coefficient is multiplied by an int, or not at all when the
-factor is 1.
+factor x_u optional.  Its one term walker, ``walk``, yields an item
+(monomial, c, a, w) per pair of a polynomial term c and an operator term
+a, with w the int that d^k brings down.  Applying the operator to a
+``QI`` polynomial sums those items in ints through
+``scalars.sum_products`` and builds one ``Poly`` without testing its
+coefficients for zero again; any other ring, such as the int unit
+monomial of a column, is summed by ``combine`` and stays in that ring,
+the rule ``linalg.mat_mul`` follows.  An operator coefficient that is a
+real integer is kept as an ``int``, so it is read without building a
+``QI``.
 
 ``ColumnMap`` holds one linear map Poly -> Poly with its column images:
 the image of each unit monomial, which carries the int 1, formed on the
@@ -25,7 +30,7 @@ live as long as the map, which each check builds afresh.
 from __future__ import annotations
 
 from .lincomb import LinComb, combine
-from .scalars import QI
+from .scalars import QI, sum_products
 
 
 class Poly(LinComb):
@@ -140,37 +145,40 @@ class DiffOp(LinComb):
     def scale(self, c) -> "DiffOp":
         return self._scaled(c)
 
-    def __call__(self, p: Poly) -> Poly:
-        """p with this operator applied, in one walk over p's terms.
-
-        d_d^k takes x_d^n to n x_d^(n-1) for k = 1 and to
-        n (n-1) x_d^(n-2) for k = 2.
-        """
-        acc: dict = {}
-        get = acc.get
+    def walk(self, p: Poly):
+        """(monomial, c, a, w) for each term c x^m of p and each term
+        a x_u d_d^k of this operator that does not annihilate it: the pair's
+        image is w c a times the monomial, with w the int that d_d^k brings
+        down, n from x_d^n for k = 1, n (n-1) for k = 2 and 1 for k = 0."""
         steps = self.terms.items()
         for m, c in p.terms.items():
             for (u, d, k), a in steps:
-                f = a
                 if k:
                     n = m[d]
                     if n < k:
                         continue
                     e = list(m)
                     e[d] = n - k
-                    if k == 2:
-                        n *= n - 1
-                    if n != 1:
-                        f = a * n
+                    w = n * (n - 1) if k == 2 else n
                 else:
                     e = list(m)
+                    w = 1
                 if u is not None:
                     e[u] += 1
-                key = tuple(e)
-                v = c if type(f) is int and f == 1 else c * f
-                s = get(key)
-                acc[key] = v if s is None else s + v
-        return Poly(p.nvars, acc)
+                yield tuple(e), c, a, w
+
+    def __call__(self, p: Poly) -> Poly:
+        """p with this operator applied, in one walk over p's terms.
+
+        A ``QI`` polynomial's items are summed in ints by ``sum_products``,
+        which leaves out the zero totals, so the result skips the zero
+        filter; any other ring, such as the int unit monomial of a column,
+        is summed by ``combine`` and stays in that ring.
+        """
+        terms = p.terms
+        if terms and type(next(iter(terms.values()))) is QI:
+            return _nonzero_poly(p.nvars, sum_products(self.walk(p)))
+        return Poly(p.nvars, combine(((m, c * a * w) for m, c, a, w in self.walk(p)), {}))
 
 
 class ColumnMap:
@@ -206,6 +214,16 @@ class ColumnMap:
         """[self, other] applied to the unit monomial m."""
         acc = self._add_image(other.column(m), {})
         return Poly(self.nvars, other._add_image(self.column(m), acc, -1))
+
+
+_set_nvars = Poly.nvars.__set__
+
+
+def _nonzero_poly(nvars: int, terms: dict) -> Poly:
+    """The Poly of terms that hold no zero coefficient, built unfiltered."""
+    p = Poly._nonzero(terms)
+    _set_nvars(p, nvars)
+    return p
 
 
 def _int_if_integer(c):

@@ -134,16 +134,20 @@ def build_root_system(family: str, rank: int | None = None) -> RootSystem:
     expected_count = DIM_FORMULA[family](rank) - rank
     simples = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     roots = set(simples)
-    frontier = list(simples)
+    # each frontier root beta carries the ints p with s_i beta = beta - p_i alpha_i,
+    # which are row j of the Cartan matrix for alpha_j; s_i beta carries
+    # p - p_i (row i), and s_i fixes beta when p_i = 0
+    frontier = list(zip(simples, cartan))
     while frontier:
         new = []
-        for beta in frontier:
-            for i in range(rank):
-                c = sum(b * row[i] for b, row in zip(beta, cartan))
+        for beta, p in frontier:
+            for i, c in enumerate(p):
+                if not c:
+                    continue
                 refl = beta[:i] + (beta[i] - c,) + beta[i + 1:]
                 if refl not in roots:
                     roots.add(refl)
-                    new.append(refl)
+                    new.append((refl, [x - c * y for x, y in zip(p, cartan[i])]))
         if len(roots) > expected_count:
             raise RootSystemError(f"{family}{rank}: the reflection closure passed "
                                   f"{expected_count} roots")

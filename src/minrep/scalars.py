@@ -5,10 +5,12 @@ Q(i).  A ``QI`` holds three ints ``(a, b, d)``, the value (a + b*i)/d,
 kept reduced: d > 0 and gcd(a, b, d) = 1, with zero stored as (0, 0, 1).
 Equal values therefore have equal fields, and arithmetic runs on ints;
 ``.re`` and ``.im`` give the components as ``fractions.Fraction``.
-``sum_products`` sums many products x*y per key in ints and reduces each
-total once, giving the QI that ``+`` and ``*`` give without building one
-per operation; outside QI's own methods it is the one reader of the
-fields.
+``sum_products`` sums many weighted products w*x*y per key in ints, w an
+int, and reduces each total once, giving the QI that ``+`` and ``*`` give
+without building one per operation; an int operand is read as it is,
+without building a QI.  Outside QI's own methods it is the one reader of
+the fields, and the Wick kernel, the dense products and the differential
+operators all sum through it.
 ``QIS`` is the ring Q(i)[s]/(s^2 - 2).  No suite computes in it:
 the massless model runs over ``QI`` in u = sqrt(2) z coordinates.  The
 class stays only because the benchmark's layer tracer counts
@@ -189,28 +191,42 @@ def _reduced(a: int, b: int, d: int) -> QI:
     return q
 
 
-def sum_products(items) -> dict:
-    """{key: sum of sign * x * y} over (key, x, y, sign) items, sign 1 or -1.
+def _fields(x) -> tuple[int, int, int]:
+    """(a, b, d) of x as a QI, for an int without building one."""
+    if type(x) is int:
+        return x, 0, 1
+    x = QI.of(x)
+    return x._a, x._b, x._d
 
-    x and y are QI, int or Fraction, read as QI.of reads them.  Each key's
-    sum is kept as two int numerators over a running denominator: a product
-    adds its numerators when their denominators agree, and otherwise both
-    sides are brought over the lcm of the two, found through their gcd.
-    Each total is reduced once, at the end, into the same QI that QI
-    arithmetic gives; keys whose total is zero are left out.
+
+def sum_products(items) -> dict:
+    """{key: sum of w * x * y} over (key, x, y, w) items, w an int weight.
+
+    x and y are QI, int or Fraction, read as QI.of reads them; an int is
+    read as its own numerator, without building a QI.  Each key's sum is
+    kept as two int numerators over a running denominator: a product adds
+    its numerators when their denominators agree, and otherwise both sides
+    are brought over the lcm of the two, found through their gcd.  Each
+    total is reduced once, at the end, into the same QI that QI arithmetic
+    gives; keys whose total is zero are left out.
     """
     acc: dict = {}
     get = acc.get
-    for key, x, y, sign in items:
-        if type(x) is not QI:
-            x = QI.of(x)
-        if type(y) is not QI:
-            y = QI.of(y)
-        a, b, d = x._a, x._b, x._d
-        c, e, f = y._a, y._b, y._d
-        if sign < 0:
-            a, b = -a, -b
-        re, im, den = a * c - b * e, a * e + b * c, d * f
+    for key, x, y, w in items:
+        if type(x) is QI:
+            a, b, d = x._a, x._b, x._d
+        else:
+            a, b, d = _fields(x)
+        if w != 1:
+            a, b = a * w, b * w
+        if type(y) is QI:
+            c, e, f = y._a, y._b, y._d
+            re, im, den = a * c - b * e, a * e + b * c, d * f
+        elif type(y) is int:
+            re, im, den = a * y, b * y, d
+        else:
+            c, e, f = _fields(y)
+            re, im, den = a * c - b * e, a * e + b * c, d * f
         s = get(key)
         if s is None:
             acc[key] = [re, im, den]

@@ -118,6 +118,14 @@ class TestVerification:
         failed = {r.check_id for r in rep.failures()}
         assert any("laplacian" in f for f in failed)
 
+    @pytest.mark.parametrize("n,l,m", [(1, 0, 0), (3, 1, -1), (4, 2, 1), (5, 3, 0)])
+    def test_one_wrong_label_fails_exactly_its_own_eigen_record(self, n, l, m):
+        h = build_harmonic(n, l, m).poly
+        for labels, record in (((n + 1, l, m), "conformal-hamiltonian"),
+                               ((n, l + 1, m), "L2"), ((n, l, m + 1), "L3")):
+            rep = verify_mode(h, *labels)
+            assert [r.check_id.rsplit("/", 1)[1] for r in rep.failures()] == [record]
+
     def test_counts_are_squares(self):
         assert harmonics.level_count_check(
             [mode for n in range(1, 7) for l in range(n)

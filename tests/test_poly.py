@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minrep import harmonics, massless
-from minrep.poly import ColumnMap, Poly, monomials_up_to
+from minrep.poly import ColumnMap, DiffOp, Poly, monomials_up_to
 from minrep.scalars import QI
 
 NVARS = 4
@@ -109,6 +109,38 @@ _polys = st.dictionaries(st.tuples(*[st.integers(0, 4)] * NVARS), _qi,
 def test_operators_match_oracles_on_random_polynomials(p):
     for name, op, oracle in PAIRS:
         assert op(p) == oracle(p), name
+
+
+def oracle_term(p, u, d, k, a):
+    """a x_u d_d^k applied to p one step at a time."""
+    for _ in range(k):
+        p = p.diff(d)
+    if u is not None:
+        p = p.mul_var(u)
+    return p.scale(a)
+
+
+_var = st.integers(0, NVARS - 1)
+_step = st.one_of(st.tuples(st.none() | _var, _var, st.integers(1, 2)),
+                  st.tuples(st.none() | _var, st.none(), st.just(0)))
+_diffops = st.dictionaries(_step, st.integers(-3, 3) | _qi, min_size=1, max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=_polys, terms=_diffops)
+def test_diffop_equals_the_sum_of_its_terms_applied_one_by_one(p, terms):
+    want = _sum(oracle_term(p, u, d, k, a) for (u, d, k), a in terms.items())
+    assert DiffOp(terms)(p) == want
+
+
+def test_an_int_unit_monomials_image_keeps_int_coefficients():
+    op = DiffOp({(None, 0, 2): 1, (1, 0, 1): -2, (None, None, 0): 3})
+    image = op(Poly(NVARS, {(3, 1, 0, 0): 1}))
+    assert image.terms == {(1, 1, 0, 0): 6, (2, 2, 0, 0): -6, (3, 1, 0, 0): 3}
+    assert all(type(c) is int for c in image.terms.values())
+    image = op(Poly(NVARS, {(3, 1, 0, 0): QI(1)}))
+    assert image.terms == {(1, 1, 0, 0): 6, (2, 2, 0, 0): -6, (3, 1, 0, 0): 3}
+    assert all(type(c) is QI for c in image.terms.values())
 
 
 def test_zero_polynomial_evaluates_to_the_rings_zero():

@@ -393,3 +393,30 @@ def test_bad_dynkin_entry_raises(monkeypatch, entry, message):
     monkeypatch.setitem(rootsys.DYNKIN, "G2", lambda r: entry)
     with pytest.raises(rootsys.RootSystemError, match=message):
         build_root_system("G2")
+
+
+def _closure_oracle(cartan) -> set:
+    """The reflection closure that pairs every root with every simple root
+    afresh, s_i beta = beta - (sum_b beta_b A_bi) alpha_i."""
+    rank = len(cartan)
+    roots = {tuple(int(i == j) for j in range(rank)) for i in range(rank)}
+    frontier = list(roots)
+    while frontier:
+        new = []
+        for beta in frontier:
+            for i in range(rank):
+                c = sum(b * row[i] for b, row in zip(beta, cartan))
+                refl = beta[:i] + (beta[i] - c,) + beta[i + 1:]
+                if refl not in roots:
+                    roots.add(refl)
+                    new.append(refl)
+        frontier = new
+    return roots
+
+
+@pytest.mark.parametrize("family,rank", [
+    (fam, r) for fam, ranks in rootsys.DEFAULT_TABLE_RANKS.items() for r in ranks
+] + [("A", 30), ("E8", 8)])
+def test_closure_carrying_pairings_gives_the_oracle_roots(family, rank):
+    cartan, _ = rootsys.DYNKIN[family](rank)
+    assert set(build_root_system(family, rank).roots) == _closure_oracle(cartan)

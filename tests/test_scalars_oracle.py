@@ -219,14 +219,15 @@ def test_str_renders_a_negative_imaginary_part_in_full():
 # sum_products: sums of products in ints, each total reduced once
 
 operands = st.one_of(plain, st.builds(lambda c: QI(*c), components))
+# int weights, zero among them
 product_items = st.lists(st.tuples(st.integers(0, 3), operands, operands,
-                                   st.sampled_from([1, -1])), max_size=12)
+                                   st.integers(-3, 3)), max_size=12)
 
 
 def _oracle_sums(items) -> dict:
     out: dict = {}
-    for key, x, y, sign in items:
-        out[key] = out.get(key, FractionQI(0)) + _value(x) * _value(y) * sign
+    for key, x, y, w in items:
+        out[key] = out.get(key, FractionQI(0)) + _value(x) * _value(y) * w
     return {k: v for k, v in out.items() if v}
 
 
@@ -248,8 +249,8 @@ def test_sum_products_agrees_with_the_oracle(items):
 @given(items=product_items)
 def test_sum_products_equals_plain_qi_sums(items):
     plain_sums: dict = {}
-    for key, x, y, sign in items:
-        plain_sums[key] = plain_sums.get(key, QI(0)) + QI.of(x) * QI.of(y) * sign
+    for key, x, y, w in items:
+        plain_sums[key] = plain_sums.get(key, QI(0)) + QI.of(x) * QI.of(y) * w
     got = sum_products(items)
     assert got == {k: v for k, v in plain_sums.items() if v}
     assert all(_fields(s) == _fields(plain_sums[k]) and _reduced(s) for k, s in got.items())
@@ -259,10 +260,10 @@ def test_sum_products_equals_plain_qi_sums(items):
 @given(items=product_items)
 def test_sum_products_drops_totals_that_cancel(items):
     # each product once with each sign: every total is zero
-    assert sum_products(items + [(k, x, y, -sign) for k, x, y, sign in items]) == {}
+    assert sum_products(items + [(k, x, y, -w) for k, x, y, w in items]) == {}
     # a key whose products cancel is left out, the others are kept
-    cancelled = [("gone", x, y, s) for _, x, y, s in items]
-    cancelled += [("gone", y, x, -s) for _, x, y, s in items]
+    cancelled = [("gone", x, y, w) for _, x, y, w in items]
+    cancelled += [("gone", y, x, -w) for _, x, y, w in items]
     assert sum_products(items + cancelled) == sum_products(items)
 
 
@@ -275,3 +276,18 @@ def test_sum_products_reads_int_fraction_and_qi_operands():
     assert sum_products([]) == {} and sum_products(iter(())) == {}
     with pytest.raises(TypeError):
         sum_products([("a", 1.5, 1, 1)])
+
+
+def test_sum_products_weighs_each_product_and_reads_ints_without_a_qi(monkeypatch):
+    third = QI(Fraction(1, 3), 1)
+    items = [("a", 2, 3, -2), ("a", 5, 7, 0), ("b", third, 3, 2), ("b", 4, third, -1),
+             ("c", QI(0, 1), QI(0, 1), 3)]
+    want = {"a": QI(-12), "b": QI(Fraction(2, 3), 2), "c": QI(-3)}
+    assert sum_products(items) == want
+    assert _fields(sum_products(items)["b"]) == (2, 6, 3)
+    assert sum_products([("z", 5, 7, 0), ("z", QI(0, 1), 2, 0)]) == {}
+
+    def no_qi(x):
+        raise AssertionError(f"built a QI for {x!r}")
+    monkeypatch.setattr(QI, "of", staticmethod(no_qi))
+    assert sum_products(items) == want
