@@ -37,6 +37,7 @@ CASES = {
     "closure-u-pq-k2-flavors2-level2": ["closure", "--family", "u-pq", "--k", "2",
                                         "--flavors", "2", "--level", "2"],
     "check-relations-so-star-n3": ["check-relations", "--algebra", "so-star", "--n", "3"],
+    "check-relations-so-star-n4": ["check-relations", "--algebra", "so-star", "--n", "4"],
     "check-bilocal-L4-trials50-seed101": ["check-bilocal", "--L", "4", "--trials", "50",
                                           "--seed", "101"],
     "check-bilocal-L8-trials3-seed101": ["check-bilocal", "--L", "8", "--trials", "3",

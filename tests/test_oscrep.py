@@ -428,6 +428,126 @@ class TestGroupLevelGolden:
                                             commutator(x, y))
 
 
+def _dense(x, n):
+    """A {(row, col): entry} matrix as n dense rows of QI."""
+    if isinstance(x, list):
+        return x
+    return [[QI.of(x.get((i, j), 0)) for j in range(n)] for i in range(n)]
+
+
+def _unitary_basis_oracle(signs, traceless=False):
+    """The dense u(p,q) (su(p,q) if traceless) basis, element for element
+    in the order of oscrep.unitary_basis."""
+    k = len(signs)
+    i = QI(0, 1)
+
+    def unit(entries):
+        m = [[QI(0)] * k for _ in range(k)]
+        for (a, b), c in entries.items():
+            m[a][b] = c
+        return m
+
+    if traceless:
+        out = [unit({(a, a): i, (a + 1, a + 1): -i}) for a in range(k - 1)]
+    else:
+        out = [unit({(a, a): i}) for a in range(k)]
+    for a in range(k):
+        for b in range(a + 1, k):
+            s = signs[a] * signs[b]
+            out.append(unit({(a, b): QI(1), (b, a): QI(-s)}))
+            out.append(unit({(a, b): i, (b, a): QI(0, s)}))
+    return out
+
+
+def _so_star_block_oracle(u, v):
+    """The dense so*(4n) block matrix [[u, v], [v*, -t(u)]]."""
+    mtu = [[-x for x in row] for row in linalg.transpose(u)]
+    return [r + s for r, s in zip(u, v)] + [r + s for r, s in zip(oscrep.mat_star(v), mtu)]
+
+
+def _so_star_basis_oracle(n):
+    """The dense so*(4n) basis: u(2n) in the compact blocks, then for each
+    a < b the antisymmetric v = c (e_ab - e_ba) with c = 1 and c = i."""
+    k = 2 * n
+    zero = [[QI(0)] * k for _ in range(k)]
+    out = [_so_star_block_oracle(u, zero) for u in _unitary_basis_oracle([1] * k)]
+    for a in range(k):
+        for b in range(a + 1, k):
+            for c in (QI(1), QI(0, 1)):
+                v = [[QI(0)] * k for _ in range(k)]
+                v[a][b], v[b][a] = c, -c
+                out.append(_so_star_block_oracle(zero, v))
+    return out
+
+
+def _dual_basis_oracle(basis):
+    """The dual basis under tr(xy), from the dense Gram matrix and its inverse."""
+    gram = [{b: c for b, y in enumerate(basis) if (c := linalg.trace_product(x, y))}
+            for x in basis]
+    n = len(basis[0])
+    out = []
+    for row in linalg.inverse(gram):
+        d = [[QI(0)] * n for _ in range(n)]
+        for b, c in row.items():
+            d = linalg.mat_add(d, linalg.mat_scale(c, basis[b]))
+        out.append(d)
+    return out
+
+
+def _casimir_oracle(gens, pol):
+    """casimir_elements as running sums of normal products over the dense
+    bases, each quadratic summed from the products phi~_a phi^b."""
+    k = pol.size // 2
+
+    def quad(x):
+        out = WeylElement.zero()
+        for a, row in enumerate(x):
+            for b, c in enumerate(row):
+                if c:
+                    out = out + normal_product(pol.phi_tilde[a], pol.phi[b]).scale(c)
+        return out
+
+    def casimir(basis):
+        out = WeylElement.zero()
+        for x, xd in zip(basis, _dual_basis_oracle(basis)):
+            out = out + normal_product(quad(x), quad(xd))
+        return out
+
+    zero = [[QI(0)] * k for _ in range(k)]
+    su = [_so_star_block_oracle(u, zero) for u in _unitary_basis_oracle([1] * k, True)]
+    h = gens.extras["H"]
+    c_u = casimir(su) + normal_product(h, h).scale(Fraction(1, 2 * k))
+    ee = WeylElement.zero()
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            e = gens.extras[f"E_{i}{j}"]
+            f = e.adjoint()
+            ee = ee + (normal_product(e, f) + normal_product(f, e)).scale(Fraction(1, 2))
+    return casimir(_so_star_basis_oracle(k // 2)), c_u, ee
+
+
+class TestSparseBases:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_so_star_dense_view_matches_the_dense_builder(self, n):
+        assert oscrep.so_star_matrix_basis(n) == _so_star_basis_oracle(n)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_u_kk_matches_the_dense_builder(self, k):
+        signs = [1] * k + [-1] * k
+        got = oscrep.unitary_basis(signs)
+        assert [_dense(x, 2 * k) for x in got] == _unitary_basis_oracle(signs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_traceless_u_2n_matches_the_dense_builder(self, n):
+        got = oscrep.unitary_basis([1] * (2 * n), traceless=True)
+        assert [_dense(x, 2 * n) for x in got] == _unitary_basis_oracle([1] * (2 * n), True)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_casimir_elements_match_the_running_sums(self, n):
+        gens, pol = _so_star(n)
+        assert oscrep.casimir_elements(gens, pol) == _casimir_oracle(gens, pol)
+
+
 class TestCasimir:
     def test_n1_defect_vanishes(self):
         d, rep = oscrep.casimir_defect(*_so_star(1))

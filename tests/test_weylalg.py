@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from minrep import fockspace, weylalg
+from minrep.lincomb import combine
 from minrep.scalars import QI
 from minrep.weylalg import (Polarization, SpanError, WeylElement, WeylMonomial, commutator,
                             matrix_from_quadratic, mode_action_matrix, normal_product,
@@ -394,3 +395,94 @@ def test_serialization_deterministic_across_builds():
     w1 = WeylElement.monomial([A1], [A2]) + WeylElement.monomial([B1], [B2])
     w2 = WeylElement.monomial([B1], [B2]) + WeylElement.monomial([A1], [A2])
     assert str(w1) == str(w2)
+
+
+# --- the products against their per-pair oracles ---------------------------
+
+
+def _dense(x, n):
+    """A {(row, col): entry} matrix as n dense rows of QI."""
+    if isinstance(x, list):
+        return x
+    return [[QI.of(x.get((i, j), 0)) for j in range(n)] for i in range(n)]
+
+
+def _normal_product_oracle(x, y):
+    """x.y summed pair of terms by pair of terms, each product a QI."""
+    acc = {}
+    for mx, qx in x.terms.items():
+        for my, qy in y.terms.items():
+            q = qx * qy
+            combine(((mono, q * w) for w, mono in weylalg._mono_product(mx, my)), acc)
+    return WeylElement(acc)
+
+
+def _contractions_oracle(x, y, sign, acc):
+    for mx, qx in x.terms.items():
+        for my, qy in y.terms.items():
+            q = qx * qy
+            combine(((mono, q * (sign * w)) for w, mono in weylalg._contractions(mx, my)), acc)
+    return acc
+
+
+def _commutator_oracle(x, y):
+    """[x, y] from the contracted terms of every pair of terms, both orders."""
+    return WeylElement(_contractions_oracle(y, x, -1, _contractions_oracle(x, y, 1, {})))
+
+
+def _weyl_elements(st):
+    """Weyl elements of up to four terms over three modes, with repeated
+    modes, scalar terms and Gaussian rational coefficients."""
+    modes = st.sampled_from([("c", 1), ("c", 2), ("d", 1)])
+    side = st.lists(modes, max_size=3)
+    small = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    coeff = st.builds(QI, small, small)
+    term = st.tuples(side, side, coeff)
+    return st.lists(term, max_size=4).map(lambda ts: sum(
+        (WeylElement.monomial(c, a, q) for c, a, q in ts), WeylElement.zero()))
+
+
+@pytest.mark.parametrize("product,oracle", [(normal_product, _normal_product_oracle),
+                                            (commutator, _commutator_oracle)],
+                         ids=["normal_product", "commutator"])
+def test_products_match_their_per_pair_oracles(product, oracle):
+    hypothesis = pytest.importorskip("hypothesis")
+    elems = _weyl_elements(hypothesis.strategies)
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @hypothesis.given(elems, elems)
+    def check(x, y):
+        got = product(x, y)
+        assert got == oracle(x, y)
+        assert all(got.terms.values())
+
+    check()
+
+
+def _dense_blocks_oracle(w, modes):
+    """(alpha, beta, gamma) as dense n x n matrices, beta and gamma symmetric."""
+    idx = {m: i for i, m in enumerate(modes)}
+    n = len(modes)
+    blocks = {key: [[QI(0)] * n for _ in range(n)] for key in ((1, 1), (2, 0), (0, 2))}
+    for mono, q in w.terms.items():
+        shape = (len(mono.creators), len(mono.annihilators))
+        if shape == (0, 0):
+            continue
+        i, j = (idx[m] for m in mono.creators + mono.annihilators)
+        block = blocks[shape]
+        if shape == (1, 1) or i == j:
+            block[i][j] += q
+        else:
+            block[i][j] += q * QI(Fraction(1, 2))
+            block[j][i] += q * QI(Fraction(1, 2))
+    return blocks[1, 1], blocks[2, 0], blocks[0, 2]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_quadratic_blocks_match_the_dense_blocks(k):
+    rng = random.Random(700 + k)
+    modes = [("c", i) for i in range(1, k + 1)]
+    for _ in range(30):
+        w = _random_quadratic(rng, modes, 2 * k) + WeylElement.scalar(rng.randint(-2, 2))
+        got = quadratic_blocks(w, modes)
+        assert [_dense(b, k) for b in got] == list(_dense_blocks_oracle(w, modes))
