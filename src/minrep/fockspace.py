@@ -10,6 +10,8 @@ restricted to those columns.
 
 A dual pair (A, B), with B the flavor gauge algebra, is built once by
 ``dual_pair``; the decomposition, the closure and the helicity read it.
+The closure reads each commutator's matrix and each bilinear's pairing
+blocks as {(row, col): entry} dicts, with no dense matrix.
 """
 
 from __future__ import annotations
@@ -17,14 +19,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from math import comb, factorial
 from typing import NamedTuple
 
 from . import linalg, oscrep
 from .lincomb import combine
 from .reports import Report
-from .scalars import QI
+from .scalars import QI, QI_ZERO, sum_products
 from .weylalg import (Mode, Polarization, SpanError, WeylElement, WeylMonomial, commutator,
                       matrix_from_quadratic, mode_action_matrix, quadratic_blocks,
                       quadratic_from_matrix, standard_polarization)
@@ -335,18 +337,12 @@ def _flavored(mode: Mode, flavor: int) -> Mode:
     return (mode[0], flavor) + mode[1:]
 
 
-def flavored_element(w: WeylElement, flavor: int) -> WeylElement:
-    return WeylElement(combine(
-        ((WeylMonomial.make([_flavored(m, flavor) for m in mono.creators],
-                            [_flavored(m, flavor) for m in mono.annihilators]), q)
-         for mono, q in w.terms.items()), {}))
-
-
 def flavor_sum(w: WeylElement, flavors: int) -> WeylElement:
-    out = WeylElement.zero()
-    for f in range(1, flavors + 1):
-        out = out + flavored_element(w, f)
-    return out
+    """The sum of w's copies in flavors 1..flavors, summed into one dict."""
+    return WeylElement(combine(
+        ((WeylMonomial.make([_flavored(m, f) for m in mono.creators],
+                            [_flavored(m, f) for m in mono.annihilators]), q)
+         for f in range(1, flavors + 1) for mono, q in w.terms.items()), {}))
 
 
 class GaugeAlgebra(NamedTuple):
@@ -425,7 +421,7 @@ class DualPair:
             if len(mats) != (2 * self.k) ** 2:
                 raise FockError("u(p,q) basis has the wrong dimension")
         else:
-            mats = oscrep.so_star_matrix_basis(self.k)
+            mats = oscrep.so_star_basis(self.k)
         return tuple(quadratic_from_matrix(m, self.polarization).without_scalar() for m in mats)
 
     @cached_property
@@ -453,10 +449,9 @@ class DualPair:
         fl = range(1, n + 1)
 
         def hop(x, f, y, g):
-            out = WeylElement.zero()
-            for i in range(1, self._size + 1):
-                out = out + WeylElement.monomial([mode((x, i), f)], [mode((y, i), g)])
-            return out
+            one = QI(1)
+            return WeylElement({WeylMonomial.make([mode((x, i), f)], [mode((y, i), g)]): one
+                                for i in range(1, self._size + 1)})
 
         if self.family == "sp_real":
             span = tuple(hop("c", f, "c", g) - hop("c", g, "c", f)
@@ -487,30 +482,31 @@ def dual_pair(family: str, k: int, flavors: int = 1) -> DualPair:
 
 
 def pairing_blocks(w: WeylElement, modes) -> tuple[dict, dict]:
-    """The nonzero entries of w's beta and gamma blocks (quadratic_blocks),
-    each as {(i, j): entry}: the creator-creator and the
-    annihilator-annihilator parts that central_pairing sums over."""
+    """w's beta and gamma blocks (quadratic_blocks), each as {(i, j): entry}:
+    the creator-creator and the annihilator-annihilator parts that
+    central_pairing sums over."""
     _, beta, gamma = quadratic_blocks(w, modes)
-    return tuple({(i, j): x for i, row in enumerate(m) for j, x in enumerate(row) if x}
-                 for m in (beta, gamma))
+    return beta, gamma
 
 
 def central_pairing(x_blocks, y_blocks) -> QI:
     """Closed-form central term 2 tr(gamma_x beta_y) - 2 tr(beta_x gamma_y).
 
     Each argument is a bilinear's pairing_blocks, built once per bilinear
-    by the caller, so each trace sums over nonzero entries only.  This is
-    the trace-form cocycle produced by the double contractions and serves
-    as the matrix-side cross-check of the symbolic scalar part.
+    by the caller, so both traces are summed over nonzero entries only, in
+    one kernel call.  This is the trace-form cocycle produced by the double
+    contractions and serves as the matrix-side cross-check of the symbolic
+    scalar part.
     """
     bx, gx = x_blocks
     by, gy = y_blocks
-    return QI(2) * (_trace_of_product(gx, by) - _trace_of_product(bx, gy))
+    return sum_products(chain(_trace_items(gx, by, 2), _trace_items(bx, gy, -2))).get(0, QI_ZERO)
 
 
-def _trace_of_product(a: dict, b: dict) -> QI:
-    """tr(ab) for matrices given as {(i, j): entry} of their nonzero entries."""
-    return sum((x * y for (i, k), x in a.items() if (y := b.get((k, i)))), QI(0))
+def _trace_items(a: dict, b: dict, w: int):
+    """(0, a_ik, b_ki, w) for each product in tr(ab), for sum_products, with
+    a and b given as {(i, j): entry} of their nonzero entries."""
+    return ((0, x, y, w) for (i, k), x in a.items() if (y := b.get((k, i))))
 
 
 def cross_check_basis_size(family: str, k: int, flavors: int, level: int) -> int:
@@ -577,6 +573,10 @@ def _closure_structure(quad, family, flavors, modes, pol, spec):
             mats = [matrix_from_quadratic(p, pol) for p in parts]
     except SpanError:
         return False, False
+    size = pol.size if pol else 2 * len(modes)
+    if size != spec.size:
+        raise oscrep.AlgebraError(f"matrix size {size} does not match the "
+                                  f"{spec.family} form ({spec.size})")
     # sign and transpose are irrelevant for sp_real: the family is stable under both
     member = oscrep.matrix_membership(mats[0], spec)
     same = all(m == mats[0] for m in mats[1:])

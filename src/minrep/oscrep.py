@@ -4,21 +4,24 @@ Generators of su(2,2), u(n,n) and so*(4n) are built as quadratic Weyl
 elements over a/b mode pairs; Chevalley-Serre relations, dual-pair
 commutants, matrix membership conditions, the quadratic Casimir relation
 and the degree-two relation among the noncompact raising operators of
-so*(8) are all verified as exact symbolic identities.
+so*(8) are all verified as exact symbolic identities.  The Lie algebra
+matrices (bases, duals, membership arguments) are {(row, col): entry}
+dicts of their nonzero entries, and their sums go through
+``scalars.sum_products``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 
 from . import linalg
-from .lincomb import combine
 from .reports import Report
 from .rootsys import cartan_a_type, cartan_d_type
-from .scalars import QI, QI_ZERO
+from .scalars import QI, QI_ZERO, sum_products
 from .weylalg import (WeylElement, Polarization, commutator, ad_power,
-                      normal_product, quadratic_from_matrix)
+                      normal_product, quadratic_from_matrix, sum_of_products)
 
 
 class AlgebraError(ValueError):
@@ -126,25 +129,25 @@ def form_spec(family: str, k: int) -> FormSpec:
     raise AlgebraError(f"unknown form family {family!r}")
 
 
-def matrix_membership(x, spec: FormSpec) -> bool:
-    """Whether X lies in the family's algebra: X*beta + beta X = 0 and
-    t(X) sigma + sigma X = 0 for the forms the spec has, or, for sp_real,
-    X J + J t(X) = 0 with X of the real shape [[a, conj b], [b, conj a]].
+def matrix_membership(x: dict, spec: FormSpec) -> bool:
+    """Whether X, given as {(row, col): entry} of its nonzero QI entries,
+    lies in the family's algebra: X*beta + beta X = 0 and t(X) sigma +
+    sigma X = 0 for the forms the spec has, or, for sp_real, X J + J t(X)
+    = 0 with X of the real shape [[a, conj b], [b, conj a]].
 
     Each condition is summed over X's nonzero entries (and the form's), so
-    no dense product is formed.
+    no dense product is formed.  An entry outside the form's size raises.
     """
     n = spec.size
-    if len(x) != n or any(len(row) != n for row in x):
+    if not all(0 <= i < n and 0 <= k < n for i, k in x):
         raise AlgebraError(f"matrix size does not match the {spec.family} form ({n})")
-    entries = {(i, k): QI.of(v) for i, row in enumerate(x) for k, v in enumerate(row) if v}
-    nonzero = [(i, k, v) for (i, k), v in entries.items()]
+    nonzero = [(i, k, v) for (i, k), v in x.items()]
     trans = [(k, i, v) for i, k, v in nonzero]
     if spec.family == "sp_real":
         # the real shape: moving an entry by half the size in both indices conjugates it
         h = n // 2
         return (_form_vanishes(nonzero, spec.sparse["sympl"], trans)
-                and {((i + h) % n, (k + h) % n): v.conj() for i, k, v in nonzero} == entries)
+                and {((i + h) % n, (k + h) % n): v.conj() for i, k, v in nonzero} == x)
     star = [(k, i, v.conj()) for i, k, v in nonzero]
     if spec.family == "u_pq":
         return _form_vanishes(star, spec.sparse["beta"], nonzero)
@@ -161,9 +164,9 @@ def _form_vanishes(left, form, right) -> bool:
     of their nonzero entries and F as its nonzero entries by row and by
     column."""
     rows, cols = form
-    acc = combine((((i, j), v * f) for i, k, v in left for j, f in rows.get(k, ())), {})
-    combine((((i, j), f * v) for k, j, v in right for i, f in cols.get(k, ())), acc)
-    return not any(acc.values())
+    return not sum_products(chain(
+        (((i, j), v, f, 1) for i, k, v in left for j, f in rows.get(k, ())),
+        (((i, j), f, v, 1) for k, j, v in right for i, f in cols.get(k, ()))))
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +439,11 @@ def u22_weight_basis(gens: GeneratorSet, pol: Polarization):
         for beta in range(4):
             if alpha != beta:
                 out.append((f"X_{alpha + 1}{beta + 1}",
-                            quadratic_from_matrix(basis_matrix(4, alpha, beta), pol)))
+                            quadratic_from_matrix({(alpha, beta): QI(1)}, pol)))
     diags = {"H_a": [1, -1, 0, 0, ], "H_b": [0, 1, -1, 0], "H_c": [1, -1, -1, 1]}
     for name, d in diags.items():
-        out.append((name, quadratic_from_matrix(qi_diag(d), pol)))
+        out.append((name, quadratic_from_matrix({(a, a): QI(c) for a, c in enumerate(d) if c},
+                                                pol)))
     out.append(("h", gens.extras["h"]))
     return out
 
@@ -499,27 +503,18 @@ def _in_weyl_span(basis: list, target: WeylElement) -> bool:
 # Casimir relation
 
 
-def so_star_block(u, v):
-    """The so*(4n) block matrix [[u, v], [v*, -t(u)]] from k x k blocks u, v."""
-    mtu = [[-x if x else x for x in row] for row in linalg.transpose(u)]
-    return [r + s for r, s in zip(u, v)] + [r + s for r, s in zip(mat_star(v), mtu)]
-
-
-def so_star_matrix_basis(n: int):
-    """Real basis of so*(4n) as 4n x 4n matrices in the block form."""
+def so_star_basis(n: int) -> list[dict]:
+    """Real basis of so*(4n) as {(row, col): entry} dicts in the block form
+    [[u, v], [v*, -t(u)]]: u(2n) in the compact blocks, then for each
+    a < b the antisymmetric v = c (e_ab - e_ba) with c = 1 and c = i."""
     k = 2 * n
     spec = form_spec("so_star", n)
-    out = []
-    zero_k = [[QI(0)] * k for _ in range(k)]
-    for u in unitary_basis([1] * k):
-        out.append(so_star_block(u, zero_k))
+    out = [_compact_block(u, k) for u in unitary_basis([1] * k)]
     for a in range(k):
         for b in range(a + 1, k):
             for c in (QI(1), QI(0, 1)):
-                v = [[QI(0)] * k for _ in range(k)]
-                v[a][b] = c
-                v[b][a] = -c
-                out.append(so_star_block(zero_k, v))
+                out.append({(a, k + b): c, (b, k + a): -c,
+                            (k + b, a): c.conj(), (k + a, b): -c.conj()})
     for x in out:
         if not matrix_membership(x, spec):
             raise AlgebraError("constructed basis element fails membership")
@@ -528,9 +523,22 @@ def so_star_matrix_basis(n: int):
     return out
 
 
-def unitary_basis(signs, traceless: bool = False):
-    """Real basis of u(p,q) (su(p,q) if traceless) as QI matrices X with
-    X* D + D X = 0, D = diag(signs); u(k) is the case of k signs +1.
+def so_star_matrix_basis(n: int):
+    """so_star_basis(n) as dense 4n x 4n rows, for dense matrix products."""
+    size = 4 * n
+    return [[[x.get((i, j), QI_ZERO) for j in range(size)] for i in range(size)]
+            for x in so_star_basis(n)]
+
+
+def _compact_block(u: dict, k: int) -> dict:
+    """The so*(4n) element [[u, 0], [0, -t(u)]] of a k x k block u."""
+    return {**u, **{(k + b, k + a): -c for (a, b), c in u.items()}}
+
+
+def unitary_basis(signs, traceless: bool = False) -> list[dict]:
+    """Real basis of u(p,q) (su(p,q) if traceless) as {(row, col): entry}
+    dicts X with X* D + D X = 0, D = diag(signs); u(k) is the case of k
+    signs +1.
 
     The diagonal elements come first (i e_aa, or i(e_aa - e_{a+1,a+1})
     when traceless), then the pair e_ab - s e_ba, i(e_ab + s e_ba) for
@@ -538,54 +546,37 @@ def unitary_basis(signs, traceless: bool = False):
     """
     k = len(signs)
     i = QI(0, 1)
-
-    def unit(entries):
-        m = [[QI(0)] * k for _ in range(k)]
-        for (a, b), c in entries.items():
-            m[a][b] = c
-        return m
-
     if traceless:
-        out = [unit({(a, a): i, (a + 1, a + 1): -i}) for a in range(k - 1)]
+        out = [{(a, a): i, (a + 1, a + 1): -i} for a in range(k - 1)]
     else:
-        out = [unit({(a, a): i}) for a in range(k)]
+        out = [{(a, a): i} for a in range(k)]
     for a in range(k):
         for b in range(a + 1, k):
             s = signs[a] * signs[b]
-            out.append(unit({(a, b): QI(1), (b, a): QI(-s)}))
-            out.append(unit({(a, b): i, (b, a): QI(0, s)}))
+            out.append({(a, b): QI(1), (b, a): QI(-s)})
+            out.append({(a, b): i, (b, a): QI(0, s)})
     return out
 
 
-def _dual_basis(basis):
-    """The basis dual to `basis` under the trace form tr(xy).
+def _dual_basis(basis: list[dict]) -> list[dict]:
+    """The basis dual to `basis` under the trace form tr(xy), each matrix
+    as {(row, col): entry}.
 
-    The Gram entry tr(x_a x_b) sums v * w over the nonzero entries v =
-    x_a[i][k] and w = x_b[k][i], so an index from each position to the
-    basis matrices nonzero there reaches only the pairs that share one.
+    The Gram entry tr(x_a x_b) sums v * w over the entries v = x_a[i][k]
+    and w = x_b[k][i], so an index from each position to the basis
+    matrices nonzero there reaches only the pairs that share one.
     """
-    nonzero = [[(i, k, v) for i, row in enumerate(x) for k, v in enumerate(row) if v]
-               for x in basis]
     at: dict = {}
-    for b, xs in enumerate(nonzero):
-        for i, k, v in xs:
-            at.setdefault((i, k), []).append((b, v))
-    gram = []
-    for xs in nonzero:
-        row = combine(((b, v * w) for i, k, v in xs for b, w in at.get((k, i), ())), {})
-        gram.append({b: c for b, c in row.items() if c})
+    for b, x in enumerate(basis):
+        for ik, v in x.items():
+            at.setdefault(ik, []).append((b, v))
+    gram = [sum_products((b, v, w, 1) for (i, k), v in x.items() for b, w in at.get((k, i), ()))
+            for x in basis]
     if not all(c.is_real() for row in gram for c in row.values()):
         raise AlgebraError("the trace form is not real on the basis")
     # dual a = sum_b inv[a][b] basis[b], over the nonzeros of both
-    n = len(basis[0])
-    out = []
-    for inv_row in linalg.inverse(gram):
-        d = [[QI_ZERO] * n for _ in range(n)]
-        for (i, k), c in combine((((i, k), c * v) for b, c in inv_row.items()
-                                  for i, k, v in nonzero[b]), {}).items():
-            d[i][k] = c
-        out.append(d)
-    return out
+    return [sum_products((ik, c, v, 1) for b, c in inv_row.items() for ik, v in basis[b].items())
+            for inv_row in linalg.inverse(gram)]
 
 
 def casimir_elements(gens: GeneratorSet, pol: Polarization):
@@ -597,36 +588,27 @@ def casimir_elements(gens: GeneratorSet, pol: Polarization):
     the maximal compact u(2n) then carries H^2/(4n), and the noncompact
     products enter Weyl (symmetrically) ordered.  In this normalization the
     Casimir relation holds exactly with unit scale, which the scale search
-    in casimir_defect certifies rather than assumes.
+    in casimir_defect certifies rather than assumes.  Each of the three is
+    summed over all of its products in one kernel call.
     """
     k = pol.size // 2
     n = k // 2
-    so_basis = so_star_matrix_basis(n)
-    so_dual = _dual_basis(so_basis)
-    c_so = WeylElement.zero()
-    for x, xd in zip(so_basis, so_dual):
-        c_so = c_so + normal_product(quadratic_from_matrix(x, pol),
-                                     quadratic_from_matrix(xd, pol))
 
-    zero_k = [[QI(0)] * k for _ in range(k)]
-    su_basis = [so_star_block(u, zero_k) for u in unitary_basis([1] * k, traceless=True)]
-    su_dual = _dual_basis(su_basis)
-    c_su = WeylElement.zero()
-    for x, xd in zip(su_basis, su_dual):
-        c_su = c_su + normal_product(quadratic_from_matrix(x, pol),
-                                     quadratic_from_matrix(xd, pol))
+    def dual_pairs(basis):
+        return [(quadratic_from_matrix(x, pol), quadratic_from_matrix(xd, pol))
+                for x, xd in zip(basis, _dual_basis(basis))]
 
+    c_so = sum_of_products(dual_pairs(so_star_basis(n)))
+    su_basis = [_compact_block(u, k) for u in unitary_basis([1] * k, traceless=True)]
     h = gens.extras["H"]
-    c_u = c_su + normal_product(h, h).scale(Fraction(1, 4 * n))
-
-    ee = WeylElement.zero()
-    half = Fraction(1, 2)
+    c_u = sum_of_products(dual_pairs(su_basis) + [(h.scale(Fraction(1, 4 * n)), h)])
+    ee = []
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
             eij = gens.extras[f"E_{i}{j}"]
             fij = eij.adjoint()
-            ee = ee + (normal_product(eij, fij) + normal_product(fij, eij)).scale(half)
-    return c_so, c_u, ee
+            ee += [(eij, fij), (fij, eij)]
+    return c_so, c_u, sum_of_products(ee).scale(Fraction(1, 2))
 
 
 def casimir_defect(gens: GeneratorSet, pol: Polarization):

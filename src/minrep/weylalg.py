@@ -7,20 +7,24 @@ A mode is any hashable, totally ordered tuple, e.g. ("a", 1) or
 the contraction rule [c_m, c*_n] = delta_{mn}, so structural equality of
 the term dictionaries is semantic equality.  A commutator is formed from
 the pairs of terms that contract, and only from their contracted terms:
-the uncontracted term is the same in both orders.  Quadratics phi~ X phi
-are read off the polarization's table of normal-ordered products.
+the uncontracted term is the same in both orders.  Products and
+commutators hand their terms to ``scalars.sum_products``, which sums them
+in ints; ``sum_of_products`` sums many products in one such call.
+Quadratics phi~ X phi are read off the polarization's table of
+normal-ordered products, with X a {(row, col): entry} dict of its nonzero
+entries, as are the matrices read back off a quadratic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from math import comb, factorial
 from typing import NamedTuple
 
-from .lincomb import LinComb, combine
-from .scalars import QI, QI_ZERO
+from .lincomb import LinComb
+from .scalars import QI, sum_products
 
 Mode = tuple
 
@@ -188,12 +192,21 @@ _IDENTITY = WeylElement({_ONE_MONO: QI(1)})
 
 def normal_product(x: WeylElement, y: WeylElement) -> WeylElement:
     """Product x.y rewritten to canonical normal-ordered form via the CCR."""
-    acc: dict[WeylMonomial, QI] = {}
+    return WeylElement._nonzero(sum_products(_product_items(x, y)))
+
+
+def sum_of_products(pairs) -> WeylElement:
+    """The sum of x.y over the (x, y) pairs, summed in one kernel call."""
+    return WeylElement._nonzero(sum_products(
+        item for x, y in pairs for item in _product_items(x, y)))
+
+
+def _product_items(x: WeylElement, y: WeylElement):
+    """(monomial, qx, qy, weight) for each term of x.y, for sum_products."""
     for mx, qx in x.terms.items():
         for my, qy in y.terms.items():
-            q = qx * qy
-            combine(((mono, q * w) for w, mono in _mono_product(mx, my)), acc)
-    return WeylElement(acc)
+            for w, mono in _mono_product(mx, my):
+                yield mono, qx, qy, w
 
 
 def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
@@ -203,11 +216,12 @@ def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
     cancels and is never formed, and a pair that does not contract in an
     order is not visited in it.
     """
-    return WeylElement(_add_contractions(y, x, -1, _add_contractions(x, y, 1, {})))
+    return WeylElement._nonzero(sum_products(chain(_contraction_items(x, y, 1),
+                                                   _contraction_items(y, x, -1))))
 
 
-def _add_contractions(x: WeylElement, y: WeylElement, sign: int, acc: dict) -> dict:
-    """Add sign times the contracted terms of x.y to acc and return it.
+def _contraction_items(x: WeylElement, y: WeylElement, sign: int):
+    """(monomial, qx, qy, sign * weight) for each contracted term of x.y.
 
     y's terms are indexed by the modes of their creators, so each term of
     x meets only the terms of y whose creators its annihilators contract.
@@ -221,9 +235,8 @@ def _add_contractions(x: WeylElement, y: WeylElement, sign: int, acc: dict) -> d
         for m in mx.annihilators:
             meets.update(by_creator.get(m, ()))
         for my, qy in meets.items():
-            q = qx * qy
-            combine(((mono, q * (sign * w)) for w, mono in _contractions(mx, my)), acc)
-    return acc
+            for w, mono in _contractions(mx, my):
+                yield mono, qx, qy, sign * w
 
 
 def ad_power(x: WeylElement, y: WeylElement, k: int) -> WeylElement:
@@ -261,9 +274,9 @@ class Polarization:
         for a, ft in enumerate(self.phi_tilde):
             row = []
             for b, f in enumerate(self.phi):
-                prod = normal_product(ft, f)
-                if normal_product(f, ft) - prod != (_IDENTITY if a == b else _ZERO):
+                if commutator(f, ft) != (_IDENTITY if a == b else _ZERO):
                     raise ValueError("polarization does not satisfy the CCR pairing")
+                prod = normal_product(ft, f)
                 terms = prod.without_scalar().terms
                 if len(terms) != 1 or next(iter(terms)) in products:
                     raise ValueError("phi~_a phi^b do not normal-order to distinct monomials")
@@ -287,8 +300,9 @@ def standard_polarization(k: int) -> Polarization:
     return Polarization(phi, phit)
 
 
-def quadratic_from_matrix(x_matrix, pol: Polarization) -> WeylElement:
-    """The literal bilinear sum_{ab} phi~_a X_ab phi^b, not normal subtracted.
+def quadratic_from_matrix(x, pol: Polarization) -> WeylElement:
+    """The literal bilinear sum_{ab} phi~_a X_ab phi^b, not normal subtracted,
+    for X given as {(a, b): X_ab}.
 
     Reordering constants (e.g. b b* = b*b + 1) are kept, so the map is an
     exact Lie algebra homomorphism on matrices; any scalar offset against
@@ -297,30 +311,27 @@ def quadratic_from_matrix(x_matrix, pol: Polarization) -> WeylElement:
     of phi~_a phi^b, both from pol.table.
     """
     n = pol.size
-    if len(x_matrix) != n or any(len(row) != n for row in x_matrix):
-        raise ValueError(f"matrix must be {n}x{n} to match the polarization")
-    acc: dict[WeylMonomial, QI] = {}
-    scalars = []
-    for row, products in zip(x_matrix, pol.table):
-        for x, (mono, c, scalar) in zip(row, products):
-            x = QI.of(x)
-            if x:
-                acc[mono] = x * c
-                if scalar:
-                    scalars.append((_ONE_MONO, x * scalar))
-    return WeylElement(combine(scalars, acc))
+    items = []
+    for (a, b), v in x.items():
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"matrix must be {n}x{n} to match the polarization")
+        mono, c, scalar = pol.table[a][b]
+        items.append((mono, v, c, 1))
+        if scalar:
+            items.append((_ONE_MONO, v, scalar, 1))
+    return WeylElement._nonzero(sum_products(items))
 
 
-def matrix_from_quadratic(w: WeylElement, pol: Polarization):
-    """Invert quadratic_from_matrix by reading X off w's monomials.
+def matrix_from_quadratic(w: WeylElement, pol: Polarization) -> dict:
+    """Invert quadratic_from_matrix by reading X off w's monomials, as
+    {(a, b): X_ab}.
 
     The monomial of phi~_a phi^b carries X_ab c_ab (pol.products), so each
     entry is one coefficient of w over c_ab; w's scalar part is ignored.
     Raises SpanError on any other monomial: a1 a2 and b1* b2*, say, are
     in no phi~ X phi, although they commute with every phi^b.
     """
-    n = pol.size
-    x = [[QI_ZERO] * n for _ in range(n)]
+    x = {}
     for mono, q in w.terms.items():
         if mono == _ONE_MONO:
             continue
@@ -328,12 +339,13 @@ def matrix_from_quadratic(w: WeylElement, pol: Polarization):
         if entry is None:
             raise SpanError(f"quadratic leaves the mode span of the polarization: {mono}")
         a, b, c = entry
-        x[a][b] = q / c
+        x[a, b] = q / c
     return x
 
 
-def mode_action_matrix(w: WeylElement, modes: list[Mode]):
-    """Matrix M = t(A) with [w, xi_a] = sum_b A_ab xi_b on xi = (c_1..c_n, c*_1..c*_n).
+def mode_action_matrix(w: WeylElement, modes: list[Mode]) -> dict:
+    """Matrix M = t(A) with [w, xi_a] = sum_b A_ab xi_b on xi = (c_1..c_n, c*_1..c*_n),
+    as {(row, col): entry}.
 
     With (alpha, beta, gamma) = quadratic_blocks(w, modes), the brackets
     [w, c_r] and [w, c*_r] give M = [[-t(alpha), 2 gamma], [-2 beta, alpha]];
@@ -342,45 +354,37 @@ def mode_action_matrix(w: WeylElement, modes: list[Mode]):
     """
     alpha, beta, gamma = quadratic_blocks(w, modes)
     n = len(modes)
-    return ([[-alpha[j][i] for j in range(n)] + [2 * x for x in gamma[i]] for i in range(n)]
-            + [[-2 * x for x in beta[i]] + alpha[i] for i in range(n)])
+    out = {(j, i): -x for (i, j), x in alpha.items()}
+    out.update({(i, n + j): 2 * x for (i, j), x in gamma.items()})
+    out.update({(n + i, j): -2 * x for (i, j), x in beta.items()})
+    out.update({(n + i, n + j): x for (i, j), x in alpha.items()})
+    return out
 
 
 def quadratic_blocks(w: WeylElement, modes: list[Mode]):
-    """Split a quadratic into (alpha, beta, gamma) coefficient matrices.
+    """Split a quadratic into (alpha, beta, gamma) coefficient matrices,
+    each as {(i, j): entry} of its nonzero entries.
 
     w = sum alpha_ij c*_i c_j + sum beta_ij c*_i c*_j + sum gamma_ij c_i c_j
-    + scalar, with beta and gamma returned as symmetric matrices.  Raises
+    + scalar, with beta and gamma symmetric.  Each monomial fills its own
+    entry (two mirrored ones off the diagonal of beta and gamma).  Raises
     SpanError on a monomial that is not quadratic in the modes.
     """
     idx = {m: i for i, m in enumerate(modes)}
-    n = len(modes)
-    alpha = [[QI(0)] * n for _ in range(n)]
-    beta = [[QI(0)] * n for _ in range(n)]
-    gamma = [[QI(0)] * n for _ in range(n)]
+    blocks = {(1, 1): {}, (2, 0): {}, (0, 2): {}}
     half = QI(Fraction(1, 2))
     for mono, q in w.terms.items():
-        nc, na = len(mono.creators), len(mono.annihilators)
-        if (nc, na) == (0, 0):
+        shape = (len(mono.creators), len(mono.annihilators))
+        if shape == (0, 0):
             continue
-        if nc + na != 2:
+        if sum(shape) != 2:
             raise SpanError(f"element is not quadratic: {mono}")
         if not idx.keys() >= {*mono.creators, *mono.annihilators}:
             raise SpanError(f"element leaves the mode span: {mono}")
-        if (nc, na) == (1, 1):
-            alpha[idx[mono.creators[0]]][idx[mono.annihilators[0]]] += q
-        elif (nc, na) == (2, 0):
-            i, j = idx[mono.creators[0]], idx[mono.creators[1]]
-            if i == j:
-                beta[i][i] += q
-            else:
-                beta[i][j] += q * half
-                beta[j][i] += q * half
+        i, j = (idx[m] for m in mono.creators + mono.annihilators)
+        block = blocks[shape]
+        if shape == (1, 1) or i == j:
+            block[i, j] = q
         else:
-            i, j = idx[mono.annihilators[0]], idx[mono.annihilators[1]]
-            if i == j:
-                gamma[i][i] += q
-            else:
-                gamma[i][j] += q * half
-                gamma[j][i] += q * half
-    return alpha, beta, gamma
+            block[i, j] = block[j, i] = q * half
+    return blocks[1, 1], blocks[2, 0], blocks[0, 2]

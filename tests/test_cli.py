@@ -369,7 +369,7 @@ def count_builds(monkeypatch) -> dict:
     counted(weylalg.Polarization, "__post_init__", "polarizations")
     counted(oscrep, "unn_generators", "sets")
     counted(oscrep, "so_star_generators", "sets")
-    counted(oscrep, "so_star_matrix_basis", "matrix bases")
+    counted(oscrep, "so_star_basis", "matrix bases")
     return counts
 
 

@@ -191,6 +191,16 @@ def _qi_mat(rows):
     return [[QI.of(x) for x in row] for row in rows]
 
 
+def _sparse(x):
+    """Dense rows as {(row, col): entry} of their nonzero entries, as QI."""
+    return {(i, j): QI.of(v) for i, row in enumerate(x) for j, v in enumerate(row) if v}
+
+
+def _dense(x, n):
+    """A {(row, col): entry} matrix as n dense rows of QI."""
+    return [[QI.of(x.get((i, j), 0)) for j in range(n)] for i in range(n)]
+
+
 def _dense_membership_oracle(x, spec):
     """Membership from the form conditions as dense matrix products:
     X*beta + beta X = 0, t(X) sigma + sigma X = 0, X J + J t(X) = 0, and
@@ -230,8 +240,8 @@ def _verdicts_against_oracle(family, bases, oracle):
     @st.composite
     def cases(draw):
         k = draw(st.sampled_from(sorted(bases)))
-        basis = bases[k]
-        size = len(basis[0])
+        size = oscrep.form_spec(family, k).size
+        basis = [_dense(b, size) for b in bases[k]]
         coeffs = draw(st.lists(small, min_size=len(basis), max_size=len(basis)))
         x = [[QI(0)] * size for _ in range(size)]
         for c, b in zip(coeffs, basis):
@@ -249,7 +259,7 @@ def _verdicts_against_oracle(family, bases, oracle):
     def check(case):
         k, x = case
         spec = oscrep.form_spec(family, k)
-        got = oscrep.matrix_membership(x, spec)
+        got = oscrep.matrix_membership(_sparse(x), spec)
         assert got == oracle(x, spec)
         verdicts.append(got)
 
@@ -262,12 +272,14 @@ class TestMembership:
         for fam, k in (("sp_real", 2), ("u_pq", 2), ("so_star", 1)):
             spec = oscrep.form_spec(fam, k)
             zero = [[QI(0)] * spec.size for _ in range(spec.size)]
-            assert oscrep.matrix_membership(zero, spec)
+            assert oscrep.matrix_membership(_sparse(zero), spec)
 
     def test_size_mismatch(self):
+        # an entry whose index falls outside the 4 x 4 form is refused
         spec = oscrep.form_spec("u_pq", 2)
-        with pytest.raises(oscrep.AlgebraError):
-            oscrep.matrix_membership([[QI(0)]], spec)
+        for entry in ((4, 0), (0, 4), (-1, 2)):
+            with pytest.raises(oscrep.AlgebraError, match="does not match the u_pq form"):
+                oscrep.matrix_membership({entry: QI(1)}, spec)
 
     def test_so_star_basis_closure(self):
         spec = oscrep.form_spec("so_star", 1)
@@ -275,7 +287,17 @@ class TestMembership:
         assert len(basis) == 6
         for x in basis:
             for y in basis:
-                assert oscrep.matrix_membership(linalg.commutator(x, y), spec)
+                assert oscrep.matrix_membership(_sparse(linalg.commutator(x, y)), spec)
+
+    def test_negating_one_entry_of_a_basis_element_breaks_membership(self):
+        # negative control: every so*(8) basis element with any one entry
+        # negated leaves the algebra
+        spec = oscrep.form_spec("so_star", 2)
+        basis = oscrep.so_star_basis(2)
+        assert all(oscrep.matrix_membership(x, spec) for x in basis)
+        for x in basis:
+            for key, v in x.items():
+                assert not oscrep.matrix_membership({**x, key: -v}, spec)
 
     def test_generator_image_membership(self):
         # The real form consists of the antihermitian operators.  On the
@@ -312,7 +334,7 @@ class TestMembership:
         x[1][1] = QI(1)
         x[2][2] = QI(-1)
         x[3][3] = QI(-1)
-        assert not oscrep.matrix_membership(x, spec)
+        assert not oscrep.matrix_membership(_sparse(x), spec)
 
     @staticmethod
     def _so_star_block_oracle(x, spec):
@@ -336,7 +358,7 @@ class TestMembership:
         return not linalg.trace(x)
 
     def test_so_star_agrees_with_the_block_oracle(self):
-        bases = {n: oscrep.so_star_matrix_basis(n) for n in (1, 2)}
+        bases = {n: oscrep.so_star_basis(n) for n in (1, 2)}
         verdicts = _verdicts_against_oracle("so_star", bases, self._so_star_block_oracle)
         assert True in verdicts and False in verdicts
 
@@ -356,10 +378,10 @@ class TestMembership:
         spec = oscrep.form_spec("sp_real", 1)
         # i * number operator direction: A = i, conjugate block -i
         x = [[QI(0, 1), QI(0)], [QI(0), QI(0, -1)]]
-        assert oscrep.matrix_membership(x, spec)
+        assert oscrep.matrix_membership(_sparse(x), spec)
         # bare number operator direction is not in the real form
         y = [[QI(1), QI(0)], [QI(0), QI(1)]]
-        assert not oscrep.matrix_membership(y, spec)
+        assert not oscrep.matrix_membership(_sparse(y), spec)
 
 
 class TestUnitaryBasis:
@@ -367,7 +389,7 @@ class TestUnitaryBasis:
     def test_every_sign_pattern(self, traceless):
         for k in range(1, 5):
             for signs in itertools.product((1, -1), repeat=k):
-                basis = oscrep.unitary_basis(signs, traceless)
+                basis = [_dense(x, k) for x in oscrep.unitary_basis(signs, traceless)]
                 d = oscrep.qi_diag(signs)
                 assert len(basis) == k * k - traceless
                 for x in basis:
@@ -394,7 +416,7 @@ class TestGroupLevelGolden:
             spec = oscrep.form_spec("so_star", n)
             sigma = [list(r) for r in spec.sigma]
             for name in (f"E_{1}{2}", f"E_{1}{2 * n}"):
-                x = matrix_from_quadratic(gens.extras[name], pol)
+                x = _dense(matrix_from_quadratic(gens.extras[name], pol), spec.size)
                 assert oscrep.mat_is_zero(linalg.mat_mul(x, x))
                 g = linalg.mat_add(linalg.identity(spec.size, QI(1)), x)
                 left = linalg.mat_mul(linalg.transpose(g), linalg.mat_mul(sigma, g))
@@ -426,13 +448,6 @@ class TestGroupLevelGolden:
             for y in basis:
                 assert oscrep._in_weyl_span(basis + [WeylElement.one()],
                                             commutator(x, y))
-
-
-def _dense(x, n):
-    """A {(row, col): entry} matrix as n dense rows of QI."""
-    if isinstance(x, list):
-        return x
-    return [[QI.of(x.get((i, j), 0)) for j in range(n)] for i in range(n)]
 
 
 def _unitary_basis_oracle(signs, traceless=False):
@@ -531,6 +546,12 @@ class TestSparseBases:
     def test_so_star_dense_view_matches_the_dense_builder(self, n):
         assert oscrep.so_star_matrix_basis(n) == _so_star_basis_oracle(n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_so_star_matches_the_dense_builder(self, n):
+        got = oscrep.so_star_basis(n)
+        assert all(v for x in got for v in x.values())
+        assert [_dense(x, 4 * n) for x in got] == _so_star_basis_oracle(n)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_u_kk_matches_the_dense_builder(self, k):
         signs = [1] * k + [-1] * k
@@ -579,15 +600,17 @@ class TestCasimir:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_dual_basis_is_dual_under_the_trace_form(self, n):
-        basis = oscrep.so_star_matrix_basis(n)
+        basis = oscrep.so_star_basis(n)
         dual = oscrep._dual_basis(basis)
+        assert all(v for x in dual for v in x.values())
+        basis, dual = ([_dense(x, 4 * n) for x in xs] for xs in (basis, dual))
         for a, x in enumerate(basis):
             for b, y in enumerate(dual):
                 assert linalg.trace_product(x, y) == int(a == b)
 
     def test_dual_basis_refuses_a_trace_form_that_is_not_real(self):
         with pytest.raises(oscrep.AlgebraError):
-            oscrep._dual_basis([[[QI(1)]], [[QI(0, 1)]]])
+            oscrep._dual_basis([{(0, 0): QI(1)}, {(0, 0): QI(0, 1)}])
 
     def test_vacuum_eigenvalue(self):
         d, _ = oscrep.casimir_defect(*_so_star(1))

@@ -14,6 +14,16 @@ from minrep.weylalg import (Polarization, SpanError, WeylElement, WeylMonomial, 
 A1, A2, B1, B2 = ("a", 1), ("a", 2), ("b", 1), ("b", 2)
 
 
+def _sparse(x):
+    """Dense rows as {(row, col): entry} of their nonzero entries, as QI."""
+    return {(i, j): QI.of(v) for i, row in enumerate(x) for j, v in enumerate(row) if v}
+
+
+def _dense(x, n):
+    """A {(row, col): entry} matrix as n dense rows of QI."""
+    return [[QI.of(x.get((i, j), 0)) for j in range(n)] for i in range(n)]
+
+
 def test_ccr_single_mode():
     c = WeylElement.annihilator(("c", 1))
     cs = WeylElement.creator(("c", 1))
@@ -134,7 +144,7 @@ def test_quadratic_from_matrix_makes_no_normal_product(monkeypatch):
     x = [[QI(i - j, i * j) for j in range(4)] for i in range(4)]
     want = _quadratic_by_normal_products(x, pol)
     _no_normal_products(monkeypatch)
-    assert quadratic_from_matrix(x, pol) == want
+    assert quadratic_from_matrix(_sparse(x), pol) == want
 
 
 def test_renormalization_idempotent():
@@ -213,7 +223,7 @@ def test_quadratic_single_entry():
     pol = standard_polarization(2)
     x = [[QI(0)] * 4 for _ in range(4)]
     x[0][0] = QI(1)
-    assert quadratic_from_matrix(x, pol) == WeylElement.monomial([A1], [A1])
+    assert quadratic_from_matrix(_sparse(x), pol) == WeylElement.monomial([A1], [A1])
 
 
 def _quadratic_by_normal_products(x_matrix, pol):
@@ -238,7 +248,7 @@ def test_quadratic_from_matrix_matches_the_normal_product_oracle(k):
 
     for _ in range(12):
         x = [[entry() for _ in range(2 * k)] for _ in range(2 * k)]
-        assert quadratic_from_matrix(x, pol) == _quadratic_by_normal_products(x, pol)
+        assert quadratic_from_matrix(_sparse(x), pol) == _quadratic_by_normal_products(x, pol)
 
 
 def test_quadratic_identity_vs_helicity():
@@ -246,7 +256,7 @@ def test_quadratic_identity_vs_helicity():
     # the reordering constant, h = (phi~ phi + phi phi~)/2 exactly
     pol = standard_polarization(2)
     x = [[QI(1) if i == j else QI(0) for j in range(4)] for i in range(4)]
-    got = quadratic_from_matrix(x, pol)
+    got = quadratic_from_matrix(_sparse(x), pol)
     h = (WeylElement.monomial([A1], [A1]) + WeylElement.monomial([A2], [A2])
          - WeylElement.monomial([B1], [B1]) - WeylElement.monomial([B2], [B2]))
     diff = got - h
@@ -270,8 +280,9 @@ def test_quadratic_map_is_lie_homomorphism():
     from minrep import linalg
     for _ in range(20):
         x, y = rnd_mat(), rnd_mat()
-        lhs = commutator(quadratic_from_matrix(x, pol), quadratic_from_matrix(y, pol))
-        rhs = quadratic_from_matrix(linalg.commutator(x, y), pol)
+        lhs = commutator(quadratic_from_matrix(_sparse(x), pol),
+                         quadratic_from_matrix(_sparse(y), pol))
+        rhs = quadratic_from_matrix(_sparse(linalg.commutator(x, y)), pol)
         diff = lhs - rhs
         assert diff.is_scalar()
         assert diff.is_zero()
@@ -283,8 +294,8 @@ def test_matrix_from_quadratic_roundtrip():
     for _ in range(10):
         x = [[QI(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-2, 2)))
               for _ in range(4)] for _ in range(4)]
-        w = quadratic_from_matrix(x, pol)
-        assert matrix_from_quadratic(w, pol) == x
+        w = quadratic_from_matrix(_sparse(x), pol)
+        assert matrix_from_quadratic(w, pol) == _sparse(x)
 
 
 def test_matrix_from_quadratic_rejects_nonpolarized():
@@ -327,9 +338,9 @@ def test_mode_action_matrix_is_homomorphism():
     for _ in range(10):
         x = _random_quadratic(rng, modes, 2).without_scalar()
         y = _random_quadratic(rng, modes, 2).without_scalar()
-        mx = mode_action_matrix(x, modes)
-        my = mode_action_matrix(y, modes)
-        mxy = mode_action_matrix(commutator(x, y).without_scalar(), modes)
+        mx = _dense(mode_action_matrix(x, modes), 4)
+        my = _dense(mode_action_matrix(y, modes), 4)
+        mxy = _dense(mode_action_matrix(commutator(x, y).without_scalar(), modes), 4)
         assert mxy == linalg.commutator(mx, my)
 
 
@@ -352,7 +363,9 @@ def test_mode_action_matrix_matches_the_commutator_oracle(k):
     modes = [("c", i) for i in range(1, k + 1)]
     for _ in range(30):
         w = _random_quadratic(rng, modes, 2 * k) + WeylElement.scalar(rng.randint(-2, 2))
-        assert mode_action_matrix(w, modes) == _commutator_action_matrix(w, modes)
+        got = mode_action_matrix(w, modes)
+        assert _dense(got, 2 * k) == _commutator_action_matrix(w, modes)
+        assert all(got.values())
 
 
 @pytest.mark.parametrize("w,message", [
@@ -370,15 +383,16 @@ def test_quadratic_blocks_split():
          + WeylElement.monomial([("c", 1), ("c", 2)], [], QI(2))
          + WeylElement.monomial([], [("c", 1), ("c", 1)], QI(5)))
     alpha, beta, gamma = quadratic_blocks(w, modes)
-    assert alpha[0][1] == QI(3)
-    assert beta[0][1] == QI(1) and beta[1][0] == QI(1)
-    assert gamma[0][0] == QI(5)
+    assert alpha == {(0, 1): QI(3)}
+    assert beta == {(0, 1): QI(1), (1, 0): QI(1)}
+    assert gamma == {(0, 0): QI(5)}
 
 
 def test_dimension_mismatch_rejected():
     pol = standard_polarization(2)
-    with pytest.raises(ValueError):
-        quadratic_from_matrix([[QI(1)]], pol)
+    for entry in ((4, 0), (0, 4), (-1, 0)):
+        with pytest.raises(ValueError, match="4x4"):
+            quadratic_from_matrix({entry: QI(1)}, pol)
 
 
 def test_serialization_golden():
@@ -398,13 +412,6 @@ def test_serialization_deterministic_across_builds():
 
 
 # --- the products against their per-pair oracles ---------------------------
-
-
-def _dense(x, n):
-    """A {(row, col): entry} matrix as n dense rows of QI."""
-    if isinstance(x, list):
-        return x
-    return [[QI.of(x.get((i, j), 0)) for j in range(n)] for i in range(n)]
 
 
 def _normal_product_oracle(x, y):
