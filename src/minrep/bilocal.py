@@ -14,12 +14,14 @@ them for zero again; it reads each pair
 of normal products' contraction sets from a bounded cache, since the same
 pairs of fields meet again in every product of bilinears.  The commutator
 is formed from the contracted terms alone, in one pass, since the
-uncontracted terms of uv and vu cancel.  The closed form is summed into
-the same dict shape through ``linalg``'s products, a route apart from the
-Wick combinatorics, so the formula check is one dict comparison, and a
-failing check renders only the first terms of its defect.  Over ``QI``
-both routes sum their scalar products through ``scalars.sum_products``, so
-the check does not test that kernel; its oracle tests do.  On top of
+uncontracted terms of uv and vu cancel.  The closed form writes each label
+product as an index sum over the nonzero entries, keyed like the Wick
+terms, a route apart from the Wick combinatorics.  The formula check hands
+the Wick commutator's terms and minus the closed form's to one
+``scalars.sum_products`` call and passes when no total is left; the totals
+left are the defect, of which a failing check renders the first terms.
+Both routes sum through that kernel, so the check does not test it; its
+oracle tests do.  On top of
 the engine sit the closed commutator formula for matrix-labeled
 bilinears, the Frobenius pairing of the labeling matrix algebra, and the
 real/complex/quaternionic commutant classification; the labeling
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from . import linalg
 from .lincomb import LinComb, combine
@@ -94,11 +97,6 @@ def delta_double(i: int, j: int) -> DeltaPoly:
     """Central double contraction D+_{1i} D+_{2j} - D+_{i1} D+_{j2}."""
     return (DeltaPoly.symbol(1, i) * DeltaPoly.symbol(2, j)
             - DeltaPoly.symbol(i, 1) * DeltaPoly.symbol(j, 2))
-
-
-# the two central double contractions of the closed commutator formula
-_DD_12_34 = delta_double(3, 4)
-_DD_12_43 = delta_double(4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +180,23 @@ _CONTRACTION_CACHE_SIZE = 4096
 @lru_cache(maxsize=_CONTRACTION_CACHE_SIZE)
 def _contractions(left: tuple, right: tuple) -> tuple:
     """The contraction sets of two normal products, the empty set first, each
-    as (uncontracted normal product, sorted pairs, sorted transposed pairs)."""
-    return tuple((tuple(sorted(ra + rb)), tuple(sorted(pairs)),
-                  tuple(sorted((l, k) for k, l in pairs)))
-                 for pairs, ra, rb in _contraction_sets(left, right))
+    as (uncontracted normal product, sorted pairs, sorted transposed pairs,
+    (normal product, pairs) key, (normal product, transposed pairs) key)."""
+    out = []
+    for pairs, ra, rb in _contraction_sets(left, right):
+        key, pairs, tpairs = (tuple(sorted(ra + rb)), tuple(sorted(pairs)),
+                              tuple(sorted((l, k) for k, l in pairs)))
+        out.append((key, pairs, tpairs, (key, pairs), (key, tpairs)))
+    return tuple(out)
+
+
+def _grouped(totals: dict) -> WickElement:
+    """The WickElement of {(normal product, D-monomial): coefficient} totals
+    with no zero among them, each DeltaPoly built once."""
+    out: dict = {}
+    for (key, mono), c in totals.items():
+        out.setdefault(key, {})[mono] = c
+    return WickElement._nonzero({key: DeltaPoly._nonzero(acc) for key, acc in out.items()})
 
 
 def _wick_sum(term_pairs, commutator: bool) -> WickElement:
@@ -195,15 +206,13 @@ def _wick_sum(term_pairs, commutator: bool) -> WickElement:
     scalars.sum_products under every contraction set S, which sums them in
     ints and reduces each total once; for the commutator the empty set is
     skipped and each S also adds -c1*c2 under its transpose tS."""
-    out: dict = {}
-    for (key, mono), c in sum_products(_wick_items(term_pairs, commutator)).items():
-        out.setdefault(key, {})[mono] = c
-    return WickElement._nonzero({key: DeltaPoly._nonzero(acc) for key, acc in out.items()})
+    return _grouped(sum_products(_wick_items(term_pairs, commutator)))
 
 
 def _wick_items(term_pairs, commutator: bool):
     """((normal product, D-monomial), c1, c2, w) for every Wick term, with
-    sum_products' int weight w = 1 or -1."""
+    sum_products' int weight w = 1 or -1.  A product of constant
+    coefficients takes the set's ready keys."""
     for (fa, ca), (fb, cb) in term_pairs:
         sets = _contractions(fa, fb)
         if commutator:
@@ -211,10 +220,16 @@ def _wick_items(term_pairs, commutator: bool):
         for m1, c1 in ca.terms.items():
             for m2, c2 in cb.terms.items():
                 m = m1 + m2
-                for key, pairs, tpairs in sets:
-                    yield (key, tuple(sorted(m + pairs)) if m else pairs), c1, c2, 1
+                if not m:
+                    for _, _, _, kp, ktp in sets:
+                        yield kp, c1, c2, 1
+                        if commutator:
+                            yield ktp, c1, c2, -1
+                    continue
+                for key, pairs, tpairs, _, _ in sets:
+                    yield (key, tuple(sorted(m + pairs))), c1, c2, 1
                     if commutator:
-                        yield (key, tuple(sorted(m + tpairs)) if m else tpairs), c1, c2, -1
+                        yield (key, tuple(sorted(m + tpairs))), c1, c2, -1
 
 
 def wick_product(u: WickElement, v: WickElement) -> WickElement:
@@ -241,6 +256,75 @@ def bilocal_field(m, p: int, q: int) -> WickElement:
          for i, row in enumerate(m, start=1) for j, c in enumerate(row, start=1) if c), {}))
 
 
+# The four single contractions of the closed form: D_kl V(p, x; q, y) times
+# sum_s A_x B_y, where A is read from M and B from M', each from its rows
+# (A_x = M_sx) or, where the flag is set, from its columns (A_x = M_xs).
+_SINGLES = ((False, False, 2, 4, (1, 3)),   # D13 V_{tM M'}(2, 4): sum_s M_sx M'_sy
+            (True, True, 1, 3, (2, 4)),     # D24 V_{M tM'}(1, 3): sum_s M_xs M'_ys
+            (True, False, 1, 4, (2, 3)),    # D23 V_{M M'}(1, 4): sum_s M_xs M'_sy
+            (False, True, 2, 3, (1, 4)))    # D14 V_{M' M}(3, 2): sum_s M_sx M'_ys
+
+
+def _central_keys(dd: DeltaPoly) -> tuple:
+    """A central double contraction's (key, int sign) pairs, keyed like the Wick items."""
+    return tuple(((_EMPTY, mono), int(s.real_fraction())) for mono, s in dd.terms.items())
+
+
+# DD_{12,34} and DD_{12,43}, which the two traces multiply
+_CENTRALS = (_central_keys(delta_double(3, 4)), _central_keys(delta_double(4, 3)))
+
+
+@lru_cache(maxsize=16)
+def _single_keys(size: int) -> tuple:
+    """Per single contraction, keys[x][y] = the (+D+_kl, -D+_lk) keys of its
+    normal product :phi_x(x_p) phi_y(x_q):, 0-based x and y."""
+    def keys(p, q, k, l, x, y):
+        np = tuple(sorted(((p, x), (q, y))))
+        return (np, ((k, l),)), (np, ((l, k),))
+    span = range(1, size + 1)
+    return tuple(tuple(tuple(keys(p, q, k, l, x, y) for y in span) for x in span)
+                 for *_, p, q, (k, l) in _SINGLES)
+
+
+def _closed_form_items(m, mp, w: int):
+    """((normal product, D-monomial), x, y, w * sign) for every term of the
+    closed form, each label product written as an index sum over the
+    nonzero entries; w = -1 gives minus the closed form.  Raises ValueError
+    unless M and M' are square matrices of one size."""
+    size = len(m)
+    if len(mp) != size or any(len(row) != size for row in (*m, *mp)):
+        raise ValueError("the closed form needs two square labels of one size")
+    rows = [[[(x, c) for x, c in enumerate(row) if c] for row in label] for label in (m, mp)]
+    cols = [[[(x, row[s]) for x, row in enumerate(label) if row[s]] for s in range(size)]
+            for label in (m, mp)]
+    return chain(_index_sums(rows, cols, _single_keys(size), w), _trace_items(rows[0], mp, w))
+
+
+def _index_sums(rows, cols, keys, w: int):
+    """The single contractions' items: D_kl as +D+_kl and -D+_lk."""
+    for (m_cols, mp_cols, *_), table in zip(_SINGLES, keys):
+        left = (cols if m_cols else rows)[0]
+        right = (cols if mp_cols else rows)[1]
+        for a_s, b_s in zip(left, right):
+            for x, a in a_s:
+                row = table[x]
+                for y, b in b_s:
+                    plus, minus = row[y]
+                    yield plus, a, b, w
+                    yield minus, a, b, -w
+
+
+def _trace_items(m_rows, mp, w: int):
+    """tr(tM M') DD_{12,34} + tr(M M') DD_{12,43}: sum_xy M_xy M'_xy and M_xy M'_yx."""
+    dd34, dd43 = _CENTRALS
+    for x, row in enumerate(m_rows):
+        for y, a in row:
+            for dd, b in ((dd34, mp[x][y]), (dd43, mp[y][x])):
+                if b:
+                    for key, s in dd:
+                        yield key, a, b, s * w
+
+
 def commutator_rhs(m, mp) -> WickElement:
     """Closed form: D13 V_{tM M'}(2,4) + D24 V_{M tM'}(1,3)
     + D23 V_{M M'}(1,4) + D14 V_{M' M}(3,2)
@@ -249,37 +333,21 @@ def commutator_rhs(m, mp) -> WickElement:
     The central coefficients follow the single/double contraction
     bookkeeping: the (1-3)(2-4) pairing carries sum M_ij M'_ij, the
     (1-4)(2-3) pairing carries sum M_ij M'_ji.  For symmetric labels the
-    two coincide.  Each term is summed into one flat {normal product:
-    {D-monomial: coefficient}} dict, with D_{kl} = D+_{kl} - D+_{lk}.
+    two coincide.  Each term is summed into one flat {(normal product,
+    D-monomial): coefficient} dict, with D_{kl} = D+_{kl} - D+_{lk}.
     """
-    tm = linalg.transpose(m)
-    tmp = linalg.transpose(mp)
-    out: dict = {}
-    for label, p, q, (k, l) in ((linalg.mat_mul(tm, mp), 2, 4, (1, 3)),
-                                (linalg.mat_mul(m, tmp), 1, 3, (2, 4)),
-                                (linalg.mat_mul(m, mp), 1, 4, (2, 3)),
-                                (linalg.mat_mul(mp, m), 3, 2, (1, 4))):
-        for i, row in enumerate(label, start=1):
-            for j, c in enumerate(row, start=1):
-                if c:
-                    c = QI.of(c)
-                    combine(((((k, l),), c), (((l, k),), -c)),
-                            out.setdefault(tuple(sorted(((p, i), (q, j)))), {}))
-    central = out.setdefault(_EMPTY, {})
-    for dd, c in ((_DD_12_34, linalg.trace_product(tm, mp)),
-                  (_DD_12_43, linalg.trace_product(m, mp))):
-        c = QI.of(c)
-        combine(((mono, c * s) for mono, s in dd.terms.items()), central)
-    return WickElement({key: DeltaPoly(acc) for key, acc in out.items()})
+    return _grouped(sum_products(_closed_form_items(m, mp, 1)))
 
 
 def verify_commutator_formula(m, mp) -> Report:
-    """Exact equality of the Wick commutator against the closed form."""
+    """Exact equality of the Wick commutator against the closed form: the
+    Wick terms and minus the closed form's terms go to one sum_products
+    call, whose totals are the defect."""
     rep = Report("bilocal/commutator-formula")
-    lhs = wick_commutator(bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4))
-    rhs = commutator_rhs(m, mp)
-    # the difference costs more than the comparison, so only a failure forms it
-    rep.identity(f"bilocal/formula/L{len(m)}", WickElement.zero() if lhs == rhs else lhs - rhs)
+    closed = _closed_form_items(m, mp, -1)
+    wick = _wick_items(_flavor_sharing_pairs(bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4)),
+                       True)
+    rep.identity(f"bilocal/formula/L{len(m)}", _grouped(sum_products(chain(wick, closed))))
     return rep
 
 

@@ -6,9 +6,10 @@ import pytest
 from minrep import bilocal, linalg, reports
 from minrep.bilocal import (DeltaPoly, TAlgebra, WickElement, bilocal_field,
                             canonical_form_check, commutant_type,
-                            delta_commutator, frobenius,
+                            delta_commutator, delta_double, frobenius,
                             frobenius_property_check, verify_commutator_formula,
                             wick_commutator, wick_product)
+from minrep.lincomb import combine
 from minrep.scalars import QI
 
 
@@ -182,7 +183,6 @@ class TestEngineAgainstOracle:
         u = WickElement.normal_product([(1, 1), (2, 1)])
         v = WickElement.normal_product([(3, 1), (4, 1)])
         got = wick_commutator(u, v)
-        from minrep.bilocal import delta_double
         want = WickElement({
             ((2, 1), (4, 1)): delta_commutator(1, 3),
             ((1, 1), (3, 1)): delta_commutator(2, 4),
@@ -330,9 +330,9 @@ class TestCommutatorFormula:
         # the closed form taken at tM' misses the commutator of a non-symmetric
         # M'; the record shows the first terms of lhs - rhs and their count,
         # and a symmetric M' still passes with defect "0"
-        closed = bilocal.commutator_rhs
-        monkeypatch.setattr(bilocal, "commutator_rhs",
-                            lambda a, b: closed(a, linalg.transpose(b)))
+        items = bilocal._closed_form_items
+        monkeypatch.setattr(bilocal, "_closed_form_items",
+                            lambda a, b, w: items(a, linalg.transpose(b), w))
         rng = random.Random(8)
         for size in (2, 4, 8):
             m, mp = ([[QI(rng.randint(-9, 9)) / rng.randint(1, 4) for _ in range(size)]
@@ -340,7 +340,7 @@ class TestCommutatorFormula:
             mp[0][1] = mp[1][0] + 1
             rec, = verify_commutator_formula(m, mp).records
             lhs = wick_commutator(bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4))
-            defect = lhs - closed(m, linalg.transpose(mp))
+            defect = lhs - commutator_rhs_oracle(m, linalg.transpose(mp))
             shown = WickElement(dict(sorted(defect.terms.items())[:reports.DEFECT_TERMS]))
             assert not rec.passed
             assert len(defect.terms) > reports.DEFECT_TERMS
@@ -348,6 +348,143 @@ class TestCommutatorFormula:
             assert len(rec.defect) < 400 < len(str(defect))
             sym, = verify_commutator_formula(m, linalg.mat_add(mp, linalg.transpose(mp))).records
             assert sym.passed and sym.defect == "0"
+
+
+# ---------------------------------------------------------------------------
+# The closed form by dense matrix products, the route the index sums replaced
+
+
+def commutator_rhs_oracle(m, mp) -> WickElement:
+    tm = linalg.transpose(m)
+    tmp = linalg.transpose(mp)
+    out: dict = {}
+    for label, p, q, (k, l) in ((linalg.mat_mul(tm, mp), 2, 4, (1, 3)),
+                                (linalg.mat_mul(m, tmp), 1, 3, (2, 4)),
+                                (linalg.mat_mul(m, mp), 1, 4, (2, 3)),
+                                (linalg.mat_mul(mp, m), 3, 2, (1, 4))):
+        for i, row in enumerate(label, start=1):
+            for j, c in enumerate(row, start=1):
+                if c:
+                    c = QI.of(c)
+                    combine(((((k, l),), c), (((l, k),), -c)),
+                            out.setdefault(tuple(sorted(((p, i), (q, j)))), {}))
+    central = out.setdefault((), {})
+    for dd, c in ((delta_double(3, 4), linalg.trace_product(tm, mp)),
+                  (delta_double(4, 3), linalg.trace_product(m, mp))):
+        c = QI.of(c)
+        combine(((mono, c * s) for mono, s in dd.terms.items()), central)
+    return WickElement({key: DeltaPoly(acc) for key, acc in out.items()})
+
+
+def _random_label(rng, size, kind):
+    """A size x size label with about a third of its entries zero."""
+    def entry():
+        if rng.random() < 0.3:
+            return QI(0) if kind == "QI" else Fraction(0)
+        if kind == "QI":
+            return QI(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-3, 3))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return [[entry() for _ in range(size)] for _ in range(size)]
+
+
+def _elementary(size, a, b):
+    m = [[QI(0)] * size for _ in range(size)]
+    m[a][b] = QI(1)
+    return m
+
+
+# the D-monomials by which each of the six closed-form terms is told apart
+_CLOSED_FORM_TERMS = {
+    "D13": {((1, 3),), ((3, 1),)}, "D24": {((2, 4),), ((4, 2),)},
+    "D23": {((2, 3),), ((3, 2),)}, "D14": {((1, 4),), ((4, 1),)},
+    "DD34": {((1, 3), (2, 4)), ((3, 1), (4, 2))},
+    "DD43": {((1, 4), (2, 3)), ((3, 2), (4, 1))},
+}
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("kind", ["QI", "Fraction"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_matches_the_matrix_product_oracle(self, kind, size):
+        rng = random.Random(size * 31 + len(kind))
+        for _ in range(12):
+            m, mp = _random_label(rng, size, kind), _random_label(rng, size, kind)
+            assert bilocal.commutator_rhs(m, mp) == commutator_rhs_oracle(m, mp)
+            if size > 1:
+                mp[0][1] = mp[1][0] + 1
+            tmp = linalg.transpose(mp)
+            assert bilocal.commutator_rhs(m, tmp) == commutator_rhs_oracle(m, tmp)
+        zero = [[Fraction(0)] * size for _ in range(size)]
+        assert bilocal.commutator_rhs(zero, zero).is_zero()
+        assert bilocal.commutator_rhs(m, zero) == commutator_rhs_oracle(m, zero)
+
+    @pytest.mark.parametrize("m,mp", [
+        ([[QI(1), QI(2)], [QI(3)]], linalg.identity(2)),                  # ragged M
+        (linalg.identity(2), [[QI(1), QI(2)], [QI(3)]]),                  # ragged M'
+        ([[QI(1), QI(2), QI(3)], [QI(4), QI(5), QI(6)]],
+         [[QI(1), QI(2), QI(3)], [QI(4), QI(5), QI(6)]]),                 # 2 x 3 labels
+        (linalg.identity(2), linalg.identity(3)),                         # sizes differ
+    ])
+    def test_refuses_a_label_pair_that_is_not_square_of_one_size(self, m, mp):
+        with pytest.raises(ValueError):
+            bilocal.commutator_rhs(m, mp)
+        with pytest.raises(ValueError):
+            verify_commutator_formula(m, mp)
+
+    def test_one_kernel_call_and_no_linalg(self, monkeypatch):
+        rng = random.Random(4)
+        m, mp = _random_label(rng, 3, "QI"), _random_label(rng, 3, "QI")
+        calls, kernel = [], bilocal.sum_products
+        monkeypatch.setattr(bilocal, "sum_products",
+                            lambda items: calls.append(1) or kernel(items))
+        for name in dir(linalg):
+            if callable(getattr(linalg, name)) and not name.startswith("__"):
+                monkeypatch.setattr(linalg, name, _no_linalg(name))
+        assert verify_commutator_formula(m, mp).ok and calls == [1]
+        assert not bilocal.commutator_rhs(m, mp).is_zero() and calls == [1, 1]
+
+    def test_the_wick_items_alone_do_not_cancel(self):
+        rng = random.Random(6)
+        m, mp = _random_label(rng, 3, "QI"), _random_label(rng, 3, "QI")
+        pairs = bilocal._flavor_sharing_pairs(bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4))
+        assert bilocal.sum_products(bilocal._wick_items(pairs, True))
+        assert verify_commutator_formula(m, mp).ok
+
+    @pytest.mark.parametrize("dropped", sorted(_CLOSED_FORM_TERMS))
+    def test_dropping_any_closed_form_term_fails(self, monkeypatch, dropped):
+        rng = random.Random(6)
+        m, mp = _random_label(rng, 3, "QI"), _random_label(rng, 3, "QI")
+        items, monos = bilocal._closed_form_items, _CLOSED_FORM_TERMS[dropped]
+        monkeypatch.setattr(bilocal, "_closed_form_items", lambda a, b, w: (
+            item for item in items(a, b, w) if item[0][1] not in monos))
+        rec, = verify_commutator_formula(m, mp).records
+        assert not rec.passed and rec.defect != "0"
+
+    def test_adding_the_closed_form_fails(self, monkeypatch):
+        rng = random.Random(6)
+        m, mp = _random_label(rng, 3, "QI"), _random_label(rng, 3, "QI")
+        items = bilocal._closed_form_items
+        monkeypatch.setattr(bilocal, "_closed_form_items", lambda a, b, w: items(a, b, -w))
+        rec, = verify_commutator_formula(m, mp).records
+        assert not rec.passed and rec.defect != "0"
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_formula_holds_on_every_pair_of_elementary_matrices(self, size):
+        # both sides are bilinear in (M, M'), so passing on the E_ab x E_cd
+        # basis proves the formula for every complex label pair of this size
+        units = [_elementary(size, a, b) for a in range(size) for b in range(size)]
+        checked = 0
+        for e in units:
+            for f in units:
+                assert verify_commutator_formula(e, f).ok
+                checked += 1
+        assert checked == size ** 4
+
+
+def _no_linalg(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"linalg.{name} called")
+    return refuse
 
 
 class TestFrobenius:
