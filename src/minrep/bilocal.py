@@ -265,13 +265,11 @@ _SINGLES = ((False, False, 2, 4, (1, 3)),   # D13 V_{tM M'}(2, 4): sum_s M_sx M'
             (False, True, 2, 3, (1, 4)))    # D14 V_{M' M}(3, 2): sum_s M_sx M'_ys
 
 
-def _central_keys(dd: DeltaPoly) -> tuple:
-    """A central double contraction's (key, int sign) pairs, keyed like the Wick items."""
-    return tuple(((_EMPTY, mono), int(s.real_fraction())) for mono, s in dd.terms.items())
-
-
-# DD_{12,34} and DD_{12,43}, which the two traces multiply
-_CENTRALS = (_central_keys(delta_double(3, 4)), _central_keys(delta_double(4, 3)))
+# DD_{12,34} and DD_{12,43}, which the two traces multiply, as (key, int
+# sign) pairs keyed like the Wick items
+_CENTRALS = tuple(tuple(((_EMPTY, mono), int(s.real_fraction()))
+                        for mono, s in delta_double(i, j).terms.items())
+                  for i, j in ((3, 4), (4, 3)))
 
 
 @lru_cache(maxsize=16)
@@ -289,40 +287,30 @@ def _single_keys(size: int) -> tuple:
 def _closed_form_items(m, mp, w: int):
     """((normal product, D-monomial), x, y, w * sign) for every term of the
     closed form, each label product written as an index sum over the
-    nonzero entries; w = -1 gives minus the closed form.  Raises ValueError
-    unless M and M' are square matrices of one size."""
+    nonzero entries and each D_kl as +D+_kl and -D+_lk; w = -1 gives minus
+    the closed form.  Raises ValueError, before its first item, unless M
+    and M' are square matrices of one size."""
     size = len(m)
     if len(mp) != size or any(len(row) != size for row in (*m, *mp)):
         raise ValueError("the closed form needs two square labels of one size")
     rows = [[[(x, c) for x, c in enumerate(row) if c] for row in label] for label in (m, mp)]
     cols = [[[(x, row[s]) for x, row in enumerate(label) if row[s]] for s in range(size)]
             for label in (m, mp)]
-    return chain(_index_sums(rows, cols, _single_keys(size), w), _trace_items(rows[0], mp, w))
-
-
-def _index_sums(rows, cols, keys, w: int):
-    """The single contractions' items: D_kl as +D+_kl and -D+_lk."""
-    for (m_cols, mp_cols, *_), table in zip(_SINGLES, keys):
-        left = (cols if m_cols else rows)[0]
-        right = (cols if mp_cols else rows)[1]
-        for a_s, b_s in zip(left, right):
+    for (m_cols, mp_cols, *_), table in zip(_SINGLES, _single_keys(size)):
+        for a_s, b_s in zip((cols if m_cols else rows)[0], (cols if mp_cols else rows)[1]):
             for x, a in a_s:
                 row = table[x]
                 for y, b in b_s:
                     plus, minus = row[y]
                     yield plus, a, b, w
                     yield minus, a, b, -w
-
-
-def _trace_items(m_rows, mp, w: int):
-    """tr(tM M') DD_{12,34} + tr(M M') DD_{12,43}: sum_xy M_xy M'_xy and M_xy M'_yx."""
-    dd34, dd43 = _CENTRALS
-    for x, row in enumerate(m_rows):
+    # tr(tM M') DD_{12,34} + tr(M M') DD_{12,43}: sum_xy M_xy M'_xy and M_xy M'_yx
+    for x, row in enumerate(rows[0]):
         for y, a in row:
-            for dd, b in ((dd34, mp[x][y]), (dd43, mp[y][x])):
+            for dd, b in zip(_CENTRALS, (mp[x][y], mp[y][x])):
                 if b:
-                    for key, s in dd:
-                        yield key, a, b, s * w
+                    for key, sign in dd:
+                        yield key, a, b, sign * w
 
 
 def commutator_rhs(m, mp) -> WickElement:
@@ -344,10 +332,12 @@ def verify_commutator_formula(m, mp) -> Report:
     Wick terms and minus the closed form's terms go to one sum_products
     call, whose totals are the defect."""
     rep = Report("bilocal/commutator-formula")
-    closed = _closed_form_items(m, mp, -1)
+    # the closed form goes first, so a label pair of the wrong shape is
+    # refused before any Wick term is formed
     wick = _wick_items(_flavor_sharing_pairs(bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4)),
                        True)
-    rep.identity(f"bilocal/formula/L{len(m)}", _grouped(sum_products(chain(wick, closed))))
+    defect = sum_products(chain(_closed_form_items(m, mp, -1), wick))
+    rep.identity(f"bilocal/formula/L{len(m)}", _grouped(defect))
     return rep
 
 
