@@ -7,21 +7,22 @@ combinatorics with no analytic input.  Wick coefficients are polynomials
 in those symbols with ``QI`` coefficients; a contraction set is a tuple
 of (k, l) monomial keys, which the product appends to the keys of each
 coefficient.  The product and the commutator share one kernel: it hands
-every Wick term's coefficient product to ``scalars.sum_products``, which
-sums them in ints per (normal product, D-monomial) and reduces each total
-once, and builds each DeltaPoly once from those totals, without testing
-them for zero again; it reads each pair
-of normal products' contraction sets from a bounded cache, since the same
-pairs of fields meet again in every product of bilinears.  The commutator
-is formed from the contracted terms alone, in one pass, since the
-uncontracted terms of uv and vu cancel.  The closed form writes each label
-product as an index sum over the nonzero entries, keyed like the Wick
-terms, a route apart from the Wick combinatorics.  The formula check hands
-the Wick commutator's terms and minus the closed form's to one
-``scalars.sum_products`` call and passes when no total is left; the totals
-left are the defect, of which a failing check renders the first terms.
-Both routes sum through that kernel, so the check does not test it; its
-oracle tests do.  On top of
+each Wick term's coefficient product to ``scalars.sum_products`` once,
+keyed by (normal product, coefficient monomial, contraction set), which
+sums them in ints and reduces each total once, and builds each DeltaPoly
+once from those totals; it reads each pair of normal products'
+contraction sets from a bounded cache, since the same pairs of fields
+meet again in every product of bilinears.  The commutator is formed from
+the contracted terms alone, since the uncontracted terms of uv and vu
+cancel, and its transposed half is formed once per total, not once per
+product.  The closed form writes each label product as an index sum over
+the nonzero entries, keyed like the Wick terms, a route apart from the
+Wick combinatorics.  The formula check hands the Wick commutator's terms
+and minus the closed form's to one ``scalars.sum_products`` call and
+passes when no total is left; the totals left, with their transposed
+halves, are the defect, of which a failing check renders the first
+terms.  Both routes sum through that kernel, so the check does not test
+it; its oracle tests do.  On top of
 the engine sit the closed commutator formula for matrix-labeled
 bilinears, the Frobenius pairing of the labeling matrix algebra, and the
 real/complex/quaternionic commutant classification; the labeling
@@ -180,39 +181,52 @@ _CONTRACTION_CACHE_SIZE = 4096
 @lru_cache(maxsize=_CONTRACTION_CACHE_SIZE)
 def _contractions(left: tuple, right: tuple) -> tuple:
     """The contraction sets of two normal products, the empty set first, each
-    as (uncontracted normal product, sorted pairs, sorted transposed pairs,
-    (normal product, pairs) key, (normal product, transposed pairs) key)."""
-    out = []
-    for pairs, ra, rb in _contraction_sets(left, right):
-        key, pairs, tpairs = (tuple(sorted(ra + rb)), tuple(sorted(pairs)),
-                              tuple(sorted((l, k) for k, l in pairs)))
-        out.append((key, pairs, tpairs, (key, pairs), (key, tpairs)))
-    return tuple(out)
+    as the (uncontracted normal product, (), sorted pairs) key that a
+    product of constant coefficients takes."""
+    return tuple((tuple(sorted(ra + rb)), _EMPTY, tuple(sorted(pairs)))
+                 for pairs, ra, rb in _contraction_sets(left, right))
 
 
-def _grouped(totals: dict) -> WickElement:
-    """The WickElement of {(normal product, D-monomial): coefficient} totals
-    with no zero among them, each DeltaPoly built once."""
+# The distinct contraction sets whose transposes are kept; a product of two
+# bilinears has six nonempty ones.
+_TRANSPOSE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_TRANSPOSE_CACHE_SIZE)
+def _transposed(pairs: tuple) -> tuple:
+    """tS: the sorted pairs (l, k) of a set S of contraction pairs (k, l)."""
+    return tuple(sorted((l, k) for k, l in pairs))
+
+
+def _grouped(totals: dict, commutator: bool) -> WickElement:
+    """The WickElement of {(normal product, coefficient monomial m, pairs S):
+    coefficient} totals: each adds +c at D+_{m+S}, and for a commutator -c at
+    D+_{m+tS}, the transpose acting on S alone.  Each DeltaPoly is built
+    once; a D-monomial that two totals reach is summed, and a zero sum
+    dropped."""
     out: dict = {}
-    for (key, mono), c in totals.items():
-        out.setdefault(key, {})[mono] = c
-    return WickElement._nonzero({key: DeltaPoly._nonzero(acc) for key, acc in out.items()})
+    for (key, mono, pairs), c in totals.items():
+        halves = ((pairs, c), (_transposed(pairs), -c)) if commutator else ((pairs, c),)
+        combine(((tuple(sorted(mono + s)) if mono else s, x) for s, x in halves),
+                out.setdefault(key, {}))
+    return WickElement({key: DeltaPoly(acc) for key, acc in out.items()})
 
 
 def _wick_sum(term_pairs, commutator: bool) -> WickElement:
-    """Sum the Wick terms of the given pairs of terms into one flat
-    {(normal product, D-monomial): coefficient} dict and build each DeltaPoly
-    once at the end.  Each pair's coefficient products c1*c2 go to
-    scalars.sum_products under every contraction set S, which sums them in
-    ints and reduces each total once; for the commutator the empty set is
-    skipped and each S also adds -c1*c2 under its transpose tS."""
-    return _grouped(sum_products(_wick_items(term_pairs, commutator)))
+    """Sum the Wick terms of the given pairs of terms and build each
+    DeltaPoly once at the end.  Each pair's coefficient products c1*c2 go to
+    scalars.sum_products once under every contraction set S, keyed (normal
+    product, m1 + m2, S), which sums them in ints and reduces each total
+    once; for the commutator the empty set is skipped, and _grouped adds
+    each total at S and its negative at the transpose tS."""
+    return _grouped(sum_products(_wick_items(term_pairs, commutator)), commutator)
 
 
 def _wick_items(term_pairs, commutator: bool):
-    """((normal product, D-monomial), c1, c2, w) for every Wick term, with
-    sum_products' int weight w = 1 or -1.  A product of constant
-    coefficients takes the set's ready keys."""
+    """((normal product, m, S), c1, c2, 1) for every pair of terms (c1 D+_m1,
+    c2 D+_m2) and contraction set S, with m = m1 + m2; the commutator skips
+    the empty set.  A product of constant coefficients takes the set's key
+    as it is."""
     for (fa, ca), (fb, cb) in term_pairs:
         sets = _contractions(fa, fb)
         if commutator:
@@ -221,15 +235,11 @@ def _wick_items(term_pairs, commutator: bool):
             for m2, c2 in cb.terms.items():
                 m = m1 + m2
                 if not m:
-                    for _, _, _, kp, ktp in sets:
-                        yield kp, c1, c2, 1
-                        if commutator:
-                            yield ktp, c1, c2, -1
+                    for key in sets:
+                        yield key, c1, c2, 1
                     continue
-                for key, pairs, tpairs, _, _ in sets:
-                    yield (key, tuple(sorted(m + pairs))), c1, c2, 1
-                    if commutator:
-                        yield (key, tuple(sorted(m + tpairs))), c1, c2, -1
+                for key, _, pairs in sets:
+                    yield (key, m, pairs), c1, c2, 1
 
 
 def wick_product(u: WickElement, v: WickElement) -> WickElement:
@@ -239,9 +249,11 @@ def wick_product(u: WickElement, v: WickElement) -> WickElement:
 
 def wick_commutator(u: WickElement, v: WickElement) -> WickElement:
     """[u, v] from one walk over the contraction sets S of uv: those of vu are
-    the transposes tS, over the same coefficients and uncontracted fields, so
-    each nonempty S adds D+_S - D+_tS, and the empty set cancels.  So only the
-    pairs of terms that share a flavor are visited."""
+    the transposes tS, over the same coefficients D+_m and uncontracted
+    fields, so each nonempty S adds D+_{m+S} - D+_{m+tS}, and the empty set
+    cancels.  Each product is summed once, under S, and the minus half is
+    formed once per total.  Only the pairs of terms that share a flavor are
+    visited."""
     return _wick_sum(_flavor_sharing_pairs(u, v), True)
 
 
@@ -265,29 +277,26 @@ _SINGLES = ((False, False, 2, 4, (1, 3)),   # D13 V_{tM M'}(2, 4): sum_s M_sx M'
             (False, True, 2, 3, (1, 4)))    # D14 V_{M' M}(3, 2): sum_s M_sx M'_ys
 
 
-# DD_{12,34} and DD_{12,43}, which the two traces multiply, as (key, int
-# sign) pairs keyed like the Wick items
-_CENTRALS = tuple(tuple(((_EMPTY, mono), int(s.real_fraction()))
-                        for mono, s in delta_double(i, j).terms.items())
-                  for i, j in ((3, 4), (4, 3)))
+# The plus halves D+_{13} D+_{24} and D+_{14} D+_{23} of DD_{12,34} and
+# DD_{12,43}, which the two traces multiply, keyed like the Wick items
+_CENTRALS = tuple((_EMPTY, _EMPTY, ((1, i), (2, j))) for i, j in ((3, 4), (4, 3)))
 
 
 @lru_cache(maxsize=16)
 def _single_keys(size: int) -> tuple:
-    """Per single contraction, keys[x][y] = the (+D+_kl, -D+_lk) keys of its
-    normal product :phi_x(x_p) phi_y(x_q):, 0-based x and y."""
-    def keys(p, q, k, l, x, y):
-        np = tuple(sorted(((p, x), (q, y))))
-        return (np, ((k, l),)), (np, ((l, k),))
+    """Per single contraction, keys[x][y] = the +D+_kl key of its normal
+    product :phi_x(x_p) phi_y(x_q):, 0-based x and y."""
     span = range(1, size + 1)
-    return tuple(tuple(tuple(keys(p, q, k, l, x, y) for y in span) for x in span)
+    return tuple(tuple(tuple((tuple(sorted(((p, x), (q, y)))), _EMPTY, ((k, l),))
+                             for y in span) for x in span)
                  for *_, p, q, (k, l) in _SINGLES)
 
 
 def _closed_form_items(m, mp, w: int):
-    """((normal product, D-monomial), x, y, w * sign) for every term of the
-    closed form, each label product written as an index sum over the
-    nonzero entries and each D_kl as +D+_kl and -D+_lk; w = -1 gives minus
+    """((normal product, (), S), x, y, w) for every product of the closed
+    form, each label product written as an index sum over the nonzero
+    entries: S is +D+_kl for a single contraction and D+_{1i} D+_{2j} for a
+    central one, whose transposed halves _grouped forms.  w = -1 gives minus
     the closed form.  Raises ValueError, before its first item, unless M
     and M' are square matrices of one size."""
     size = len(m)
@@ -301,16 +310,13 @@ def _closed_form_items(m, mp, w: int):
             for x, a in a_s:
                 row = table[x]
                 for y, b in b_s:
-                    plus, minus = row[y]
-                    yield plus, a, b, w
-                    yield minus, a, b, -w
+                    yield row[y], a, b, w
     # tr(tM M') DD_{12,34} + tr(M M') DD_{12,43}: sum_xy M_xy M'_xy and M_xy M'_yx
     for x, row in enumerate(rows[0]):
         for y, a in row:
-            for dd, b in zip(_CENTRALS, (mp[x][y], mp[y][x])):
+            for key, b in zip(_CENTRALS, (mp[x][y], mp[y][x])):
                 if b:
-                    for key, sign in dd:
-                        yield key, a, b, sign * w
+                    yield key, a, b, w
 
 
 def commutator_rhs(m, mp) -> WickElement:
@@ -321,23 +327,27 @@ def commutator_rhs(m, mp) -> WickElement:
     The central coefficients follow the single/double contraction
     bookkeeping: the (1-3)(2-4) pairing carries sum M_ij M'_ij, the
     (1-4)(2-3) pairing carries sum M_ij M'_ji.  For symmetric labels the
-    two coincide.  Each term is summed into one flat {(normal product,
-    D-monomial): coefficient} dict, with D_{kl} = D+_{kl} - D+_{lk}.
+    two coincide.  Each product is summed once under its plus half, keyed
+    like the Wick items, and _grouped adds the transposed half of each
+    total, D_{kl} = D+_{kl} - D+_{lk}.
     """
-    return _grouped(sum_products(_closed_form_items(m, mp, 1)))
+    return _grouped(sum_products(_closed_form_items(m, mp, 1)), True)
 
 
 def verify_commutator_formula(m, mp) -> Report:
     """Exact equality of the Wick commutator against the closed form: the
-    Wick terms and minus the closed form's terms go to one sum_products
-    call, whose totals are the defect."""
+    Wick terms and minus the closed form's terms, each summed once under
+    its contraction set S, go to one sum_products call, whose totals are
+    the defect, with its transposed half formed per total.  Every S runs
+    from point 1 or 2 to point 3 or 4, so no tS meets an S, and the defect
+    is zero exactly when no total is left."""
     rep = Report("bilocal/commutator-formula")
     # the closed form goes first, so a label pair of the wrong shape is
     # refused before any Wick term is formed
     wick = _wick_items(_flavor_sharing_pairs(bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4)),
                        True)
     defect = sum_products(chain(_closed_form_items(m, mp, -1), wick))
-    rep.identity(f"bilocal/formula/L{len(m)}", _grouped(defect))
+    rep.identity(f"bilocal/formula/L{len(m)}", _grouped(defect, True))
     return rep
 
 

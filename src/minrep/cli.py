@@ -434,7 +434,7 @@ def main(argv=None) -> int:
 
 DESK_SCALE_N = 8
 TABLE1_MAX_RANK = 30   # table1 costs about rank^4.6 in type A; CI runs up to A30
-MAX_TRIALS = 1000      # check-bilocal runs 1000 trials at --L 8 in about 9 s
+MAX_TRIALS = 1000      # check-bilocal runs 1000 trials at --L 8 in about 5 s
 
 
 def _validate(args):

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -157,6 +159,29 @@ class TestEngineAgainstOracle:
         assert cold[0] == cold[1] - cold[2] and not cold[0].is_zero()
         assert bilocal._contractions.cache_info().maxsize == bilocal._CONTRACTION_CACHE_SIZE
         assert isinstance(bilocal._CONTRACTION_CACHE_SIZE, int)
+
+    def test_the_transpose_leaves_the_coefficient_monomial_alone(self):
+        # [D+_31 phi_1(x_1), phi_1(x_3)] = D+_31 D+_13 - D+_31 D+_31; a transpose
+        # of the whole monomial D+_31 D+_13 would give 0
+        u = WickElement.normal_product([(1, 1)], DeltaPoly.symbol(3, 1))
+        v = WickElement.field(3, 1)
+        want = WickElement({(): DeltaPoly({((1, 3), (3, 1)): QI(1), ((3, 1), (3, 1)): QI(-1)})})
+        assert wick_commutator(u, v) == want == wick_product(u, v) - wick_product(v, u)
+
+    def test_transpose_cache_is_bounded_and_changes_no_result(self):
+        rng = random.Random(3)
+        m, mp = ([[QI(rng.randint(-5, 5), rng.randint(-2, 2)) for _ in range(3)]
+                  for _ in range(3)] for _ in range(2))
+        u, v = bilocal_field(m, 1, 2), bilocal_field(mp, 1, 3)
+        bilocal._transposed.cache_clear()
+        cold = wick_commutator(u, v)
+        assert bilocal._transposed.cache_info().currsize > 0
+        warm = wick_commutator(u, v)
+        assert bilocal._transposed.cache_info().hits > 0
+        assert cold == warm == wick_product(u, v) - wick_product(v, u)
+        assert not cold.is_zero()
+        assert bilocal._transposed.cache_info().maxsize == bilocal._TRANSPOSE_CACHE_SIZE
+        assert isinstance(bilocal._TRANSPOSE_CACHE_SIZE, int)
 
     def test_products_match_oracle_on_pairs(self):
         u = WickElement.normal_product([(1, 1), (2, 1)])
@@ -450,13 +475,62 @@ class TestClosedForm:
         assert bilocal.sum_products(bilocal._wick_items(pairs, True))
         assert verify_commutator_formula(m, mp).ok
 
+    def test_the_kernel_gets_one_item_per_contraction_set_and_product(self, monkeypatch):
+        rng = random.Random(9)
+        m, mp = _random_label(rng, 4, "QI"), _random_label(rng, 4, "QI")
+        items, kernel = [], bilocal.sum_products
+        monkeypatch.setattr(bilocal, "sum_products",
+                            lambda it: items.extend(it) or kernel(items))
+        assert verify_commutator_formula(m, mp).ok
+        # per pair of nonzero entries M_ab, M'_cd, the terms :phi_a phi_b: and
+        # :phi_c phi_d: have one contraction set per flavor match, and the
+        # closed form one product per matching index of its six terms
+        want = Counter()
+        for a, b, c, d in product(range(4), repeat=4):
+            if m[a][b] and mp[c][d]:
+                want.update(s for s, hit in (
+                    (((1, 3),), a == c), (((2, 4),), b == d), (((2, 3),), b == c),
+                    (((1, 4),), a == d), (((1, 3), (2, 4)), (a, b) == (c, d)),
+                    (((1, 4), (2, 3)), (a, b) == (d, c))) if hit)
+        for w in (1, -1):
+            side = [key for key, _, _, weight in items if weight == w]
+            assert Counter(pairs for _, _, pairs in side) == want
+            assert all(mono == () for _, mono, _ in side)
+        assert sum(want.values()) * 2 == len(items)
+        assert all(k in (1, 2) and l in (3, 4) for (_, _, pairs), *_ in items for k, l in pairs)
+
+    @pytest.mark.parametrize("control", ["transposed", *sorted(_CLOSED_FORM_TERMS)])
+    def test_a_failing_defect_is_the_commutator_less_the_oracle(self, monkeypatch, control):
+        rng = random.Random(6)
+        m, mp = _random_label(rng, 3, "QI"), _random_label(rng, 3, "QI")
+        u, v = bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4)
+        items = bilocal._closed_form_items
+        if control == "transposed":
+            rhs = commutator_rhs_oracle(m, linalg.transpose(mp))
+            monkeypatch.setattr(bilocal, "_closed_form_items",
+                                lambda a, b, w: items(a, linalg.transpose(b), w))
+        else:
+            monos = _CLOSED_FORM_TERMS[control]
+            rhs = WickElement({key: DeltaPoly({d: c for d, c in poly.terms.items()
+                                               if d not in monos})
+                               for key, poly in commutator_rhs_oracle(m, mp).terms.items()})
+            monkeypatch.setattr(bilocal, "_closed_form_items", lambda a, b, w: (
+                item for item in items(a, b, w) if item[0][2] not in monos))
+        want = wick_product(u, v) - wick_product(v, u) - rhs
+        seen, grouped = [], bilocal._grouped
+        monkeypatch.setattr(bilocal, "_grouped",
+                            lambda totals, c: seen.append(grouped(totals, c)) or seen[-1])
+        rec, = verify_commutator_formula(m, mp).records
+        assert seen == [want] and not want.is_zero()
+        assert not rec.passed and rec.defect == want.render(reports.DEFECT_TERMS)
+
     @pytest.mark.parametrize("dropped", sorted(_CLOSED_FORM_TERMS))
     def test_dropping_any_closed_form_term_fails(self, monkeypatch, dropped):
         rng = random.Random(6)
         m, mp = _random_label(rng, 3, "QI"), _random_label(rng, 3, "QI")
         items, monos = bilocal._closed_form_items, _CLOSED_FORM_TERMS[dropped]
         monkeypatch.setattr(bilocal, "_closed_form_items", lambda a, b, w: (
-            item for item in items(a, b, w) if item[0][1] not in monos))
+            item for item in items(a, b, w) if item[0][2] not in monos))
         rec, = verify_commutator_formula(m, mp).records
         assert not rec.passed and rec.defect != "0"
 
