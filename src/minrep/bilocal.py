@@ -3,17 +3,17 @@
 Fields phi_f(x_k) carry a flavor f and a point label k; the two-point
 contractions D+_{kl} are kept as algebraically independent commuting
 symbols, so every identity proved here is an identity of Wick
-combinatorics with no analytic input.  Wick coefficients are polynomials
-in those symbols with ``QI`` coefficients; a contraction set is a tuple
-of (k, l) monomial keys, which the product appends to the keys of each
-coefficient.  The product and the commutator share one kernel: it hands
-each Wick term's coefficient product to ``scalars.sum_products`` once,
-keyed by (normal product, coefficient monomial, contraction set), which
-sums them in ints and reduces each total once, and builds each DeltaPoly
-once from those totals; it reads each pair of normal products'
-contraction sets from a bounded cache, since the same pairs of fields
-meet again in every product of bilinears.  The commutator is formed from
-the contracted terms alone, since the uncontracted terms of uv and vu
+combinatorics with no analytic input.  A Wick element is one flat sum
+{(normal product, D-monomial): QI coefficient}, a D-monomial being a
+sorted tuple of (k, l) pairs, to which a product appends its contraction
+set.  The product and the commutator share one kernel: it hands each
+Wick term's coefficient product to ``scalars.sum_products`` once, keyed
+by (normal product, coefficient monomial, contraction set), which sums
+them in ints and reduces each total once, and builds the element once
+from those totals; it reads each pair of normal products' contraction
+sets from a bounded cache, since the same pairs of fields meet again in
+every product of bilinears.  The commutator is formed from the
+contracted terms alone, since the uncontracted terms of uv and vu
 cancel, and its transposed half is formed once per total, not once per
 product.  The closed form writes each label product as an index sum over
 the nonzero entries, keyed like the Wick terms, a route apart from the
@@ -22,12 +22,11 @@ and minus the closed form's to one ``scalars.sum_products`` call and
 passes when no total is left; the totals left, with their transposed
 halves, are the defect, of which a failing check renders the first
 terms.  Both routes sum through that kernel, so the check does not test
-it; its oracle tests do.  On top of
-the engine sit the closed commutator formula for matrix-labeled
-bilinears, the Frobenius pairing of the labeling matrix algebra, and the
-real/complex/quaternionic commutant classification; the labeling
-matrices are ``QI`` matrices too, and a sign test on one of their values
-asserts that the value is real.
+it; its oracle tests do.  On top of the engine sit the closed commutator
+formula for matrix-labeled bilinears, the Frobenius pairing of the
+labeling matrix algebra, and the real/complex/quaternionic commutant
+classification; the labeling matrices are ``QI`` matrices too, and a
+sign test on one of their values asserts that the value is real.
 """
 
 from __future__ import annotations
@@ -42,95 +41,23 @@ from .reports import Report
 from .scalars import QI, QI_ONE, QI_ZERO, sum_products
 
 # ---------------------------------------------------------------------------
-# Polynomials in the contraction symbols D+_{kl}
+# Wick elements
 
 _EMPTY = ()
 
 
-class DeltaPoly(LinComb):
-    """QI-polynomial in the symbols D+_{kl}; monomials are sorted pair tuples."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def zero() -> "DeltaPoly":
-        return _DP_ZERO
-
-    @staticmethod
-    def one() -> "DeltaPoly":
-        return _DP_ONE
-
-    @staticmethod
-    def const(c) -> "DeltaPoly":
-        return DeltaPoly({_EMPTY: QI.of(c)})
-
-    @staticmethod
-    def symbol(k: int, l: int) -> "DeltaPoly":
-        return DeltaPoly({((k, l),): QI_ONE})
-
-    def __mul__(self, other):
-        if not isinstance(other, DeltaPoly):
-            return self.scale(other)
-        acc: dict = {}
-        for m1, c1 in self.terms.items():
-            combine(((tuple(sorted(m1 + m2)), c1 * c2) for m2, c2 in other.terms.items()),
-                    acc)
-        return DeltaPoly(acc)
-
-    def scale(self, c) -> "DeltaPoly":
-        return self._scaled(QI.of(c))
-
-    def _term(self, m, c) -> str:
-        sym = "*".join(f"D{k}{l}" for k, l in m)
-        return f"({c})" + (f"*{sym}" if sym else "")
-
-
-_DP_ZERO = DeltaPoly({})
-_DP_ONE = DeltaPoly({_EMPTY: QI_ONE})
-
-
-def delta_commutator(k: int, l: int) -> DeltaPoly:
-    """Free-field commutator symbol D_{kl} = D+_{kl} - D+_{lk}."""
-    return DeltaPoly.symbol(k, l) - DeltaPoly.symbol(l, k)
-
-
-def delta_double(i: int, j: int) -> DeltaPoly:
-    """Central double contraction D+_{1i} D+_{2j} - D+_{i1} D+_{j2}."""
-    return (DeltaPoly.symbol(1, i) * DeltaPoly.symbol(2, j)
-            - DeltaPoly.symbol(i, 1) * DeltaPoly.symbol(j, 2))
-
-
-# ---------------------------------------------------------------------------
-# Wick elements
-
-Field = tuple  # (point label, flavor)
-
-
 class WickElement(LinComb):
-    """Linear combination of normal products with DeltaPoly coefficients."""
+    """Linear combination of D-monomials times normal products: the terms
+    are {(normal product, D-monomial): QI coefficient}, a normal product a
+    sorted tuple of (point, flavor) fields, a D-monomial a sorted tuple of
+    (k, l) pairs standing for the product of the symbols D+_{kl}."""
 
     __slots__ = ()
 
-    @staticmethod
-    def zero() -> "WickElement":
-        return WickElement({})
-
-    @staticmethod
-    def normal_product(fields, coeff=None) -> "WickElement":
-        key = tuple(sorted(fields))
-        return WickElement({key: coeff if coeff is not None else DeltaPoly.one()})
-
-    @staticmethod
-    def field(point: int, flavor: int) -> "WickElement":
-        return WickElement.normal_product([(point, flavor)])
-
-    def scale(self, c) -> "WickElement":
-        if not isinstance(c, DeltaPoly):
-            c = DeltaPoly.const(c)
-        return self._scaled(c)
-
-    def _term(self, m, c) -> str:
-        return f"[{c}] " + ("".join(f":phi{f}(x{p})" for p, f in m) + ":" if m else "1")
+    def _term(self, key, c) -> str:
+        fields, mono = key
+        np = "".join(f"phi{f}(x{p})" for p, f in fields)
+        return f"({c})" + "".join(f"*D{k}{l}" for k, l in mono) + (f" :{np}:" if np else "")
 
 
 def _contraction_sets(left: tuple, right: tuple):
@@ -162,12 +89,12 @@ def _flavor_sharing_pairs(u: WickElement, v: WickElement):
     exactly those with a nonempty contraction set, found by indexing v's
     terms by flavor."""
     by_flavor: dict = {}
-    for fb, cb in v.terms.items():
-        for _, g in fb:
-            by_flavor.setdefault(g, {})[fb] = cb
+    for kb, cb in v.terms.items():
+        for _, g in kb[0]:
+            by_flavor.setdefault(g, {})[kb] = cb
     for term in u.terms.items():
         shared: dict = {}
-        for _, f in term[0]:
+        for _, f in term[0][0]:
             shared.update(by_flavor.get(f, {}))
         for other in shared.items():
             yield term, other
@@ -200,21 +127,19 @@ def _transposed(pairs: tuple) -> tuple:
 
 def _grouped(totals: dict, commutator: bool) -> WickElement:
     """The WickElement of {(normal product, coefficient monomial m, pairs S):
-    coefficient} totals: each adds +c at D+_{m+S}, and for a commutator -c at
-    D+_{m+tS}, the transpose acting on S alone.  Each DeltaPoly is built
-    once; a D-monomial that two totals reach is summed, and a zero sum
-    dropped."""
+    coefficient} totals: each adds +c at (normal product, m+S), and for a
+    commutator -c at (normal product, m+tS), the transpose acting on S
+    alone.  A term that two totals reach is summed, and a zero sum dropped."""
     out: dict = {}
     for (key, mono, pairs), c in totals.items():
         halves = ((pairs, c), (_transposed(pairs), -c)) if commutator else ((pairs, c),)
-        combine(((tuple(sorted(mono + s)) if mono else s, x) for s, x in halves),
-                out.setdefault(key, {}))
-    return WickElement({key: DeltaPoly(acc) for key, acc in out.items()})
+        combine((((key, tuple(sorted(mono + s)) if mono else s), x) for s, x in halves), out)
+    return WickElement(out)
 
 
 def _wick_sum(term_pairs, commutator: bool) -> WickElement:
-    """Sum the Wick terms of the given pairs of terms and build each
-    DeltaPoly once at the end.  Each pair's coefficient products c1*c2 go to
+    """Sum the Wick terms of the given pairs of terms and build the element
+    once at the end.  Each pair's coefficient product c1*c2 goes to
     scalars.sum_products once under every contraction set S, keyed (normal
     product, m1 + m2, S), which sums them in ints and reduces each total
     once; for the commutator the empty set is skipped, and _grouped adds
@@ -225,21 +150,19 @@ def _wick_sum(term_pairs, commutator: bool) -> WickElement:
 def _wick_items(term_pairs, commutator: bool):
     """((normal product, m, S), c1, c2, 1) for every pair of terms (c1 D+_m1,
     c2 D+_m2) and contraction set S, with m = m1 + m2; the commutator skips
-    the empty set.  A product of constant coefficients takes the set's key
+    the empty set.  A pair of terms with no D-monomial takes the set's key
     as it is."""
-    for (fa, ca), (fb, cb) in term_pairs:
+    for ((fa, m1), c1), ((fb, m2), c2) in term_pairs:
         sets = _contractions(fa, fb)
         if commutator:
             sets = sets[1:]
-        for m1, c1 in ca.terms.items():
-            for m2, c2 in cb.terms.items():
-                m = m1 + m2
-                if not m:
-                    for key in sets:
-                        yield key, c1, c2, 1
-                    continue
-                for key, _, pairs in sets:
-                    yield (key, m, pairs), c1, c2, 1
+        m = m1 + m2
+        if not m:
+            for key in sets:
+                yield key, c1, c2, 1
+            continue
+        for key, _, pairs in sets:
+            yield (key, m, pairs), c1, c2, 1
 
 
 def wick_product(u: WickElement, v: WickElement) -> WickElement:
@@ -264,7 +187,7 @@ def wick_commutator(u: WickElement, v: WickElement) -> WickElement:
 def bilocal_field(m, p: int, q: int) -> WickElement:
     """V_M(x_p, x_q) = sum_ij M_ij :phi_i(x_p) phi_j(x_q):, linear in M."""
     return WickElement(combine(
-        ((tuple(sorted(((p, i), (q, j)))), DeltaPoly.const(c))
+        (((tuple(sorted(((p, i), (q, j)))), _EMPTY), QI.of(c))
          for i, row in enumerate(m, start=1) for j, c in enumerate(row, start=1) if c), {}))
 
 
@@ -557,7 +480,7 @@ _REDUCIBLE = ("algebra acts reducibly over R: decompose into isotypic blocks "
 # Canonical real forms of the labeling algebras and gauge invariance
 
 
-_QUAT = {  # right multiplication table q_col * q_row conventions baked below
+_QUAT = {  # (a, b): the product a b of two units, as (unit, sign)
     ("1", "1"): ("1", 1), ("1", "i"): ("i", 1), ("1", "j"): ("j", 1), ("1", "k"): ("k", 1),
     ("i", "1"): ("i", 1), ("i", "i"): ("1", -1), ("i", "j"): ("k", 1), ("i", "k"): ("j", -1),
     ("j", "1"): ("j", 1), ("j", "i"): ("k", -1), ("j", "j"): ("1", -1), ("j", "k"): ("i", 1),
@@ -567,20 +490,12 @@ _QUAT = {  # right multiplication table q_col * q_row conventions baked below
 _UNITS = ("1", "i", "j", "k")
 
 
-def quaternion_left(q: str):
-    """4x4 matrix of left multiplication by a unit quaternion."""
+def quaternion_matrix(q: str, side: str):
+    """4x4 matrix of multiplication by a unit quaternion q, on the "left"
+    (u -> q u) or on the "right" (u -> u q)."""
     m = [[QI_ZERO] * 4 for _ in range(4)]
     for col, u in enumerate(_UNITS):
-        prod, sign = _QUAT[(q, u)]
-        m[_UNITS.index(prod)][col] = QI(sign)
-    return m
-
-
-def quaternion_right(q: str):
-    """4x4 matrix of right multiplication by a unit quaternion."""
-    m = [[QI_ZERO] * 4 for _ in range(4)]
-    for col, u in enumerate(_UNITS):
-        prod, sign = _QUAT[(u, q)]
+        prod, sign = _QUAT[{"left": (q, u), "right": (u, q)}[side]]
         m[_UNITS.index(prod)][col] = QI(sign)
     return m
 
@@ -600,7 +515,7 @@ def _block_diag(block, copies: int):
 
 def quaternion_left_algebra(n: int):
     """Left multiplications by 1, i, j, k on n quaternionic coordinates."""
-    return [_block_diag(quaternion_left(q), n) for q in _UNITS]
+    return [_block_diag(quaternion_matrix(q, "left"), n) for q in _UNITS]
 
 
 def canonical_m_span(kind: str, n: int):
@@ -615,7 +530,7 @@ def canonical_m_span(kind: str, n: int):
     if kind == "C":
         return [linalg.identity(2 * n), _block_diag(_J, n)]
     if kind == "H":
-        return [_block_diag(quaternion_right(q), n) for q in _UNITS]
+        return [_block_diag(quaternion_matrix(q, "right"), n) for q in _UNITS]
     raise ValueError(f"unknown kind {kind!r}")
 
 

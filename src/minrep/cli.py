@@ -270,18 +270,23 @@ def run_check_bilocal(args) -> Report:
     rep.add("bilocal/negative-control/C-N2-without-J", dim != want, negative_control=True,
             detail=f"dim {dim} must differ from dim u(2) = {want}")
 
-    # negative control: with a non-symmetric M' the closed form taken at
-    # the transpose of M' must miss the Wick commutator
+    # negative control: with the non-symmetric M' = E_12 the closed form
+    # taken at the transpose of M' must miss the Wick commutator
     size = max(2, args.L)
-    m, mp = rnd(size), rnd(size)
-    mp[0][1] = mp[1][0] + 1
-    lhs = bilocal.wick_commutator(bilocal.bilocal_field(m, 1, 2),
-                                  bilocal.bilocal_field(mp, 3, 4))
-    fires = lhs != bilocal.commutator_rhs(m, linalg.transpose(mp))
+    fires = _misses_transposed_rhs(oscrep.basis_matrix(size, 0, 0),
+                                   oscrep.basis_matrix(size, 0, 1))
     rep.add("bilocal/negative-control/transposed-rhs", fires, negative_control=True,
             detail=f"[V_M(1,2), V_M'(3,4)] must differ from the closed form at tM', "
                    f"L{size}")
     return rep
+
+
+def _misses_transposed_rhs(m, mp) -> bool:
+    """Whether the closed form taken at tM' differs from the Wick commutator
+    [V_M(1,2), V_M'(3,4)]; for a symmetric M' the two agree."""
+    lhs = bilocal.wick_commutator(bilocal.bilocal_field(m, 1, 2),
+                                  bilocal.bilocal_field(mp, 3, 4))
+    return lhs != bilocal.commutator_rhs(m, linalg.transpose(mp))
 
 
 def run_decompose(args) -> tuple[Report, list]:

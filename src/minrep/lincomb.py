@@ -2,9 +2,9 @@
 
 Every algebraic object the package certifies identities between is a
 finite sum of basis keys with exact coefficients: Weyl and Wick elements,
-contraction polynomials, harmonic polynomials and Fock matrices.  They all
-store it the same way, as a ``{key: coefficient}`` dict holding no zero
-coefficient, so equality of two dicts is equality of the elements.
+harmonic polynomials and Fock matrices.  They all store it the same way,
+as a ``{key: coefficient}`` dict holding no zero coefficient, so equality
+of two dicts is equality of the elements.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ def combine(pairs, acc: dict) -> dict:
 class LinComb:
     """Immutable {key: coefficient} element; the constructor drops zeros.
 
-    Subclasses add their constructors and their product, render one term
-    in ``_term``, and coerce the argument of their public ``scale`` into
-    the ring before calling ``_scaled``.  ``_like`` builds a new element of
+    Subclasses render one term in ``_term``, and may add constructors, a
+    product and a public ``scale``, which coerces its argument into the
+    ring before calling ``_scaled``.  ``_like`` builds a new element of
     the same kind.  A kernel whose sums already left out every zero, such
     as ``scalars.sum_products``, builds through ``_nonzero`` instead.
     """

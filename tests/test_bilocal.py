@@ -6,11 +6,9 @@ from itertools import product
 import pytest
 
 from minrep import bilocal, linalg, reports
-from minrep.bilocal import (DeltaPoly, TAlgebra, WickElement, bilocal_field,
-                            canonical_form_check, commutant_type,
-                            delta_commutator, delta_double, frobenius,
-                            frobenius_property_check, verify_commutator_formula,
-                            wick_commutator, wick_product)
+from minrep.bilocal import (TAlgebra, WickElement, bilocal_field, canonical_form_check,
+                            commutant_type, frobenius, frobenius_property_check,
+                            verify_commutator_formula, wick_commutator, wick_product)
 from minrep.lincomb import combine
 from minrep.scalars import QI
 
@@ -19,8 +17,9 @@ from minrep.scalars import QI
 # Independent oracle: a one-at-a-time reordering engine.  Each field
 # phi_f(x_k) is split into an annihilation half A_(k,f) and a creation half
 # C_(k,f) with [A_(k,f), C_(l,g)] = delta_fg D+_{kl}; elements are kept as
-# {(creation tuple, annihilation tuple): DeltaPoly} and products are
-# normalized by bubbling annihilators to the right one swap at a time.
+# {(creation tuple, annihilation tuple, D-monomial): scalar}, the D-monomial
+# a sorted tuple of (k, l) pairs, and products are normalized by bubbling
+# annihilators to the right one swap at a time.
 # The algorithm shares nothing with the matching enumeration in the engine.
 
 
@@ -31,7 +30,7 @@ class OracleElement:
     def __add__(self, other):
         t = dict(self.terms)
         for k, v in other.terms.items():
-            s = t.get(k, DeltaPoly.zero()) + v
+            s = t[k] + v if k in t else v
             if s:
                 t[k] = s
             else:
@@ -48,9 +47,9 @@ class OracleElement:
         return not self.terms
 
 
-def oracle_word(word, coeff=None):
-    """Normalize a word of halves into an OracleElement by adjacent swaps."""
-    coeff = coeff if coeff is not None else DeltaPoly.one()
+def oracle_word(word, mono=(), coeff=1):
+    """Normalize coeff D+_mono times a word of halves into an OracleElement
+    by adjacent swaps."""
     # find an annihilator directly left of a creator
     for i in range(len(word) - 1):
         kind1, p1, f1 = word[i]
@@ -58,21 +57,21 @@ def oracle_word(word, coeff=None):
         if kind1 == "A" and kind2 == "C":
             swapped = list(word)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            out = oracle_word(swapped, coeff)
+            out = oracle_word(swapped, mono, coeff)
             if f1 == f2:
                 contracted = list(word[:i]) + list(word[i + 2:])
-                out = out + oracle_word(contracted,
-                                        coeff * DeltaPoly.symbol(p1, p2))
+                out = out + oracle_word(contracted, tuple(sorted(mono + ((p1, p2),))),
+                                        coeff)
             return out
     cre = tuple(sorted((p, f) for k, p, f in word if k == "C"))
     ann = tuple(sorted((p, f) for k, p, f in word if k == "A"))
-    return OracleElement({(cre, ann): coeff})
+    return OracleElement({(cre, ann, mono): coeff})
 
 
 def oracle_from_wick(w: WickElement) -> OracleElement:
     """Expand each normal product :phi...: into (C+A) halves, normal ordered."""
     out = OracleElement()
-    for fields, coeff in w.terms.items():
+    for (fields, mono), coeff in w.terms.items():
         expansion = [[]]
         for (p, f) in fields:
             expansion = [word + [(kind, p, f)] for word in expansion
@@ -80,14 +79,14 @@ def oracle_from_wick(w: WickElement) -> OracleElement:
         for word in expansion:
             # creators first: inside one normal product nothing contracts
             ordered = [t for t in word if t[0] == "C"] + [t for t in word if t[0] == "A"]
-            out = out + oracle_word(ordered, coeff)
+            out = out + oracle_word(ordered, mono, coeff)
     return out
 
 
 def oracle_product(u: WickElement, v: WickElement) -> OracleElement:
     out = OracleElement()
-    for fa, ca in u.terms.items():
-        for fb, cb in v.terms.items():
+    for (fa, ma), ca in u.terms.items():
+        for (fb, mb), cb in v.terms.items():
             words_a = [[]]
             for (p, f) in fa:
                 words_a = [w + [(k, p, f)] for w in words_a for k in ("C", "A")]
@@ -98,35 +97,36 @@ def oracle_product(u: WickElement, v: WickElement) -> OracleElement:
                 wa_sorted = [t for t in wa if t[0] == "C"] + [t for t in wa if t[0] == "A"]
                 for wb in words_b:
                     wb_sorted = [t for t in wb if t[0] == "C"] + [t for t in wb if t[0] == "A"]
-                    out = out + oracle_word(wa_sorted + wb_sorted, ca * cb)
+                    out = out + oracle_word(wa_sorted + wb_sorted,
+                                            tuple(sorted(ma + mb)), ca * cb)
     return out
+
+
+def wick(fields, mono=(), c=1) -> WickElement:
+    """The one-term element c D+_mono :fields:."""
+    return WickElement({(tuple(sorted(fields)), tuple(sorted(mono))): QI.of(c)})
 
 
 class TestEngineAgainstOracle:
     def test_single_fields(self):
-        u = WickElement.field(1, 1)
-        v = WickElement.field(2, 1)
-        got = wick_commutator(u, v)
-        want = delta_commutator(1, 2)
-        assert got == WickElement({(): want})
+        got = wick_commutator(wick([(1, 1)]), wick([(2, 1)]))
+        assert got == WickElement({((), ((1, 2),)): QI(1), ((), ((2, 1),)): QI(-1)})
 
     def test_distinct_flavors_commute(self):
-        u = WickElement.field(1, 1)
-        v = WickElement.field(2, 2)
-        assert wick_commutator(u, v).is_zero()
+        assert wick_commutator(wick([(1, 1)]), wick([(2, 2)])).is_zero()
 
     def test_disjoint_flavor_bilinears_form_no_coefficient_product(self, monkeypatch):
         # no term of u shares a flavor with a term of v, so no pair of terms
         # is visited and none of their coefficients is multiplied; the
         # coefficient products are summed in ints by sum_products, never built
-        # as QI or DeltaPoly products
+        # as QI products
         m = [[QI(1), QI(2, 1)], [QI(0), QI(0)]]           # flavor 1 with 1, 2
         mp = [[QI(0), QI(0), QI(0)], [QI(0), QI(0), QI(0)],
               [QI(0), QI(0), QI(-3)]]                       # flavor 3 with 3
         u, v = bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4)
         w = bilocal_field(linalg.transpose(m), 3, 4)
-        visited, products, qi_products, poly_products = [], [], [], []
-        kernel, original, poly_original = bilocal.sum_products, QI.__mul__, DeltaPoly.__mul__
+        visited, products, qi_products = [], [], []
+        kernel, original = bilocal.sum_products, QI.__mul__
         contractions = bilocal._contractions
 
         def counting_kernel(items):
@@ -137,13 +137,11 @@ class TestEngineAgainstOracle:
         monkeypatch.setattr(bilocal, "_contractions",
                             lambda a, b: visited.append(1) or contractions(a, b))
         monkeypatch.setattr(QI, "__mul__", lambda a, b: qi_products.append(1) or original(a, b))
-        monkeypatch.setattr(DeltaPoly, "__mul__",
-                            lambda a, b: poly_products.append(1) or poly_original(a, b))
         assert wick_commutator(u, v).is_zero()
         assert visited == [] and products == []
         assert not wick_commutator(u, w).is_zero()
         assert visited and products
-        assert qi_products == [] and poly_products == []
+        assert qi_products == []
 
     def test_contraction_cache_is_bounded_and_changes_no_result(self):
         rng = random.Random(3)
@@ -163,9 +161,8 @@ class TestEngineAgainstOracle:
     def test_the_transpose_leaves_the_coefficient_monomial_alone(self):
         # [D+_31 phi_1(x_1), phi_1(x_3)] = D+_31 D+_13 - D+_31 D+_31; a transpose
         # of the whole monomial D+_31 D+_13 would give 0
-        u = WickElement.normal_product([(1, 1)], DeltaPoly.symbol(3, 1))
-        v = WickElement.field(3, 1)
-        want = WickElement({(): DeltaPoly({((1, 3), (3, 1)): QI(1), ((3, 1), (3, 1)): QI(-1)})})
+        u, v = wick([(1, 1)], [(3, 1)]), wick([(3, 1)])
+        want = WickElement({((), ((1, 3), (3, 1))): QI(1), ((), ((3, 1), (3, 1))): QI(-1)})
         assert wick_commutator(u, v) == want == wick_product(u, v) - wick_product(v, u)
 
     def test_transpose_cache_is_bounded_and_changes_no_result(self):
@@ -184,13 +181,11 @@ class TestEngineAgainstOracle:
         assert isinstance(bilocal._TRANSPOSE_CACHE_SIZE, int)
 
     def test_products_match_oracle_on_pairs(self):
-        u = WickElement.normal_product([(1, 1), (2, 1)])
-        v = WickElement.normal_product([(3, 1), (4, 1)])
+        u, v = wick([(1, 1), (2, 1)]), wick([(3, 1), (4, 1)])
         assert oracle_product(u, v) == oracle_from_wick(wick_product(u, v))
 
     def test_commutator_matches_oracle_single_flavor(self):
-        u = WickElement.normal_product([(1, 1), (2, 1)])
-        v = WickElement.normal_product([(3, 1), (4, 1)])
+        u, v = wick([(1, 1), (2, 1)]), wick([(3, 1), (4, 1)])
         lhs = oracle_product(u, v) - oracle_product(v, u)
         rhs = oracle_from_wick(wick_commutator(u, v))
         assert lhs == rhs
@@ -200,36 +195,39 @@ class TestEngineAgainstOracle:
         for _ in range(6):
             fa = [(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(2)]
             fb = [(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(2)]
-            u = WickElement.normal_product(fa)
-            v = WickElement.normal_product(fb)
+            u, v = wick(fa), wick(fb)
             assert oracle_product(u, v) == oracle_from_wick(wick_product(u, v))
 
     def test_explicit_four_point_structure(self):
-        u = WickElement.normal_product([(1, 1), (2, 1)])
-        v = WickElement.normal_product([(3, 1), (4, 1)])
+        u, v = wick([(1, 1), (2, 1)]), wick([(3, 1), (4, 1)])
         got = wick_commutator(u, v)
+        # D_kl = D+_kl - D+_lk on each single contraction, and the double
+        # contractions DD_{12,34} + DD_{12,43} on the empty normal product
         want = WickElement({
-            ((2, 1), (4, 1)): delta_commutator(1, 3),
-            ((1, 1), (3, 1)): delta_commutator(2, 4),
-            ((1, 1), (4, 1)): delta_commutator(2, 3),
-            ((2, 1), (3, 1)): delta_commutator(1, 4),
-            (): delta_double(3, 4) + delta_double(4, 3),
+            (((2, 1), (4, 1)), ((1, 3),)): QI(1), (((2, 1), (4, 1)), ((3, 1),)): QI(-1),
+            (((1, 1), (3, 1)), ((2, 4),)): QI(1), (((1, 1), (3, 1)), ((4, 2),)): QI(-1),
+            (((1, 1), (4, 1)), ((2, 3),)): QI(1), (((1, 1), (4, 1)), ((3, 2),)): QI(-1),
+            (((2, 1), (3, 1)), ((1, 4),)): QI(1), (((2, 1), (3, 1)), ((4, 1),)): QI(-1),
+            ((), ((1, 3), (2, 4))): QI(1), ((), ((3, 1), (4, 2))): QI(-1),
+            ((), ((1, 4), (2, 3))): QI(1), ((), ((3, 2), (4, 1))): QI(-1),
         })
         assert got == want
 
 
     def test_real_coefficients_print_and_hash_as_fractions(self):
-        c = DeltaPoly.const(Fraction(-3, 4))
-        assert str(c) == "(-3/4)"
-        assert hash(c) == hash(frozenset({(): Fraction(-3, 4)}.items()))
-        assert c == DeltaPoly({(): Fraction(-3, 4)})
+        terms = {(((1, 1), (3, 1)), ((2, 4),)): Fraction(-3, 4)}
+        w = WickElement(terms)
+        assert str(w) == "(-3/4)*D24 :phi1(x1)phi1(x3):"
+        assert hash(w) == hash(frozenset(terms.items()))
+        assert w == WickElement(dict(terms))
 
 
 # ---------------------------------------------------------------------------
-# Property tests of the engine on random multi-term elements: normal
-# products of 1-3 fields at points 1-4 with flavors 1-2, and coefficients
-# mixing a non-integer constant with contraction monomials.  The profile
-# is fixed and derandomized, so every run checks the same examples.
+# Property tests of the engine on random multi-term elements: up to six
+# terms, each a non-integer coefficient times a monomial of up to two
+# contractions times a normal product of 1-3 fields at points 1-4 with
+# flavors 1-2.  The profile is fixed and derandomized, so every run checks
+# the same examples.
 
 
 def _engine_profile(max_examples):
@@ -242,17 +240,17 @@ def _engine_profile(max_examples):
 def _wick_elements(st, max_terms, max_fields, flavors=2, scalars=None):
     points = st.integers(1, 4)
     field = st.tuples(points, st.integers(1, flavors))
-    key = st.lists(field, min_size=1, max_size=max_fields).map(lambda fs: tuple(sorted(fs)))
+    fields = st.lists(field, min_size=1, max_size=max_fields).map(lambda fs: tuple(sorted(fs)))
+    mono = st.lists(st.tuples(points, points), max_size=2).map(lambda ps: tuple(sorted(ps)))
     halves = st.builds(Fraction, st.sampled_from([-5, -3, -1, 1, 3, 5]),
                        st.sampled_from([2, 4]))
-    mono = st.lists(st.tuples(points, points), max_size=2).map(lambda ps: tuple(sorted(ps)))
-    coeff = st.dictionaries(mono, halves if scalars is None else scalars, min_size=1, max_size=2).map(DeltaPoly)
-    return st.dictionaries(key, coeff, min_size=1, max_size=max_terms).map(WickElement)
+    return st.dictionaries(st.tuples(fields, mono), halves if scalars is None else scalars,
+                           min_size=1, max_size=max_terms).map(WickElement)
 
 
 def test_wick_product_matches_oracle_on_random_elements():
     hypothesis, profile = _engine_profile(60)
-    elems = _wick_elements(hypothesis.strategies, max_terms=3, max_fields=3)
+    elems = _wick_elements(hypothesis.strategies, max_terms=6, max_fields=3)
 
     @profile
     @hypothesis.given(elems, elems)
@@ -264,7 +262,7 @@ def test_wick_product_matches_oracle_on_random_elements():
 
 def test_wick_product_is_associative():
     hypothesis, profile = _engine_profile(60)
-    elems = _wick_elements(hypothesis.strategies, max_terms=2, max_fields=2)
+    elems = _wick_elements(hypothesis.strategies, max_terms=4, max_fields=2)
 
     @profile
     @hypothesis.given(elems, elems, elems)
@@ -284,7 +282,7 @@ def test_wick_commutator_is_the_difference_of_the_products():
     gaussian = st.builds(lambda a, b: QI(Fraction(a, 2), Fraction(b, 3)), odd, odd)
 
     def pair(flavors):
-        elems = _wick_elements(st, max_terms=3, max_fields=3, flavors=flavors,
+        elems = _wick_elements(st, max_terms=6, max_fields=3, flavors=flavors,
                                scalars=gaussian)
         return st.tuples(elems, elems)
 
@@ -301,10 +299,22 @@ class TestBilocalFields:
     def test_identity_matrix_gives_flavor_sum(self):
         m = linalg.identity(3)
         v = bilocal_field(m, 1, 2)
-        assert set(v.terms) == {((1, i), (2, i)) for i in range(1, 4)}
+        assert set(v.terms) == {(((1, i), (2, i)), ()) for i in range(1, 4)}
 
     def test_zero_matrix(self):
         assert bilocal_field([[Fraction(0)] * 2 for _ in range(2)], 1, 2).is_zero()
+
+    def test_entries_are_read_through_qi_of(self):
+        # Fraction, int and QI labels of equal value give one field and one
+        # commutator
+        rng = random.Random(13)
+        ints = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
+        labels = [[[kind(c) for c in row] for row in ints] for kind in (Fraction, int, QI)]
+        fields = [bilocal_field(m, 1, 2) for m in labels]
+        brackets = [wick_commutator(f, bilocal_field(m, 3, 4)) for f, m in zip(fields, labels)]
+        assert fields[0] == fields[1] == fields[2]
+        assert brackets[0] == brackets[1] == brackets[2] and not brackets[0].is_zero()
+        assert all(type(c) is QI for f in fields for c in f.terms.values())
 
     def test_transpose_point_swap_symmetry(self):
         rng = random.Random(21)
@@ -373,6 +383,13 @@ class TestCommutatorFormula:
             assert len(rec.defect) < 400 < len(str(defect))
             sym, = verify_commutator_formula(m, linalg.mat_add(mp, linalg.transpose(mp))).records
             assert sym.passed and sym.defect == "0"
+        # the transposed-rhs pair M = E_11, M' = E_12 at L = 2, term by term:
+        # the closed form taken at tM' = E_21 contracts x_4 where the
+        # commutator contracts x_3
+        rec, = verify_commutator_formula(_elementary(2, 0, 0), _elementary(2, 0, 1)).records
+        assert rec.defect == ("(-1)*D24 :phi1(x1)phi2(x3): + (1)*D42 :phi1(x1)phi2(x3): + "
+                              "(1)*D23 :phi1(x1)phi2(x4): + (-1)*D32 :phi1(x1)phi2(x4): + "
+                              "... (8 terms)")
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +407,15 @@ def commutator_rhs_oracle(m, mp) -> WickElement:
         for i, row in enumerate(label, start=1):
             for j, c in enumerate(row, start=1):
                 if c:
-                    c = QI.of(c)
-                    combine(((((k, l),), c), (((l, k),), -c)),
-                            out.setdefault(tuple(sorted(((p, i), (q, j)))), {}))
-    central = out.setdefault((), {})
-    for dd, c in ((delta_double(3, 4), linalg.trace_product(tm, mp)),
-                  (delta_double(4, 3), linalg.trace_product(m, mp))):
+                    c, fields = QI.of(c), tuple(sorted(((p, i), (q, j))))
+                    combine((((fields, ((k, l),)), c), ((fields, ((l, k),)), -c)), out)
+    # DD_{12,ij} = D+_1i D+_2j - D+_i1 D+_j2
+    for (i, j), c in (((3, 4), linalg.trace_product(tm, mp)),
+                      ((4, 3), linalg.trace_product(m, mp))):
         c = QI.of(c)
-        combine(((mono, c * s) for mono, s in dd.terms.items()), central)
-    return WickElement({key: DeltaPoly(acc) for key, acc in out.items()})
+        combine(((((), ((1, i), (2, j))), c), (((), tuple(sorted(((i, 1), (j, 2))))), -c)),
+                out)
+    return WickElement(out)
 
 
 def _random_label(rng, size, kind):
@@ -511,9 +528,8 @@ class TestClosedForm:
                                 lambda a, b, w: items(a, linalg.transpose(b), w))
         else:
             monos = _CLOSED_FORM_TERMS[control]
-            rhs = WickElement({key: DeltaPoly({d: c for d, c in poly.terms.items()
-                                               if d not in monos})
-                               for key, poly in commutator_rhs_oracle(m, mp).terms.items()})
+            rhs = WickElement({key: c for key, c in commutator_rhs_oracle(m, mp).terms.items()
+                               if key[1] not in monos})
             monkeypatch.setattr(bilocal, "_closed_form_items", lambda a, b, w: (
                 item for item in items(a, b, w) if item[0][2] not in monos))
         want = wick_product(u, v) - wick_product(v, u) - rhs
@@ -604,7 +620,7 @@ class TestCommutantClassification:
         comm_vecs = [bilocal._vec(m) for m in comm]
         for q in bilocal._UNITS:
             assert linalg.in_span(comm_vecs,
-                                  bilocal._vec(bilocal.quaternion_right(q)))
+                                  bilocal._vec(bilocal.quaternion_matrix(q, "right")))
 
     def test_reducible_split_field_detected(self):
         # Q(sqrt 2) embedded by a symmetric matrix: a t-algebra, a division
@@ -684,9 +700,9 @@ def gauge_oracle(kind: str, n: int):
     if kind == "C":
         return _flavor_blocks(n, 2, diag_blocks=[bilocal._J],
                               sym_off=[bilocal._J], antisym_off=[linalg.identity(2)])
-    imag = [bilocal.quaternion_left(q) for q in "ijk"]
+    imag = [bilocal.quaternion_matrix(q, "left") for q in "ijk"]
     return _flavor_blocks(n, 4, diag_blocks=imag, sym_off=imag,
-                          antisym_off=[bilocal.quaternion_left("1")])
+                          antisym_off=[bilocal.quaternion_matrix("1", "left")])
 
 
 def _flavor_blocks(n, b, diag_blocks, sym_off, antisym_off):

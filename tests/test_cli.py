@@ -232,6 +232,18 @@ class TestBilocalCommand:
         code, _ = run(["check-bilocal", "--L", "9"], capsys)
         assert code == cli.EXIT_USAGE
 
+    def test_transposed_rhs_control_fires_at_every_l(self, capsys):
+        for size in range(1, 9):
+            _, out = run(["check-bilocal", "--L", str(size), "--trials", "1",
+                          "--format", "json"], capsys)
+            records = {r["check_id"]: r for r in json.loads(out)["records"]}
+            assert records["bilocal/negative-control/transposed-rhs"]["passed"] is True
+        # the same comparison on the symmetric pair (E_11, E_22) does not fire
+        for size in range(2, 9):
+            e11, e12, e22 = (oscrep.basis_matrix(size, a, b) for a, b in ((0, 0), (0, 1), (1, 1)))
+            assert cli._misses_transposed_rhs(e11, e12)
+            assert not cli._misses_transposed_rhs(e11, e22)
+
     def test_t_algebra_record_fails_on_a_span_open_under_transpose(self, capsys, monkeypatch):
         original = bilocal.canonical_m_span
 
