@@ -2,29 +2,30 @@
 
 States are unnormalized occupation monomials a*^n |0> so that every matrix
 entry stays Gaussian rational; the squared norms are the factorial weights
-prod n_i!.  An operator's images past the cutoff are dropped, so a product
-of matrices matches the operator product only on the columns that
-``safe_columns`` derives from the level raises.  That level budget is the
-one overflow mechanism: every identity consumed from matrices is
-restricted to those columns.
+prod n_i!.  An operator is held as its nonzero columns, each a sparse
+{row: entry} vector like the rows ``linalg`` eliminates.  Its images past
+the cutoff are dropped, so a product of matrices matches the operator
+product only on the columns that ``safe_columns`` derives from the level
+raises.  That level budget is the one overflow mechanism: every identity
+consumed from matrices is restricted to those columns.
 
 A dual pair (A, B), with B the flavor gauge algebra, is built once by
 ``dual_pair``; the decomposition, the closure and the helicity read it.
-The closure reads each commutator's matrix and each bilinear's pairing
-blocks as {(row, col): entry} dicts, with no dense matrix.
+The closure compares each sampled commutator's columns with the bracket
+of its two operators' columns, and reads each bilinear's pairing blocks
+as {(i, j): entry} dicts, with no dense matrix.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement
 from math import comb, factorial
 from typing import NamedTuple
 
 from . import linalg, oscrep
-from .lincomb import combine
 from .reports import Report
 from .scalars import QI, QI_ZERO, sum_products
 from .weylalg import (Mode, Polarization, SpanError, WeylElement, WeylMonomial, commutator,
@@ -92,67 +93,19 @@ def enumerate_basis(modes, cutoff: int, max_states: int | None = None) -> Trunca
     return fock
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparseOperator:
-    dim: int
-    entries: dict = field(default_factory=dict)   # (row, col) -> QI, no zeros
-    level_raise: int = 0
-    fock: TruncatedFock | None = None
+    """An operator on a truncated Fock basis, held as its nonzero columns:
+    entries is {col: {row: QI}}, with no empty column and no zero entry."""
 
-    def __post_init__(self):
-        self.entries = {k: v for k, v in self.entries.items() if v}
-
-    def _require_same_space(self, other: "SparseOperator"):
-        if self.dim != other.dim or (self.fock is not other.fock and self.fock != other.fock):
-            raise FockError(f"operators act on different Fock bases "
-                            f"(dim {self.dim} and {other.dim})")
-
-    def __add__(self, other):
-        self._require_same_space(other)
-        return SparseOperator(self.dim, combine(other.entries.items(), dict(self.entries)),
-                              max(self.level_raise, other.level_raise), self.fock)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SparseOperator":
-        q = QI.of(c)
-        if not q:
-            return SparseOperator(self.dim, {}, 0, self.fock)
-        return SparseOperator(self.dim, {k: q * v for k, v in self.entries.items()},
-                              self.level_raise, self.fock)
-
-    def __matmul__(self, other):
-        self._require_same_space(other)
-        by_col = self.column_map()
-        out = combine((((r2, c), u * v) for (r, c), v in other.entries.items()
-                       for r2, u in by_col.get(r, ())), {})
-        return SparseOperator(self.dim, out, self.level_raise + other.level_raise, self.fock)
-
-    def equal_on_columns(self, other: "SparseOperator", cols) -> bool:
-        cols = set(cols)
-        a = {k: v for k, v in self.entries.items() if k[1] in cols}
-        b = {k: v for k, v in other.entries.items() if k[1] in cols}
-        return a == b
-
-    def column_map(self) -> dict:
-        out: dict[int, list] = {}
-        for (r, c), v in self.entries.items():
-            out.setdefault(c, []).append((r, v))
-        return out
+    entries: dict
+    level_raise: int
+    fock: TruncatedFock
 
     def apply(self, vec: dict) -> dict:
-        return _apply_columns(self.column_map(), vec)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-
-def _apply_columns(cols: dict, vec: dict) -> dict:
-    """Image of a {state: entry} vector under the operator whose column_map
-    is `cols`, reaching only the vector's columns."""
-    out = combine(((r, v * x) for c, x in vec.items() for r, v in cols.get(c, ())), {})
-    return {r: x for r, x in out.items() if x}
+        """Image of a {state: entry} vector, reaching only the vector's columns."""
+        return sum_products((r, v, x, 1) for c, x in vec.items()
+                            for r, v in self.entries.get(c, {}).items())
 
 
 def safe_columns(fock: TruncatedFock, *raises: int) -> list[int]:
@@ -162,19 +115,23 @@ def safe_columns(fock: TruncatedFock, *raises: int) -> list[int]:
 
 
 def operator_matrix(w: WeylElement, fock: TruncatedFock) -> SparseOperator:
-    """Exact matrix of a Weyl element on the truncated occupation basis."""
+    """Exact matrix of a Weyl element on the truncated occupation basis,
+    every column summed in one kernel call."""
     pos = {m: i for i, m in enumerate(fock.modes)}
     for m in w.modes():
         if m not in pos:
             raise FockError(f"mode {m} is not part of this Fock module")
     terms = [(q, [pos[m] for m in mono.annihilators], [pos[m] for m in mono.creators])
              for mono, q in w.terms.items()]
-    return SparseOperator(fock.dim, combine(_images(terms, fock), {}),
-                          max(0, w.max_level_raise()), fock)
+    cols: dict[int, dict] = {}
+    for (c, r), v in sum_products(_images(terms, fock)).items():
+        cols.setdefault(c, {})[r] = v
+    return SparseOperator(cols, max(0, w.max_level_raise()), fock)
 
 
 def _images(terms, fock: TruncatedFock):
-    """((row, col), coefficient) for each term on each basis column.
+    """((col, row), q, coefficient, 1) for each term on each basis column,
+    for sum_products.
 
     Images past the cutoff are dropped; safe_columns keeps every identity
     off the columns where that happens.
@@ -195,7 +152,7 @@ def _images(terms, fock: TruncatedFock):
             for i in cre:
                 occ[i] += 1
             if sum(occ) <= fock.cutoff:
-                yield (fock.index[tuple(occ)], col), q * coeff
+                yield (col, fock.index[tuple(occ)]), q, coeff, 1
 
 
 def diagonal_weights(w: WeylElement, fock: TruncatedFock) -> list[int]:
@@ -270,7 +227,7 @@ def lowest_weight_vectors(alg, fock: TruncatedFock):
     subspaces and the kernel can be taken block by block, on the sparse
     rows that the lowering operators' nonzero entries make.
     """
-    f_cols = [operator_matrix(f, fock).column_map() for f in alg.F]
+    f_cols = [operator_matrix(f, fock).entries for f in alg.F]
     h_diags = [diagonal_weights(h, fock) for h in alg.H]
     blocks: dict[tuple, list[int]] = {}
     for i in range(fock.dim):
@@ -282,7 +239,7 @@ def lowest_weight_vectors(alg, fock: TruncatedFock):
         for cm in f_cols:
             by_row: dict[int, dict] = {}
             for j, c in enumerate(cols):
-                for r, v in cm.get(c, ()):
+                for r, v in cm.get(c, {}).items():
                     by_row.setdefault(r, {})[j] = v
             rows.extend(by_row[r] for r in sorted(by_row))
         kern = linalg.kernel(rows, len(cols))
@@ -305,7 +262,7 @@ def joint_weight_decomposition(pair: "DualPair", fock: TruncatedFock) -> Multipl
         raise FockError(f"the gauge ladder needs B of rank one, not {gauge.label}")
     lw = lowest_weight_vectors(pair.chevalley, fock)
     q_diag = diagonal_weights(gauge.cartan[0], fock)
-    e_cols = operator_matrix(gauge.raising[0], fock).column_map()
+    e = operator_matrix(gauge.raising[0], fock)
     rows = []
     for (level, weight), vecs in sorted(lw.items()):
         buckets: dict[int, list] = {}
@@ -318,7 +275,7 @@ def joint_weight_decomposition(pair: "DualPair", fock: TruncatedFock) -> Multipl
             target = buckets.get(q + 2)
             by_state: dict[int, dict] = {}
             for j, v in enumerate(vs):
-                image = _apply_columns(e_cols, v)
+                image = e.apply(v)
                 if image and not (target and linalg.in_span(target, image)):
                     raise FockError("gauge raising leaves the lowest-weight space")
                 for s, x in image.items():
@@ -338,11 +295,11 @@ def _flavored(mode: Mode, flavor: int) -> Mode:
 
 
 def flavor_sum(w: WeylElement, flavors: int) -> WeylElement:
-    """The sum of w's copies in flavors 1..flavors, summed into one dict."""
-    return WeylElement(combine(
-        ((WeylMonomial.make([_flavored(m, f) for m in mono.creators],
-                            [_flavored(m, f) for m in mono.annihilators]), q)
-         for f in range(1, flavors + 1) for mono, q in w.terms.items()), {}))
+    """The sum of w's copies in flavors 1..flavors, summed in one kernel call."""
+    return WeylElement._nonzero(sum_products(
+        (WeylMonomial.make([_flavored(m, f) for m in mono.creators],
+                           [_flavored(m, f) for m in mono.annihilators]), q, 1, 1)
+        for f in range(1, flavors + 1) for mono, q in w.terms.items()))
 
 
 class GaugeAlgebra(NamedTuple):
@@ -603,6 +560,8 @@ def _unflavored(mode: Mode) -> Mode:
 
 
 def _matrix_cross_check(rep, family, k, flavors, level, elems, flavored, max_states):
+    """Compare [x, y]'s matrix with mx my - my mx on the safe columns of a
+    sample of pairs; a pair with no safe column compares nothing and fails."""
     all_modes = sorted({m for w in flavored for m in w.modes()})
     fock = enumerate_basis(all_modes, level, max_states)
     n = len(elems)
@@ -612,10 +571,18 @@ def _matrix_cross_check(rep, family, k, flavors, level, elems, flavored, max_sta
             if s >= t:
                 continue
             x, y = flavored[s], flavored[t]
-            sym = operator_matrix(commutator(x, y), fock)
+            sym = operator_matrix(commutator(x, y), fock).entries
             mx, my = operator_matrix(x, fock), operator_matrix(y, fock)
-            prod = (mx @ my) - (my @ mx)
             cols = safe_columns(fock, mx.level_raise, my.level_raise)
             rep.add(f"{family}/k{k}N{flavors}/matrix/pair{s:03d},{t:03d}",
-                    sym.equal_on_columns(prod, cols),
+                    bool(cols) and all(sym.get(c, {}) == _bracket_column(mx, my, c)
+                                       for c in cols),
                     detail=f"Fock cross-check at level {level}")
+
+
+def _bracket_column(mx: SparseOperator, my: SparseOperator, c: int) -> dict:
+    """Column c of mx my - my mx, from the two operators' column images."""
+    xs, ys = mx.entries, my.entries
+    return sum_products(chain(
+        ((r, u, v, 1) for s, v in ys.get(c, {}).items() for r, u in xs.get(s, {}).items()),
+        ((r, u, v, -1) for s, v in xs.get(c, {}).items() for r, u in ys.get(s, {}).items())))

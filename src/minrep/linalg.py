@@ -5,9 +5,9 @@ lists and skip their zero entries, since the matrices the suites multiply
 are mostly zeros.  Over ``QI`` they sum each entry's products in ints
 through ``scalars.sum_products``; other rings (Fraction, Poly) add them
 with ``combine``.  Elimination is sparse end to end: ``rref``, ``rank``,
-``kernel``, ``solve``, ``inverse`` and ``in_span`` take rows as
-``{column: entry}`` dicts and return rows and vectors the same way, none
-holding a zero entry.  Gauss-Jordan runs in exact field arithmetic, so
+``kernel``, ``inverse`` and ``in_span`` take rows as ``{column: entry}``
+dicts and return rows and vectors the same way, none holding a zero
+entry.  Gauss-Jordan runs in exact field arithmetic, so
 there are no pivoting tolerances: a pivot is any nonzero entry, and the
 reduced form is unique whatever the order.  The helpers need only +, -,
 *, / and truthiness of their entries, and their results stay in the
@@ -173,20 +173,6 @@ def kernel(rows, ncols):
             if j != pc:
                 basis[j][pc] = -x
     return list(basis.values())
-
-
-def solve(rows, b):
-    """A sparse x with rows x = b, for b sparse over the row indices; None if none.
-
-    The free unknowns are 0.  b is appended as a column past every column
-    of the rows, so it is a pivot exactly when the system is inconsistent.
-    """
-    aug = 1 + max((j for row in rows for j in row), default=-1)
-    red, pivots = rref([{**row, aug: b[i]} if i in b else row
-                        for i, row in enumerate(rows)])
-    if aug in pivots:
-        return None
-    return {pc: row[aug] for row, pc in zip(red, pivots) if aug in row}
 
 
 def inverse(rows):

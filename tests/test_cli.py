@@ -317,6 +317,26 @@ class TestOtherCommands:
                          "--flavors", "2", "--format", "json"], capsys)
         assert code == 0 and json.loads(out)["ok"]
 
+    def test_closure_matrix_record_that_compares_no_column_fails(self, capsys):
+        # two quadratics that each raise the level by 2 leave no column at
+        # level 1, so such a pair compares nothing and must fail
+        span = fockspace.dual_pair("so_star", 1).a_span
+        raise_of = [max(0, fockspace.flavor_sum(e, 1).max_level_raise()) for e in span]
+        argv = ["closure", "--family", "so-star", "--k", "1", "--format", "json"]
+        code, out = run(argv + ["--level", "1"], capsys)
+        assert code == cli.EXIT_CHECK_FAILED
+        failed, empty = set(), set()
+        for rec in json.loads(out)["records"]:
+            if not rec["passed"]:
+                failed.add(rec["check_id"])
+            if "/matrix/pair" in rec["check_id"]:
+                s, t = map(int, rec["check_id"].rsplit("pair", 1)[1].split(","))
+                if 1 - raise_of[s] - raise_of[t] < 0:
+                    empty.add(rec["check_id"])
+        assert len(empty) == 5 and failed == empty
+        code, out = run(argv + ["--level", "4"], capsys)
+        assert code == cli.EXIT_OK and json.loads(out)["ok"]
+
     def test_closure_state_cap_guard(self, capsys):
         # the --level cross-check basis (41 states here) must respect the cap
         code, _ = run(["closure", "--family", "sp-real", "--k", "1", "--level", "40",

@@ -7,7 +7,7 @@ import pytest
 
 from minrep import fockspace, linalg, oscrep
 from minrep.scalars import QI
-from minrep.weylalg import WeylElement, commutator, standard_polarization
+from minrep.weylalg import WeylElement, commutator, normal_product, standard_polarization
 
 mono = WeylElement.monomial
 
@@ -66,7 +66,8 @@ class TestOperatorMatrix:
     def test_number_operator(self):
         fock = fockspace.enumerate_basis([("c", 1)], 2)
         m = fockspace.operator_matrix(mono([("c", 1)], [("c", 1)]), fock)
-        assert m.entries == {(1, 1): QI(1), (2, 2): QI(2)}
+        assert m.entries == {1: {1: QI(1)}, 2: {2: QI(2)}}
+        assert [m.apply({c: QI(1)}) for c in range(3)] == [{}, {1: QI(1)}, {2: QI(2)}]
 
     def test_h_theta_on_vacuum(self):
         gens = oscrep.su22_generators()
@@ -74,8 +75,7 @@ class TestOperatorMatrix:
         fock = fockspace.enumerate_basis(modes, 1)
         m = fockspace.operator_matrix(gens.extras["H_theta"], fock)
         vac = fock.vacuum_index()
-        col = {r: v for (r, c), v in m.entries.items() if c == vac}
-        assert col == {vac: QI(1)}
+        assert m.apply({vac: QI(1)}) == {vac: QI(1)}
 
     def test_mode_mismatch(self):
         fock = fockspace.enumerate_basis([("c", 1)], 2)
@@ -86,7 +86,9 @@ class TestOperatorMatrix:
         fock = fockspace.enumerate_basis([("c", 1)], 1)
         m = fockspace.operator_matrix(mono([("c", 1)], []), fock)
         assert fockspace.safe_columns(fock, m.level_raise) == [0]
-        assert (0, 1) not in m.entries
+        # c*|1> lies past the cutoff, so column 1 is empty and not stored
+        assert 1 not in m.entries and m.apply({1: QI(1)}) == {}
+        assert m.apply({0: QI(1)}) == {1: QI(1)}
 
     def test_scalar_entries_are_exact(self):
         rng = random.Random(6)
@@ -94,27 +96,35 @@ class TestOperatorMatrix:
         fock = fockspace.enumerate_basis(modes, 3)
         w = mono([("c", 1)], [("c", 1)], QI(Fraction(2, 3), Fraction(-1, 7)))
         m = fockspace.operator_matrix(w, fock)
-        for v in m.entries.values():
-            assert isinstance(v, QI)
+        for c in range(fock.dim):
+            for v in m.apply({c: QI(1)}).values():
+                assert isinstance(v, QI)
 
-    def test_operators_on_different_bases_do_not_combine(self):
-        # a 3-state plus a 6-state operator must not yield a dim-3 operator
-        # holding entries at rows 3 and 4
-        n1 = mono([("c", 1)], [("c", 1)])
-        small = fockspace.operator_matrix(n1, fockspace.enumerate_basis([("c", 1)], 2))
-        big = fockspace.operator_matrix(
-            n1, fockspace.enumerate_basis([("c", 1), ("c", 2)], 2))
-        other_mode = fockspace.operator_matrix(
-            mono([("d", 1)], [("d", 1)]), fockspace.enumerate_basis([("d", 1)], 2))
-        assert small.dim == other_mode.dim == 3 and big.dim == 6
-        for x, y in ((small, big), (big, small), (small, other_mode)):
-            for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p @ q):
-                with pytest.raises(fockspace.FockError):
-                    op(x, y)
-        # an equal basis enumerated again is the same space
-        again = fockspace.operator_matrix(n1, fockspace.enumerate_basis([("c", 1)], 2))
-        assert (small + again).entries == {(1, 1): QI(2), (2, 2): QI(4)}
-        assert (small @ again).entries == {(1, 1): QI(1), (2, 2): QI(4)}
+    @pytest.mark.parametrize("seed", range(6))
+    def test_columns_are_the_normal_products_with_each_state(self, seed):
+        # column n of w's matrix is w a*^n |0>: normal-order w a*^n, drop
+        # the terms that keep an annihilator (they kill |0>) and the states
+        # past the cutoff
+        rng = random.Random(seed)
+        modes = [("a", 1), ("a", 2), ("b", 1)]
+        fock = fockspace.enumerate_basis(modes, 4)
+        w = WeylElement.scalar(QI(Fraction(rng.randint(-2, 2), 3)))
+        for _ in range(4):
+            w = w + mono([rng.choice(modes) for _ in range(rng.randrange(3))],
+                         [rng.choice(modes) for _ in range(rng.randrange(3))],
+                         QI(Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-1, 1)))
+        m = fockspace.operator_matrix(w, fock)
+        for col, state in enumerate(fock.states):
+            creators = [mode for mode, n in zip(modes, state) for _ in range(n)]
+            oracle = {}
+            for term, q in normal_product(w, mono(creators, [])).terms.items():
+                occ = tuple(term.creators.count(mode) for mode in modes)
+                if not term.annihilators and sum(occ) <= fock.cutoff:
+                    oracle[fock.index[occ]] = q
+            assert m.entries.get(col, {}) == oracle
+            assert m.apply({col: QI(1)}) == oracle
+        assert all(m.entries.values())
+        assert all(v for column in m.entries.values() for v in column.values())
 
 
 class TestHelicity:
@@ -156,9 +166,10 @@ class TestDiagonalWeights:
     @pytest.mark.parametrize("w,modes", _diagonal_generators())
     def test_agrees_with_the_operator_matrix_diagonal(self, w, modes):
         fock = fockspace.enumerate_basis(modes, 3)
-        entries = fockspace.operator_matrix(w, fock).entries
-        assert all(r == c for r, c in entries)
-        oracle = [entries.get((i, i), QI(0)).real_fraction() for i in range(fock.dim)]
+        m = fockspace.operator_matrix(w, fock)
+        columns = [m.apply({i: QI(1)}) for i in range(fock.dim)]
+        assert all(set(col) <= {i} for i, col in enumerate(columns))
+        oracle = [col.get(i, QI(0)).real_fraction() for i, col in enumerate(columns)]
         weights = fockspace.diagonal_weights(w, fock)
         assert all(type(x) is int for x in weights)
         assert weights == oracle
@@ -291,6 +302,21 @@ class TestClosure:
     def test_u22_with_matrix_cross_check(self):
         rep = fockspace.truncated_closure_check("u_pq", 2, 2, level=2, pair_limit=40)
         assert rep.ok
+
+    def test_a_corrupted_commutator_fails_the_matrix_cross_check(self, monkeypatch):
+        # the symbolic side gains the identity, which is nonzero on every
+        # safe column, so each matrix/pair record must fail
+        def matrix_records(rep):
+            return [r for r in rep.records if "/matrix/" in r.check_id]
+
+        rep = fockspace.truncated_closure_check("so_star", 1, 1, level=4)
+        assert len(matrix_records(rep)) == 6 and rep.ok
+        real = fockspace.commutator
+        monkeypatch.setattr(fockspace, "commutator",
+                            lambda x, y: real(x, y) + WeylElement.scalar(1))
+        rep = fockspace.truncated_closure_check("so_star", 1, 1, level=4)
+        records = matrix_records(rep)
+        assert len(records) == 6 and not any(r.passed for r in records)
 
     @pytest.mark.parametrize("family,k,flavors", [
         ("sp_real", 1, 3), ("sp_real", 2, 2), ("u_pq", 2, 2), ("so_star", 1, 2),
@@ -480,8 +506,9 @@ class TestGaugeAction:
             mg = fockspace.operator_matrix(g, fock)
             for v in flav[:3]:
                 mv = fockspace.operator_matrix(v, fock)
-                cols = fockspace.safe_columns(fock, mg.level_raise, mv.level_raise)
-                assert (mg @ mv).equal_on_columns(mv @ mg, cols)
+                for c in fockspace.safe_columns(fock, mg.level_raise, mv.level_raise):
+                    e = {c: QI(1)}
+                    assert mg.apply(mv.apply(e)) == mv.apply(mg.apply(e))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_one_flavor_sp2_is_the_triple(self, k):
@@ -555,9 +582,11 @@ class TestGaugeAction:
 def conj_transpose_weighted(m: fockspace.SparseOperator) -> fockspace.SparseOperator:
     """W^-1 t(conj M) W with W the diagonal of norm weights."""
     f = m.fock
-    out = {(c, r): v.conj() * QI(Fraction(f.norm_weight(r), f.norm_weight(c)))
-           for (r, c), v in m.entries.items()}
-    return fockspace.SparseOperator(m.dim, out, -m.level_raise, f)
+    out = {}
+    for c, col in m.entries.items():
+        for r, v in col.items():
+            out.setdefault(r, {})[c] = v.conj() * QI(Fraction(f.norm_weight(r), f.norm_weight(c)))
+    return fockspace.SparseOperator(out, -m.level_raise, f)
 
 
 class TestAdjointness:
@@ -572,5 +601,6 @@ class TestAdjointness:
                                      QI(Fraction(rng.randint(1, 3)), Fraction(rng.randint(-2, 2))))
             m = fockspace.operator_matrix(w, fock)
             ma = fockspace.operator_matrix(w.adjoint(), fock)
-            cols = fockspace.safe_columns(fock, len(cre) + len(ann))
-            assert ma.equal_on_columns(conj_transpose_weighted(m), cols)
+            oracle = conj_transpose_weighted(m)
+            for c in fockspace.safe_columns(fock, len(cre) + len(ann)):
+                assert ma.apply({c: QI(1)}) == oracle.apply({c: QI(1)})

@@ -161,7 +161,9 @@ def test_operator_matrix_is_multiplicative_on_safe_columns(x, y):
     mx, my = operator_matrix(x, _FOCK), operator_matrix(y, _FOCK)
     cols = safe_columns(_FOCK, mx.level_raise, my.level_raise)
     assert cols
-    assert operator_matrix(normal_product(x, y), _FOCK).equal_on_columns(mx @ my, cols)
+    mxy = operator_matrix(normal_product(x, y), _FOCK)
+    for c in cols:
+        assert mxy.apply({c: QI(1)}) == mx.apply(my.apply({c: QI(1)}))
 
 
 def test_combine_leaves_cancelled_sums_for_the_constructor():
