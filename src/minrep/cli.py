@@ -344,11 +344,12 @@ def run_massless(args) -> Report:
     rep.extend(massless.lightlike_identity())
     rep.extend(massless.realization_functoriality_check(3))
     fock = fockspace.enumerate_basis(list(massless.MODES), 2)
-    spectra = {lvl: fockspace.helicity_spectrum(fock, lvl) for lvl in (0, 1, 2)}
-    want = {0: {0: 1}, 1: {-1: 2, 1: 2}, 2: {-2: 3, 0: 4, 2: 3}}
     for lvl in (0, 1, 2):
-        rep.add(f"massless/helicity/level{lvl}", spectra[lvl] == want[lvl],
-                detail=f"{spectra[lvl]}")
+        spectrum = fockspace.helicity_spectrum(fock, lvl)
+        # helicity h on level L has multiplicity ((L + h)/2 + 1)((L - h)/2 + 1)
+        # for |h| <= L and h = L mod 2, and none otherwise
+        want = {h: ((lvl + h) // 2 + 1) * ((lvl - h) // 2 + 1) for h in range(-lvl, lvl + 1, 2)}
+        rep.add(f"massless/helicity/level{lvl}", spectrum == want, detail=f"{spectrum}")
     return rep
 
 

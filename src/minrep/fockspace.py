@@ -12,13 +12,14 @@ consumed from matrices is restricted to those columns.
 A dual pair (A, B), with B the flavor gauge algebra, is built once by
 ``dual_pair``; the decomposition, the closure and the helicity read it.
 The closure compares each sampled commutator's columns with the bracket
-of its two operators' columns, and reads each bilinear's pairing blocks
-as {(i, j): entry} dicts, with no dense matrix.
+of its two operators' columns in one ``linalg.bracket_defect`` call, and
+reads each bilinear's pairing blocks as {(i, j): entry} dicts, with no
+dense matrix.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement
@@ -26,7 +27,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from . import linalg, oscrep
-from .reports import Report
+from .reports import Report, render_defect
 from .scalars import QI, QI_ZERO, sum_products
 from .weylalg import (Mode, Polarization, SpanError, WeylElement, WeylMonomial, commutator,
                       matrix_from_quadratic, mode_action_matrix, quadratic_blocks,
@@ -561,28 +562,22 @@ def _unflavored(mode: Mode) -> Mode:
 
 def _matrix_cross_check(rep, family, k, flavors, level, elems, flavored, max_states):
     """Compare [x, y]'s matrix with mx my - my mx on the safe columns of a
-    sample of pairs; a pair with no safe column compares nothing and fails."""
+    sample of pairs, through ``linalg.bracket_defect`` on the operators'
+    columns, each sampled element's matrix built once; a pair with no safe
+    column compares nothing and fails."""
     all_modes = sorted({m for w in flavored for m in w.modes()})
     fock = enumerate_basis(all_modes, level, max_states)
     n = len(elems)
     sample = sorted({0, n // 3, (2 * n) // 3, n - 1})
+    mats = {s: operator_matrix(flavored[s], fock) for s in sample}
+    columns = {s: defaultdict(dict, m.entries) for s, m in mats.items()}
     for s in sample:
         for t in sample:
             if s >= t:
                 continue
-            x, y = flavored[s], flavored[t]
-            sym = operator_matrix(commutator(x, y), fock).entries
-            mx, my = operator_matrix(x, fock), operator_matrix(y, fock)
-            cols = safe_columns(fock, mx.level_raise, my.level_raise)
+            sym = operator_matrix(commutator(flavored[s], flavored[t]), fock).entries
+            cols = safe_columns(fock, mats[s].level_raise, mats[t].level_raise)
+            defect = linalg.bracket_defect(columns[s], columns[t], cols, defaultdict(dict, sym))
             rep.add(f"{family}/k{k}N{flavors}/matrix/pair{s:03d},{t:03d}",
-                    bool(cols) and all(sym.get(c, {}) == _bracket_column(mx, my, c)
-                                       for c in cols),
-                    detail=f"Fock cross-check at level {level}")
-
-
-def _bracket_column(mx: SparseOperator, my: SparseOperator, c: int) -> dict:
-    """Column c of mx my - my mx, from the two operators' column images."""
-    xs, ys = mx.entries, my.entries
-    return sum_products(chain(
-        ((r, u, v, 1) for s, v in ys.get(c, {}).items() for r, u in xs.get(s, {}).items()),
-        ((r, u, v, -1) for s, v in xs.get(c, {}).items() for r, u in ys.get(s, {}).items())))
+                    bool(cols) and not defect,
+                    detail=f"Fock cross-check at level {level}", defect=render_defect(defect))

@@ -15,7 +15,8 @@ the walks of L- on L+ h and of L3 + 1 on L3 h and the terms of
 -l(l+1) h, with no scaled or subtracted intermediate.
 The angular algebra check wraps H, L^2 and each L_j in a
 ``poly.ColumnMap``, built per call, so each operator's image of a unit
-monomial is formed once and every bracket is read off those columns.
+monomial is formed once, and checks each bracket with one
+``linalg.bracket_defect`` call on those columns.
 
 Also provides the rational embedding of Minkowski points into the complex
 quadric coordinates z(x) and its sphere identity sum z^2 = conj(w)/w.
@@ -29,7 +30,7 @@ from itertools import chain
 
 from . import linalg
 from .poly import ColumnMap, DiffOp, Poly, monomials_of_degree, monomials_up_to
-from .reports import Report
+from .reports import Report, render_defect
 from .scalars import QI, sum_products
 
 NVARS = 4
@@ -96,7 +97,7 @@ def l_squared(p: Poly) -> Poly:
 def _l_squared_walk(p: Poly):
     """The sum_products items of L^2 p: the walks of L- over L+ p and of
     L3 + 1 over L3 p."""
-    return chain(_LOWERING.walk(_RAISING(p)), _L3_PLUS_ONE.walk(_L[3](p)))
+    return chain(_LOWERING.walk(_RAISING(p).terms), _L3_PLUS_ONE.walk(_L[3](p).terms))
 
 
 def lowering(p: Poly) -> Poly:
@@ -221,15 +222,15 @@ def angular_algebra_check(degree: int = 3) -> Report:
     """
     rep = Report("harmonics/angular-algebra")
     monos = list(monomials_up_to(NVARS, degree))
-    ls = {j: ColumnMap(op, NVARS) for j, op in _L.items()}
+    ls = {j: ColumnMap(op.column) for j, op in _L.items()}
     for (j, k), l in _EPS.items():
-        ok = all(ls[j].bracket_column(ls[k], m) == ls[l].column(m).scale(_I)
-                 for m in monos)
-        rep.add(f"angular/[L{j},L{k}]=iL{l}", ok)
-    h = ColumnMap(_HAMILTONIAN, NVARS)
-    for name, op in (("L2", ColumnMap(l_squared, NVARS)), ("L3", ls[3])):
-        ok = all(h.bracket_column(op, m).is_zero() for m in monos)
-        rep.add(f"angular/[H,{name}]=0", ok)
+        defect = linalg.bracket_defect(ls[j], ls[k], monos, ls[l], _I)
+        rep.add(f"angular/[L{j},L{k}]=iL{l}", not defect, defect=render_defect(defect))
+    h = ColumnMap(_HAMILTONIAN.column)
+    l2 = ColumnMap(lambda m: l_squared(Poly(NVARS, {m: 1})).terms)
+    for name, op in (("L2", l2), ("L3", ls[3])):
+        defect = linalg.bracket_defect(h, op, monos)
+        rep.add(f"angular/[H,{name}]=0", not defect, defect=render_defect(defect))
     return rep
 
 

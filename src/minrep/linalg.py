@@ -7,9 +7,12 @@ through ``scalars.sum_products``; other rings (Fraction, Poly) add them
 with ``combine``.  Elimination is sparse end to end: ``rref``, ``rank``,
 ``kernel``, ``inverse`` and ``in_span`` take rows as ``{column: entry}``
 dicts and return rows and vectors the same way, none holding a zero
-entry.  Gauss-Jordan runs in exact field arithmetic, so
-there are no pivoting tolerances: a pivot is any nonzero entry, and the
-reduced form is unique whatever the order.  The helpers need only +, -,
+entry.  ``bracket_defect`` is the one routine that brackets two
+operators given by their sparse columns: the differential operators'
+column maps and the Fock operators' columns both go through it.
+Gauss-Jordan runs in exact field arithmetic, so there are no pivoting
+tolerances: a pivot is any nonzero entry, and the reduced form is unique
+whatever the order.  The helpers need only +, -,
 *, / and truthiness of their entries, and their results stay in the
 operands' ring: the zero of a dense product is ``0 * entry``, and a
 kernel's unit is its first pivot.  Only ``identity(n, one)`` takes a ring
@@ -104,6 +107,36 @@ def identity(n, one=QI(1)):
 
 def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+def bracket_defect(x, y, cols, z=None, c=1) -> dict:
+    """The nonzero {(col, row): entry} of [X, Y] - cZ on the given columns.
+
+    x, y and z map a column key to that column's sparse {row: entry}
+    image, and each must answer every key it is asked for: a
+    ``poly.ColumnMap`` forms a column on its first read, and a dict that
+    leaves its zero columns out is passed as a ``defaultdict(dict)``.
+    Column k of XY sums v * x[s] over the entries v = y[k][s], so the
+    bracket reads columns and forms no product of operators.  Every
+    product goes to one ``scalars.sum_products`` call, which leaves out
+    the zero totals: the identity [X, Y] = cZ holds on cols exactly when
+    the result is empty.
+    """
+    return sum_products(_bracket_items(x, y, cols, z, c))
+
+
+def _bracket_items(x, y, cols, z, c):
+    """The sum_products items of bracket_defect, column by column."""
+    for k in cols:
+        for s, v in y[k].items():
+            for r, u in x[s].items():
+                yield (k, r), u, v, 1
+        for s, v in x[k].items():
+            for r, u in y[s].items():
+                yield (k, r), u, v, -1
+        if z is not None:
+            for r, u in z[k].items():
+                yield (k, r), u, c, -1
 
 
 def rref(rows):

@@ -13,12 +13,16 @@ evaluated by the exact moment rule u^a ub^a -> a!, which gives the
 ground state unit norm.
 
 The CCR and the functoriality of brackets are operator identities on
-every monomial up to a degree.  Each check wraps the eight operators, and
-for functoriality each realized generator, in a ``poly.ColumnMap``: the
-image of each unit monomial (coefficient the int 1) is formed on first
-read and reused by every bracket that reaches it, and [X, Y] is compared
-with its target column by column.  The CCR columns stay in int
-arithmetic.  The maps are built per call, so nothing outlives a check.
+every monomial up to a degree, and each is one ``linalg.bracket_defect``
+call per pair of operators.  Each check wraps the eight operators in a
+``poly.ColumnMap``, so the image of each unit monomial (coefficient the
+int 1) is formed on first read and reused by every bracket that reaches
+it; the CCR columns stay in int arithmetic.  For functoriality each Weyl
+monomial's columns are those of its operators composed in
+``apply_monomial``'s order, formed once per check and shared by every
+generator and symbolic commutator that holds the monomial; a realized
+element's column sums them, with real-integer coefficients as ints.  The
+maps are built per call, so nothing outlives a check.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ from fractions import Fraction
 from functools import partial
 from math import factorial
 
+from .linalg import bracket_defect
 from .lincomb import combine
-from .poly import ColumnMap, DiffOp, Poly, monomials_up_to
-from .reports import Report
+from .poly import ColumnMap, DiffOp, Poly, int_if_integer, monomials_up_to
+from .reports import Report, render_defect
 from .scalars import QI
 from .weylalg import WeylElement
 
@@ -81,10 +86,8 @@ class DiffOpRealization:
     ops: dict
 
     def apply_monomial(self, creators, annihilators, p: Poly) -> Poly:
-        for m in reversed(list(annihilators)):
-            p = self.ops[(m, False)](p)
-        for m in reversed(list(creators)):
-            p = self.ops[(m, True)](p)
+        for key in _acting_keys(creators, annihilators):
+            p = self.ops[key](p)
         return p
 
     def apply(self, w: WeylElement, p: Poly) -> Poly:
@@ -95,34 +98,41 @@ class DiffOpRealization:
         return Poly(NVARS, acc)
 
 
+def _acting_keys(creators, annihilators) -> list:
+    """The (mode, creator) keys of a Weyl monomial's operators in the order
+    they act on a state: the annihilators from the last, then the creators
+    from the last."""
+    return [(m, False) for m in reversed(list(annihilators))] \
+        + [(m, True) for m in reversed(list(creators))]
+
+
 def realize_schrodinger() -> DiffOpRealization:
     return DiffOpRealization(dict(_OPS))
 
 
-def _column_maps(real: DiffOpRealization) -> DiffOpRealization:
-    """The same realization with each operator's column images formed once."""
-    return DiffOpRealization({key: ColumnMap(op, NVARS) for key, op in real.ops.items()})
+def _operator_columns(real: DiffOpRealization) -> dict:
+    """A ``ColumnMap`` of each of the eight operators' unit-monomial images."""
+    return {key: ColumnMap(op.column) for key, op in real.ops.items()}
 
 
 def ccr_check(degree: int = 6) -> Report:
     """CCR as exact operator identities on all monomials of degree <= D,
-    checked column by column in int arithmetic."""
-    real = _column_maps(realize_schrodinger())
+    each bracket summed by ``linalg.bracket_defect`` in int arithmetic."""
+    cols = _operator_columns(realize_schrodinger())
     rep = Report(f"massless/ccr/degree<={degree}")
     monos = list(monomials_up_to(NVARS, degree))
-    keys = sorted(real.ops)
+    unit = {m: {m: 1} for m in monos}
+    keys = sorted(cols)
     for k1 in keys:
         for k2 in keys:
             if k1 >= k2:
                 continue
             want_one = (k1[0] == k2[0] and not k1[1] and k2[1])
-            o1, o2 = real.ops[k1], real.ops[k2]
-            ok = all(o1.bracket_column(o2, m).terms == ({m: 1} if want_one else {})
-                     for m in monos)
+            defect = bracket_defect(cols[k1], cols[k2], monos, unit if want_one else None)
             n1 = f"{k1[0][0]}{k1[0][1]}" + ("*" if k1[1] else "")
             n2 = f"{k2[0][0]}{k2[0][1]}" + ("*" if k2[1] else "")
-            rep.add(f"ccr/[{n1},{n2}]", ok,
-                    detail="= 1" if want_one else "= 0")
+            rep.add(f"ccr/[{n1},{n2}]", not defect,
+                    detail="= 1" if want_one else "= 0", defect=render_defect(defect))
     return rep
 
 
@@ -202,25 +212,57 @@ def realization_functoriality_check(degree: int = 4) -> Report:
 
     For every Chevalley pair (x, y) of the conformal generator set, the
     realized commutator equals the realization of the symbolic commutator.
+    Each Weyl monomial's column map is built once per check and shared by
+    every element that holds it; an element's column is the sum over its
+    monomials, and ``linalg.bracket_defect`` compares [X, Y] with the
+    realized commutator column by column.
     """
     from . import oscrep
     from .weylalg import commutator
 
-    real = _column_maps(realize_schrodinger())
+    real = realize_schrodinger()
+    first = _operator_columns(real)
+    monomial_maps: dict = {}
+
+    def realized(w: WeylElement) -> ColumnMap:
+        terms = []
+        for mono, q in w.terms.items():
+            cm = monomial_maps.get(mono)
+            if cm is None:
+                acting = [first[key] for key in _acting_keys(mono.creators, mono.annihilators)]
+                cm = monomial_maps[mono] = ColumnMap(partial(_composed_column, acting))
+            terms.append((cm, int_if_integer(q)))
+        return ColumnMap(lambda m: _column_sum((q, cm[m]) for cm, q in terms))
+
     rep = Report(f"massless/functoriality/degree<={degree}")
     gens = oscrep.su22_generators()
     named = [(f"E{i+1}", e) for i, e in enumerate(gens.E)]
     named += [(f"F{i+1}", f) for i, f in enumerate(gens.F)]
     named += [("E_theta", gens.extras["E_theta"]), ("H_theta", gens.extras["H_theta"])]
-    maps = {n: ColumnMap(partial(real.apply, w), NVARS) for n, w in named}
+    maps = {n: realized(w) for n, w in named}
     monos = list(monomials_up_to(NVARS, degree))
     for i, (n1, x) in enumerate(named):
         for n2, y in named[i + 1:]:
-            sym = commutator(x, y)
-            ok = all(maps[n1].bracket_column(maps[n2], m)
-                     == real.apply(sym, Poly(NVARS, {m: 1})) for m in monos)
-            rep.add(f"functorial/[{n1},{n2}]", ok)
+            defect = bracket_defect(maps[n1], maps[n2], monos, realized(commutator(x, y)))
+            rep.add(f"functorial/[{n1},{n2}]", not defect, defect=render_defect(defect))
     return rep
+
+
+def _composed_column(acting: list, m: tuple) -> dict:
+    """Column m of the product of the column maps in `acting`, the first
+    acting first; the identity's column when there are none."""
+    col = {m: 1}
+    for f in acting:
+        col = _column_sum((c, f[s]) for s, c in col.items())
+    return col
+
+
+def _column_sum(scaled) -> dict:
+    """The sum of q * column over (q, column) pairs, with no zero entry."""
+    acc: dict = {}
+    for q, col in scaled:
+        combine(((r, q * v) for r, v in col.items()), acc)
+    return {r: v for r, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------

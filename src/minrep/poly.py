@@ -12,19 +12,19 @@ factor x_u optional.  Its one term walker, ``walk``, yields an item
 a, with w the int that d^k brings down.  Applying the operator to a
 ``QI`` polynomial sums those items in ints through
 ``scalars.sum_products`` and builds one ``Poly`` without testing its
-coefficients for zero again; any other ring, such as the int unit
-monomial of a column, is summed by ``combine`` and stays in that ring,
-the rule ``linalg.mat_mul`` follows.  An operator coefficient that is a
-real integer is kept as an ``int``, so it is read without building a
-``QI``.
+coefficients for zero again; any other ring is summed by ``combine`` and
+stays in that ring, the rule ``linalg.mat_mul`` follows.  An operator
+coefficient that is a real integer is kept as an ``int``, so it is read
+without building a ``QI``.
 
-``ColumnMap`` holds one linear map Poly -> Poly with its column images:
-the image of each unit monomial, which carries the int 1, formed on the
-first read and then reused.  The image of a polynomial sum c * m is read
-off those columns as sum c * column(m), and a bracket [X, Y] is checked
-column by column, so an operator-identity check applies each operator
-once per monomial it reaches, not once per pair and monomial.  Columns
-live as long as the map, which each check builds afresh.
+``DiffOp.column`` forms the operator's image of a unit monomial, which
+carries the int 1, as a plain {monomial: coeff} dict without a ``Poly``;
+a real-integer operator's columns stay in ints.  ``ColumnMap`` is a dict
+of such columns that forms each one on its first read and then keeps
+it.  An operator identity [X, Y] = cZ is checked by handing the column
+maps to ``linalg.bracket_defect``, so a check forms each operator's
+image of a monomial once, not once per pair and monomial.  Columns live
+as long as the map, which each check builds afresh.
 """
 
 from __future__ import annotations
@@ -139,19 +139,20 @@ class DiffOp(LinComb):
     __slots__ = ()
 
     def __init__(self, terms: dict | None = None):
-        LinComb.__init__(self, {key: _int_if_integer(c)
+        LinComb.__init__(self, {key: int_if_integer(c)
                                 for key, c in (terms or {}).items()})
 
     def scale(self, c) -> "DiffOp":
         return self._scaled(c)
 
-    def walk(self, p: Poly):
-        """(monomial, c, a, w) for each term c x^m of p and each term
-        a x_u d_d^k of this operator that does not annihilate it: the pair's
-        image is w c a times the monomial, with w the int that d_d^k brings
-        down, n from x_d^n for k = 1, n (n-1) for k = 2 and 1 for k = 0."""
+    def walk(self, terms: dict):
+        """(monomial, c, a, w) for each term c x^m of terms, a polynomial's
+        {monomial: coeff} dict, and each term a x_u d_d^k of this operator
+        that does not annihilate it: the pair's image is w c a times the
+        monomial, with w the int that d_d^k brings down, n from x_d^n for
+        k = 1, n (n-1) for k = 2 and 1 for k = 0."""
         steps = self.terms.items()
-        for m, c in p.terms.items():
+        for m, c in terms.items():
             for (u, d, k), a in steps:
                 if k:
                     n = m[d]
@@ -172,48 +173,40 @@ class DiffOp(LinComb):
 
         A ``QI`` polynomial's items are summed in ints by ``sum_products``,
         which leaves out the zero totals, so the result skips the zero
-        filter; any other ring, such as the int unit monomial of a column,
-        is summed by ``combine`` and stays in that ring.
+        filter; any other ring is summed by ``combine`` and stays in that
+        ring.
         """
         terms = p.terms
         if terms and type(next(iter(terms.values()))) is QI:
-            return _nonzero_poly(p.nvars, sum_products(self.walk(p)))
-        return Poly(p.nvars, combine(((m, c * a * w) for m, c, a, w in self.walk(p)), {}))
+            return _nonzero_poly(p.nvars, sum_products(self.walk(terms)))
+        return Poly(p.nvars, combine(((m, c * a * w) for m, c, a, w in self.walk(terms)), {}))
+
+    def column(self, m: tuple) -> dict:
+        """The image of the unit monomial m, as a {monomial: coeff} dict
+        with no zero, formed without a ``Poly``.  The unit is the int 1, so
+        each coefficient is an operator coefficient times an int and a
+        real-integer operator's column stays in ints."""
+        acc = combine(((e, a * w) for e, _, a, w in self.walk({m: 1})), {})
+        return {e: v for e, v in acc.items() if v}
 
 
-class ColumnMap:
-    """The linear map `op` on polynomials in `nvars` variables, with each
-    column image formed on its first read and then reused."""
+class ColumnMap(dict):
+    """The column images {m: {monomial: coeff}} of a linear map, each
+    formed by `op(m)` on its first read and then kept.
 
-    __slots__ = ("op", "nvars", "columns")
+    Reading a column that is not yet held forms it, so a map passed to
+    ``linalg.bracket_defect`` forms only the columns that the kernel
+    reaches."""
 
-    def __init__(self, op, nvars: int):
+    __slots__ = ("op",)
+
+    def __init__(self, op):
+        dict.__init__(self)
         self.op = op
-        self.nvars = nvars
-        self.columns: dict = {}
 
-    def column(self, m: tuple) -> Poly:
-        """The image of the unit monomial m."""
-        col = self.columns.get(m)
-        if col is None:
-            col = self.columns[m] = self.op(Poly(self.nvars, {m: 1}))
+    def __missing__(self, m: tuple) -> dict:
+        col = self[m] = self.op(m)
         return col
-
-    def _add_image(self, p: Poly, acc: dict, sign: int = 1) -> dict:
-        """Sum sign * (the image of p), read off the columns, into acc."""
-        for m, c in p.terms.items():
-            c = c if sign > 0 else -c
-            col = self.column(m).terms.items()
-            combine(col if type(c) is int and c == 1 else ((k, c * v) for k, v in col), acc)
-        return acc
-
-    def __call__(self, p: Poly) -> Poly:
-        return Poly(self.nvars, self._add_image(p, {}))
-
-    def bracket_column(self, other: "ColumnMap", m: tuple) -> Poly:
-        """[self, other] applied to the unit monomial m."""
-        acc = self._add_image(other.column(m), {})
-        return Poly(self.nvars, other._add_image(self.column(m), acc, -1))
 
 
 _set_nvars = Poly.nvars.__set__
@@ -226,7 +219,7 @@ def _nonzero_poly(nvars: int, terms: dict) -> Poly:
     return p
 
 
-def _int_if_integer(c):
+def int_if_integer(c):
     """c as an int when it is a real integer ``QI``, else c itself."""
     if type(c) is QI and c.is_real() and c.real_fraction().denominator == 1:
         return int(c.real_fraction())

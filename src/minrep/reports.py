@@ -6,8 +6,17 @@ import json
 import time
 from dataclasses import dataclass, field
 
+from .lincomb import LinComb
+
 # A failing identity record renders this many terms of its defect, then the count.
 DEFECT_TERMS = 4
+
+
+def render_defect(defect: dict) -> str:
+    """A kernel's nonzero {key: entry} totals as a record's defect: the first
+    DEFECT_TERMS terms and the count, or "" when there are none, so that a
+    passing record keeps an empty defect."""
+    return LinComb._nonzero(defect).render(DEFECT_TERMS) if defect else ""
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -317,6 +318,9 @@ class TestClosure:
         rep = fockspace.truncated_closure_check("so_star", 1, 1, level=4)
         records = matrix_records(rep)
         assert len(records) == 6 and not any(r.passed for r in records)
+        # each defect is the identity taken off: -1 on the diagonal of every
+        # safe column, starting at the vacuum
+        assert all(r.defect.startswith("(-1) (0, 0)") for r in records)
 
     @pytest.mark.parametrize("family,k,flavors", [
         ("sp_real", 1, 3), ("sp_real", 2, 2), ("u_pq", 2, 2), ("so_star", 1, 2),
@@ -604,3 +608,50 @@ class TestAdjointness:
             oracle = conj_transpose_weighted(m)
             for c in fockspace.safe_columns(fock, len(cre) + len(ann)):
                 assert ma.apply({c: QI(1)}) == oracle.apply({c: QI(1)})
+
+
+def _dense(m: fockspace.SparseOperator) -> list:
+    n = m.fock.dim
+    out = [[QI(0)] * n for _ in range(n)]
+    for c, col in m.entries.items():
+        for r, v in col.items():
+            out[r][c] = v
+    return out
+
+
+class TestBracketDefect:
+    """linalg.bracket_defect on Fock columns against dense matrix products."""
+
+    def test_bracket_defect_equals_the_matrix_products(self):
+        rng = random.Random(31)
+        modes = [("a", 1), ("a", 2), ("b", 1)]
+        fock = fockspace.enumerate_basis(modes, 4)
+
+        def element():
+            w = WeylElement.zero()
+            for _ in range(2):
+                cre = [modes[rng.randrange(3)] for _ in range(rng.randrange(3))]
+                ann = [modes[rng.randrange(3)] for _ in range(rng.randrange(3))]
+                w = w + WeylElement.monomial(
+                    cre, ann, QI(Fraction(rng.randint(1, 3)), Fraction(rng.randint(-2, 2))))
+            return w
+
+        compared = 0
+        for _ in range(8):
+            x, y = element(), element()
+            mx, my = fockspace.operator_matrix(x, fock), fockspace.operator_matrix(y, fock)
+            mz = fockspace.operator_matrix(commutator(x, y), fock)
+            xs, ys, zs = (defaultdict(dict, m.entries) for m in (mx, my, mz))
+            br = linalg.commutator(_dense(mx), _dense(my))
+            every = range(fock.dim)
+            want = {(c, r): br[r][c] for c in every for r in every if br[r][c]}
+            assert linalg.bracket_defect(xs, ys, every) == want
+            cols = fockspace.safe_columns(fock, mx.level_raise, my.level_raise)
+            # on the safe columns the truncated product is the operator product
+            assert not linalg.bracket_defect(xs, ys, cols, zs)
+            safe = set(cols)
+            on_cols = {(c, r): v for (c, r), v in want.items() if c in safe}
+            assert linalg.bracket_defect(xs, ys, cols, zs, 2) == \
+                {key: -v for key, v in on_cols.items()}
+            compared += bool(on_cols)
+        assert compared >= 4

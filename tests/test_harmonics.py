@@ -144,6 +144,10 @@ class TestOperatorAlgebra:
     def test_angular_momentum_commutators(self):
         assert harmonics.angular_algebra_check(3).ok
 
+    def test_angular_algebra_on_degree_five(self):
+        rep = harmonics.angular_algebra_check(5)
+        assert len(rep.records) == 5 and rep.ok
+
     def test_hamiltonian_eigenvalue_is_degree_plus_one(self):
         rng = random.Random(4)
         for d in range(4):
@@ -172,8 +176,9 @@ class TestOperatorAlgebra:
         named = [r for r in rep.records if "L1" in r.check_id]
         others = [r for r in rep.records if "L1" not in r.check_id]
         assert len(named) == 3 and len(others) == 2
-        assert any(not r.passed for r in named)
-        assert all(r.passed for r in others)
+        failed = [r for r in named if not r.passed]
+        assert failed and all(r.defect.endswith(" terms)") for r in failed)
+        assert all(r.passed and r.defect == "" for r in others)
 
 
 class TestCompactification:

@@ -113,7 +113,7 @@ class TestFunctoriality:
 
 
 # a1* = u1 - d/dub1 with the sign of its derivative flipped: [a1*, b1*] is
-# then -2, not 0, while every pair of the other seven operators keeps its CCR
+# then 2, not 0, while every pair of the other seven operators keeps its CCR
 _A1_STAR = (("a", 1), True)
 _A1_STAR_FLIPPED = DiffOp({(0, None, 0): 1, (None, 2, 1): 1})
 
@@ -128,37 +128,56 @@ class TestColumnImages:
     """Each check forms an operator's image of a unit monomial once."""
 
     @staticmethod
-    def _count_applications(monkeypatch):
+    def _count_columns(monkeypatch):
         calls = []
-        original = DiffOp.__call__
+        original = DiffOp.column
 
-        def counted(self, p):
-            calls.append(p)
-            return original(self, p)
+        def counted(self, m):
+            col = original(self, m)
+            calls.append(col)
+            return col
 
-        monkeypatch.setattr(DiffOp, "__call__", counted)
+        monkeypatch.setattr(DiffOp, "column", counted)
         return calls
 
     def test_ccr_applies_each_operator_once_per_monomial(self, monkeypatch):
-        calls = self._count_applications(monkeypatch)
+        calls = self._count_columns(monkeypatch)
         assert ccr_check(6).ok
         # 8 operators x 330 monomials of degree <= 7; 23 520 when each
         # bracket applied both operators to every monomial
         assert 0 < len(calls) <= 8 * len(list(monomials_up_to(4, 7))) == 2640
         # every column is formed in int arithmetic from the int unit
-        assert all(type(c) is int for p in calls for c in p.terms.values())
+        assert all(type(c) is int for col in calls for c in col.values())
 
     def test_functoriality_reuses_each_column(self, monkeypatch):
-        calls = self._count_applications(monkeypatch)
+        calls = self._count_columns(monkeypatch)
         assert massless.realization_functoriality_check(3).ok
-        assert 0 < len(calls) <= 3000   # 10 010 when realized per bracket
+        # 8 operators x 210 monomials of degree <= 6, the highest a
+        # quadratic generator reaches from degree 3 through another one;
+        # 10 010 when realized per bracket
+        assert 0 < len(calls) <= 8 * len(list(monomials_up_to(4, 6))) == 1680
 
     def test_checks_keep_no_columns_between_calls(self, monkeypatch):
-        calls = self._count_applications(monkeypatch)
+        calls = self._count_columns(monkeypatch)
         ccr_check(2)
+        massless.realization_functoriality_check(1)
         first = len(calls)
         ccr_check(2)
-        assert len(calls) == 2 * first
+        massless.realization_functoriality_check(1)
+        assert len(calls) == 2 * first > 0
+
+
+class TestLargerInstances:
+    """Every record holds on the degrees the column kernel makes affordable."""
+
+    def test_ccr_on_degree_ten(self):
+        rep = ccr_check(10)
+        assert len(list(monomials_up_to(4, 10))) == 1001
+        assert len(rep.records) == 28 and rep.ok
+
+    def test_functoriality_on_degree_six(self):
+        rep = massless.realization_functoriality_check(6)
+        assert len(rep.records) == 28 and rep.ok
 
 
 class TestNegativeControls:
@@ -168,8 +187,13 @@ class TestNegativeControls:
         monkeypatch.setitem(massless._OPS, _A1_STAR, _A1_STAR_FLIPPED)
         named, others = _split(ccr_check(6), lambda cid: "a1*" in cid)
         assert len(named) == 7 and len(others) == 21
-        assert any(not r.passed for r in named)
-        assert all(r.passed for r in others)
+        failed = [r for r in named if not r.passed]
+        assert failed and all(r.defect and r.defect != "0" for r in failed)
+        # [a1*, b1*] is 2 on each of the 210 monomials of degree <= 6
+        assert [r.check_id for r in failed] == ["ccr/[a1*,b1*]"]
+        assert failed[0].defect.startswith("(2) ((0, 0, 0, 0), (0, 0, 0, 0)) + ")
+        assert failed[0].defect.endswith("... (210 terms)")
+        assert all(r.passed and r.defect == "" for r in others)
 
     def test_functoriality_fails_on_a_flipped_creator(self, monkeypatch):
         gens = oscrep.su22_generators()
@@ -188,8 +212,10 @@ class TestNegativeControls:
         named, others = _split(massless.realization_functoriality_check(3),
                                names_perturbed)
         assert named and others
-        assert any(not r.passed for r in named)
-        assert all(r.passed for r in others)
+        failed = [r for r in named if not r.passed]
+        assert failed and all(r.defect.endswith(" terms)") for r in failed)
+        assert all(r.defect == "" for r in named if r.passed)
+        assert all(r.passed and r.defect == "" for r in others)
 
 
 class TestZPicture:

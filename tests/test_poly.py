@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minrep import harmonics, massless
+from minrep import harmonics, linalg, massless
+from minrep.lincomb import combine
 from minrep.poly import ColumnMap, DiffOp, Poly, monomials_up_to
 from minrep.scalars import QI
 
@@ -151,45 +152,98 @@ def test_zero_polynomial_evaluates_to_the_rings_zero():
 
 
 # ---------------------------------------------------------------------------
-# ColumnMap: a linear map read off its cached unit-monomial images
+# Columns: each operator's image of a unit monomial, read through a ColumnMap
+# and bracketed by linalg.bracket_defect
 
 
-def _counted(op):
-    calls = []
+DIFFOPS = {f"{m[0]}{m[1]}" + ("*" if creator else ""): op
+           for (m, creator), op in massless._OPS.items()}
+DIFFOPS.update({f"eff_diff{i}": op for i, op in enumerate(massless._EFF_DIFF)})
+DIFFOPS.update({f"L{j}": op for j, op in harmonics._L.items()})
+DIFFOPS.update({"L-": harmonics._LOWERING, "L+": harmonics._RAISING,
+                "euler": harmonics._EULER, "H": harmonics._HAMILTONIAN,
+                "laplacian": harmonics._LAPLACIAN})
 
-    def wrapped(p):
-        calls.append(p)
-        return op(p)
-    return wrapped, calls
+
+def _image(columns, p: Poly) -> Poly:
+    """p's image read off the columns: the sum of c * columns[m] over p's terms."""
+    return Poly(NVARS, combine(((r, c * v) for m, c in p.terms.items()
+                                for r, v in columns[m].items()), {}))
+
+
+def _composed_bracket_defect(x, y, cols, z=None, c=1) -> dict:
+    """[X, Y] - cZ on each unit monomial in cols, by applying the operators
+    to a Poly one after the other, the route the kernel replaced."""
+    out = {}
+    for m in cols:
+        unit = Poly(NVARS, {m: QI(1)})
+        col = x(y(unit)) - y(x(unit))
+        if z is not None:
+            col = col - z(unit).scale(QI.of(c))
+        out.update(((m, r), v) for r, v in col.terms.items())
+    return out
+
+
+def test_diffop_columns_match_the_named_operators():
+    assert {name for name, _, _ in PAIRS} == set(DIFFOPS)
+    for name, op, _ in PAIRS:
+        for m in monomials_up_to(NVARS, 3):
+            assert DIFFOPS[name](Poly(NVARS, {m: QI(1)})) == op(Poly(NVARS, {m: QI(1)}))
 
 
 @settings(max_examples=60, deadline=None)
 @given(p=_polys)
 def test_column_map_image_equals_the_map(p):
-    for name, op, _ in PAIRS:
-        assert ColumnMap(op, NVARS)(p) == op(p), name
+    for name, op in DIFFOPS.items():
+        assert _image(ColumnMap(op.column), p) == op(p), name
 
 
 def test_column_map_forms_each_column_once_from_an_int_unit():
-    op, calls = _counted(harmonics.laplacian)
-    lap = ColumnMap(op, NVARS)
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return harmonics._LAPLACIAN.column(m)
+
+    lap = ColumnMap(counted)
     monos = list(monomials_up_to(NVARS, 3))
     for _ in range(2):
         for m in monos:
-            lap.column(m)
-    assert len(calls) == len(monos)
-    assert all(q.terms == {m: 1} and type(q.terms[m]) is int
-               for q, m in zip(calls, monos))
+            lap[m]
+    assert calls == monos
+    assert all(type(v) is int for m in monos for v in lap[m].values())
+    assert lap[(2, 0, 0, 0)] == {(0, 0, 0, 0): 2}
 
 
 @settings(max_examples=30, deadline=None)
 @given(p=_polys)
 def test_bracket_columns_are_the_composed_bracket(p):
-    ops = {name: op for name, op, _ in PAIRS}
     for a, b in (("a1", "a1*"), ("a1*", "b1*"), ("L1", "L2"), ("H", "L-"), ("L+", "laplacian")):
-        x, y = ColumnMap(ops[a], NVARS), ColumnMap(ops[b], NVARS)
-        want = ops[a](ops[b](p)) - ops[b](ops[a](p))
-        got = Poly(NVARS)
-        for m, c in p.terms.items():
-            got = got + x.bracket_column(y, m).scale(c)
+        x, y = DIFFOPS[a], DIFFOPS[b]
+        want = x(y(p)) - y(x(p))
+        defect = linalg.bracket_defect(ColumnMap(x.column), ColumnMap(y.column), list(p.terms))
+        got = Poly(NVARS, combine(((r, p.terms[m] * v) for (m, r), v in defect.items()), {}))
         assert got == want, (a, b)
+
+
+_names = st.sampled_from(sorted(DIFFOPS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_polys, x=_names, y=_names, z=st.none() | _names, c=st.integers(-2, 2) | _qi)
+def test_bracket_defect_is_the_composed_bracket_on_each_column(p, x, y, z, c):
+    x, y, z = DIFFOPS[x], DIFFOPS[y], z and DIFFOPS[z]
+    cols = list(p.terms)
+    got = linalg.bracket_defect(ColumnMap(x.column), ColumnMap(y.column), cols,
+                                z and ColumnMap(z.column), c)
+    assert got == _composed_bracket_defect(x, y, cols, z, c)
+    assert all(v for v in got.values())
+
+
+def test_bracket_defect_is_empty_exactly_on_an_identity():
+    monos = list(monomials_up_to(NVARS, 4))
+    cols = {name: ColumnMap(op.column) for name, op in DIFFOPS.items()}
+    assert not linalg.bracket_defect(cols["L1"], cols["L2"], monos, cols["L3"], _I)
+    wrong = linalg.bracket_defect(cols["L1"], cols["L2"], monos, cols["L3"], -_I)
+    assert wrong == _composed_bracket_defect(DIFFOPS["L1"], DIFFOPS["L2"], monos,
+                                             DIFFOPS["L3"], -_I) != {}
