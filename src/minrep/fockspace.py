@@ -19,7 +19,7 @@ dense matrix.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement
@@ -97,7 +97,8 @@ def enumerate_basis(modes, cutoff: int, max_states: int | None = None) -> Trunca
 @dataclass(frozen=True)
 class SparseOperator:
     """An operator on a truncated Fock basis, held as its nonzero columns:
-    entries is {col: {row: QI}}, with no empty column and no zero entry."""
+    entries is {col: {row: QI}}, with no empty column and no zero entry;
+    as a ``linalg.Columns`` it answers any other column with an empty one."""
 
     entries: dict
     level_raise: int
@@ -124,7 +125,7 @@ def operator_matrix(w: WeylElement, fock: TruncatedFock) -> SparseOperator:
             raise FockError(f"mode {m} is not part of this Fock module")
     terms = [(q, [pos[m] for m in mono.annihilators], [pos[m] for m in mono.creators])
              for mono, q in w.terms.items()]
-    cols: dict[int, dict] = {}
+    cols = linalg.Columns()
     for (c, r), v in sum_products(_images(terms, fock)).items():
         cols.setdefault(c, {})[r] = v
     return SparseOperator(cols, max(0, w.max_level_raise()), fock)
@@ -570,14 +571,13 @@ def _matrix_cross_check(rep, family, k, flavors, level, elems, flavored, max_sta
     n = len(elems)
     sample = sorted({0, n // 3, (2 * n) // 3, n - 1})
     mats = {s: operator_matrix(flavored[s], fock) for s in sample}
-    columns = {s: defaultdict(dict, m.entries) for s, m in mats.items()}
     for s in sample:
         for t in sample:
             if s >= t:
                 continue
             sym = operator_matrix(commutator(flavored[s], flavored[t]), fock).entries
             cols = safe_columns(fock, mats[s].level_raise, mats[t].level_raise)
-            defect = linalg.bracket_defect(columns[s], columns[t], cols, defaultdict(dict, sym))
+            defect = linalg.bracket_defect(mats[s].entries, mats[t].entries, cols, sym)
             rep.add(f"{family}/k{k}N{flavors}/matrix/pair{s:03d},{t:03d}",
                     bool(cols) and not defect,
                     detail=f"Fock cross-check at level {level}", defect=render_defect(defect))

@@ -9,7 +9,7 @@ with ``combine``.  Elimination is sparse end to end: ``rref``, ``rank``,
 dicts and return rows and vectors the same way, none holding a zero
 entry.  ``bracket_defect`` is the one routine that brackets two
 operators given by their sparse columns: the differential operators'
-column maps and the Fock operators' columns both go through it.
+column maps and the Fock operators' ``Columns`` both go through it.
 Gauss-Jordan runs in exact field arithmetic, so there are no pivoting
 tolerances: a pivot is any nonzero entry, and the reduced form is unique
 whatever the order.  The helpers need only +, -,
@@ -109,13 +109,23 @@ def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
+class Columns(dict):
+    """Sparse columns {col: {row: entry}} holding no zero column, which
+    answer a column they leave out with an empty one and do not store it."""
+
+    __slots__ = ()
+
+    def __missing__(self, col) -> dict:
+        return {}
+
+
 def bracket_defect(x, y, cols, z=None, c=1) -> dict:
     """The nonzero {(col, row): entry} of [X, Y] - cZ on the given columns.
 
     x, y and z map a column key to that column's sparse {row: entry}
     image, and each must answer every key it is asked for: a
-    ``poly.ColumnMap`` forms a column on its first read, and a dict that
-    leaves its zero columns out is passed as a ``defaultdict(dict)``.
+    ``poly.ColumnMap`` forms a column on its first read, and ``Columns``
+    answers a zero column it leaves out with an empty one.
     Column k of XY sums v * x[s] over the entries v = y[k][s], so the
     bracket reads columns and forms no product of operators.  Every
     product goes to one ``scalars.sum_products`` call, which leaves out

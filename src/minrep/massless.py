@@ -7,34 +7,28 @@ v a mode's own variable (u_alpha for a_alpha, ub_alpha for b_alpha) and vb
 its partner, the mode acts as c = d/dv and c* = v - d/dvb: the Gaussian is
 folded into the action.  Each of the eight operators, and each
 derivative through the Gaussian, is one ``poly.DiffOp`` built once at
-import and applied in one pass over a polynomial's terms; a Weyl element
-sums all its terms' images into one accumulator.  The inner product is
+import.  A ``DiffOpRealization`` realizes a Weyl element by one route,
+as a ``poly.ColumnMap`` composed from the operators' images of unit
+monomials (coefficient the int 1); ``apply`` and the vacuum identities
+read a polynomial's image off those columns.  The inner product is
 evaluated by the exact moment rule u^a ub^a -> a!, which gives the
 ground state unit norm.
 
 The CCR and the functoriality of brackets are operator identities on
 every monomial up to a degree, and each is one ``linalg.bracket_defect``
-call per pair of operators.  Each check wraps the eight operators in a
-``poly.ColumnMap``, so the image of each unit monomial (coefficient the
-int 1) is formed on first read and reused by every bracket that reaches
-it; the CCR columns stay in int arithmetic.  For functoriality each Weyl
-monomial's columns are those of its operators composed in
-``apply_monomial``'s order, formed once per check and shared by every
-generator and symbolic commutator that holds the monomial; a realized
-element's column sums them, with real-integer coefficients as ints.  The
-maps are built per call, so nothing outlives a check.
+call per pair of operators on a fresh realization's column maps, so
+every bracket that reaches a column reuses it, the CCR columns stay in
+int arithmetic, and nothing outlives a check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import factorial
 
 from .linalg import bracket_defect
-from .lincomb import combine
-from .poly import ColumnMap, DiffOp, Poly, int_if_integer, monomials_up_to
+from .poly import ColumnMap, DiffOp, Poly, column_sum, int_if_integer, monomials_up_to
 from .reports import Report, render_defect
 from .scalars import QI
 from .weylalg import WeylElement
@@ -79,23 +73,43 @@ _OPS = {(mode, creator): _operator(mode, creator)
         for mode in MODES for creator in (False, True)}
 
 
-@dataclass(frozen=True)
 class DiffOpRealization:
-    """The eight first-order operators keyed by (mode, creator), plus application maps."""
+    """The eight first-order operators keyed by (mode, creator), and the
+    realization of a Weyl element as the column map of its operator.
 
-    ops: dict
+    ``op_columns`` holds each operator's ``ColumnMap``.  A Weyl
+    monomial's columns are its operators' columns composed in the order
+    they act on a state, formed once per realization and shared by every
+    element that holds the monomial; an element's column sums its
+    monomials' columns, with real-integer coefficients as ints.  ``apply``
+    reads a polynomial's image off those columns, so every Weyl element
+    is realized by this one route.  Columns live as long as the
+    realization.
+    """
 
-    def apply_monomial(self, creators, annihilators, p: Poly) -> Poly:
-        for key in _acting_keys(creators, annihilators):
-            p = self.ops[key](p)
-        return p
+    def __init__(self, ops: dict):
+        self.ops = ops
+        self.op_columns = {key: ColumnMap(op.column) for key, op in ops.items()}
+        self._monomials: dict = {}
+
+    def columns(self, w: WeylElement) -> ColumnMap:
+        terms = [(self._monomial_columns(mono), int_if_integer(q))
+                 for mono, q in w.terms.items()]
+        return ColumnMap(lambda m: column_sum((r, q * v) for cm, q in terms
+                                              for r, v in cm[m].items()))
+
+    def _monomial_columns(self, mono) -> ColumnMap:
+        cm = self._monomials.get(mono)
+        if cm is None:
+            acting = [self.op_columns[key]
+                      for key in _acting_keys(mono.creators, mono.annihilators)]
+            cm = self._monomials[mono] = ColumnMap(partial(_composed_column, acting))
+        return cm
 
     def apply(self, w: WeylElement, p: Poly) -> Poly:
-        acc: dict = {}
-        for mono, q in w.terms.items():
-            img = self.apply_monomial(mono.creators, mono.annihilators, p)
-            combine(((m, c * q) for m, c in img.terms.items()), acc)
-        return Poly(NVARS, acc)
+        cols = self.columns(w)
+        return Poly(NVARS, column_sum((r, c * v) for m, c in p.terms.items()
+                                      for r, v in cols[m].items()))
 
 
 def _acting_keys(creators, annihilators) -> list:
@@ -106,19 +120,23 @@ def _acting_keys(creators, annihilators) -> list:
         + [(m, True) for m in reversed(list(creators))]
 
 
+def _composed_column(acting: list, m: tuple) -> dict:
+    """Column m of the product of the column maps in `acting`, the first
+    acting first; the identity's column when there are none."""
+    col = {m: 1}
+    for f in acting:
+        col = column_sum((r, c * v) for s, c in col.items() for r, v in f[s].items())
+    return col
+
+
 def realize_schrodinger() -> DiffOpRealization:
     return DiffOpRealization(dict(_OPS))
-
-
-def _operator_columns(real: DiffOpRealization) -> dict:
-    """A ``ColumnMap`` of each of the eight operators' unit-monomial images."""
-    return {key: ColumnMap(op.column) for key, op in real.ops.items()}
 
 
 def ccr_check(degree: int = 6) -> Report:
     """CCR as exact operator identities on all monomials of degree <= D,
     each bracket summed by ``linalg.bracket_defect`` in int arithmetic."""
-    cols = _operator_columns(realize_schrodinger())
+    cols = realize_schrodinger().op_columns
     rep = Report(f"massless/ccr/degree<={degree}")
     monos = list(monomials_up_to(NVARS, degree))
     unit = {m: {m: 1} for m in monos}
@@ -211,58 +229,26 @@ def realization_functoriality_check(degree: int = 4) -> Report:
     """Brackets commute with the realization on polynomials of degree <= D.
 
     For every Chevalley pair (x, y) of the conformal generator set, the
-    realized commutator equals the realization of the symbolic commutator.
-    Each Weyl monomial's column map is built once per check and shared by
-    every element that holds it; an element's column is the sum over its
-    monomials, and ``linalg.bracket_defect`` compares [X, Y] with the
-    realized commutator column by column.
+    realized commutator equals the realization of the symbolic commutator:
+    ``linalg.bracket_defect`` compares [X, Y] with the realized commutator
+    column by column, on the column maps of one realization.
     """
     from . import oscrep
     from .weylalg import commutator
 
     real = realize_schrodinger()
-    first = _operator_columns(real)
-    monomial_maps: dict = {}
-
-    def realized(w: WeylElement) -> ColumnMap:
-        terms = []
-        for mono, q in w.terms.items():
-            cm = monomial_maps.get(mono)
-            if cm is None:
-                acting = [first[key] for key in _acting_keys(mono.creators, mono.annihilators)]
-                cm = monomial_maps[mono] = ColumnMap(partial(_composed_column, acting))
-            terms.append((cm, int_if_integer(q)))
-        return ColumnMap(lambda m: _column_sum((q, cm[m]) for cm, q in terms))
-
     rep = Report(f"massless/functoriality/degree<={degree}")
     gens = oscrep.su22_generators()
     named = [(f"E{i+1}", e) for i, e in enumerate(gens.E)]
     named += [(f"F{i+1}", f) for i, f in enumerate(gens.F)]
     named += [("E_theta", gens.extras["E_theta"]), ("H_theta", gens.extras["H_theta"])]
-    maps = {n: realized(w) for n, w in named}
+    maps = {n: real.columns(w) for n, w in named}
     monos = list(monomials_up_to(NVARS, degree))
     for i, (n1, x) in enumerate(named):
         for n2, y in named[i + 1:]:
-            defect = bracket_defect(maps[n1], maps[n2], monos, realized(commutator(x, y)))
+            defect = bracket_defect(maps[n1], maps[n2], monos, real.columns(commutator(x, y)))
             rep.add(f"functorial/[{n1},{n2}]", not defect, defect=render_defect(defect))
     return rep
-
-
-def _composed_column(acting: list, m: tuple) -> dict:
-    """Column m of the product of the column maps in `acting`, the first
-    acting first; the identity's column when there are none."""
-    col = {m: 1}
-    for f in acting:
-        col = _column_sum((c, f[s]) for s, c in col.items())
-    return col
-
-
-def _column_sum(scaled) -> dict:
-    """The sum of q * column over (q, column) pairs, with no zero entry."""
-    acc: dict = {}
-    for q, col in scaled:
-        combine(((r, q * v) for r, v in col.items()), acc)
-    return {r: v for r, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------

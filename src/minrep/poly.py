@@ -21,10 +21,13 @@ without building a ``QI``.
 carries the int 1, as a plain {monomial: coeff} dict without a ``Poly``;
 a real-integer operator's columns stay in ints.  ``ColumnMap`` is a dict
 of such columns that forms each one on its first read and then keeps
-it.  An operator identity [X, Y] = cZ is checked by handing the column
-maps to ``linalg.bracket_defect``, so a check forms each operator's
-image of a monomial once, not once per pair and monomial.  Columns live
-as long as the map, which each check builds afresh.
+it; ``column_sum`` is the one sum of scaled columns, which a column
+image, a composed or summed column and a polynomial's image read off
+columns all go through.  An operator identity [X, Y] = cZ is checked by
+handing the column maps to ``linalg.bracket_defect``, so a check forms
+each operator's image of a monomial once, not once per pair and
+monomial.  Columns live as long as the map, which each check builds
+afresh.
 """
 
 from __future__ import annotations
@@ -186,8 +189,7 @@ class DiffOp(LinComb):
         with no zero, formed without a ``Poly``.  The unit is the int 1, so
         each coefficient is an operator coefficient times an int and a
         real-integer operator's column stays in ints."""
-        acc = combine(((e, a * w) for e, _, a, w in self.walk({m: 1})), {})
-        return {e: v for e, v in acc.items() if v}
+        return column_sum((e, a * w) for e, _, a, w in self.walk({m: 1}))
 
 
 class ColumnMap(dict):
@@ -207,6 +209,12 @@ class ColumnMap(dict):
     def __missing__(self, m: tuple) -> dict:
         col = self[m] = self.op(m)
         return col
+
+
+def column_sum(items) -> dict:
+    """The {key: total} column of (key, value) items, with no zero total:
+    an operator's column, or the sum of q * column over a map's columns."""
+    return {k: v for k, v in combine(items, {}).items() if v}
 
 
 _set_nvars = Poly.nvars.__set__

@@ -1,5 +1,4 @@
 import random
-from collections import defaultdict
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -641,7 +640,7 @@ class TestBracketDefect:
             x, y = element(), element()
             mx, my = fockspace.operator_matrix(x, fock), fockspace.operator_matrix(y, fock)
             mz = fockspace.operator_matrix(commutator(x, y), fock)
-            xs, ys, zs = (defaultdict(dict, m.entries) for m in (mx, my, mz))
+            xs, ys, zs = mx.entries, my.entries, mz.entries
             br = linalg.commutator(_dense(mx), _dense(my))
             every = range(fock.dim)
             want = {(c, r): br[r][c] for c in every for r in every if br[r][c]}
@@ -655,3 +654,10 @@ class TestBracketDefect:
                 {key: -v for key, v in on_cols.items()}
             compared += bool(on_cols)
         assert compared >= 4
+
+    def test_entries_answer_a_zero_column_without_storing_it(self):
+        fock = fockspace.enumerate_basis([("a", 1)], 2)
+        m = fockspace.operator_matrix(WeylElement.monomial([], [("a", 1)]), fock)
+        assert isinstance(m.entries, linalg.Columns)
+        assert 0 not in m.entries and m.entries[0] == {}
+        assert 0 not in m.entries and all(m.entries.values())

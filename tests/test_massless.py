@@ -112,6 +112,45 @@ class TestFunctoriality:
         assert real.apply(h, vacuum()).is_zero()
 
 
+class TestColumnRealization:
+    """The realization's column maps, which apply and both operator-identity
+    checks read, against the operators applied to a Poly one by one."""
+
+    @staticmethod
+    def _applied(real, w, p: Poly) -> Poly:
+        out = Poly(4)
+        for mono, q in w.terms.items():
+            img = p
+            for m in reversed(mono.annihilators):
+                img = real.ops[(m, False)](img)
+            for m in reversed(mono.creators):
+                img = real.ops[(m, True)](img)
+            out = out + img.scale(q)
+        return out
+
+    def test_columns_are_the_operators_applied_in_turn(self):
+        from minrep.weylalg import commutator
+
+        real = realize_schrodinger()
+        gens = oscrep.su22_generators()
+        elements = gens.E + gens.F + gens.H + list(gens.extras.values())
+        elements += [commutator(x, y) for x, y in itertools.combinations(gens.E + gens.F, 2)]
+        monos = list(monomials_up_to(4, 3))
+        for w in elements:
+            cols = real.columns(w)
+            for m in monos:
+                unit = Poly(4, {m: QI(1)})
+                want = self._applied(real, w, unit)
+                assert Poly(4, cols[m]) == want, (w, m)
+                assert real.apply(w, unit) == want, (w, m)
+
+    def test_apply_is_linear_over_the_columns(self):
+        real = realize_schrodinger()
+        w = oscrep.su22_generators().extras["E_theta"]
+        p = Poly(4, {(1, 0, 0, 0): QI(2, 1), (0, 1, 1, 0): QI(-1), (0, 0, 0, 2): QI(0, 3)})
+        assert real.apply(w, p) == self._applied(real, w, p)
+
+
 # a1* = u1 - d/dub1 with the sign of its derivative flipped: [a1*, b1*] is
 # then 2, not 0, while every pair of the other seven operators keeps its CCR
 _A1_STAR = (("a", 1), True)

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minrep import harmonics, linalg, massless
-from minrep.lincomb import combine
-from minrep.poly import ColumnMap, DiffOp, Poly, monomials_up_to
+from minrep.poly import ColumnMap, DiffOp, Poly, column_sum, monomials_up_to
 from minrep.scalars import QI
 
 NVARS = 4
@@ -167,8 +166,8 @@ DIFFOPS.update({"L-": harmonics._LOWERING, "L+": harmonics._RAISING,
 
 def _image(columns, p: Poly) -> Poly:
     """p's image read off the columns: the sum of c * columns[m] over p's terms."""
-    return Poly(NVARS, combine(((r, c * v) for m, c in p.terms.items()
-                                for r, v in columns[m].items()), {}))
+    return Poly(NVARS, column_sum((r, c * v) for m, c in p.terms.items()
+                                  for r, v in columns[m].items()))
 
 
 def _composed_bracket_defect(x, y, cols, z=None, c=1) -> dict:
@@ -222,7 +221,7 @@ def test_bracket_columns_are_the_composed_bracket(p):
         x, y = DIFFOPS[a], DIFFOPS[b]
         want = x(y(p)) - y(x(p))
         defect = linalg.bracket_defect(ColumnMap(x.column), ColumnMap(y.column), list(p.terms))
-        got = Poly(NVARS, combine(((r, p.terms[m] * v) for (m, r), v in defect.items()), {}))
+        got = Poly(NVARS, column_sum((r, p.terms[m] * v) for (m, r), v in defect.items()))
         assert got == want, (a, b)
 
 
