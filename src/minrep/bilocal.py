@@ -340,17 +340,19 @@ class ReducibleAlgebraError(ValueError):
 
 
 def commutant_basis(mats, size: int):
-    """Exact solve of M X = X M for all M: basis of the commutant."""
-    rows = []
-    for m in mats:
-        for i in range(size):
-            for j in range(size):
-                row = combine(((k * size + j, QI.of(m[i][k])) for k in range(size)
-                               if m[i][k]), {})
-                combine(((i * size + k, -QI.of(m[k][j])) for k in range(size) if m[k][j]),
-                        row)
-                rows.append({col: x for col, x in row.items() if x})
-    return [_mat(v, size) for v in linalg.kernel(rows, size * size)]
+    """Exact solve of M X = X M for all M: basis of the commutant.
+
+    One column per unknown X_ab, over the entries (M, i, j) of M X - X M:
+    X_ab enters entry (i, b) with M_ia and entry (a, j) with -M_bj."""
+    cols = []
+    for a in range(size):
+        for b in range(size):
+            col = combine((((mi, i, b), QI.of(m[i][a])) for mi, m in enumerate(mats)
+                           for i in range(size) if m[i][a]), {})
+            combine((((mi, a, j), -QI.of(m[b][j])) for mi, m in enumerate(mats)
+                     for j in range(size) if m[b][j]), col)
+            cols.append(col)
+    return [_mat(v, size) for v in linalg.kernel(cols)]
 
 
 def invariance_algebra(span, size: int):

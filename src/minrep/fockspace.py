@@ -2,12 +2,13 @@
 
 States are unnormalized occupation monomials a*^n |0> so that every matrix
 entry stays Gaussian rational; the squared norms are the factorial weights
-prod n_i!.  An operator is held as its nonzero columns, each a sparse
-{row: entry} vector like the rows ``linalg`` eliminates.  Its images past
-the cutoff are dropped, so a product of matrices matches the operator
-product only on the columns that ``safe_columns`` derives from the level
-raises.  That level budget is the one overflow mechanism: every identity
-consumed from matrices is restricted to those columns.
+prod n_i!.  An operator is held as its columns in a ``linalg.ColumnMap``,
+each a sparse {row: entry} vector formed the first time it is read, so a
+check forms only the columns it reads.  Its images past the cutoff are
+dropped, so a product of matrices matches the operator product only on
+the columns that ``safe_columns`` derives from the level raises.  That
+level budget is the one overflow mechanism: every identity consumed from
+matrices is restricted to those columns.
 
 A dual pair (A, B), with B the flavor gauge algebra, is built once by
 ``dual_pair``; the decomposition, the closure and the helicity read it.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, combinations, combinations_with_replacement
 from math import comb, factorial
 from typing import NamedTuple
@@ -96,9 +97,9 @@ def enumerate_basis(modes, cutoff: int, max_states: int | None = None) -> Trunca
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """An operator on a truncated Fock basis, held as its nonzero columns:
-    entries is {col: {row: QI}}, with no empty column and no zero entry;
-    as a ``linalg.Columns`` it answers any other column with an empty one."""
+    """An operator on a truncated Fock basis, held as its columns: entries
+    is a ``linalg.ColumnMap`` {col: {row: QI}} with no zero entry, which
+    forms each column the first time it is read."""
 
     entries: dict
     level_raise: int
@@ -107,54 +108,54 @@ class SparseOperator:
     def apply(self, vec: dict) -> dict:
         """Image of a {state: entry} vector, reaching only the vector's columns."""
         return sum_products((r, v, x, 1) for c, x in vec.items()
-                            for r, v in self.entries.get(c, {}).items())
+                            for r, v in self.entries[c].items())
 
 
 def safe_columns(fock: TruncatedFock, *raises: int) -> list[int]:
-    """Columns whose level survives applying operators with the given raises."""
+    """The columns whose level survives applying operators with the given raises."""
     budget = fock.cutoff - sum(max(0, r) for r in raises)
     return [i for i in range(fock.dim) if fock.level(i) <= budget]
 
 
 def operator_matrix(w: WeylElement, fock: TruncatedFock) -> SparseOperator:
     """Exact matrix of a Weyl element on the truncated occupation basis,
-    every column summed in one kernel call."""
+    each column summed in its own kernel call the first time it is read."""
     pos = {m: i for i, m in enumerate(fock.modes)}
     for m in w.modes():
         if m not in pos:
             raise FockError(f"mode {m} is not part of this Fock module")
-    terms = [(q, [pos[m] for m in mono.annihilators], [pos[m] for m in mono.creators])
+    terms = [(q, [pos[m] for m in mono.annihilators], [pos[m] for m in mono.creators],
+              len(mono.creators) - len(mono.annihilators))
              for mono, q in w.terms.items()]
-    cols = linalg.Columns()
-    for (c, r), v in sum_products(_images(terms, fock)).items():
-        cols.setdefault(c, {})[r] = v
-    return SparseOperator(cols, max(0, w.max_level_raise()), fock)
+    return SparseOperator(linalg.ColumnMap(partial(_column, terms, fock)),
+                          max(0, w.max_level_raise()), fock)
 
 
-def _images(terms, fock: TruncatedFock):
-    """((col, row), q, coefficient, 1) for each term on each basis column,
-    for sum_products.
+def _column(terms, fock: TruncatedFock, col: int) -> dict:
+    """Column col: each term's image of basis state col, summed in one
+    sum_products call.
 
     Images past the cutoff are dropped; safe_columns keeps every identity
     off the columns where that happens.
     """
-    for col, state in enumerate(fock.states):
-        for q, ann, cre in terms:
-            occ = list(state)
-            coeff = 1
-            dead = False
-            for i in ann:
-                if occ[i] == 0:
-                    dead = True
-                    break
-                coeff *= occ[i]
-                occ[i] -= 1
-            if dead:
-                continue
+    state = fock.states[col]
+    room = fock.cutoff - sum(state)
+    items = []
+    for q, ann, cre, shift in terms:
+        if shift > room:
+            continue
+        occ = list(state)
+        coeff = 1
+        for i in ann:
+            if not occ[i]:
+                break
+            coeff *= occ[i]
+            occ[i] -= 1
+        else:
             for i in cre:
                 occ[i] += 1
-            if sum(occ) <= fock.cutoff:
-                yield (col, fock.index[tuple(occ)]), q, coeff, 1
+            items.append((fock.index[tuple(occ)], q, coeff, 1))
+    return sum_products(items) if items else {}
 
 
 def diagonal_weights(w: WeylElement, fock: TruncatedFock) -> list[int]:
@@ -226,10 +227,11 @@ def lowest_weight_vectors(alg, fock: TruncatedFock):
     dict of its nonzero entries, all on the block's basis states.  The
     Cartan operators must be diagonal in the occupation basis, which holds
     for every generator set here, so the weight blocks are coordinate
-    subspaces and the kernel can be taken block by block, on the sparse
-    rows that the lowering operators' nonzero entries make.
+    subspaces and the kernel can be taken block by block: a block state's
+    vector stacks its columns of the lowering operators, the k-th
+    operator's row r at k * dim + r.
     """
-    f_cols = [operator_matrix(f, fock).entries for f in alg.F]
+    stacked = [(k * fock.dim, operator_matrix(f, fock).entries) for k, f in enumerate(alg.F)]
     h_diags = [diagonal_weights(h, fock) for h in alg.H]
     blocks: dict[tuple, list[int]] = {}
     for i in range(fock.dim):
@@ -237,14 +239,8 @@ def lowest_weight_vectors(alg, fock: TruncatedFock):
         blocks.setdefault(key, []).append(i)
     out = {}
     for key, cols in sorted(blocks.items()):
-        rows = []
-        for cm in f_cols:
-            by_row: dict[int, dict] = {}
-            for j, c in enumerate(cols):
-                for r, v in cm.get(c, {}).items():
-                    by_row.setdefault(r, {})[j] = v
-            rows.extend(by_row[r] for r in sorted(by_row))
-        kern = linalg.kernel(rows, len(cols))
+        kern = linalg.kernel([{k + r: v for k, cm in stacked for r, v in cm[c].items()}
+                              for c in cols])
         if kern:
             out[key] = [{cols[j]: x for j, x in v.items()} for v in kern]
     return out
@@ -275,14 +271,11 @@ def joint_weight_decomposition(pair: "DualPair", fock: TruncatedFock) -> Multipl
             buckets.setdefault(qs.pop(), []).append(v)
         for q, vs in sorted(buckets.items()):
             target = buckets.get(q + 2)
-            by_state: dict[int, dict] = {}
-            for j, v in enumerate(vs):
-                image = e.apply(v)
-                if image and not (target and linalg.in_span(target, image)):
-                    raise FockError("gauge raising leaves the lowest-weight space")
-                for s, x in image.items():
-                    by_state.setdefault(s, {})[j] = x
-            m = len(linalg.kernel(list(by_state.values()), len(vs))) if q >= 0 else 0
+            images = [e.apply(v) for v in vs]
+            if any(image and not (target and linalg.in_span(target, image))
+                   for image in images):
+                raise FockError("gauge raising leaves the lowest-weight space")
+            m = len(linalg.kernel(images)) if q >= 0 else 0
             if m:
                 rows.append(MultiplicityRow(level, weight, q, m))
     return MultiplicityTable(rows=rows, lowest_weight=lw)
@@ -564,8 +557,9 @@ def _unflavored(mode: Mode) -> Mode:
 def _matrix_cross_check(rep, family, k, flavors, level, elems, flavored, max_states):
     """Compare [x, y]'s matrix with mx my - my mx on the safe columns of a
     sample of pairs, through ``linalg.bracket_defect`` on the operators'
-    columns, each sampled element's matrix built once; a pair with no safe
-    column compares nothing and fails."""
+    columns, each sampled element's matrix built once and each column
+    formed only when the bracket reads it; a pair with no safe column
+    compares nothing and fails."""
     all_modes = sorted({m for w in flavored for m in w.modes()})
     fock = enumerate_basis(all_modes, level, max_states)
     n = len(elems)

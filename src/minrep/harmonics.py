@@ -14,7 +14,7 @@ identity term, and (L^2 - l(l+1)) h as one ``scalars.sum_products`` over
 the walks of L- on L+ h and of L3 + 1 on L3 h and the terms of
 -l(l+1) h, with no scaled or subtracted intermediate.
 The angular algebra check wraps H, L^2 and each L_j in a
-``poly.ColumnMap``, built per call, so each operator's image of a unit
+``linalg.ColumnMap``, built per call, so each operator's image of a unit
 monomial is formed once, and checks each bracket with one
 ``linalg.bracket_defect`` call on those columns.
 
@@ -29,7 +29,8 @@ from fractions import Fraction
 from itertools import chain
 
 from . import linalg
-from .poly import ColumnMap, DiffOp, Poly, monomials_of_degree, monomials_up_to
+from .linalg import ColumnMap
+from .poly import DiffOp, Poly, monomials_up_to
 from .reports import Report, render_defect
 from .scalars import QI, sum_products
 
@@ -138,11 +139,7 @@ def _top_seed(n: int, l: int) -> Poly:
             f = f * rho2
         f = f.mul_var(3, d - 2 * b)
         cands.append(ul * f)
-    rows: dict = {}   # one row per monomial of the Laplacians, over the candidates
-    for ci, cand in enumerate(cands):
-        for mm, q in laplacian(cand).terms.items():
-            rows.setdefault(mm, {})[ci] = q
-    kern = linalg.kernel(list(rows.values()), len(cands))
+    kern = linalg.kernel([laplacian(cand).terms for cand in cands])
     if len(kern) != 1:
         raise HarmonicError(f"harmonic seed for (n,l) = ({n},{l}) is not unique")
     out = Poly(NVARS)
@@ -205,9 +202,7 @@ def level_count_check(modes: list[HarmonicMode]) -> Report:
     rep = Report(f"harmonics/levels<={nmax}")
     for n in range(1, nmax + 1):
         level = [mode for mode in modes if mode.n == n]
-        pos = {mm: i for i, mm in enumerate(monomials_of_degree(NVARS, n - 1))}
-        r = linalg.rank([{pos[mm]: q for mm, q in mode.poly.terms.items() if mm in pos}
-                         for mode in level])
+        r = linalg.rank([mode.poly.terms for mode in level])
         rep.add(f"harmonics/level{n}/count",
                 len(level) == n * n and r == n * n,
                 detail=f"{len(level)} modes, rank {r}, expected {n * n}")

@@ -1,24 +1,27 @@
 """Exact linear algebra over QI entries.
 
-Products stay dense: ``mat_mul`` and ``trace_product`` take lists of
-lists and skip their zero entries, since the matrices the suites multiply
-are mostly zeros.  Over ``QI`` they sum each entry's products in ints
-through ``scalars.sum_products``; other rings (Fraction, Poly) add them
-with ``combine``.  Elimination is sparse end to end: ``rref``, ``rank``,
-``kernel``, ``inverse`` and ``in_span`` take rows as ``{column: entry}``
-dicts and return rows and vectors the same way, none holding a zero
-entry.  ``bracket_defect`` is the one routine that brackets two
-operators given by their sparse columns: the differential operators'
-column maps and the Fock operators' ``Columns`` both go through it.
-Gauss-Jordan runs in exact field arithmetic, so there are no pivoting
-tolerances: a pivot is any nonzero entry, and the reduced form is unique
-whatever the order.  The helpers need only +, -,
-*, / and truthiness of their entries, and their results stay in the
-operands' ring: the zero of a dense product is ``0 * entry``, and a
-kernel's unit is its first pivot.  Only ``identity(n, one)`` takes a ring
-argument, since it has no operand to read it from; it defaults to ``QI``,
-the ring every suite computes in, which is also the ring of a kernel of
-rows with no entry.
+A linear map is given by its column vectors, each a sparse
+``{row: entry}`` dict with no zero entry.  ``ColumnMap`` holds a map's
+columns and forms each one the first time it is read, so the Fock
+operators and the differential operators form only the columns a check
+reads.  ``bracket_defect`` is the one routine that brackets two such
+maps.  ``rank``, ``kernel`` and ``in_span`` take a list of vectors:
+``kernel`` returns the relations among them, ``in_span`` whether a
+target is a combination of them.  ``rref`` and ``inverse`` take sparse
+rows ``{column: entry}`` and return rows the same way.  Gauss-Jordan
+runs in exact field arithmetic, so there are no pivoting tolerances: a
+pivot is any nonzero entry, and the reduced form is unique whatever the
+order.  Dense products stay for the small labelled matrices:
+``mat_mul`` and ``trace_product`` take lists of lists and skip their
+zero entries; over ``QI`` they sum each entry's products in ints
+through ``scalars.sum_products``, and other rings (Fraction, Poly) add
+them with ``combine``.  The helpers need only +, -, *, / and truthiness
+of their entries, and their results stay in the operands' ring: the
+zero of a dense product is ``0 * entry``, and a kernel's unit is its
+first pivot.  Only ``identity(n, one)`` takes a ring argument, since it
+has no operand to read it from; it defaults to ``QI``, the ring every
+suite computes in, which is also the ring of a kernel of vectors with
+no entry.
 """
 
 from __future__ import annotations
@@ -105,27 +108,36 @@ def identity(n, one=QI(1)):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+class ColumnMap(dict):
+    """The column images {key: {row: entry}} of a linear map, each formed
+    by `op(key)` on its first read and then kept.
 
+    Reading a column that is not yet held forms it, so a map passed to
+    ``bracket_defect`` or read by an operator's ``apply`` forms only the
+    columns that are read.  Only the formed columns are held, so the map
+    has no truth value: a test of the whole map raises TypeError rather
+    than pass on the columns that happen to be formed."""
 
-class Columns(dict):
-    """Sparse columns {col: {row: entry}} holding no zero column, which
-    answer a column they leave out with an empty one and do not store it."""
+    __slots__ = ("op",)
 
-    __slots__ = ()
+    def __init__(self, op):
+        dict.__init__(self)
+        self.op = op
 
-    def __missing__(self, col) -> dict:
-        return {}
+    def __missing__(self, key) -> dict:
+        col = self[key] = self.op(key)
+        return col
+
+    def __bool__(self):
+        raise TypeError("a ColumnMap holds only the columns read so far; read each column")
 
 
 def bracket_defect(x, y, cols, z=None, c=1) -> dict:
     """The nonzero {(col, row): entry} of [X, Y] - cZ on the given columns.
 
     x, y and z map a column key to that column's sparse {row: entry}
-    image, and each must answer every key it is asked for: a
-    ``poly.ColumnMap`` forms a column on its first read, and ``Columns``
-    answers a zero column it leaves out with an empty one.
+    image, and each must answer every key it is asked for, as a
+    ``ColumnMap`` does by forming the column on its first read.
     Column k of XY sums v * x[s] over the entries v = y[k][s], so the
     bracket reads columns and forms no product of operators.  Every
     product goes to one ``scalars.sum_products`` call, which leaves out
@@ -199,18 +211,24 @@ def rank(rows):
     return len(rref(rows)[1])
 
 
-def kernel(rows, ncols):
-    """Basis of the right null space of the rows, over columns 0 .. ncols-1.
+def kernel(vectors):
+    """A basis of the relations {j: c_j} with sum_j c_j * vectors[j] = 0.
 
-    One vector per free column fc: 1 at fc and minus each reduced row's
-    fc entry at that row's pivot column.
+    The vectors are sparse {key: entry} dicts whose keys need only be
+    sortable.  They are transposed once into one row per key, over the
+    columns j; each free column fc then gives one relation: 1 at fc and
+    minus each reduced row's fc entry at that row's pivot column.
     """
+    by_key: dict = {}
+    for j, v in enumerate(vectors):
+        for k, x in v.items():
+            by_key.setdefault(k, {})[j] = x
     # perfbench/layerkernels.py sizes each row list rref is handed by its
     # first row, so an empty list never goes there
-    red, pivots = rref(rows) if rows else ([], [])
+    red, pivots = rref([by_key[k] for k in sorted(by_key)]) if by_key else ([], [])
     one = red[0][pivots[0]] if red else QI(1)
     pivot_cols = set(pivots)
-    basis = {fc: {fc: one} for fc in range(ncols) if fc not in pivot_cols}
+    basis = {fc: {fc: one} for fc in range(len(vectors)) if fc not in pivot_cols}
     for row, pc in zip(red, pivots):
         for j, x in row.items():
             if j != pc:

@@ -8,7 +8,7 @@ its partner, the mode acts as c = d/dv and c* = v - d/dvb: the Gaussian is
 folded into the action.  Each of the eight operators, and each
 derivative through the Gaussian, is one ``poly.DiffOp`` built once at
 import.  A ``DiffOpRealization`` realizes a Weyl element by one route,
-as a ``poly.ColumnMap`` composed from the operators' images of unit
+as a ``linalg.ColumnMap`` composed from the operators' images of unit
 monomials (coefficient the int 1); ``apply`` and the vacuum identities
 read a polynomial's image off those columns.  The inner product is
 evaluated by the exact moment rule u^a ub^a -> a!, which gives the
@@ -27,8 +27,8 @@ from fractions import Fraction
 from functools import partial
 from math import factorial
 
-from .linalg import bracket_defect
-from .poly import ColumnMap, DiffOp, Poly, column_sum, int_if_integer, monomials_up_to
+from .linalg import ColumnMap, bracket_defect
+from .poly import DiffOp, Poly, column_sum, int_if_integer, monomials_up_to
 from .reports import Report, render_defect
 from .scalars import QI
 from .weylalg import WeylElement
@@ -83,7 +83,7 @@ class DiffOpRealization:
     element that holds the monomial; an element's column sums its
     monomials' columns, with real-integer coefficients as ints.  ``apply``
     reads a polynomial's image off those columns, so every Weyl element
-    is realized by this one route.  Columns live as long as the
+    is realized by this one route.  The columns live as long as the
     realization.
     """
 

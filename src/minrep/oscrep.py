@@ -482,21 +482,12 @@ def sl2_centralizer_check(gens: GeneratorSet, pol: Polarization) -> Report:
                  if all(commutator(x, t).is_zero() for t in triple)]
     rep.add("su22/centralizer/dimension", len(commuting) == 4,
             detail=f"commuting basis elements: {commuting}")
-    closed = all(
-        _in_weyl_span([elems[n] for n in commuting],
-                      commutator(elems[x], elems[y]))
-        for x in commuting for y in commuting)
+    span = [elems[n].terms for n in commuting]
+    closed = all(linalg.in_span(span, commutator(elems[x], elems[y]).terms)
+                 for x in commuting for y in commuting)
     rep.add("su22/centralizer/subalgebra", closed,
             detail="closed under commutators within the 4-dim span")
     return rep
-
-
-def _in_weyl_span(basis: list, target: WeylElement) -> bool:
-    pos: dict = {}   # monomial -> column, numbered as the monomials turn up
-
-    def row(el):
-        return {pos.setdefault(m, len(pos)): q for m, q in el.terms.items()}
-    return linalg.in_span([row(el) for el in basis], row(target))
 
 
 # ---------------------------------------------------------------------------

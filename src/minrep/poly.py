@@ -19,15 +19,13 @@ without building a ``QI``.
 
 ``DiffOp.column`` forms the operator's image of a unit monomial, which
 carries the int 1, as a plain {monomial: coeff} dict without a ``Poly``;
-a real-integer operator's columns stay in ints.  ``ColumnMap`` is a dict
-of such columns that forms each one on its first read and then keeps
-it; ``column_sum`` is the one sum of scaled columns, which a column
-image, a composed or summed column and a polynomial's image read off
-columns all go through.  An operator identity [X, Y] = cZ is checked by
-handing the column maps to ``linalg.bracket_defect``, so a check forms
-each operator's image of a monomial once, not once per pair and
-monomial.  Columns live as long as the map, which each check builds
-afresh.
+a real-integer operator's columns stay in ints.  Wrapped in a
+``linalg.ColumnMap``, which forms each column on its first read and then
+keeps it, an operator goes to ``linalg.bracket_defect``, so a check of
+[X, Y] = cZ forms each operator's image of a monomial once, not once per
+pair and monomial.  ``column_sum`` is the one sum of scaled columns,
+which a column image, a composed or summed column and a polynomial's
+image read off columns all go through.
 """
 
 from __future__ import annotations
@@ -190,25 +188,6 @@ class DiffOp(LinComb):
         each coefficient is an operator coefficient times an int and a
         real-integer operator's column stays in ints."""
         return column_sum((e, a * w) for e, _, a, w in self.walk({m: 1}))
-
-
-class ColumnMap(dict):
-    """The column images {m: {monomial: coeff}} of a linear map, each
-    formed by `op(m)` on its first read and then kept.
-
-    Reading a column that is not yet held forms it, so a map passed to
-    ``linalg.bracket_defect`` forms only the columns that the kernel
-    reaches."""
-
-    __slots__ = ("op",)
-
-    def __init__(self, op):
-        dict.__init__(self)
-        self.op = op
-
-    def __missing__(self, m: tuple) -> dict:
-        col = self[m] = self.op(m)
-        return col
 
 
 def column_sum(items) -> dict:

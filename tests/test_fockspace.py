@@ -66,7 +66,7 @@ class TestOperatorMatrix:
     def test_number_operator(self):
         fock = fockspace.enumerate_basis([("c", 1)], 2)
         m = fockspace.operator_matrix(mono([("c", 1)], [("c", 1)]), fock)
-        assert m.entries == {1: {1: QI(1)}, 2: {2: QI(2)}}
+        assert [m.entries[c] for c in range(fock.dim)] == [{}, {1: QI(1)}, {2: QI(2)}]
         assert [m.apply({c: QI(1)}) for c in range(3)] == [{}, {1: QI(1)}, {2: QI(2)}]
 
     def test_h_theta_on_vacuum(self):
@@ -86,8 +86,8 @@ class TestOperatorMatrix:
         fock = fockspace.enumerate_basis([("c", 1)], 1)
         m = fockspace.operator_matrix(mono([("c", 1)], []), fock)
         assert fockspace.safe_columns(fock, m.level_raise) == [0]
-        # c*|1> lies past the cutoff, so column 1 is empty and not stored
-        assert 1 not in m.entries and m.apply({1: QI(1)}) == {}
+        # c*|1> lies past the cutoff, so column 1 is empty
+        assert m.entries[1] == {} and m.apply({1: QI(1)}) == {}
         assert m.apply({0: QI(1)}) == {1: QI(1)}
 
     def test_scalar_entries_are_exact(self):
@@ -121,10 +121,9 @@ class TestOperatorMatrix:
                 occ = tuple(term.creators.count(mode) for mode in modes)
                 if not term.annihilators and sum(occ) <= fock.cutoff:
                     oracle[fock.index[occ]] = q
-            assert m.entries.get(col, {}) == oracle
+            assert m.entries[col] == oracle
             assert m.apply({col: QI(1)}) == oracle
-        assert all(m.entries.values())
-        assert all(v for column in m.entries.values() for v in column.values())
+        assert all(v for col in range(fock.dim) for v in m.entries[col].values())
 
 
 class TestHelicity:
@@ -462,9 +461,7 @@ def _gauge_generators_oracle(family: str, k: int, flavors: int) -> list:
 
 def _weyl_rank(elements) -> int:
     """Rank of the elements over Q(i), with their Weyl terms as coordinates."""
-    pos: dict = {}
-    return linalg.rank([{pos.setdefault(m, len(pos)): q for m, q in w.terms.items()}
-                        for w in elements])
+    return linalg.rank([w.terms for w in elements])
 
 
 def _acting_span(pair) -> list:
@@ -585,10 +582,10 @@ class TestGaugeAction:
 def conj_transpose_weighted(m: fockspace.SparseOperator) -> fockspace.SparseOperator:
     """W^-1 t(conj M) W with W the diagonal of norm weights."""
     f = m.fock
-    out = {}
-    for c, col in m.entries.items():
-        for r, v in col.items():
-            out.setdefault(r, {})[c] = v.conj() * QI(Fraction(f.norm_weight(r), f.norm_weight(c)))
+    out = {c: {} for c in range(f.dim)}
+    for c in range(f.dim):
+        for r, v in m.entries[c].items():
+            out[r][c] = v.conj() * QI(Fraction(f.norm_weight(r), f.norm_weight(c)))
     return fockspace.SparseOperator(out, -m.level_raise, f)
 
 
@@ -612,10 +609,15 @@ class TestAdjointness:
 def _dense(m: fockspace.SparseOperator) -> list:
     n = m.fock.dim
     out = [[QI(0)] * n for _ in range(n)]
-    for c, col in m.entries.items():
-        for r, v in col.items():
+    for c in range(n):
+        for r, v in m.entries[c].items():
             out[r][c] = v
     return out
+
+
+def _matrix_bracket(a, b):
+    """The dense commutator ab - ba, the oracle of the column bracket."""
+    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
 
 
 class TestBracketDefect:
@@ -641,7 +643,7 @@ class TestBracketDefect:
             mx, my = fockspace.operator_matrix(x, fock), fockspace.operator_matrix(y, fock)
             mz = fockspace.operator_matrix(commutator(x, y), fock)
             xs, ys, zs = mx.entries, my.entries, mz.entries
-            br = linalg.commutator(_dense(mx), _dense(my))
+            br = _matrix_bracket(_dense(mx), _dense(my))
             every = range(fock.dim)
             want = {(c, r): br[r][c] for c in every for r in every if br[r][c]}
             assert linalg.bracket_defect(xs, ys, every) == want
@@ -655,9 +657,29 @@ class TestBracketDefect:
             compared += bool(on_cols)
         assert compared >= 4
 
-    def test_entries_answer_a_zero_column_without_storing_it(self):
+    def test_entries_form_a_column_on_its_first_read(self):
         fock = fockspace.enumerate_basis([("a", 1)], 2)
         m = fockspace.operator_matrix(WeylElement.monomial([], [("a", 1)]), fock)
-        assert isinstance(m.entries, linalg.Columns)
-        assert 0 not in m.entries and m.entries[0] == {}
-        assert 0 not in m.entries and all(m.entries.values())
+        assert isinstance(m.entries, linalg.ColumnMap) and len(m.entries) == 0
+        assert m.entries[0] == {} and list(m.entries) == [0]
+        assert m.apply({2: QI(1)}) == {1: QI(2)} and list(m.entries) == [0, 2]
+        # only the columns read so far are held, so the map has no truth value
+        with pytest.raises(TypeError, match="read each column"):
+            bool(m.entries)
+
+    def test_symbolic_commutators_form_only_the_compared_columns(self, monkeypatch):
+        # so*(8) at level 4 has 495 states; a sampled bilinear raises the
+        # level by 0 or 2, so a pair keeps 495, 45 or 1 safe columns, and
+        # each symbolic commutator forms those columns and no other
+        seen = []
+        bracket = linalg.bracket_defect
+
+        def recorded(x, y, cols, z=None, c=1):
+            out = bracket(x, y, cols, z, c)
+            seen.append((list(cols), list(z)))
+            return out
+
+        monkeypatch.setattr(linalg, "bracket_defect", recorded)
+        assert fockspace.truncated_closure_check("so_star", 2, 1, level=4).ok
+        assert all(formed == cols for cols, formed in seen)
+        assert [len(cols) for cols, _ in seen] == [495, 45, 45, 45, 45, 1]

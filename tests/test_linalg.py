@@ -17,6 +17,11 @@ def sparse(m):
     return [{j: x for j, x in enumerate(row) if x} for row in m]
 
 
+def columns(m):
+    """The columns of a dense matrix as {row: entry} dicts of their nonzeros."""
+    return sparse(linalg.transpose(m))
+
+
 def dense(v, n, zero):
     """A sparse vector as a list of length n, zero where it holds no entry."""
     return [v.get(j, zero) for j in range(n)]
@@ -33,7 +38,7 @@ def test_kernel_annihilates():
     rng = random.Random(5)
     for _ in range(10):
         m = [[Fraction(rng.randint(-4, 4)) for _ in range(5)] for _ in range(3)]
-        for v in linalg.kernel(sparse(m), 5):
+        for v in linalg.kernel(columns(m)):
             img = [sum(r[i] * v.get(i, 0) for i in range(5)) for r in m]
             assert all(x == 0 for x in img)
 
@@ -81,13 +86,13 @@ def _check_results_stay_in_ring(one, c):
     singular = [[one, c], [one / c, one]]
     assert linalg.rank(sparse(singular)) == 1
     for m in (singular, [[zero, one, zero]]):
-        kern = linalg.kernel(sparse(m), len(m[0]))
+        kern = linalg.kernel(columns(m))
         assert len(kern) == len(m[0]) - linalg.rank(sparse(m))
         for v in kern:
             assert in_ring(v.values()) and all(v.values()) and v
             assert apply(m, dense(v, len(m[0]), zero)) == [zero] * len(m)
     # a zero matrix has no entry to read a ring from, so its kernel is over QI
-    kern = linalg.kernel(sparse([[zero, zero]]), 2)
+    kern = linalg.kernel(columns([[zero, zero]]))
     assert kern == [{0: one}, {1: one}]
     assert all(type(x) is QI for v in kern for x in v.values())
 
@@ -104,6 +109,53 @@ def test_qi_entries_work_throughout():
 
 def test_fraction_entries_stay_fraction():
     _check_results_stay_in_ring(Fraction(1), Fraction(3))
+
+
+def _row_kernel(rows, ncols):
+    """The right null space of sparse rows over columns 0 .. ncols-1, by the
+    row route kernel once took: the oracle of the kernel of column vectors."""
+    red, pivots = linalg.rref(rows) if rows else ([], [])
+    one = red[0][pivots[0]] if red else QI(1)
+    basis = {fc: {fc: one} for fc in range(ncols) if fc not in set(pivots)}
+    for row, pc in zip(red, pivots):
+        for j, x in row.items():
+            if j != pc:
+                basis[j][pc] = -x
+    return list(basis.values())
+
+
+def test_kernel_of_vectors_matches_the_row_route():
+    # random sparse QI vectors over tuple keys, with empty vectors, zero
+    # entries and repeated vectors; the rows are built by hand, one per
+    # key in a shuffled order
+    rng = random.Random(17)
+    keys = [(f, r) for f in range(3) for r in range(4)]
+    for _ in range(200):
+        vectors = []
+        for _ in range(rng.randint(0, 7)):
+            if vectors and rng.random() < 0.15:
+                vectors.append(dict(rng.choice(vectors)))
+                continue
+            v = {}
+            for k in rng.sample(keys, rng.randint(0, 4)):
+                v[k] = QI(rng.randint(-2, 2), rng.randint(-1, 1))
+            vectors.append(v)
+        rows = {}
+        for j, v in enumerate(vectors):
+            for k, x in v.items():
+                rows.setdefault(k, {})[j] = x
+        order = list(rows)
+        rng.shuffle(order)
+        got, want = linalg.kernel(vectors), _row_kernel([rows[k] for k in order], len(vectors))
+        assert got == want and _types_deep(got) == _types_deep(want)
+        for rel in got:
+            total = {}
+            for j, c in rel.items():
+                for k, x in vectors[j].items():
+                    total[k] = total.get(k, QI(0)) + c * x
+            assert not any(total.values())
+    assert linalg.kernel([]) == []
+    assert linalg.kernel([{}, {(0, 1): QI(0)}]) == [{0: QI(1)}, {1: QI(1)}]
 
 
 def test_in_span():
@@ -303,7 +355,7 @@ def _check_against_oracle(case):
     assert _types_deep(got) == _types_deep(want)
 
     def derived():
-        return (linalg.rank(rows), linalg.kernel(rows, len(m[0])),
+        return (linalg.rank(rows), linalg.kernel(columns(m)),
                 _outcome(linalg.inverse, rows))
 
     combination = [sum((c * row[j] for c, row in zip(b, m)), 0 * m[0][0])

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minrep import harmonics, linalg, massless
-from minrep.poly import ColumnMap, DiffOp, Poly, column_sum, monomials_up_to
+from minrep.linalg import ColumnMap
+from minrep.poly import DiffOp, Poly, column_sum, monomials_up_to
 from minrep.scalars import QI
 
 NVARS = 4
