@@ -116,7 +116,8 @@ def _apply_config(parser, args, argv):
         raise UsageError(f"config {args.config} must hold a JSON object")
     tokens = []
     for key, value in data.items():
-        if not hasattr(args, key.replace("-", "_")):
+        # a config names no further config file: one would be parsed and never read
+        if key == "config" or not hasattr(args, key.replace("-", "_")):
             raise UsageError(f"unknown config key {key!r}")
         flag = f"--{key.replace('_', '-')}"
         if value is True:

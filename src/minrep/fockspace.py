@@ -24,12 +24,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, combinations, combinations_with_replacement
-from math import comb, factorial
+from math import comb
 from typing import NamedTuple
 
 from . import linalg, oscrep
 from .reports import Report, render_defect
-from .scalars import QI, QI_ZERO, sum_products
+from .scalars import QI, QI_ZERO, int_if_integer, sum_products
 from .weylalg import (Mode, Polarization, SpanError, WeylElement, WeylMonomial, commutator,
                       matrix_from_quadratic, mode_action_matrix, quadratic_blocks,
                       quadratic_from_matrix, standard_polarization)
@@ -59,15 +59,6 @@ class TruncatedFock:
 
     def level(self, i: int) -> int:
         return sum(self.states[i])
-
-    def norm_weight(self, i: int) -> int:
-        w = 1
-        for n in self.states[i]:
-            w *= factorial(n)
-        return w
-
-    def vacuum_index(self) -> int:
-        return self.index[(0,) * len(self.modes)]
 
 
 def enumerate_basis(modes, cutoff: int, max_states: int | None = None) -> TruncatedFock:
@@ -169,15 +160,15 @@ def diagonal_weights(w: WeylElement, fock: TruncatedFock) -> list[int]:
     for mono, q in w.terms.items():
         if mono.creators != mono.annihilators or len(mono.creators) > 1:
             raise FockError("operator is not diagonal in the occupation basis")
-        f = q.real_fraction() if q.is_real() else None
-        if f is None or f.denominator != 1:
+        c = int_if_integer(q)
+        if type(c) is not int:
             raise FockError(f"coefficient {q} of {mono} is not a real integer")
         if not mono.creators:
-            const = f.numerator
+            const = c
         elif mono.creators[0] not in pos:
             raise FockError(f"mode {mono.creators[0]} is not part of this Fock module")
         else:
-            coeffs.append((pos[mono.creators[0]], f.numerator))
+            coeffs.append((pos[mono.creators[0]], c))
     return [const + sum(c * s[i] for i, c in coeffs) for s in fock.states]
 
 
@@ -433,18 +424,11 @@ def dual_pair(family: str, k: int, flavors: int = 1) -> DualPair:
     return DualPair(family, k, flavors)
 
 
-def pairing_blocks(w: WeylElement, modes) -> tuple[dict, dict]:
-    """w's beta and gamma blocks (quadratic_blocks), each as {(i, j): entry}:
-    the creator-creator and the annihilator-annihilator parts that
-    central_pairing sums over."""
-    _, beta, gamma = quadratic_blocks(w, modes)
-    return beta, gamma
-
-
 def central_pairing(x_blocks, y_blocks) -> QI:
     """Closed-form central term 2 tr(gamma_x beta_y) - 2 tr(beta_x gamma_y).
 
-    Each argument is a bilinear's pairing_blocks, built once per bilinear
+    Each argument is a bilinear's (beta, gamma) blocks from
+    ``quadratic_blocks``, each as {(i, j): entry}, built once per bilinear
     by the caller, so both traces are summed over nonzero entries only, in
     one kernel call.  This is the trace-form cocycle produced by the double
     contractions and serves as the matrix-side cross-check of the symbolic
@@ -484,7 +468,7 @@ def truncated_closure_check(family: str, k: int, flavors: int, level: int = 0,
 
     charges = []
     pairs = [(s, t) for s in range(len(elems)) for t in range(s, len(elems))]
-    blocks = [pairing_blocks(e, modes) for e in elems]
+    blocks = [quadratic_blocks(e, modes)[1:] for e in elems]
     omegas = {(s, t): central_pairing(blocks[s], blocks[t]) for s, t in pairs}
     if pair_limit is not None and pair_limit < len(pairs):
         # keep every pair with a nonzero trace-form pairing (the central

@@ -76,20 +76,6 @@ def laplacian(p: Poly) -> Poly:
     return _LAPLACIAN(p)
 
 
-def euler(p: Poly) -> Poly:
-    return _EULER(p)
-
-
-def conformal_hamiltonian(p: Poly) -> Poly:
-    """H = z.d/dz + 1."""
-    return _HAMILTONIAN(p)
-
-
-def angular_momentum(j: int, p: Poly) -> Poly:
-    """L_j = i eps_{jkl} z_l d/dz_k acting on the first three variables."""
-    return _L[j](p)
-
-
 def l_squared(p: Poly) -> Poly:
     """L^2 = L- L+ + (L3 + 1) L3, which rests on [L1, L2] = i L3."""
     return Poly(p.nvars, sum_products(_l_squared_walk(p)))
@@ -104,11 +90,6 @@ def _l_squared_walk(p: Poly):
 def lowering(p: Poly) -> Poly:
     """L- = L1 - i L2."""
     return _LOWERING(p)
-
-
-def raising(p: Poly) -> Poly:
-    """L+ = L1 + i L2."""
-    return _RAISING(p)
 
 
 @dataclass(frozen=True)

@@ -12,22 +12,19 @@ rows ``{column: entry}`` and return rows the same way.  Gauss-Jordan
 runs in exact field arithmetic, so there are no pivoting tolerances: a
 pivot is any nonzero entry, and the reduced form is unique whatever the
 order.  Dense products stay for the small labelled matrices:
-``mat_mul`` and ``trace_product`` take lists of lists and skip their
-zero entries; over ``QI`` they sum each entry's products in ints
-through ``scalars.sum_products``, and other rings (Fraction, Poly) add
-them with ``combine``.  The helpers need only +, -, *, / and truthiness
-of their entries, and their results stay in the operands' ring: the
-zero of a dense product is ``0 * entry``, and a kernel's unit is its
-first pivot.  Only ``identity(n, one)`` takes a ring argument, since it
-has no operand to read it from; it defaults to ``QI``, the ring every
-suite computes in, which is also the ring of a kernel of vectors with
-no entry.
+``mat_mul`` and ``trace_product`` take lists of lists, skip their zero
+entries and sum each entry's products in ints through
+``scalars.sum_products``, so their results are ``QI``, the ring every
+suite computes in.  Elimination needs only +, -, *, / and truthiness of
+its entries, and its results stay in the operands' ring: a kernel's unit
+is its first pivot, and a kernel of vectors with no entry is over
+``QI``.
 """
 
 from __future__ import annotations
 
 from .lincomb import combine
-from .scalars import QI, sum_products
+from .scalars import QI_ONE, QI_ZERO, sum_products
 
 
 def mat_copy(m):
@@ -49,35 +46,25 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(c, m):
-    return [[c * x for x in row] for row in m]
-
-
 def mat_mul(a, b):
     """The product ab, multiplying only nonzero entries of a by those of b.
 
     Each row of the result sums x * b[k][j] over the nonzero x = a[i][k]
-    and the nonzero entries of row k of b.  An entry that no such product
-    reaches holds the zero of the operands' entry ring.  Operands whose
-    shapes do not chain raise ValueError.
+    and the nonzero entries of row k of b, in one ``sum_products`` call
+    per row, so every entry is a ``QI``.  Operands whose shapes do not
+    chain raise ValueError.
     """
     p = len(b[0]) if b else 0
     if any(len(row) != len(b) for row in a) or any(len(row) != p for row in b):
         raise ValueError("shape mismatch in mat_mul")
     if not a or not p:
         return [[] for _ in a]
-    zero = 0 * (a[0][0] * b[0][0])
     brows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for arow in a:
-        row = [zero] * p
-        if type(zero) is QI:
-            acc = sum_products((j, x, y, 1) for x, brow in zip(arow, brows) if x
-                               for j, y in brow)
-        else:
-            acc = combine(((j, x * y) for x, brow in zip(arow, brows) if x for j, y in brow),
-                          {})
-        for j, s in acc.items():
+        row = [QI_ZERO] * p
+        for j, s in sum_products((j, x, y, 1) for x, brow in zip(arow, brows) if x
+                                 for j, y in brow).items():
             row[j] = s
         out.append(row)
     return out
@@ -88,12 +75,8 @@ def trace_product(a, b):
     Any other shapes raise ValueError."""
     if any(len(row) != len(b) for row in a) or any(len(row) != len(a) for row in b):
         raise ValueError("shape mismatch in trace_product")
-    zero = 0 * (a[0][0] * b[0][0])
-    terms = ((x, y) for i, arow in enumerate(a) for k, x in enumerate(arow)
-             if x and (y := b[k][i]))
-    if type(zero) is QI:
-        return sum_products((0, x, y, 1) for x, y in terms).get(0, zero)
-    return sum((x * y for x, y in terms), zero)
+    return sum_products((0, x, y, 1) for i, arow in enumerate(a) for k, x in enumerate(arow)
+                        if x and (y := b[k][i])).get(0, QI_ZERO)
 
 
 def trace(m):
@@ -103,9 +86,8 @@ def trace(m):
     return s
 
 
-def identity(n, one=QI(1)):
-    zero = one - one
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def identity(n):
+    return [[QI_ONE if i == j else QI_ZERO for j in range(n)] for i in range(n)]
 
 
 class ColumnMap(dict):
@@ -226,7 +208,7 @@ def kernel(vectors):
     # perfbench/layerkernels.py sizes each row list rref is handed by its
     # first row, so an empty list never goes there
     red, pivots = rref([by_key[k] for k in sorted(by_key)]) if by_key else ([], [])
-    one = red[0][pivots[0]] if red else QI(1)
+    one = red[0][pivots[0]] if red else QI_ONE
     pivot_cols = set(pivots)
     basis = {fc: {fc: one} for fc in range(len(vectors)) if fc not in pivot_cols}
     for row, pc in zip(red, pivots):

@@ -28,9 +28,9 @@ from functools import partial
 from math import factorial
 
 from .linalg import ColumnMap, bracket_defect
-from .poly import DiffOp, Poly, column_sum, int_if_integer, monomials_up_to
+from .poly import DiffOp, Poly, column_sum, monomials_up_to
 from .reports import Report, render_defect
-from .scalars import QI
+from .scalars import QI, int_if_integer
 from .weylalg import WeylElement
 
 # variable order: u1, u2, ub1, ub2

@@ -19,7 +19,7 @@ from itertools import chain
 from . import linalg
 from .reports import Report
 from .rootsys import cartan_a_type, cartan_d_type
-from .scalars import QI, QI_ZERO, sum_products
+from .scalars import QI, QI_ONE, QI_ZERO, int_if_integer, sum_products
 from .weylalg import (WeylElement, Polarization, commutator, ad_power,
                       normal_product, quadratic_from_matrix, sum_of_products)
 
@@ -30,20 +30,6 @@ class AlgebraError(ValueError):
 
 # ---------------------------------------------------------------------------
 # QI-matrix helpers
-
-def mat_star(m):
-    """Conjugate transpose."""
-    return [[m[j][i].conj() for j in range(len(m))] for i in range(len(m[0]))]
-
-
-def mat_is_zero(m):
-    return all(not x for row in m for x in row)
-
-
-def qi_diag(entries):
-    n = len(entries)
-    return [[QI.of(entries[i]) if i == j else QI(0) for j in range(n)] for i in range(n)]
-
 
 def basis_matrix(n, i, j, c=1):
     m = [[QI(0)] * n for _ in range(n)]
@@ -57,75 +43,77 @@ def basis_matrix(n, i, j, c=1):
 
 @dataclass(frozen=True)
 class FormSpec:
-    """The forms fixing a family's algebra, with each form's nonzero
-    entries by row and by column in ``sparse`` (keyed by field name)."""
+    """The forms fixing a family's algebra, each as {(row, col): entry} of
+    its nonzero entries, with those entries by row and by column in
+    ``index`` (keyed by field name)."""
 
     family: str        # "sp_real" | "u_pq" | "so_star"
     size: int
-    beta: tuple | None = None
-    sigma: tuple | None = None
-    sympl: tuple | None = None
-    sparse: dict = field(init=False, repr=False, compare=False)
+    beta: dict | None = None
+    sigma: dict | None = None
+    sympl: dict | None = None
+    index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sparse", {
+        object.__setattr__(self, "index", {
             name: _by_row_and_col(form) for name in ("beta", "sigma", "sympl")
             if (form := getattr(self, name)) is not None})
-        one = linalg.identity(self.size)
+        one = {(i, i): QI_ONE for i in range(self.size)}
         if self.beta is not None:
-            b = [list(r) for r in self.beta]
-            if not mat_is_zero(linalg.mat_sub(mat_star(b), b)):
+            if _star(self.beta) != self.beta:
                 raise AlgebraError("beta must be hermitean")
-            if not mat_is_zero(linalg.mat_sub(linalg.mat_mul(b, b), one)):
+            if _product(self.beta, self.beta) != one:
                 raise AlgebraError("beta^2 must be 1")
         if self.sigma is not None:
-            s = [list(r) for r in self.sigma]
-            if s != linalg.transpose(s):
+            if {(j, i): f for (i, j), f in self.sigma.items()} != self.sigma:
                 raise AlgebraError("sigma must be symmetric")
-            if not mat_is_zero(linalg.mat_sub(linalg.mat_mul(s, s), one)):
+            if _product(self.sigma, self.sigma) != one:
                 raise AlgebraError("sigma^2 must be 1")
         if self.sympl is not None:
-            j = [list(r) for r in self.sympl]
-            jj = linalg.mat_mul(j, mat_star(j))
-            if not mat_is_zero(linalg.mat_sub(jj, one)):
+            if _product(self.sympl, _star(self.sympl)) != one:
                 raise AlgebraError("J J* must be 1")
-            mj2 = linalg.mat_scale(QI(-1), linalg.mat_mul(j, j))
-            if not mat_is_zero(linalg.mat_sub(mj2, one)):
+            if _product(self.sympl, self.sympl) != {ii: -f for ii, f in one.items()}:
                 raise AlgebraError("-J^2 must be 1")
 
 
-def _by_row_and_col(form):
-    """({row: [(col, f)]}, {col: [(row, f)]}) over the nonzero entries f."""
+def _by_row_and_col(form: dict):
+    """({row: [(col, f)]}, {col: [(row, f)]}) over the entries f of form."""
     rows: dict[int, list] = {}
     cols: dict[int, list] = {}
-    for i, row in enumerate(form):
-        for j, f in enumerate(row):
-            if f:
-                rows.setdefault(i, []).append((j, f))
-                cols.setdefault(j, []).append((i, f))
+    for (i, j), f in form.items():
+        rows.setdefault(i, []).append((j, f))
+        cols.setdefault(j, []).append((i, f))
     return rows, cols
+
+
+def _star(m: dict) -> dict:
+    """The conjugate transpose of m, given as {(row, col): entry}."""
+    return {(j, i): f.conj() for (i, j), f in m.items()}
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The nonzero {(row, col): entry} of ab, summed by sum_products."""
+    rows = _by_row_and_col(b)[0]
+    return sum_products(((i, j), x, y, 1) for (i, k), x in a.items() for j, y in rows.get(k, ()))
 
 
 def form_spec(family: str, k: int) -> FormSpec:
     if family == "sp_real":
-        j = [[QI(0)] * (2 * k) for _ in range(2 * k)]
+        sympl = {}
         for i in range(k):
-            j[i][k + i] = QI(1)
-            j[k + i][i] = QI(-1)
-        return FormSpec("sp_real", 2 * k, sympl=tuple(tuple(r) for r in j))
+            sympl[(i, k + i)] = QI_ONE
+            sympl[(k + i, i)] = QI(-1)
+        return FormSpec("sp_real", 2 * k, sympl=sympl)
     if family == "u_pq":
-        beta = qi_diag([1] * k + [-1] * k)
-        return FormSpec("u_pq", 2 * k, beta=tuple(tuple(r) for r in beta))
+        beta = {(i, i): QI_ONE if i < k else QI(-1) for i in range(2 * k)}
+        return FormSpec("u_pq", 2 * k, beta=beta)
     if family == "so_star":
         m = 2 * k
-        beta = qi_diag([1] * m + [-1] * m)
-        sigma = [[QI(0)] * (2 * m) for _ in range(2 * m)]
+        beta = {(i, i): QI_ONE if i < m else QI(-1) for i in range(2 * m)}
+        sigma = {}
         for i in range(m):
-            sigma[i][m + i] = QI(1)
-            sigma[m + i][i] = QI(1)
-        return FormSpec("so_star", 2 * m,
-                        beta=tuple(tuple(r) for r in beta),
-                        sigma=tuple(tuple(r) for r in sigma))
+            sigma[(i, m + i)] = sigma[(m + i, i)] = QI_ONE
+        return FormSpec("so_star", 2 * m, beta=beta, sigma=sigma)
     raise AlgebraError(f"unknown form family {family!r}")
 
 
@@ -146,16 +134,16 @@ def matrix_membership(x: dict, spec: FormSpec) -> bool:
     if spec.family == "sp_real":
         # the real shape: moving an entry by half the size in both indices conjugates it
         h = n // 2
-        return (_form_vanishes(nonzero, spec.sparse["sympl"], trans)
+        return (_form_vanishes(nonzero, spec.index["sympl"], trans)
                 and {((i + h) % n, (k + h) % n): v.conj() for i, k, v in nonzero} == x)
     star = [(k, i, v.conj()) for i, k, v in nonzero]
     if spec.family == "u_pq":
-        return _form_vanishes(star, spec.sparse["beta"], nonzero)
+        return _form_vanishes(star, spec.index["beta"], nonzero)
     if spec.family == "so_star":
         # the two forms fix the block shape [[u, v], [v*, -u^T]] with u
         # antihermitian and v antisymmetric, so X is traceless
-        return (_form_vanishes(star, spec.sparse["beta"], nonzero)
-                and _form_vanishes(trans, spec.sparse["sigma"], nonzero))
+        return (_form_vanishes(star, spec.index["beta"], nonzero)
+                and _form_vanishes(trans, spec.index["sigma"], nonzero))
     raise AlgebraError(f"unknown form family {spec.family!r}")
 
 
@@ -387,10 +375,10 @@ def derive_cartan_matrix(gens: GeneratorSet):
     for i in range(r):
         row = []
         for j in range(r):
-            lam = scalar_ratio(commutator(gens.H[i], gens.E[j]), gens.E[j])
-            if lam is None or not lam.is_real() or lam.real_fraction().denominator != 1:
+            c = int_if_integer(scalar_ratio(commutator(gens.H[i], gens.E[j]), gens.E[j]))
+            if type(c) is not int:
                 raise AlgebraError(f"[H_{i + 1}, E_{j + 1}] is not an integer multiple of E_{j + 1}")
-            row.append(int(lam.real_fraction()))
+            row.append(c)
         out.append(row)
     return out
 
@@ -460,13 +448,13 @@ def theta_grading_check(gens: GeneratorSet, pol: Polarization) -> Report:
     ok_all = True
     for name, x in su22_weight_basis(gens, pol):
         lam = scalar_ratio(commutator(ht, x), x)
-        ok = lam is not None and lam.is_real() and lam.real_fraction().denominator == 1 \
-            and -2 <= lam.real_fraction() <= 2
+        c = int_if_integer(lam)
+        ok = type(c) is int and -2 <= c <= 2
         ok_all &= ok
         rep.add(f"su22/grading/{name}", ok,
                 detail=f"eigenvalue {lam}" if lam is not None else "not an eigenvector")
         if ok:
-            eigencount[int(lam.real_fraction())] = eigencount.get(int(lam.real_fraction()), 0) + 1
+            eigencount[c] = eigencount.get(c, 0) + 1
     rep.add("su22/grading/end-spaces",
             ok_all and eigencount.get(2, 0) == 1 and eigencount.get(-2, 0) == 1,
             detail=f"eigenvalue multiplicities {dict(sorted(eigencount.items()))}")

@@ -1,21 +1,18 @@
-"""Multivariate polynomials over an exact coefficient ring.
+"""Multivariate polynomials with ``QI`` coefficients.
 
-Monomials are exponent tuples; coefficients are any ring type supporting
-+, -, *, truthiness and (for conjugation) .conj().  Every polynomial the
-package builds has ``QI`` coefficients: the harmonic modes, the sphere
-identity and the Gaussian wave functions of the massless model.
+Monomials are exponent tuples.  Every polynomial the package builds has
+``QI`` coefficients: the harmonic modes, the sphere identity and the
+Gaussian wave functions of the massless model.
 
 ``DiffOp`` is the one kernel for the linear differential operators that
 act on them, sums of c * x_u * (d/dx_d)^k with k = 0, 1 or 2 and the
 factor x_u optional.  Its one term walker, ``walk``, yields an item
 (monomial, c, a, w) per pair of a polynomial term c and an operator term
-a, with w the int that d^k brings down.  Applying the operator to a
-``QI`` polynomial sums those items in ints through
-``scalars.sum_products`` and builds one ``Poly`` without testing its
-coefficients for zero again; any other ring is summed by ``combine`` and
-stays in that ring, the rule ``linalg.mat_mul`` follows.  An operator
-coefficient that is a real integer is kept as an ``int``, so it is read
-without building a ``QI``.
+a, with w the int that d^k brings down.  Applying the operator sums
+those items in ints through ``scalars.sum_products`` and builds one
+``Poly`` of ``QI`` coefficients without testing them for zero again.  An
+operator coefficient that is a real integer is kept as an ``int``, so it
+is read without building a ``QI``.
 
 ``DiffOp.column`` forms the operator's image of a unit monomial, which
 carries the int 1, as a plain {monomial: coeff} dict without a ``Poly``;
@@ -31,7 +28,7 @@ image read off columns all go through.
 from __future__ import annotations
 
 from .lincomb import LinComb, combine
-from .scalars import QI, sum_products
+from .scalars import int_if_integer, sum_products
 
 
 class Poly(LinComb):
@@ -72,9 +69,6 @@ class Poly(LinComb):
                      for m2, c2 in other.terms.items()), acc)
         return Poly(self.nvars, acc)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def scale(self, c) -> "Poly":
         return self._scaled(c)
 
@@ -94,15 +88,6 @@ class Poly(LinComb):
             e[i] += power
             t[tuple(e)] = c
         return Poly(self.nvars, t)
-
-    def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=-1)
-
-    def coefficient(self, mono: tuple):
-        return self.terms.get(mono)
-
-    def conj(self) -> "Poly":
-        return Poly(self.nvars, {m: c.conj() for m, c in self.terms.items()})
 
     def evaluate(self, point):
         """Evaluate at a point given as a list of coefficient-ring values.
@@ -170,17 +155,10 @@ class DiffOp(LinComb):
                 yield tuple(e), c, a, w
 
     def __call__(self, p: Poly) -> Poly:
-        """p with this operator applied, in one walk over p's terms.
-
-        A ``QI`` polynomial's items are summed in ints by ``sum_products``,
-        which leaves out the zero totals, so the result skips the zero
-        filter; any other ring is summed by ``combine`` and stays in that
-        ring.
-        """
-        terms = p.terms
-        if terms and type(next(iter(terms.values()))) is QI:
-            return _nonzero_poly(p.nvars, sum_products(self.walk(terms)))
-        return Poly(p.nvars, combine(((m, c * a * w) for m, c, a, w in self.walk(terms)), {}))
+        """p with this operator applied, in one walk over p's terms whose
+        items ``sum_products`` sums in ints; it leaves out the zero totals,
+        so the result skips the zero filter."""
+        return _nonzero_poly(p.nvars, sum_products(self.walk(p.terms)))
 
     def column(self, m: tuple) -> dict:
         """The image of the unit monomial m, as a {monomial: coeff} dict
@@ -204,13 +182,6 @@ def _nonzero_poly(nvars: int, terms: dict) -> Poly:
     p = Poly._nonzero(terms)
     _set_nvars(p, nvars)
     return p
-
-
-def int_if_integer(c):
-    """c as an int when it is a real integer ``QI``, else c itself."""
-    if type(c) is QI and c.is_real() and c.real_fraction().denominator == 1:
-        return int(c.real_fraction())
-    return c
 
 
 def monomials_of_degree(nvars: int, degree: int):

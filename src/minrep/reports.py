@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -108,9 +107,6 @@ class Report:
             "negative_controls": sum(r.negative_control for r in self.records),
         }
 
-    def failures(self) -> list[CheckRecord]:
-        return [r for r in self.records if not r.passed]
-
     def as_dict(self, stable: bool = False) -> dict:
         return {
             "title": self.title,
@@ -118,9 +114,6 @@ class Report:
             "summary": self.counts,
             "records": [r.as_dict(stable) for r in sorted(self.records, key=lambda r: r.check_id)],
         }
-
-    def to_json(self, stable: bool = False) -> str:
-        return json.dumps(self.as_dict(stable), sort_keys=True, indent=2)
 
     def to_text(self) -> str:
         lines = [f"== {self.title} =="]

@@ -106,10 +106,6 @@ class RootSystem:
     def dim(self) -> int:
         return len(self.roots) + self.rank
 
-    def form(self, a: Root, b: Root) -> int:
-        """2(a|b), from the doubled Gram matrix."""
-        return sum(x * g * y for x, row in zip(a, self.gram) for g, y in zip(row, b))
-
 
 def build_root_system(family: str, rank: int | None = None) -> RootSystem:
     """Generate the full root system by reflection closure of the base."""
@@ -184,9 +180,6 @@ class FiveGrading:
     """Dimensions of the eigenspaces of ad(H_theta), eigenvalues -2..2."""
 
     dims: dict
-
-    def total(self) -> int:
-        return sum(self.dims.values())
 
 
 def _theta_pairings(rs: RootSystem) -> list[int]:

@@ -10,7 +10,9 @@ int, and reduces each total once, giving the QI that ``+`` and ``*`` give
 without building one per operation; an int operand is read as it is,
 without building a QI.  Outside QI's own methods it is the one reader of
 the fields, and the Wick kernel, the dense products and the differential
-operators all sum through it.
+operators all sum through it.  ``int_if_integer`` reads a real-integer
+``QI`` as an ``int``, for the checks that need an integer eigenvalue or
+weight.
 ``QIS`` is the ring Q(i)[s]/(s^2 - 2).  No suite computes in it:
 the massless model runs over ``QI`` in u = sqrt(2) z coordinates.  The
 class stays only because the benchmark's layer tracer counts
@@ -240,6 +242,13 @@ def sum_products(items) -> dict:
             s[1] = s[1] * u + im * v
             s[2] *= u
     return {key: _reduced(*s) for key, s in acc.items() if s[0] or s[1]}
+
+
+def int_if_integer(c):
+    """c as an int when it is a real integer ``QI``, else c itself."""
+    if type(c) is QI and c.is_real() and c.real_fraction().denominator == 1:
+        return int(c.real_fraction())
+    return c
 
 
 def _imag_str(im: Fraction) -> str:

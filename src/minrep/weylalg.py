@@ -48,10 +48,6 @@ class WeylMonomial(NamedTuple):
         return WeylMonomial(tuple(sorted(creators)), tuple(sorted(annihilators)))
 
     @property
-    def degree(self) -> int:
-        return len(self.creators) + len(self.annihilators)
-
-    @property
     def level_shift(self) -> int:
         return len(self.creators) - len(self.annihilators)
 
@@ -162,18 +158,7 @@ class WeylElement(LinComb):
     def max_level_raise(self) -> int:
         return max((m.level_shift for m in self.terms), default=0)
 
-    def degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
-
     # -- arithmetic --------------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, WeylElement):
-            return normal_product(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def scale(self, c) -> "WeylElement":
         return self._scaled(QI.of(c))

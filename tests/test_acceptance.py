@@ -163,7 +163,7 @@ def test_criterion_06_fock_decomposition_pattern():
     ok = rows0 == [fockspace.MultiplicityRow(0, (0, 0, 0, 2), 0, 1)]
     rows1 = table.rows_at(1)
     ok &= len(rows1) == 1 and rows1[0].isospin_double == 1 and rows1[0].multiplicity == 1
-    vac = fock.vacuum_index()
+    vac = fock.index[(0,) * len(fock.modes)]
     e_mat = fockspace.operator_matrix(pair.gauge.raising[0], fock)
     for j in range(1, 5):
         b_state = fockspace.operator_matrix(

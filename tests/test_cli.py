@@ -554,6 +554,13 @@ class TestConfigAndOutput:
         code, _ = run(["harmonics", "--config", str(cfg)], capsys)
         assert code == cli.EXIT_USAGE
 
+    def test_config_key_config_is_refused(self, tmp_path, capsys):
+        # it would become --config PATH, which is parsed and never read
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"config": "/nonexistent/x.json"}))
+        code, out = run(["harmonics", "--config", str(cfg)], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+
     def test_output_file_and_env_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MINREP_OUT_DIR", str(tmp_path))
         code, _ = run(["massless", "--format", "json", "--stable",

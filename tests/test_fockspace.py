@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 from unittest import mock
 
 import pytest
@@ -16,7 +16,6 @@ class TestBasis:
     def test_single_mode(self):
         fock = fockspace.enumerate_basis([("c", 1)], 3)
         assert fock.states == ((0,), (1,), (2,), (3,))
-        assert [fock.norm_weight(i) for i in range(4)] == [1, 1, 2, 6]
 
     def test_two_modes_level_two(self):
         fock = fockspace.enumerate_basis([("c", 1), ("c", 2)], 2)
@@ -74,7 +73,7 @@ class TestOperatorMatrix:
         modes = [("a", 1), ("a", 2), ("b", 1), ("b", 2)]
         fock = fockspace.enumerate_basis(modes, 1)
         m = fockspace.operator_matrix(gens.extras["H_theta"], fock)
-        vac = fock.vacuum_index()
+        vac = fock.index[(0,) * len(fock.modes)]
         assert m.apply({vac: QI(1)}) == {vac: QI(1)}
 
     def test_mode_mismatch(self):
@@ -216,7 +215,7 @@ class TestDecomposition:
         rows = table.rows_at(1)
         assert len(rows) == 1 and rows[0].isospin_double == 1
         # the gauge raising maps b_j*|0> to a_j*|0> for every j
-        vac = fock.vacuum_index()
+        vac = fock.index[(0,) * len(fock.modes)]
         e_mat = fockspace.operator_matrix(pair.gauge.raising[0], fock)
         k = 4
         for j in range(1, k + 1):
@@ -339,7 +338,7 @@ class TestClosure:
             pair = fockspace.dual_pair("sp_real", 1)
             elems = pair.a_span
             flav = [fockspace.flavor_sum(e, flavors) for e in elems]
-            blocks = [fockspace.pairing_blocks(e, pair.modes) for e in elems]
+            blocks = [fockspace.quadratic_blocks(e, pair.modes)[1:] for e in elems]
             found = []
             for s in range(len(elems)):
                 for t in range(len(elems)):
@@ -580,12 +579,13 @@ class TestGaugeAction:
 
 
 def conj_transpose_weighted(m: fockspace.SparseOperator) -> fockspace.SparseOperator:
-    """W^-1 t(conj M) W with W the diagonal of norm weights."""
+    """W^-1 t(conj M) W with W the diagonal of norm weights prod n_i!."""
     f = m.fock
+    weight = [prod(map(factorial, s)) for s in f.states]
     out = {c: {} for c in range(f.dim)}
     for c in range(f.dim):
         for r, v in m.entries[c].items():
-            out[r][c] = v.conj() * QI(Fraction(f.norm_weight(r), f.norm_weight(c)))
+            out[r][c] = v.conj() * QI(Fraction(weight[r], weight[c]))
     return fockspace.SparseOperator(out, -m.level_raise, f)
 
 

@@ -18,6 +18,19 @@ def _matrix_bracket(a, b):
     return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
 
 
+def _star(m):
+    """The dense conjugate transpose."""
+    return [[m[j][i].conj() for j in range(len(m))] for i in range(len(m[0]))]
+
+
+def _is_zero(m):
+    return all(not x for row in m for x in row)
+
+
+def _scaled(c, m):
+    return [[c * x for x in row] for row in m]
+
+
 class TestSu22:
     def test_closed_forms(self):
         g = oscrep.su22_generators()
@@ -59,14 +72,14 @@ class TestSu22:
         g.E[0] = g.E[0] + g.E[1]   # corrupt E1
         rep = oscrep.check_chevalley(g)
         assert not rep.ok
-        failing = {r.check_id for r in rep.failures()}
+        failing = {r.check_id for r in rep.records if not r.passed}
         assert "su22/EFcross/1,2" in failing
 
     def test_broken_set_renders_a_bounded_defect(self):
         # each failing record shows at most DEFECT_TERMS terms and the count
         g = oscrep.unn_generators(3)
         g.H[0] = g.H[0] + g.H[1] + g.H[2] + g.E[0] + g.F[2]
-        failing = {r.check_id: r for r in oscrep.check_chevalley(g).failures()}
+        failing = {r.check_id: r for r in oscrep.check_chevalley(g).records if not r.passed}
         assert failing
         for rec in failing.values():
             assert rec.defect.count(" + ") <= reports.DEFECT_TERMS
@@ -211,13 +224,12 @@ def _dense_membership_oracle(x, spec):
     X*beta + beta X = 0, t(X) sigma + sigma X = 0, X J + J t(X) = 0, and
     for sp_real the reality of the blocks [[a, conj b], [b, conj a]]."""
     x = _qi_mat(x)
-    forms = [(oscrep.mat_star(x), spec.beta, x), (linalg.transpose(x), spec.sigma, x),
+    forms = [(_star(x), spec.beta, x), (linalg.transpose(x), spec.sigma, x),
              (x, spec.sympl, linalg.transpose(x))]
     for left, form, right in forms:
         if form is not None:
-            f = [list(r) for r in form]
-            if not oscrep.mat_is_zero(linalg.mat_add(linalg.mat_mul(left, f),
-                                                     linalg.mat_mul(f, right))):
+            f = _dense(form, spec.size)
+            if not _is_zero(linalg.mat_add(linalg.mat_mul(left, f), linalg.mat_mul(f, right))):
                 return False
     if spec.family != "sp_real":
         return True
@@ -352,13 +364,13 @@ class TestMembership:
         m = spec.size // 2
         u = [row[:m] for row in x[:m]]
         v = [row[m:] for row in x[:m]]
-        if not oscrep.mat_is_zero(linalg.mat_add(u, oscrep.mat_star(u))):
+        if not _is_zero(linalg.mat_add(u, _star(u))):
             return False
-        if not oscrep.mat_is_zero(linalg.mat_add(v, linalg.transpose(v))):
+        if not _is_zero(linalg.mat_add(v, linalg.transpose(v))):
             return False
-        if [row[:m] for row in x[m:]] != oscrep.mat_star(v):
+        if [row[:m] for row in x[m:]] != _star(v):
             return False
-        if [row[m:] for row in x[m:]] != linalg.mat_scale(QI(-1), linalg.transpose(u)):
+        if [row[m:] for row in x[m:]] != _scaled(QI(-1), linalg.transpose(u)):
             return False
         return not linalg.trace(x)
 
@@ -395,12 +407,11 @@ class TestUnitaryBasis:
         for k in range(1, 5):
             for signs in itertools.product((1, -1), repeat=k):
                 basis = [_dense(x, k) for x in oscrep.unitary_basis(signs, traceless)]
-                d = oscrep.qi_diag(signs)
+                d = _dense({(a, a): QI(s) for a, s in enumerate(signs)}, k)
                 assert len(basis) == k * k - traceless
                 for x in basis:
-                    form = linalg.mat_add(linalg.mat_mul(oscrep.mat_star(x), d),
-                                          linalg.mat_mul(d, x))
-                    assert oscrep.mat_is_zero(form)
+                    form = linalg.mat_add(linalg.mat_mul(_star(x), d), linalg.mat_mul(d, x))
+                    assert _is_zero(form)
                     assert not traceless or linalg.trace(x) == 0
                 # independent over R: real and imaginary parts as coordinates
                 coords = [{j: c for j, c in enumerate(
@@ -419,11 +430,11 @@ class TestGroupLevelGolden:
             gens = oscrep.so_star_generators(n)
             pol = standard_polarization(2 * n)
             spec = oscrep.form_spec("so_star", n)
-            sigma = [list(r) for r in spec.sigma]
+            sigma = _dense(spec.sigma, spec.size)
             for name in (f"E_{1}{2}", f"E_{1}{2 * n}"):
                 x = _dense(matrix_from_quadratic(gens.extras[name], pol), spec.size)
-                assert oscrep.mat_is_zero(linalg.mat_mul(x, x))
-                g = linalg.mat_add(linalg.identity(spec.size, QI(1)), x)
+                assert _is_zero(linalg.mat_mul(x, x))
+                g = linalg.mat_add(linalg.identity(spec.size), x)
                 left = linalg.mat_mul(linalg.transpose(g), linalg.mat_mul(sigma, g))
                 assert left == sigma
 
@@ -431,18 +442,18 @@ class TestGroupLevelGolden:
         # (1 + X/2)(1 - X/2)^-1 is an exact rational group element for any
         # real-form X, and it must satisfy both defining group conditions.
         spec = oscrep.form_spec("so_star", 1)
-        beta = [list(r) for r in spec.beta]
-        sigma = [list(r) for r in spec.sigma]
-        one = linalg.identity(spec.size, QI(1))
+        beta = _dense(spec.beta, spec.size)
+        sigma = _dense(spec.sigma, spec.size)
+        one = linalg.identity(spec.size)
         half = QI(Fraction(1, 2))
         for x in oscrep.so_star_matrix_basis(1):
-            a = linalg.mat_scale(half, x)
+            a = _scaled(half, x)
             rows = [{j: x for j, x in enumerate(row) if x}
                     for row in linalg.mat_sub(one, a)]
             inv = [[row.get(j, QI(0)) for j in range(spec.size)]
                    for row in linalg.inverse(rows)]
             g = linalg.mat_mul(linalg.mat_add(one, a), inv)
-            assert linalg.mat_mul(oscrep.mat_star(g),
+            assert linalg.mat_mul(_star(g),
                                   linalg.mat_mul(beta, g)) == beta
             assert linalg.mat_mul(linalg.transpose(g),
                                   linalg.mat_mul(sigma, g)) == sigma
@@ -482,7 +493,7 @@ def _unitary_basis_oracle(signs, traceless=False):
 def _so_star_block_oracle(u, v):
     """The dense so*(4n) block matrix [[u, v], [v*, -t(u)]]."""
     mtu = [[-x for x in row] for row in linalg.transpose(u)]
-    return [r + s for r, s in zip(u, v)] + [r + s for r, s in zip(oscrep.mat_star(v), mtu)]
+    return [r + s for r, s in zip(u, v)] + [r + s for r, s in zip(_star(v), mtu)]
 
 
 def _so_star_basis_oracle(n):
@@ -509,7 +520,7 @@ def _dual_basis_oracle(basis):
     for row in linalg.inverse(gram):
         d = [[QI(0)] * n for _ in range(n)]
         for b, c in row.items():
-            d = linalg.mat_add(d, linalg.mat_scale(c, basis[b]))
+            d = linalg.mat_add(d, _scaled(c, basis[b]))
         out.append(d)
     return out
 
@@ -622,7 +633,7 @@ class TestCasimir:
         modes = [A1, A2, B1, B2]
         fock = fockspace.enumerate_basis(modes, 2)
         m = fockspace.operator_matrix(d, fock)
-        vac = fock.vacuum_index()
+        vac = fock.index[(0,) * len(fock.modes)]
         assert set(m.apply({vac: QI(1)})) <= {vac}
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -86,7 +87,7 @@ def test_grading_shape_for_every_family():
         g = grade_by_highest_root(rs)
         assert g.dims[2] == g.dims[-2] == 1
         assert g.dims[1] == g.dims[-1]
-        assert g.total() == rs.dim
+        assert sum(g.dims.values()) == rs.dim
 
 
 def test_e8_g1_dimension():
@@ -141,10 +142,15 @@ def test_gk_dim_formulas_for_classical_ranges():
         assert minimal_orbit_report(build_root_system("C", rank)).gk_dim == rank
 
 
+def _form(rs, a, b):
+    """2(a|b), from the doubled Gram matrix."""
+    return sum(x * g * y for x, row in zip(a, rs.gram) for g, y in zip(row, b))
+
+
 def _searched_centralizer_base(rs):
     """The positive roots orthogonal to theta that are no sum of two of them."""
     theta = rs.highest_root
-    pos = [r for r in rs.positive_roots if rs.form(r, theta) == 0]
+    pos = [r for r in rs.positive_roots if _form(rs, r, theta) == 0]
     pos_set = set(pos)
     return {r for r in pos
             if not any(tuple(x - y for x, y in zip(r, s)) in pos_set for s in pos if s != r)}
@@ -240,8 +246,9 @@ def _graph_walk_type(simples, form):
 
 def _graph_walk_label(rs):
     theta = rs.highest_root
-    simples = [s for s in rs.simple_roots if rs.form(s, theta) == 0]
-    labels = [_graph_walk_type(c, rs.form) for c in _graph_components(simples, rs.form)]
+    form = partial(_form, rs)
+    simples = [s for s in rs.simple_roots if form(s, theta) == 0]
+    labels = [_graph_walk_type(c, form) for c in _graph_components(simples, form)]
     return rootsys.canonical_label(labels, rs.rank - 1 - len(simples))
 
 

@@ -141,7 +141,11 @@ def test_commutator_forms_only_contracted_terms(monkeypatch, x, y):
     _no_normal_products(monkeypatch)
     made = _record_monomials(monkeypatch)
     assert commutator(x, y) == want
-    assert made and all(m.degree <= x.degree() + y.degree() - 2 for m in made)
+    def degree(m):
+        return len(m.creators) + len(m.annihilators)
+
+    top = max(map(degree, x.terms)) + max(map(degree, y.terms))
+    assert made and all(degree(m) <= top - 2 for m in made)
 
 
 def test_quadratic_from_matrix_makes_no_normal_product(monkeypatch):
