@@ -311,14 +311,17 @@ class TAlgebra:
         vecs = [_vec(m) for m in self.basis]
         if linalg.rank(vecs) != len(vecs):
             raise ValueError("t-algebra basis is linearly dependent")
+        checks = []
         for i, a in enumerate(self.basis):
-            if not linalg.in_span(vecs, _vec(linalg.transpose(a))):
-                raise ValueError(f"basis element {i} transposes out of the span")
-            for j, b in enumerate(self.basis):
-                if not linalg.in_span(vecs, _vec(linalg.mat_mul(a, b))):
-                    raise ValueError(f"product {i}*{j} leaves the span")
-        if not linalg.in_span(vecs, _vec(linalg.identity(len(self.basis[0])))):
-            raise ValueError("unital t-algebra must contain the identity")
+            checks.append((f"basis element {i} transposes out of the span",
+                           _vec(linalg.transpose(a))))
+            checks += [(f"product {i}*{j} leaves the span", _vec(linalg.mat_mul(a, b)))
+                       for j, b in enumerate(self.basis)]
+        checks.append(("unital t-algebra must contain the identity",
+                       _vec(linalg.identity(len(self.basis[0])))))
+        for (msg, _), ok in zip(checks, linalg.in_span(vecs, [t for _, t in checks])):
+            if not ok:
+                raise ValueError(msg)
 
     @property
     def size(self) -> int:
@@ -448,7 +451,7 @@ def _independent(mats, want):
     vecs = []
     for m in mats:
         v = _vec(m)
-        if not linalg.in_span(vecs, v):
+        if not linalg.in_span(vecs, [v])[0]:
             picked.append(m)
             vecs.append(v)
             if len(picked) == want:
@@ -554,17 +557,14 @@ def canonical_form_check(kind: str, n: int) -> Report:
     """
     rep = Report(f"bilocal/canonical/{kind}/N{n}")
     span = canonical_m_span(kind, n)
-    vecs = [_vec(m) for m in span]
-    closed = True
+    targets = []
     for a in span:
-        if not linalg.in_span(vecs, _vec(linalg.transpose(a))):
-            closed = False
+        targets.append(_vec(linalg.transpose(a)))
         for b in span:
-            prods = (linalg.mat_mul(linalg.transpose(a), b),
-                     linalg.mat_mul(a, linalg.transpose(b)),
-                     linalg.mat_mul(a, b), linalg.mat_mul(b, a))
-            if not all(linalg.in_span(vecs, _vec(p)) for p in prods):
-                closed = False
+            targets += [_vec(p) for p in (linalg.mat_mul(linalg.transpose(a), b),
+                                          linalg.mat_mul(a, linalg.transpose(b)),
+                                          linalg.mat_mul(a, b), linalg.mat_mul(b, a))]
+    closed = all(linalg.in_span([_vec(m) for m in span], targets))
     rep.add(f"canonical/{kind}/N{n}/closure", closed,
             detail="span closed under transpose and the four products")
     gauge = invariance_algebra(span, len(span[0]))

@@ -313,13 +313,14 @@ def run_harmonics(args) -> Report:
     rep = Report(f"harmonics/nmax{args.nmax}")
     modes = [mode for n in range(1, args.nmax + 1) for l in range(n)
              for mode in harmonics.harmonic_ladder(n, l)]
+    cols = harmonics.operator_columns()
     for mode in modes:
-        rep.extend(harmonics.verify_mode(mode.poly, mode.n, mode.l, mode.m))
+        rep.extend(harmonics.verify_mode(mode.poly, mode.n, mode.l, mode.m, cols))
     rep.extend(harmonics.level_count_check(modes))
-    rep.extend(harmonics.angular_algebra_check())
+    rep.extend(harmonics.angular_algebra_check(cols))
     rep.add("harmonics/negative-control/z1^2",
             not harmonics.verify_mode(
-                harmonics.Poly(4, {(2, 0, 0, 0): QI(1)}), 3, 0, 0).ok,
+                harmonics.Poly(4, {(2, 0, 0, 0): QI(1)}), 3, 0, 0, cols).ok,
             negative_control=True,
             detail="a non-harmonic polynomial must fail the eigen-checks")
     rng = random.Random(11)
@@ -457,8 +458,8 @@ def _validate(args):
         raise UsageError(f"--k must be between 1 and {DESK_SCALE_N}")
     if getattr(args, "flavors", 1) < 1 or getattr(args, "flavors", 1) > 4:
         raise UsageError("--flavors must be between 1 and 4")
-    if getattr(args, "nmax", 1) < 1 or getattr(args, "nmax", 1) > 12:
-        raise UsageError("--nmax must be between 1 and 12")
+    if getattr(args, "nmax", 1) < 1 or getattr(args, "nmax", 1) > 16:
+        raise UsageError("--nmax must be between 1 and 16")
     if not 1 <= getattr(args, "trials", 1) <= MAX_TRIALS:
         raise UsageError(f"--trials must be between 1 and {MAX_TRIALS}")
     if getattr(args, "seed", 0) < 0 or getattr(args, "seed", 0) >= 2 ** 64:

@@ -263,8 +263,8 @@ def joint_weight_decomposition(pair: "DualPair", fock: TruncatedFock) -> Multipl
         for q, vs in sorted(buckets.items()):
             target = buckets.get(q + 2)
             images = [e.apply(v) for v in vs]
-            if any(image and not (target and linalg.in_span(target, image))
-                   for image in images):
+            raised = [image for image in images if image]
+            if raised and not (target and all(linalg.in_span(target, raised))):
                 raise FockError("gauge raising leaves the lowest-weight space")
             m = len(linalg.kernel(images)) if q >= 0 else 0
             if m:

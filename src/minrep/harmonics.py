@@ -8,15 +8,14 @@ step by step with L- = L1 - i L2 down to m = -l; construction and
 verification are exact over Q(i).  Each operator (the Laplacian, Euler,
 H, L1, L2, L3 and L+-) is one ``poly.DiffOp`` built once at import and
 applied in one pass over a polynomial's terms; L^2 is L- L+ + (L3 + 1) L3,
-which rests on [L1, L2] = i L3.  ``verify_mode`` forms each eigen-defect
-in one pass: (H - n) h and (L3 - m) h by the operators shifted by an
-identity term, and (L^2 - l(l+1)) h as one ``scalars.sum_products`` over
-the walks of L- on L+ h and of L3 + 1 on L3 h and the terms of
--l(l+1) h, with no scaled or subtracted intermediate.
-The angular algebra check wraps H, L^2 and each L_j in a
-``linalg.ColumnMap``, built per call, so each operator's image of a unit
-monomial is formed once, and checks each bracket with one
-``linalg.bracket_defect`` call on those columns.
+which rests on [L1, L2] = i L3.  ``operator_columns`` wraps the
+Laplacian, H, L^2 and each L_j in a ``linalg.ColumnMap``; one command
+builds them once and shares them, so each operator's image of a unit
+monomial is formed once.  ``verify_mode`` reads each eigen-defect
+(X - c) h off those columns, as one ``scalars.sum_products`` call over
+the terms of h, and the angular algebra check checks each bracket with
+one ``linalg.bracket_defect`` call on the same columns.  The level
+counts are ranks, which ``linalg`` certifies mod a prime.
 
 Also provides the rational embedding of Minkowski points into the complex
 quadric coordinates z(x) and its sphere identity sum z^2 = conj(w)/w.
@@ -77,14 +76,10 @@ def laplacian(p: Poly) -> Poly:
 
 
 def l_squared(p: Poly) -> Poly:
-    """L^2 = L- L+ + (L3 + 1) L3, which rests on [L1, L2] = i L3."""
-    return Poly(p.nvars, sum_products(_l_squared_walk(p)))
-
-
-def _l_squared_walk(p: Poly):
-    """The sum_products items of L^2 p: the walks of L- over L+ p and of
-    L3 + 1 over L3 p."""
-    return chain(_LOWERING.walk(_RAISING(p).terms), _L3_PLUS_ONE.walk(_L[3](p).terms))
+    """L^2 = L- L+ + (L3 + 1) L3, which rests on [L1, L2] = i L3: the walks
+    of L- over L+ p and of L3 + 1 over L3 p, summed in one call."""
+    return Poly(p.nvars, sum_products(chain(_LOWERING.walk(_RAISING(p).terms),
+                                            _L3_PLUS_ONE.walk(_L[3](p).terms))))
 
 
 def lowering(p: Poly) -> Poly:
@@ -158,22 +153,36 @@ def build_harmonic(n: int, l: int, m: int) -> HarmonicMode:
     return harmonic_ladder(n, l)[l - m]
 
 
-def verify_mode(h: Poly, n: int, l: int, m: int) -> Report:
-    """Exact eigen-checks: harmonicity, H, L^2 and L3, each defect formed in
-    one pass: (H - n) h and (L3 - m) h by operators shifted by the identity,
-    and (L^2 - l(l+1)) h by one sum over the items of L^2 h and of
-    -l(l+1) h."""
+def operator_columns() -> dict:
+    """A new ``linalg.ColumnMap`` of each operator the checks read, keyed
+    "laplacian", "H", "L^2", "L1", "L2" and "L3": each column, the image
+    of a unit monomial, is formed on its first read and then kept, so one
+    command that shares these maps forms each column once."""
+    cols = {f"L{j}": ColumnMap(op.column) for j, op in _L.items()}
+    cols.update({"laplacian": ColumnMap(_LAPLACIAN.column),
+                 "H": ColumnMap(_HAMILTONIAN.column),
+                 "L^2": ColumnMap(lambda m: l_squared(Poly(NVARS, {m: 1})).terms)})
+    return cols
+
+
+def verify_mode(h: Poly, n: int, l: int, m: int, cols: dict) -> Report:
+    """Exact eigen-checks: harmonicity, H, L^2 and L3, read off the column
+    maps `cols` of ``operator_columns``.  Each defect (X - c) h is one
+    ``sum_products`` call over the terms of h, each term's column of X
+    and -c times the term, so no operator is applied to h."""
     rep = Report(f"harmonic/{n},{l},{m}")
-    rep.add(f"mode/{n},{l},{m}/laplacian", laplacian(h).is_zero())
-    rep.add(f"mode/{n},{l},{m}/conformal-hamiltonian",
-            _shifted(_HAMILTONIAN, n)(h).is_zero())
-    eigen = l * (l + 1)
-    d2 = sum_products(chain(_l_squared_walk(h),
-                            ((mono, c, -eigen, 1) for mono, c in h.terms.items())))
-    rep.add(f"mode/{n},{l},{m}/L2", not d2)
-    rep.add(f"mode/{n},{l},{m}/L3", _shifted(_L[3], m)(h).is_zero())
+    for record, op, eigen in (("laplacian", "laplacian", 0), ("conformal-hamiltonian", "H", n),
+                              ("L2", "L^2", l * (l + 1)), ("L3", "L3", m)):
+        rep.add(f"mode/{n},{l},{m}/{record}", not _eigen_defect(cols[op], h.terms, eigen))
     rep.add(f"mode/{n},{l},{m}/nonzero", not h.is_zero())
     return rep
+
+
+def _eigen_defect(op: ColumnMap, terms: dict, eigen: int) -> dict:
+    """The nonzero {monomial: total} of (X - eigen) h, for X's column map
+    and h's terms, summed in one ``sum_products`` call."""
+    return sum_products(chain(((r, c, u, 1) for mono, c in terms.items() for r, u in op[mono].items()),
+                              ((mono, c, -eigen, 1) for mono, c in terms.items() if eigen)))
 
 
 def level_count_check(modes: list[HarmonicMode]) -> Report:
@@ -190,22 +199,19 @@ def level_count_check(modes: list[HarmonicMode]) -> Report:
     return rep
 
 
-def angular_algebra_check(degree: int = 3) -> Report:
+def angular_algebra_check(cols: dict, degree: int = 3) -> Report:
     """[L_j, L_k] = i eps_{jkl} L_l and commutation of H with L^2, L3.
 
     Verified as exact operator identities on the full polynomial space of
-    the given degree.
+    the given degree, on the column maps `cols` of ``operator_columns``.
     """
     rep = Report("harmonics/angular-algebra")
     monos = list(monomials_up_to(NVARS, degree))
-    ls = {j: ColumnMap(op.column) for j, op in _L.items()}
     for (j, k), l in _EPS.items():
-        defect = linalg.bracket_defect(ls[j], ls[k], monos, ls[l], _I)
+        defect = linalg.bracket_defect(cols[f"L{j}"], cols[f"L{k}"], monos, cols[f"L{l}"], _I)
         rep.add(f"angular/[L{j},L{k}]=iL{l}", not defect, defect=render_defect(defect))
-    h = ColumnMap(_HAMILTONIAN.column)
-    l2 = ColumnMap(lambda m: l_squared(Poly(NVARS, {m: 1})).terms)
-    for name, op in (("L2", l2), ("L3", ls[3])):
-        defect = linalg.bracket_defect(h, op, monos)
+    for name, op in (("L2", "L^2"), ("L3", "L3")):
+        defect = linalg.bracket_defect(cols["H"], cols[op], monos)
         rep.add(f"angular/[H,{name}]=0", not defect, defect=render_defect(defect))
     return rep
 

@@ -6,25 +6,52 @@ columns and forms each one the first time it is read, so the Fock
 operators and the differential operators form only the columns a check
 reads.  ``bracket_defect`` is the one routine that brackets two such
 maps.  ``rank``, ``kernel`` and ``in_span`` take a list of vectors:
-``kernel`` returns the relations among them, ``in_span`` whether a
-target is a combination of them.  ``rref`` and ``inverse`` take sparse
-rows ``{column: entry}`` and return rows the same way.  Gauss-Jordan
-runs in exact field arithmetic, so there are no pivoting tolerances: a
-pivot is any nonzero entry, and the reduced form is unique whatever the
-order.  Dense products stay for the small labelled matrices:
-``mat_mul`` and ``trace_product`` take lists of lists, skip their zero
-entries and sum each entry's products in ints through
-``scalars.sum_products``, so their results are ``QI``, the ring every
-suite computes in.  Elimination needs only +, -, *, / and truthiness of
-its entries, and its results stay in the operands' ring: a kernel's unit
-is its first pivot, and a kernel of vectors with no entry is over
-``QI``.
+``kernel`` returns the relations among them, ``in_span`` whether each of
+a list of targets is a combination of them, reducing the vectors once.
+``rref`` and ``inverse`` take sparse rows ``{column: entry}`` and return
+rows the same way.  Gauss-Jordan runs in exact field arithmetic, so there
+are no pivoting tolerances: a pivot is any nonzero entry, and the reduced
+form is unique whatever the order.  An int entry is read as a rational,
+so no float is ever formed.
+
+Full ranks are certified mod the prime P, which is 1 mod 4 and below
+2**31: an entry (a + b*i)/d goes to (a + b*I)/d mod P, with I a square
+root of -1 mod P checked at import.  A rank can only fall mod P, so a
+rank mod P that reaches the number of rows or of columns is the rank.
+``rank`` returns it then, and ``rref`` with at least as many rows as
+columns returns one unit row per column, both with no exact elimination;
+an entry whose denominator P divides sends the call to the exact path.
+Every relation the exact ``kernel`` returns is checked by one
+``sum_products`` call over its combination of the vectors, and a nonzero
+total raises ``EliminationError``.
+
+Dense products stay for the small labelled matrices: ``mat_mul`` and
+``trace_product`` take lists of lists, skip their zero entries and sum
+each entry's products in ints through ``scalars.sum_products``, so their
+results are ``QI``, the ring every suite computes in.  Elimination needs
+only +, -, *, / and truthiness of its entries, and its results stay in
+the operands' ring, with ints read as rationals: a kernel's unit is its
+first pivot, and a kernel of vectors with no entry is over ``QI``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .lincomb import combine
-from .scalars import QI_ONE, QI_ZERO, sum_products
+from .scalars import QI, QI_ONE, QI_ZERO, residues, sum_products
+
+# The prime of the rank certificate, 2**31 - 19, which is 1 mod 4, so
+# that -1 has the square root I mod P and an entry of Q(i) whose
+# denominator P does not divide has a residue mod P.
+P = 2147483629
+I = 629208553
+if I * I % P != P - 1:
+    raise ImportError("I is not a square root of -1 mod P")
+
+
+class EliminationError(ArithmeticError):
+    """An exact elimination gave a relation that its witness check refutes."""
 
 
 def mat_copy(m):
@@ -147,14 +174,70 @@ def rref(rows):
     """Reduced row echelon form of sparse rows.  Returns (rows, pivot_columns).
 
     Each row is a {column: entry} dict; the input rows are copied, without
-    any zero entry, and left as they are.  The result holds one row per pivot column, in column order,
-    each with entry 1 at its pivot; the zero rows of the reduced form are
-    dropped.  The columns are taken in increasing order, so the result is
-    the canonical reduced form.  A column -> rows index lets each pivot
-    step touch only the rows that hold its column, and the pivot row is
-    the shortest of those not yet used, which keeps the fill-in low.
+    any zero entry, and left as they are.  The result holds one row per
+    pivot column, in column order, each with entry 1 at its pivot; the
+    zero rows of the reduced form are dropped, so the result is the
+    canonical reduced form.  With at least as many rows as columns, a rank
+    mod P equal to the column count certifies full column rank, and the
+    result is then one unit row per column, formed with no exact
+    elimination: its 1 is a ``QI`` when some entry is one, else a
+    ``Fraction``.  Every other case runs the exact elimination.
     """
-    rows = [{j: x for j, x in row.items() if x} for row in rows]
+    cols = sorted({j for row in rows for j, x in row.items() if x})
+    if len(rows) >= len(cols) and _full_rank_mod_p(rows, len(cols)):
+        one = QI_ONE if any(type(x) is QI for row in rows for x in row.values()) else Fraction(1)
+        return [{c: one} for c in cols], cols
+    return _eliminate(_copy(rows))
+
+
+def _copy(rows):
+    """The rows as new dicts without their zero entries."""
+    return [{j: x for j, x in row.items() if x} for row in rows]
+
+
+def _full_rank_mod_p(rows, target: int) -> bool:
+    """Whether the rows reach rank target mod P.  A rank can only fall mod
+    P, so when target is the most the rows can have, True proves that their
+    exact rank is target.  False when P divides the denominator of an entry
+    it reads.
+
+    Each row is reduced mod P by the pivot rows found so far, the lowest
+    column first, and a row that keeps an entry adds a pivot row; the rows
+    after the target-th pivot row are not read."""
+    pivot_rows: dict = {}
+    for row in rows:
+        if len(pivot_rows) == target:
+            break
+        r = residues(row, P, I)
+        if r is None:
+            return False
+        while r:
+            c = min(r)
+            pivot = pivot_rows.get(c)
+            if pivot is None:
+                inv = pow(r[c], -1, P)
+                pivot_rows[c] = {j: x * inv % P for j, x in r.items()}
+                break
+            f = r.pop(c)
+            for j, y in pivot.items():
+                if j != c:
+                    if x := (r.get(j, 0) - f * y) % P:
+                        r[j] = x
+                    else:
+                        r.pop(j, None)
+    return len(pivot_rows) == target
+
+
+def _eliminate(rows):
+    """The exact Gauss-Jordan behind rref, on copied rows without zero
+    entries, which it reduces in place.
+
+    The columns are taken in increasing order.  A column -> rows index lets
+    each pivot step touch only the rows that hold its column, and the pivot
+    row is the shortest of those not yet used, which keeps the fill-in low.
+    An int pivot is read as a Fraction, so an int matrix is reduced over
+    the rationals and no float is formed.
+    """
     holders: dict = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -168,6 +251,8 @@ def rref(rows):
         p = min(candidates, key=lambda i: (len(rows[i]), i))
         unused.remove(p)
         inv = rows[p][c]
+        if type(inv) is int:
+            inv = Fraction(inv)
         pivot_row = rows[p] = {j: x / inv for j, x in rows[p].items()}
         for i in holders[c] - {p}:
             row = rows[i]
@@ -190,7 +275,14 @@ def rref(rows):
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    """The rank of sparse rows.  A rank mod P that reaches the number of
+    nonzero rows or of columns is the rank, with no exact elimination;
+    otherwise the exact elimination gives it."""
+    rows = _copy(rows)
+    bound = min(sum(1 for row in rows if row), len(set().union(*rows)))
+    if _full_rank_mod_p(rows, bound):
+        return bound
+    return len(_eliminate(rows)[1])
 
 
 def kernel(vectors):
@@ -199,7 +291,9 @@ def kernel(vectors):
     The vectors are sparse {key: entry} dicts whose keys need only be
     sortable.  They are transposed once into one row per key, over the
     columns j; each free column fc then gives one relation: 1 at fc and
-    minus each reduced row's fc entry at that row's pivot column.
+    minus each reduced row's fc entry at that row's pivot column.  Each
+    relation is then checked: the sums c_j * vectors[j] of all of them go
+    to one ``sum_products`` call, and a total left raises EliminationError.
     """
     by_key: dict = {}
     for j, v in enumerate(vectors):
@@ -215,7 +309,13 @@ def kernel(vectors):
         for j, x in row.items():
             if j != pc:
                 basis[j][pc] = -x
-    return list(basis.values())
+    relations = list(basis.values())
+    defect = sum_products(((r, k), c, x, 1) for r, rel in enumerate(relations)
+                          for j, c in rel.items() for k, x in vectors[j].items())
+    if defect:
+        raise EliminationError(f"kernel relation {min(defect)[0]} leaves "
+                               f"{len(defect)} nonzero entries")
+    return relations
 
 
 def inverse(rows):
@@ -225,23 +325,23 @@ def inverse(rows):
         raise ValueError("matrix is not square")
     if not all(rows):
         raise ValueError("matrix is singular")
-    if n == 0:
-        return []   # the empty matrix is its own inverse
-    first = next(iter(rows[0].values()))
-    one = first / first
-    red, pivots = rref([{**row, n + i: one} for i, row in enumerate(rows)])
+    red, pivots = rref([{**row, n + i: 1} for i, row in enumerate(rows)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [{j - n: x for j, x in row.items() if j >= n} for row in red]
 
 
-def in_span(vectors, target):
-    """Whether the sparse vector target is a linear combination of the vectors.
+def in_span(vectors, targets) -> list:
+    """Whether each sparse vector of targets is a linear combination of the
+    vectors, one verdict per target, in order.
 
-    With the vectors reduced, target less its entry at each pivot times
-    that pivot's row is zero exactly when target lies in their span.
+    The vectors are reduced once.  A target less its entry at each pivot
+    times that pivot's row is zero exactly when it lies in their span.
     """
     red, pivots = rref(vectors)
-    residual = combine(((j, -target[pc] * y) for row, pc in zip(red, pivots)
-                        if pc in target for j, y in row.items()), dict(target))
-    return not any(residual.values())
+    verdicts = []
+    for target in targets:
+        residual = combine(((j, -target[pc] * y) for row, pc in zip(red, pivots)
+                            if pc in target for j, y in row.items()), dict(target))
+        verdicts.append(not any(residual.values()))
+    return verdicts

@@ -471,8 +471,8 @@ def sl2_centralizer_check(gens: GeneratorSet, pol: Polarization) -> Report:
     rep.add("su22/centralizer/dimension", len(commuting) == 4,
             detail=f"commuting basis elements: {commuting}")
     span = [elems[n].terms for n in commuting]
-    closed = all(linalg.in_span(span, commutator(elems[x], elems[y]).terms)
-                 for x in commuting for y in commuting)
+    closed = all(linalg.in_span(span, [commutator(elems[x], elems[y]).terms
+                                       for x in commuting for y in commuting]))
     rep.add("su22/centralizer/subalgebra", closed,
             detail="closed under commutators within the 4-dim span")
     return rep

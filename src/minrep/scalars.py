@@ -10,7 +10,9 @@ int, and reduces each total once, giving the QI that ``+`` and ``*`` give
 without building one per operation; an int operand is read as it is,
 without building a QI.  Outside QI's own methods it is the one reader of
 the fields, and the Wick kernel, the dense products and the differential
-operators all sum through it.  ``int_if_integer`` reads a real-integer
+operators all sum through it.  ``residues`` is the other reader: it
+maps a vector's entries to a prime field in which i has a square root,
+for ``linalg``'s rank certificate.  ``int_if_integer`` reads a real-integer
 ``QI`` as an ``int``, for the checks that need an integer eigenvalue or
 weight.
 ``QIS`` is the ring Q(i)[s]/(s^2 - 2).  No suite computes in it:
@@ -242,6 +244,31 @@ def sum_products(items) -> dict:
             s[1] = s[1] * u + im * v
             s[2] *= u
     return {key: _reduced(*s) for key, s in acc.items() if s[0] or s[1]}
+
+
+def residues(vector: dict, p: int, root: int) -> dict | None:
+    """{key: residue} of the vector's entries mod the prime p, with i sent
+    to root, a square root of -1 mod p; the zero residues are left out.
+
+    The entry (a + b*i)/d, an int or a Fraction goes to (a + b*root) times
+    the inverse of d mod p.  None when p divides some entry's denominator,
+    which then has no residue.
+    """
+    out = {}
+    for key, x in vector.items():
+        if type(x) is QI:
+            r, d = x._a + x._b * root, x._d
+        elif type(x) is int:
+            r, d = x, 1
+        else:
+            r, d = _parts(x)
+        if d != 1:
+            if d % p == 0:
+                return None
+            r *= pow(d, -1, p)
+        if r := r % p:
+            out[key] = r
+    return out
 
 
 def int_if_integer(c):

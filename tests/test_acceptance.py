@@ -227,12 +227,13 @@ def test_criterion_08_massless_model():
 
 def test_criterion_09_harmonics():
     ok = True
+    cols = harmonics.operator_columns()
     for n in range(1, 7):
         count = 0
         for l in range(n):
             for m in range(-l, l + 1):
                 mode = harmonics.build_harmonic(n, l, m)
-                ok &= harmonics.verify_mode(mode.poly, n, l, m).ok
+                ok &= harmonics.verify_mode(mode.poly, n, l, m, cols).ok
                 count += 1
         ok &= count == n * n
     ok &= harmonics.level_count_check(

@@ -620,7 +620,7 @@ class TestCommutantClassification:
         comm_vecs = [bilocal._vec(m) for m in comm]
         for q in bilocal._UNITS:
             assert linalg.in_span(comm_vecs,
-                                  bilocal._vec(bilocal.quaternion_matrix(q, "right")))
+                                  [bilocal._vec(bilocal.quaternion_matrix(q, "right"))]) == [True]
 
     def test_reducible_split_field_detected(self):
         # Q(sqrt 2) embedded by a symmetric matrix: a t-algebra, a division
@@ -656,7 +656,7 @@ class TestCanonicalForms:
         vecs = [bilocal._vec(m) for m in span]
         for a in span:
             for b in span:
-                assert linalg.in_span(vecs, bilocal._vec(linalg.mat_mul(a, b)))
+                assert linalg.in_span(vecs, [bilocal._vec(linalg.mat_mul(a, b))]) == [True]
 
     def test_gauge_dimensions(self):
         assert len(gauge_oracle("R", 3)) == 3       # o(3)

@@ -33,7 +33,7 @@ class TestConstruction:
             assert harmonics._L[j](p).is_zero()
         # uniqueness up to scale: the kernel construction is pinned by the
         # eigen-checks plus homogeneity
-        assert verify_mode(p, 3, 0, 0).ok
+        assert verify_mode(p, 3, 0, 0, harmonics.operator_columns()).ok
 
     def test_invalid_labels(self):
         for bad in [(0, 0, 0), (2, 2, 0), (3, 1, 2), (3, -1, 0)]:
@@ -107,11 +107,11 @@ class TestVerification:
     @pytest.mark.parametrize("n,l,m", [(2, 1, 0), (3, 2, -1), (4, 1, 1), (5, 3, 0)])
     def test_modes_pass_all_checks(self, n, l, m):
         mode = build_harmonic(n, l, m)
-        assert verify_mode(mode.poly, n, l, m).ok
+        assert verify_mode(mode.poly, n, l, m, harmonics.operator_columns()).ok
 
     def test_negative_control_non_harmonic(self):
         p = Poly(4, {(2, 0, 0, 0): QI(1)})   # z1^2
-        rep = verify_mode(p, 3, 0, 0)
+        rep = verify_mode(p, 3, 0, 0, harmonics.operator_columns())
         assert not rep.ok
         failed = {r.check_id for r in rep.records if not r.passed}
         assert any("laplacian" in f for f in failed)
@@ -119,9 +119,10 @@ class TestVerification:
     @pytest.mark.parametrize("n,l,m", [(1, 0, 0), (3, 1, -1), (4, 2, 1), (5, 3, 0)])
     def test_one_wrong_label_fails_exactly_its_own_eigen_record(self, n, l, m):
         h = build_harmonic(n, l, m).poly
+        cols = harmonics.operator_columns()
         for labels, record in (((n + 1, l, m), "conformal-hamiltonian"),
                                ((n, l + 1, m), "L2"), ((n, l, m + 1), "L3")):
-            rep = verify_mode(h, *labels)
+            rep = verify_mode(h, *labels, cols)
             assert [r.check_id.rsplit("/", 1)[1] for r in rep.records if not r.passed] == [record]
 
     def test_counts_are_squares(self):
@@ -140,10 +141,10 @@ class TestVerification:
 
 class TestOperatorAlgebra:
     def test_angular_momentum_commutators(self):
-        assert harmonics.angular_algebra_check(3).ok
+        assert harmonics.angular_algebra_check(harmonics.operator_columns(), 3).ok
 
     def test_angular_algebra_on_degree_five(self):
-        rep = harmonics.angular_algebra_check(5)
+        rep = harmonics.angular_algebra_check(harmonics.operator_columns(), 5)
         assert len(rep.records) == 5 and rep.ok
 
     def test_hamiltonian_eigenvalue_is_degree_plus_one(self):
@@ -170,7 +171,7 @@ class TestOperatorAlgebra:
         # with L1 doubled each bracket that holds L1 is off by a factor 2,
         # while H still commutes with L^2 and L3
         monkeypatch.setitem(harmonics._L, 1, harmonics._L[1].scale(QI(2)))
-        rep = harmonics.angular_algebra_check(3)
+        rep = harmonics.angular_algebra_check(harmonics.operator_columns(), 3)
         named = [r for r in rep.records if "L1" in r.check_id]
         others = [r for r in rep.records if "L1" not in r.check_id]
         assert len(named) == 3 and len(others) == 2

@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from minrep import linalg
+from minrep import cli, linalg
 from minrep.scalars import QI
 
 
@@ -159,9 +159,10 @@ def test_kernel_of_vectors_matches_the_row_route():
 
 def test_in_span():
     vs = [{0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
-    assert linalg.in_span(vs, {0: Fraction(5), 1: Fraction(3)})
-    assert not linalg.in_span([vs[0]], {1: Fraction(1)})
-    assert linalg.in_span([], {}) and not linalg.in_span([], {0: Fraction(1)})
+    assert linalg.in_span(vs, [{0: Fraction(5), 1: Fraction(3)}]) == [True]
+    assert linalg.in_span([vs[0]], [{1: Fraction(1)}, {0: Fraction(2)}]) == [False, True]
+    assert linalg.in_span([], [{}, {0: Fraction(1)}]) == [True, False]
+    assert linalg.in_span(vs, []) == []
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +365,8 @@ def _check_against_oracle(case):
 
     combination = [sum((c * row[j] for c, row in zip(b, m)), 0 * m[0][0])
                    for j in range(len(m[0]))]
-    for t in (x, combination):
-        want = len(_dense_rref(m + [t])[1]) == len(_dense_rref(m)[1])
-        assert linalg.in_span(rows, sparse([t])[0]) is want
+    want = [len(_dense_rref(m + [t])[1]) == len(_dense_rref(m)[1]) for t in (x, combination)]
+    assert linalg.in_span(rows, sparse([x, combination])) == want
 
     with mock.patch.object(linalg, "rref", _oracle_rref):
         want = derived()
@@ -465,3 +465,107 @@ def test_mixed_qi_fraction_products_keep_their_types():
         assert linalg.mat_mul(a, b) == [[QI(1), QI(0)], [QI(0), QI(2)]]
         assert _types(linalg.mat_mul(a, b)) == [[QI, QI], [QI, QI]]
     assert _types(linalg.mat_mul(d, d)) == [[QI, QI], [QI, QI]]
+
+
+# ---------------------------------------------------------------------------
+# The rank certificate mod P, and the exact path it falls back to
+
+
+def test_the_certificate_prime_is_one_mod_four_with_a_root_of_minus_one():
+    p = linalg.P
+    assert p < 2 ** 31 and p % 4 == 1 and linalg.I * linalg.I % p == p - 1
+    assert all(p % d for d in range(3, int(p ** 0.5) + 1, 2)) and p % 2
+
+
+def _exact(f, *args):
+    """f with the certificate switched off, so every call runs the exact
+    elimination: the oracle of the certified rank, rref and kernel."""
+    with mock.patch.object(linalg, "_full_rank_mod_p", lambda rows, target: False):
+        return f(*args)
+
+
+def _spy_exact():
+    return mock.patch.object(linalg, "_eliminate", wraps=linalg._eliminate)
+
+
+def test_int_entries_are_eliminated_exactly():
+    # ints once divided by / into floats, which lost these differences of 1
+    big = 10 ** 17 + 1
+    with _spy_exact() as spy:
+        assert linalg.in_span([{0: 10 ** 17 + 1, 1: 10 ** 17 + 2}],
+                              [{0: 10 ** 17, 1: 10 ** 17 + 1}]) == [False]
+        kern = linalg.kernel([{0: big, 1: big - 1}, {0: big + 1, 1: big}, {0: 1}])
+        inv = linalg.inverse([{0: big, 1: big - 1}, {0: big + 1, 1: big}])
+    assert spy.call_count == 3
+    assert kern == [{0: -big, 1: big - 1, 2: 1}]
+    assert inv == [{0: big, 1: 1 - big}, {0: -1 - big, 1: big}]
+    assert all(type(x) is Fraction for rows in (kern, inv) for row in rows for x in row.values())
+
+
+def test_kernel_witness_refutes_a_corrupted_elimination():
+    original = linalg._eliminate
+
+    def corrupted(rows):
+        # each non-pivot entry of the first reduced row is off by one
+        red, pivots = original(rows)
+        red[0] = {j: x if j == pivots[0] else x + 1 for j, x in red[0].items()}
+        return red, pivots
+
+    deficient = [{0: QI(1), 1: QI(2)}, {0: QI(2), 1: QI(4)}]
+    full = [{0: QI(1), 1: QI(2)}, {0: QI(3), 1: QI(4)}, {0: QI(5)}]
+    assert linalg.kernel(deficient) == [{1: QI(1), 0: QI(-2)}]
+    with mock.patch.object(linalg, "_eliminate", corrupted):
+        with pytest.raises(linalg.EliminationError):
+            linalg.kernel(deficient)
+        # the certificate decides these without the exact elimination
+        assert linalg.rank(full) == 2 and linalg.rank(full[:2]) == 2
+        assert linalg.kernel(full[:2]) == []
+        assert linalg.rref(full) == ([{0: QI(1)}, {1: QI(1)}], [0, 1])
+        # a failed witness is an internal error of the command, exit 3
+        assert cli.main(["harmonics", "--nmax", "3", "--format", "json"]) == cli.EXIT_INTERNAL
+
+
+def _random_rows(rng, ring):
+    """Sparse rows over columns 0..5 of one ring, some rows combinations of
+    others, and some entries with no residue mod P or a zero residue."""
+    p, root = linalg.P, linalg.I
+    pool = {"int": lambda: rng.randint(-3, 3),
+            "Fraction": lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+            "QI": lambda: QI(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))}
+    special = {"int": [p, 2 * p], "Fraction": [Fraction(1, p), Fraction(p, 2)],
+               "QI": [QI(Fraction(1, p), 1), QI(-root, 1), QI(p)]}[ring]
+    rows = []
+    for _ in range(rng.randint(0, 8)):
+        if rows and rng.random() < 0.2:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = pool[ring]()
+            rows.append({j: x for j in set(a) | set(b) if (x := c * a.get(j, 0) + b.get(j, 0))})
+            continue
+        row = {}
+        for j in rng.sample(range(6), rng.randint(0, 4)):
+            row[j] = rng.choice(special) if rng.random() < 0.05 else pool[ring]()
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("ring", ["int", "Fraction", "QI"])
+def test_certificate_agrees_with_exact_elimination(ring):
+    rng = random.Random(23)
+    certified = fallback = 0
+    for _ in range(300):
+        rows = _random_rows(rng, ring)
+        for f in (linalg.rank, linalg.rref, linalg.kernel):
+            got, want = f(rows), _exact(f, rows)
+            assert got == want and _types_deep(got) == _types_deep(want)
+        assert not any(type(x) is float for x in _flat(linalg.rref(rows)))
+        cols = set().union(*rows)
+        certified += len(rows) >= len(cols) and linalg._full_rank_mod_p(rows, len(cols))
+        # no residue, or a rank that falls mod P: the exact path decides
+        fallback += not linalg._full_rank_mod_p(rows, _exact(linalg.rank, rows))
+    assert certified > 30 and fallback > 5
+
+
+def _flat(x):
+    if isinstance(x, dict):
+        return [y for v in x.values() for y in _flat(v)]
+    return [y for v in x for y in _flat(v)] if isinstance(x, (list, tuple)) else [x]

@@ -463,7 +463,7 @@ class TestGroupLevelGolden:
         for x in basis:
             for y in basis:
                 assert linalg.in_span([w.terms for w in basis + [WeylElement.one()]],
-                                      commutator(x, y).terms)
+                                      [commutator(x, y).terms]) == [True]
 
 
 def _unitary_basis_oracle(signs, traceless=False):

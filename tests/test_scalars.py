@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from minrep.scalars import QI, QIS, QIS_INV_SQRT2, QIS_SQRT2
+from minrep.scalars import QI, QIS, QIS_INV_SQRT2, QIS_SQRT2, residues
 
 
 def test_qi_field_arithmetic():
@@ -75,3 +75,18 @@ def test_qis_hash_agrees_with_equality():
         assert hash(QIS(QI.of(x))) == hash(x)
     assert {QIS(QI(1)): "one"}[1] == "one"
     assert QIS(QI(1), QI(1)) != QI(1)
+
+
+def test_residues_read_each_ring_mod_p():
+    p, root = 13, 5                                   # 5 * 5 = 25 = -1 mod 13
+    vector = {"a": QI(Fraction(3, 2), 1), "b": Fraction(-7, 4), "c": 20, "d": QI(-5, 1)}
+    # (3 + 2 * 5) / 2 = 0; -7 / 4 = -7 * 10 = 8; 20 = 7; -5 + 5 = 0
+    assert residues(vector, p, root) == {"b": 8, "c": 7}
+    assert residues({}, p, root) == {}
+
+
+def test_residues_refuse_a_denominator_that_p_divides():
+    assert residues({0: 1, 1: Fraction(1, 26)}, 13, 5) is None
+    assert residues({0: QI(Fraction(1, 13), 1)}, 13, 5) is None
+    with pytest.raises(TypeError):
+        residues({0: 0.5}, 13, 5)
