@@ -25,8 +25,13 @@ terms.  Both routes sum through that kernel, so the check does not test
 it; its oracle tests do.  On top of the engine sit the closed commutator
 formula for matrix-labeled bilinears, the Frobenius pairing of the
 labeling matrix algebra, and the real/complex/quaternionic commutant
-classification; the labeling matrices are ``QI`` matrices too, and a
-sign test on one of their values asserts that the value is real.
+classification.  The Wick labels of the formula and Frobenius checks are
+dense lists of lists; the matrices of the t-algebras, their commutants,
+the canonical real forms and their invariance algebras are
+``{(row, col): entry}`` dicts of their nonzero entries, the format of
+``linalg.product``, with a size given alongside, and every entry outside
+that size is refused.  A sign test on a commutant value asserts that the
+value is real.
 """
 
 from __future__ import annotations
@@ -185,10 +190,16 @@ def wick_commutator(u: WickElement, v: WickElement) -> WickElement:
 
 
 def bilocal_field(m, p: int, q: int) -> WickElement:
-    """V_M(x_p, x_q) = sum_ij M_ij :phi_i(x_p) phi_j(x_q):, linear in M."""
+    """V_M(x_p, x_q) = sum_ij M_ij :phi_i(x_p) phi_j(x_q):, linear in M,
+    for a dense label M."""
+    return _field((((i, j), c) for i, row in enumerate(m) for j, c in enumerate(row)), p, q)
+
+
+def _field(entries, p: int, q: int) -> WickElement:
+    """V_M(x_p, x_q) of the ((i, j), M_ij) entries of M, 0-based i and j."""
     return WickElement(combine(
-        (((tuple(sorted(((p, i), (q, j)))), _EMPTY), QI.of(c))
-         for i, row in enumerate(m, start=1) for j, c in enumerate(row, start=1) if c), {}))
+        (((tuple(sorted(((p, i + 1), (q, j + 1)))), _EMPTY), QI.of(c))
+         for (i, j), c in entries if c), {}))
 
 
 # The four single contractions of the closed form: D_kl V(p, x; q, y) times
@@ -279,9 +290,12 @@ def verify_commutator_formula(m, mp) -> Report:
 
 
 def frobenius(m1, m2) -> QI:
-    if len(m1) != len(m2) or len(m1[0]) != len(m2[0]):
-        raise ValueError("shape mismatch in the Frobenius pairing")
-    return linalg.trace_product(linalg.transpose(m1), m2)
+    """<M1, M2> = tr(tM1 M2) = sum_ij M1_ij M2_ij of two dense labels of one
+    shape, over the entries nonzero in both."""
+    if len(m1) != len(m2) or any(len(row) != len(m1[0]) for row in (*m1, *m2)):
+        raise ValueError("ragged or mismatched matrices in the Frobenius pairing")
+    return sum_products((0, x, y, 1) for r1, r2 in zip(m1, m2) for x, y in zip(r1, r2)
+                        if x and y).get(0, QI_ZERO)
 
 
 def frobenius_property_check(m1, m2, m3) -> Report:
@@ -301,41 +315,46 @@ def frobenius_property_check(m1, m2, m3) -> Report:
 
 # ---------------------------------------------------------------------------
 # t-algebras and commutant classification
+#
+# A matrix here is a {(row, col): entry} dict of its nonzero entries, as in
+# linalg, and each algebra names its size.
 
 
 @dataclass
 class TAlgebra:
     basis: list
+    size: int
 
     def __post_init__(self):
-        vecs = [_vec(m) for m in self.basis]
-        if linalg.rank(vecs) != len(vecs):
+        _require_size(self.basis, self.size)
+        if linalg.rank(self.basis) != len(self.basis):
             raise ValueError("t-algebra basis is linearly dependent")
         checks = []
         for i, a in enumerate(self.basis):
             checks.append((f"basis element {i} transposes out of the span",
-                           _vec(linalg.transpose(a))))
-            checks += [(f"product {i}*{j} leaves the span", _vec(linalg.mat_mul(a, b)))
+                           linalg.dict_transpose(a)))
+            checks += [(f"product {i}*{j} leaves the span", linalg.product(a, b))
                        for j, b in enumerate(self.basis)]
-        checks.append(("unital t-algebra must contain the identity",
-                       _vec(linalg.identity(len(self.basis[0])))))
-        for (msg, _), ok in zip(checks, linalg.in_span(vecs, [t for _, t in checks])):
+        checks.append(("unital t-algebra must contain the identity", _identity(self.size)))
+        for (msg, _), ok in zip(checks, linalg.in_span(self.basis, [t for _, t in checks])):
             if not ok:
                 raise ValueError(msg)
 
-    @property
-    def size(self) -> int:
-        return len(self.basis[0])
+
+def _require_size(mats, size: int):
+    """Raise ValueError unless every entry of every matrix lies in size x size."""
+    for m in mats:
+        if not all(0 <= i < size and 0 <= j < size for i, j in m):
+            raise ValueError(f"matrix entry outside {size} x {size}")
 
 
-def _vec(m):
-    """The matrix's nonzero entries as a sparse vector over its row-major positions."""
-    return {k: c for k, c in enumerate(c for row in m for c in row) if c}
+def _identity(size: int) -> dict:
+    return {(i, i): QI_ONE for i in range(size)}
 
 
-def _mat(v, size: int):
-    """The size x size matrix of a sparse vector over row-major positions."""
-    return [[v.get(i * size + j, QI_ZERO) for j in range(size)] for i in range(size)]
+def _sum(*terms) -> dict:
+    """The nonzero entries of sum w * m over the (w, m) terms."""
+    return sum_products((ij, x, w, 1) for w, m in terms for ij, x in m.items())
 
 
 class ReducibleAlgebraError(ValueError):
@@ -346,16 +365,18 @@ def commutant_basis(mats, size: int):
     """Exact solve of M X = X M for all M: basis of the commutant.
 
     One column per unknown X_ab, over the entries (M, i, j) of M X - X M:
-    X_ab enters entry (i, b) with M_ia and entry (a, j) with -M_bj."""
-    cols = []
-    for a in range(size):
-        for b in range(size):
-            col = combine((((mi, i, b), QI.of(m[i][a])) for mi, m in enumerate(mats)
-                           for i in range(size) if m[i][a]), {})
-            combine((((mi, a, j), -QI.of(m[b][j])) for mi, m in enumerate(mats)
-                     for j in range(size) if m[b][j]), col)
-            cols.append(col)
-    return [_mat(v, size) for v in linalg.kernel(cols)]
+    each nonzero M_rc puts M_rc into X_ck's column at (r, k) and -M_rc into
+    X_kr's column at (k, c), for every k.  Raises ValueError on an entry
+    outside size x size."""
+    _require_size(mats, size)
+    cols = [{} for _ in range(size * size)]
+    for mi, m in enumerate(mats):
+        for (r, c), x in m.items():
+            x = QI.of(x)
+            for k in range(size):
+                combine((((mi, r, k), x),), cols[c * size + k])
+                combine((((mi, k, c), -x),), cols[k * size + r])
+    return [{divmod(j, size): x for j, x in rel.items()} for rel in linalg.kernel(cols)]
 
 
 def invariance_algebra(span, size: int):
@@ -366,16 +387,17 @@ def invariance_algebra(span, size: int):
     the commutant is too, and they are the parts X - tX of its elements;
     one reduction of those parts gives the basis.
     """
-    parts = [_vec(linalg.mat_sub(x, linalg.transpose(x))) for x in commutant_basis(span, size)]
-    return [_mat(v, size) for v in linalg.rref(parts)[0]]
+    parts = [_sum((1, x), (-1, linalg.dict_transpose(x))) for x in commutant_basis(span, size)]
+    return linalg.rref(parts)[0]
 
 
 def commutant_type(alg: TAlgebra):
     """Classify the commutant of an irreducible t-algebra as R, C or H.
 
     Returns (label, commutant basis).  The division structure over the
-    reals is established exactly: dimension 1 is the scalars; dimension 2
-    needs the traceless generator to square to a negative scalar;
+    reals is established exactly: dimension 1 is the scalars, since the
+    identity commutes with every matrix; dimension 2 needs the traceless
+    part of its non-scalar element to square to a negative scalar;
     dimension 4 needs the traceless part to satisfy a Clifford relation
     with negative definite Gram matrix.  Anything else means the algebra
     was reducible over R, reported as an error.
@@ -384,27 +406,21 @@ def commutant_type(alg: TAlgebra):
     comm = commutant_basis(alg.basis, size)
     dim = len(comm)
     if dim == 1:
-        _require_scalar(comm[0], size)
         return "R", comm
+    traceless = [t for c in comm if (t := _traceless_part(c, size))]
     if dim == 2:
-        j = _traceless_part(_non_scalar(comm, size), size)
-        sq = linalg.mat_mul(j, j)
-        lam = _scalar_value(sq, size)
+        # two independent elements are not both scalar, so traceless has one
+        lam = _scalar_value(linalg.product(traceless[0], traceless[0]), size)
         if lam is None or lam.real_fraction() >= 0:
             raise ReducibleAlgebraError(_REDUCIBLE)
         return "C", comm
     if dim == 4:
-        traceless = []
-        for c in comm:
-            t = _traceless_part(c, size)
-            if any(any(row) for row in t):
-                traceless.append(t)
         basis3 = _independent(traceless, 3)
         gram = [[QI_ZERO] * 3 for _ in range(3)]
         for i in range(3):
             for j in range(3):
-                anti = linalg.mat_add(linalg.mat_mul(basis3[i], basis3[j]),
-                                      linalg.mat_mul(basis3[j], basis3[i]))
+                anti = _sum((1, linalg.product(basis3[i], basis3[j])),
+                            (1, linalg.product(basis3[j], basis3[i])))
                 lam = _scalar_value(anti, size)
                 if lam is None:
                     raise ReducibleAlgebraError(_REDUCIBLE)
@@ -415,45 +431,22 @@ def commutant_type(alg: TAlgebra):
     raise ReducibleAlgebraError(_REDUCIBLE)
 
 
-def _non_scalar(comm, size):
-    for c in comm:
-        t = _traceless_part(c, size)
-        if any(any(row) for row in t):
-            return c
-    raise ReducibleAlgebraError("commutant has no non-scalar element")
-
-
 def _traceless_part(m, size):
-    t = linalg.trace(m) / size
-    out = [row[:] for row in m]
-    for i in range(size):
-        out[i][i] -= t
-    return out
+    t = sum((x for (i, j), x in m.items() if i == j), QI_ZERO) / size
+    return _sum((1, m), (-1, {(i, i): t for i in range(size)}))
 
 
 def _scalar_value(m, size):
-    lam = m[0][0]
-    for i in range(size):
-        for j in range(size):
-            want = lam if i == j else 0
-            if m[i][j] != want:
-                return None
-    return lam
-
-
-def _require_scalar(m, size):
-    if _scalar_value(m, size) is None:
-        raise ReducibleAlgebraError("1-dimensional commutant is not scalar")
+    """lam when m is lam times the identity, else None."""
+    lam = m.get((0, 0), QI_ZERO)
+    return lam if m == ({(i, i): lam for i in range(size)} if lam else {}) else None
 
 
 def _independent(mats, want):
     picked = []
-    vecs = []
     for m in mats:
-        v = _vec(m)
-        if not linalg.in_span(vecs, [v])[0]:
+        if not linalg.in_span(picked, [m])[0]:
             picked.append(m)
-            vecs.append(v)
             if len(picked) == want:
                 return picked
     raise ReducibleAlgebraError("commutant traceless part is too small")
@@ -465,7 +458,7 @@ def _positive_definite(g):
     The k-th pivot is the ratio of the k-th to the (k-1)-th leading minor,
     so every leading minor is positive exactly when every pivot is.
     """
-    a = linalg.mat_copy(g)
+    a = [row[:] for row in g]
     for k, pivot_row in enumerate(a):
         p = pivot_row[k]
         if p.real_fraction() <= 0:
@@ -495,32 +488,28 @@ _QUAT = {  # (a, b): the product a b of two units, as (unit, sign)
 _UNITS = ("1", "i", "j", "k")
 
 
-def quaternion_matrix(q: str, side: str):
+def quaternion_matrix(q: str, side: str) -> dict:
     """4x4 matrix of multiplication by a unit quaternion q, on the "left"
     (u -> q u) or on the "right" (u -> u q)."""
-    m = [[QI_ZERO] * 4 for _ in range(4)]
+    m = {}
     for col, u in enumerate(_UNITS):
         prod, sign = _QUAT[{"left": (q, u), "right": (u, q)}[side]]
-        m[_UNITS.index(prod)][col] = QI(sign)
+        m[_UNITS.index(prod), col] = QI(sign)
     return m
 
 
 # the complex unit i on R^2 = C, with J^2 = -1
-_J = [[QI_ZERO, QI(-1)], [QI_ONE, QI_ZERO]]
+_J = {(0, 1): QI(-1), (1, 0): QI_ONE}
 
 
-def _block_diag(block, copies: int):
-    b = len(block)
-    out = [[QI_ZERO] * (b * copies) for _ in range(b * copies)]
-    for c in range(copies):
-        for i in range(b):
-            out[c * b + i][c * b:(c + 1) * b] = block[i]
-    return out
+def _block_diag(block: dict, b: int, copies: int) -> dict:
+    """copies of the b x b block down the diagonal."""
+    return {(c * b + i, c * b + j): x for c in range(copies) for (i, j), x in block.items()}
 
 
 def quaternion_left_algebra(n: int):
     """Left multiplications by 1, i, j, k on n quaternionic coordinates."""
-    return [_block_diag(quaternion_matrix(q, "left"), n) for q in _UNITS]
+    return [_block_diag(quaternion_matrix(q, "left"), 4, n) for q in _UNITS]
 
 
 def canonical_m_span(kind: str, n: int):
@@ -531,11 +520,11 @@ def canonical_m_span(kind: str, n: int):
     H: right multiplications by 1, i, j, k on R^(4N).
     """
     if kind == "R":
-        return [linalg.identity(n)]
+        return [_identity(n)]
     if kind == "C":
-        return [linalg.identity(2 * n), _block_diag(_J, n)]
+        return [_identity(2 * n), _block_diag(_J, 2, n)]
     if kind == "H":
-        return [_block_diag(quaternion_matrix(q, "right"), n) for q in _UNITS]
+        return [_block_diag(quaternion_matrix(q, "right"), 4, n) for q in _UNITS]
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -557,31 +546,32 @@ def canonical_form_check(kind: str, n: int) -> Report:
     """
     rep = Report(f"bilocal/canonical/{kind}/N{n}")
     span = canonical_m_span(kind, n)
+    size = {"R": 1, "C": 2, "H": 4}[kind] * n
     targets = []
     for a in span:
-        targets.append(_vec(linalg.transpose(a)))
+        ta = linalg.dict_transpose(a)
+        targets.append(ta)
         for b in span:
-            targets += [_vec(p) for p in (linalg.mat_mul(linalg.transpose(a), b),
-                                          linalg.mat_mul(a, linalg.transpose(b)),
-                                          linalg.mat_mul(a, b), linalg.mat_mul(b, a))]
-    closed = all(linalg.in_span([_vec(m) for m in span], targets))
+            targets += [linalg.product(ta, b), linalg.product(a, linalg.dict_transpose(b)),
+                        linalg.product(a, b), linalg.product(b, a)]
+    closed = all(linalg.in_span(span, targets))
     rep.add(f"canonical/{kind}/N{n}/closure", closed,
             detail="span closed under transpose and the four products")
-    gauge = invariance_algebra(span, len(span[0]))
+    gauge = invariance_algebra(span, size)
     want = gauge_dimension(kind, n)
     rep.add(f"canonical/{kind}/N{n}/full-invariance", len(gauge) == want,
             detail=f"dim {len(gauge)}, expected {want}")
     ok_mat = True
     ok_wick = True
     for a in gauge:
-        if linalg.transpose(a) != [[-x for x in row] for row in a]:
+        ta = linalg.dict_transpose(a)
+        if ta != {ij: -x for ij, x in a.items()}:
             ok_mat = False
         for m in span:
-            var = linalg.mat_add(linalg.mat_mul(linalg.transpose(a), m),
-                                 linalg.mat_mul(m, a))
-            if any(any(row) for row in var):
+            var = _sum((1, linalg.product(ta, m)), (1, linalg.product(m, a)))
+            if var:
                 ok_mat = False
-            if not bilocal_field(var, 1, 2).is_zero():
+            if not _field(var.items(), 1, 2).is_zero():
                 ok_wick = False
     rep.add(f"canonical/{kind}/N{n}/gauge-matrix", ok_mat,
             detail=f"tA M + M A = 0 for each of the {len(gauge)} kernel generators")
@@ -589,7 +579,7 @@ def canonical_form_check(kind: str, n: int) -> Report:
             detail=f"transformed bilocal vanishes in the Wick engine for each of the "
                    f"{len(gauge)} kernel generators")
     try:
-        TAlgebra(span)
+        TAlgebra(span, size)
     except ValueError as exc:
         ok, defect = False, str(exc)
     else:

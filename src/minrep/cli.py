@@ -249,15 +249,15 @@ def run_check_bilocal(args) -> Report:
                   for _ in range(args.trials))
     rep.add(f"bilocal/frobenius/trials{args.trials}", ok_frob)
 
-    mats2 = [oscrep.basis_matrix(2, a, b) for a in range(2) for b in range(2)]
-    kind, comm = bilocal.commutant_type(bilocal.TAlgebra(mats2))
+    mats2 = [{(a, b): QI(1)} for a in range(2) for b in range(2)]
+    kind, comm = bilocal.commutant_type(bilocal.TAlgebra(mats2, 2))
     rep.add("bilocal/commutant/full-mat2", kind == "R" and len(comm) == 1,
             detail=f"type {kind}, dim {len(comm)}")
-    kind, comm = bilocal.commutant_type(bilocal.TAlgebra(bilocal.canonical_m_span("C", 1)))
+    kind, comm = bilocal.commutant_type(bilocal.TAlgebra(bilocal.canonical_m_span("C", 1), 2))
     rep.add("bilocal/commutant/complex-scalars", kind == "C" and len(comm) == 2,
             detail=f"type {kind}, dim {len(comm)}")
     lefts = bilocal.quaternion_left_algebra(1)
-    kind, comm = bilocal.commutant_type(bilocal.TAlgebra(lefts))
+    kind, comm = bilocal.commutant_type(bilocal.TAlgebra(lefts, 4))
     rep.add("bilocal/commutant/quaternion-left", kind == "H" and len(comm) == 4,
             detail=f"type {kind}, dim {len(comm)}")
 

@@ -436,13 +436,8 @@ def central_pairing(x_blocks, y_blocks) -> QI:
     """
     bx, gx = x_blocks
     by, gy = y_blocks
-    return sum_products(chain(_trace_items(gx, by, 2), _trace_items(bx, gy, -2))).get(0, QI_ZERO)
-
-
-def _trace_items(a: dict, b: dict, w: int):
-    """(0, a_ik, b_ki, w) for each product in tr(ab), for sum_products, with
-    a and b given as {(i, j): entry} of their nonzero entries."""
-    return ((0, x, y, w) for (i, k), x in a.items() if (y := b.get((k, i))))
+    return sum_products(chain(linalg.trace_items(gx, by, 2),
+                              linalg.trace_items(bx, gy, -2))).get(0, QI_ZERO)
 
 
 def cross_check_basis_size(family: str, k: int, flavors: int, level: int) -> int:

@@ -25,13 +25,19 @@ Every relation the exact ``kernel`` returns is checked by one
 ``sum_products`` call over its combination of the vectors, and a nonzero
 total raises ``EliminationError``.
 
-Dense products stay for the small labelled matrices: ``mat_mul`` and
-``trace_product`` take lists of lists, skip their zero entries and sum
-each entry's products in ints through ``scalars.sum_products``, so their
-results are ``QI``, the ring every suite computes in.  Elimination needs
-only +, -, *, / and truthiness of its entries, and its results stay in
-the operands' ring, with ints read as rationals: a kernel's unit is its
-first pivot, and a kernel of vectors with no entry is over ``QI``.
+Every algebra matrix is a ``{(row, col): entry}`` dict of its nonzero
+entries, which is also a sparse vector that ``rank``, ``kernel`` and
+``in_span`` read.  ``product`` sums its products in ints through
+``scalars.sum_products``, so its entries are ``QI``, the ring every suite
+computes in; ``dict_transpose`` swaps the indices and ``trace_items``
+hands the products of tr(ab) to ``sum_products``.  Only the check-bilocal
+Wick labels stay dense lists of lists, for ``mat_mul``, ``transpose``
+and ``identity``; ``mat_mul`` skips zero entries and sums the same way.
+
+Elimination needs only +, -, *, / and truthiness of its entries, and its
+results stay in the operands' ring, with ints read as rationals: a
+kernel's unit is its first pivot, and a kernel of vectors with no entry
+is over ``QI``.
 """
 
 from __future__ import annotations
@@ -54,23 +60,11 @@ class EliminationError(ArithmeticError):
     """An exact elimination gave a relation that its witness check refutes."""
 
 
-def mat_copy(m):
-    return [row[:] for row in m]
-
-
 def transpose(m):
     """The transpose of m; a ragged m raises ValueError, so no entry is dropped."""
     if any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix in transpose")
     return [list(col) for col in zip(*m)] if m else []
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_mul(a, b):
@@ -97,24 +91,29 @@ def mat_mul(a, b):
     return out
 
 
-def trace_product(a, b):
-    """tr(ab) for a n x m and b m x n, from the nonzero entries, never forming ab.
-    Any other shapes raise ValueError."""
-    if any(len(row) != len(b) for row in a) or any(len(row) != len(a) for row in b):
-        raise ValueError("shape mismatch in trace_product")
-    return sum_products((0, x, y, 1) for i, arow in enumerate(a) for k, x in enumerate(arow)
-                        if x and (y := b[k][i])).get(0, QI_ZERO)
-
-
-def trace(m):
-    s = m[0][0]
-    for i in range(1, len(m)):
-        s = s + m[i][i]
-    return s
-
-
 def identity(n):
     return [[QI_ONE if i == j else QI_ZERO for j in range(n)] for i in range(n)]
+
+
+def product(a: dict, b: dict) -> dict:
+    """The nonzero {(row, col): entry} of ab, for a and b given as
+    {(row, col): entry}, each product of nonzero entries summed by
+    ``sum_products``."""
+    rows: dict = {}
+    for (k, j), y in b.items():
+        rows.setdefault(k, []).append((j, y))
+    return sum_products(((i, j), x, y, 1) for (i, k), x in a.items() for j, y in rows.get(k, ()))
+
+
+def dict_transpose(m: dict) -> dict:
+    """The transpose of m, given as {(row, col): entry}."""
+    return {(j, i): x for (i, j), x in m.items()}
+
+
+def trace_items(a: dict, b: dict, w: int):
+    """(0, a_ik, b_ki, w) for each product in tr(ab), for sum_products, with
+    a and b given as {(row, col): entry} of their nonzero entries."""
+    return ((0, x, y, w) for (i, k), x in a.items() if (y := b.get((k, i))))
 
 
 class ColumnMap(dict):

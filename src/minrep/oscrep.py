@@ -6,8 +6,8 @@ commutants, matrix membership conditions, the quadratic Casimir relation
 and the degree-two relation among the noncompact raising operators of
 so*(8) are all verified as exact symbolic identities.  The Lie algebra
 matrices (bases, duals, membership arguments) are {(row, col): entry}
-dicts of their nonzero entries, and their sums go through
-``scalars.sum_products``.
+dicts of their nonzero entries, multiplied by ``linalg.product`` and
+summed through ``scalars.sum_products``.
 """
 
 from __future__ import annotations
@@ -62,17 +62,17 @@ class FormSpec:
         if self.beta is not None:
             if _star(self.beta) != self.beta:
                 raise AlgebraError("beta must be hermitean")
-            if _product(self.beta, self.beta) != one:
+            if linalg.product(self.beta, self.beta) != one:
                 raise AlgebraError("beta^2 must be 1")
         if self.sigma is not None:
-            if {(j, i): f for (i, j), f in self.sigma.items()} != self.sigma:
+            if linalg.dict_transpose(self.sigma) != self.sigma:
                 raise AlgebraError("sigma must be symmetric")
-            if _product(self.sigma, self.sigma) != one:
+            if linalg.product(self.sigma, self.sigma) != one:
                 raise AlgebraError("sigma^2 must be 1")
         if self.sympl is not None:
-            if _product(self.sympl, _star(self.sympl)) != one:
+            if linalg.product(self.sympl, _star(self.sympl)) != one:
                 raise AlgebraError("J J* must be 1")
-            if _product(self.sympl, self.sympl) != {ii: -f for ii, f in one.items()}:
+            if linalg.product(self.sympl, self.sympl) != {ii: -f for ii, f in one.items()}:
                 raise AlgebraError("-J^2 must be 1")
 
 
@@ -88,13 +88,7 @@ def _by_row_and_col(form: dict):
 
 def _star(m: dict) -> dict:
     """The conjugate transpose of m, given as {(row, col): entry}."""
-    return {(j, i): f.conj() for (i, j), f in m.items()}
-
-
-def _product(a: dict, b: dict) -> dict:
-    """The nonzero {(row, col): entry} of ab, summed by sum_products."""
-    rows = _by_row_and_col(b)[0]
-    return sum_products(((i, j), x, y, 1) for (i, k), x in a.items() for j, y in rows.get(k, ()))
+    return {ij: f.conj() for ij, f in linalg.dict_transpose(m).items()}
 
 
 def form_spec(family: str, k: int) -> FormSpec:

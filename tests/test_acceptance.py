@@ -138,16 +138,14 @@ def test_criterion_05_bilocal_commutator_theorem():
     mats2 = []
     for a in range(2):
         for b in range(2):
-            m = [[Fraction(0)] * 2 for _ in range(2)]
-            m[a][b] = Fraction(1)
-            mats2.append(m)
-    kind, comm = bilocal.commutant_type(bilocal.TAlgebra(mats2))
+            mats2.append({(a, b): Fraction(1)})
+    kind, comm = bilocal.commutant_type(bilocal.TAlgebra(mats2, 2))
     ok &= kind == "R" and len(comm) == 1
     kind, comm = bilocal.commutant_type(
-        bilocal.TAlgebra(bilocal.canonical_m_span("C", 1)))
+        bilocal.TAlgebra(bilocal.canonical_m_span("C", 1), 2))
     ok &= kind == "C" and len(comm) == 2
     lefts = bilocal.quaternion_left_algebra(1)
-    kind, comm = bilocal.commutant_type(bilocal.TAlgebra(lefts))
+    kind, comm = bilocal.commutant_type(bilocal.TAlgebra(lefts, 4))
     ok &= kind == "H" and len(comm) == 4
     _criterion("05-bilocal-theorem", ok,
                "50 trials per size 1..4, Frobenius, R/C/H classifier")

@@ -355,7 +355,7 @@ class TestCommutatorFormula:
              for _ in range(3)]
         mp = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)]
               for _ in range(3)]
-        sym = linalg.mat_add(mp, linalg.transpose(mp))
+        sym = mat_add(mp, linalg.transpose(mp))
         for label, fires in ((sym, False), (mp, True)):
             lhs = wick_commutator(bilocal_field(m, 1, 2), bilocal_field(label, 3, 4))
             wrong = bilocal.commutator_rhs(m, linalg.transpose(label))
@@ -381,7 +381,7 @@ class TestCommutatorFormula:
             assert len(defect.terms) > reports.DEFECT_TERMS
             assert rec.defect == f"{shown} + ... ({len(defect.terms)} terms)"
             assert len(rec.defect) < 400 < len(str(defect))
-            sym, = verify_commutator_formula(m, linalg.mat_add(mp, linalg.transpose(mp))).records
+            sym, = verify_commutator_formula(m, mat_add(mp, linalg.transpose(mp))).records
             assert sym.passed and sym.defect == "0"
         # the transposed-rhs pair M = E_11, M' = E_12 at L = 2, term by term:
         # the closed form taken at tM' = E_21 contracts x_4 where the
@@ -394,6 +394,16 @@ class TestCommutatorFormula:
 
 # ---------------------------------------------------------------------------
 # The closed form by dense matrix products, the route the index sums replaced
+
+
+def mat_add(a, b):
+    """The dense entrywise sum."""
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def trace_product(a, b):
+    """tr(ab) of dense a and b, as the full sum of a[i][k] * b[k][i]."""
+    return sum((x * b[k][i] for i, row in enumerate(a) for k, x in enumerate(row)), QI(0))
 
 
 def commutator_rhs_oracle(m, mp) -> WickElement:
@@ -410,8 +420,8 @@ def commutator_rhs_oracle(m, mp) -> WickElement:
                     c, fields = QI.of(c), tuple(sorted(((p, i), (q, j))))
                     combine((((fields, ((k, l),)), c), ((fields, ((l, k),)), -c)), out)
     # DD_{12,ij} = D+_1i D+_2j - D+_i1 D+_j2
-    for (i, j), c in (((3, 4), linalg.trace_product(tm, mp)),
-                      ((4, 3), linalg.trace_product(m, mp))):
+    for (i, j), c in (((3, 4), trace_product(tm, mp)),
+                      ((4, 3), trace_product(m, mp))):
         c = QI.of(c)
         combine(((((), ((1, i), (2, j))), c), (((), tuple(sorted(((i, 1), (j, 2))))), -c)),
                 out)
@@ -597,66 +607,95 @@ class TestFrobenius:
             frobenius(linalg.identity(2), linalg.identity(3))
 
 
+def _unit(size):
+    return {(i, i): QI(1) for i in range(size)}
+
+
+def _size(kind, n):
+    return {"R": 1, "C": 2, "H": 4}[kind] * n
+
+
 class TestCommutantClassification:
     def test_full_matrix_algebra_is_real_type(self):
         basis = []
         for a in range(2):
             for b in range(2):
-                m = [[Fraction(0)] * 2 for _ in range(2)]
-                m[a][b] = Fraction(1)
+                m = {(a, b): Fraction(1)}
                 basis.append(m)
-        kind, comm = commutant_type(TAlgebra(basis))
+        kind, comm = commutant_type(TAlgebra(basis, 2))
         assert kind == "R" and len(comm) == 1
 
     def test_complex_scalars(self):
-        kind, comm = commutant_type(TAlgebra(bilocal.canonical_m_span("C", 1)))
+        kind, comm = commutant_type(TAlgebra(bilocal.canonical_m_span("C", 1), 2))
         assert kind == "C" and len(comm) == 2
 
     def test_quaternion_left_multiplications(self):
         basis = bilocal.quaternion_left_algebra(1)
-        kind, comm = commutant_type(TAlgebra(basis))
+        kind, comm = commutant_type(TAlgebra(basis, 4))
         assert kind == "H" and len(comm) == 4
         # the commutant of left multiplications contains the rights
-        comm_vecs = [bilocal._vec(m) for m in comm]
         for q in bilocal._UNITS:
-            assert linalg.in_span(comm_vecs,
-                                  [bilocal._vec(bilocal.quaternion_matrix(q, "right"))]) == [True]
+            assert linalg.in_span(comm, [bilocal.quaternion_matrix(q, "right")]) == [True]
 
     def test_reducible_split_field_detected(self):
         # Q(sqrt 2) embedded by a symmetric matrix: a t-algebra, a division
         # algebra over Q, but split over R; must be rejected as reducible.
-        s = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
-        basis = [linalg.identity(2), s]
+        s = {(0, 0): Fraction(1), (0, 1): Fraction(1), (1, 0): Fraction(1),
+             (1, 1): Fraction(-1)}
+        basis = [_unit(2), s]
         with pytest.raises(bilocal.ReducibleAlgebraError):
-            commutant_type(TAlgebra(basis))
+            commutant_type(TAlgebra(basis, 2))
 
     def test_reducible_diagonal_detected(self):
-        d = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
+        d = {(0, 0): Fraction(1), (1, 1): Fraction(2)}
         with pytest.raises(bilocal.ReducibleAlgebraError):
-            commutant_type(TAlgebra([linalg.identity(2), d]))
+            commutant_type(TAlgebra([_unit(2), d], 2))
 
     def test_t_algebra_validation(self):
-        e12 = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
+        e12 = {(0, 1): Fraction(1)}
         with pytest.raises(ValueError):
-            TAlgebra([linalg.identity(2), e12])  # not transpose closed
+            TAlgebra([_unit(2), e12], 2)  # not transpose closed
+
+
+class TestEntriesOutsideTheSize:
+    """An entry outside size x size is refused, not dropped."""
+
+    def test_commutant_basis_refuses_an_entry_outside_the_size(self):
+        e = {(0, 1): QI(1), (1, 0): QI(1)}
+        assert len(bilocal.commutant_basis([e], 2)) == 2
+        with pytest.raises(ValueError, match="outside 2 x 2"):
+            bilocal.commutant_basis([{**e, (0, 2): QI(7)}], 2)
+
+    def test_invariance_algebra_refuses_an_entry_outside_the_size(self):
+        one = _unit(2)
+        assert len(bilocal.invariance_algebra([one], 2)) == 1
+        with pytest.raises(ValueError, match="outside 2 x 2"):
+            bilocal.invariance_algebra([{**one, (2, 0): QI(5), (2, 1): QI(5)}], 2)
+
+    @pytest.mark.parametrize("entry", [(0, 2), (2, 0), (-1, 0), (0, -1)])
+    def test_t_algebra_refuses_an_entry_outside_the_size(self, entry):
+        basis = bilocal.canonical_m_span("C", 1)
+        TAlgebra(basis, 2)
+        with pytest.raises(ValueError, match="outside 2 x 2"):
+            TAlgebra([basis[0], {**basis[1], entry: QI(3)}], 2)
 
 
 class TestCanonicalForms:
     @pytest.mark.parametrize("kind,n", [("R", 1), ("R", 2), ("C", 1), ("C", 2),
-                                        ("H", 1), ("H", 2)])
+                                        ("H", 1), ("H", 2), ("R", 3), ("R", 4),
+                                        ("C", 3), ("C", 4), ("H", 3), ("H", 4)])
     def test_closure_and_gauge_invariance(self, kind, n):
         assert canonical_form_check(kind, n).ok
 
     def test_complex_span_structure(self):
         one, j = bilocal.canonical_m_span("C", 1)
-        assert linalg.mat_mul(j, j) == [[-x for x in row] for row in one]
+        assert linalg.product(j, j) == {ij: -x for ij, x in one.items()}
 
     def test_quaternion_span_closed(self):
         span = bilocal.canonical_m_span("H", 1)
-        vecs = [bilocal._vec(m) for m in span]
         for a in span:
             for b in span:
-                assert linalg.in_span(vecs, [bilocal._vec(linalg.mat_mul(a, b))]) == [True]
+                assert linalg.in_span(span, [linalg.product(a, b)]) == [True]
 
     def test_gauge_dimensions(self):
         assert len(gauge_oracle("R", 3)) == 3       # o(3)
@@ -667,7 +706,7 @@ class TestCanonicalForms:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_invariance_algebra_is_the_oracle_gauge_algebra(self, kind, n):
         span = bilocal.canonical_m_span(kind, n)
-        kernel = bilocal.invariance_algebra(span, len(span[0]))
+        kernel = bilocal.invariance_algebra(span, _size(kind, n))
         oracle = gauge_oracle(kind, n)
         assert len(kernel) == len(oracle) == bilocal.gauge_dimension(kind, n)
         assert same_span(kernel, oracle)
@@ -696,10 +735,10 @@ def gauge_oracle(kind: str, n: int):
     """Antisymmetric generators of O(N), U(N) or Sp(2N) on flavor space."""
     if kind == "R":
         return _flavor_blocks(n, 1, diag_blocks=[], sym_off=[],
-                              antisym_off=[linalg.identity(1)])
+                              antisym_off=[_unit(1)])
     if kind == "C":
         return _flavor_blocks(n, 2, diag_blocks=[bilocal._J],
-                              sym_off=[bilocal._J], antisym_off=[linalg.identity(2)])
+                              sym_off=[bilocal._J], antisym_off=[_unit(2)])
     imag = [bilocal.quaternion_matrix(q, "left") for q in "ijk"]
     return _flavor_blocks(n, 4, diag_blocks=imag, sym_off=imag,
                           antisym_off=[bilocal.quaternion_matrix("1", "left")])
@@ -707,26 +746,19 @@ def gauge_oracle(kind: str, n: int):
 
 def _flavor_blocks(n, b, diag_blocks, sym_off, antisym_off):
     def placed(*blocks):
-        m = [[QI(0)] * (n * b) for _ in range(n * b)]
-        for f, g, blk in blocks:
-            for i in range(b):
-                for j in range(b):
-                    m[f * b + i][g * b + j] = blk[i][j]
-        return m
+        return {(f * b + i, g * b + j): x for f, g, blk in blocks for (i, j), x in blk.items()}
 
     out = [placed((f, f, blk)) for f in range(n) for blk in diag_blocks]
     for f in range(n):
         for g in range(f + 1, n):
-            out += [placed((f, g, blk), (g, f, [[-x for x in row] for row in blk]))
+            out += [placed((f, g, blk), (g, f, {ij: -x for ij, x in blk.items()}))
                     for blk in antisym_off]
             out += [placed((f, g, blk), (g, f, blk)) for blk in sym_off]
     return out
 
 
 def same_span(mats, others):
-    vecs = [bilocal._vec(m) for m in mats]
-    return (linalg.rank(vecs) == linalg.rank(vecs + [bilocal._vec(m) for m in others])
-            == linalg.rank([bilocal._vec(m) for m in others]))
+    return (linalg.rank(mats) == linalg.rank(mats + others) == linalg.rank(others))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from minrep import bilocal, cli, fockspace, harmonics, linalg, oscrep, reports, weylalg
+from minrep import bilocal, cli, fockspace, harmonics, oscrep, reports, weylalg
 from minrep.reports import Report
+from minrep.scalars import QI
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -249,7 +250,7 @@ class TestBilocalCommand:
 
         def span(kind, n):
             if kind == "R":
-                return [linalg.identity(n), oscrep.basis_matrix(n, 0, 1)]
+                return [{(i, i): QI(1) for i in range(n)}, {(0, 1): QI(1)}]
             return original(kind, n)
 
         monkeypatch.setattr(bilocal, "canonical_m_span", span)

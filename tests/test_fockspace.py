@@ -617,7 +617,8 @@ def _dense(m: fockspace.SparseOperator) -> list:
 
 def _matrix_bracket(a, b):
     """The dense commutator ab - ba, the oracle of the column bracket."""
-    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+    return [[x - y for x, y in zip(r, s)]
+            for r, s in zip(linalg.mat_mul(a, b), linalg.mat_mul(b, a))]
 
 
 class TestBracketDefect:

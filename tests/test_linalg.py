@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 
 from minrep import cli, linalg
-from minrep.scalars import QI
+from minrep.scalars import QI, sum_products
 
 
 def frac_mat(rows):
@@ -188,6 +188,20 @@ def _all_qi(m):
     return all(type(x) is QI for row in m for x in row)
 
 
+def _entries(m):
+    """A dense matrix as {(row, col): entry} of its nonzero entries."""
+    return {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row) if x}
+
+
+def _trace(m):
+    return sum((row[i] for i, row in enumerate(m)), Fraction(0))
+
+
+def _trace_of_items(a, b):
+    """tr(ab) of dense a and b, summed from linalg.trace_items of their entries."""
+    return sum_products(linalg.trace_items(_entries(a), _entries(b), 1)).get(0, QI(0))
+
+
 def _check_on_random_products(check, square_product=False):
     """Run check(a, b) on random sparse Fraction or QI matrix pairs.
 
@@ -226,11 +240,32 @@ def test_mat_mul_matches_dense_oracle():
     _check_on_random_products(check)
 
 
+def test_product_and_dict_transpose_match_dense_oracle():
+    # rectangular n x m times m x p operands over Fraction and over QI with
+    # imaginary parts, zero rows, zero columns and all-zero (empty) matrices
+    def check(a, b):
+        got = linalg.product(_entries(a), _entries(b))
+        assert got == _entries(_dense_mat_mul(a, b))
+        assert all(type(x) is QI for x in got.values())
+        assert linalg.dict_transpose(_entries(a)) == _entries(linalg.transpose(a))
+        assert linalg.dict_transpose(linalg.dict_transpose(_entries(b))) == _entries(b)
+    _check_on_random_products(check)
+    one, i = QI(1), QI(0, 1)
+    assert linalg.product({}, {}) == {}
+    assert linalg.product({}, {(0, 0): one}) == {} == linalg.product({(0, 0): one}, {})
+    assert linalg.product({(0, 1): one}, {(0, 0): one}) == {}          # inner indices miss
+    assert linalg.dict_transpose({}) == {}
+    # (1 x 3)(3 x 2), with i * i = -1 cancelling the real products
+    assert linalg.product({(0, 0): i, (0, 2): one},
+                          {(0, 1): i, (2, 1): one, (2, 0): i}) == {(0, 0): i}
+    assert linalg.dict_transpose({(0, 2): i, (1, 0): one}) == {(2, 0): i, (0, 1): one}
+
+
 def test_trace_product_is_trace_of_product():
     def check(a, b):
-        t = linalg.trace_product(a, b)
-        want = linalg.trace(_dense_mat_mul(a, b))
-        assert t == want == linalg.trace(linalg.mat_mul(a, b))
+        t = _trace_of_items(a, b)
+        want = _trace(_dense_mat_mul(a, b))
+        assert t == want == _trace(linalg.mat_mul(a, b))
         assert type(t) is QI
     _check_on_random_products(check, square_product=True)
 
@@ -244,9 +279,10 @@ def test_sparse_product_zeros_keep_the_ring(zero, one):
     for prod in (linalg.mat_mul(a, b), _dense_mat_mul(a, b)):
         assert prod == [[zero, zero], [zero, zero]]
     assert _all_qi(linalg.mat_mul(a, b))
-    t = linalg.trace_product(a, b)
+    assert linalg.product(_entries(a), _entries(b)) == {}
+    t = _trace_of_items(a, b)
     assert t == zero and type(t) is QI
-    assert linalg.trace_product([[one, one]], [[one], [-one]]) == zero
+    assert _trace_of_items([[one, one]], [[one], [-one]]) == zero
 
 
 @pytest.mark.parametrize("a, b", [
@@ -259,16 +295,6 @@ def test_sparse_product_zeros_keep_the_ring(zero, one):
 def test_products_refuse_shapes_that_do_not_chain(a, b):
     with pytest.raises(ValueError, match="shape mismatch in mat_mul"):
         linalg.mat_mul(a, b)
-    with pytest.raises(ValueError, match="shape mismatch in trace_product"):
-        linalg.trace_product(a, b)
-
-
-def test_trace_product_refuses_a_product_that_is_not_square():
-    a = [[QI(1), QI(2), QI(3)]]                            # 1 x 3
-    b = [[QI(1), QI(0)], [QI(0), QI(1)], [QI(1), QI(1)]]   # 3 x 2: ab is 1 x 2
-    assert linalg.mat_mul(a, b) == [[QI(4), QI(5)]]
-    with pytest.raises(ValueError, match="shape mismatch in trace_product"):
-        linalg.trace_product(a, b)
 
 
 def test_transpose_refuses_a_ragged_matrix():
@@ -292,7 +318,7 @@ def test_frobenius_refuses_a_ragged_matrix_instead_of_dropping_an_entry():
 
 def _dense_rref(m):
     """Reduced row echelon form by whole-row operations on the dense matrix."""
-    a = linalg.mat_copy(m)
+    a = [row[:] for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots = []
@@ -458,8 +484,10 @@ def test_mixed_qi_fraction_products_keep_their_types():
         for a, b in ((q, f), (f, q), (f, f), (q, q), (linalg.identity(3), f)):
             got, want = linalg.mat_mul(a, b), _dense_mat_mul(a, b)
             assert got == want and _all_qi(got)
-            t = linalg.trace_product(a, b)
-            assert t == linalg.trace(want) and type(t) is QI
+            got = linalg.product(_entries(a), _entries(b))
+            assert got == _entries(want) and all(type(x) is QI for x in got.values())
+            t = _trace_of_items(a, b)
+            assert t == _trace(want) and type(t) is QI
     d = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
     for a, b in ((linalg.identity(2), d), (d, linalg.identity(2))):
         assert linalg.mat_mul(a, b) == [[QI(1), QI(0)], [QI(0), QI(2)]]

@@ -16,7 +16,8 @@ A1, A2, B1, B2 = ("a", 1), ("a", 2), ("b", 1), ("b", 2)
 
 def _matrix_bracket(a, b):
     """The dense commutator ab - ba, the oracle of the sparse brackets."""
-    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+    return [[x - y for x, y in zip(r, s)]
+            for r, s in zip(linalg.mat_mul(a, b), linalg.mat_mul(b, a))]
 
 
 def _sparse(x):
