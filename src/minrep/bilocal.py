@@ -528,6 +528,19 @@ def canonical_m_span(kind: str, n: int):
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def _field_variation(v: WickElement, a: dict) -> dict:
+    """The nonzero terms of the variation of v under phi_i -> sum_k A_ik phi_k
+    at every point: each field of each normal product replaced in turn, all
+    summed in one sum_products call.  A is {(i, k): entry} with 0-based i
+    and k, and the flavors of v's fields are 1-based."""
+    rows: dict = {}
+    for (i, k), x in a.items():
+        rows.setdefault(i + 1, []).append((k + 1, x))
+    return sum_products(((tuple(sorted(fields[:s] + ((p, k),) + fields[s + 1:])), mono), c, x, 1)
+                        for (fields, mono), c in v.terms.items()
+                        for s, (p, f) in enumerate(fields) for k, x in rows.get(f, ()))
+
+
 def gauge_dimension(kind: str, n: int) -> int:
     """dim o(N), u(N) or sp(2N): the full invariance algebra of the R, C or H labels."""
     return {"R": n * (n - 1) // 2, "C": n * n, "H": n * (2 * n + 1)}[kind]
@@ -542,7 +555,8 @@ def canonical_form_check(kind: str, n: int) -> Report:
     read off one kernel, span o(N), u(N) or sp(2N) by dimension, so the
     gauge group is all of the bilocal's invariance group;
     (c) every generator of that kernel leaves the bilocal invariant,
-    checked both on matrices and through the Wick engine as V_{tA M + M A} = 0.
+    checked both on matrices, as tA M + M A = 0, and in the Wick engine,
+    as a vanishing variation of V_M(x_1, x_2) under phi_i -> sum_k A_ik phi_k.
     """
     rep = Report(f"bilocal/canonical/{kind}/N{n}")
     span = canonical_m_span(kind, n)
@@ -563,15 +577,15 @@ def canonical_form_check(kind: str, n: int) -> Report:
             detail=f"dim {len(gauge)}, expected {want}")
     ok_mat = True
     ok_wick = True
+    bilocals = [_field(m.items(), 1, 2) for m in span]
     for a in gauge:
         ta = linalg.dict_transpose(a)
         if ta != {ij: -x for ij, x in a.items()}:
             ok_mat = False
-        for m in span:
-            var = _sum((1, linalg.product(ta, m)), (1, linalg.product(m, a)))
-            if var:
+        for m, v in zip(span, bilocals):
+            if _sum((1, linalg.product(ta, m)), (1, linalg.product(m, a))):
                 ok_mat = False
-            if not _field(var.items(), 1, 2).is_zero():
+            if _field_variation(v, a):
                 ok_wick = False
     rep.add(f"canonical/{kind}/N{n}/gauge-matrix", ok_mat,
             detail=f"tA M + M A = 0 for each of the {len(gauge)} kernel generators")

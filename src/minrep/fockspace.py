@@ -10,6 +10,13 @@ the columns that ``safe_columns`` derives from the level raises.  That
 level budget is the one overflow mechanism: every identity consumed from
 matrices is restricted to those columns.
 
+A column is formed from terms tagged with a row offset, so one call
+forms a state's column of one operator or, stacked, of several: the
+lowest-weight decomposition forms each state's stacked lowering column
+in one ``sum_products`` call.  Weights are read in ints off one table of
+the diagonal operators' terms, which keys every state's (level, weight)
+block in one pass.
+
 A dual pair (A, B), with B the flavor gauge algebra, is built once by
 ``dual_pair``; the decomposition, the closure and the helicity read it.
 The closure compares each sampled commutator's columns with the bracket
@@ -25,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, combinations, combinations_with_replacement
 from math import comb
+from operator import mul
 from typing import NamedTuple
 
 from . import linalg, oscrep
@@ -111,20 +119,26 @@ def safe_columns(fock: TruncatedFock, *raises: int) -> list[int]:
 def operator_matrix(w: WeylElement, fock: TruncatedFock) -> SparseOperator:
     """Exact matrix of a Weyl element on the truncated occupation basis,
     each column summed in its own kernel call the first time it is read."""
+    return SparseOperator(linalg.ColumnMap(partial(_column, _terms(w, fock, 0), fock)),
+                          max(0, w.max_level_raise()), fock)
+
+
+def _terms(w: WeylElement, fock: TruncatedFock, offset: int) -> list:
+    """w's terms as (offset, q, annihilator positions, creator positions,
+    level shift), each image of a term to be read at row offset plus the
+    image's state index.  Raises FockError on a mode outside the module."""
     pos = {m: i for i, m in enumerate(fock.modes)}
     for m in w.modes():
         if m not in pos:
             raise FockError(f"mode {m} is not part of this Fock module")
-    terms = [(q, [pos[m] for m in mono.annihilators], [pos[m] for m in mono.creators],
-              len(mono.creators) - len(mono.annihilators))
-             for mono, q in w.terms.items()]
-    return SparseOperator(linalg.ColumnMap(partial(_column, terms, fock)),
-                          max(0, w.max_level_raise()), fock)
+    return [(offset, q, [pos[m] for m in mono.annihilators], [pos[m] for m in mono.creators],
+             len(mono.creators) - len(mono.annihilators))
+            for mono, q in w.terms.items()]
 
 
 def _column(terms, fock: TruncatedFock, col: int) -> dict:
-    """Column col: each term's image of basis state col, summed in one
-    sum_products call.
+    """Column col: each term's image of basis state col, at the term's row
+    offset plus the image's index, summed in one sum_products call.
 
     Images past the cutoff are dropped; safe_columns keeps every identity
     off the columns where that happens.
@@ -132,7 +146,7 @@ def _column(terms, fock: TruncatedFock, col: int) -> dict:
     state = fock.states[col]
     room = fock.cutoff - sum(state)
     items = []
-    for q, ann, cre, shift in terms:
+    for offset, q, ann, cre, shift in terms:
         if shift > room:
             continue
         occ = list(state)
@@ -145,31 +159,47 @@ def _column(terms, fock: TruncatedFock, col: int) -> dict:
         else:
             for i in cre:
                 occ[i] += 1
-            items.append((fock.index[tuple(occ)], q, coeff, 1))
+            items.append((offset + fock.index[tuple(occ)], q, coeff, 1))
     return sum_products(items) if items else {}
 
 
-def diagonal_weights(w: WeylElement, fock: TruncatedFock) -> list[int]:
-    """Eigenvalue of w on each basis state, read off its terms in ints.
+def _weight_table(ws, fock: TruncatedFock) -> list:
+    """Each diagonal operator's (constant, per-mode coefficients), read off
+    its terms once in ints, so that its eigenvalue on a state s is
+    const + sum_m c_m s_m.
 
-    w must be a scalar plus number operators m* m with real integer
-    coefficients, so that the eigenvalue is const + sum_m c_m n_m.
+    Each operator must be a scalar plus number operators m* m with real
+    integer coefficients.
     """
     pos = {m: i for i, m in enumerate(fock.modes)}
-    const, coeffs = 0, []
-    for mono, q in w.terms.items():
-        if mono.creators != mono.annihilators or len(mono.creators) > 1:
-            raise FockError("operator is not diagonal in the occupation basis")
-        c = int_if_integer(q)
-        if type(c) is not int:
-            raise FockError(f"coefficient {q} of {mono} is not a real integer")
-        if not mono.creators:
-            const = c
-        elif mono.creators[0] not in pos:
-            raise FockError(f"mode {mono.creators[0]} is not part of this Fock module")
-        else:
-            coeffs.append((pos[mono.creators[0]], c))
-    return [const + sum(c * s[i] for i, c in coeffs) for s in fock.states]
+    table = []
+    for w in ws:
+        const, coeffs = 0, [0] * len(pos)
+        for mono, q in w.terms.items():
+            if mono.creators != mono.annihilators or len(mono.creators) > 1:
+                raise FockError("operator is not diagonal in the occupation basis")
+            c = int_if_integer(q)
+            if type(c) is not int:
+                raise FockError(f"coefficient {q} of {mono} is not a real integer")
+            if not mono.creators:
+                const = c
+            elif mono.creators[0] not in pos:
+                raise FockError(f"mode {mono.creators[0]} is not part of this Fock module")
+            else:
+                coeffs[pos[mono.creators[0]]] = c
+        table.append((const, coeffs))
+    return table
+
+
+def _weights(table: list, state: tuple) -> tuple:
+    """The eigenvalues on one occupation state of a _weight_table's operators."""
+    return tuple([const + sum(map(mul, coeffs, state)) for const, coeffs in table])
+
+
+def diagonal_weights(w: WeylElement, fock: TruncatedFock) -> list[int]:
+    """Eigenvalue of w on each basis state, read off its _weight_table."""
+    table = _weight_table([w], fock)
+    return [_weights(table, s)[0] for s in fock.states]
 
 
 def helicity_spectrum(fock: TruncatedFock, level: int | None = None) -> dict:
@@ -218,20 +248,20 @@ def lowest_weight_vectors(alg, fock: TruncatedFock):
     dict of its nonzero entries, all on the block's basis states.  The
     Cartan operators must be diagonal in the occupation basis, which holds
     for every generator set here, so the weight blocks are coordinate
-    subspaces and the kernel can be taken block by block: a block state's
-    vector stacks its columns of the lowering operators, the k-th
-    operator's row r at k * dim + r.
+    subspaces and the kernel can be taken block by block.  Every state's
+    key is read in one pass, off the Cartan operators' _weight_table.  A
+    block state's vector stacks its columns of all the lowering
+    operators, the k-th operator's row r at k * dim + r, formed by one
+    _column call over all of their terms.
     """
-    stacked = [(k * fock.dim, operator_matrix(f, fock).entries) for k, f in enumerate(alg.F)]
-    h_diags = [diagonal_weights(h, fock) for h in alg.H]
+    terms = [t for k, f in enumerate(alg.F) for t in _terms(f, fock, k * fock.dim)]
+    table = _weight_table(alg.H, fock)
     blocks: dict[tuple, list[int]] = {}
-    for i in range(fock.dim):
-        key = (fock.level(i), tuple(d[i] for d in h_diags))
-        blocks.setdefault(key, []).append(i)
+    for i, s in enumerate(fock.states):
+        blocks.setdefault((sum(s), _weights(table, s)), []).append(i)
     out = {}
     for key, cols in sorted(blocks.items()):
-        kern = linalg.kernel([{k + r: v for k, cm in stacked for r, v in cm[c].items()}
-                              for c in cols])
+        kern = linalg.kernel([_column(terms, fock, c) for c in cols])
         if kern:
             out[key] = [{cols[j]: x for j, x in v.items()} for v in kern]
     return out
@@ -250,13 +280,13 @@ def joint_weight_decomposition(pair: "DualPair", fock: TruncatedFock) -> Multipl
     if len(gauge.cartan) != 1 or len(gauge.raising) != 1:
         raise FockError(f"the gauge ladder needs B of rank one, not {gauge.label}")
     lw = lowest_weight_vectors(pair.chevalley, fock)
-    q_diag = diagonal_weights(gauge.cartan[0], fock)
+    charge = _weight_table(gauge.cartan, fock)
     e = operator_matrix(gauge.raising[0], fock)
     rows = []
     for (level, weight), vecs in sorted(lw.items()):
         buckets: dict[int, list] = {}
         for v in vecs:
-            qs = {q_diag[c] for c in v}
+            qs = {_weights(charge, fock.states[c])[0] for c in v}
             if len(qs) != 1:
                 raise FockError("lowest-weight vector mixes gauge charges")
             buckets.setdefault(qs.pop(), []).append(v)

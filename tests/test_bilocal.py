@@ -718,6 +718,34 @@ class TestCanonicalForms:
         one, _ = bilocal.canonical_m_span("C", 2)
         assert len(bilocal.invariance_algebra([one], 4)) == 6      # o(4), not u(2)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_field_variation_is_the_bilocal_of_the_varied_label(self, seed):
+        # phi_i -> sum_k A_ik phi_k at both points turns V_M(1, 2) into
+        # V_{tA M + M A}(1, 2), for any A and M
+        rng = random.Random(seed)
+
+        def label():
+            return {(i, j): QI(rng.randint(-2, 2), rng.randint(-1, 1))
+                    for i in range(3) for j in range(3) if rng.random() < 0.6}
+
+        a, m = label(), label()
+        var = bilocal._sum((1, linalg.product(linalg.dict_transpose(a), m)),
+                           (1, linalg.product(m, a)))
+        got = WickElement(bilocal._field_variation(bilocal._field(m.items(), 1, 2), a))
+        assert got == bilocal._field(var.items(), 1, 2)
+
+    def test_gauge_wick_fails_on_a_generator_outside_the_gauge_algebra(self, monkeypatch):
+        # E_02 - E_20 is antisymmetric but does not commute with J + J, so it
+        # is outside u(2); with every matrix product read as zero the matrix
+        # record cannot see it, and the Wick variation must
+        outside = {(0, 2): QI(1), (2, 0): QI(-1)}
+        kernel = bilocal.invariance_algebra(bilocal.canonical_m_span("C", 2), 4)
+        monkeypatch.setattr(bilocal, "invariance_algebra", lambda s, n: kernel + [outside])
+        monkeypatch.setattr(linalg, "product", lambda a, b: {})
+        records = {r.check_id: r for r in canonical_form_check("C", 2).records}
+        assert records["canonical/C/N2/gauge-matrix"].passed
+        assert not records["canonical/C/N2/gauge-wick"].passed
+
     def test_full_invariance_record_fails_on_a_short_kernel(self, monkeypatch):
         kernel = bilocal.invariance_algebra
         monkeypatch.setattr(bilocal, "invariance_algebra", lambda s, n: kernel(s, n)[1:])

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial, prod
 from unittest import mock
@@ -192,12 +193,98 @@ class TestDiagonalWeights:
         with mock.patch.object(fockspace, "operator_matrix",
                                lambda w, f: calls.append(w) or original(w, f)):
             fockspace.joint_weight_decomposition(pair, fock)
-        assert len(calls) == 5
+        assert calls == [pair.gauge.raising[0]]
 
 
 def _so_star_setup(n, level):
     pair = fockspace.dual_pair("so_star", n)
     return pair, fockspace.enumerate_basis(pair.modes, level)
+
+
+def _per_operator_lowest_weight_vectors(alg, fock):
+    """Oracle: each lowering operator's operator_matrix columns re-stacked,
+    the k-th operator's row r at k * dim + r, in blocks keyed by (level,
+    diagonal_weights)."""
+    stacked = [(k * fock.dim, fockspace.operator_matrix(f, fock).entries)
+               for k, f in enumerate(alg.F)]
+    h_diags = [fockspace.diagonal_weights(h, fock) for h in alg.H]
+    blocks = {}
+    for i in range(fock.dim):
+        blocks.setdefault((fock.level(i), tuple(d[i] for d in h_diags)), []).append(i)
+    out = {}
+    for key, cols in sorted(blocks.items()):
+        kern = linalg.kernel([{k + r: v for k, cm in stacked for r, v in cm[c].items()}
+                              for c in cols])
+        if kern:
+            out[key] = [{cols[j]: x for j, x in v.items()} for v in kern]
+    return out
+
+
+def _lowest_weight_cases():
+    out = []
+    for label, family, k, levels in (("so*(8)", "so_star", 2, range(6)),
+                                     ("so*(12)", "so_star", 3, range(4)),
+                                     ("u(2,2)", "u_pq", 2, range(5))):
+        pair = fockspace.dual_pair(family, k)
+        out += [pytest.param(pair, level, id=f"{label}-level{level}") for level in levels]
+    return out
+
+
+class TestLowestWeightVectors:
+    @pytest.mark.parametrize("pair,level", _lowest_weight_cases())
+    def test_equals_the_per_operator_route(self, pair, level):
+        fock = fockspace.enumerate_basis(pair.modes, level)
+        got = fockspace.lowest_weight_vectors(pair.chevalley, fock)
+        assert got == _per_operator_lowest_weight_vectors(pair.chevalley, fock)
+
+    @pytest.mark.parametrize("family,k,level", [("so_star", 2, 4), ("u_pq", 2, 3)])
+    def test_each_state_is_keyed_by_its_level_and_diagonal_weights(self, family, k, level):
+        # the blocks reach linalg.kernel one by one, in key order, each as
+        # its states' _column calls; every block must be one (level,
+        # diagonal_weights) class, and together they cover every state once
+        pair = fockspace.dual_pair(family, k)
+        gens = pair.chevalley
+        fock = fockspace.enumerate_basis(pair.modes, level)
+        h_diags = [fockspace.diagonal_weights(h, fock) for h in gens.H]
+
+        def key(i):
+            return fock.level(i), tuple(d[i] for d in h_diags)
+
+        cols, blocks = [], []
+        column, kernel = fockspace._column, linalg.kernel
+        with mock.patch.object(fockspace, "_column",
+                               lambda t, f, c: cols.append(c) or column(t, f, c)), \
+                mock.patch.object(linalg, "kernel",
+                                  lambda vs: blocks.append(cols[-len(vs):]) or kernel(vs)):
+            lw = fockspace.lowest_weight_vectors(gens, fock)
+        assert sorted(c for block in blocks for c in block) == list(range(fock.dim))
+        keys = []
+        for block in blocks:
+            (block_key,) = {key(i) for i in block}
+            keys.append(block_key)
+        assert keys == sorted(set(keys))
+        for block_key, vecs in lw.items():
+            assert all(key(i) == block_key for v in vecs for i in v)
+
+    def test_builds_no_per_operator_column_map(self):
+        pair, fock = _so_star_setup(2, 3)
+        made = []
+        original = linalg.ColumnMap
+        with mock.patch.object(linalg, "ColumnMap", lambda op: made.append(op) or original(op)):
+            fockspace.lowest_weight_vectors(pair.chevalley, fock)
+        assert made == []
+
+    @pytest.mark.parametrize("part,w,message", [
+        ("H", oscrep.so_star_generators(2).E[0], "not diagonal in the occupation basis"),
+        ("H", mono([("a", 1)], [("a", 1)], Fraction(1, 2)), "not a real integer"),
+        ("F", mono([], [("c", 1)]), "mode .* is not part of this Fock module"),
+    ], ids=["non-diagonal-cartan", "half-integer-cartan", "lowering-mode-outside"])
+    def test_refuses_what_the_weight_blocks_cannot_read(self, part, w, message):
+        pair, fock = _so_star_setup(2, 1)
+        gens = pair.chevalley
+        bad = replace(gens, **{part: [*getattr(gens, part)[:-1], w]})
+        with pytest.raises(fockspace.FockError, match=message):
+            fockspace.lowest_weight_vectors(bad, fock)
 
 
 class TestDecomposition:
