@@ -10,12 +10,14 @@ the columns that ``safe_columns`` derives from the level raises.  That
 level budget is the one overflow mechanism: every identity consumed from
 matrices is restricted to those columns.
 
-A column is formed from terms tagged with a row offset, so one call
-forms a state's column of one operator or, stacked, of several: the
+A column is one ``weylalg.walk`` of the state over the operator's terms,
+each tagged with a row offset, summed by ``lincomb.column_sum``: a
+real-integer operator's columns stay in ints, and one walk forms a
+state's column of one operator or, stacked, of several.  The
 lowest-weight decomposition forms each state's stacked lowering column
-in one ``sum_products`` call.  Weights are read in ints off one table of
-the diagonal operators' terms, which keys every state's (level, weight)
-block in one pass.
+in one walk.  Weights are read in ints off one table of the diagonal
+operators' terms, which keys every state's (level, weight) block in one
+pass.
 
 A dual pair (A, B), with B the flavor gauge algebra, is built once by
 ``dual_pair``; the decomposition, the closure and the helicity read it.
@@ -36,11 +38,12 @@ from operator import mul
 from typing import NamedTuple
 
 from . import linalg, oscrep
+from .lincomb import column_sum
 from .reports import Report, render_defect
 from .scalars import QI, QI_ZERO, int_if_integer, sum_products
 from .weylalg import (Mode, Polarization, SpanError, WeylElement, WeylMonomial, commutator,
                       matrix_from_quadratic, mode_action_matrix, quadratic_blocks,
-                      quadratic_from_matrix, standard_polarization)
+                      quadratic_from_matrix, standard_polarization, walk, walker_terms)
 
 
 class FockError(ValueError):
@@ -118,49 +121,39 @@ def safe_columns(fock: TruncatedFock, *raises: int) -> list[int]:
 
 def operator_matrix(w: WeylElement, fock: TruncatedFock) -> SparseOperator:
     """Exact matrix of a Weyl element on the truncated occupation basis,
-    each column summed in its own kernel call the first time it is read."""
-    return SparseOperator(linalg.ColumnMap(partial(_column, _terms(w, fock, 0), fock)),
+    each column walked the first time it is read."""
+    return SparseOperator(linalg.ColumnMap(partial(_column, _terms([w], fock), fock)),
                           max(0, w.max_level_raise()), fock)
 
 
-def _terms(w: WeylElement, fock: TruncatedFock, offset: int) -> list:
-    """w's terms as (offset, q, annihilator positions, creator positions,
-    level shift), each image of a term to be read at row offset plus the
-    image's state index.  Raises FockError on a mode outside the module."""
+def _terms(ws, fock: TruncatedFock) -> list:
+    """The walker terms of the elements ws, the k-th one's tagged with the
+    row offset k * dim, grouped by how far they raise the level: entry r
+    holds the terms that raise it by at most r, up to the largest raise.
+    Raises FockError on a mode outside the module."""
     pos = {m: i for i, m in enumerate(fock.modes)}
-    for m in w.modes():
-        if m not in pos:
-            raise FockError(f"mode {m} is not part of this Fock module")
-    return [(offset, q, [pos[m] for m in mono.annihilators], [pos[m] for m in mono.creators],
-             len(mono.creators) - len(mono.annihilators))
-            for mono, q in w.terms.items()]
+    terms = []
+    for k, w in enumerate(ws):
+        for m in w.modes():
+            if m not in pos:
+                raise FockError(f"mode {m} is not part of this Fock module")
+        terms += walker_terms(w, pos, k * fock.dim)
+    top = max([len(cre) - len(ann) for _, _, ann, cre in terms] + [0])
+    return [[t for t in terms if len(t[3]) - len(t[2]) <= r] for r in range(top + 1)]
 
 
 def _column(terms, fock: TruncatedFock, col: int) -> dict:
-    """Column col: each term's image of basis state col, at the term's row
-    offset plus the image's index, summed in one sum_products call.
+    """Column col: the walk of basis state col over the terms of ``_terms``
+    that the cutoff leaves room for, each image at its term's row offset
+    plus the image's index.
 
     Images past the cutoff are dropped; safe_columns keeps every identity
     off the columns where that happens.
     """
     state = fock.states[col]
-    room = fock.cutoff - sum(state)
-    items = []
-    for offset, q, ann, cre, shift in terms:
-        if shift > room:
-            continue
-        occ = list(state)
-        coeff = 1
-        for i in ann:
-            if not occ[i]:
-                break
-            coeff *= occ[i]
-            occ[i] -= 1
-        else:
-            for i in cre:
-                occ[i] += 1
-            items.append((offset + fock.index[tuple(occ)], q, coeff, 1))
-    return sum_products(items) if items else {}
+    index = fock.index
+    return column_sum((offset + index[image], q * w) for offset, image, _, q, w in
+                      walk(terms[min(fock.cutoff - sum(state), len(terms) - 1)], ((state, 1),)))
 
 
 def _weight_table(ws, fock: TruncatedFock) -> list:
@@ -252,9 +245,9 @@ def lowest_weight_vectors(alg, fock: TruncatedFock):
     key is read in one pass, off the Cartan operators' _weight_table.  A
     block state's vector stacks its columns of all the lowering
     operators, the k-th operator's row r at k * dim + r, formed by one
-    _column call over all of their terms.
+    walk over all of their terms.
     """
-    terms = [t for k, f in enumerate(alg.F) for t in _terms(f, fock, k * fock.dim)]
+    terms = _terms(alg.F, fock)
     table = _weight_table(alg.H, fock)
     blocks: dict[tuple, list[int]] = {}
     for i, s in enumerate(fock.states):

@@ -5,17 +5,20 @@ variables, simultaneous eigenfunctions of the conformal Hamiltonian
 H = z.d/dz + 1, the total angular momentum L^2 and its third component L3.
 Each (n, l) ladder is built once: an explicit top seed at m = l, lowered
 step by step with L- = L1 - i L2 down to m = -l; construction and
-verification are exact over Q(i).  Each operator (the Laplacian, Euler,
-H, L1, L2, L3 and L+-) is one ``poly.DiffOp`` built once at import and
-applied in one pass over a polynomial's terms; L^2 is L- L+ + (L3 + 1) L3,
-which rests on [L1, L2] = i L3.  ``operator_columns`` wraps the
-Laplacian, H, L^2 and each L_j in a ``linalg.ColumnMap``; one command
-builds them once and shares them, so each operator's image of a unit
-monomial is formed once.  ``verify_mode`` reads each eigen-defect
-(X - c) h off those columns, as one ``scalars.sum_products`` call over
-the terms of h, and the angular algebra check checks each bracket with
-one ``linalg.bracket_defect`` call on the same columns.  The level
-counts are ranks, which ``linalg`` certifies mod a prime.
+verification are exact over Q(i).  Each operator is a
+``weylalg.WeylElement`` over the modes ("z", i), built once at import: in
+the Bargmann picture z_i is the creator and d/dz_i the annihilator, so
+the Laplacian is sum a_i a_i, H = sum a*_i a_i + 1 and
+L_j = i (a*_b a_a - a*_a a_b).  L^2 = L- L+ + (L3 + 1) L3, which rests
+on [L1, L2] = i L3, is formed once by ``weylalg.sum_of_products``.
+``operator_columns`` holds the Laplacian, H, L^2 and each L_j as
+``poly.columns``; one command builds them once and shares them, so each
+operator's image of a unit monomial is one walk, formed once.
+``verify_mode`` reads each eigen-defect (X - c) h off those columns, as
+one ``scalars.sum_products`` call over the terms of h, and the angular
+algebra check checks each bracket with one ``linalg.bracket_defect``
+call on the same columns.  The level counts are ranks, which ``linalg``
+certifies mod a prime.
 
 Also provides the rational embedding of Minkowski points into the complex
 quadric coordinates z(x) and its sphere identity sum z^2 = conj(w)/w.
@@ -29,9 +32,10 @@ from itertools import chain
 
 from . import linalg
 from .linalg import ColumnMap
-from .poly import DiffOp, Poly, monomials_up_to
+from .poly import Poly, apply, columns, monomials_up_to, operator_terms
 from .reports import Report, render_defect
 from .scalars import QI, sum_products
+from .weylalg import WeylElement, WeylMonomial, sum_of_products
 
 NVARS = 4
 _ONE = QI(1)
@@ -46,45 +50,26 @@ def _z(i: int) -> Poly:
     return Poly.variable(NVARS, i, _ONE)
 
 
-def _x_d(u: int, d: int) -> DiffOp:
-    """z_u d/dz_d."""
-    return DiffOp({(u, d, 1): 1})
+_Z = [("z", i) for i in range(NVARS)]
 
 
-def _shifted(op: DiffOp, c: int) -> DiffOp:
-    """op - c, the operator with c times the identity taken off."""
-    return op + DiffOp({(None, None, 0): -c})
+def _z_d(u: int, d: int, c) -> WeylElement:
+    """c z_u d/dz_d."""
+    return WeylElement.monomial([_Z[u]], [_Z[d]], c)
 
 
-_LAPLACIAN = DiffOp({(None, i, 2): 1 for i in range(NVARS)})
-_EULER = DiffOp({(i, i, 1): 1 for i in range(NVARS)})
-_HAMILTONIAN = _shifted(_EULER, -1)
+_LAPLACIAN = WeylElement({WeylMonomial.make([], [z, z]): _ONE for z in _Z})
+_EULER = WeylElement({WeylMonomial.make([z], [z]): _ONE for z in _Z})
+_HAMILTONIAN = _EULER + WeylElement.one()
 
 _EPS = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
 
 # L_j = i eps_{jkl} z_l d/dz_k on the first three variables: for each
 # positively oriented (k, l) = (a, b), i (z_b d_a - z_a d_b).
-_L = {j: (_x_d(b - 1, a - 1) - _x_d(a - 1, b - 1)).scale(_I)
-      for (a, b), j in _EPS.items()}
+_L = {j: _z_d(b - 1, a - 1, _I) - _z_d(a - 1, b - 1, _I) for (a, b), j in _EPS.items()}
 _LOWERING = _L[1] - _L[2].scale(_I)
 _RAISING = _L[1] + _L[2].scale(_I)
-_L3_PLUS_ONE = _shifted(_L[3], -1)
-
-
-def laplacian(p: Poly) -> Poly:
-    return _LAPLACIAN(p)
-
-
-def l_squared(p: Poly) -> Poly:
-    """L^2 = L- L+ + (L3 + 1) L3, which rests on [L1, L2] = i L3: the walks
-    of L- over L+ p and of L3 + 1 over L3 p, summed in one call."""
-    return Poly(p.nvars, sum_products(chain(_LOWERING.walk(_RAISING(p).terms),
-                                            _L3_PLUS_ONE.walk(_L[3](p).terms))))
-
-
-def lowering(p: Poly) -> Poly:
-    """L- = L1 - i L2."""
-    return _LOWERING(p)
+_L_SQUARED = sum_of_products([(_LOWERING, _RAISING), (_L[3] + WeylElement.one(), _L[3])])
 
 
 @dataclass(frozen=True)
@@ -115,7 +100,8 @@ def _top_seed(n: int, l: int) -> Poly:
             f = f * rho2
         f = f.mul_var(3, d - 2 * b)
         cands.append(ul * f)
-    kern = linalg.kernel([laplacian(cand).terms for cand in cands])
+    lap = operator_terms(_LAPLACIAN)
+    kern = linalg.kernel([apply(lap, cand).terms for cand in cands])
     if len(kern) != 1:
         raise HarmonicError(f"harmonic seed for (n,l) = ({n},{l}) is not unique")
     out = Poly(NVARS)
@@ -138,8 +124,9 @@ def harmonic_ladder(n: int, l: int) -> list[HarmonicMode]:
         raise HarmonicError(f"invalid ladder labels (n,l) = ({n},{l})")
     p = _top_seed(n, l)
     modes = [HarmonicMode(n, l, l, _normalize_leading(p))]
+    lowering = operator_terms(_LOWERING)
     for m in range(l - 1, -l - 1, -1):
-        p = lowering(p)
+        p = apply(lowering, p)
         if p.is_zero():
             raise HarmonicError(f"lowering annihilated the mode ({n},{l},{m})")
         modes.append(HarmonicMode(n, l, m, _normalize_leading(p)))
@@ -154,14 +141,13 @@ def build_harmonic(n: int, l: int, m: int) -> HarmonicMode:
 
 
 def operator_columns() -> dict:
-    """A new ``linalg.ColumnMap`` of each operator the checks read, keyed
+    """A new ``poly.columns`` map of each operator the checks read, keyed
     "laplacian", "H", "L^2", "L1", "L2" and "L3": each column, the image
-    of a unit monomial, is formed on its first read and then kept, so one
+    of a unit monomial, is walked on its first read and then kept, so one
     command that shares these maps forms each column once."""
-    cols = {f"L{j}": ColumnMap(op.column) for j, op in _L.items()}
-    cols.update({"laplacian": ColumnMap(_LAPLACIAN.column),
-                 "H": ColumnMap(_HAMILTONIAN.column),
-                 "L^2": ColumnMap(lambda m: l_squared(Poly(NVARS, {m: 1})).terms)})
+    cols = {f"L{j}": columns(op) for j, op in _L.items()}
+    cols.update({"laplacian": columns(_LAPLACIAN), "H": columns(_HAMILTONIAN),
+                 "L^2": columns(_L_SQUARED)})
     return cols
 
 

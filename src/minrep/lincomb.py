@@ -26,6 +26,13 @@ def combine(pairs, acc: dict) -> dict:
     return acc
 
 
+def column_sum(items) -> dict:
+    """The {key: total} of (key, value) items with no zero total: one column
+    of a linear map.  Int values are summed as ints, so an int column stays
+    in ints."""
+    return {k: v for k, v in combine(items, {}).items() if v}
+
+
 class LinComb:
     """Immutable {key: coefficient} element; the constructor drops zeros.
 

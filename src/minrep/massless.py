@@ -5,33 +5,35 @@ Gaussian ground state e^(-u.ub/2), in the coordinates u = sqrt(2) z of the
 light-cone spinor z, where every coefficient is a Gaussian rational.  With
 v a mode's own variable (u_alpha for a_alpha, ub_alpha for b_alpha) and vb
 its partner, the mode acts as c = d/dv and c* = v - d/dvb: the Gaussian is
-folded into the action.  Each of the eight operators, and each
-derivative through the Gaussian, is one ``poly.DiffOp`` built once at
-import.  A ``DiffOpRealization`` realizes a Weyl element by one route,
-as a ``linalg.ColumnMap`` composed from the operators' images of unit
-monomials (coefficient the int 1); ``apply`` and the vacuum identities
-read a polynomial's image off those columns.  The inner product is
-evaluated by the exact moment rule u^a ub^a -> a!, which gives the
-ground state unit norm.
+folded into the action.  In the Bargmann picture the variable v is the
+creator of the mode ("u", v) and d/dv its annihilator, so each of the
+eight operators, and each derivative through the Gaussian, is a
+``WeylElement`` in those four modes, built once at import.  ``realize``
+substitutes the operators into a Weyl element of the oscillator modes:
+each of its monomials becomes the normal-ordered product of its
+substituted factors, so a realized element is again one Weyl element,
+whose columns are each one walk (``poly.columns``) and which
+``poly.apply`` applies to a polynomial.  The inner product is evaluated
+by the exact moment rule u^a ub^a -> a!, which gives the ground state
+unit norm.
 
 The CCR and the functoriality of brackets are operator identities on
 every monomial up to a degree, and each is one ``linalg.bracket_defect``
-call per pair of operators on a fresh realization's column maps, so
-every bracket that reaches a column reuses it, the CCR columns stay in
-int arithmetic, and nothing outlives a check.
+call per pair of operators on column maps built by the check, so every
+bracket that reaches a column reuses it, the CCR columns stay in int
+arithmetic, and nothing outlives a check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import factorial
 
-from .linalg import ColumnMap, bracket_defect
-from .poly import DiffOp, Poly, column_sum, monomials_up_to
+from .linalg import bracket_defect
+from .poly import Poly, apply, columns, monomials_up_to, operator_terms
 from .reports import Report, render_defect
-from .scalars import QI, int_if_integer
-from .weylalg import WeylElement
+from .scalars import QI
+from .weylalg import WeylElement, normal_product
 
 # variable order: u1, u2, ub1, ub2
 NVARS = 4
@@ -51,92 +53,45 @@ def _conj_var(i: int) -> int:
     return i + 2 if i < 2 else i - 2
 
 
-_EFF_DIFF = tuple(DiffOp({(None, i, 1): 1, (_conj_var(i), None, 0): -_HALF})
+def _u(i: int) -> tuple:
+    """The Bargmann mode of the variable i."""
+    return ("u", i)
+
+
+_EFF_DIFF = tuple(WeylElement.annihilator(_u(i)) - WeylElement.creator(_u(_conj_var(i)), _HALF)
                   for i in range(NVARS))
 
 
 def eff_diff(p: Poly, i: int) -> Poly:
     """Derivative through the Gaussian: d_i(P e^-u.ub/2) = (d_i P - vb P/2) e^-u.ub/2."""
-    return _EFF_DIFF[i](p)
+    return apply(operator_terms(_EFF_DIFF[i]), p)
 
 
-def _operator(mode, creator: bool) -> DiffOp:
-    """c = d/dv, or c* = v - d/dvb, for the mode's own variable v."""
-    kind, alpha = mode
-    v = (_U if kind == "a" else _UB)[alpha - 1]
-    if not creator:
-        return DiffOp({(None, v, 1): 1})
-    return DiffOp({(v, None, 0): 1, (None, _conj_var(v), 1): -1})
+# c = d/dv and c* = v - d/dvb, for each mode's own variable v
+_OWN = {mode: (_U if mode[0] == "a" else _UB)[mode[1] - 1] for mode in MODES}
+_OPS = {**{(mode, False): WeylElement.annihilator(_u(v)) for mode, v in _OWN.items()},
+        **{(mode, True): WeylElement.creator(_u(v)) - WeylElement.annihilator(_u(_conj_var(v)))
+           for mode, v in _OWN.items()}}
 
 
-_OPS = {(mode, creator): _operator(mode, creator)
-        for mode in MODES for creator in (False, True)}
-
-
-class DiffOpRealization:
-    """The eight first-order operators keyed by (mode, creator), and the
-    realization of a Weyl element as the column map of its operator.
-
-    ``op_columns`` holds each operator's ``ColumnMap``.  A Weyl
-    monomial's columns are its operators' columns composed in the order
-    they act on a state, formed once per realization and shared by every
-    element that holds the monomial; an element's column sums its
-    monomials' columns, with real-integer coefficients as ints.  ``apply``
-    reads a polynomial's image off those columns, so every Weyl element
-    is realized by this one route.  The columns live as long as the
-    realization.
-    """
-
-    def __init__(self, ops: dict):
-        self.ops = ops
-        self.op_columns = {key: ColumnMap(op.column) for key, op in ops.items()}
-        self._monomials: dict = {}
-
-    def columns(self, w: WeylElement) -> ColumnMap:
-        terms = [(self._monomial_columns(mono), int_if_integer(q))
-                 for mono, q in w.terms.items()]
-        return ColumnMap(lambda m: column_sum((r, q * v) for cm, q in terms
-                                              for r, v in cm[m].items()))
-
-    def _monomial_columns(self, mono) -> ColumnMap:
-        cm = self._monomials.get(mono)
-        if cm is None:
-            acting = [self.op_columns[key]
-                      for key in _acting_keys(mono.creators, mono.annihilators)]
-            cm = self._monomials[mono] = ColumnMap(partial(_composed_column, acting))
-        return cm
-
-    def apply(self, w: WeylElement, p: Poly) -> Poly:
-        cols = self.columns(w)
-        return Poly(NVARS, column_sum((r, c * v) for m, c in p.terms.items()
-                                      for r, v in cols[m].items()))
-
-
-def _acting_keys(creators, annihilators) -> list:
-    """The (mode, creator) keys of a Weyl monomial's operators in the order
-    they act on a state: the annihilators from the last, then the creators
-    from the last."""
-    return [(m, False) for m in reversed(list(annihilators))] \
-        + [(m, True) for m in reversed(list(creators))]
-
-
-def _composed_column(acting: list, m: tuple) -> dict:
-    """Column m of the product of the column maps in `acting`, the first
-    acting first; the identity's column when there are none."""
-    col = {m: 1}
-    for f in acting:
-        col = column_sum((r, c * v) for s, c in col.items() for r, v in f[s].items())
-    return col
-
-
-def realize_schrodinger() -> DiffOpRealization:
-    return DiffOpRealization(dict(_OPS))
+def realize(w: WeylElement) -> WeylElement:
+    """w with each oscillator mode's creator and annihilator replaced by
+    its operator in ``_OPS``: each monomial c*_1..c*_p c_1..c_q becomes
+    the normal-ordered product of its substituted factors in that order,
+    scaled by its coefficient."""
+    out = WeylElement.zero()
+    for mono, q in w.terms.items():
+        x = WeylElement.scalar(q)
+        for key in [(m, True) for m in mono.creators] + [(m, False) for m in mono.annihilators]:
+            x = normal_product(x, _OPS[key])
+        out = out + x
+    return out
 
 
 def ccr_check(degree: int = 6) -> Report:
     """CCR as exact operator identities on all monomials of degree <= D,
     each bracket summed by ``linalg.bracket_defect`` in int arithmetic."""
-    cols = realize_schrodinger().op_columns
+    cols = {key: columns(op) for key, op in _OPS.items()}
     rep = Report(f"massless/ccr/degree<={degree}")
     monos = list(monomials_up_to(NVARS, degree))
     unit = {m: {m: 1} for m in monos}
@@ -182,7 +137,6 @@ def vacuum_checks() -> Report:
     """Ground-state identities for the realized conformal generators."""
     from . import oscrep
 
-    real = realize_schrodinger()
     rep = Report("massless/vacuum")
     vac = vacuum()
     gens = oscrep.su22_generators()
@@ -191,11 +145,11 @@ def vacuum_checks() -> Report:
                      ("E3", gens.E[2]), ("H3", gens.H[2]),
                      ("F1", gens.F[0]), ("F2", gens.F[1]), ("F3", gens.F[2]),
                      ("h", gens.extras["h"])):
-        img = real.apply(el, vac)
+        img = apply(operator_terms(realize(el)), vac)
         rep.identity(f"vacuum/{name}|0>=0", img)
 
     center = gens.H[0] + gens.H[1].scale(2) + gens.H[2]
-    img = real.apply(center, vac)
+    img = apply(operator_terms(realize(center)), vac)
     rep.identity("vacuum/(H1+2H2+H3)|0>=2|0>", img - vac.scale(_TWO))
 
     # the same operator in closed form: (u.ub/2 - 2 dbar.d) P, Gaussian folded
@@ -210,7 +164,7 @@ def vacuum_checks() -> Report:
 
     # moment rule against the closed radial integral value for one quantum:
     # norm of a1*|0> must be 1 = <0| a1 a1* |0>
-    a1s = real.ops[(("a", 1), True)](vac)
+    a1s = apply(operator_terms(_OPS[(("a", 1), True)]), vac)
     rep.add("vacuum/|a1*0|^2=1", inner_product(a1s, a1s) == QI(1),
             detail=f"norm {inner_product(a1s, a1s)}")
 
@@ -220,7 +174,7 @@ def vacuum_checks() -> Report:
         state = vac
         for k in range(5):
             ok &= inner_product(state, state) == factorial(k)
-            state = real.ops[(mode, True)](state)
+            state = apply(operator_terms(_OPS[(mode, True)]), state)
     rep.add("vacuum/|c*^k 0|^2=k!", ok, detail="each creator c*, k = 0..4")
     return rep
 
@@ -231,22 +185,22 @@ def realization_functoriality_check(degree: int = 4) -> Report:
     For every Chevalley pair (x, y) of the conformal generator set, the
     realized commutator equals the realization of the symbolic commutator:
     ``linalg.bracket_defect`` compares [X, Y] with the realized commutator
-    column by column, on the column maps of one realization.
+    column by column, each realized element's columns formed once.
     """
     from . import oscrep
     from .weylalg import commutator
 
-    real = realize_schrodinger()
     rep = Report(f"massless/functoriality/degree<={degree}")
     gens = oscrep.su22_generators()
     named = [(f"E{i+1}", e) for i, e in enumerate(gens.E)]
     named += [(f"F{i+1}", f) for i, f in enumerate(gens.F)]
     named += [("E_theta", gens.extras["E_theta"]), ("H_theta", gens.extras["H_theta"])]
-    maps = {n: real.columns(w) for n, w in named}
+    maps = {n: columns(realize(w)) for n, w in named}
     monos = list(monomials_up_to(NVARS, degree))
     for i, (n1, x) in enumerate(named):
         for n2, y in named[i + 1:]:
-            defect = bracket_defect(maps[n1], maps[n2], monos, real.columns(commutator(x, y)))
+            defect = bracket_defect(maps[n1], maps[n2], monos,
+                                    columns(realize(commutator(x, y))))
             rep.add(f"functorial/[{n1},{n2}]", not defect, defect=render_defect(defect))
     return rep
 

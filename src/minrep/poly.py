@@ -1,34 +1,32 @@
-"""Multivariate polynomials with ``QI`` coefficients.
+"""Multivariate polynomials with ``QI`` coefficients, and the operators
+that act on them.
 
 Monomials are exponent tuples.  Every polynomial the package builds has
 ``QI`` coefficients: the harmonic modes, the sphere identity and the
 Gaussian wave functions of the massless model.
 
-``DiffOp`` is the one kernel for the linear differential operators that
-act on them, sums of c * x_u * (d/dx_d)^k with k = 0, 1 or 2 and the
-factor x_u optional.  Its one term walker, ``walk``, yields an item
-(monomial, c, a, w) per pair of a polynomial term c and an operator term
-a, with w the int that d^k brings down.  Applying the operator sums
-those items in ints through ``scalars.sum_products`` and builds one
-``Poly`` of ``QI`` coefficients without testing them for zero again.  An
-operator coefficient that is a real integer is kept as an ``int``, so it
-is read without building a ``QI``.
-
-``DiffOp.column`` forms the operator's image of a unit monomial, which
-carries the int 1, as a plain {monomial: coeff} dict without a ``Poly``;
-a real-integer operator's columns stay in ints.  Wrapped in a
-``linalg.ColumnMap``, which forms each column on its first read and then
-keeps it, an operator goes to ``linalg.bracket_defect``, so a check of
-[X, Y] = cZ forms each operator's image of a monomial once, not once per
-pair and monomial.  ``column_sum`` is the one sum of scaled columns,
-which a column image, a composed or summed column and a polynomial's
-image read off columns all go through.
+Every linear operator on them is a ``WeylElement`` in the Bargmann
+picture: a mode (name, i) stands for the variable x_i, its creator for
+multiplication by x_i and its annihilator for d/dx_i, so a normal-ordered
+monomial is x^a d^b and a monomial is its own occupation state.
+``operator_terms`` reads an element's terms once for ``weylalg.walk``,
+whose images of a monomial are keyed by the image monomial itself.
+``columns`` holds an operator as a ``linalg.ColumnMap``: column m, the
+image of the unit monomial x^m, is one walk summed by
+``lincomb.column_sum`` the first time it is read, so a real-integer
+operator's columns stay in ints and ``linalg.bracket_defect`` sums their
+brackets in int arithmetic.  ``apply`` maps a ``Poly`` through an
+operator's terms in one ``scalars.sum_products`` call over their images.
 """
 
 from __future__ import annotations
 
-from .lincomb import LinComb, combine
-from .scalars import int_if_integer, sum_products
+from functools import partial
+
+from .linalg import ColumnMap
+from .lincomb import LinComb, column_sum, combine
+from .scalars import sum_products
+from .weylalg import WeylElement, walk, walker_terms
 
 
 class Poly(LinComb):
@@ -113,65 +111,27 @@ class Poly(LinComb):
         return f"({c})" + (f"*{mono}" if mono else "")
 
 
-class DiffOp(LinComb):
-    """Immutable operator {(u, d, k): c} standing for the sum of c * x_u * d_d^k.
-
-    u is a variable index or None (no factor), d a variable index or None
-    when k = 0; the identity is {(None, None, 0): 1}.  Operators add,
-    subtract and scale like any ``LinComb``; calling one on a ``Poly``
-    applies it.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, terms: dict | None = None):
-        LinComb.__init__(self, {key: int_if_integer(c)
-                                for key, c in (terms or {}).items()})
-
-    def scale(self, c) -> "DiffOp":
-        return self._scaled(c)
-
-    def walk(self, terms: dict):
-        """(monomial, c, a, w) for each term c x^m of terms, a polynomial's
-        {monomial: coeff} dict, and each term a x_u d_d^k of this operator
-        that does not annihilate it: the pair's image is w c a times the
-        monomial, with w the int that d_d^k brings down, n from x_d^n for
-        k = 1, n (n-1) for k = 2 and 1 for k = 0."""
-        steps = self.terms.items()
-        for m, c in terms.items():
-            for (u, d, k), a in steps:
-                if k:
-                    n = m[d]
-                    if n < k:
-                        continue
-                    e = list(m)
-                    e[d] = n - k
-                    w = n * (n - 1) if k == 2 else n
-                else:
-                    e = list(m)
-                    w = 1
-                if u is not None:
-                    e[u] += 1
-                yield tuple(e), c, a, w
-
-    def __call__(self, p: Poly) -> Poly:
-        """p with this operator applied, in one walk over p's terms whose
-        items ``sum_products`` sums in ints; it leaves out the zero totals,
-        so the result skips the zero filter."""
-        return _nonzero_poly(p.nvars, sum_products(self.walk(p.terms)))
-
-    def column(self, m: tuple) -> dict:
-        """The image of the unit monomial m, as a {monomial: coeff} dict
-        with no zero, formed without a ``Poly``.  The unit is the int 1, so
-        each coefficient is an operator coefficient times an int and a
-        real-integer operator's column stays in ints."""
-        return column_sum((e, a * w) for e, _, a, w in self.walk({m: 1}))
+def operator_terms(w: WeylElement) -> list:
+    """w's walker terms over polynomials: the mode (name, i) is x_i."""
+    return walker_terms(w, {m: m[1] for m in w.modes()})
 
 
-def column_sum(items) -> dict:
-    """The {key: total} column of (key, value) items, with no zero total:
-    an operator's column, or the sum of q * column over a map's columns."""
-    return {k: v for k, v in combine(items, {}).items() if v}
+def columns(w: WeylElement) -> ColumnMap:
+    """w as a map of its columns, each the image of a unit monomial,
+    formed by one walk on its first read."""
+    return ColumnMap(partial(_column, operator_terms(w)))
+
+
+def _column(terms, m: tuple) -> dict:
+    return column_sum((image, q * w) for _, image, _, q, w in walk(terms, ((m, 1),)))
+
+
+def apply(terms, p: Poly) -> Poly:
+    """The operator of the walker terms applied to p: the images of its
+    terms on p's terms, summed in one ``sum_products`` call, which leaves
+    the zero totals out."""
+    return _nonzero_poly(p.nvars, sum_products(
+        (image, c, q, w) for _, image, c, q, w in walk(terms, p.terms.items())))
 
 
 _set_nvars = Poly.nvars.__set__

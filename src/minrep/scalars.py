@@ -195,14 +195,6 @@ def _reduced(a: int, b: int, d: int) -> QI:
     return q
 
 
-def _fields(x) -> tuple[int, int, int]:
-    """(a, b, d) of x as a QI, for an int without building one."""
-    if type(x) is int:
-        return x, 0, 1
-    x = QI.of(x)
-    return x._a, x._b, x._d
-
-
 def sum_products(items) -> dict:
     """{key: sum of w * x * y} over (key, x, y, w) items, w an int weight.
 
@@ -219,8 +211,11 @@ def sum_products(items) -> dict:
     for key, x, y, w in items:
         if type(x) is QI:
             a, b, d = x._a, x._b, x._d
+        elif type(x) is int:
+            a, b, d = x, 0, 1
         else:
-            a, b, d = _fields(x)
+            x = QI.of(x)
+            a, b, d = x._a, x._b, x._d
         if w != 1:
             a, b = a * w, b * w
         if type(y) is QI:
@@ -229,7 +224,8 @@ def sum_products(items) -> dict:
         elif type(y) is int:
             re, im, den = a * y, b * y, d
         else:
-            c, e, f = _fields(y)
+            y = QI.of(y)
+            c, e, f = y._a, y._b, y._d
             re, im, den = a * c - b * e, a * e + b * c, d * f
         s = get(key)
         if s is None:
@@ -273,8 +269,8 @@ def residues(vector: dict, p: int, root: int) -> dict | None:
 
 def int_if_integer(c):
     """c as an int when it is a real integer ``QI``, else c itself."""
-    if type(c) is QI and c.is_real() and c.real_fraction().denominator == 1:
-        return int(c.real_fraction())
+    if type(c) is QI and c._b == 0 and c._d == 1:
+        return c._a
     return c
 
 

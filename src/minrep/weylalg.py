@@ -13,6 +13,13 @@ in ints; ``sum_of_products`` sums many products in one such call.
 Quadratics phi~ X phi are read off the polarization's table of
 normal-ordered products, with X a {(row, col): entry} dict of its nonzero
 entries, as are the matrices read back off a quadratic.
+
+An element acts on the states a*^n|0>, or in the Bargmann picture
+(a* = z, a = d/dz) on the monomials z^n, both keyed by the exponent
+tuple n.  ``walk`` is the one walker of that action: it reads an
+element's terms from ``walker_terms``, with real-integer coefficients as
+ints, and yields each term's image of each state it is handed, so the
+Fock matrices and the polynomial operators form their columns alike.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .lincomb import LinComb
-from .scalars import QI, sum_products
+from .scalars import QI, int_if_integer, sum_products
 
 Mode = tuple
 
@@ -230,6 +237,46 @@ def ad_power(x: WeylElement, y: WeylElement, k: int) -> WeylElement:
     for _ in range(k):
         out = commutator(x, out)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Acting on states
+
+
+def walker_terms(w: WeylElement, pos: dict, tag=0) -> list:
+    """w's terms as (tag, q, annihilator positions, creator positions) for
+    ``walk``, pos mapping each mode to its position in a state tuple.  q
+    is read by ``int_if_integer``, so a real-integer coefficient is an int
+    and the images it gives stay in ints."""
+    return [(tag, int_if_integer(q), [pos[m] for m in mono.annihilators],
+             [pos[m] for m in mono.creators]) for mono, q in w.terms.items()]
+
+
+def walk(terms, states):
+    """(tag, image, c, q, weight) for each (state, c) of states and each of
+    the walker terms that does not annihilate the state: the term q c*..c
+    maps c times the state to c * q * weight times the image.
+
+    A state is an occupation or exponent tuple n, standing for a*^n|0> or
+    for z^n.  Each annihilator takes one from its entry k and brings down
+    the int k, each creator adds one, and weight is the product of those
+    ints.  The tags are the caller's: a Fock module tags each term with
+    the row offset of its operator.
+    """
+    for state, c in states:
+        for tag, q, ann, cre in terms:
+            occ = list(state)
+            weight = 1
+            for i in ann:
+                k = occ[i]
+                if not k:
+                    break
+                weight *= k
+                occ[i] = k - 1
+            else:
+                for i in cre:
+                    occ[i] += 1
+                yield tag, tuple(occ), c, q, weight
 
 
 # ---------------------------------------------------------------------------

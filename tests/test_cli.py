@@ -296,6 +296,17 @@ class TestDecompose:
         failed = {r["check_id"] for r in json.loads(out)["records"] if not r["passed"]}
         assert failed == {f"decompose/level{level}/bookkeeping" for level in (2, 3, 4)}
 
+    def test_multiplicity_one_fails_on_a_level_with_no_rows(self, capsys, monkeypatch):
+        # an empty row list compares no multiplicity, so it must not pass
+        monkeypatch.setattr(fockspace.MultiplicityTable, "rows_at", lambda self, level: [])
+        code, out = run(["decompose", "--n", "2", "--level", "2", "--format", "json"], capsys)
+        assert code == cli.EXIT_CHECK_FAILED
+        records = json.loads(out)["records"]
+        failed = {r["check_id"] for r in records if not r["passed"]}
+        assert failed == {f"decompose/level{level}/multiplicity-one" for level in range(3)}
+        assert all(r["detail"] == "multiplicities []" for r in records
+                   if r["check_id"] in failed)
+
 
 class TestOtherCommands:
     def test_harmonics(self, capsys):
@@ -308,6 +319,18 @@ class TestOtherCommands:
         code, out = run(["harmonics", "--nmax", "2", "--format", "json"], capsys)
         assert code == 0 and len(calls) == 3
         assert sum(r["wall_ms"] for r in json.loads(out)["records"]) >= 3000
+
+    def test_compactification_fails_when_every_point_is_at_infinity(self, capsys, monkeypatch):
+        # with every point skipped the 20-point record compares nothing
+        def at_infinity(x):
+            raise harmonics.ConformalInfinityError(f"point {x} lies at conformal infinity")
+
+        monkeypatch.setattr(harmonics, "compactify", at_infinity)
+        code, out = run(["harmonics", "--nmax", "2", "--format", "json"], capsys)
+        assert code == cli.EXIT_CHECK_FAILED
+        failed = [r for r in json.loads(out)["records"] if not r["passed"]]
+        assert [r["check_id"] for r in failed] == ["harmonics/compactification/20-points"]
+        assert failed[0]["detail"] == ""
 
     def test_massless(self, capsys):
         code, out = run(["massless", "--format", "json"], capsys)

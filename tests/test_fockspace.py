@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 
 from minrep import fockspace, linalg, oscrep
-from minrep.scalars import QI
+from minrep.scalars import QI, sum_products
 from minrep.weylalg import WeylElement, commutator, normal_product, standard_polarization
 
 mono = WeylElement.monomial
@@ -124,6 +124,60 @@ class TestOperatorMatrix:
             assert m.entries[col] == oracle
             assert m.apply({col: QI(1)}) == oracle
         assert all(v for col in range(fock.dim) for v in m.entries[col].values())
+
+
+def _sum_products_column(w, fock, col) -> dict:
+    """Oracle: column col of w's matrix as it was formed before the walker,
+    each term's image of the state at the image's index, all summed in one
+    sum_products call, so every entry is a QI."""
+    pos = {m: i for i, m in enumerate(fock.modes)}
+    state = fock.states[col]
+    items = []
+    for mono_, q in w.terms.items():
+        if len(mono_.creators) - len(mono_.annihilators) > fock.cutoff - sum(state):
+            continue
+        occ, coeff = list(state), 1
+        for m in mono_.annihilators:
+            coeff *= occ[pos[m]]
+            occ[pos[m]] = max(0, occ[pos[m]] - 1)
+        if coeff:
+            for m in mono_.creators:
+                occ[pos[m]] += 1
+            items.append((fock.index[tuple(occ)], q, coeff, 1))
+    return sum_products(items)
+
+
+def _walker_cases():
+    so8 = fockspace.dual_pair("so_star", 2)
+    gens = so8.chevalley
+    sp4 = fockspace.dual_pair("sp_real", 2, 2)
+    return [pytest.param(list(gens.E + gens.F + gens.H) + list(so8.a_span), so8.modes, 5,
+                         id="so*(8)-level5"),
+            pytest.param([fockspace.flavor_sum(e, 2) for e in sp4.a_span] + list(sp4.gauge.span),
+                         sorted({m for e in sp4.a_span for m in fockspace.flavor_sum(e, 2).modes()}),
+                         4, id="sp(4,R)-N2-level4")]
+
+
+class TestWalkerColumns:
+    @pytest.mark.parametrize("elements,modes,level", _walker_cases())
+    def test_walker_columns_equal_the_sum_products_columns(self, elements, modes, level):
+        fock = fockspace.enumerate_basis(modes, level)
+        for w in elements:
+            m = fockspace.operator_matrix(w, fock)
+            for col in range(fock.dim):
+                assert {r: QI.of(v) for r, v in m.entries[col].items()} \
+                    == _sum_products_column(w, fock, col), (w, col)
+
+    def test_so_star_8_lowering_columns_hold_only_ints(self):
+        pair, fock = _so_star_setup(2, 5)
+        stacked = fockspace._terms(pair.chevalley.F, fock)
+        matrices = [fockspace.operator_matrix(f, fock) for f in pair.chevalley.F]
+        for col in range(fock.dim):
+            column = fockspace._column(stacked, fock, col)
+            assert all(type(v) is int for v in column.values())
+            assert column == {k * fock.dim + r: v for k, m in enumerate(matrices)
+                              for r, v in m.entries[col].items()}
+            assert all(type(v) is int for m in matrices for v in m.entries[col].values())
 
 
 class TestHelicity:
@@ -672,7 +726,7 @@ def conj_transpose_weighted(m: fockspace.SparseOperator) -> fockspace.SparseOper
     out = {c: {} for c in range(f.dim)}
     for c in range(f.dim):
         for r, v in m.entries[c].items():
-            out[r][c] = v.conj() * QI(Fraction(weight[r], weight[c]))
+            out[r][c] = QI.of(v).conj() * QI(Fraction(weight[r], weight[c]))
     return fockspace.SparseOperator(out, -m.level_raise, f)
 
 

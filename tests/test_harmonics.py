@@ -5,10 +5,23 @@ from fractions import Fraction
 import pytest
 
 from minrep import cli, harmonics, linalg
-from minrep.harmonics import (HarmonicError, build_harmonic, compactify, l_squared, lowering,
-                              sphere_identity_defect, verify_mode)
-from minrep.poly import Poly, monomials_of_degree, monomials_up_to
+from minrep.harmonics import (HarmonicError, build_harmonic, compactify, sphere_identity_defect,
+                              verify_mode)
+from minrep.poly import Poly, apply, monomials_of_degree, monomials_up_to, operator_terms
 from minrep.scalars import QI
+from minrep.weylalg import WeylElement, WeylMonomial
+
+
+def _applied(op: WeylElement, p: Poly) -> Poly:
+    return apply(operator_terms(op), p)
+
+
+def lowering(p: Poly) -> Poly:
+    return _applied(harmonics._LOWERING, p)
+
+
+def l_squared(p: Poly) -> Poly:
+    return _applied(harmonics._L_SQUARED, p)
 
 
 class TestConstruction:
@@ -30,7 +43,7 @@ class TestConstruction:
         mode = build_harmonic(3, 0, 0)
         p = mode.poly
         for j in (1, 2, 3):
-            assert harmonics._L[j](p).is_zero()
+            assert _applied(harmonics._L[j], p).is_zero()
         # uniqueness up to scale: the kernel construction is pinned by the
         # eigen-checks plus homogeneity
         assert verify_mode(p, 3, 0, 0, harmonics.operator_columns()).ok
@@ -50,7 +63,7 @@ class TestConstruction:
 
     def test_raising_kills_top(self):
         for n, l in [(2, 1), (4, 3), (5, 2)]:
-            assert harmonics._RAISING(build_harmonic(n, l, l).poly).is_zero()
+            assert _applied(harmonics._RAISING, build_harmonic(n, l, l).poly).is_zero()
 
 
 def _per_mode_oracle(n, l, m):
@@ -116,6 +129,28 @@ class TestVerification:
         failed = {r.check_id for r in rep.records if not r.passed}
         assert any("laplacian" in f for f in failed)
 
+    def test_hamiltonian_without_its_one_fails_the_conformal_hamiltonian(self, monkeypatch):
+        # the Euler operator alone has eigenvalue n - 1 on h_{n,l,m}, not n
+        modes = [build_harmonic(n, l, m) for n, l, m in [(1, 0, 0), (3, 1, -1), (4, 2, 1)]]
+        monkeypatch.setattr(harmonics, "_HAMILTONIAN", harmonics._EULER)
+        cols = harmonics.operator_columns()
+        for mode in modes:
+            rep = verify_mode(mode.poly, mode.n, mode.l, mode.m, cols)
+            assert [r.check_id.rsplit("/", 1)[1] for r in rep.records if not r.passed] \
+                == ["conformal-hamiltonian"]
+
+    def test_a_laplacian_with_one_coefficient_changed_fails(self, monkeypatch):
+        # 2 d0^2 + d1^2 + d2^2 + d3^2 leaves 2 d0^2 h on a harmonic h, which
+        # is not zero when h holds z0^2
+        h = build_harmonic(3, 0, 0).poly
+        assert _applied(harmonics._LAPLACIAN, h).is_zero()
+        z0 = ("z", 0)
+        terms = dict(harmonics._LAPLACIAN.terms)
+        terms[WeylMonomial.make([], [z0, z0])] = QI(2)
+        monkeypatch.setattr(harmonics, "_LAPLACIAN", WeylElement(terms))
+        rep = verify_mode(h, 3, 0, 0, harmonics.operator_columns())
+        assert [r.check_id for r in rep.records if not r.passed] == ["mode/3,0,0/laplacian"]
+
     @pytest.mark.parametrize("n,l,m", [(1, 0, 0), (3, 1, -1), (4, 2, 1), (5, 3, 0)])
     def test_one_wrong_label_fails_exactly_its_own_eigen_record(self, n, l, m):
         h = build_harmonic(n, l, m).poly
@@ -152,7 +187,7 @@ class TestOperatorAlgebra:
         for d in range(4):
             mono = tuple(rng.randint(0, d) for _ in range(4))
             p = Poly(4, {mono: QI(1)})
-            assert harmonics._HAMILTONIAN(p) == p.scale(QI(sum(mono) + 1))
+            assert _applied(harmonics._HAMILTONIAN, p) == p.scale(QI(sum(mono) + 1))
 
     def test_l2_from_the_ladder_agrees_with_the_sum_of_squares(self):
         # the oracle L^2 = L1^2 + L2^2 + L3^2, on every monomial of degree <= 6
@@ -160,8 +195,14 @@ class TestOperatorAlgebra:
             p = Poly(4, {mono: QI(1)})
             want = Poly(4)
             for j in (1, 2, 3):
-                want = want + harmonics._L[j](harmonics._L[j](p))
+                want = want + _applied(harmonics._L[j], _applied(harmonics._L[j], p))
             assert l_squared(p) == want
+
+    def test_l2_is_one_element_of_twelve_terms(self):
+        # L- L+ + (L3 + 1) L3, normal ordered: z_a^2 d_b^2 for a != b,
+        # z_a z_b d_a d_b for a < b and z_a d_a, on the first three variables
+        assert len(harmonics._L_SQUARED.terms) == 12
+        assert all(type(c) is int for _, c, _, _ in operator_terms(harmonics._L_SQUARED))
 
     def test_l2_commutes_with_lowering(self):
         p = build_harmonic(4, 2, 2).poly

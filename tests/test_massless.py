@@ -2,12 +2,22 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from minrep import massless, oscrep
+from minrep import massless, oscrep, poly
 from minrep.massless import (ccr_check, inner_product, lightlike_identity,
-                             pauli_bilinears, realize_schrodinger, vacuum,
-                             vacuum_checks)
-from minrep.poly import DiffOp, Poly, monomials_up_to
+                             pauli_bilinears, realize, vacuum, vacuum_checks)
+from minrep.poly import Poly, monomials_up_to, operator_terms
 from minrep.scalars import QI, QIS
+from minrep.weylalg import WeylElement
+from test_poly import DIFFOPS
+
+
+def _applied(w: WeylElement, p: Poly) -> Poly:
+    return poly.apply(operator_terms(w), p)
+
+
+def _op(key):
+    """The operator of a (mode, creator) key, applied by the walker."""
+    return lambda p: _applied(massless._OPS[key], p)
 
 
 class TestRealization:
@@ -15,16 +25,14 @@ class TestRealization:
         assert ccr_check(6).ok
 
     def test_annihilators_kill_vacuum(self):
-        real = realize_schrodinger()
         vac = vacuum()
         for alpha in (1, 2):
-            assert real.ops[(("a", alpha), False)](vac).is_zero()
-            assert real.ops[(("b", alpha), False)](vac).is_zero()
+            assert _op((("a", alpha), False))(vac).is_zero()
+            assert _op((("b", alpha), False))(vac).is_zero()
 
     def test_ccr_bracket_on_constant(self):
-        real = realize_schrodinger()
-        a1 = real.ops[(("a", 1), False)]
-        a1s = real.ops[(("a", 1), True)]
+        a1 = _op((("a", 1), False))
+        a1s = _op((("a", 1), True))
         p = vacuum()
         assert a1(a1s(p)) - a1s(a1(p)) == p
 
@@ -41,18 +49,16 @@ class TestVacuum:
         assert inner_product(vacuum(), vacuum()) == QI(1)
 
     def test_center_eigenvalue_two(self):
-        real = realize_schrodinger()
         gens = oscrep.su22_generators()
         center = gens.H[0] + gens.H[1].scale(2) + gens.H[2]
-        got = real.apply(center, vacuum())
+        got = _applied(realize(center), vacuum())
         assert got == vacuum().scale(QIS(QI(2)))
 
     def test_first_level_norms(self):
         # <0| a a* |0> = 1 for each creation operator
-        real = realize_schrodinger()
         vac = vacuum()
         for mode in (("a", 1), ("a", 2), ("b", 1), ("b", 2)):
-            state = real.ops[(mode, True)](vac)
+            state = _op((mode, True))(vac)
             assert inner_product(state, state) == QI(1)
 
     def test_moment_rule_against_closed_form(self):
@@ -69,7 +75,6 @@ class TestVacuum:
     def test_first_order_operators_pair_with_their_adjoints(self):
         # <p, x y q> = <y^+ x^+ p, q>, where the adjoint of c is c* and of
         # c* is c: the pairing and the realization agree in any coordinates
-        real = realize_schrodinger()
         vac = vacuum()
         monos = []
         for m in monomials_up_to(4, 2):
@@ -77,8 +82,9 @@ class TestVacuum:
             for i, e in enumerate(m):
                 p = p.mul_var(i, e)
             monos.append(p)
-        for (kx, x), (ky, y) in itertools.product(real.ops.items(), repeat=2):
-            xd, yd = real.ops[(kx[0], not kx[1])], real.ops[(ky[0], not ky[1])]
+        ops = {key: _op(key) for key in massless._OPS}
+        for (kx, x), (ky, y) in itertools.product(ops.items(), repeat=2):
+            xd, yd = ops[(kx[0], not kx[1])], ops[(ky[0], not ky[1])]
             for p in monos:
                 left = yd(xd(p))
                 for q in monos:
@@ -107,54 +113,58 @@ class TestFunctoriality:
         assert massless.realization_functoriality_check(3).ok
 
     def test_helicity_kills_vacuum(self):
-        real = realize_schrodinger()
         h = oscrep.su22_generators().extras["h"]
-        assert real.apply(h, vacuum()).is_zero()
+        assert _applied(realize(h), vacuum()).is_zero()
 
 
 class TestColumnRealization:
-    """The realization's column maps, which apply and both operator-identity
-    checks read, against the operators applied to a Poly one by one."""
+    """Each realized element's walker columns, which both operator-identity
+    checks read, against the element's monomials applied through the
+    ``DiffOp`` oracles of its first-order operators, one by one."""
 
     @staticmethod
-    def _applied(real, w, p: Poly) -> Poly:
+    def _oracle(key):
+        (kind, alpha), creator = key
+        return DIFFOPS[f"{kind}{alpha}" + ("*" if creator else "")]
+
+    def _applied_in_turn(self, w, p: Poly) -> Poly:
         out = Poly(4)
         for mono, q in w.terms.items():
             img = p
             for m in reversed(mono.annihilators):
-                img = real.ops[(m, False)](img)
+                img = self._oracle((m, False))(img)
             for m in reversed(mono.creators):
-                img = real.ops[(m, True)](img)
+                img = self._oracle((m, True))(img)
             out = out + img.scale(q)
         return out
 
     def test_columns_are_the_operators_applied_in_turn(self):
         from minrep.weylalg import commutator
 
-        real = realize_schrodinger()
         gens = oscrep.su22_generators()
-        elements = gens.E + gens.F + gens.H + list(gens.extras.values())
-        elements += [commutator(x, y) for x, y in itertools.combinations(gens.E + gens.F, 2)]
-        monos = list(monomials_up_to(4, 3))
-        for w in elements:
-            cols = real.columns(w)
-            for m in monos:
-                unit = Poly(4, {m: QI(1)})
-                want = self._applied(real, w, unit)
-                assert Poly(4, cols[m]) == want, (w, m)
-                assert real.apply(w, unit) == want, (w, m)
+        generators = gens.E + gens.F + gens.H + list(gens.extras.values())
+        brackets = [commutator(x, y) for x, y in itertools.combinations(gens.E + gens.F, 2)]
+        # the 13 generators on all 330 monomials of degree <= 7, and each
+        # bracket of two Chevalley generators on those of degree <= 3
+        for elements, degree in ((generators, 7), (brackets, 3)):
+            for w in elements:
+                cols = poly.columns(realize(w))
+                for m in monomials_up_to(4, degree):
+                    unit = Poly(4, {m: QI(1)})
+                    want = self._applied_in_turn(w, unit)
+                    assert Poly(4, cols[m]) == want, (w, m)
+                    assert _applied(realize(w), unit) == want, (w, m)
 
     def test_apply_is_linear_over_the_columns(self):
-        real = realize_schrodinger()
         w = oscrep.su22_generators().extras["E_theta"]
         p = Poly(4, {(1, 0, 0, 0): QI(2, 1), (0, 1, 1, 0): QI(-1), (0, 0, 0, 2): QI(0, 3)})
-        assert real.apply(w, p) == self._applied(real, w, p)
+        assert _applied(realize(w), p) == self._applied_in_turn(w, p)
 
 
 # a1* = u1 - d/dub1 with the sign of its derivative flipped: [a1*, b1*] is
 # then 2, not 0, while every pair of the other seven operators keeps its CCR
 _A1_STAR = (("a", 1), True)
-_A1_STAR_FLIPPED = DiffOp({(0, None, 0): 1, (None, 2, 1): 1})
+_A1_STAR_FLIPPED = WeylElement.creator(("u", 0)) + WeylElement.annihilator(("u", 2))
 
 
 def _split(report, names_perturbed):
@@ -164,19 +174,19 @@ def _split(report, names_perturbed):
 
 
 class TestColumnImages:
-    """Each check forms an operator's image of a unit monomial once."""
+    """Each check forms each column of each of its maps once."""
 
     @staticmethod
     def _count_columns(monkeypatch):
         calls = []
-        original = DiffOp.column
+        original = poly._column
 
-        def counted(self, m):
-            col = original(self, m)
-            calls.append(col)
+        def counted(terms, m):
+            col = original(terms, m)
+            calls.append((terms, m, col))
             return col
 
-        monkeypatch.setattr(DiffOp, "column", counted)
+        monkeypatch.setattr(poly, "_column", counted)
         return calls
 
     def test_ccr_applies_each_operator_once_per_monomial(self, monkeypatch):
@@ -185,16 +195,18 @@ class TestColumnImages:
         # 8 operators x 330 monomials of degree <= 7; 23 520 when each
         # bracket applied both operators to every monomial
         assert 0 < len(calls) <= 8 * len(list(monomials_up_to(4, 7))) == 2640
-        # every column is formed in int arithmetic from the int unit
-        assert all(type(c) is int for col in calls for c in col.values())
+        assert len({(id(terms), m) for terms, m, _ in calls}) == len(calls)
+        # every column is formed in int arithmetic
+        assert all(type(c) is int for _, _, col in calls for c in col.values())
 
     def test_functoriality_reuses_each_column(self, monkeypatch):
         calls = self._count_columns(monkeypatch)
         assert massless.realization_functoriality_check(3).ok
-        # 8 operators x 210 monomials of degree <= 6, the highest a
-        # quadratic generator reaches from degree 3 through another one;
-        # 10 010 when realized per bracket
-        assert 0 < len(calls) <= 8 * len(list(monomials_up_to(4, 6))) == 1680
+        # each map forms a column once: the 8 generators' on the 126
+        # monomials of degree <= 5, the highest a quadratic generator
+        # reaches from degree 3, and the 28 brackets' on the 35 of degree <= 3
+        assert len({(id(terms), m) for terms, m, _ in calls}) == len(calls)
+        assert 0 < len(calls) <= 8 * 126 + 28 * 35 == 1988
 
     def test_checks_keep_no_columns_between_calls(self, monkeypatch):
         calls = self._count_columns(monkeypatch)
@@ -288,7 +300,6 @@ class TestZPicture:
         # z^alpha is the state 2^(-|alpha|/2) u^alpha, so if w z^alpha is
         # sum d_beta z^beta then w u^alpha is
         # sum d_beta 2^((|alpha| - |beta|)/2) u^beta
-        real = realize_schrodinger()
         gens = oscrep.su22_generators()
         elements = gens.E + gens.F + gens.H + list(gens.extras.values())
         assert len(elements) == 13
@@ -301,6 +312,6 @@ class TestZPicture:
                     shift = sum(alpha) - sum(beta)
                     assert shift % 2 == 0
                     want[beta] = d * Fraction(2) ** (shift // 2)
-                assert real.apply(w, p) == Poly(4, want), (w, alpha)
+                assert _applied(realize(w), p) == Poly(4, want), (w, alpha)
                 cases += 1
         assert cases == 1638

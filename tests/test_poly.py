@@ -1,10 +1,13 @@
-"""Each differential operator of the massless model and the harmonic modes
-against its composition of ``Poly.diff``, ``Poly.mul_var`` and ``Poly.scale``.
+"""Each operator of the massless model and the harmonic modes, a Weyl
+element applied by the one walker, against oracles built from
+``Poly.diff``, ``Poly.mul_var`` and ``Poly.scale``.
 
-The compositions below are the oracle: each is the operator's formula
-written term by term, one intermediate polynomial per step.  A kernel that
-weighs a second derivative of x^m by m instead of m(m-1) fails the
-Laplacian on every monomial with an exponent of 3 or more.
+Two oracles stand apart from the walker.  The ``oracle_*`` functions
+write each operator's formula term by term, one intermediate polynomial
+per step.  ``DiffOp`` writes each as a sum of c * x_u * d_d^k and
+applies it one term at a time; L^2 is applied factor by factor.  A
+kernel that weighs a second derivative of x^m by m instead of m(m-1)
+fails the Laplacian on every monomial with an exponent of 3 or more.
 """
 
 from fractions import Fraction
@@ -12,10 +15,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minrep import harmonics, linalg, massless
-from minrep.linalg import ColumnMap
-from minrep.poly import DiffOp, Poly, column_sum, monomials_up_to
+from minrep import harmonics, linalg, massless, poly
+from minrep.lincomb import column_sum
+from minrep.poly import Poly, apply, monomials_up_to, operator_terms
 from minrep.scalars import QI
+from minrep.weylalg import WeylElement, WeylMonomial
 
 NVARS = 4
 _I = QI(0, 1)
@@ -27,6 +31,31 @@ def _sum(polys):
     for p in polys:
         out = out + p
     return out
+
+
+def _applied(w: WeylElement, p: Poly) -> Poly:
+    return apply(operator_terms(w), p)
+
+
+def oracle_term(p, u, d, k, a):
+    """a x_u d_d^k applied to p one step at a time."""
+    for _ in range(k):
+        p = p.diff(d)
+    if u is not None:
+        p = p.mul_var(u)
+    return p.scale(QI.of(a))
+
+
+class DiffOp:
+    """The operator {(u, d, k): c}, the sum of c * x_u * d_d^k with the
+    factor x_u optional (u None) and no derivative for k = 0, applied one
+    term at a time through ``oracle_term``."""
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __call__(self, p: Poly) -> Poly:
+        return _sum(oracle_term(p, u, d, k, a) for (u, d, k), a in self.terms.items())
 
 
 def oracle_creator(v, vb):
@@ -63,31 +92,44 @@ def oracle_raising(p):
     return oracle_angular(1, p) + oracle_angular(2, p).scale(_I)
 
 
-def _massless_pairs():
-    real = massless.realize_schrodinger()
+def oracle_l_squared(p):
+    return _sum(oracle_angular(j, oracle_angular(j, p)) for j in (1, 2, 3))
+
+
+# The named operators as Weyl elements, applied by the walker.
+WEYL = {f"{m[0]}{m[1]}" + ("*" if creator else ""): op
+        for (m, creator), op in massless._OPS.items()}
+WEYL.update({f"eff_diff{i}": op for i, op in enumerate(massless._EFF_DIFF)})
+WEYL.update({f"L{j}": op for j, op in harmonics._L.items()})
+WEYL.update({"L-": harmonics._LOWERING, "L+": harmonics._RAISING,
+             "euler": harmonics._EULER, "H": harmonics._HAMILTONIAN,
+             "laplacian": harmonics._LAPLACIAN, "L^2": harmonics._L_SQUARED})
+
+
+def _massless_oracles():
     pairs = []
     for mode in massless.MODES:
         kind, alpha = mode
         v = alpha - 1 if kind == "a" else alpha + 1
         vb = (v + 2) % 4
-        pairs.append((f"{kind}{alpha}", real.ops[(mode, False)],
-                      lambda p, v=v: p.diff(v)))
-        pairs.append((f"{kind}{alpha}*", real.ops[(mode, True)], oracle_creator(v, vb)))
+        pairs.append((f"{kind}{alpha}", lambda p, v=v: p.diff(v)))
+        pairs.append((f"{kind}{alpha}*", oracle_creator(v, vb)))
     return pairs
 
 
-PAIRS = _massless_pairs() + [
-    (f"eff_diff{i}", lambda p, i=i: massless.eff_diff(p, i),
-     lambda p, i=i: oracle_eff_diff(p, i)) for i in range(NVARS)
+ORACLES = _massless_oracles() + [
+    (f"eff_diff{i}", lambda p, i=i: oracle_eff_diff(p, i)) for i in range(NVARS)
 ] + [
-    (f"L{j}", harmonics._L[j], lambda p, j=j: oracle_angular(j, p)) for j in (1, 2, 3)
+    (f"L{j}", lambda p, j=j: oracle_angular(j, p)) for j in (1, 2, 3)
 ] + [
-    ("L-", harmonics.lowering, oracle_lowering),
-    ("L+", harmonics._RAISING, oracle_raising),
-    ("euler", harmonics._EULER, oracle_euler),
-    ("H", harmonics._HAMILTONIAN, oracle_hamiltonian),
-    ("laplacian", harmonics.laplacian, oracle_laplacian),
+    ("L-", oracle_lowering),
+    ("L+", oracle_raising),
+    ("euler", oracle_euler),
+    ("H", oracle_hamiltonian),
+    ("laplacian", oracle_laplacian),
+    ("L^2", oracle_l_squared),
 ]
+PAIRS = [(name, lambda p, name=name: _applied(WEYL[name], p), oracle) for name, oracle in ORACLES]
 IDS = [name for name, _, _ in PAIRS]
 
 
@@ -111,13 +153,10 @@ def test_operators_match_oracles_on_random_polynomials(p):
         assert op(p) == oracle(p), name
 
 
-def oracle_term(p, u, d, k, a):
-    """a x_u d_d^k applied to p one step at a time."""
-    for _ in range(k):
-        p = p.diff(d)
-    if u is not None:
-        p = p.mul_var(u)
-    return p.scale(a)
+def _weyl_term(step) -> WeylMonomial:
+    """The Weyl monomial of x_u d_d^k over the modes ("x", i)."""
+    u, d, k = step
+    return WeylMonomial.make([] if u is None else [("x", u)], [("x", d)] * k)
 
 
 _var = st.integers(0, NVARS - 1)
@@ -129,18 +168,24 @@ _diffops = st.dictionaries(_step, st.integers(-3, 3) | _qi, min_size=1, max_size
 @settings(max_examples=80, deadline=None)
 @given(p=_polys, terms=_diffops)
 def test_diffop_equals_the_sum_of_its_terms_applied_one_by_one(p, terms):
-    want = _sum(oracle_term(p, u, d, k, a) for (u, d, k), a in terms.items())
-    assert DiffOp(terms)(p) == want
+    # each term c x_u d_d^k is the Weyl monomial x_u* x_d^k, so the walker
+    # of the element must give the oracle's sum of its terms applied alone
+    w = WeylElement({_weyl_term(step): QI.of(c) for step, c in terms.items()})
+    assert _applied(w, p) == DiffOp(terms)(p)
 
 
 def test_an_int_unit_monomials_image_keeps_int_coefficients():
-    op = DiffOp({(None, 0, 2): 1, (1, 0, 1): -2, (None, None, 0): 3})
-    image = op(Poly(NVARS, {(3, 1, 0, 0): 1}))
-    assert image.terms == {(1, 1, 0, 0): 6, (2, 2, 0, 0): -6, (3, 1, 0, 0): 3}
-    assert all(type(c) is QI for c in image.terms.values())
-    image = op(Poly(NVARS, {(3, 1, 0, 0): QI(1)}))
-    assert image.terms == {(1, 1, 0, 0): 6, (2, 2, 0, 0): -6, (3, 1, 0, 0): 3}
-    assert all(type(c) is QI for c in image.terms.values())
+    z0, z1 = ("z", 0), ("z", 1)
+    w = WeylElement({WeylMonomial.make([], [z0, z0]): QI(1),
+                     WeylMonomial.make([z1], [z0]): QI(-2),
+                     WeylMonomial.make([], []): QI(3)})
+    want = {(1, 1, 0, 0): 6, (2, 2, 0, 0): -6, (3, 1, 0, 0): 3}
+    column = poly.columns(w)[(3, 1, 0, 0)]
+    assert column == want and all(type(c) is int for c in column.values())
+    for unit in (1, QI(1)):
+        image = _applied(w, Poly(NVARS, {(3, 1, 0, 0): unit}))
+        assert image.terms == want
+        assert all(type(c) is QI for c in image.terms.values())
 
 
 def test_zero_polynomial_evaluates_to_the_rings_zero():
@@ -151,17 +196,46 @@ def test_zero_polynomial_evaluates_to_the_rings_zero():
 
 
 # ---------------------------------------------------------------------------
-# Columns: each operator's image of a unit monomial, read through a ColumnMap
-# and bracketed by linalg.bracket_defect
+# Columns: each operator's image of a unit monomial, one walk held in a
+# ColumnMap and bracketed by linalg.bracket_defect, against the DiffOp form
 
 
-DIFFOPS = {f"{m[0]}{m[1]}" + ("*" if creator else ""): op
-           for (m, creator), op in massless._OPS.items()}
-DIFFOPS.update({f"eff_diff{i}": op for i, op in enumerate(massless._EFF_DIFF)})
-DIFFOPS.update({f"L{j}": op for j, op in harmonics._L.items()})
-DIFFOPS.update({"L-": harmonics._LOWERING, "L+": harmonics._RAISING,
-                "euler": harmonics._EULER, "H": harmonics._HAMILTONIAN,
-                "laplacian": harmonics._LAPLACIAN})
+def _angular(j) -> DiffOp:
+    a, b = {1: (1, 2), 2: (2, 0), 3: (0, 1)}[j]
+    return DiffOp({(b, a, 1): _I, (a, b, 1): -_I})
+
+
+def _add(*ops, scales=None) -> DiffOp:
+    terms = {}
+    for op, s in zip(ops, scales or [1] * len(ops)):
+        for key, c in op.terms.items():
+            terms[key] = QI.of(terms.get(key, 0)) + QI.of(c) * s
+    return DiffOp(terms)
+
+
+def _diffops() -> dict:
+    out = {}
+    for mode in massless.MODES:
+        kind, alpha = mode
+        v = alpha - 1 if kind == "a" else alpha + 1
+        out[f"{kind}{alpha}"] = DiffOp({(None, v, 1): 1})
+        out[f"{kind}{alpha}*"] = DiffOp({(v, None, 0): 1, (None, (v + 2) % 4, 1): -1})
+    for i in range(NVARS):
+        out[f"eff_diff{i}"] = DiffOp({(None, i, 1): 1, ((i + 2) % 4, None, 0): -_HALF})
+    for j in (1, 2, 3):
+        out[f"L{j}"] = _angular(j)
+    out["L-"] = _add(_angular(1), _angular(2), scales=[1, -_I])
+    out["L+"] = _add(_angular(1), _angular(2), scales=[1, _I])
+    out["euler"] = DiffOp({(i, i, 1): 1 for i in range(NVARS)})
+    out["H"] = _add(out["euler"], DiffOp({(None, None, 0): 1}))
+    out["laplacian"] = DiffOp({(None, i, 2): 1 for i in range(NVARS)})
+    # L^2 = L- L+ + (L3 + 1) L3, applied factor by factor
+    l3_plus_one = _add(out["L3"], DiffOp({(None, None, 0): 1}))
+    out["L^2"] = lambda p: out["L-"](out["L+"](p)) + l3_plus_one(out["L3"](p))
+    return out
+
+
+DIFFOPS = _diffops()
 
 
 def _image(columns, p: Poly) -> Poly:
@@ -171,8 +245,8 @@ def _image(columns, p: Poly) -> Poly:
 
 
 def _composed_bracket_defect(x, y, cols, z=None, c=1) -> dict:
-    """[X, Y] - cZ on each unit monomial in cols, by applying the operators
-    to a Poly one after the other, the route the kernel replaced."""
+    """[X, Y] - cZ on each unit monomial in cols, by applying the oracle
+    operators to a Poly one after the other."""
     out = {}
     for m in cols:
         unit = Poly(NVARS, {m: QI(1)})
@@ -184,27 +258,33 @@ def _composed_bracket_defect(x, y, cols, z=None, c=1) -> dict:
 
 
 def test_diffop_columns_match_the_named_operators():
-    assert {name for name, _, _ in PAIRS} == set(DIFFOPS)
-    for name, op, _ in PAIRS:
-        for m in monomials_up_to(NVARS, 3):
-            assert DIFFOPS[name](Poly(NVARS, {m: QI(1)})) == op(Poly(NVARS, {m: QI(1)}))
+    # every named operator's walker columns equal its DiffOp form's on all
+    # 330 monomials of degree <= 7
+    assert set(IDS) == set(DIFFOPS) == set(WEYL)
+    monos = list(monomials_up_to(NVARS, 7))
+    assert len(monos) == 330
+    for name, w in WEYL.items():
+        cols = poly.columns(w)
+        for m in monos:
+            assert cols[m] == DIFFOPS[name](Poly(NVARS, {m: QI(1)})).terms, (name, m)
 
 
 @settings(max_examples=60, deadline=None)
 @given(p=_polys)
 def test_column_map_image_equals_the_map(p):
-    for name, op in DIFFOPS.items():
-        assert _image(ColumnMap(op.column), p) == op(p), name
+    for name, w in WEYL.items():
+        assert _image(poly.columns(w), p) == _applied(w, p), name
 
 
 def test_column_map_forms_each_column_once_from_an_int_unit():
     calls = []
+    terms = operator_terms(harmonics._LAPLACIAN)
 
     def counted(m):
         calls.append(m)
-        return harmonics._LAPLACIAN.column(m)
+        return poly._column(terms, m)
 
-    lap = ColumnMap(counted)
+    lap = linalg.ColumnMap(counted)
     monos = list(monomials_up_to(NVARS, 3))
     for _ in range(2):
         for m in monos:
@@ -217,31 +297,32 @@ def test_column_map_forms_each_column_once_from_an_int_unit():
 @settings(max_examples=30, deadline=None)
 @given(p=_polys)
 def test_bracket_columns_are_the_composed_bracket(p):
-    for a, b in (("a1", "a1*"), ("a1*", "b1*"), ("L1", "L2"), ("H", "L-"), ("L+", "laplacian")):
+    for a, b in (("a1", "a1*"), ("a1*", "b1*"), ("L1", "L2"), ("H", "L-"), ("L+", "laplacian"),
+                 ("L^2", "L-")):
         x, y = DIFFOPS[a], DIFFOPS[b]
         want = x(y(p)) - y(x(p))
-        defect = linalg.bracket_defect(ColumnMap(x.column), ColumnMap(y.column), list(p.terms))
+        defect = linalg.bracket_defect(poly.columns(WEYL[a]), poly.columns(WEYL[b]),
+                                       list(p.terms))
         got = Poly(NVARS, column_sum((r, p.terms[m] * v) for (m, r), v in defect.items()))
         assert got == want, (a, b)
 
 
-_names = st.sampled_from(sorted(DIFFOPS))
+_names = st.sampled_from(sorted(WEYL))
 
 
 @settings(max_examples=60, deadline=None)
 @given(p=_polys, x=_names, y=_names, z=st.none() | _names, c=st.integers(-2, 2) | _qi)
 def test_bracket_defect_is_the_composed_bracket_on_each_column(p, x, y, z, c):
-    x, y, z = DIFFOPS[x], DIFFOPS[y], z and DIFFOPS[z]
     cols = list(p.terms)
-    got = linalg.bracket_defect(ColumnMap(x.column), ColumnMap(y.column), cols,
-                                z and ColumnMap(z.column), c)
-    assert got == _composed_bracket_defect(x, y, cols, z, c)
+    got = linalg.bracket_defect(poly.columns(WEYL[x]), poly.columns(WEYL[y]), cols,
+                                z and poly.columns(WEYL[z]), c)
+    assert got == _composed_bracket_defect(DIFFOPS[x], DIFFOPS[y], cols, z and DIFFOPS[z], c)
     assert all(v for v in got.values())
 
 
 def test_bracket_defect_is_empty_exactly_on_an_identity():
     monos = list(monomials_up_to(NVARS, 4))
-    cols = {name: ColumnMap(op.column) for name, op in DIFFOPS.items()}
+    cols = {name: poly.columns(w) for name, w in WEYL.items()}
     assert not linalg.bracket_defect(cols["L1"], cols["L2"], monos, cols["L3"], _I)
     wrong = linalg.bracket_defect(cols["L1"], cols["L2"], monos, cols["L3"], -_I)
     assert wrong == _composed_bracket_defect(DIFFOPS["L1"], DIFFOPS["L2"], monos,
