@@ -25,13 +25,12 @@ terms.  Both routes sum through that kernel, so the check does not test
 it; its oracle tests do.  On top of the engine sit the closed commutator
 formula for matrix-labeled bilinears, the Frobenius pairing of the
 labeling matrix algebra, and the real/complex/quaternionic commutant
-classification.  The Wick labels of the formula and Frobenius checks are
-dense lists of lists; the matrices of the t-algebras, their commutants,
-the canonical real forms and their invariance algebras are
-``{(row, col): entry}`` dicts of their nonzero entries, the format of
-``linalg.product``, with a size given alongside, and every entry outside
-that size is refused.  A sign test on a commutant value asserts that the
-value is real.
+classification.  Every matrix here, from the Wick labels of the formula
+and Frobenius checks to the t-algebras, their commutants, the canonical
+real forms and their invariance algebras, is a ``{(row, col): entry}``
+dict of its nonzero entries, the format of ``linalg.product``, with a
+size given alongside, and every entry outside that size is refused.  A
+sign test on a commutant value asserts that the value is real.
 """
 
 from __future__ import annotations
@@ -191,7 +190,8 @@ def wick_commutator(u: WickElement, v: WickElement) -> WickElement:
 
 def bilocal_field(m, p: int, q: int) -> WickElement:
     """V_M(x_p, x_q) = sum_ij M_ij :phi_i(x_p) phi_j(x_q):, linear in M,
-    for a dense label M."""
+    for a dense label M given as a list of rows.  No command builds a field
+    from a dense label; the layer benchmark in perfbench/ does."""
     return _field((((i, j), c) for i, row in enumerate(m) for j, c in enumerate(row)), p, q)
 
 
@@ -226,19 +226,21 @@ def _single_keys(size: int) -> tuple:
                  for *_, p, q, (k, l) in _SINGLES)
 
 
-def _closed_form_items(m, mp, w: int):
+def _closed_form_items(m: dict, mp: dict, size: int, w: int):
     """((normal product, (), S), x, y, w) for every product of the closed
     form, each label product written as an index sum over the nonzero
     entries: S is +D+_kl for a single contraction and D+_{1i} D+_{2j} for a
     central one, whose transposed halves _grouped forms.  w = -1 gives minus
-    the closed form.  Raises ValueError, before its first item, unless M
-    and M' are square matrices of one size."""
-    size = len(m)
-    if len(mp) != size or any(len(row) != size for row in (*m, *mp)):
-        raise ValueError("the closed form needs two square labels of one size")
-    rows = [[[(x, c) for x, c in enumerate(row) if c] for row in label] for label in (m, mp)]
-    cols = [[[(x, row[s]) for x, row in enumerate(label) if row[s]] for s in range(size)]
-            for label in (m, mp)]
+    the closed form.  Raises ValueError, before its first item, on an entry
+    of M or M' outside size x size."""
+    _require_size((m, mp), size)
+    rows = [[[] for _ in range(size)] for _ in range(2)]
+    cols = [[[] for _ in range(size)] for _ in range(2)]
+    for label, by_row, by_col in zip((m, mp), rows, cols):
+        for (i, j), c in label.items():
+            if c:
+                by_row[i].append((j, c))
+                by_col[j].append((i, c))
     for (m_cols, mp_cols, *_), table in zip(_SINGLES, _single_keys(size)):
         for a_s, b_s in zip((cols if m_cols else rows)[0], (cols if mp_cols else rows)[1]):
             for x, a in a_s:
@@ -246,14 +248,14 @@ def _closed_form_items(m, mp, w: int):
                 for y, b in b_s:
                     yield row[y], a, b, w
     # tr(tM M') DD_{12,34} + tr(M M') DD_{12,43}: sum_xy M_xy M'_xy and M_xy M'_yx
-    for x, row in enumerate(rows[0]):
-        for y, a in row:
-            for key, b in zip(_CENTRALS, (mp[x][y], mp[y][x])):
+    for (x, y), a in m.items():
+        if a:
+            for key, b in zip(_CENTRALS, (mp.get((x, y)), mp.get((y, x)))):
                 if b:
                     yield key, a, b, w
 
 
-def commutator_rhs(m, mp) -> WickElement:
+def commutator_rhs(m: dict, mp: dict, size: int) -> WickElement:
     """Closed form: D13 V_{tM M'}(2,4) + D24 V_{M tM'}(1,3)
     + D23 V_{M M'}(1,4) + D14 V_{M' M}(3,2)
     + tr(tM M') DD_{12,34} + tr(M M') DD_{12,43}.
@@ -265,23 +267,24 @@ def commutator_rhs(m, mp) -> WickElement:
     like the Wick items, and _grouped adds the transposed half of each
     total, D_{kl} = D+_{kl} - D+_{lk}.
     """
-    return _grouped(sum_products(_closed_form_items(m, mp, 1)), True)
+    return _grouped(sum_products(_closed_form_items(m, mp, size, 1)), True)
 
 
-def verify_commutator_formula(m, mp) -> Report:
-    """Exact equality of the Wick commutator against the closed form: the
-    Wick terms and minus the closed form's terms, each summed once under
-    its contraction set S, go to one sum_products call, whose totals are
-    the defect, with its transposed half formed per total.  Every S runs
-    from point 1 or 2 to point 3 or 4, so no tS meets an S, and the defect
-    is zero exactly when no total is left."""
+def verify_commutator_formula(m: dict, mp: dict, size: int) -> Report:
+    """Exact equality of the Wick commutator against the closed form for
+    two size x size labels: the Wick terms and minus the closed form's
+    terms, each summed once under its contraction set S, go to one
+    sum_products call, whose totals are the defect, with its transposed
+    half formed per total.  Every S runs from point 1 or 2 to point 3 or
+    4, so no tS meets an S, and the defect is zero exactly when no total
+    is left."""
     rep = Report("bilocal/commutator-formula")
-    # the closed form goes first, so a label pair of the wrong shape is
-    # refused before any Wick term is formed
-    wick = _wick_items(_flavor_sharing_pairs(bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4)),
+    # the closed form goes first, so a label with an entry outside the size
+    # is refused before any Wick term is formed
+    wick = _wick_items(_flavor_sharing_pairs(_field(m.items(), 1, 2), _field(mp.items(), 3, 4)),
                        True)
-    defect = sum_products(chain(_closed_form_items(m, mp, -1), wick))
-    rep.identity(f"bilocal/formula/L{len(m)}", _grouped(defect, True))
+    defect = sum_products(chain(_closed_form_items(m, mp, size, -1), wick))
+    rep.identity(f"bilocal/formula/L{size}", _grouped(defect, True))
     return rep
 
 
@@ -289,26 +292,23 @@ def verify_commutator_formula(m, mp) -> Report:
 # Frobenius pairing
 
 
-def frobenius(m1, m2) -> QI:
-    """<M1, M2> = tr(tM1 M2) = sum_ij M1_ij M2_ij of two dense labels of one
-    shape, over the entries nonzero in both."""
-    if len(m1) != len(m2) or any(len(row) != len(m1[0]) for row in (*m1, *m2)):
-        raise ValueError("ragged or mismatched matrices in the Frobenius pairing")
-    return sum_products((0, x, y, 1) for r1, r2 in zip(m1, m2) for x, y in zip(r1, r2)
-                        if x and y).get(0, QI_ZERO)
+def frobenius(m1: dict, m2: dict) -> QI:
+    """<M1, M2> = tr(tM1 M2) = sum_ij M1_ij M2_ij, over the entries of M1
+    that are also nonzero in M2."""
+    return sum_products((0, x, y, 1) for ij, x in m1.items()
+                        if x and (y := m2.get(ij))).get(0, QI_ZERO)
 
 
-def frobenius_property_check(m1, m2, m3) -> Report:
+def frobenius_property_check(m1: dict, m2: dict, m3: dict) -> Report:
     """<M1 M2, M3> = <M1, M3 tM2>, symmetry, and positivity on M1."""
     rep = Report("bilocal/frobenius")
-    lhs = frobenius(linalg.mat_mul(m1, m2), m3)
-    rhs = frobenius(m1, linalg.mat_mul(m3, linalg.transpose(m2)))
+    lhs = frobenius(linalg.product(m1, m2), m3)
+    rhs = frobenius(m1, linalg.product(m3, linalg.dict_transpose(m2)))
     rep.add("frobenius/product-compatibility", lhs == rhs,
             detail=f"{lhs} vs {rhs}")
     rep.add("frobenius/symmetry", frobenius(m1, m2) == frobenius(m2, m1))
     sq = frobenius(m1, m1)
-    nonzero = any(c for row in m1 for c in row)
-    rep.add("frobenius/positivity", sq.real_fraction() > 0 if nonzero else sq == 0,
+    rep.add("frobenius/positivity", sq.real_fraction() > 0 if any(m1.values()) else sq == 0,
             detail=f"<M,M> = {sq}")
     return rep
 
@@ -335,7 +335,7 @@ class TAlgebra:
                            linalg.dict_transpose(a)))
             checks += [(f"product {i}*{j} leaves the span", linalg.product(a, b))
                        for j, b in enumerate(self.basis)]
-        checks.append(("unital t-algebra must contain the identity", _identity(self.size)))
+        checks.append(("unital t-algebra must contain the identity", unit_matrix(self.size)))
         for (msg, _), ok in zip(checks, linalg.in_span(self.basis, [t for _, t in checks])):
             if not ok:
                 raise ValueError(msg)
@@ -348,7 +348,8 @@ def _require_size(mats, size: int):
             raise ValueError(f"matrix entry outside {size} x {size}")
 
 
-def _identity(size: int) -> dict:
+def unit_matrix(size: int) -> dict:
+    """The size x size identity matrix."""
     return {(i, i): QI_ONE for i in range(size)}
 
 
@@ -520,9 +521,9 @@ def canonical_m_span(kind: str, n: int):
     H: right multiplications by 1, i, j, k on R^(4N).
     """
     if kind == "R":
-        return [_identity(n)]
+        return [unit_matrix(n)]
     if kind == "C":
-        return [_identity(2 * n), _block_diag(_J, 2, n)]
+        return [unit_matrix(2 * n), _block_diag(_J, 2, n)]
     if kind == "H":
         return [_block_diag(quaternion_matrix(q, "right"), 4, n) for q in _UNITS]
     raise ValueError(f"unknown kind {kind!r}")

@@ -11,8 +11,12 @@ a list of targets is a combination of them, reducing the vectors once.
 ``rref`` and ``inverse`` take sparse rows ``{column: entry}`` and return
 rows the same way.  Gauss-Jordan runs in exact field arithmetic, so there
 are no pivoting tolerances: a pivot is any nonzero entry, and the reduced
-form is unique whatever the order.  An int entry is read as a rational,
-so no float is ever formed.
+form is unique whatever the order.
+
+Entries may be ints, rationals or ``QI``s, in any mix.  Each pivot
+is read through ``QI.of``, so every entry that ``rref``, ``kernel`` and
+``inverse`` return is a ``QI``, whatever ring their input was in, and no
+float is ever formed.
 
 Full ranks are certified mod the prime P, which is 1 mod 4 and below
 2**31: an entry (a + b*i)/d goes to (a + b*I)/d mod P, with I a square
@@ -28,21 +32,12 @@ total raises ``EliminationError``.
 Every algebra matrix is a ``{(row, col): entry}`` dict of its nonzero
 entries, which is also a sparse vector that ``rank``, ``kernel`` and
 ``in_span`` read.  ``product`` sums its products in ints through
-``scalars.sum_products``, so its entries are ``QI``, the ring every suite
-computes in; ``dict_transpose`` swaps the indices and ``trace_items``
-hands the products of tr(ab) to ``sum_products``.  Only the check-bilocal
-Wick labels stay dense lists of lists, for ``mat_mul``, ``transpose``
-and ``identity``; ``mat_mul`` skips zero entries and sums the same way.
-
-Elimination needs only +, -, *, / and truthiness of its entries, and its
-results stay in the operands' ring, with ints read as rationals: a
-kernel's unit is its first pivot, and a kernel of vectors with no entry
-is over ``QI``.
+``scalars.sum_products``, so its entries are ``QI``; ``dict_transpose``
+swaps the indices and ``trace_items`` hands the products of tr(ab) to
+``sum_products``.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .lincomb import combine
 from .scalars import QI, QI_ONE, QI_ZERO, residues, sum_products
@@ -60,20 +55,14 @@ class EliminationError(ArithmeticError):
     """An exact elimination gave a relation that its witness check refutes."""
 
 
-def transpose(m):
-    """The transpose of m; a ragged m raises ValueError, so no entry is dropped."""
-    if any(len(row) != len(m[0]) for row in m):
-        raise ValueError("ragged matrix in transpose")
-    return [list(col) for col in zip(*m)] if m else []
-
-
 def mat_mul(a, b):
     """The product ab, multiplying only nonzero entries of a by those of b.
 
     Each row of the result sums x * b[k][j] over the nonzero x = a[i][k]
     and the nonzero entries of row k of b, in one ``sum_products`` call
     per row, so every entry is a ``QI``.  Operands whose shapes do not
-    chain raise ValueError.
+    chain raise ValueError.  No command multiplies dense matrices; the
+    layer benchmark in perfbench/ times this product.
     """
     p = len(b[0]) if b else 0
     if any(len(row) != len(b) for row in a) or any(len(row) != p for row in b):
@@ -89,10 +78,6 @@ def mat_mul(a, b):
             row[j] = s
         out.append(row)
     return out
-
-
-def identity(n):
-    return [[QI_ONE if i == j else QI_ZERO for j in range(n)] for i in range(n)]
 
 
 def product(a: dict, b: dict) -> dict:
@@ -179,13 +164,11 @@ def rref(rows):
     canonical reduced form.  With at least as many rows as columns, a rank
     mod P equal to the column count certifies full column rank, and the
     result is then one unit row per column, formed with no exact
-    elimination: its 1 is a ``QI`` when some entry is one, else a
-    ``Fraction``.  Every other case runs the exact elimination.
+    elimination.  Every other case runs the exact elimination.
     """
     cols = sorted({j for row in rows for j, x in row.items() if x})
     if len(rows) >= len(cols) and _full_rank_mod_p(rows, len(cols)):
-        one = QI_ONE if any(type(x) is QI for row in rows for x in row.values()) else Fraction(1)
-        return [{c: one} for c in cols], cols
+        return [{c: QI_ONE} for c in cols], cols
     return _eliminate(_copy(rows))
 
 
@@ -234,8 +217,8 @@ def _eliminate(rows):
     The columns are taken in increasing order.  A column -> rows index lets
     each pivot step touch only the rows that hold its column, and the pivot
     row is the shortest of those not yet used, which keeps the fill-in low.
-    An int pivot is read as a Fraction, so an int matrix is reduced over
-    the rationals and no float is formed.
+    The pivot row is divided by its pivot read through ``QI.of``, so every
+    reduced row holds only ``QI`` entries.
     """
     holders: dict = {}
     for i, row in enumerate(rows):
@@ -249,9 +232,7 @@ def _eliminate(rows):
             continue
         p = min(candidates, key=lambda i: (len(rows[i]), i))
         unused.remove(p)
-        inv = rows[p][c]
-        if type(inv) is int:
-            inv = Fraction(inv)
+        inv = QI.of(rows[p][c])
         pivot_row = rows[p] = {j: x / inv for j, x in rows[p].items()}
         for i in holders[c] - {p}:
             row = rows[i]
@@ -301,9 +282,8 @@ def kernel(vectors):
     # perfbench/layerkernels.py sizes each row list rref is handed by its
     # first row, so an empty list never goes there
     red, pivots = rref([by_key[k] for k in sorted(by_key)]) if by_key else ([], [])
-    one = red[0][pivots[0]] if red else QI_ONE
     pivot_cols = set(pivots)
-    basis = {fc: {fc: one} for fc in range(len(vectors)) if fc not in pivot_cols}
+    basis = {fc: {fc: QI_ONE} for fc in range(len(vectors)) if fc not in pivot_cols}
     for row, pc in zip(red, pivots):
         for j, x in row.items():
             if j != pc:

@@ -29,15 +29,6 @@ class AlgebraError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# QI-matrix helpers
-
-def basis_matrix(n, i, j, c=1):
-    m = [[QI(0)] * n for _ in range(n)]
-    m[i][j] = QI.of(c)
-    return m
-
-
-# ---------------------------------------------------------------------------
 # Form specifications and matrix membership
 
 

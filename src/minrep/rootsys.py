@@ -271,6 +271,10 @@ def component_dim(label: str) -> int:
 
 
 def canonical_label(parts: list[str], center_dim: int) -> str:
+    """The one spelling of a reductive label: each simple part's low-rank
+    alias resolved (C2 = B2, D3 = A3, D2 = A1+A1, ...), the parts sorted by
+    rank, then the center u(1)^center_dim.  Two labels built here name one
+    algebra exactly when they are equal strings."""
     expanded: list[str] = []
     for p in parts:
         expanded.extend(_ALIASES.get(p, p).split("+"))
@@ -280,24 +284,6 @@ def canonical_label(parts: list[str], center_dim: int) -> str:
     elif center_dim > 1:
         expanded.append(f"u(1)^{center_dim}")
     return "+".join(expanded) if expanded else "0"
-
-
-def same_algebra_label(a: str, b: str) -> bool:
-    """Label comparison up to the low-rank coincidences (B2=C2, D3=A3, ...)."""
-
-    def norm(lbl: str) -> tuple:
-        simple, center = [], 0
-        for p in lbl.split("+"):
-            p = p.strip()
-            if not p or p == "0":
-                continue
-            if p.startswith("u(1)"):
-                center += int(p[5:] or 1) if "^" in p else 1
-            else:
-                simple.extend(_ALIASES.get(p, p).split("+"))
-        return (tuple(sorted(simple)), center)
-
-    return norm(a) == norm(b)
 
 
 @dataclass(frozen=True)

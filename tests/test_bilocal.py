@@ -13,6 +13,26 @@ from minrep.lincomb import combine
 from minrep.scalars import QI
 
 
+def field(m, p, q):
+    """V_M(x_p, x_q) of a {(i, j): entry} label M."""
+    return bilocal._field(m.items(), p, q)
+
+
+def entries(rows):
+    """A dense label, given as a list of rows, as {(i, j): entry} of its
+    nonzero entries."""
+    return {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+
+
+def dense(m, size):
+    """The size x size list of rows of a {(i, j): entry} label."""
+    return [[m.get((i, j), QI(0)) for j in range(size)] for i in range(size)]
+
+
+def transpose(m):
+    return linalg.dict_transpose(m)
+
+
 # ---------------------------------------------------------------------------
 # Independent oracle: a one-at-a-time reordering engine.  Each field
 # phi_f(x_k) is split into an annihilation half A_(k,f) and a creation half
@@ -120,11 +140,10 @@ class TestEngineAgainstOracle:
         # is visited and none of their coefficients is multiplied; the
         # coefficient products are summed in ints by sum_products, never built
         # as QI products
-        m = [[QI(1), QI(2, 1)], [QI(0), QI(0)]]           # flavor 1 with 1, 2
-        mp = [[QI(0), QI(0), QI(0)], [QI(0), QI(0), QI(0)],
-              [QI(0), QI(0), QI(-3)]]                       # flavor 3 with 3
-        u, v = bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4)
-        w = bilocal_field(linalg.transpose(m), 3, 4)
+        m = {(0, 0): QI(1), (0, 1): QI(2, 1)}             # flavor 1 with 1, 2
+        mp = {(2, 2): QI(-3)}                               # flavor 3 with 3
+        u, v = field(m, 1, 2), field(mp, 3, 4)
+        w = field(transpose(m), 3, 4)
         visited, products, qi_products = [], [], []
         kernel, original = bilocal.sum_products, QI.__mul__
         contractions = bilocal._contractions
@@ -145,9 +164,9 @@ class TestEngineAgainstOracle:
 
     def test_contraction_cache_is_bounded_and_changes_no_result(self):
         rng = random.Random(3)
-        m, mp = ([[QI(rng.randint(-5, 5), rng.randint(-2, 2)) for _ in range(3)]
-                  for _ in range(3)] for _ in range(2))
-        u, v = bilocal_field(m, 1, 2), bilocal_field(mp, 1, 3)
+        m, mp = (entries([[QI(rng.randint(-5, 5), rng.randint(-2, 2)) for _ in range(3)]
+                          for _ in range(3)]) for _ in range(2))
+        u, v = field(m, 1, 2), field(mp, 1, 3)
         bilocal._contractions.cache_clear()
         cold = wick_commutator(u, v), wick_product(u, v), wick_product(v, u)
         assert bilocal._contractions.cache_info().currsize > 0
@@ -167,9 +186,9 @@ class TestEngineAgainstOracle:
 
     def test_transpose_cache_is_bounded_and_changes_no_result(self):
         rng = random.Random(3)
-        m, mp = ([[QI(rng.randint(-5, 5), rng.randint(-2, 2)) for _ in range(3)]
-                  for _ in range(3)] for _ in range(2))
-        u, v = bilocal_field(m, 1, 2), bilocal_field(mp, 1, 3)
+        m, mp = (entries([[QI(rng.randint(-5, 5), rng.randint(-2, 2)) for _ in range(3)]
+                          for _ in range(3)]) for _ in range(2))
+        u, v = field(m, 1, 2), field(mp, 1, 3)
         bilocal._transposed.cache_clear()
         cold = wick_commutator(u, v)
         assert bilocal._transposed.cache_info().currsize > 0
@@ -297,68 +316,70 @@ def test_wick_commutator_is_the_difference_of_the_products():
 
 class TestBilocalFields:
     def test_identity_matrix_gives_flavor_sum(self):
-        m = linalg.identity(3)
-        v = bilocal_field(m, 1, 2)
+        v = field(bilocal.unit_matrix(3), 1, 2)
         assert set(v.terms) == {(((1, i), (2, i)), ()) for i in range(1, 4)}
 
     def test_zero_matrix(self):
+        assert field({(i, j): Fraction(0) for i in range(2) for j in range(2)}, 1, 2).is_zero()
         assert bilocal_field([[Fraction(0)] * 2 for _ in range(2)], 1, 2).is_zero()
 
     def test_entries_are_read_through_qi_of(self):
         # Fraction, int and QI labels of equal value give one field and one
-        # commutator
+        # commutator, and so does the dense label that the benchmark builds
         rng = random.Random(13)
         ints = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
-        labels = [[[kind(c) for c in row] for row in ints] for kind in (Fraction, int, QI)]
-        fields = [bilocal_field(m, 1, 2) for m in labels]
-        brackets = [wick_commutator(f, bilocal_field(m, 3, 4)) for f, m in zip(fields, labels)]
-        assert fields[0] == fields[1] == fields[2]
+        labels = [{(i, j): kind(c) for i, row in enumerate(ints) for j, c in enumerate(row)}
+                  for kind in (Fraction, int, QI)]
+        fields = [field(m, 1, 2) for m in labels]
+        brackets = [wick_commutator(f, field(m, 3, 4)) for f, m in zip(fields, labels)]
+        assert fields[0] == fields[1] == fields[2] == bilocal_field(ints, 1, 2)
         assert brackets[0] == brackets[1] == brackets[2] and not brackets[0].is_zero()
         assert all(type(c) is QI for f in fields for c in f.terms.values())
 
     def test_transpose_point_swap_symmetry(self):
         rng = random.Random(21)
         for _ in range(8):
-            m = [[Fraction(rng.randint(-5, 5)) for _ in range(3)] for _ in range(3)]
-            assert bilocal_field(linalg.transpose(m), 2, 1) == bilocal_field(m, 1, 2)
+            m = {(i, j): Fraction(rng.randint(-5, 5)) for i in range(3) for j in range(3)}
+            assert field(transpose(m), 2, 1) == field(m, 1, 2)
 
 
 class TestCommutatorFormula:
     def test_identity_labels(self):
         for size in (1, 2, 3, 4):
-            m = linalg.identity(size)
-            assert verify_commutator_formula(m, m).ok
+            m = bilocal.unit_matrix(size)
+            assert verify_commutator_formula(m, m, size).ok
 
     def test_zero_label(self):
-        m = linalg.identity(2)
-        z = [[Fraction(0)] * 2 for _ in range(2)]
-        lhs = wick_commutator(bilocal_field(m, 1, 2), bilocal_field(z, 3, 4))
+        m = bilocal.unit_matrix(2)
+        z = {(i, j): Fraction(0) for i in range(2) for j in range(2)}
+        lhs = wick_commutator(field(m, 1, 2), field(z, 3, 4))
         assert lhs.is_zero()
-        assert verify_commutator_formula(m, z).ok
+        assert verify_commutator_formula(m, z, 2).ok
+        assert verify_commutator_formula(m, {}, 2).ok
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_seeded_random_labels(self, size):
         rng = random.Random(1000 + size)
         for _ in range(50):
-            m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                  for _ in range(size)] for _ in range(size)]
-            mp = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                   for _ in range(size)] for _ in range(size)]
-            assert verify_commutator_formula(m, mp).ok
+            m = {(i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                 for i in range(size) for j in range(size)}
+            mp = {(i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for i in range(size) for j in range(size)}
+            assert verify_commutator_formula(m, mp, size).ok
 
 
     def test_transposed_rhs_detects_exactly_the_asymmetry(self):
         # the check-bilocal negative control: the closed form at tM' equals
         # the Wick commutator for symmetric M' and misses it otherwise
         rng = random.Random(5)
-        m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)]
-             for _ in range(3)]
-        mp = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)]
-              for _ in range(3)]
-        sym = mat_add(mp, linalg.transpose(mp))
+        m = {(i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             for i in range(3) for j in range(3)}
+        mp = {(i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+              for i in range(3) for j in range(3)}
+        sym = bilocal._sum((1, mp), (1, transpose(mp)))
         for label, fires in ((sym, False), (mp, True)):
-            lhs = wick_commutator(bilocal_field(m, 1, 2), bilocal_field(label, 3, 4))
-            wrong = bilocal.commutator_rhs(m, linalg.transpose(label))
+            lhs = wick_commutator(field(m, 1, 2), field(label, 3, 4))
+            wrong = bilocal.commutator_rhs(m, transpose(label), 3)
             assert (lhs != wrong) is fires
 
     def test_failing_record_renders_a_bounded_defect(self, monkeypatch):
@@ -367,26 +388,27 @@ class TestCommutatorFormula:
         # and a symmetric M' still passes with defect "0"
         items = bilocal._closed_form_items
         monkeypatch.setattr(bilocal, "_closed_form_items",
-                            lambda a, b, w: items(a, linalg.transpose(b), w))
+                            lambda a, b, size, w: items(a, transpose(b), size, w))
         rng = random.Random(8)
         for size in (2, 4, 8):
-            m, mp = ([[QI(rng.randint(-9, 9)) / rng.randint(1, 4) for _ in range(size)]
-                      for _ in range(size)] for _ in range(2))
-            mp[0][1] = mp[1][0] + 1
-            rec, = verify_commutator_formula(m, mp).records
-            lhs = wick_commutator(bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4))
-            defect = lhs - commutator_rhs_oracle(m, linalg.transpose(mp))
+            m, mp = ({(i, j): QI(rng.randint(-9, 9)) / rng.randint(1, 4)
+                      for i in range(size) for j in range(size)} for _ in range(2))
+            mp[0, 1] = mp[1, 0] + 1
+            rec, = verify_commutator_formula(m, mp, size).records
+            lhs = wick_commutator(field(m, 1, 2), field(mp, 3, 4))
+            defect = lhs - commutator_rhs_oracle(m, transpose(mp), size)
             shown = WickElement(dict(sorted(defect.terms.items())[:reports.DEFECT_TERMS]))
             assert not rec.passed
             assert len(defect.terms) > reports.DEFECT_TERMS
             assert rec.defect == f"{shown} + ... ({len(defect.terms)} terms)"
             assert len(rec.defect) < 400 < len(str(defect))
-            sym, = verify_commutator_formula(m, mat_add(mp, linalg.transpose(mp))).records
+            sym, = verify_commutator_formula(m, bilocal._sum((1, mp), (1, transpose(mp))),
+                                             size).records
             assert sym.passed and sym.defect == "0"
         # the transposed-rhs pair M = E_11, M' = E_12 at L = 2, term by term:
         # the closed form taken at tM' = E_21 contracts x_4 where the
         # commutator contracts x_3
-        rec, = verify_commutator_formula(_elementary(2, 0, 0), _elementary(2, 0, 1)).records
+        rec, = verify_commutator_formula(_elementary(0, 0), _elementary(0, 1), 2).records
         assert rec.defect == ("(-1)*D24 :phi1(x1)phi2(x3): + (1)*D42 :phi1(x1)phi2(x3): + "
                               "(1)*D23 :phi1(x1)phi2(x4): + (-1)*D32 :phi1(x1)phi2(x4): + "
                               "... (8 terms)")
@@ -396,9 +418,8 @@ class TestCommutatorFormula:
 # The closed form by dense matrix products, the route the index sums replaced
 
 
-def mat_add(a, b):
-    """The dense entrywise sum."""
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def dense_transpose(a):
+    return [list(col) for col in zip(*a)]
 
 
 def trace_product(a, b):
@@ -406,9 +427,12 @@ def trace_product(a, b):
     return sum((x * b[k][i] for i, row in enumerate(a) for k, x in enumerate(row)), QI(0))
 
 
-def commutator_rhs_oracle(m, mp) -> WickElement:
-    tm = linalg.transpose(m)
-    tmp = linalg.transpose(mp)
+def commutator_rhs_oracle(m, mp, size) -> WickElement:
+    """The closed form of two size x size {(i, j): entry} labels, by dense
+    matrix products."""
+    m, mp = dense(m, size), dense(mp, size)
+    tm = dense_transpose(m)
+    tmp = dense_transpose(mp)
     out: dict = {}
     for label, p, q, (k, l) in ((linalg.mat_mul(tm, mp), 2, 4, (1, 3)),
                                 (linalg.mat_mul(m, tmp), 1, 3, (2, 4)),
@@ -429,20 +453,39 @@ def commutator_rhs_oracle(m, mp) -> WickElement:
 
 
 def _random_label(rng, size, kind):
-    """A size x size label with about a third of its entries zero."""
+    """A size x size {(i, j): entry} label with about a third of its
+    entries zero, which it leaves out."""
     def entry():
         if rng.random() < 0.3:
             return QI(0) if kind == "QI" else Fraction(0)
         if kind == "QI":
             return QI(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-3, 3))
         return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-    return [[entry() for _ in range(size)] for _ in range(size)]
+    return entries([[entry() for _ in range(size)] for _ in range(size)])
 
 
-def _elementary(size, a, b):
-    m = [[QI(0)] * size for _ in range(size)]
-    m[a][b] = QI(1)
-    return m
+def _elementary(a, b):
+    return {(a, b): QI(1)}
+
+
+def dense_closed_form_items(m, mp, w: int):
+    """The closed form's sum_products items read off dense labels, each a
+    list of rows: the index sums over the nonzero entries before the labels
+    became dicts, the oracle of _closed_form_items."""
+    size = len(m)
+    rows = [[[(x, c) for x, c in enumerate(row) if c] for row in label] for label in (m, mp)]
+    cols = [[[(x, row[s]) for x, row in enumerate(label) if row[s]] for s in range(size)]
+            for label in (m, mp)]
+    for (m_cols, mp_cols, *_), table in zip(bilocal._SINGLES, bilocal._single_keys(size)):
+        for a_s, b_s in zip((cols if m_cols else rows)[0], (cols if mp_cols else rows)[1]):
+            for x, a in a_s:
+                for y, b in b_s:
+                    yield table[x][y], a, b, w
+    for x, row in enumerate(rows[0]):
+        for y, a in row:
+            for key, b in zip(bilocal._CENTRALS, (mp[x][y], mp[y][x])):
+                if b:
+                    yield key, a, b, w
 
 
 # the D-monomials by which each of the six closed-form terms is told apart
@@ -461,27 +504,52 @@ class TestClosedForm:
         rng = random.Random(size * 31 + len(kind))
         for _ in range(12):
             m, mp = _random_label(rng, size, kind), _random_label(rng, size, kind)
-            assert bilocal.commutator_rhs(m, mp) == commutator_rhs_oracle(m, mp)
+            assert bilocal.commutator_rhs(m, mp, size) == commutator_rhs_oracle(m, mp, size)
             if size > 1:
-                mp[0][1] = mp[1][0] + 1
-            tmp = linalg.transpose(mp)
-            assert bilocal.commutator_rhs(m, tmp) == commutator_rhs_oracle(m, tmp)
-        zero = [[Fraction(0)] * size for _ in range(size)]
-        assert bilocal.commutator_rhs(zero, zero).is_zero()
-        assert bilocal.commutator_rhs(m, zero) == commutator_rhs_oracle(m, zero)
+                mp[0, 1] = mp.get((1, 0), QI(0)) + 1
+            tmp = transpose(mp)
+            assert bilocal.commutator_rhs(m, tmp, size) == commutator_rhs_oracle(m, tmp, size)
+        zero = {(i, j): Fraction(0) for i in range(size) for j in range(size)}
+        assert bilocal.commutator_rhs(zero, zero, size).is_zero()
+        assert bilocal.commutator_rhs(m, zero, size) == commutator_rhs_oracle(m, zero, size)
 
     @pytest.mark.parametrize("m,mp", [
-        ([[QI(1), QI(2)], [QI(3)]], linalg.identity(2)),                  # ragged M
-        (linalg.identity(2), [[QI(1), QI(2)], [QI(3)]]),                  # ragged M'
-        ([[QI(1), QI(2), QI(3)], [QI(4), QI(5), QI(6)]],
-         [[QI(1), QI(2), QI(3)], [QI(4), QI(5), QI(6)]]),                 # 2 x 3 labels
-        (linalg.identity(2), linalg.identity(3)),                         # sizes differ
+        ({(0, 0): QI(1), (1, 2): QI(2)}, bilocal.unit_matrix(2)),      # column 2 in M
+        (bilocal.unit_matrix(2), {(2, 0): QI(1)}),                     # row 2 in M'
+        ({(-1, 0): QI(1)}, {(0, -1): QI(1)}),                          # negative indices
+        (bilocal.unit_matrix(2), bilocal.unit_matrix(3)),              # M' is 3 x 3
     ])
     def test_refuses_a_label_pair_that_is_not_square_of_one_size(self, m, mp):
-        with pytest.raises(ValueError):
-            bilocal.commutator_rhs(m, mp)
-        with pytest.raises(ValueError):
-            verify_commutator_formula(m, mp)
+        # the labels are read at size 2, and the refusal comes before the
+        # closed form's first item
+        with pytest.raises(ValueError, match="outside 2 x 2"):
+            next(bilocal._closed_form_items(m, mp, 2, 1))
+        with pytest.raises(ValueError, match="outside 2 x 2"):
+            bilocal.commutator_rhs(m, mp, 2)
+        with pytest.raises(ValueError, match="outside 2 x 2"):
+            verify_commutator_formula(m, mp, 2)
+
+    @pytest.mark.parametrize("kind", ["QI", "Fraction"])
+    @pytest.mark.parametrize("size", [2, 3, 4, 5])
+    def test_items_match_the_dense_index_sums(self, kind, size):
+        # the same products under the same keys as the index sums over dense
+        # labels, also when M' is transposed or zero
+        rng = random.Random(size * 37 + len(kind))
+        for _ in range(12):
+            m, mp = _random_label(rng, size, kind), _random_label(rng, size, kind)
+            for right in (mp, transpose(mp), {}):
+                for w in (1, -1):
+                    got = Counter(bilocal._closed_form_items(m, right, size, w))
+                    want = Counter(dense_closed_form_items(dense(m, size), dense(right, size), w))
+                    assert got == want
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_items_match_the_dense_index_sums_on_elementary_pairs(self, size):
+        units = [_elementary(a, b) for a in range(size) for b in range(size)]
+        for e in units:
+            for f in units:
+                got = Counter(bilocal._closed_form_items(e, f, size, 1))
+                assert got == Counter(dense_closed_form_items(dense(e, size), dense(f, size), 1))
 
     def test_one_kernel_call_and_no_linalg(self, monkeypatch):
         rng = random.Random(4)
@@ -492,15 +560,15 @@ class TestClosedForm:
         for name, f in vars(linalg).copy().items():
             if callable(f) and getattr(f, "__module__", None) == linalg.__name__:
                 monkeypatch.setattr(linalg, name, _no_linalg(name))
-        assert verify_commutator_formula(m, mp).ok and calls == [1]
-        assert not bilocal.commutator_rhs(m, mp).is_zero() and calls == [1, 1]
+        assert verify_commutator_formula(m, mp, 3).ok and calls == [1]
+        assert not bilocal.commutator_rhs(m, mp, 3).is_zero() and calls == [1, 1]
 
     def test_the_wick_items_alone_do_not_cancel(self):
         rng = random.Random(6)
         m, mp = _random_label(rng, 3, "QI"), _random_label(rng, 3, "QI")
-        pairs = bilocal._flavor_sharing_pairs(bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4))
+        pairs = bilocal._flavor_sharing_pairs(field(m, 1, 2), field(mp, 3, 4))
         assert bilocal.sum_products(bilocal._wick_items(pairs, True))
-        assert verify_commutator_formula(m, mp).ok
+        assert verify_commutator_formula(m, mp, 3).ok
 
     def test_the_kernel_gets_one_item_per_contraction_set_and_product(self, monkeypatch):
         rng = random.Random(9)
@@ -508,13 +576,13 @@ class TestClosedForm:
         items, kernel = [], bilocal.sum_products
         monkeypatch.setattr(bilocal, "sum_products",
                             lambda it: items.extend(it) or kernel(items))
-        assert verify_commutator_formula(m, mp).ok
+        assert verify_commutator_formula(m, mp, 4).ok
         # per pair of nonzero entries M_ab, M'_cd, the terms :phi_a phi_b: and
         # :phi_c phi_d: have one contraction set per flavor match, and the
         # closed form one product per matching index of its six terms
         want = Counter()
         for a, b, c, d in product(range(4), repeat=4):
-            if m[a][b] and mp[c][d]:
+            if (a, b) in m and (c, d) in mp:
                 want.update(s for s, hit in (
                     (((1, 3),), a == c), (((2, 4),), b == d), (((2, 3),), b == c),
                     (((1, 4),), a == d), (((1, 3), (2, 4)), (a, b) == (c, d)),
@@ -530,23 +598,23 @@ class TestClosedForm:
     def test_a_failing_defect_is_the_commutator_less_the_oracle(self, monkeypatch, control):
         rng = random.Random(6)
         m, mp = _random_label(rng, 3, "QI"), _random_label(rng, 3, "QI")
-        u, v = bilocal_field(m, 1, 2), bilocal_field(mp, 3, 4)
+        u, v = field(m, 1, 2), field(mp, 3, 4)
         items = bilocal._closed_form_items
         if control == "transposed":
-            rhs = commutator_rhs_oracle(m, linalg.transpose(mp))
+            rhs = commutator_rhs_oracle(m, transpose(mp), 3)
             monkeypatch.setattr(bilocal, "_closed_form_items",
-                                lambda a, b, w: items(a, linalg.transpose(b), w))
+                                lambda a, b, size, w: items(a, transpose(b), size, w))
         else:
             monos = _CLOSED_FORM_TERMS[control]
-            rhs = WickElement({key: c for key, c in commutator_rhs_oracle(m, mp).terms.items()
+            rhs = WickElement({key: c for key, c in commutator_rhs_oracle(m, mp, 3).terms.items()
                                if key[1] not in monos})
-            monkeypatch.setattr(bilocal, "_closed_form_items", lambda a, b, w: (
-                item for item in items(a, b, w) if item[0][2] not in monos))
+            monkeypatch.setattr(bilocal, "_closed_form_items", lambda a, b, size, w: (
+                item for item in items(a, b, size, w) if item[0][2] not in monos))
         want = wick_product(u, v) - wick_product(v, u) - rhs
         seen, grouped = [], bilocal._grouped
         monkeypatch.setattr(bilocal, "_grouped",
                             lambda totals, c: seen.append(grouped(totals, c)) or seen[-1])
-        rec, = verify_commutator_formula(m, mp).records
+        rec, = verify_commutator_formula(m, mp, 3).records
         assert seen == [want] and not want.is_zero()
         assert not rec.passed and rec.defect == want.render(reports.DEFECT_TERMS)
 
@@ -555,28 +623,29 @@ class TestClosedForm:
         rng = random.Random(6)
         m, mp = _random_label(rng, 3, "QI"), _random_label(rng, 3, "QI")
         items, monos = bilocal._closed_form_items, _CLOSED_FORM_TERMS[dropped]
-        monkeypatch.setattr(bilocal, "_closed_form_items", lambda a, b, w: (
-            item for item in items(a, b, w) if item[0][2] not in monos))
-        rec, = verify_commutator_formula(m, mp).records
+        monkeypatch.setattr(bilocal, "_closed_form_items", lambda a, b, size, w: (
+            item for item in items(a, b, size, w) if item[0][2] not in monos))
+        rec, = verify_commutator_formula(m, mp, 3).records
         assert not rec.passed and rec.defect != "0"
 
     def test_adding_the_closed_form_fails(self, monkeypatch):
         rng = random.Random(6)
         m, mp = _random_label(rng, 3, "QI"), _random_label(rng, 3, "QI")
         items = bilocal._closed_form_items
-        monkeypatch.setattr(bilocal, "_closed_form_items", lambda a, b, w: items(a, b, -w))
-        rec, = verify_commutator_formula(m, mp).records
+        monkeypatch.setattr(bilocal, "_closed_form_items",
+                            lambda a, b, size, w: items(a, b, size, -w))
+        rec, = verify_commutator_formula(m, mp, 3).records
         assert not rec.passed and rec.defect != "0"
 
     @pytest.mark.parametrize("size", [2, 3, 4])
     def test_formula_holds_on_every_pair_of_elementary_matrices(self, size):
         # both sides are bilinear in (M, M'), so passing on the E_ab x E_cd
         # basis proves the formula for every complex label pair of this size
-        units = [_elementary(size, a, b) for a in range(size) for b in range(size)]
+        units = [_elementary(a, b) for a in range(size) for b in range(size)]
         checked = 0
         for e in units:
             for f in units:
-                assert verify_commutator_formula(e, f).ok
+                assert verify_commutator_formula(e, f, size).ok
                 checked += 1
         assert checked == size ** 4
 
@@ -587,24 +656,74 @@ def _no_linalg(name):
     return refuse
 
 
+def dense_frobenius(m1, m2):
+    """<M1, M2> of dense labels of one shape, as the full sum of M1_ij M2_ij."""
+    return sum((x * y for r1, r2 in zip(m1, m2) for x, y in zip(r1, r2)), QI(0))
+
+
+def dense_frobenius_property_check(m1, m2, m3) -> reports.Report:
+    """frobenius_property_check on dense labels by linalg.mat_mul, the route
+    before the labels became dicts."""
+    rep = reports.Report("bilocal/frobenius")
+    lhs = dense_frobenius(linalg.mat_mul(m1, m2), m3)
+    rhs = dense_frobenius(m1, linalg.mat_mul(m3, dense_transpose(m2)))
+    rep.add("frobenius/product-compatibility", lhs == rhs, detail=f"{lhs} vs {rhs}")
+    rep.add("frobenius/symmetry", dense_frobenius(m1, m2) == dense_frobenius(m2, m1))
+    sq = dense_frobenius(m1, m1)
+    nonzero = any(c for row in m1 for c in row)
+    rep.add("frobenius/positivity", sq.real_fraction() > 0 if nonzero else sq == 0,
+            detail=f"<M,M> = {sq}")
+    return rep
+
+
+def _records(rep):
+    return [(r.check_id, r.passed, r.detail, r.defect) for r in rep.records]
+
+
 class TestFrobenius:
     def test_identity_pairing(self):
-        assert frobenius(linalg.identity(5), linalg.identity(5)) == 5
+        assert frobenius(bilocal.unit_matrix(5), bilocal.unit_matrix(5)) == 5
 
     def test_matrix_unit(self):
-        e12 = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
+        e12 = {(0, 1): Fraction(1), (1, 0): Fraction(0)}
         assert frobenius(e12, e12) == 1
+        assert frobenius(e12, transpose(e12)) == 0
 
     def test_property_random_triples(self):
         rng = random.Random(17)
         for _ in range(50):
-            ms = [[[QI(rng.randint(-6, 6)) / rng.randint(1, 3)
-                    for _ in range(3)] for _ in range(3)] for _ in range(3)]
+            ms = [{(i, j): QI(rng.randint(-6, 6)) / rng.randint(1, 3)
+                   for i in range(3) for j in range(3)} for _ in range(3)]
             assert frobenius_property_check(*ms).ok
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            frobenius(linalg.identity(2), linalg.identity(3))
+    @pytest.mark.parametrize("size", [2, 3, 4, 5])
+    def test_matches_the_dense_mat_mul_route(self, size):
+        # pairings equal those of dense labels, and the records of real
+        # labels those of dense ones multiplied by mat_mul, on labels with
+        # zero entries left out; positivity reads real labels only
+        rng = random.Random(40 + size)
+        for kind in ("QI", "Fraction"):
+            for _ in range(10):
+                ms = [_random_label(rng, size, kind) for _ in range(3)]
+                ds = [dense(m, size) for m in ms]
+                assert frobenius(ms[0], ms[1]) == dense_frobenius(ds[0], ds[1])
+                assert frobenius(ms[1], ms[1]) == dense_frobenius(ds[1], ds[1])
+                if kind == "Fraction":
+                    assert _records(frobenius_property_check(*ms)) == \
+                        _records(dense_frobenius_property_check(*ds))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_matches_the_dense_mat_mul_route_on_elementary_labels(self, size):
+        units = [_elementary(a, b) for a in range(size) for b in range(size)]
+        for e in units:
+            for f in units:
+                want = dense_frobenius(dense(e, size), dense(f, size))
+                assert frobenius(e, f) == want == (1 if e == f else 0)
+                for g in (e, f, {}):
+                    got = frobenius_property_check(e, f, g)
+                    assert got.ok
+                    assert _records(got) == _records(dense_frobenius_property_check(
+                        dense(e, size), dense(f, size), dense(g, size)))
 
 
 def _unit(size):

@@ -66,15 +66,6 @@ MINIMAL_ARGV = {
 }
 
 
-def exit_code(argv, capsys):
-    """(exit code, stdout) of one line, also when argparse exits on it."""
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    return code, capsys.readouterr().out
-
-
 def typed_options():
     """(subcommand, flag, config key) for every option that has a type."""
     sub = next(a for a in cli.build_parser()._actions
@@ -233,6 +224,20 @@ class TestBilocalCommand:
         code, _ = run(["check-bilocal", "--L", "9"], capsys)
         assert code == cli.EXIT_USAGE
 
+    def test_records_that_compared_no_trial_fail(self, capsys):
+        # the parser refuses --trials 0; called directly, the suite must not
+        # pass the random and Frobenius records on no trial
+        args = cli.build_parser().parse_args(["check-bilocal", "--L", "2"])
+        args.trials = 0
+        records = {r.check_id: r for r in cli.run_check_bilocal(args).records}
+        random_rec = records["bilocal/random/L2/trials0"]
+        assert not random_rec.passed and random_rec.detail == "seed 7"
+        assert not records["bilocal/frobenius/trials0"].passed
+        args.trials = 1
+        records = {r.check_id: r for r in cli.run_check_bilocal(args).records}
+        assert records["bilocal/random/L2/trials1"].passed
+        assert records["bilocal/frobenius/trials1"].passed
+
     def test_transposed_rhs_control_fires_at_every_l(self, capsys):
         for size in range(1, 9):
             _, out = run(["check-bilocal", "--L", str(size), "--trials", "1",
@@ -241,9 +246,9 @@ class TestBilocalCommand:
             assert records["bilocal/negative-control/transposed-rhs"]["passed"] is True
         # the same comparison on the symmetric pair (E_11, E_22) does not fire
         for size in range(2, 9):
-            e11, e12, e22 = (oscrep.basis_matrix(size, a, b) for a, b in ((0, 0), (0, 1), (1, 1)))
-            assert cli._misses_transposed_rhs(e11, e12)
-            assert not cli._misses_transposed_rhs(e11, e22)
+            e11, e12, e22 = ({(a, b): QI(1)} for a, b in ((0, 0), (0, 1), (1, 1)))
+            assert cli._misses_transposed_rhs(e11, e12, size)
+            assert not cli._misses_transposed_rhs(e11, e22, size)
 
     def test_t_algebra_record_fails_on_a_span_open_under_transpose(self, capsys, monkeypatch):
         original = bilocal.canonical_m_span
@@ -505,11 +510,26 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "COMMANDS", {name: no_suite for name in cli.COMMANDS})
         cfg = tmp_path / "cfg.json"
         for value in BAD_VALUES + ([] if flag in RAISES_A_CAP else [HUGE]):
-            code, out = exit_code(MINIMAL_ARGV[command] + [flag, str(value)], capsys)
+            code, out = run(MINIMAL_ARGV[command] + [flag, str(value)], capsys)
             assert (code, out) == (cli.EXIT_USAGE, ""), value
             cfg.write_text(json.dumps({key: value}))
-            code, out = exit_code(MINIMAL_ARGV[command] + ["--config", str(cfg)], capsys)
+            code, out = run(MINIMAL_ARGV[command] + ["--config", str(cfg)], capsys)
             assert (code, out) == (cli.EXIT_USAGE, ""), value
+
+    def test_a_bad_value_returns_two_and_help_exits_zero(self, capsys):
+        # a parse error returns the usage code from main, as a bad config
+        # does, rather than leaving argparse to exit the process
+        for argv in (["check-bilocal", "--L", "abc"], ["check-bilocal", "--L", "9"],
+                     ["no-such-command"], ["closure"], ["harmonics", "--nmax", "2", "x"]):
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            assert (code, out) == (cli.EXIT_USAGE, ""), argv
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        for argv in (["--help"], ["check-bilocal", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 0
+            assert "usage: minrep" in capsys.readouterr().out
 
     def test_the_walk_reaches_every_subcommand_and_the_trials_cap(self):
         walked = typed_options()

@@ -32,11 +32,16 @@ COMMANDS = [(0, argv + ["--stable", "--format", "json"]) for argv in CASES.value
          "--ranks-d", "3..4", "--format", "json"]),
     # so*(8) at level <= 2 compares no column, a documented check failure
     (1, ["closure", "--family", "so-star", "--k", "1", "--level", "2", "--format", "json"]),
+    # a value past an option's bound, a usage error
+    (2, ["check-bilocal", "--L", "9"]),
 ]
 
 # Qualified name of a def, or of a class for all its defs -> why no command reaches it.
 EXEMPT = {
     "bilocal.wick_product": "perfbench/layertrace.py spans it by name",
+    "bilocal.bilocal_field": "perfbench/layerkernels.py builds its Wick inputs with it",
+    "linalg.mat_mul": "perfbench/layertrace.py spans it by name, and "
+                      "perfbench/layerkernels.py times it",
     "harmonics.build_harmonic": "perfbench/layertrace.py spans it by name",
     "oscrep.so_star_matrix_basis": "perfbench/layerkernels.py builds its mat_mul inputs with it",
     "poly.Poly.diff": "perfbench/layertrace.py spans it by name",
