@@ -217,8 +217,8 @@ def _eliminate(rows):
     The columns are taken in increasing order.  A column -> rows index lets
     each pivot step touch only the rows that hold its column, and the pivot
     row is the shortest of those not yet used, which keeps the fill-in low.
-    The pivot row is divided by its pivot read through ``QI.of``, so every
-    reduced row holds only ``QI`` entries.
+    The pivot row is multiplied by its pivot's reciprocal, a ``QI`` formed
+    once per pivot, so every reduced row holds only ``QI`` entries.
     """
     holders: dict = {}
     for i, row in enumerate(rows):
@@ -232,8 +232,8 @@ def _eliminate(rows):
             continue
         p = min(candidates, key=lambda i: (len(rows[i]), i))
         unused.remove(p)
-        inv = QI.of(rows[p][c])
-        pivot_row = rows[p] = {j: x / inv for j, x in rows[p].items()}
+        recip = QI_ONE / rows[p][c]
+        pivot_row = rows[p] = {j: x * recip for j, x in rows[p].items()}
         for i in holders[c] - {p}:
             row = rows[i]
             f = row[c]

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,9 +13,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from minrep import bilocal, cli, fockspace, harmonics, oscrep, reports, weylalg
+from minrep import bilocal, cli, fockspace, harmonics, linalg, oscrep, reports, weylalg
 from minrep.reports import Report
 from minrep.scalars import QI
+from test_bilocal import _CLOSED_FORM_TERMS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -266,6 +268,69 @@ class TestBilocalCommand:
         rec = records["canonical/R/N2/t-algebra"]
         assert rec["passed"] is False
         assert rec["defect"] == "basis element 1 transposes out of the span"
+
+
+def _rational_label(rng, size):
+    """The label check-bilocal once drew: entry k/r from the same randint
+    pair per entry, in the same order, read off a table of QI values."""
+    table = {(k, r): QI(k) / r for k in range(-9, 10) for r in range(1, 5)}
+    return {(i, j): x for i in range(size) for j in range(size)
+            if (x := table[rng.randint(-9, 9), rng.randint(1, 4)])}
+
+
+def _label_pairs(seed, size, count):
+    """count labels drawn by cli._random_label and by the rational oracle,
+    each from its own Random(seed)."""
+    ints, rats = random.Random(seed), random.Random(seed)
+    return [(cli._random_label(ints, size), _rational_label(rats, size))
+            for _ in range(count)]
+
+
+class TestIntegerTrialLabels:
+    @pytest.mark.parametrize("seed", [1, 7, 41, 101])
+    @pytest.mark.parametrize("size", [1, 4, 8])
+    def test_each_label_is_twelve_times_the_rational_draw(self, seed, size):
+        for got, want in _label_pairs(seed, size, 3):
+            assert got.keys() == want.keys()
+            assert all(type(x) is int and x == 12 * want[ij] for ij, x in got.items())
+
+    @pytest.mark.parametrize("dropped", ["D13", "D14", "D23", "D24"])
+    def test_a_dropped_single_term_fails_with_144_times_the_defect(self, monkeypatch, dropped):
+        items, monos = bilocal._closed_form_items, _CLOSED_FORM_TERMS[dropped]
+        monkeypatch.setattr(bilocal, "_closed_form_items", lambda a, b, size, w: (
+            item for item in items(a, b, size, w) if item[0][2] not in monos))
+        totals, grouped = [], bilocal._grouped
+        monkeypatch.setattr(bilocal, "_grouped",
+                            lambda t, c: totals.append(t) or grouped(t, c))
+        (m, rm), (mp, rmp) = _label_pairs(41, 4, 2)
+        assert not bilocal.verify_commutator_formula(m, mp, 4).ok
+        assert not bilocal.verify_commutator_formula(rm, rmp, 4).ok
+        on_ints, on_rationals = totals
+        assert on_rationals and on_ints == {k: 144 * x for k, x in on_rationals.items()}
+        args = cli.build_parser().parse_args(["check-bilocal", "--L", "4", "--trials", "2",
+                                              "--seed", "41"])
+        rec, = (r for r in cli.run_check_bilocal(args).records
+                if r.check_id == "bilocal/random/L4/trials2")
+        assert not rec.passed and rec.defect
+
+    @pytest.mark.parametrize("broken", [False, True])
+    @pytest.mark.parametrize("seed", [1, 7, 41, 101])
+    def test_the_frobenius_records_keep_their_verdicts(self, monkeypatch, seed, broken):
+        if broken:
+            # without the transpose, product-compatibility fails on most triples
+            monkeypatch.setattr(bilocal.linalg, "dict_transpose", lambda m: m)
+        labels = _label_pairs(seed, 3, 30)
+        verdicts = []
+        for side in (0, 1):
+            for trial in range(10):
+                rep = bilocal.frobenius_property_check(
+                    *(pair[side] for pair in labels[3 * trial:3 * trial + 3]))
+                verdicts.append([(r.check_id, r.passed) for r in rep.records])
+        assert verdicts[:10] == verdicts[10:]
+        assert any(not ok for trial in verdicts for _, ok in trial) == broken
+        (m1, r1), (m2, r2), (m3, r3) = labels[:3]
+        assert bilocal.frobenius(linalg.product(m1, m2), m3) == \
+            1728 * bilocal.frobenius(linalg.product(r1, r2), r3)
 
 
 class TestDecompose:

@@ -54,6 +54,7 @@ EXEMPT = {
     "poly.Poly.__hash__": "keeps a Poly hashable next to its __eq__",
     "scalars.QI.__hash__": "keeps a QI hashable next to its __eq__",
     "scalars.QI.__rsub__": "the test oracles subtract a QI from an int or Fraction",
+    "scalars.QI.__rtruediv__": "the test oracles divide an int or Fraction by a QI",
     "lincomb.LinComb.__str__": "renders a failing identity's defect",
     "lincomb.LinComb._term": "renders a failing identity's defect",
     "bilocal.WickElement._term": "renders a failing bilocal defect",
