@@ -122,13 +122,16 @@ def test_criterion_05_bilocal_commutator_theorem():
     for size in (1, 2, 3, 4):
         ident = bilocal.unit_matrix(size)
         ok &= bilocal.verify_commutator_formula(ident, ident, size).ok
+        # both sides are bilinear in (M, M'): the L^4 elementary pairs prove
+        # the formula; one pair of rational labels keeps the denominator path
+        # of sum_products covered
+        units = [{(a, b): 1} for a in range(size) for b in range(size)]
+        ok &= all(bilocal.verify_commutator_formula(e, f, size).ok
+                  for e in units for f in units)
         rng = random.Random(500 + size)
-        for _ in range(50):
-            m = {(i, j): QI(rng.randint(-9, 9)) / rng.randint(1, 4)
-                 for i in range(size) for j in range(size)}
-            mp = {(i, j): QI(rng.randint(-9, 9)) / rng.randint(1, 4)
-                  for i in range(size) for j in range(size)}
-            ok &= bilocal.verify_commutator_formula(m, mp, size).ok
+        m, mp = ({(i, j): QI(rng.randint(-9, 9)) / rng.randint(1, 4)
+                  for i in range(size) for j in range(size)} for _ in range(2))
+        ok &= bilocal.verify_commutator_formula(m, mp, size).ok
     rng = random.Random(77)
     for _ in range(50):
         ms = [{(i, j): QI(rng.randint(-6, 6)) / rng.randint(1, 3)
@@ -147,7 +150,8 @@ def test_criterion_05_bilocal_commutator_theorem():
     kind, comm = bilocal.commutant_type(bilocal.TAlgebra(lefts, 4))
     ok &= kind == "H" and len(comm) == 4
     _criterion("05-bilocal-theorem", ok,
-               "50 trials per size 1..4, Frobenius, R/C/H classifier")
+               "elementary pairs and one rational pair per size 1..4, Frobenius, "
+               "R/C/H classifier")
 
 
 def test_criterion_06_fock_decomposition_pattern():

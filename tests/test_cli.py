@@ -228,16 +228,17 @@ class TestBilocalCommand:
 
     def test_records_that_compared_no_trial_fail(self, capsys):
         # the parser refuses --trials 0; called directly, the suite must not
-        # pass the random and Frobenius records on no trial
+        # pass the Frobenius record on no trial.  The basis record draws no
+        # trial: it compares all L^4 elementary pairs whatever --trials says
         args = cli.build_parser().parse_args(["check-bilocal", "--L", "2"])
         args.trials = 0
         records = {r.check_id: r for r in cli.run_check_bilocal(args).records}
-        random_rec = records["bilocal/random/L2/trials0"]
-        assert not random_rec.passed and random_rec.detail == "seed 7"
-        assert not records["bilocal/frobenius/trials0"].passed
+        frobenius = records["bilocal/frobenius/trials0"]
+        assert not frobenius.passed and frobenius.detail == "seed 7"
+        basis = records["bilocal/basis/L2"]
+        assert basis.passed and basis.detail == "16 elementary pairs"
         args.trials = 1
         records = {r.check_id: r for r in cli.run_check_bilocal(args).records}
-        assert records["bilocal/random/L2/trials1"].passed
         assert records["bilocal/frobenius/trials1"].passed
 
     def test_transposed_rhs_control_fires_at_every_l(self, capsys):
@@ -286,6 +287,48 @@ def _label_pairs(seed, size, count):
             for _ in range(count)]
 
 
+def _basis_record(size):
+    """check-bilocal's bilocal/basis/L{size} record, from run_check_bilocal."""
+    args = cli.build_parser().parse_args(["check-bilocal", "--L", str(size), "--trials", "1"])
+    rec, = (r for r in cli.run_check_bilocal(args).records
+            if r.check_id == f"bilocal/basis/L{size}")
+    assert rec.detail == f"{size ** 4} elementary pairs"
+    return rec
+
+
+class TestBasisRecord:
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_every_elementary_pair_passes(self, monkeypatch, size):
+        pairs, verify = [], bilocal.verify_commutator_formula
+        monkeypatch.setattr(bilocal, "verify_commutator_formula",
+                            lambda m, mp, n: pairs.append((m, mp)) or verify(m, mp, n))
+        rec = _basis_record(size)
+        assert rec.passed and rec.defect == ""
+        # the identity label at each size up to L, then every E_ab x E_cd
+        basis = [{(a, b): 1} for a in range(size) for b in range(size)]
+        assert pairs[size:] == [(e, f) for e in basis for f in basis]
+
+    def test_the_closed_form_at_the_transposed_label_fails(self, monkeypatch):
+        # the closed form taken at tM' in place of M' misses the Wick
+        # commutator on some elementary pair at every L > 1; at L = 1, tM' = M'
+        items = bilocal._closed_form_items
+        monkeypatch.setattr(bilocal, "_closed_form_items", lambda a, b, size, w: items(
+            a, linalg.dict_transpose(b), size, w))
+        assert _basis_record(1).passed
+        for size in range(2, 9):
+            rec = _basis_record(size)
+            assert not rec.passed and rec.defect, size
+
+    @pytest.mark.parametrize("dropped", sorted(_CLOSED_FORM_TERMS))
+    def test_dropping_any_closed_form_term_fails(self, monkeypatch, dropped):
+        items, monos = bilocal._closed_form_items, _CLOSED_FORM_TERMS[dropped]
+        monkeypatch.setattr(bilocal, "_closed_form_items", lambda a, b, size, w: (
+            item for item in items(a, b, size, w) if item[0][2] not in monos))
+        for size in range(1, 5):
+            rec = _basis_record(size)
+            assert not rec.passed and rec.defect, size
+
+
 class TestIntegerTrialLabels:
     @pytest.mark.parametrize("seed", [1, 7, 41, 101])
     @pytest.mark.parametrize("size", [1, 4, 8])
@@ -307,10 +350,7 @@ class TestIntegerTrialLabels:
         assert not bilocal.verify_commutator_formula(rm, rmp, 4).ok
         on_ints, on_rationals = totals
         assert on_rationals and on_ints == {k: 144 * x for k, x in on_rationals.items()}
-        args = cli.build_parser().parse_args(["check-bilocal", "--L", "4", "--trials", "2",
-                                              "--seed", "41"])
-        rec, = (r for r in cli.run_check_bilocal(args).records
-                if r.check_id == "bilocal/random/L4/trials2")
+        rec = _basis_record(4)
         assert not rec.passed and rec.defect
 
     @pytest.mark.parametrize("broken", [False, True])
