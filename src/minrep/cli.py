@@ -49,6 +49,7 @@ class _Parser(argparse.ArgumentParser):
 DESK_SCALE_N = 8
 TABLE1_MAX_RANK = 30   # table1 costs about rank^4.6 in type A; CI runs up to A30
 MAX_TRIALS = 1000      # check-bilocal runs 1000 trials at --L 8 in about 1.0 s
+HELICITY_LEVEL = 2     # massless counts helicities on its four modes' Fock levels 0..2
 
 
 def _bounded(lo: int, hi: int | None = None):
@@ -269,10 +270,11 @@ def run_check_bilocal(args) -> Report:
             r.check_id = f"bilocal/identity/L{left}/{r.check_id}"
         rep.extend(sub)
     # both sides of the formula are bilinear in (M, M'), so equality on the
-    # L^4 pairs of elementary labels E_ab proves it for every label pair
-    units = [{ab: 1} for ab in product(range(args.L), repeat=2)]
-    failed = [r.records[0].defect for e in units for f in units
-              if not (r := bilocal.verify_commutator_formula(e, f, args.L)).ok]
+    # L^4 pairs (E_ab, E_cd) of elementary labels proves it for every label
+    # pair; a failing pair's defect starts with its (a, b, c, d)
+    units = list(product(range(args.L), repeat=2))
+    failed = [f"(a, b, c, d) = {ab + cd}: {r.records[0].defect}" for ab in units for cd in units
+              if not (r := bilocal.verify_commutator_formula({ab: 1}, {cd: 1}, args.L)).ok]
     rep.add(f"bilocal/basis/L{args.L}", bool(units) and not failed,
             detail=f"{len(units) ** 2} elementary pairs", defect=failed[0] if failed else "")
     # each trial label is a seeded draw of entries k/r scaled by 12 into
@@ -362,7 +364,7 @@ def run_harmonics(args) -> Report:
     for mode in modes:
         rep.extend(harmonics.verify_mode(mode.poly, mode.n, mode.l, mode.m, cols))
     rep.extend(harmonics.level_count_check(modes))
-    rep.extend(harmonics.angular_algebra_check(cols))
+    rep.extend(harmonics.angular_algebra_check())
     rep.add("harmonics/negative-control/z1^2",
             not harmonics.verify_mode(
                 harmonics.Poly(4, {(2, 0, 0, 0): QI(1)}), 3, 0, 0, cols).ok,
@@ -387,12 +389,12 @@ def run_harmonics(args) -> Report:
 
 def run_massless(args) -> Report:
     rep = Report("massless")
-    rep.extend(massless.ccr_check(6))
+    rep.extend(massless.ccr_check())
     rep.extend(massless.vacuum_checks())
     rep.extend(massless.lightlike_identity())
-    rep.extend(massless.realization_functoriality_check(3))
-    fock = fockspace.enumerate_basis(list(massless.MODES), 2)
-    for lvl in (0, 1, 2):
+    rep.extend(massless.realization_functoriality_check())
+    fock = fockspace.enumerate_basis(massless.MODES, HELICITY_LEVEL, max_states=args.max_states)
+    for lvl in range(HELICITY_LEVEL + 1):
         spectrum = fockspace.helicity_spectrum(fock, lvl)
         # helicity h on level L has multiplicity ((L + h)/2 + 1)((L - h)/2 + 1)
         # for |h| <= L and h = L mod 2, and none otherwise
@@ -497,6 +499,9 @@ def _validate(args):
         if fockspace.basis_size(len(modes), args.level) > args.max_states:
             raise UsageError("requested basis exceeds --max-states; "
                              "lower --level or --n or raise the cap")
+    if args.command == "massless" and fockspace.basis_size(
+            len(massless.MODES), HELICITY_LEVEL) > args.max_states:
+        raise UsageError("the helicity basis exceeds --max-states; raise the cap")
     if args.command == "closure" and args.level > 0 and fockspace.cross_check_basis_size(
             args.family.replace("-", "_"), args.k, args.flavors, args.level) > args.max_states:
         raise UsageError("the --level cross-check basis exceeds --max-states; "

@@ -11,14 +11,15 @@ the Bargmann picture z_i is the creator and d/dz_i the annihilator, so
 the Laplacian is sum a_i a_i, H = sum a*_i a_i + 1 and
 L_j = i (a*_b a_a - a*_a a_b).  L^2 = L- L+ + (L3 + 1) L3, which rests
 on [L1, L2] = i L3, is formed once by ``weylalg.sum_of_products``.
-``operator_columns`` holds the Laplacian, H, L^2 and each L_j as
+``operator_columns`` holds the Laplacian, H, L^2 and L3 as
 ``poly.columns``; one command builds them once and shares them, so each
 operator's image of a unit monomial is one walk, formed once.
 ``verify_mode`` reads each eigen-defect (X - c) h off those columns, as
-one ``scalars.sum_products`` call over the terms of h, and the angular
-algebra check checks each bracket with one ``linalg.bracket_defect``
-call on the same columns.  The level counts are ranks, which ``linalg``
-certifies mod a prime.
+one ``scalars.sum_products`` call over the terms of h.  The angular
+algebra check forms each bracket's defect as one exact Weyl element with
+``weylalg.commutator``; the Bargmann action is faithful, so an identity
+of the elements holds on polynomials of every degree.  The level counts
+are ranks, which ``linalg`` certifies mod a prime.
 
 Also provides the rational embedding of Minkowski points into the complex
 quadric coordinates z(x) and its sphere identity sum z^2 = conj(w)/w.
@@ -32,10 +33,10 @@ from itertools import chain
 
 from . import linalg
 from .linalg import ColumnMap
-from .poly import Poly, apply, columns, monomials_up_to, operator_terms
+from .poly import Poly, apply, columns, operator_terms
 from .reports import Report, render_defect
 from .scalars import QI, sum_products
-from .weylalg import WeylElement, WeylMonomial, sum_of_products
+from .weylalg import WeylElement, WeylMonomial, commutator, sum_of_products
 
 NVARS = 4
 _ONE = QI(1)
@@ -141,14 +142,12 @@ def build_harmonic(n: int, l: int, m: int) -> HarmonicMode:
 
 
 def operator_columns() -> dict:
-    """A new ``poly.columns`` map of each operator the checks read, keyed
-    "laplacian", "H", "L^2", "L1", "L2" and "L3": each column, the image
-    of a unit monomial, is walked on its first read and then kept, so one
+    """A new ``poly.columns`` map of each operator the eigen-checks read,
+    keyed "laplacian", "H", "L^2" and "L3": each column, the image of a
+    unit monomial, is walked on its first read and then kept, so one
     command that shares these maps forms each column once."""
-    cols = {f"L{j}": columns(op) for j, op in _L.items()}
-    cols.update({"laplacian": columns(_LAPLACIAN), "H": columns(_HAMILTONIAN),
-                 "L^2": columns(_L_SQUARED)})
-    return cols
+    return {"laplacian": columns(_LAPLACIAN), "H": columns(_HAMILTONIAN),
+            "L^2": columns(_L_SQUARED), "L3": columns(_L[3])}
 
 
 def verify_mode(h: Poly, n: int, l: int, m: int, cols: dict) -> Report:
@@ -185,20 +184,16 @@ def level_count_check(modes: list[HarmonicMode]) -> Report:
     return rep
 
 
-def angular_algebra_check(cols: dict, degree: int = 3) -> Report:
-    """[L_j, L_k] = i eps_{jkl} L_l and commutation of H with L^2, L3.
-
-    Verified as exact operator identities on the full polynomial space of
-    the given degree, on the column maps `cols` of ``operator_columns``.
-    """
+def angular_algebra_check() -> Report:
+    """[L_j, L_k] = i eps_{jkl} L_l and commutation of H with L^2, L3,
+    each bracket's defect one exact Weyl element."""
     rep = Report("harmonics/angular-algebra")
-    monos = list(monomials_up_to(NVARS, degree))
     for (j, k), l in _EPS.items():
-        defect = linalg.bracket_defect(cols[f"L{j}"], cols[f"L{k}"], monos, cols[f"L{l}"], _I)
-        rep.add(f"angular/[L{j},L{k}]=iL{l}", not defect, defect=render_defect(defect))
-    for name, op in (("L2", "L^2"), ("L3", "L3")):
-        defect = linalg.bracket_defect(cols["H"], cols[op], monos)
-        rep.add(f"angular/[H,{name}]=0", not defect, defect=render_defect(defect))
+        defect = commutator(_L[j], _L[k]) - _L[l].scale(_I)
+        rep.add(f"angular/[L{j},L{k}]=iL{l}", defect.is_zero(), defect=render_defect(defect.terms))
+    for name, op in (("L2", _L_SQUARED), ("L3", _L[3])):
+        defect = commutator(_HAMILTONIAN, op)
+        rep.add(f"angular/[H,{name}]=0", defect.is_zero(), defect=render_defect(defect.terms))
     return rep
 
 

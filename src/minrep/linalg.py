@@ -4,8 +4,8 @@ A linear map is given by its column vectors, each a sparse
 ``{row: entry}`` dict with no zero entry.  ``ColumnMap`` holds a map's
 columns and forms each one the first time it is read, so the Fock
 operators and the differential operators form only the columns a check
-reads.  ``bracket_defect`` is the one routine that brackets two such
-maps.  ``rank``, ``kernel`` and ``in_span`` take a list of vectors:
+reads.  ``bracket_defect`` brackets two such maps, in the closure's Fock
+cross-check.  ``rank``, ``kernel`` and ``in_span`` take a list of vectors:
 ``kernel`` returns the relations among them, ``in_span`` whether each of
 a list of targets is a combination of them, reducing the vectors once.
 ``rref`` and ``inverse`` take sparse rows ``{column: entry}`` and return

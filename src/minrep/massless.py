@@ -10,18 +10,19 @@ creator of the mode ("u", v) and d/dv its annihilator, so each of the
 eight operators, and each derivative through the Gaussian, is a
 ``WeylElement`` in those four modes, built once at import.  ``realize``
 substitutes the operators into a Weyl element of the oscillator modes:
-each of its monomials becomes the normal-ordered product of its
-substituted factors, so a realized element is again one Weyl element,
-whose columns are each one walk (``poly.columns``) and which
+each of its terms becomes the normal-ordered product of its substituted
+factors, so a realized element is again one Weyl element, which
 ``poly.apply`` applies to a polynomial.  The inner product is evaluated
 by the exact moment rule u^a ub^a -> a!, which gives the ground state
 unit norm.
 
-The CCR and the functoriality of brackets are operator identities on
-every monomial up to a degree, and each is one ``linalg.bracket_defect``
-call per pair of operators on column maps built by the check, so every
-bracket that reaches a column reuses it, the CCR columns stay in int
-arithmetic, and nothing outlives a check.
+The CCR and the functoriality of brackets are each one identity of Weyl
+elements per pair of operators, whose defect ``weylalg.commutator``
+forms exactly.  The Bargmann action of the Weyl algebra on polynomials
+is faithful: if b is a derivative multidegree of least total degree
+among the terms c_ab z^a d^b of a nonzero normal-ordered w, then
+w z^b = b! sum_a c_ab z^a, which is not zero.  So an identity of the
+elements holds on every polynomial of every degree.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .linalg import bracket_defect
-from .poly import Poly, apply, columns, monomials_up_to, operator_terms
+from .poly import Poly, apply, operator_terms
 from .reports import Report, render_defect
 from .scalars import QI
-from .weylalg import WeylElement, normal_product
+from .weylalg import WeylElement, commutator, normal_product
 
 # variable order: u1, u2, ub1, ub2
 NVARS = 4
@@ -88,24 +88,23 @@ def realize(w: WeylElement) -> WeylElement:
     return out
 
 
-def ccr_check(degree: int = 6) -> Report:
-    """CCR as exact operator identities on all monomials of degree <= D,
-    each bracket summed by ``linalg.bracket_defect`` in int arithmetic."""
-    cols = {key: columns(op) for key, op in _OPS.items()}
-    rep = Report(f"massless/ccr/degree<={degree}")
-    monos = list(monomials_up_to(NVARS, degree))
-    unit = {m: {m: 1} for m in monos}
-    keys = sorted(cols)
+def ccr_check() -> Report:
+    """The CCR of the eight operators, each pair's bracket minus 1 or 0
+    formed as one exact Weyl element."""
+    rep = Report("massless/ccr")
+    keys = sorted(_OPS)
     for k1 in keys:
         for k2 in keys:
             if k1 >= k2:
                 continue
             want_one = (k1[0] == k2[0] and not k1[1] and k2[1])
-            defect = bracket_defect(cols[k1], cols[k2], monos, unit if want_one else None)
+            defect = commutator(_OPS[k1], _OPS[k2])
+            if want_one:
+                defect = defect - WeylElement.one()
             n1 = f"{k1[0][0]}{k1[0][1]}" + ("*" if k1[1] else "")
             n2 = f"{k2[0][0]}{k2[0][1]}" + ("*" if k2[1] else "")
-            rep.add(f"ccr/[{n1},{n2}]", not defect,
-                    detail="= 1" if want_one else "= 0", defect=render_defect(defect))
+            rep.add(f"ccr/[{n1},{n2}]", defect.is_zero(), detail="= 1" if want_one else "= 0",
+                    defect=render_defect(defect.terms))
     return rep
 
 
@@ -179,29 +178,26 @@ def vacuum_checks() -> Report:
     return rep
 
 
-def realization_functoriality_check(degree: int = 4) -> Report:
-    """Brackets commute with the realization on polynomials of degree <= D.
+def realization_functoriality_check() -> Report:
+    """Brackets commute with the realization.
 
     For every Chevalley pair (x, y) of the conformal generator set, the
-    realized commutator equals the realization of the symbolic commutator:
-    ``linalg.bracket_defect`` compares [X, Y] with the realized commutator
-    column by column, each realized element's columns formed once.
+    commutator of the realized elements minus the realization of the
+    symbolic commutator is one exact Weyl element, which must be zero.
     """
     from . import oscrep
-    from .weylalg import commutator
 
-    rep = Report(f"massless/functoriality/degree<={degree}")
+    rep = Report("massless/functoriality")
     gens = oscrep.su22_generators()
     named = [(f"E{i+1}", e) for i, e in enumerate(gens.E)]
     named += [(f"F{i+1}", f) for i, f in enumerate(gens.F)]
     named += [("E_theta", gens.extras["E_theta"]), ("H_theta", gens.extras["H_theta"])]
-    maps = {n: columns(realize(w)) for n, w in named}
-    monos = list(monomials_up_to(NVARS, degree))
+    realized = {n: realize(w) for n, w in named}
     for i, (n1, x) in enumerate(named):
         for n2, y in named[i + 1:]:
-            defect = bracket_defect(maps[n1], maps[n2], monos,
-                                    columns(realize(commutator(x, y))))
-            rep.add(f"functorial/[{n1},{n2}]", not defect, defect=render_defect(defect))
+            defect = commutator(realized[n1], realized[n2]) - realize(commutator(x, y))
+            rep.add(f"functorial/[{n1},{n2}]", defect.is_zero(),
+                    defect=render_defect(defect.terms))
     return rep
 
 

@@ -14,9 +14,10 @@ whose images of a monomial are keyed by the image monomial itself.
 ``columns`` holds an operator as a ``linalg.ColumnMap``: column m, the
 image of the unit monomial x^m, is one walk summed by
 ``lincomb.column_sum`` the first time it is read, so a real-integer
-operator's columns stay in ints and ``linalg.bracket_defect`` sums their
-brackets in int arithmetic.  ``apply`` maps a ``Poly`` through an
-operator's terms in one ``scalars.sum_products`` call over their images.
+operator's columns stay in ints; the harmonic eigen-checks read them.
+``apply`` maps a ``Poly`` through an operator's terms in one
+``scalars.sum_products`` call over their images.  The action is
+faithful, so an identity of operators is checked on their elements.
 """
 
 from __future__ import annotations
@@ -142,18 +143,3 @@ def _nonzero_poly(nvars: int, terms: dict) -> Poly:
     p = Poly._nonzero(terms)
     _set_nvars(p, nvars)
     return p
-
-
-def monomials_of_degree(nvars: int, degree: int):
-    """All exponent tuples of the given total degree, lexicographic."""
-    if nvars == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, degree - first):
-            yield (first,) + rest
-
-
-def monomials_up_to(nvars: int, degree: int):
-    for d in range(degree + 1):
-        yield from monomials_of_degree(nvars, d)

@@ -296,6 +296,15 @@ def _basis_record(size):
     return rec
 
 
+def _first_failure(size):
+    """The first elementary pair E_ab, E_cd, in the record's order, whose
+    formula check fails, named as (a, b, c, d) in front of its defect."""
+    return next(f"(a, b, c, d) = {abcd}: {r.records[0].defect}"
+                for abcd in itertools.product(range(size), repeat=4)
+                if not (r := bilocal.verify_commutator_formula(
+                    {abcd[:2]: 1}, {abcd[2:]: 1}, size)).ok)
+
+
 class TestBasisRecord:
     @pytest.mark.parametrize("size", range(1, 9))
     def test_every_elementary_pair_passes(self, monkeypatch, size):
@@ -317,7 +326,9 @@ class TestBasisRecord:
         assert _basis_record(1).passed
         for size in range(2, 9):
             rec = _basis_record(size)
-            assert not rec.passed and rec.defect, size
+            assert not rec.passed and rec.defect == _first_failure(size), size
+        # E_00 and E_01 are the first pair whose second label is not symmetric
+        assert _basis_record(2).defect.startswith("(a, b, c, d) = (0, 0, 0, 1): ")
 
     @pytest.mark.parametrize("dropped", sorted(_CLOSED_FORM_TERMS))
     def test_dropping_any_closed_form_term_fails(self, monkeypatch, dropped):
@@ -327,6 +338,7 @@ class TestBasisRecord:
         for size in range(1, 5):
             rec = _basis_record(size)
             assert not rec.passed and rec.defect, size
+            assert rec.defect == _first_failure(size), size
 
 
 class TestIntegerTrialLabels:
@@ -476,6 +488,15 @@ class TestOtherCommands:
         code, _ = run(["closure", "--family", "sp-real", "--k", "1", "--level", "40",
                        "--max-states", "10"], capsys)
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("cap", [14, 15])
+    def test_massless_state_cap_guard(self, capsys, cap):
+        # the helicity basis holds the 15 states of level <= 2 on four modes
+        code, out = run(["massless", "--max-states", str(cap), "--format", "json"], capsys)
+        if cap < 15:
+            assert code == cli.EXIT_USAGE and out == ""
+        else:
+            assert code == cli.EXIT_OK and json.loads(out)["ok"]
 
     @pytest.mark.parametrize("value", [0, -3])
     def test_pair_limit_below_one_exits_two(self, tmp_path, capsys, value):

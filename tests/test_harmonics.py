@@ -7,9 +7,10 @@ import pytest
 from minrep import cli, harmonics, linalg
 from minrep.harmonics import (HarmonicError, build_harmonic, compactify, sphere_identity_defect,
                               verify_mode)
-from minrep.poly import Poly, apply, monomials_of_degree, monomials_up_to, operator_terms
+from minrep.poly import Poly, apply, columns, operator_terms
 from minrep.scalars import QI
-from minrep.weylalg import WeylElement, WeylMonomial
+from minrep.weylalg import WeylElement, WeylMonomial, commutator
+from monomials import monomials_of_degree, monomials_up_to
 
 
 def _applied(op: WeylElement, p: Poly) -> Poly:
@@ -176,11 +177,22 @@ class TestVerification:
 
 class TestOperatorAlgebra:
     def test_angular_momentum_commutators(self):
-        assert harmonics.angular_algebra_check(harmonics.operator_columns(), 3).ok
+        rep = harmonics.angular_algebra_check()
+        assert len(rep.records) == 5 and rep.ok
 
     def test_angular_algebra_on_degree_five(self):
-        rep = harmonics.angular_algebra_check(harmonics.operator_columns(), 5)
-        assert len(rep.records) == 5 and rep.ok
+        # the column route, on all 126 monomials of degree <= 5: each
+        # bracket's columns are the symbolic commutator's, and each
+        # identity's defect is empty
+        monos = list(monomials_up_to(4, 5))
+        L, i = harmonics._L, QI(0, 1)
+        for x, y, z in [(L[1], L[2], L[3].scale(i)), (L[2], L[3], L[1].scale(i)),
+                        (L[3], L[1], L[2].scale(i)), (harmonics._HAMILTONIAN, L[3], None),
+                        (harmonics._HAMILTONIAN, harmonics._L_SQUARED, None)]:
+            cx, cy, bracket = columns(x), columns(y), columns(commutator(x, y))
+            assert linalg.bracket_defect(cx, cy, monos) == {
+                (m, r): v for m in monos for r, v in bracket[m].items()}
+            assert not linalg.bracket_defect(cx, cy, monos, z and columns(z))
 
     def test_hamiltonian_eigenvalue_is_degree_plus_one(self):
         rng = random.Random(4)
@@ -212,12 +224,17 @@ class TestOperatorAlgebra:
         # with L1 doubled each bracket that holds L1 is off by a factor 2,
         # while H still commutes with L^2 and L3
         monkeypatch.setitem(harmonics._L, 1, harmonics._L[1].scale(QI(2)))
-        rep = harmonics.angular_algebra_check(harmonics.operator_columns(), 3)
+        rep = harmonics.angular_algebra_check()
         named = [r for r in rep.records if "L1" in r.check_id]
         others = [r for r in rep.records if "L1" not in r.check_id]
         assert len(named) == 3 and len(others) == 2
-        failed = [r for r in named if not r.passed]
-        assert failed and all(r.defect.endswith(" terms)") for r in failed)
+        # [2 L1, L2] - i L3 = i L3, and [L2, L3] - 2i L1 and
+        # [L3, 2 L1] - i L2 are -i L1 and i L2
+        assert {r.check_id: r.defect for r in named if not r.passed} == {
+            "angular/[L1,L2]=iL3": "(1) z0* z1 + (-1) z1* z0",
+            "angular/[L2,L3]=iL1": "(-1) z1* z2 + (1) z2* z1",
+            "angular/[L3,L1]=iL2": "(-1) z0* z2 + (1) z2* z0",
+        }
         assert all(r.passed and r.defect == "" for r in others)
 
 

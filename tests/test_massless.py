@@ -2,12 +2,13 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from minrep import massless, oscrep, poly
+from minrep import linalg, massless, oscrep, poly
 from minrep.massless import (ccr_check, inner_product, lightlike_identity,
                              pauli_bilinears, realize, vacuum, vacuum_checks)
-from minrep.poly import Poly, monomials_up_to, operator_terms
+from minrep.poly import Poly, operator_terms
 from minrep.scalars import QI, QIS
-from minrep.weylalg import WeylElement
+from minrep.weylalg import WeylElement, commutator
+from monomials import monomials_up_to
 from test_poly import DIFFOPS
 
 
@@ -20,9 +21,67 @@ def _op(key):
     return lambda p: _applied(massless._OPS[key], p)
 
 
+def _key_name(key) -> str:
+    (kind, alpha), creator = key
+    return f"{kind}{alpha}" + ("*" if creator else "")
+
+
+def _ccr_brackets():
+    """(id, X, Y, Z) of each CCR record, whose identity is [X, Y] = Z, read
+    from the operators in ``massless._OPS`` when iterated."""
+    for k1, k2 in itertools.combinations(sorted(massless._OPS), 2):
+        one = k1[0] == k2[0] and not k1[1] and k2[1]
+        yield (f"ccr/[{_key_name(k1)},{_key_name(k2)}]", massless._OPS[k1], massless._OPS[k2],
+               WeylElement.one() if one else WeylElement.zero())
+
+
+def _named_generators():
+    gens = oscrep.su22_generators()
+    named = [(f"E{i+1}", e) for i, e in enumerate(gens.E)]
+    named += [(f"F{i+1}", f) for i, f in enumerate(gens.F)]
+    return named + [("E_theta", gens.extras["E_theta"]), ("H_theta", gens.extras["H_theta"])]
+
+
+def _functorial_brackets():
+    """(id, R(x), R(y), R([x, y])) of each functoriality record, R the
+    realization."""
+    for (n1, x), (n2, y) in itertools.combinations(_named_generators(), 2):
+        yield f"functorial/[{n1},{n2}]", realize(x), realize(y), realize(commutator(x, y))
+
+
+def _columns_of(w: WeylElement, monos) -> dict:
+    """w's walker columns on the monomials, keyed (column, row) as
+    ``linalg.bracket_defect`` keys them."""
+    cols = poly.columns(w)
+    return {(m, r): v for m in monos for r, v in cols[m].items()}
+
+
+def _column_defects(brackets, degree: int) -> dict:
+    """{id: [X, Y] - Z on the monomials of degree <= D}, each summed by
+    ``linalg.bracket_defect`` on the walker columns, the route the checks
+    took before they compared Weyl elements.  Each bracket's columns must
+    be those of the symbolic commutator, and each defect's those of the
+    symbolic defect."""
+    monos = list(monomials_up_to(4, degree))
+    out = {}
+    for cid, x, y, z in brackets:
+        cx, cy = poly.columns(x), poly.columns(y)
+        bracket = commutator(x, y)
+        assert linalg.bracket_defect(cx, cy, monos) == _columns_of(bracket, monos), cid
+        out[cid] = linalg.bracket_defect(cx, cy, monos, poly.columns(z))
+        assert out[cid] == _columns_of(bracket - z, monos), cid
+    return out
+
+
 class TestRealization:
     def test_ccr_on_degree_six(self):
-        assert ccr_check(6).ok
+        # the symbolic check holds in every degree; the column route must
+        # agree with it on all 28 pairs on the 210 monomials of degree <= 6
+        rep = ccr_check()
+        assert rep.ok and len(rep.records) == 28
+        defects = _column_defects(_ccr_brackets(), 6)
+        assert set(defects) == {r.check_id for r in rep.records}
+        assert not any(defects.values())
 
     def test_annihilators_kill_vacuum(self):
         vac = vacuum()
@@ -110,7 +169,12 @@ class TestLightlike:
 
 class TestFunctoriality:
     def test_realized_brackets_match_symbolic(self):
-        assert massless.realization_functoriality_check(3).ok
+        # the column route agrees with it on all 28 pairs on degree <= 3
+        rep = massless.realization_functoriality_check()
+        assert rep.ok and len(rep.records) == 28
+        defects = _column_defects(_functorial_brackets(), 3)
+        assert set(defects) == {r.check_id for r in rep.records}
+        assert not any(defects.values())
 
     def test_helicity_kills_vacuum(self):
         h = oscrep.su22_generators().extras["h"]
@@ -173,62 +237,17 @@ def _split(report, names_perturbed):
     return named, others
 
 
-class TestColumnImages:
-    """Each check forms each column of each of its maps once."""
-
-    @staticmethod
-    def _count_columns(monkeypatch):
-        calls = []
-        original = poly._column
-
-        def counted(terms, m):
-            col = original(terms, m)
-            calls.append((terms, m, col))
-            return col
-
-        monkeypatch.setattr(poly, "_column", counted)
-        return calls
-
-    def test_ccr_applies_each_operator_once_per_monomial(self, monkeypatch):
-        calls = self._count_columns(monkeypatch)
-        assert ccr_check(6).ok
-        # 8 operators x 330 monomials of degree <= 7; 23 520 when each
-        # bracket applied both operators to every monomial
-        assert 0 < len(calls) <= 8 * len(list(monomials_up_to(4, 7))) == 2640
-        assert len({(id(terms), m) for terms, m, _ in calls}) == len(calls)
-        # every column is formed in int arithmetic
-        assert all(type(c) is int for _, _, col in calls for c in col.values())
-
-    def test_functoriality_reuses_each_column(self, monkeypatch):
-        calls = self._count_columns(monkeypatch)
-        assert massless.realization_functoriality_check(3).ok
-        # each map forms a column once: the 8 generators' on the 126
-        # monomials of degree <= 5, the highest a quadratic generator
-        # reaches from degree 3, and the 28 brackets' on the 35 of degree <= 3
-        assert len({(id(terms), m) for terms, m, _ in calls}) == len(calls)
-        assert 0 < len(calls) <= 8 * 126 + 28 * 35 == 1988
-
-    def test_checks_keep_no_columns_between_calls(self, monkeypatch):
-        calls = self._count_columns(monkeypatch)
-        ccr_check(2)
-        massless.realization_functoriality_check(1)
-        first = len(calls)
-        ccr_check(2)
-        massless.realization_functoriality_check(1)
-        assert len(calls) == 2 * first > 0
-
-
 class TestLargerInstances:
-    """Every record holds on the degrees the column kernel makes affordable."""
+    """The column route agrees with the symbolic checks past the degrees of
+    the tests above."""
 
     def test_ccr_on_degree_ten(self):
-        rep = ccr_check(10)
         assert len(list(monomials_up_to(4, 10))) == 1001
-        assert len(rep.records) == 28 and rep.ok
+        assert not any(_column_defects(_ccr_brackets(), 10).values())
 
     def test_functoriality_on_degree_six(self):
-        rep = massless.realization_functoriality_check(6)
-        assert len(rep.records) == 28 and rep.ok
+        defects = _column_defects(_functorial_brackets(), 6)
+        assert len(defects) == 28 and not any(defects.values())
 
 
 class TestNegativeControls:
@@ -236,23 +255,20 @@ class TestNegativeControls:
 
     def test_ccr_fails_on_a_flipped_creator(self, monkeypatch):
         monkeypatch.setitem(massless._OPS, _A1_STAR, _A1_STAR_FLIPPED)
-        named, others = _split(ccr_check(6), lambda cid: "a1*" in cid)
+        named, others = _split(ccr_check(), lambda cid: "a1*" in cid)
         assert len(named) == 7 and len(others) == 21
-        failed = [r for r in named if not r.passed]
-        assert failed and all(r.defect and r.defect != "0" for r in failed)
-        # [a1*, b1*] is 2 on each of the 210 monomials of degree <= 6
-        assert [r.check_id for r in failed] == ["ccr/[a1*,b1*]"]
-        assert failed[0].defect.startswith("(2) ((0, 0, 0, 0), (0, 0, 0, 0)) + ")
-        assert failed[0].defect.endswith("... (210 terms)")
+        # [a1*, b1*] is the scalar 2
+        failed = [(r.check_id, r.defect) for r in named if not r.passed]
+        assert failed == [("ccr/[a1*,b1*]", "(2) 1")]
+        assert all(r.defect == "" for r in named if r.passed)
         assert all(r.passed and r.defect == "" for r in others)
+        # the column route: 2 on each of the 210 monomials of degree <= 6
+        defects = _column_defects(_ccr_brackets(), 6)
+        assert [cid for cid, d in defects.items() if d] == ["ccr/[a1*,b1*]"]
+        assert defects["ccr/[a1*,b1*]"] == {(m, m): 2 for m in monomials_up_to(4, 6)}
 
     def test_functoriality_fails_on_a_flipped_creator(self, monkeypatch):
-        gens = oscrep.su22_generators()
-        named_gens = [(f"E{i+1}", e) for i, e in enumerate(gens.E)]
-        named_gens += [(f"F{i+1}", f) for i, f in enumerate(gens.F)]
-        named_gens += [("E_theta", gens.extras["E_theta"]),
-                       ("H_theta", gens.extras["H_theta"])]
-        uses = {n for n, w in named_gens
+        uses = {n for n, w in _named_generators()
                 if any(_A1_STAR[0] in mono.creators for mono in w.terms)}
         assert uses == {"E1", "E_theta", "H_theta"}
         monkeypatch.setitem(massless._OPS, _A1_STAR, _A1_STAR_FLIPPED)
@@ -260,13 +276,24 @@ class TestNegativeControls:
         def names_perturbed(cid):
             return bool(uses & set(cid.split("[")[1].rstrip("]").split(",")))
 
-        named, others = _split(massless.realization_functoriality_check(3),
+        named, others = _split(massless.realization_functoriality_check(),
                                names_perturbed)
         assert named and others
-        failed = [r for r in named if not r.passed]
-        assert failed and all(r.defect.endswith(" terms)") for r in failed)
+        failed = {r.check_id: r.defect for r in named if not r.passed}
+        assert failed == {
+            "functorial/[E1,E2]": "(-2) u1 u3 + (2) u1* u1",
+            "functorial/[E1,F3]": "(-2) u1 u3",
+            "functorial/[E2,E_theta]": "(2) 1 + (-2) u1 u3 + (2) u1* u1 + (-2) u1* u3* "
+                                       "+ ... (5 terms)",
+            "functorial/[E2,H_theta]": "(2) u0 u3 + (-2) u1* u0",
+            "functorial/[F3,E_theta]": "(2) 1 + (-2) u1 u3 + (2) u3* u3",
+            "functorial/[F3,H_theta]": "(2) u0 u3",
+        }
         assert all(r.defect == "" for r in named if r.passed)
         assert all(r.passed and r.defect == "" for r in others)
+        # the column route fails the same records on degree <= 3
+        defects = _column_defects(_functorial_brackets(), 3)
+        assert {cid for cid, d in defects.items() if d} == set(failed)
 
 
 class TestZPicture:

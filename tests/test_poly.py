@@ -11,15 +11,17 @@ fails the Laplacian on every monomial with an exponent of 3 or more.
 """
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minrep import harmonics, linalg, massless, poly
 from minrep.lincomb import column_sum
-from minrep.poly import Poly, apply, monomials_up_to, operator_terms
+from minrep.poly import Poly, apply, operator_terms
 from minrep.scalars import QI
 from minrep.weylalg import WeylElement, WeylMonomial
+from monomials import monomials_up_to
 
 NVARS = 4
 _I = QI(0, 1)
@@ -186,6 +188,31 @@ def test_an_int_unit_monomials_image_keeps_int_coefficients():
         image = _applied(w, Poly(NVARS, {(3, 1, 0, 0): unit}))
         assert image.terms == want
         assert all(type(c) is QI for c in image.terms.values())
+
+
+def _exponents(modes) -> tuple:
+    """The exponent tuple of a multiset of the modes ("u", i)."""
+    return tuple(modes.count(("u", i)) for i in range(NVARS))
+
+
+_multisets = st.lists(_var, max_size=3).map(lambda xs: [("u", x) for x in xs])
+_weyl_elements = st.dictionaries(st.tuples(_multisets, _multisets).map(
+    lambda ca: WeylMonomial.make(*ca)), st.integers(-3, 3).filter(bool) | _qi.filter(bool),
+    min_size=1, max_size=6).map(lambda t: WeylElement({m: QI.of(c) for m, c in t.items()}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=_weyl_elements)
+def test_the_bargmann_action_is_faithful(w):
+    # for b of least total degree among the derivative multidegrees of
+    # w = sum c_ab x^a d^b, the column at x^b is b! sum_a c_ab x^a, which
+    # is not zero: a nonzero element is a nonzero operator, so an identity
+    # of Weyl elements holds on every polynomial
+    b = min((_exponents(m.annihilators) for m in w.terms), key=sum)
+    want = {_exponents(m.creators): c * prod(map(factorial, b))
+            for m, c in w.terms.items() if _exponents(m.annihilators) == b}
+    column = poly.columns(w)[b]
+    assert column and Poly(NVARS, column) == Poly(NVARS, want)
 
 
 def test_zero_polynomial_evaluates_to_the_rings_zero():
