@@ -288,6 +288,14 @@ def verify_commutator_formula(m: dict, mp: dict, size: int) -> Report:
     return rep
 
 
+def misses_transposed_rhs(m: dict, mp: dict, size: int) -> bool:
+    """Whether the closed form taken at tM' differs from the Wick commutator
+    [V_M(1,2), V_M'(3,4)] of two size x size labels; for a symmetric M' the
+    two agree."""
+    lhs = wick_commutator(_field(m.items(), 1, 2), _field(mp.items(), 3, 4))
+    return lhs != commutator_rhs(m, linalg.dict_transpose(mp), size)
+
+
 # ---------------------------------------------------------------------------
 # Frobenius pairing
 

@@ -17,10 +17,9 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 from itertools import product
 
-from . import bilocal, fockspace, harmonics, linalg, massless, oscrep, rootsys
+from . import bilocal, fockspace, harmonics, massless, oscrep, rootsys
 from .reports import Report
 from .scalars import QI, QI_ONE
 from .weylalg import WeylElement, commutator
@@ -311,7 +310,7 @@ def run_check_bilocal(args) -> Report:
     # negative control: with the non-symmetric M' = E_12 the closed form
     # taken at the transpose of M' must miss the Wick commutator
     size = max(2, args.L)
-    fires = _misses_transposed_rhs({(0, 0): QI_ONE}, {(0, 1): QI_ONE}, size)
+    fires = bilocal.misses_transposed_rhs({(0, 0): QI_ONE}, {(0, 1): QI_ONE}, size)
     rep.add("bilocal/negative-control/transposed-rhs", fires, negative_control=True,
             detail=f"[V_M(1,2), V_M'(3,4)] must differ from the closed form at tM', "
                    f"L{size}")
@@ -326,15 +325,6 @@ def _random_label(rng: random.Random, size: int) -> dict:
     the scale keeps its verdict, and every product is summed in ints."""
     return {(i, j): x for i in range(size) for j in range(size)
             if (x := 12 * rng.randint(-9, 9) // rng.randint(1, 4))}
-
-
-def _misses_transposed_rhs(m: dict, mp: dict, size: int) -> bool:
-    """Whether the closed form taken at tM' differs from the Wick commutator
-    [V_M(1,2), V_M'(3,4)] of two size x size labels; for a symmetric M' the
-    two agree."""
-    lhs = bilocal.wick_commutator(bilocal._field(m.items(), 1, 2),
-                                  bilocal._field(mp.items(), 3, 4))
-    return lhs != bilocal.commutator_rhs(m, linalg.dict_transpose(mp), size)
 
 
 def run_decompose(args) -> tuple[Report, list]:
@@ -370,20 +360,7 @@ def run_harmonics(args) -> Report:
                 harmonics.Poly(4, {(2, 0, 0, 0): QI(1)}), 3, 0, 0, cols).ok,
             negative_control=True,
             detail="a non-harmonic polynomial must fail the eigen-checks")
-    rng = random.Random(11)
-    pts = [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(4))
-           for _ in range(20)]
-    ok, compared = True, 0
-    for x in pts:
-        try:
-            if harmonics.sphere_identity_defect(x):
-                ok = False
-        except harmonics.ConformalInfinityError:
-            continue
-        compared += 1
-    rep.add("harmonics/compactification/20-points", ok and compared > 0)
-    rep.add("harmonics/compactification/polynomial-identity",
-            harmonics.sphere_identity_polynomial_check())
+    rep.extend(harmonics.compactification_check())
     return rep
 
 

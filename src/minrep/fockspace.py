@@ -83,12 +83,13 @@ def enumerate_basis(modes, cutoff: int, max_states: int | None = None) -> Trunca
         raise FockError(f"basis would need {total} states, over the cap {max_states}")
     states = []
     for level in range(cutoff + 1):
-        level_states = set()
+        # each multiset of modes comes once, so no state repeats
+        level_states = []
         for combo in combinations_with_replacement(range(k), level):
             occ = [0] * k
             for m in combo:
                 occ[m] += 1
-            level_states.add(tuple(occ))
+            level_states.append(tuple(occ))
         states.extend(sorted(level_states))
     fock = TruncatedFock(modes=modes, cutoff=cutoff, states=tuple(states),
                          index={s: i for i, s in enumerate(states)})

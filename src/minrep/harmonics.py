@@ -21,14 +21,16 @@ algebra check forms each bracket's defect as one exact Weyl element with
 of the elements holds on polynomials of every degree.  The level counts
 are ranks, which ``linalg`` certifies mod a prime.
 
-Also provides the rational embedding of Minkowski points into the complex
-quadric coordinates z(x) and its sphere identity sum z^2 = conj(w)/w.
+The compactification of Minkowski space is defined once, as polynomials
+in the real coordinates: z = N/D with D = 2w.  Its sphere identity
+sum z^2 = conj(w)/w holds at every real point exactly when
+sum N_a^2 = D conj(D) as polynomials, which is checked as one identity;
+D never vanishes at a real point, so no point needs to be skipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
 from . import linalg
@@ -201,52 +203,39 @@ def angular_algebra_check() -> Report:
 # Compactification
 
 
-class ConformalInfinityError(ValueError):
-    pass
+def compactification() -> tuple[list[Poly], Poly]:
+    """The map of Minkowski space into the complex quadric, as polynomials
+    (N, D) in the real coordinates x0..x3: z = N/D, with N = (2x1, 2x2,
+    2x3, 1 - x^2), D = 2w = 1 + x^2 - 2i x0 and x^2 the Minkowski square.
+    D conj(D) = (1 + x^2)^2 + (2x0)^2, so no real point is at infinity."""
+    x = [Poly.variable(NVARS, i, _ONE) for i in range(NVARS)]
+    one = Poly.constant(NVARS, _ONE)
+    xsq = x[1] * x[1] + x[2] * x[2] + x[3] * x[3] - x[0] * x[0]
+    return [x[i].scale(QI(2)) for i in (1, 2, 3)] + [one - xsq], one + xsq - x[0].scale(QI(0, 2))
 
 
-def compactify(x) -> tuple:
-    """Map a rational Minkowski 4-vector (x0, x1, x2, x3) into complex z.
-
-    z_i = x_i / w for i = 1..3, z_4 = (1 - x^2) / (2w) with
-    2w = 1 + x^2 - 2 i x0 and x^2 the Minkowski square.  Points with w = 0
-    sit at conformal infinity and are rejected.
-    """
-    x0, x1, x2, x3 = (Fraction(c) for c in x)
-    xsq = x1 * x1 + x2 * x2 + x3 * x3 - x0 * x0
-    two_w = QI(1 + xsq, -2 * x0)
-    if not two_w:
-        raise ConformalInfinityError(f"point {x} lies at conformal infinity")
-    w = two_w * QI(Fraction(1, 2))
-    return (QI(x1) / w, QI(x2) / w, QI(x3) / w, QI(1 - xsq) / two_w)
+def sphere_defect(num: list[Poly], den: Poly) -> Poly:
+    """sum N_a^2 - D conj(D), with conj(D) the polynomial of conjugated
+    coefficients.  At real x it is D^2 (sum z^2 - conj(w)/w), so the map
+    (N, D) lands on the sphere sum z^2 = conj(w)/w exactly when this is
+    the zero polynomial."""
+    total = Poly(NVARS)
+    for p in num:
+        total = total + p * p
+    return total - den * Poly(NVARS, {m: c.conj() for m, c in den.terms.items()})
 
 
-def omega(x) -> QI:
-    x0, x1, x2, x3 = (Fraction(c) for c in x)
-    xsq = x1 * x1 + x2 * x2 + x3 * x3 - x0 * x0
-    return QI(1 + xsq, -2 * x0) * QI(Fraction(1, 2))
-
-
-def sphere_identity_defect(x) -> QI:
-    """sum z_a(x)^2 - conj(w)/w, identically zero away from infinity."""
-    z = compactify(x)
-    s = QI(0)
-    for c in z:
-        s = s + c * c
-    w = omega(x)
-    return s - w.conj() / w
-
-
-def sphere_identity_polynomial_check() -> bool:
-    """The identity behind the map: 4|x|^2 + (1-x^2)^2 = |1+x^2-2ix0|^2.
-
-    Expanded as a polynomial identity in the four real coordinates, using
-    the same exact polynomial engine that backs the harmonic modes.
-    """
-    xs = [Poly.variable(4, i, _ONE) for i in range(4)]  # x0..x3
-    xsq = xs[1] * xs[1] + xs[2] * xs[2] + xs[3] * xs[3] - xs[0] * xs[0]
-    c1 = Poly.constant(4, _ONE)
-    lhs = (xs[1] * xs[1] + xs[2] * xs[2] + xs[3] * xs[3]).scale(QI(4)) \
-        + (c1 - xsq) * (c1 - xsq)
-    rhs = (c1 + xsq) * (c1 + xsq) + (xs[0] * xs[0]).scale(QI(4))
-    return lhs == rhs
+def compactification_check() -> Report:
+    """The sphere identity of ``compactification`` as one polynomial
+    identity, and a negative control: with 1 + x^2 = 2 - N4 in place of
+    N4 = 1 - x^2 the defect is 4x^2, which must not vanish."""
+    rep = Report("harmonics/compactification")
+    num, den = compactification()
+    defect = sphere_defect(num, den)
+    rep.add("harmonics/compactification/polynomial-identity", defect.is_zero(),
+            defect=render_defect(defect.terms))
+    wrong = num[:3] + [Poly.constant(NVARS, QI(2)) - num[3]]
+    rep.add("harmonics/negative-control/compactification-z4",
+            not sphere_defect(wrong, den).is_zero(), negative_control=True,
+            detail="with 1 + x^2 in place of 1 - x^2 in N4 the sphere identity must fail")
+    return rep

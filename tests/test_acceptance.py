@@ -239,14 +239,9 @@ def test_criterion_09_harmonics():
     ok &= harmonics.level_count_check(
         [mode for n in range(1, 7) for l in range(n)
          for mode in harmonics.harmonic_ladder(n, l)]).ok
-    rng = random.Random(19)
-    pts = 0
-    while pts < 20:
-        x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4))
-        ok &= not harmonics.sphere_identity_defect(x)
-        pts += 1
-    ok &= harmonics.sphere_identity_polynomial_check()
-    _criterion("09-harmonics", ok, "n <= 6 gives n^2 verified modes, 20 points")
+    ok &= harmonics.compactification_check().ok
+    _criterion("09-harmonics", ok,
+               "n <= 6 gives n^2 verified modes, sum N^2 = D conj(D) as one polynomial identity")
 
 
 def test_criterion_10_casimir_relation():

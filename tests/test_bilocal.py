@@ -378,9 +378,15 @@ class TestCommutatorFormula:
               for i in range(3) for j in range(3)}
         sym = bilocal._sum((1, mp), (1, transpose(mp)))
         for label, fires in ((sym, False), (mp, True)):
-            lhs = wick_commutator(field(m, 1, 2), field(label, 3, 4))
-            wrong = bilocal.commutator_rhs(m, transpose(label), 3)
-            assert (lhs != wrong) is fires
+            assert bilocal.misses_transposed_rhs(m, label, 3) is fires
+
+    def test_transposed_rhs_fires_on_e12_and_not_on_e22(self):
+        # the control's pair (E_11, E_12) fires at every size; the symmetric
+        # pair (E_11, E_22) does not
+        e11, e12, e22 = ({(a, b): QI(1)} for a, b in ((0, 0), (0, 1), (1, 1)))
+        for size in range(2, 9):
+            assert bilocal.misses_transposed_rhs(e11, e12, size)
+            assert not bilocal.misses_transposed_rhs(e11, e22, size)
 
     def test_failing_record_renders_a_bounded_defect(self, monkeypatch):
         # the closed form taken at tM' misses the commutator of a non-symmetric

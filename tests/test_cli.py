@@ -247,11 +247,6 @@ class TestBilocalCommand:
                           "--format", "json"], capsys)
             records = {r["check_id"]: r for r in json.loads(out)["records"]}
             assert records["bilocal/negative-control/transposed-rhs"]["passed"] is True
-        # the same comparison on the symmetric pair (E_11, E_22) does not fire
-        for size in range(2, 9):
-            e11, e12, e22 = ({(a, b): QI(1)} for a, b in ((0, 0), (0, 1), (1, 1)))
-            assert cli._misses_transposed_rhs(e11, e12, size)
-            assert not cli._misses_transposed_rhs(e11, e22, size)
 
     def test_t_algebra_record_fails_on_a_span_open_under_transpose(self, capsys, monkeypatch):
         original = bilocal.canonical_m_span
@@ -442,17 +437,21 @@ class TestOtherCommands:
         assert code == 0 and len(calls) == 3
         assert sum(r["wall_ms"] for r in json.loads(out)["records"]) >= 3000
 
-    def test_compactification_fails_when_every_point_is_at_infinity(self, capsys, monkeypatch):
-        # with every point skipped the 20-point record compares nothing
-        def at_infinity(x):
-            raise harmonics.ConformalInfinityError(f"point {x} lies at conformal infinity")
+    def test_compactification_fails_on_a_corrupted_map(self, capsys, monkeypatch):
+        # N1 = x1 in place of 2 x1 leaves the defect -3 x1^2, so the identity
+        # record fails with its defect, while the z4 control still fires
+        original = harmonics.compactification
 
-        monkeypatch.setattr(harmonics, "compactify", at_infinity)
+        def corrupted():
+            num, den = original()
+            return [num[0].scale(QI(1) / 2)] + num[1:], den
+
+        monkeypatch.setattr(harmonics, "compactification", corrupted)
         code, out = run(["harmonics", "--nmax", "2", "--format", "json"], capsys)
         assert code == cli.EXIT_CHECK_FAILED
         failed = [r for r in json.loads(out)["records"] if not r["passed"]]
-        assert [r["check_id"] for r in failed] == ["harmonics/compactification/20-points"]
-        assert failed[0]["detail"] == ""
+        assert [r["check_id"] for r in failed] == ["harmonics/compactification/polynomial-identity"]
+        assert failed[0]["defect"] == "(-3) (0, 2, 0, 0)"
 
     def test_massless(self, capsys):
         code, out = run(["massless", "--format", "json"], capsys)
@@ -607,7 +606,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("error", [
         bilocal.ReducibleAlgebraError("forced reducible algebra"),
-        harmonics.ConformalInfinityError("forced point at conformal infinity"),
+        harmonics.HarmonicError("forced harmonic seed that is not unique"),
         ValueError("bracket leaves the mode span: forced"),
         RuntimeError("a message\nover two lines"),
     ])

@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from minrep import cli, harmonics, linalg
-from minrep.harmonics import (HarmonicError, build_harmonic, compactify, sphere_identity_defect,
-                              verify_mode)
+from minrep.harmonics import HarmonicError, build_harmonic, verify_mode
 from minrep.poly import Poly, apply, columns, operator_terms
 from minrep.scalars import QI
 from minrep.weylalg import WeylElement, WeylMonomial, commutator
@@ -238,35 +237,74 @@ class TestOperatorAlgebra:
         assert all(r.passed and r.defect == "" for r in others)
 
 
+def compactify(x) -> tuple:
+    """z(x) = N/D at a rational point x, and w = D/2: the map's own
+    polynomials evaluated with ``Poly.evaluate``."""
+    num, den = harmonics.compactification()
+    point = [QI(c) for c in x]
+    d = den.evaluate(point)
+    return tuple(p.evaluate(point) / d for p in num), d / 2
+
+
+def square_sum(z) -> QI:
+    total = QI(0)
+    for c in z:
+        total = total + c * c
+    return total
+
+
+def minkowski_square() -> tuple:
+    """x0..x3 and x^2 = x1^2 + x2^2 + x3^2 - x0^2, written out afresh."""
+    x = [Poly.variable(4, i, QI(1)) for i in range(4)]
+    return x, x[1] * x[1] + x[2] * x[2] + x[3] * x[3] - x[0] * x[0]
+
+
 class TestCompactification:
     def test_origin(self):
-        z = compactify((0, 0, 0, 0))
+        z, _ = compactify((0, 0, 0, 0))
         assert z == (QI(0), QI(0), QI(0), QI(1))
 
     def test_sphere_identity_on_random_rational_points(self):
+        # the test oracle: sum z^2 = conj(w)/w at 20 seeded points, each
+        # evaluated from the polynomials that the record checks as one identity
         rng = random.Random(23)
-        count = 0
-        while count < 20:
-            x = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(4))
-            assert not sphere_identity_defect(x)
-            count += 1
+        for _ in range(20):
+            z, w = compactify(tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 5))
+                                    for _ in range(4)))
+            assert square_sum(z) == w.conj() / w
 
     def test_time_zero_points_land_on_the_sphere(self):
         rng = random.Random(8)
         for _ in range(10):
-            x = (0,) + tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                             for _ in range(3))
-            z = compactify(x)
+            z, _ = compactify((0,) + tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                           for _ in range(3)))
             assert all(c.is_real() for c in z)
-            total = QI(0)
-            for c in z:
-                total = total + c * c
-            assert total == QI(1)
+            assert square_sum(z) == QI(1)
 
     def test_polynomial_identity(self):
-        assert harmonics.sphere_identity_polynomial_check()
+        num, den = harmonics.compactification()
+        assert harmonics.sphere_defect(num, den).is_zero()
+        rep = harmonics.compactification_check()
+        assert rep.ok and [r.check_id for r in rep.records] == [
+            "harmonics/compactification/polynomial-identity",
+            "harmonics/negative-control/compactification-z4"]
+
+    def test_no_real_point_is_at_infinity(self):
+        # D conj(D) = (1 + x^2)^2 + (2 x0)^2, zero only where x0 = 0 and
+        # |x|^2 = -1, which no real point meets
+        _, den = harmonics.compactification()
+        x, xsq = minkowski_square()
+        one_plus = Poly.constant(4, QI(1)) + xsq
+        conj = Poly(4, {m: c.conj() for m, c in den.terms.items()})
+        assert den * conj == one_plus * one_plus + (x[0] * x[0]).scale(QI(4))
+
+    def test_negative_control_defect_is_four_x_squared(self):
+        num, den = harmonics.compactification()
+        wrong = num[:3] + [Poly.constant(4, QI(2)) - num[3]]
+        _, xsq = minkowski_square()
+        assert harmonics.sphere_defect(wrong, den) == xsq.scale(QI(4))
 
     def test_half_unit_time_point(self):
         # x = (1, 0, 0, 0): 2w = 1 - 1 - 2i = -2i, z4 = (1+1)/(-2i) = i
-        z = compactify((1, 0, 0, 0))
+        z, _ = compactify((1, 0, 0, 0))
         assert z == (QI(0), QI(0), QI(0), QI(0, 1))
