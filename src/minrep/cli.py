@@ -348,8 +348,7 @@ def run_decompose(args) -> tuple[Report, list]:
 
 def run_harmonics(args) -> Report:
     rep = Report(f"harmonics/nmax{args.nmax}")
-    modes = [mode for n in range(1, args.nmax + 1) for l in range(n)
-             for mode in harmonics.harmonic_ladder(n, l)]
+    modes = harmonics.harmonic_modes(args.nmax)
     cols = harmonics.operator_columns()
     for mode in modes:
         rep.extend(harmonics.verify_mode(mode.poly, mode.n, mode.l, mode.m, cols))

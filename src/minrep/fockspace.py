@@ -38,7 +38,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import linalg, oscrep
-from .lincomb import column_sum
+from .lincomb import LinComb, column_sum
 from .reports import Report, render_defect
 from .scalars import QI, QI_ZERO, int_if_integer, sum_products
 from .weylalg import (Mode, Polarization, SpanError, WeylElement, WeylMonomial, commutator,
@@ -576,5 +576,5 @@ def _matrix_cross_check(rep, family, k, flavors, level, elems, flavored, max_sta
             cols = safe_columns(fock, mats[s].level_raise, mats[t].level_raise)
             defect = linalg.bracket_defect(mats[s].entries, mats[t].entries, cols, sym)
             rep.add(f"{family}/k{k}N{flavors}/matrix/pair{s:03d},{t:03d}",
-                    bool(cols) and not defect,
-                    detail=f"Fock cross-check at level {level}", defect=render_defect(defect))
+                    bool(cols) and not defect, detail=f"Fock cross-check at level {level}",
+                    defect=render_defect(LinComb._nonzero(defect)))

@@ -3,14 +3,19 @@
 Homogeneous harmonic polynomials h_{n,l,m} of degree n-1 in four complex
 variables, simultaneous eigenfunctions of the conformal Hamiltonian
 H = z.d/dz + 1, the total angular momentum L^2 and its third component L3.
-Each (n, l) ladder is built once: an explicit top seed at m = l, lowered
-step by step with L- = L1 - i L2 down to m = -l; construction and
-verification are exact over Q(i).  Each operator is a
-``weylalg.WeylElement`` over the modes ("z", i), built once at import: in
-the Bargmann picture z_i is the creator and d/dz_i the annihilator, so
-the Laplacian is sum a_i a_i, H = sum a*_i a_i + 1 and
-L_j = i (a*_b a_a - a*_a a_b).  L^2 = L- L+ + (L3 + 1) L3, which rests
-on [L1, L2] = i L3, is formed once by ``weylalg.sum_of_products``.
+Each mode is a product h_{n,l,m} = Y_{l,m}(z1, z2, z3) f_{n,l}(z4, rho^2)
+of two factors that each lead with coefficient 1.  The solid harmonics
+Y_{l,m} are (z1 + i z2)^l lowered step by step with L- = L1 - i L2 down
+to m = -l; they do not depend on n, so ``harmonic_modes`` builds the
+chain of each l once.  The radial factor f_{n,l} = sum_b c_b z4^(d-2b) rho^(2b),
+d = n-1-l, has the closed-form coefficients that harmonicity imposes, and
+each product is one ``Poly.__mul__``; construction and verification are
+exact over Q(i).  Each operator is a ``weylalg.WeylElement`` over the
+modes ("z", i), built once at import: in the Bargmann picture z_i is the
+creator and d/dz_i the annihilator, so the Laplacian is sum a_i a_i,
+H = sum a*_i a_i + 1 and L_j = i (a*_b a_a - a*_a a_b).
+L^2 = L- L+ + (L3 + 1) L3, which rests on [L1, L2] = i L3, is formed once
+by ``weylalg.sum_of_products``.
 ``operator_columns`` holds the Laplacian, H, L^2 and L3 as
 ``poly.columns``; one command builds them once and shares them, so each
 operator's image of a unit monomial is one walk, formed once.
@@ -31,7 +36,9 @@ D never vanishes at a real point, so no point needs to be skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
+from math import comb
 
 from . import linalg
 from .linalg import ColumnMap
@@ -47,10 +54,6 @@ _I = QI(0, 1)
 
 class HarmonicError(ValueError):
     pass
-
-
-def _z(i: int) -> Poly:
-    return Poly.variable(NVARS, i, _ONE)
 
 
 _Z = [("z", i) for i in range(NVARS)]
@@ -83,34 +86,44 @@ class HarmonicMode:
     poly: Poly
 
 
-def _top_seed(n: int, l: int) -> Poly:
-    """Top state h_{n,l,l}: (z1 + i z2)^l times a harmonic in (z4, rho^2).
+def _solid_harmonics(l: int) -> list[Poly]:
+    """The solid harmonics Y_{l,m} for m = l, l-1, ..., -l: (z1 + i z2)^l
+    lowered step by step with L-, each step normalized.  They involve only
+    z1, z2, z3, so one chain serves the ladders of every n."""
+    top, power = {}, _ONE
+    for k in range(l + 1):
+        top[(l - k, k, 0, 0)] = power * comb(l, k)
+        power = power * _I
+    ys = [_normalize_leading(Poly(NVARS, top))]
+    lowering = operator_terms(_LOWERING)
+    for m in range(l - 1, -l - 1, -1):
+        p = apply(lowering, ys[-1])
+        if p.is_zero():
+            raise HarmonicError(f"lowering annihilated the solid harmonic ({l},{m})")
+        ys.append(_normalize_leading(p))
+    return ys
 
-    The radial factor sum_b c_b z4^(d-2b) rho^(2b) with rho^2 = z1^2 + z2^2
-    + z3^2 and d = n-1-l is pinned (up to scale) by harmonicity, a small
-    exact kernel computation.
+
+def _radial_factor(n: int, l: int) -> Poly:
+    """f_{n,l} = sum_b c_b z4^(d-2b) rho^(2b), with rho^2 = z1^2 + z2^2 +
+    z3^2 and d = n-1-l, for which Y_{l,m} f_{n,l} is harmonic.
+
+    The Laplacian of z4^(d-2b) rho^(2b) Y_l is (d-2b)(d-2b-1)
+    z4^(d-2b-2) rho^(2b) Y_l + 2b(2b+2l+1) z4^(d-2b) rho^(2b-2) Y_l, so
+    harmonicity is the recurrence c_b = -c_{b-1} (d-2b+2)(d-2b+1) /
+    (2b(2b+2l+1)), here with c_0 = 1; rho^(2b) is expanded by the
+    multinomial theorem.
     """
     d = n - 1 - l
-    u = _z(0) + _z(1).scale(_I)
-    ul = Poly.constant(NVARS, _ONE)
-    for _ in range(l):
-        ul = ul * u
-    rho2 = _z(0) * _z(0) + _z(1) * _z(1) + _z(2) * _z(2)
-    cands = []
+    terms, c = {}, Fraction(1)
     for b in range(d // 2 + 1):
-        f = Poly.constant(NVARS, _ONE)
-        for _ in range(b):
-            f = f * rho2
-        f = f.mul_var(3, d - 2 * b)
-        cands.append(ul * f)
-    lap = operator_terms(_LAPLACIAN)
-    kern = linalg.kernel([apply(lap, cand).terms for cand in cands])
-    if len(kern) != 1:
-        raise HarmonicError(f"harmonic seed for (n,l) = ({n},{l}) is not unique")
-    out = Poly(NVARS)
-    for ci, c in kern[0].items():
-        out = out + cands[ci].scale(c)
-    return out
+        if b:
+            c = -c * (d - 2 * b + 2) * (d - 2 * b + 1) / (2 * b * (2 * b + 2 * l + 1))
+        for i in range(b + 1):
+            for j in range(b - i + 1):
+                multinomial = comb(b, i) * comb(b - i, j)
+                terms[(2 * i, 2 * j, 2 * (b - i - j), d - 2 * b)] = QI.of(c * multinomial)
+    return Poly(NVARS, terms)
 
 
 def _normalize_leading(p: Poly) -> Poly:
@@ -121,19 +134,28 @@ def _normalize_leading(p: Poly) -> Poly:
     return p.scale(_ONE / lead)
 
 
-def harmonic_ladder(n: int, l: int) -> list[HarmonicMode]:
-    """h_{n,l,m} for m = l, l-1, ..., -l from one seed; raises on invalid labels."""
+def harmonic_ladder(n: int, l: int, solid: list[Poly] | None = None) -> list[HarmonicMode]:
+    """h_{n,l,m} = Y_{l,m} f_{n,l} for m = l, l-1, ..., -l, from `solid`,
+    the ``_solid_harmonics`` of l, built here when not given; raises on
+    invalid labels.
+
+    Lex order is a monomial order, so the lex-least monomial of a product
+    is the product of its factors' lex-least ones: each factor leads with
+    coefficient 1, so each product is already normalized.
+    """
     if n < 1 or not 0 <= l <= n - 1:
         raise HarmonicError(f"invalid ladder labels (n,l) = ({n},{l})")
-    p = _top_seed(n, l)
-    modes = [HarmonicMode(n, l, l, _normalize_leading(p))]
-    lowering = operator_terms(_LOWERING)
-    for m in range(l - 1, -l - 1, -1):
-        p = apply(lowering, p)
-        if p.is_zero():
-            raise HarmonicError(f"lowering annihilated the mode ({n},{l},{m})")
-        modes.append(HarmonicMode(n, l, m, _normalize_leading(p)))
-    return modes
+    f = _radial_factor(n, l)
+    return [HarmonicMode(n, l, l - k, y * f)
+            for k, y in enumerate(_solid_harmonics(l) if solid is None else solid)]
+
+
+def harmonic_modes(nmax: int) -> list[HarmonicMode]:
+    """Every h_{n,l,m} with n <= nmax, ladder by ladder, the solid
+    harmonics of each l built once and shared by its ladders."""
+    solid = [_solid_harmonics(l) for l in range(nmax)]
+    return [mode for n in range(1, nmax + 1) for l in range(n)
+            for mode in harmonic_ladder(n, l, solid[l])]
 
 
 def build_harmonic(n: int, l: int, m: int) -> HarmonicMode:
@@ -192,10 +214,10 @@ def angular_algebra_check() -> Report:
     rep = Report("harmonics/angular-algebra")
     for (j, k), l in _EPS.items():
         defect = commutator(_L[j], _L[k]) - _L[l].scale(_I)
-        rep.add(f"angular/[L{j},L{k}]=iL{l}", defect.is_zero(), defect=render_defect(defect.terms))
+        rep.add(f"angular/[L{j},L{k}]=iL{l}", defect.is_zero(), defect=render_defect(defect))
     for name, op in (("L2", _L_SQUARED), ("L3", _L[3])):
         defect = commutator(_HAMILTONIAN, op)
-        rep.add(f"angular/[H,{name}]=0", defect.is_zero(), defect=render_defect(defect.terms))
+        rep.add(f"angular/[H,{name}]=0", defect.is_zero(), defect=render_defect(defect))
     return rep
 
 
@@ -233,7 +255,7 @@ def compactification_check() -> Report:
     num, den = compactification()
     defect = sphere_defect(num, den)
     rep.add("harmonics/compactification/polynomial-identity", defect.is_zero(),
-            defect=render_defect(defect.terms))
+            defect=render_defect(defect))
     wrong = num[:3] + [Poly.constant(NVARS, QI(2)) - num[3]]
     rep.add("harmonics/negative-control/compactification-z4",
             not sphere_defect(wrong, den).is_zero(), negative_control=True,

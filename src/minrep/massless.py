@@ -104,7 +104,7 @@ def ccr_check() -> Report:
             n1 = f"{k1[0][0]}{k1[0][1]}" + ("*" if k1[1] else "")
             n2 = f"{k2[0][0]}{k2[0][1]}" + ("*" if k2[1] else "")
             rep.add(f"ccr/[{n1},{n2}]", defect.is_zero(), detail="= 1" if want_one else "= 0",
-                    defect=render_defect(defect.terms))
+                    defect=render_defect(defect))
     return rep
 
 
@@ -197,7 +197,7 @@ def realization_functoriality_check() -> Report:
         for n2, y in named[i + 1:]:
             defect = commutator(realized[n1], realized[n2]) - realize(commutator(x, y))
             rep.add(f"functorial/[{n1},{n2}]", defect.is_zero(),
-                    defect=render_defect(defect.terms))
+                    defect=render_defect(defect))
     return rep
 
 

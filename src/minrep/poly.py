@@ -3,7 +3,9 @@ that act on them.
 
 Monomials are exponent tuples.  Every polynomial the package builds has
 ``QI`` coefficients: the harmonic modes, the sphere identity and the
-Gaussian wave functions of the massless model.
+Gaussian wave functions of the massless model.  ``Poly.__mul__`` sums
+the products of every pair of terms in one ``scalars.sum_products``
+call, in ints.
 
 Every linear operator on them is a ``WeylElement`` in the Bargmann
 picture: a mode (name, i) stands for the variable x_i, its creator for
@@ -23,9 +25,10 @@ faithful, so an identity of operators is checked on their elements.
 from __future__ import annotations
 
 from functools import partial
+from operator import add
 
 from .linalg import ColumnMap
-from .lincomb import LinComb, column_sum, combine
+from .lincomb import LinComb, column_sum
 from .scalars import sum_products
 from .weylalg import WeylElement, walk, walker_terms
 
@@ -62,11 +65,9 @@ class Poly(LinComb):
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
-        acc: dict = {}
-        for m1, c1 in self.terms.items():
-            combine(((tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
-                     for m2, c2 in other.terms.items()), acc)
-        return Poly(self.nvars, acc)
+        return _nonzero_poly(self.nvars, sum_products(
+            (tuple(map(add, m1, m2)), c1, c2, 1)
+            for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()))
 
     def scale(self, c) -> "Poly":
         return self._scaled(c)

@@ -11,11 +11,11 @@ from .lincomb import LinComb
 DEFECT_TERMS = 4
 
 
-def render_defect(defect: dict) -> str:
-    """A kernel's nonzero {key: entry} totals as a record's defect: the first
-    DEFECT_TERMS terms and the count, or "" when there are none, so that a
-    passing record keeps an empty defect."""
-    return LinComb._nonzero(defect).render(DEFECT_TERMS) if defect else ""
+def render_defect(defect: LinComb) -> str:
+    """A defect element as a record's defect: its first DEFECT_TERMS terms,
+    each rendered by the element's own ``_term``, and the count, or "" when
+    it is zero, so that a passing record keeps an empty defect."""
+    return defect.render(DEFECT_TERMS) if defect.terms else ""
 
 
 @dataclass

@@ -9,8 +9,8 @@ Equal values therefore have equal fields, and arithmetic runs on ints;
 int, and reduces each total once, giving the QI that ``+`` and ``*`` give
 without building one per operation; an int operand is read as it is,
 without building a QI.  Outside QI's own methods it is the one reader of
-the fields, and the Wick kernel, the matrix products and the polynomial
-operators all sum through it.  ``residues`` is the other reader: it
+the fields, and the Wick kernel, the matrix products, the polynomial
+operators and the polynomial product all sum through it.  ``residues`` is the other reader: it
 maps a vector's entries to a prime field in which i has a square root,
 for ``linalg``'s rank certificate.  ``int_if_integer`` reads a real-integer
 ``QI`` as an ``int``, for the checks that need an integer eigenvalue or

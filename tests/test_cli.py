@@ -451,7 +451,7 @@ class TestOtherCommands:
         assert code == cli.EXIT_CHECK_FAILED
         failed = [r for r in json.loads(out)["records"] if not r["passed"]]
         assert [r["check_id"] for r in failed] == ["harmonics/compactification/polynomial-identity"]
-        assert failed[0]["defect"] == "(-3) (0, 2, 0, 0)"
+        assert failed[0]["defect"] == "(-3)*x1^2"
 
     def test_massless(self, capsys):
         code, out = run(["massless", "--format", "json"], capsys)

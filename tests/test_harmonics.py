@@ -44,7 +44,7 @@ class TestConstruction:
         p = mode.poly
         for j in (1, 2, 3):
             assert _applied(harmonics._L[j], p).is_zero()
-        # uniqueness up to scale: the kernel construction is pinned by the
+        # uniqueness up to scale: the radial factor is pinned by the
         # eigen-checks plus homogeneity
         assert verify_mode(p, 3, 0, 0, harmonics.operator_columns()).ok
 
@@ -66,12 +66,38 @@ class TestConstruction:
             assert _applied(harmonics._RAISING, build_harmonic(n, l, l).poly).is_zero()
 
 
+def _kernel_seed(n, l):
+    """The top state h_{n,l,l}, up to scale, as the one relation among the
+    candidates (z1 + i z2)^l z4^(d-2b) rho^(2b), d = n-1-l, whose
+    Laplacians ``linalg.kernel`` finds."""
+    d = n - 1 - l
+    z = [Poly.variable(4, i, QI(1)) for i in range(4)]
+    u = z[0] + z[1].scale(QI(0, 1))
+    ul = Poly.constant(4, QI(1))
+    for _ in range(l):
+        ul = ul * u
+    rho2 = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
+    cands = []
+    for b in range(d // 2 + 1):
+        f = Poly.constant(4, QI(1))
+        for _ in range(b):
+            f = f * rho2
+        cands.append(ul * f.mul_var(3, d - 2 * b))
+    kern = linalg.kernel([_applied(harmonics._LAPLACIAN, cand).terms for cand in cands])
+    assert len(kern) == 1
+    out = Poly(4)
+    for ci, c in kern[0].items():
+        out = out + cands[ci].scale(c)
+    return out
+
+
 def _per_mode_oracle(n, l, m):
-    """h_{n,l,m} from its own top seed, lowered l - m times."""
-    p = harmonics._top_seed(n, l)
+    """h_{n,l,m} from its own kernel-solved top seed, lowered l - m times
+    and scaled so its lexicographically first monomial has coefficient 1."""
+    p = _kernel_seed(n, l)
     for _ in range(l - m):
         p = lowering(p)
-    return harmonics._normalize_leading(p)
+    return p.scale(QI(1) / p.terms[p.leading_monomial()])
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -84,18 +110,42 @@ def test_modes_match_per_mode_oracle(n):
 
 
 def test_each_ladder_is_built_once(monkeypatch, capsys):
-    # nmax 7 has 28 (n, l) ladders and 140 modes
-    calls = []
-    seed = harmonics._top_seed
+    # nmax 7 has one solid-harmonic chain per l < 7, and 28 (n, l) ladders,
+    # each with one radial factor, for 140 modes
+    chains, factors = [], []
+    solid, radial = harmonics._solid_harmonics, harmonics._radial_factor
 
-    def counted(n, l):
-        calls.append((n, l))
-        return seed(n, l)
+    def counted_solid(l):
+        chains.append(l)
+        return solid(l)
 
-    monkeypatch.setattr(harmonics, "_top_seed", counted)
+    def counted_radial(n, l):
+        factors.append((n, l))
+        return radial(n, l)
+
+    monkeypatch.setattr(harmonics, "_solid_harmonics", counted_solid)
+    monkeypatch.setattr(harmonics, "_radial_factor", counted_radial)
     assert cli.main(["harmonics", "--nmax", "7", "--format", "json"]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["ok"]
-    assert sorted(calls) == [(n, l) for n in range(1, 8) for l in range(n)]
+    assert sorted(chains) == list(range(7))
+    assert sorted(factors) == [(n, l) for n in range(1, 8) for l in range(n)]
+
+
+def test_a_flipped_recurrence_sign_fails_the_laplacian(monkeypatch, capsys):
+    # c_1 with the wrong sign leaves every ladder with d = n-1-l >= 2
+    # non-harmonic, while H, L^2 and L3 still hold on every mode
+    radial = harmonics._radial_factor
+
+    def flipped(n, l):
+        d = n - 1 - l
+        return Poly(4, {e: -c if e[3] == d - 2 else c for e, c in radial(n, l).terms.items()})
+
+    monkeypatch.setattr(harmonics, "_radial_factor", flipped)
+    assert cli.main(["harmonics", "--nmax", "5", "--format", "json"]) == cli.EXIT_CHECK_FAILED
+    failed = {r["check_id"] for r in json.loads(capsys.readouterr().out)["records"]
+              if not r["passed"]}
+    assert failed == {f"mode/{n},{l},{m}/laplacian" for n in range(1, 6) for l in range(n - 2)
+                      for m in range(-l, l + 1)}
 
 
 def test_ladder_runs_from_top_to_bottom():

@@ -618,7 +618,8 @@ def test_kernel_witness_refutes_a_corrupted_elimination():
         assert linalg.kernel(full[:2]) == []
         assert linalg.rref(full) == ([{0: QI(1)}, {1: QI(1)}], [0, 1])
         # a failed witness is an internal error of the command, exit 3
-        assert cli.main(["harmonics", "--nmax", "3", "--format", "json"]) == cli.EXIT_INTERNAL
+        assert cli.main(["check-bilocal", "--L", "2", "--trials", "1",
+                         "--format", "json"]) == cli.EXIT_INTERNAL
 
 
 def _random_rows(rng, ring):

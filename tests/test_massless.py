@@ -127,8 +127,8 @@ class TestVacuum:
             assert inner_product(p, p) == QI(factorial(k))
 
     def test_orthogonality_of_distinct_monomials(self):
-        p = Poly(4, {(1, 0, 0, 0): QIS(QI(1))})
-        q = Poly(4, {(0, 1, 0, 0): QIS(QI(1))})
+        p = Poly(4, {(1, 0, 0, 0): QI(1)})
+        q = Poly(4, {(0, 1, 0, 0): QI(1)})
         assert inner_product(p, q) == QI(0)
 
     def test_first_order_operators_pair_with_their_adjoints(self):
