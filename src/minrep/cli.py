@@ -206,7 +206,7 @@ def _generators(algebra: str, n: int):
         pair = fockspace.dual_pair("so_star", n)
         return pair, pair.chevalley
     pair = fockspace.dual_pair("u_pq", 2 if algebra == "su22" else n)
-    return pair, (oscrep.su22_generators(pair.chevalley) if algebra == "su22" else pair.chevalley)
+    return pair, (oscrep.su22_generators() if algebra == "su22" else pair.chevalley)
 
 
 def run_check_relations(args) -> Report:
@@ -356,7 +356,7 @@ def run_harmonics(args) -> Report:
     rep.extend(harmonics.angular_algebra_check())
     rep.add("harmonics/negative-control/z1^2",
             not harmonics.verify_mode(
-                harmonics.Poly(4, {(2, 0, 0, 0): QI(1)}), 3, 0, 0, cols).ok,
+                harmonics.Poly({(2, 0, 0, 0): QI_ONE}), 3, 0, 0, cols).ok,
             negative_control=True,
             detail="a non-harmonic polynomial must fail the eigen-checks")
     rep.extend(harmonics.compactification_check())
@@ -391,7 +391,7 @@ def run_closure(args) -> Report:
 # output
 
 
-def emit(report: Report, args, table: list | None = None) -> str:
+def emit(report: Report, args, table: list | None) -> str:
     if args.format == "json":
         payload = report.as_dict(stable=args.stable)
         if table is not None:

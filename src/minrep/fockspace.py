@@ -40,7 +40,7 @@ from typing import NamedTuple
 from . import linalg, oscrep
 from .lincomb import LinComb, column_sum
 from .reports import Report, render_defect
-from .scalars import QI, QI_ZERO, int_if_integer, sum_products
+from .scalars import QI, QI_I, QI_ONE, QI_ZERO, int_if_integer, sum_products
 from .weylalg import (Mode, Polarization, SpanError, WeylElement, WeylMonomial, commutator,
                       matrix_from_quadratic, mode_action_matrix, quadratic_blocks,
                       quadratic_from_matrix, standard_polarization, walk, walker_terms)
@@ -196,11 +196,11 @@ def diagonal_weights(w: WeylElement, fock: TruncatedFock) -> list[int]:
     return [_weights(table, s)[0] for s in fock.states]
 
 
-def helicity_spectrum(fock: TruncatedFock, level: int | None = None) -> dict:
-    """Histogram of the helicity, B's Cartan in the (u(2,2), u(1)) pair, on one level or all."""
+def helicity_spectrum(fock: TruncatedFock, level: int) -> dict:
+    """Histogram of the helicity, B's Cartan in the (u(2,2), u(1)) pair, on one level."""
     weights = diagonal_weights(dual_pair("u_pq", 2).gauge.cartan[0], fock)
     return dict(sorted(Counter(h for h, s in zip(weights, fock.states)
-                               if level is None or sum(s) == level).items()))
+                               if sum(s) == level).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +373,14 @@ class DualPair:
         so_star: likewise for so*(4k).
         """
         if self.family == "sp_real":
-            mono, i1 = WeylElement.monomial, QI(0, 1)
-            out = [mono([c], [c], i1) for c in self.modes]
+            mono = WeylElement.monomial
+            out = [mono([c], [c], QI_I) for c in self.modes]
             for x, y in combinations(self.modes, 2):
-                out += [mono([x], [y]) - mono([y], [x]), mono([x], [y], i1) + mono([y], [x], i1)]
+                out += [mono([x], [y]) - mono([y], [x]),
+                        mono([x], [y], QI_I) + mono([y], [x], QI_I)]
             for x, y in combinations_with_replacement(self.modes, 2):
                 out += [mono([x, y], []) - mono([], [x, y]),
-                        mono([x, y], [], i1) + mono([], [x, y], i1)]
+                        mono([x, y], [], QI_I) + mono([], [x, y], QI_I)]
             return tuple(out)
         if self.family == "u_pq":
             mats = oscrep.unitary_basis([1] * self.k + [-1] * self.k)
@@ -416,8 +417,7 @@ class DualPair:
         fl = range(1, n + 1)
 
         def hop(x, f, y, g):
-            one = QI(1)
-            return WeylElement({WeylMonomial.make([mode((x, i), f)], [mode((y, i), g)]): one
+            return WeylElement({WeylMonomial.make([mode((x, i), f)], [mode((y, i), g)]): QI_ONE
                                 for i in range(1, self._size + 1)})
 
         if self.family == "sp_real":
@@ -469,9 +469,8 @@ def cross_check_basis_size(family: str, k: int, flavors: int, level: int) -> int
     return basis_size(len(dual_pair(family, k).modes) * flavors, level)
 
 
-def truncated_closure_check(family: str, k: int, flavors: int, level: int = 0,
-                            pair_limit: int | None = None,
-                            max_states: int | None = None) -> Report:
+def truncated_closure_check(family: str, k: int, flavors: int, level: int,
+                            pair_limit: int | None, max_states: int | None) -> Report:
     """Commutators of flavored bilinears close with central charge = flavors.
 
     Every pairwise commutator must decompose as (flavor-diagonal quadratic,
@@ -528,10 +527,6 @@ def _closure_structure(quad, family, flavors, modes, pol, spec):
             mats = [matrix_from_quadratic(p, pol) for p in parts]
     except SpanError:
         return False, False
-    size = pol.size if pol else 2 * len(modes)
-    if size != spec.size:
-        raise oscrep.AlgebraError(f"matrix size {size} does not match the "
-                                  f"{spec.family} form ({spec.size})")
     # sign and transpose are irrelevant for sp_real: the family is stable under both
     member = oscrep.matrix_membership(mats[0], spec)
     same = all(m == mats[0] for m in mats[1:])

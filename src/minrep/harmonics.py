@@ -44,12 +44,10 @@ from . import linalg
 from .linalg import ColumnMap
 from .poly import Poly, apply, columns, operator_terms
 from .reports import Report, render_defect
-from .scalars import QI, sum_products
+from .scalars import QI, QI_I, QI_ONE, sum_products
 from .weylalg import WeylElement, WeylMonomial, commutator, sum_of_products
 
 NVARS = 4
-_ONE = QI(1)
-_I = QI(0, 1)
 
 
 class HarmonicError(ValueError):
@@ -64,17 +62,17 @@ def _z_d(u: int, d: int, c) -> WeylElement:
     return WeylElement.monomial([_Z[u]], [_Z[d]], c)
 
 
-_LAPLACIAN = WeylElement({WeylMonomial.make([], [z, z]): _ONE for z in _Z})
-_EULER = WeylElement({WeylMonomial.make([z], [z]): _ONE for z in _Z})
+_LAPLACIAN = WeylElement({WeylMonomial.make([], [z, z]): QI_ONE for z in _Z})
+_EULER = WeylElement({WeylMonomial.make([z], [z]): QI_ONE for z in _Z})
 _HAMILTONIAN = _EULER + WeylElement.one()
 
 _EPS = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
 
 # L_j = i eps_{jkl} z_l d/dz_k on the first three variables: for each
 # positively oriented (k, l) = (a, b), i (z_b d_a - z_a d_b).
-_L = {j: _z_d(b - 1, a - 1, _I) - _z_d(a - 1, b - 1, _I) for (a, b), j in _EPS.items()}
-_LOWERING = _L[1] - _L[2].scale(_I)
-_RAISING = _L[1] + _L[2].scale(_I)
+_L = {j: _z_d(b - 1, a - 1, QI_I) - _z_d(a - 1, b - 1, QI_I) for (a, b), j in _EPS.items()}
+_LOWERING = _L[1] - _L[2].scale(QI_I)
+_RAISING = _L[1] + _L[2].scale(QI_I)
 _L_SQUARED = sum_of_products([(_LOWERING, _RAISING), (_L[3] + WeylElement.one(), _L[3])])
 
 
@@ -90,11 +88,11 @@ def _solid_harmonics(l: int) -> list[Poly]:
     """The solid harmonics Y_{l,m} for m = l, l-1, ..., -l: (z1 + i z2)^l
     lowered step by step with L-, each step normalized.  They involve only
     z1, z2, z3, so one chain serves the ladders of every n."""
-    top, power = {}, _ONE
+    top, power = {}, QI_ONE
     for k in range(l + 1):
         top[(l - k, k, 0, 0)] = power * comb(l, k)
-        power = power * _I
-    ys = [_normalize_leading(Poly(NVARS, top))]
+        power = power * QI_I
+    ys = [_normalize_leading(Poly(top))]
     lowering = operator_terms(_LOWERING)
     for m in range(l - 1, -l - 1, -1):
         p = apply(lowering, ys[-1])
@@ -123,7 +121,7 @@ def _radial_factor(n: int, l: int) -> Poly:
             for j in range(b - i + 1):
                 multinomial = comb(b, i) * comb(b - i, j)
                 terms[(2 * i, 2 * j, 2 * (b - i - j), d - 2 * b)] = QI.of(c * multinomial)
-    return Poly(NVARS, terms)
+    return Poly(terms)
 
 
 def _normalize_leading(p: Poly) -> Poly:
@@ -131,13 +129,12 @@ def _normalize_leading(p: Poly) -> Poly:
     if p.is_zero():
         raise HarmonicError("cannot normalize the zero polynomial")
     lead = p.terms[p.leading_monomial()]
-    return p.scale(_ONE / lead)
+    return p.scale(QI_ONE / lead)
 
 
-def harmonic_ladder(n: int, l: int, solid: list[Poly] | None = None) -> list[HarmonicMode]:
+def harmonic_ladder(n: int, l: int, solid: list[Poly]) -> list[HarmonicMode]:
     """h_{n,l,m} = Y_{l,m} f_{n,l} for m = l, l-1, ..., -l, from `solid`,
-    the ``_solid_harmonics`` of l, built here when not given; raises on
-    invalid labels.
+    the ``_solid_harmonics`` of l; raises on invalid labels.
 
     Lex order is a monomial order, so the lex-least monomial of a product
     is the product of its factors' lex-least ones: each factor leads with
@@ -146,8 +143,7 @@ def harmonic_ladder(n: int, l: int, solid: list[Poly] | None = None) -> list[Har
     if n < 1 or not 0 <= l <= n - 1:
         raise HarmonicError(f"invalid ladder labels (n,l) = ({n},{l})")
     f = _radial_factor(n, l)
-    return [HarmonicMode(n, l, l - k, y * f)
-            for k, y in enumerate(_solid_harmonics(l) if solid is None else solid)]
+    return [HarmonicMode(n, l, l - k, y * f) for k, y in enumerate(solid)]
 
 
 def harmonic_modes(nmax: int) -> list[HarmonicMode]:
@@ -162,7 +158,7 @@ def build_harmonic(n: int, l: int, m: int) -> HarmonicMode:
     """Construct h_{n,l,m}; raises on invalid label ranges."""
     if n < 1 or not 0 <= l <= n - 1 or not -l <= m <= l:
         raise HarmonicError(f"invalid mode labels (n,l,m) = ({n},{l},{m})")
-    return harmonic_ladder(n, l)[l - m]
+    return harmonic_ladder(n, l, _solid_harmonics(l))[l - m]
 
 
 def operator_columns() -> dict:
@@ -213,7 +209,7 @@ def angular_algebra_check() -> Report:
     each bracket's defect one exact Weyl element."""
     rep = Report("harmonics/angular-algebra")
     for (j, k), l in _EPS.items():
-        defect = commutator(_L[j], _L[k]) - _L[l].scale(_I)
+        defect = commutator(_L[j], _L[k]) - _L[l].scale(QI_I)
         rep.add(f"angular/[L{j},L{k}]=iL{l}", defect.is_zero(), defect=render_defect(defect))
     for name, op in (("L2", _L_SQUARED), ("L3", _L[3])):
         defect = commutator(_HAMILTONIAN, op)
@@ -230,8 +226,8 @@ def compactification() -> tuple[list[Poly], Poly]:
     (N, D) in the real coordinates x0..x3: z = N/D, with N = (2x1, 2x2,
     2x3, 1 - x^2), D = 2w = 1 + x^2 - 2i x0 and x^2 the Minkowski square.
     D conj(D) = (1 + x^2)^2 + (2x0)^2, so no real point is at infinity."""
-    x = [Poly.variable(NVARS, i, _ONE) for i in range(NVARS)]
-    one = Poly.constant(NVARS, _ONE)
+    x = [Poly.variable(NVARS, i) for i in range(NVARS)]
+    one = Poly.constant(NVARS, QI_ONE)
     xsq = x[1] * x[1] + x[2] * x[2] + x[3] * x[3] - x[0] * x[0]
     return [x[i].scale(QI(2)) for i in (1, 2, 3)] + [one - xsq], one + xsq - x[0].scale(QI(0, 2))
 
@@ -241,10 +237,10 @@ def sphere_defect(num: list[Poly], den: Poly) -> Poly:
     coefficients.  At real x it is D^2 (sum z^2 - conj(w)/w), so the map
     (N, D) lands on the sphere sum z^2 = conj(w)/w exactly when this is
     the zero polynomial."""
-    total = Poly(NVARS)
+    total = Poly()
     for p in num:
         total = total + p * p
-    return total - den * Poly(NVARS, {m: c.conj() for m, c in den.terms.items()})
+    return total - den * Poly({m: c.conj() for m, c in den.terms.items()})
 
 
 def compactification_check() -> Report:

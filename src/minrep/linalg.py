@@ -125,8 +125,8 @@ class ColumnMap(dict):
         raise TypeError("a ColumnMap holds only the columns read so far; read each column")
 
 
-def bracket_defect(x, y, cols, z=None, c=1) -> dict:
-    """The nonzero {(col, row): entry} of [X, Y] - cZ on the given columns.
+def bracket_defect(x, y, cols, z) -> dict:
+    """The nonzero {(col, row): entry} of [X, Y] - Z on the given columns.
 
     x, y and z map a column key to that column's sparse {row: entry}
     image, and each must answer every key it is asked for, as a
@@ -134,13 +134,13 @@ def bracket_defect(x, y, cols, z=None, c=1) -> dict:
     Column k of XY sums v * x[s] over the entries v = y[k][s], so the
     bracket reads columns and forms no product of operators.  Every
     product goes to one ``scalars.sum_products`` call, which leaves out
-    the zero totals: the identity [X, Y] = cZ holds on cols exactly when
+    the zero totals: the identity [X, Y] = Z holds on cols exactly when
     the result is empty.
     """
-    return sum_products(_bracket_items(x, y, cols, z, c))
+    return sum_products(_bracket_items(x, y, cols, z))
 
 
-def _bracket_items(x, y, cols, z, c):
+def _bracket_items(x, y, cols, z):
     """The sum_products items of bracket_defect, column by column."""
     for k in cols:
         for s, v in y[k].items():
@@ -149,9 +149,8 @@ def _bracket_items(x, y, cols, z, c):
         for s, v in x[k].items():
             for r, u in y[s].items():
                 yield (k, r), u, v, -1
-        if z is not None:
-            for r, u in z[k].items():
-                yield (k, r), u, c, -1
+        for r, u in z[k].items():
+            yield (k, r), u, 1, -1
 
 
 def rref(rows):

@@ -32,7 +32,7 @@ from math import factorial
 
 from .poly import Poly, apply, operator_terms
 from .reports import Report, render_defect
-from .scalars import QI
+from .scalars import QI, QI_I, QI_ONE
 from .weylalg import WeylElement, commutator, normal_product
 
 # variable order: u1, u2, ub1, ub2
@@ -40,13 +40,12 @@ NVARS = 4
 _U = (0, 1)
 _UB = (2, 3)
 MODES = (("a", 1), ("a", 2), ("b", 1), ("b", 2))
-_ONE = QI(1)
 _TWO = QI(2)
 _HALF = QI(Fraction(1, 2))
 
 
 def vacuum() -> Poly:
-    return Poly.constant(NVARS, _ONE)
+    return Poly.constant(NVARS, QI_ONE)
 
 
 def _conj_var(i: int) -> int:
@@ -129,7 +128,7 @@ def _swap_conj(p: Poly) -> Poly:
     t = {}
     for (a, c, b, d), coeff in p.terms.items():
         t[(b, d, a, c)] = coeff.conj()
-    return Poly(NVARS, t)
+    return Poly(t)
 
 
 def vacuum_checks() -> Report:
@@ -152,7 +151,7 @@ def vacuum_checks() -> Report:
     rep.identity("vacuum/(H1+2H2+H3)|0>=2|0>", img - vac.scale(_TWO))
 
     # the same operator in closed form: (u.ub/2 - 2 dbar.d) P, Gaussian folded
-    direct = Poly(NVARS)
+    direct = Poly()
     for u, ub in zip(_U, _UB):
         direct = direct + vac.mul_var(u).mul_var(ub).scale(_HALF)
         direct = direct - eff_diff(eff_diff(vac, u), ub).scale(_TWO)
@@ -205,33 +204,31 @@ def realization_functoriality_check() -> Report:
 # Light-like momentum identity, in the spinor z itself
 
 
+# sigma_0 = 1 and the Pauli matrices sigma_1..sigma_3, each as {(alpha, beta): entry}
+_PAULI = ({(0, 0): QI_ONE, (1, 1): QI_ONE},
+          {(0, 1): QI_ONE, (1, 0): QI_ONE},
+          {(0, 1): -QI_I, (1, 0): QI_I},
+          {(0, 0): QI_ONE, (1, 1): -QI_ONE})
+
+
 def pauli_bilinears():
-    """p_mu = z sigma_mu zb as polynomials in (z1, z2, zb1, zb2)."""
-    one = QI(1)
-    z1 = Poly.variable(NVARS, 0, one)
-    z2 = Poly.variable(NVARS, 1, one)
-    zb1 = Poly.variable(NVARS, 2, one)
-    zb2 = Poly.variable(NVARS, 3, one)
-    i = QI(0, 1)
-    p0 = z1 * zb1 + z2 * zb2
-    p1 = z1 * zb2 + z2 * zb1
-    p2 = (z1 * zb2).scale(-i) + (z2 * zb1).scale(i)
-    p3 = z1 * zb1 - z2 * zb2
-    return p0, p1, p2, p3
+    """p_mu = sum z_alpha (sigma_mu)_{alpha beta} zb_beta, read off the table
+    ``_PAULI``, as polynomials in (z1, z2, zb1, zb2)."""
+    z = [Poly.variable(NVARS, i) for i in range(NVARS)]
+    return tuple(sum(((z[a] * z[2 + b]).scale(s) for (a, b), s in sigma.items()), Poly())
+                 for sigma in _PAULI)
 
 
 def lightlike_identity() -> Report:
+    """p^2 = 0, and p0 and p3 of the Pauli table against their closed forms
+    z.zb and z1 zb1 - z2 zb2."""
     rep = Report("massless/lightlike")
     p0, p1, p2, p3 = pauli_bilinears()
     defect = p0 * p0 - p1 * p1 - p2 * p2 - p3 * p3
     rep.identity("lightlike/p^2=0", defect)
-    one = QI(1)
-    zzb = Poly.variable(NVARS, 0, one) * Poly.variable(NVARS, 2, one) \
-        + Poly.variable(NVARS, 1, one) * Poly.variable(NVARS, 3, one)
-    rep.add("lightlike/p0=z.zb", p0 == zzb)
+    z1, z2, zb1, zb2 = (Poly.variable(NVARS, i) for i in range(NVARS))
+    rep.add("lightlike/p0=z.zb", p0 == z1 * zb1 + z2 * zb2)
     val = p0.evaluate([QI(1), QI(0), QI(1), QI(0)])
     rep.add("lightlike/p0-unit-spinor", val == QI(1), detail=f"p0(1,0) = {val}")
-    z1zb1 = Poly.variable(NVARS, 0, one) * Poly.variable(NVARS, 2, one)
-    z2zb2 = Poly.variable(NVARS, 1, one) * Poly.variable(NVARS, 3, one)
-    rep.add("lightlike/p3-convention", p3 == z1zb1 - z2zb2)
+    rep.add("lightlike/p3-convention", p3 == z1 * zb1 - z2 * zb2)
     return rep

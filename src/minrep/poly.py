@@ -29,43 +29,30 @@ from operator import add
 
 from .linalg import ColumnMap
 from .lincomb import LinComb, column_sum
-from .scalars import sum_products
+from .scalars import QI_ONE, sum_products
 from .weylalg import WeylElement, walk, walker_terms
 
 
 class Poly(LinComb):
     """Immutable sparse polynomial: {exponent tuple: coefficient}."""
 
-    __slots__ = ("nvars",)
-
-    def __init__(self, nvars: int, terms: dict | None = None):
-        LinComb.__init__(self, terms)
-        object.__setattr__(self, "nvars", nvars)
-
-    def _like(self, terms: dict) -> "Poly":
-        return Poly(self.nvars, terms)
+    __slots__ = ()
 
     @staticmethod
-    def constant(nvars: int, c) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: c})
+    def constant(n: int, c) -> "Poly":
+        return Poly({(0,) * n: c})
 
     @staticmethod
-    def variable(nvars: int, i: int, one) -> "Poly":
-        exp = [0] * nvars
+    def variable(n: int, i: int) -> "Poly":
+        """x_i, with coefficient ``QI_ONE``."""
+        exp = [0] * n
         exp[i] = 1
-        return Poly(nvars, {tuple(exp): one})
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.nvars == other.nvars \
-            and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return Poly({tuple(exp): QI_ONE})
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
-        return _nonzero_poly(self.nvars, sum_products(
+        return Poly._nonzero(sum_products(
             (tuple(map(add, m1, m2)), c1, c2, 1)
             for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()))
 
@@ -79,15 +66,15 @@ class Poly(LinComb):
                 e = list(m)
                 e[i] -= 1
                 t[tuple(e)] = c * m[i]
-        return Poly(self.nvars, t)
+        return Poly(t)
 
-    def mul_var(self, i: int, power: int = 1) -> "Poly":
+    def mul_var(self, i: int) -> "Poly":
         t = {}
         for m, c in self.terms.items():
             e = list(m)
-            e[i] += power
+            e[i] += 1
             t[tuple(e)] = c
-        return Poly(self.nvars, t)
+        return Poly(t)
 
     def evaluate(self, point):
         """Evaluate at a point given as a list of coefficient-ring values.
@@ -132,15 +119,5 @@ def apply(terms, p: Poly) -> Poly:
     """The operator of the walker terms applied to p: the images of its
     terms on p's terms, summed in one ``sum_products`` call, which leaves
     the zero totals out."""
-    return _nonzero_poly(p.nvars, sum_products(
+    return Poly._nonzero(sum_products(
         (image, c, q, w) for _, image, c, q, w in walk(terms, p.terms.items())))
-
-
-_set_nvars = Poly.nvars.__set__
-
-
-def _nonzero_poly(nvars: int, terms: dict) -> Poly:
-    """The Poly of terms that hold no zero coefficient, built unfiltered."""
-    p = Poly._nonzero(terms)
-    _set_nvars(p, nvars)
-    return p

@@ -28,12 +28,12 @@ class CheckRecord:
 
     check_id: str
     passed: bool
-    negative_control: bool = False
-    detail: str = ""
-    defect: str = ""
-    wall_ms: float | None = None
+    negative_control: bool
+    detail: str
+    defect: str
+    wall_ms: float
 
-    def as_dict(self, stable: bool = False) -> dict:
+    def as_dict(self, stable: bool) -> dict:
         d = {
             "check_id": self.check_id,
             "passed": self.passed,
@@ -41,7 +41,7 @@ class CheckRecord:
             "detail": self.detail,
             "defect": self.defect,
         }
-        if not stable and self.wall_ms is not None:
+        if not stable:
             d["wall_ms"] = round(self.wall_ms, 3)
         return d
 
@@ -69,10 +69,8 @@ class Report:
         return ms
 
     def add(self, check_id: str, passed: bool, *, negative_control: bool = False,
-            detail: str = "", defect: str = "", wall_ms: float | None = None) -> CheckRecord:
-        lap = self._lap()
-        rec = CheckRecord(check_id, bool(passed), negative_control, detail, defect,
-                          lap if wall_ms is None else wall_ms)
+            detail: str = "", defect: str = "") -> CheckRecord:
+        rec = CheckRecord(check_id, bool(passed), negative_control, detail, defect, self._lap())
         self.records.append(rec)
         return rec
 
@@ -107,7 +105,7 @@ class Report:
             "negative_controls": sum(r.negative_control for r in self.records),
         }
 
-    def as_dict(self, stable: bool = False) -> dict:
+    def as_dict(self, stable: bool) -> dict:
         return {
             "title": self.title,
             "ok": self.ok,

@@ -152,9 +152,6 @@ class WeylElement(LinComb):
         t.pop(_ONE_MONO, None)
         return WeylElement(t)
 
-    def is_scalar(self) -> bool:
-        return all(m == _ONE_MONO for m in self.terms)
-
     def modes(self) -> set:
         out = set()
         for m in self.terms:

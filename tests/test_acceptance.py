@@ -82,12 +82,13 @@ def test_criterion_03_dual_pair_commutants():
     for n in (1, 2, 3):
         pair = fockspace.dual_pair("so_star", n)
         elems = oscrep.so_star_pair_elements(pair.chevalley)
-        ok &= oscrep.check_dual_pair(pair.gauge.span, [w for _, w in elems]).ok
+        ok &= oscrep.check_dual_pair(pair.gauge.span, [w for _, w in elems], "dual-pair",
+                                     ["E", "F", "Q"], [name for name, _ in elems]).ok
     u22 = fockspace.dual_pair("u_pq", 2)
-    gens = oscrep.su22_generators(u22.chevalley)
-    basis = oscrep.u22_weight_basis(gens, u22.polarization)
+    basis = oscrep.u22_weight_basis(oscrep.su22_generators(), u22.polarization)
     ok &= len(basis) == 16
-    ok &= oscrep.check_dual_pair(u22.gauge.span, [w for _, w in basis]).ok
+    ok &= oscrep.check_dual_pair(u22.gauge.span, [w for _, w in basis], "dual-pair", ["h"],
+                                 [name for name, _ in basis]).ok
     # negative controls must fire
     bad = WeylElement.monomial([("a", 1)], [("a", 1)])
     control1 = not commutator(bad, fockspace.dual_pair("so_star", 1).gauge.raising[0]).is_zero()
@@ -201,10 +202,10 @@ def test_criterion_07_closure_central_charge():
     for family, k in (("sp_real", 1), ("sp_real", 2), ("u_pq", 1), ("u_pq", 2),
                       ("so_star", 1)):
         for flavors in (1, 2):
-            ok &= fockspace.truncated_closure_check(family, k, flavors).ok
+            ok &= fockspace.truncated_closure_check(family, k, flavors, 0, None, None).ok
     for flavors in (1, 2):
         # the largest quaternionic instance, every one of its 406 pairs
-        ok &= fockspace.truncated_closure_check("so_star", 2, flavors).ok
+        ok &= fockspace.truncated_closure_check("so_star", 2, flavors, 0, None, None).ok
     _criterion("07-closure-central-charge", ok,
                "R/C/H families, N = 1 and 2, K <= 2, all pairs")
 
@@ -236,9 +237,7 @@ def test_criterion_09_harmonics():
                 ok &= harmonics.verify_mode(mode.poly, n, l, m, cols).ok
                 count += 1
         ok &= count == n * n
-    ok &= harmonics.level_count_check(
-        [mode for n in range(1, 7) for l in range(n)
-         for mode in harmonics.harmonic_ladder(n, l)]).ok
+    ok &= harmonics.level_count_check(harmonics.harmonic_modes(6)).ok
     ok &= harmonics.compactification_check().ok
     _criterion("09-harmonics", ok,
                "n <= 6 gives n^2 verified modes, sum N^2 = D conj(D) as one polynomial identity")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -191,12 +192,15 @@ class TestHelicity:
     def test_whole_truncation(self):
         modes = [("a", 1), ("a", 2), ("b", 1), ("b", 2)]
         fock = fockspace.enumerate_basis(modes, 1)
-        assert fockspace.helicity_spectrum(fock) == {-1: 2, 0: 1, 1: 2}
+        # the level histograms together count every state of the truncation
+        total = Counter(fockspace.helicity_spectrum(fock, 0))
+        total.update(fockspace.helicity_spectrum(fock, 1))
+        assert total == {-1: 2, 0: 1, 1: 2} and total.total() == fock.dim
 
     def test_wrong_modes_rejected(self):
         fock = fockspace.enumerate_basis([("c", 1)], 1)
         with pytest.raises(fockspace.FockError):
-            fockspace.helicity_spectrum(fock)
+            fockspace.helicity_spectrum(fock, 1)
 
 
 def _diagonal_generators():
@@ -435,11 +439,11 @@ class TestClosure:
         ("so_star", 1, 1), ("so_star", 1, 2),
     ])
     def test_families(self, family, k, flavors):
-        rep = fockspace.truncated_closure_check(family, k, flavors)
+        rep = fockspace.truncated_closure_check(family, k, flavors, 0, None, None)
         assert rep.ok
 
     def test_u22_with_matrix_cross_check(self):
-        rep = fockspace.truncated_closure_check("u_pq", 2, 2, level=2, pair_limit=40)
+        rep = fockspace.truncated_closure_check("u_pq", 2, 2, 2, 40, None)
         assert rep.ok
 
     def test_a_corrupted_commutator_fails_the_matrix_cross_check(self, monkeypatch):
@@ -448,12 +452,12 @@ class TestClosure:
         def matrix_records(rep):
             return [r for r in rep.records if "/matrix/" in r.check_id]
 
-        rep = fockspace.truncated_closure_check("so_star", 1, 1, level=4)
+        rep = fockspace.truncated_closure_check("so_star", 1, 1, 4, None, None)
         assert len(matrix_records(rep)) == 6 and rep.ok
         real = fockspace.commutator
         monkeypatch.setattr(fockspace, "commutator",
                             lambda x, y: real(x, y) + WeylElement.scalar(1))
-        rep = fockspace.truncated_closure_check("so_star", 1, 1, level=4)
+        rep = fockspace.truncated_closure_check("so_star", 1, 1, 4, None, None)
         records = matrix_records(rep)
         assert len(records) == 6 and not any(r.passed for r in records)
         # each defect is the identity taken off: -1 on the diagonal of every
@@ -506,7 +510,7 @@ class TestClosure:
         monkeypatch.setattr(fockspace, "quadratic_blocks", counted_blocks)
         monkeypatch.setattr(fockspace, "central_pairing", counted_pairing)
         n = len(fockspace.dual_pair("so_star", 1).a_span)
-        rep = fockspace.truncated_closure_check("so_star", 1, 1, pair_limit=10)
+        rep = fockspace.truncated_closure_check("so_star", 1, 1, 0, 10, None)
         assert rep.ok
         assert calls == {"blocks": n, "pairing": n * (n + 1) // 2}
 
@@ -516,8 +520,9 @@ class TestClosure:
         # a cross-flavor quadratic leaves the flavor-diagonal span: a failed check
         cross = WeylElement.monomial([("a", 1, 1)], [("a", 2, 1)])
         assert fockspace._closure_structure(cross, "u_pq", 2, modes, pol, spec) == (False, False)
-        # a 4x4 matrix tested against the u(1,1) form is an internal breach
-        quad = WeylElement.monomial([("a", 1, 1)], [("a", 1, 2)])
+        # a matrix entry outside the u(1,1) form's 2 x 2 is an internal
+        # breach, which matrix_membership raises
+        quad = WeylElement.monomial([("a", 1, 1), ("b", 1, 1)], [])
         with pytest.raises(oscrep.AlgebraError, match="does not match the u_pq form"):
             fockspace._closure_structure(quad, "u_pq", 1, modes, pol, spec)
 
@@ -788,13 +793,15 @@ class TestBracketDefect:
             br = _matrix_bracket(_dense(mx), _dense(my))
             every = range(fock.dim)
             want = {(c, r): br[r][c] for c in every for r in every if br[r][c]}
-            assert linalg.bracket_defect(xs, ys, every) == want
+            zero = fockspace.operator_matrix(WeylElement.zero(), fock).entries
+            assert linalg.bracket_defect(xs, ys, every, zero) == want
             cols = fockspace.safe_columns(fock, mx.level_raise, my.level_raise)
             # on the safe columns the truncated product is the operator product
             assert not linalg.bracket_defect(xs, ys, cols, zs)
             safe = set(cols)
             on_cols = {(c, r): v for (c, r), v in want.items() if c in safe}
-            assert linalg.bracket_defect(xs, ys, cols, zs, 2) == \
+            twice = fockspace.operator_matrix(commutator(x, y).scale(2), fock).entries
+            assert linalg.bracket_defect(xs, ys, cols, twice) == \
                 {key: -v for key, v in on_cols.items()}
             compared += bool(on_cols)
         assert compared >= 4
@@ -816,12 +823,12 @@ class TestBracketDefect:
         seen = []
         bracket = linalg.bracket_defect
 
-        def recorded(x, y, cols, z=None, c=1):
-            out = bracket(x, y, cols, z, c)
+        def recorded(x, y, cols, z):
+            out = bracket(x, y, cols, z)
             seen.append((list(cols), list(z)))
             return out
 
         monkeypatch.setattr(linalg, "bracket_defect", recorded)
-        assert fockspace.truncated_closure_check("so_star", 2, 1, level=4).ok
+        assert fockspace.truncated_closure_check("so_star", 2, 1, 4, None, None).ok
         assert all(formed == cols for cols, formed in seen)
         assert [len(cols) for cols, _ in seen] == [495, 45, 45, 45, 45, 1]

@@ -5,8 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from minrep import fockspace, linalg, oscrep, reports
-from minrep.scalars import QI
+from minrep import fockspace, linalg, oscrep, reports, weylalg
+from minrep.scalars import QI, sum_products
 from minrep.weylalg import WeylElement, commutator, mode_action_matrix, normal_product
 
 A1, A2, B1, B2 = ("a", 1), ("a", 2), ("b", 1), ("b", 2)
@@ -82,14 +82,13 @@ class TestSu22:
     def test_su22_agrees_with_u22(self):
         # su(2,2) and u(2,2) share the A3 Chevalley set; the helicity h
         # is the u(2,2) charge Q
-        u = oscrep.unn_generators(2)
-        for s in (oscrep.su22_generators(), oscrep.su22_generators(u)):
-            assert s.algebra_label == "su22"
-            assert (s.E, s.F, s.H) == (u.E, u.F, u.H)
-            assert s.cartan_matrix == u.cartan_matrix
-            for key in ("E_theta", "F_theta", "H_theta"):
-                assert s.extras[key] == u.extras[key]
-            assert s.extras["h"] == u.extras["Q"]
+        u, s = oscrep.unn_generators(2), oscrep.su22_generators()
+        assert s.algebra_label == "su22"
+        assert (s.E, s.F, s.H) == (u.E, u.F, u.H)
+        assert s.cartan_matrix == u.cartan_matrix
+        for key in ("E_theta", "F_theta", "H_theta"):
+            assert s.extras[key] == u.extras[key]
+        assert s.extras["h"] == u.extras["Q"]
 
     def test_corrupted_generator_detected(self):
         g = oscrep.su22_generators()
@@ -147,6 +146,29 @@ class TestUnn:
         assert br == g.extras["E_theta"].scale(2)
 
 
+def _sign_mutant(x, y):
+    """[x, y] with y.x's contractions added where they must be taken off."""
+    return WeylElement._nonzero(sum_products(itertools.chain(
+        weylalg._contraction_items(x, y, 1), weylalg._contraction_items(y, x, 1))))
+
+
+class TestCartanRoutes:
+    """Each H is written in number operators, not as the bracket [E, F], so
+    the EF and theta/EF records compare two routes."""
+
+    @pytest.mark.parametrize("build", [lambda: oscrep.unn_generators(2),
+                                       lambda: oscrep.so_star_generators(1)],
+                             ids=["u(2,2)", "so*(4)"])
+    def test_a_sign_mutant_commutator_fails_ef(self, monkeypatch, build):
+        # the mutant is in place while the set is built and checked, so a
+        # bracket-built H would agree with it
+        monkeypatch.setattr(oscrep, "commutator", _sign_mutant)
+        gens = build()
+        failing = {r.check_id for r in oscrep.check_chevalley(gens).records
+                   + oscrep.check_theta_sl2(gens).records if not r.passed}
+        assert {f"{gens.algebra_label}/EF/1", f"{gens.algebra_label}/theta/EF"} <= failing
+
+
 class TestSoStar:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_chevalley(self, n):
@@ -179,11 +201,11 @@ class TestSoStar:
             assert commutator(q, f) == f.scale(-2)
 
     def test_broken_generator_invariant_raises(self, monkeypatch):
-        # the invariants are checked by raising, so they also hold under -O
+        # su(2,2)'s theta invariant [[E1, E2], E3] = E_theta is checked by
+        # raising, so it also holds under -O
         monkeypatch.setattr(oscrep, "commutator", lambda x, y: WeylElement.zero())
-        for build in (oscrep.su22_generators, lambda: oscrep.so_star_generators(1)):
-            with pytest.raises(oscrep.AlgebraError, match="generator invariant"):
-                build()
+        with pytest.raises(oscrep.AlgebraError, match="generator invariant"):
+            oscrep.su22_generators()
 
 
 class TestDualPairs:
@@ -191,7 +213,8 @@ class TestDualPairs:
     def test_sp2_commutes_with_so_star(self, n):
         pair = fockspace.dual_pair("so_star", n)
         elems = oscrep.so_star_pair_elements(pair.chevalley)
-        rep = oscrep.check_dual_pair(pair.gauge.span, [w for _, w in elems])
+        rep = oscrep.check_dual_pair(pair.gauge.span, [w for _, w in elems], "dual-pair",
+                                     ["E", "F", "Q"], [name for name, _ in elems])
         assert rep.ok
 
     def test_helicity_commutes_with_u22(self):
@@ -199,14 +222,23 @@ class TestDualPairs:
         h = gens.extras["h"]
         basis = oscrep.u22_weight_basis(gens, pol)
         assert len(basis) == 16
-        rep = oscrep.check_dual_pair([h], [w for _, w in basis])
+        rep = oscrep.check_dual_pair([h], [w for _, w in basis], "dual-pair", ["h"],
+                                     [name for name, _ in basis])
         assert rep.ok
 
     def test_negative_control(self):
         x = mono([A1], [A1])
         y = mono([A1], [A2])
-        rep = oscrep.check_dual_pair([x], [y])
+        rep = oscrep.check_dual_pair([x], [y], "dual-pair", ["x"], ["y"])
         assert not rep.ok
+
+    def test_names_must_match_the_generators(self):
+        # a short name list would leave a generator's brackets unchecked
+        x, y = mono([A1], [A1]), mono([A2], [A2])
+        with pytest.raises(ValueError):
+            oscrep.check_dual_pair([x, y], [y], "dual-pair", ["x"], ["y"])
+        with pytest.raises(ValueError):
+            oscrep.check_dual_pair([x], [x, y], "dual-pair", ["x"], ["x"])
 
 
 class TestGradingAndCentralizer:
@@ -220,7 +252,7 @@ class TestGradingAndCentralizer:
 def _su22():
     """The su(2,2) set and the polarization of a1, a2, b1, b2, off one pair."""
     pair = fockspace.dual_pair("u_pq", 2)
-    return oscrep.su22_generators(pair.chevalley), pair.polarization
+    return oscrep.su22_generators(), pair.polarization
 
 
 def _so_star(n):
@@ -631,6 +663,20 @@ class TestCasimir:
         _, rep = oscrep.casimir_defect(*_so_star(1))
         assert rep.ok
         assert sum(r.wall_ms for r in rep.records) >= 1000
+
+    def test_a_central_constant_fails_the_relation(self, monkeypatch):
+        # C_u shifted by a scalar leaves the non-scalar parts matched at
+        # unit scale, but the relation is an exact identity, so it fails
+        build = oscrep.casimir_elements
+
+        def shifted(*args):
+            c_so, c_u, ee = build(*args)
+            return c_so, c_u + WeylElement.scalar(3), ee
+
+        monkeypatch.setattr(oscrep, "casimir_elements", shifted)
+        _, rep = oscrep.casimir_defect(*_so_star(1))
+        failing = {r.check_id: r.defect for r in rep.records if not r.passed}
+        assert failing == {"so*(4)/casimir/scale-search": "(-3) 1"}
 
     def test_n1_scale_search_reports_unity(self):
         _, rep = oscrep.casimir_defect(*_so_star(1))

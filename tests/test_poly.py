@@ -29,7 +29,7 @@ _HALF = QI(Fraction(1, 2))
 
 
 def _sum(polys):
-    out = Poly(NVARS)
+    out = Poly()
     for p in polys:
         out = out + p
     return out
@@ -138,14 +138,14 @@ IDS = [name for name, _, _ in PAIRS]
 @pytest.mark.parametrize("name,op,oracle", PAIRS, ids=IDS)
 def test_operator_matches_oracle_on_every_monomial(name, op, oracle):
     for mono in monomials_up_to(NVARS, 5):
-        p = Poly(NVARS, {mono: QI(1)})
+        p = Poly({mono: QI(1)})
         assert op(p) == oracle(p), (name, mono)
 
 
 _fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 _qi = st.builds(QI, _fractions, _fractions)
 _polys = st.dictionaries(st.tuples(*[st.integers(0, 4)] * NVARS), _qi,
-                         max_size=10).map(lambda t: Poly(NVARS, t))
+                         max_size=10).map(Poly)
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,7 +185,7 @@ def test_an_int_unit_monomials_image_keeps_int_coefficients():
     column = poly.columns(w)[(3, 1, 0, 0)]
     assert column == want and all(type(c) is int for c in column.values())
     for unit in (1, QI(1)):
-        image = _applied(w, Poly(NVARS, {(3, 1, 0, 0): unit}))
+        image = _applied(w, Poly({(3, 1, 0, 0): unit}))
         assert image.terms == want
         assert all(type(c) is QI for c in image.terms.values())
 
@@ -212,14 +212,14 @@ def test_the_bargmann_action_is_faithful(w):
     want = {_exponents(m.creators): c * prod(map(factorial, b))
             for m, c in w.terms.items() if _exponents(m.annihilators) == b}
     column = poly.columns(w)[b]
-    assert column and Poly(NVARS, column) == Poly(NVARS, want)
+    assert column and Poly(column) == Poly(want)
 
 
 def test_zero_polynomial_evaluates_to_the_rings_zero():
-    zero = Poly(NVARS).evaluate([QI(1)] * NVARS)
+    zero = Poly().evaluate([QI(1)] * NVARS)
     assert type(zero) is QI and zero == QI(0)
-    assert Poly(2).evaluate([Fraction(1, 2)] * 2) == 0
-    assert Poly(NVARS, {(1, 0, 1, 0): QI(2)}).evaluate([QI(0, 1)] * NVARS) == QI(-2)
+    assert Poly().evaluate([Fraction(1, 2)] * 2) == 0
+    assert Poly({(1, 0, 1, 0): QI(2)}).evaluate([QI(0, 1)] * NVARS) == QI(-2)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ DIFFOPS = _diffops()
 
 def _image(columns, p: Poly) -> Poly:
     """p's image read off the columns: the sum of c * columns[m] over p's terms."""
-    return Poly(NVARS, column_sum((r, c * v) for m, c in p.terms.items()
+    return Poly(column_sum((r, c * v) for m, c in p.terms.items()
                                   for r, v in columns[m].items()))
 
 
@@ -276,7 +276,7 @@ def _composed_bracket_defect(x, y, cols, z=None, c=1) -> dict:
     operators to a Poly one after the other."""
     out = {}
     for m in cols:
-        unit = Poly(NVARS, {m: QI(1)})
+        unit = Poly({m: QI(1)})
         col = x(y(unit)) - y(x(unit))
         if z is not None:
             col = col - z(unit).scale(QI.of(c))
@@ -293,7 +293,7 @@ def test_diffop_columns_match_the_named_operators():
     for name, w in WEYL.items():
         cols = poly.columns(w)
         for m in monos:
-            assert cols[m] == DIFFOPS[name](Poly(NVARS, {m: QI(1)})).terms, (name, m)
+            assert cols[m] == DIFFOPS[name](Poly({m: QI(1)})).terms, (name, m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,8 +329,8 @@ def test_bracket_columns_are_the_composed_bracket(p):
         x, y = DIFFOPS[a], DIFFOPS[b]
         want = x(y(p)) - y(x(p))
         defect = linalg.bracket_defect(poly.columns(WEYL[a]), poly.columns(WEYL[b]),
-                                       list(p.terms))
-        got = Poly(NVARS, column_sum((r, p.terms[m] * v) for (m, r), v in defect.items()))
+                                       list(p.terms), poly.columns(WeylElement.zero()))
+        got = Poly(column_sum((r, p.terms[m] * v) for (m, r), v in defect.items()))
         assert got == want, (a, b)
 
 
@@ -341,8 +341,9 @@ _names = st.sampled_from(sorted(WEYL))
 @given(p=_polys, x=_names, y=_names, z=st.none() | _names, c=st.integers(-2, 2) | _qi)
 def test_bracket_defect_is_the_composed_bracket_on_each_column(p, x, y, z, c):
     cols = list(p.terms)
+    cz = WEYL[z].scale(c) if z else WeylElement.zero()
     got = linalg.bracket_defect(poly.columns(WEYL[x]), poly.columns(WEYL[y]), cols,
-                                z and poly.columns(WEYL[z]), c)
+                                poly.columns(cz))
     assert got == _composed_bracket_defect(DIFFOPS[x], DIFFOPS[y], cols, z and DIFFOPS[z], c)
     assert all(v for v in got.values())
 
@@ -350,7 +351,8 @@ def test_bracket_defect_is_the_composed_bracket_on_each_column(p, x, y, z, c):
 def test_bracket_defect_is_empty_exactly_on_an_identity():
     monos = list(monomials_up_to(NVARS, 4))
     cols = {name: poly.columns(w) for name, w in WEYL.items()}
-    assert not linalg.bracket_defect(cols["L1"], cols["L2"], monos, cols["L3"], _I)
-    wrong = linalg.bracket_defect(cols["L1"], cols["L2"], monos, cols["L3"], -_I)
+    il3, minus_il3 = (poly.columns(WEYL["L3"].scale(c)) for c in (_I, -_I))
+    assert not linalg.bracket_defect(cols["L1"], cols["L2"], monos, il3)
+    wrong = linalg.bracket_defect(cols["L1"], cols["L2"], monos, minus_il3)
     assert wrong == _composed_bracket_defect(DIFFOPS["L1"], DIFFOPS["L2"], monos,
                                              DIFFOPS["L3"], -_I) != {}

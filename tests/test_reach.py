@@ -51,7 +51,6 @@ EXEMPT = {
     "linalg.ColumnMap.__bool__": "refuses a truth test of a partly formed map",
     "lincomb.LinComb.__bool__": "the truth value of an element, which tests read",
     "lincomb.LinComb.__hash__": "keeps an element hashable next to its __eq__",
-    "poly.Poly.__hash__": "keeps a Poly hashable next to its __eq__",
     "scalars.QI.__hash__": "keeps a QI hashable next to its __eq__",
     "scalars.QI.__rsub__": "the test oracles subtract a QI from an int or Fraction",
     "scalars.QI.__rtruediv__": "the test oracles divide an int or Fraction by a QI",
@@ -62,7 +61,6 @@ EXEMPT = {
     "weylalg.WeylMonomial.__str__": "renders a failing Weyl defect",
     "weylalg.mode_str": "renders a failing Weyl defect",
     "scalars.QI.__repr__": "renders a QI in a failing test's message",
-    "weylalg.WeylElement.is_scalar": "the residual branch of the Casimir scale search",
 }
 
 # Runs in the fresh interpreter: traces, runs the commands read from stdin
