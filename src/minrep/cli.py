@@ -5,13 +5,18 @@ report (json, csv or text) and exits 0 only if all checks pass.  Exit
 codes: 0 all pass, 1 check failure, 2 usage error (bad flags or config,
 unwritable output), 3 internal error (any exception a suite raises).
 Reports are byte-stable for fixed arguments and seed when --stable is
-given (wall times omitted, sorted keys).
+given (wall times omitted, sorted keys).  A json report is exactly
+``json.dumps(payload, sort_keys=True, indent=2)``, its records encoded by
+the stdlib's C encoder (``_json_text``).  ``main`` may be called many
+times in one process: the parser is built once and keeps no state between
+calls.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -82,7 +87,9 @@ def _ranks(least: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each parse makes a fresh namespace."""
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON file with default argument values")
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
@@ -142,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config(parser, args, argv):
+def _apply_config(args, argv):
     """Parse the line again with the config file's values in front of it.
 
     The values go through the parser's own types and choices, and a flag
@@ -168,7 +175,7 @@ def _apply_config(parser, args, argv):
         elif value is not False and value is not None:
             tokens += [flag, str(value)]
     line = list(sys.argv[1:] if argv is None else argv)
-    return parser.parse_args(line[:1] + tokens + line[1:])
+    return build_parser().parse_args(line[:1] + tokens + line[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +398,38 @@ def run_closure(args) -> Report:
 # output
 
 
+# Encodes a report's records, flat dicts of str, bool and float, with no
+# indent, so the C encoder runs; its item separator is already the one
+# between the keys of a record indented to depth 3.
+_RECORDS = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
+def _json_text(payload: dict) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte.
+
+    The records go through one call of the C encoder, and each record
+    boundary is then indented; ensure_ascii escapes every newline inside a
+    string, so each real newline is a separator.  Every other value is
+    encoded by the stdlib with its indent taken one level deeper.
+    """
+    items = []
+    for key in sorted(payload):
+        value = payload[key]
+        if key == "records" and value:
+            body = _RECORDS.encode(value)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+            text = "[\n    {\n      " + body + "\n    }\n  ]"
+        else:
+            text = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
 def emit(report: Report, args, table: list | None) -> str:
     if args.format == "json":
         payload = report.as_dict(stable=args.stable)
         if table is not None:
             payload["table"] = table
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
         if table is not None:
@@ -438,10 +471,9 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config(parser, args, argv)
+        args = build_parser().parse_args(argv)
+        args = _apply_config(args, argv)
         _validate(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

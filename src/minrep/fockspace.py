@@ -557,7 +557,8 @@ def _matrix_cross_check(rep, family, k, flavors, level, elems, flavored, max_sta
     sample of pairs, through ``linalg.bracket_defect`` on the operators'
     columns, each sampled element's matrix built once and each column
     formed only when the bracket reads it; a pair with no safe column
-    compares nothing and fails."""
+    compares nothing and fails, and its detail names the --level that
+    would compare it."""
     all_modes = sorted({m for w in flavored for m in w.modes()})
     fock = enumerate_basis(all_modes, level, max_states)
     n = len(elems)
@@ -570,6 +571,12 @@ def _matrix_cross_check(rep, family, k, flavors, level, elems, flavored, max_sta
             sym = operator_matrix(commutator(flavored[s], flavored[t]), fock).entries
             cols = safe_columns(fock, mats[s].level_raise, mats[t].level_raise)
             defect = linalg.bracket_defect(mats[s].entries, mats[t].entries, cols, sym)
+            detail = f"Fock cross-check at level {level}"
+            if not cols:
+                # the vacuum column survives once the level covers both raises
+                raises = mats[s].level_raise + mats[t].level_raise
+                detail += (f" compared no column: the two operators raise the level by "
+                           f"{raises}, so --level {raises} compares the pair")
             rep.add(f"{family}/k{k}N{flavors}/matrix/pair{s:03d},{t:03d}",
-                    bool(cols) and not defect, detail=f"Fock cross-check at level {level}",
+                    bool(cols) and not defect, detail=detail,
                     defect=render_defect(LinComb._nonzero(defect)))

@@ -476,11 +476,35 @@ class TestOtherCommands:
                 failed.add(rec["check_id"])
             if "/matrix/pair" in rec["check_id"]:
                 s, t = map(int, rec["check_id"].rsplit("pair", 1)[1].split(","))
-                if 1 - raise_of[s] - raise_of[t] < 0:
+                raises = raise_of[s] + raise_of[t]
+                if 1 - raises < 0:
                     empty.add(rec["check_id"])
+                    # the detail says why, and names the --level that compares the pair
+                    assert rec["detail"] == (
+                        f"Fock cross-check at level 1 compared no column: the two "
+                        f"operators raise the level by {raises}, so --level {raises} "
+                        f"compares the pair")
+                    assert rec["defect"] == ""
+                else:
+                    assert rec["detail"] == "Fock cross-check at level 1"
         assert len(empty) == 5 and failed == empty
         code, out = run(argv + ["--level", "4"], capsys)
         assert code == cli.EXIT_OK and json.loads(out)["ok"]
+
+    @pytest.mark.parametrize("argv", [
+        ["closure", "--family", "u-pq", "--k", "3", "--flavors", "1", "--level", "3"],
+        ["closure", "--family", "sp-real", "--k", "1", "--level", "1"],
+    ])
+    def test_the_level_a_failing_cross_check_names_compares_its_pair(self, capsys, argv):
+        code, out = run(argv + ["--format", "json"], capsys)
+        assert code == cli.EXIT_CHECK_FAILED
+        failed = [r for r in json.loads(out)["records"] if not r["passed"]]
+        assert failed and all("/matrix/pair" in r["check_id"] for r in failed)
+        for rec in failed:
+            level = rec["detail"].rsplit("--level ", 1)[1].split()[0]
+            code, out = run(argv[:-1] + [level, "--format", "json"], capsys)
+            again = {r["check_id"]: r for r in json.loads(out)["records"]}[rec["check_id"]]
+            assert again["passed"] and again["detail"] == f"Fock cross-check at level {level}"
 
     def test_closure_state_cap_guard(self, capsys):
         # the --level cross-check basis (41 states here) must respect the cap
@@ -776,3 +800,72 @@ class TestConfigAndOutput:
         code, out, err = run_process(["table1", "--out", str(missing)], tmp_path)
         assert code == cli.EXIT_USAGE
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def payload_of(argv, stable):
+    """The payload that ``emit`` encodes for the line argv."""
+    args = cli.build_parser().parse_args(argv)
+    result = cli.COMMANDS[args.command](args)
+    report, table = result if isinstance(result, tuple) else (result, None)
+    payload = report.as_dict(stable)
+    if table is not None:
+        payload["table"] = table
+    return payload
+
+
+def awkward_report():
+    """A report whose strings hold quotes, newlines, non-ASCII characters and
+    the text of a record boundary, in passing and failing records."""
+    rep = Report('quo"te\nnew line')
+    for text in ('a "quoted" id', "two\nlines", "non-ASCII: so*(8) ⊂ u(4,4), é",
+                 "},\n      {", "},\\n      {", "}, {", ""):
+        rep.add(text, True, detail=text, defect=text)
+        rep.add(f"{text}/fails", False, negative_control=True, detail=text)
+    return rep
+
+
+class TestJsonText:
+    """``_json_text`` against its oracle, the stdlib's indented encoding."""
+
+    @pytest.mark.parametrize("stable", [True, False])
+    @pytest.mark.parametrize("argv", [
+        ["harmonics", "--nmax", "2"],
+        ["table1", "--ranks-a", "2..3"],
+        ["decompose", "--level", "2"],
+        ["closure", "--family", "so-star", "--k", "1", "--level", "1"],
+    ])
+    def test_reports_and_tables(self, argv, stable):
+        payload = payload_of(argv, stable)
+        assert "wall_ms" in payload["records"][0] or stable
+        assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("stable", [True, False])
+    def test_empty_report(self, stable):
+        payload = Report("empty").as_dict(stable)
+        assert payload["records"] == []
+        assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("stable", [True, False])
+    def test_strings_that_look_like_separators(self, stable):
+        payload = awkward_report().as_dict(stable)
+        payload["table"] = [{"label": "},\n      {", "n": 1}, {"label": "é\"", "n": [1, 2]}]
+        assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+class TestSharedParser:
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_call_keeps_no_state_for_the_next(self, tmp_path, capsys):
+        # a config line, then a usage error, then a plain line: the plain
+        # line reads the defaults a fresh interpreter reads
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nmax": 2, "format": "json"}))
+        code, out = run(["harmonics", "--config", str(cfg)], capsys)
+        assert code == cli.EXIT_OK and json.loads(out)["title"] == "harmonics/nmax2"
+        code, out = run(["harmonics", "--nmax", "99", "--format", "csv"], capsys)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        plain = ["harmonics", "--stable"]
+        code, out = run(plain, capsys)
+        assert (code, out) == run_process(plain, tmp_path)[:2]
+        assert out.startswith("== harmonics/nmax6 ==")
