@@ -5,11 +5,16 @@ c*_{m1}...c*_{mp} c_{n1}...c_{nq} over an arbitrary universe of modes.
 A mode is any hashable, totally ordered tuple, e.g. ("a", 1) or
 ("h", 2, 1, 0); products are rewritten to canonical normal order through
 the contraction rule [c_m, c*_n] = delta_{mn}, so structural equality of
-the term dictionaries is semantic equality.  A commutator is formed from
-the pairs of terms that contract, and only from their contracted terms:
-the uncontracted term is the same in both orders.  Products and
-commutators hand their terms to ``scalars.sum_products``, which sums them
-in ints; ``sum_of_products`` sums many products in one such call.
+the term dictionaries is semantic equality.  Contracted terms come only
+from the pairs of terms that contract: the right factor's terms are
+indexed by the modes of their creators, and each left term meets only
+those its annihilators reach.  A product adds the uncontracted term of
+every pair; a commutator leaves it out, since it is the same in both
+orders.  A pair that meets in one mode, once on each side, contracts once
+with weight 1 and its monomial is built directly; any other pair goes
+through every count of contractions.  Products and commutators hand their
+terms to ``scalars.sum_products``, which sums them in ints;
+``sum_of_products`` sums many products in one such call.
 Quadratics phi~ X phi are read off the polarization's table of
 normal-ordered products, with X a {(row, col): entry} dict of its nonzero
 entries, as are the matrices read back off a quadratic.
@@ -31,7 +36,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .lincomb import LinComb
-from .scalars import QI, int_if_integer, sum_products
+from .scalars import QI, QI_ZERO, int_if_integer, sum_products
 
 Mode = tuple
 
@@ -52,7 +57,9 @@ class WeylMonomial(NamedTuple):
 
     @staticmethod
     def make(creators, annihilators) -> "WeylMonomial":
-        return WeylMonomial(tuple(sorted(creators)), tuple(sorted(annihilators)))
+        """The one builder of a product's monomials: each side sorted, the
+        tuple built by tuple.__new__, not the NamedTuple's Python __new__."""
+        return _tuple_new(WeylMonomial, (tuple(sorted(creators)), tuple(sorted(annihilators))))
 
     @property
     def level_shift(self) -> int:
@@ -67,14 +74,8 @@ class WeylMonomial(NamedTuple):
         return " ".join(parts) if parts else "1"
 
 
+_tuple_new = tuple.__new__
 _ONE_MONO = WeylMonomial((), ())
-
-
-def _mono_product(x: WeylMonomial, y: WeylMonomial):
-    """Yield (integer weight, monomial) terms of the normal-ordered product:
-    the uncontracted term first, then those of _contractions."""
-    yield 1, WeylMonomial.make(x.creators + y.creators, x.annihilators + y.annihilators)
-    yield from _contractions(x, y)
 
 
 def _contractions(x: WeylMonomial, y: WeylMonomial):
@@ -82,10 +83,18 @@ def _contractions(x: WeylMonomial, y: WeylMonomial):
 
     Only the annihilators of x interact with the creators of y; a mode with
     p annihilators meeting q creators contributes k! C(p,k) C(q,k) for each
-    number k of contractions, independently across modes.
+    number k of contractions, independently across modes.  A single mode
+    met once on each side contracts once, with weight 1, and that monomial
+    is built directly.
     """
     xa, yc = x.annihilators, y.creators
-    shared = [(m, xa.count(m), yc.count(m)) for m in dict.fromkeys(xa) if m in yc]
+    shared = [m for m in dict.fromkeys(xa) if m in yc]
+    if len(shared) == 1 and xa.count(m := shared[0]) == 1 and yc.count(m) == 1:
+        i, j = xa.index(m), yc.index(m)
+        yield 1, WeylMonomial.make(x.creators + yc[:j] + yc[j + 1:],
+                                   xa[:i] + xa[i + 1:] + y.annihilators)
+        return
+    shared = [(m, xa.count(m), yc.count(m)) for m in shared]
     counts = iproduct(*[range(min(p, q) + 1) for _, p, q in shared])
     next(counts)   # no contraction at all: the uncontracted term
     for ks in counts:
@@ -145,12 +154,12 @@ class WeylElement(LinComb):
     # -- structure ---------------------------------------------------------
 
     def scalar_part(self) -> QI:
-        return self.terms.get(_ONE_MONO, QI(0))
+        return self.terms.get(_ONE_MONO, QI_ZERO)
 
     def without_scalar(self) -> "WeylElement":
         t = dict(self.terms)
         t.pop(_ONE_MONO, None)
-        return WeylElement(t)
+        return WeylElement._nonzero(t)
 
     def modes(self) -> set:
         out = set()
@@ -191,11 +200,14 @@ def sum_of_products(pairs) -> WeylElement:
 
 
 def _product_items(x: WeylElement, y: WeylElement):
-    """(monomial, qx, qy, weight) for each term of x.y, for sum_products."""
-    for mx, qx in x.terms.items():
-        for my, qy in y.terms.items():
-            for w, mono in _mono_product(mx, my):
-                yield mono, qx, qy, w
+    """(monomial, qx, qy, weight) for each term of x.y, for sum_products:
+    the uncontracted term of every pair of terms, then the contracted
+    terms of the pairs that contract."""
+    make = WeylMonomial.make
+    for (xc, xa), qx in x.terms.items():
+        for (yc, ya), qy in y.terms.items():
+            yield make(xc + yc, xa + ya), qx, qy, 1
+    yield from _contraction_items(x, y, 1)
 
 
 def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
@@ -214,6 +226,8 @@ def _contraction_items(x: WeylElement, y: WeylElement, sign: int):
 
     y's terms are indexed by the modes of their creators, so each term of
     x meets only the terms of y whose creators its annihilators contract.
+    This index is the only route to _contractions: products and
+    commutators alike visit no pair of terms that does not contract.
     """
     by_creator: dict[Mode, dict] = {}
     for my, qy in y.terms.items():

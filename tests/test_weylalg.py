@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import product as iproduct
+from math import comb, factorial, prod
 
 import pytest
 
+import contraction_oracle
 from minrep import fockspace, linalg, weylalg
 from minrep.lincomb import combine
 from minrep.scalars import QI
 from minrep.weylalg import (Polarization, SpanError, WeylElement, WeylMonomial, commutator,
                             matrix_from_quadratic, mode_action_matrix, normal_product,
                             quadratic_blocks, quadratic_from_matrix,
-                            standard_polarization)
+                            standard_polarization, sum_of_products)
 
 A1, A2, B1, B2 = ("a", 1), ("a", 2), ("b", 1), ("b", 2)
 
@@ -126,6 +129,17 @@ def test_flavor_sum_bracket_does_n_times_the_one_flavor_work(monkeypatch):
                 commutator(x, y)
         counts[n] = len(made)
     assert counts[1] and counts[3] == 3 * counts[1]
+
+
+def test_a_product_with_no_contracting_pair_builds_only_the_uncontracted_terms(monkeypatch):
+    # every annihilator of x is in a mode that no creator of y carries
+    x = (WeylElement.monomial([B1], [A1], 2) + WeylElement.monomial([A1, A2], [A2])
+         + WeylElement.monomial([], [A1, A1]))
+    y = (WeylElement.monomial([B1, B2], [A1]) + WeylElement.monomial([B2], [], 3)
+         + WeylElement.monomial([], [B2, A2]) + WeylElement.monomial([B1], [B1]))
+    made = _record_monomials(monkeypatch)
+    normal_product(x, y)
+    assert len(made) == len(x.terms) * len(y.terms) == 12
 
 
 @pytest.mark.parametrize("x,y", [
@@ -440,7 +454,8 @@ def _normal_product_oracle(x, y):
     for mx, qx in x.terms.items():
         for my, qy in y.terms.items():
             q = qx * qy
-            combine(((mono, q * w) for w, mono in weylalg._mono_product(mx, my)), acc)
+            combine(((mono, q * w) for w, mono in contraction_oracle._mono_product(mx, my)),
+                    acc)
     return WeylElement(acc)
 
 
@@ -448,7 +463,8 @@ def _contractions_oracle(x, y, sign, acc):
     for mx, qx in x.terms.items():
         for my, qy in y.terms.items():
             q = qx * qy
-            combine(((mono, q * (sign * w)) for w, mono in weylalg._contractions(mx, my)), acc)
+            combine(((mono, q * (sign * w))
+                     for w, mono in contraction_oracle._contractions(mx, my)), acc)
     return acc
 
 
@@ -469,12 +485,31 @@ def _weyl_elements(st):
         (WeylElement.monomial(c, a, q) for c, a, q in ts), WeylElement.zero()))
 
 
+def _contraction_kinds(x, y):
+    """How the pairs of terms of x.y contract: "once" (one mode, once on
+    each side), "twice" (a mode with at least two annihilators in x and
+    two creators in y) and "two-modes"."""
+    kinds = set()
+    for mx in x.terms:
+        for my in y.terms:
+            shared = [(mx.annihilators.count(m), my.creators.count(m))
+                      for m in set(mx.annihilators) & set(my.creators)]
+            if shared == [(1, 1)]:
+                kinds.add("once")
+            if any(p >= 2 and q >= 2 for p, q in shared):
+                kinds.add("twice")
+            if len(shared) >= 2:
+                kinds.add("two-modes")
+    return kinds
+
+
 @pytest.mark.parametrize("product,oracle", [(normal_product, _normal_product_oracle),
                                             (commutator, _commutator_oracle)],
                          ids=["normal_product", "commutator"])
 def test_products_match_their_per_pair_oracles(product, oracle):
     hypothesis = pytest.importorskip("hypothesis")
     elems = _weyl_elements(hypothesis.strategies)
+    seen = set()
 
     @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @hypothesis.given(elems, elems)
@@ -482,8 +517,60 @@ def test_products_match_their_per_pair_oracles(product, oracle):
         got = product(x, y)
         assert got == oracle(x, y)
         assert all(got.terms.values())
+        seen.update(_contraction_kinds(x, y))
 
     check()
+    # the examples reach the single-contraction case and the general one
+    assert seen == {"once", "twice", "two-modes"}
+
+
+def _one_mode_terms(p, q):
+    """(weight, creators left, annihilators left) of each term of a^p a*^q:
+    k contractions weigh k! C(p,k) C(q,k) and leave a*^(q-k) a^(p-k)."""
+    return [(factorial(k) * comb(p, k) * comb(q, k), q - k, p - k)
+            for k in range(min(p, q) + 1)]
+
+
+def _closed_form(factors, contracted_only=False):
+    """The normal-ordered product of the annihilators m^p of each (m, p, q)
+    in factors with their creators m*^q, each factor in its own mode, read
+    off the one-mode closed form; with contracted_only, the terms with at
+    least one contraction, which make up the commutator."""
+    out = WeylElement.zero()
+    for choice in iproduct(*[_one_mode_terms(p, q) for _, p, q in factors]):
+        if contracted_only and all(c == q for (_, _, q), (_, c, _) in zip(factors, choice)):
+            continue
+        creators = [m for (m, _, _), (_, c, _) in zip(factors, choice) for _ in range(c)]
+        annihilators = [m for (m, _, _), (_, _, a) in zip(factors, choice) for _ in range(a)]
+        out = out + WeylElement.monomial(creators, annihilators, prod(w for w, _, _ in choice))
+    return out
+
+
+# one mode at every 0 <= p, q <= 4, and two modes contracting at once
+_CLOSED_FORM_CASES = ([((A1, p, q),) for p in range(5) for q in range(5)]
+                      + [((A1, p, q), (B1, r, s)) for p, q, r, s in iproduct((1, 2), repeat=4)])
+
+
+def _closed_form_operands(factors):
+    return (WeylElement.monomial([], [m for m, p, _ in factors for _ in range(p)]),
+            WeylElement.monomial([m for m, _, q in factors for _ in range(q)], []))
+
+
+@pytest.mark.parametrize("route", ["normal_product", "sum_of_products", "commutator"])
+def test_contraction_weights_match_the_closed_form(route):
+    # a^p a*^q = sum_k k! C(p,k) C(q,k) a*^(q-k) a^(p-k), and distinct modes
+    # commute, so a product over two modes is the product of the two sums
+    pairs = [_closed_form_operands(f) for f in _CLOSED_FORM_CASES]
+    if route == "commutator":
+        for f, (x, y) in zip(_CLOSED_FORM_CASES, pairs):
+            assert commutator(x, y) == _closed_form(f, contracted_only=True), f
+        return
+    for f, (x, y) in zip(_CLOSED_FORM_CASES, pairs):
+        got = normal_product(x, y) if route == "normal_product" else sum_of_products([(x, y)])
+        assert got == _closed_form(f), f
+    if route == "sum_of_products":
+        assert sum_of_products(pairs) == sum(map(_closed_form, _CLOSED_FORM_CASES),
+                                             WeylElement.zero())
 
 
 def _dense_blocks_oracle(w, modes):
