@@ -9,7 +9,8 @@ given (wall times omitted, sorted keys).  A json report is exactly
 ``json.dumps(payload, sort_keys=True, indent=2)``, its records encoded by
 the stdlib's C encoder (``_json_text``).  ``main`` may be called many
 times in one process: the parser is built once and keeps no state between
-calls.
+calls, and each call clears the cached standard polarizations before it
+starts, so the Chevalley sets and dual pair of one command share one.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import product
 from . import bilocal, fockspace, harmonics, massless, oscrep, rootsys
 from .reports import Report
 from .scalars import QI, QI_ONE
-from .weylalg import WeylElement, commutator
+from .weylalg import WeylElement, commutator, standard_polarization
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -471,6 +472,9 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # each call builds its own polarizations, so it does the same work
+    # however many calls came before it
+    standard_polarization.cache_clear()
     try:
         args = build_parser().parse_args(argv)
         args = _apply_config(args, argv)

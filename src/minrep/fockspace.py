@@ -356,7 +356,8 @@ class DualPair:
 
     @cached_property
     def polarization(self) -> Polarization | None:
-        """The standard polarization of the a and b modes; none for sp_real."""
+        """The standard polarization of the a and b modes, the one A's
+        Chevalley set is read through; none for sp_real."""
         return None if self.family == "sp_real" else standard_polarization(self._size)
 
     @cached_property

@@ -174,11 +174,13 @@ def verify_mode(h: Poly, n: int, l: int, m: int, cols: dict) -> Report:
     """Exact eigen-checks: harmonicity, H, L^2 and L3, read off the column
     maps `cols` of ``operator_columns``.  Each defect (X - c) h is one
     ``sum_products`` call over the terms of h, each term's column of X
-    and -c times the term, so no operator is applied to h."""
+    and -c times the term, so no operator is applied to h.  A failing
+    record renders its defect as a bounded ``Poly``."""
     rep = Report(f"harmonic/{n},{l},{m}")
     for record, op, eigen in (("laplacian", "laplacian", 0), ("conformal-hamiltonian", "H", n),
                               ("L2", "L^2", l * (l + 1)), ("L3", "L3", m)):
-        rep.add(f"mode/{n},{l},{m}/{record}", not _eigen_defect(cols[op], h.terms, eigen))
+        defect = Poly._nonzero(_eigen_defect(cols[op], h.terms, eigen))
+        rep.add(f"mode/{n},{l},{m}/{record}", defect.is_zero(), defect=render_defect(defect))
     rep.add(f"mode/{n},{l},{m}/nonzero", not h.is_zero())
     return rep
 

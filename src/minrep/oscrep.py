@@ -1,7 +1,8 @@
 """Concrete oscillator realizations and their exact relation suites.
 
-Generators of su(2,2), u(n,n) and so*(4n) are built as quadratic Weyl
-elements over a/b mode pairs; Chevalley-Serre relations, dual-pair
+Generators of su(2,2), u(n,n) and so*(4n) are the quadratics phi~ X phi
+of their matrix Chevalley bases, read through the standard polarization
+of their a/b mode pairs; Chevalley-Serre relations, dual-pair
 commutants, matrix membership conditions, the quadratic Casimir relation
 and the degree-two relation among the noncompact raising operators of
 so*(8) are all verified as exact symbolic identities.  The Lie algebra
@@ -14,14 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 
 from . import linalg
 from .reports import Report, render_defect
 from .rootsys import cartan_a_type, cartan_d_type
 from .scalars import QI, QI_I, QI_ONE, QI_ZERO, int_if_integer, sum_products
-from .weylalg import (WeylElement, Polarization, commutator, ad_power,
-                      normal_product, quadratic_from_matrix, sum_of_products)
+from .weylalg import (WeylElement, Polarization, commutator, ad_power, normal_product,
+                      quadratic_from_matrix, standard_polarization, sum_of_products)
 
 
 class AlgebraError(ValueError):
@@ -160,19 +162,6 @@ class GeneratorSet:
         return len(self.E)
 
 
-def _a(i):
-    return ("a", i)
-
-
-def _b(i):
-    return ("b", i)
-
-
-def _number(m) -> WeylElement:
-    """The number operator m* m of one mode."""
-    return WeylElement.monomial([m], [m])
-
-
 def _require(ok: bool, what: str):
     """Raise AlgebraError unless a generator invariant holds (kept under -O)."""
     if not ok:
@@ -194,92 +183,87 @@ def su22_generators() -> GeneratorSet:
     return replace(gens, algebra_label="su22", extras=extras)
 
 
+def _unit(i: int, j: int) -> dict:
+    """The matrix unit e_ij, indices from 0."""
+    return {(i, j): QI_ONE}
+
+
+def _diagonal(i: int, j: int, s: int) -> dict:
+    """e_ii + s e_jj."""
+    return {(i, i): QI_ONE, (j, j): QI(s)}
+
+
+def _identity(size: int) -> dict:
+    """The size x size identity matrix."""
+    return {(i, i): QI_ONE for i in range(size)}
+
+
 def unn_generators(n: int) -> GeneratorSet:
     """u(n,n) Chevalley set over modes a1..an, b1..bn (A_{2n-1} diagram).
 
-    The noncompact node is E_n = a_n* b_1*; the b-side chain mirrors the
-    a-side one, and the charge operator Q spans the center.  Each H is
-    written in number operators, not as the bracket [E, F], so the
-    Chevalley suite's EF and theta/EF records compare two routes.
+    Each generator is phi~ X phi of its sl(2n) matrix in the standard
+    polarization: E_i = e_{i,i+1}, F_i = e_{i+1,i}, H_i = e_ii -
+    e_{i+1,i+1}, and the theta triple on e_{1,2n} and e_{2n,1}.  The
+    noncompact node is E_n = a_n* b_1*, and the charge operator Q =
+    phi~ 1 phi + n spans the center.  Each H is the image of its matrix,
+    not the bracket [E, F] of the Weyl elements, so the Chevalley suite's
+    EF and theta/EF records compare two routes.
     """
     if n < 1:
         raise AlgebraError("u(n,n) requires n >= 1")
-    mono = WeylElement.monomial
-    es, fs = [], []
-    for i in range(1, n):
-        es.append(mono([_a(i)], [_a(i + 1)]))
-        fs.append(mono([_a(i + 1)], [_a(i)]))
-    es.append(mono([_a(n), _b(1)], []))
-    fs.append(mono([], [_b(1), _a(n)], -1))
-    for j in range(1, n):
-        es.append(mono([_b(j + 1)], [_b(j)], -1))   # -b_j b_{j+1}*
-        fs.append(mono([_b(j)], [_b(j + 1)], -1))
-    one = WeylElement.one()
-    hs = ([_number(_a(i)) - _number(_a(i + 1)) for i in range(1, n)]
-          + [_number(_a(n)) + _number(_b(1)) + one]     # a_n* a_n + b_1 b_1*
-          + [_number(_b(j + 1)) - _number(_b(j)) for j in range(1, n)])
-
-    q = WeylElement.zero()
-    for i in range(1, n + 1):
-        q = q + _number(_a(i)) - _number(_b(i))
-    e_theta = mono([_a(1), _b(n)], [])
-    f_theta = mono([], [_b(n), _a(1)], -1)
-    h_theta = _number(_a(1)) + _number(_b(n)) + one
-
+    m = 2 * n
+    quad = partial(quadratic_from_matrix, pol=standard_polarization(n))
     return GeneratorSet(
         algebra_label=f"u({n},{n})",
-        cartan_matrix=cartan_a_type(2 * n - 1),
-        E=es, F=fs, H=hs,
-        extras={"Q": q, "E_theta": e_theta, "F_theta": f_theta, "H_theta": h_theta},
+        cartan_matrix=cartan_a_type(m - 1),
+        E=[quad(_unit(i, i + 1)) for i in range(m - 1)],
+        F=[quad(_unit(i + 1, i)) for i in range(m - 1)],
+        H=[quad(_diagonal(i, i + 1, -1)) for i in range(m - 1)],
+        extras={"Q": quad(_identity(m)) + WeylElement.scalar(n),
+                "E_theta": quad(_unit(0, m - 1)), "F_theta": quad(_unit(m - 1, 0)),
+                "H_theta": quad(_diagonal(0, m - 1, -1))},
     )
 
 
 def so_star_generators(n: int) -> GeneratorSet:
     """so*(4n) Chevalley set over a1..a_{2n}, b1..b_{2n} (D_{2n} diagram).
 
-    E_i = a_i* a_{i+1} + b_{i+1} b_i* with F_i = E_i* for the compact chain;
-    the spin node is E_{2n} = a_{2n-1}* b_{2n}* - a_{2n}* b_{2n-1}*.  Extras
-    carry all noncompact raising operators E_ij and the u(1) generators Q
-    and H.  Each H is written in number operators, not as the bracket
-    [E, F], as in ``unn_generators``.
+    Each generator is phi~ X phi of its matrix in the block form [[u, v],
+    [v*, -t(u)]] of ``so_star_basis``, through the standard polarization.
+    The compact chain has u = e_{i,i+1}, e_{i+1,i} and e_ii - e_{i+1,i+1},
+    so E_i = a_i* a_{i+1} + b_i* b_{i+1} and F_i = E_i*.  The spin node
+    E_{2n} and every noncompact raising operator E_ij of the extras are
+    the block v = e_ij - e_ji, their F the block v*.  The extras also
+    carry the charge Q = phi~ 1 phi + 2n, which lives in the commutant
+    sp(2), and the u(1) generator H of the maximal compact u(2n), the
+    compact block of 1.  Each H is the image of its matrix, as in
+    ``unn_generators``.
     """
     if n < 1:
         raise AlgebraError("so*(4n) requires n >= 1")
     k = 2 * n
-    mono = WeylElement.monomial
-    es, fs = [], []
-    for i in range(1, k):
-        e = mono([_a(i)], [_a(i + 1)]) + mono([_b(i)], [_b(i + 1)])
-        es.append(e)
-        fs.append(e.adjoint())
-    e_spin = mono([_a(k - 1), _b(k)], []) - mono([_a(k), _b(k - 1)], [])
-    f_spin = mono([], [_a(k), _b(k - 1)]) - mono([], [_a(k - 1), _b(k)])
-    es.append(e_spin)
-    fs.append(f_spin)
-    two = WeylElement.scalar(2)
-    hs = [_number(_a(i)) - _number(_a(i + 1)) + _number(_b(i)) - _number(_b(i + 1))
-          for i in range(1, k)]
-    hs.append(_number(_a(k - 1)) + _number(_a(k)) + _number(_b(k - 1)) + _number(_b(k)) + two)
+    quad = partial(quadratic_from_matrix, pol=standard_polarization(k))
 
-    extras = {}
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            extras[f"E_{i}{j}"] = mono([_a(i), _b(j)], []) - mono([_a(j), _b(i)], [])
-    extras["E_theta"] = extras["E_12"]
-    extras["F_theta"] = -extras["E_12"].adjoint()
-    extras["H_theta"] = _number(_a(1)) + _number(_a(2)) + _number(_b(1)) + _number(_b(2)) + two
+    def compact(u):
+        return quad(_compact_block(u, k))
 
-    q = WeylElement.zero()
-    h_center = WeylElement.zero()
-    for i in range(1, k + 1):
-        q = q + _number(_a(i)) - _number(_b(i))
-        h_center = h_center + _number(_a(i)) + _number(_b(i)) + WeylElement.one()  # a*a + b b*
-    extras.update({"Q": q, "H": h_center})
+    def raising(i, j):    # [[0, v], [0, 0]] with v = e_ij - e_ji
+        return quad({(i, k + j): QI_ONE, (j, k + i): QI(-1)})
 
+    def lowering(i, j):   # [[0, 0], [v*, 0]]
+        return quad({(k + j, i): QI_ONE, (k + i, j): QI(-1)})
+
+    extras = {f"E_{i + 1}{j + 1}": raising(i, j) for i in range(k) for j in range(i + 1, k)}
+    extras.update(E_theta=extras["E_12"], F_theta=lowering(0, 1),
+                  H_theta=compact(_diagonal(0, 1, 1)),
+                  Q=quad(_identity(2 * k)) + WeylElement.scalar(k), H=compact(_identity(k)))
     return GeneratorSet(
         algebra_label=f"so*({4 * n})",
         cartan_matrix=cartan_d_type(k),
-        E=es, F=fs, H=hs,
+        E=[compact(_unit(i, i + 1)) for i in range(k - 1)] + [raising(k - 2, k - 1)],
+        F=[compact(_unit(i + 1, i)) for i in range(k - 1)] + [lowering(k - 2, k - 1)],
+        H=([compact(_diagonal(i, i + 1, -1)) for i in range(k - 1)]
+           + [compact(_diagonal(k - 2, k - 1, 1))]),
         extras=extras,
     )
 

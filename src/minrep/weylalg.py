@@ -31,8 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain, product as iproduct
 from math import comb, factorial
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .lincomb import LinComb
@@ -302,8 +304,8 @@ class Polarization:
     phi = (a_1..a_k, b*_1..b*_k), phi~ = (a*_1..a*_k, -b_1..-b_k).  Each
     phi~_a phi^b must normal-order to a coefficient c_ab times a monomial
     of its own, plus a scalar; ``products`` maps that monomial to
-    (a, b, c_ab), and ``table[a][b]`` is (monomial, c_ab, scalar).
-    Construction raises ValueError if either condition fails.
+    (a, b, c_ab), and ``table[a][b]`` is (monomial, c_ab, scalar), both
+    read-only.  Construction raises ValueError if either condition fails.
     """
 
     phi: tuple[WeylElement, ...]
@@ -327,7 +329,7 @@ class Polarization:
                 products[mono] = (a, b, c)
                 row.append((mono, c, prod.scalar_part()))
             table.append(tuple(row))
-        object.__setattr__(self, "products", products)
+        object.__setattr__(self, "products", MappingProxyType(products))
         object.__setattr__(self, "table", tuple(table))
 
     @property
@@ -335,7 +337,11 @@ class Polarization:
         return len(self.phi)
 
 
+@cache
 def standard_polarization(k: int) -> Polarization:
+    """The standard split over k a/b mode pairs, built once per k until
+    the cache is cleared: the value is frozen, so every reader of one
+    size shares it.  ``cli.main`` clears it as each command starts."""
     phi = tuple([WeylElement.annihilator(("a", i)) for i in range(1, k + 1)]
                 + [WeylElement.creator(("b", i)) for i in range(1, k + 1)])
     phit = tuple([WeylElement.creator(("a", i)) for i in range(1, k + 1)]

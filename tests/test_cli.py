@@ -586,15 +586,17 @@ def count_builds(monkeypatch) -> dict:
 class TestBuildCounts:
     # Each command builds its dual pair once and only the parts it reads.
     # Before the pair, check-relations su22 built 9 polarizations and 6
-    # u(2,2) sets, and decompose built a polarization it never read.
+    # u(2,2) sets.  Every Chevalley set is read through the standard
+    # polarization of its modes, which the pair shares, so a command that
+    # builds a set builds that one polarization.
     # (polarizations, Chevalley sets, so*(4n) matrix bases) per command
     BUILDS = [
         (["check-relations", "--algebra", "su22"], (1, 1, 0)),
-        (["check-relations", "--algebra", "unn"], (0, 1, 0)),
+        (["check-relations", "--algebra", "unn"], (1, 1, 0)),
         (["check-relations", "--algebra", "so-star", "--n", "2"], (1, 1, 1)),
         (["check-dual-pair", "--algebra", "su22"], (1, 1, 0)),
-        (["check-dual-pair", "--algebra", "so-star"], (0, 1, 0)),
-        (["decompose"], (0, 1, 0)),
+        (["check-dual-pair", "--algebra", "so-star"], (1, 1, 0)),
+        (["decompose"], (1, 1, 0)),
         (["closure", "--family", "so-star", "--k", "2", "--pair-limit", "20"], (1, 0, 1)),
         (["closure", "--family", "sp-real", "--flavors", "2"], (0, 0, 0)),
     ]
@@ -607,10 +609,21 @@ class TestBuildCounts:
         assert code == 0
         assert (counts["polarizations"], counts["sets"], counts["matrix bases"]) == want
 
-    def test_massless_builds_no_polarization(self, capsys, monkeypatch):
+    def test_massless_builds_one_polarization(self, capsys, monkeypatch):
+        # the su(2,2) set it reads twice is built over one u(2,2) polarization
         counts = count_builds(monkeypatch)
         code, _ = run(["massless", "--format", "json"], capsys)
-        assert code == 0 and counts["polarizations"] == 0
+        assert code == 0 and counts["polarizations"] == 1
+
+    def test_each_call_builds_its_own_polarization(self, capsys, monkeypatch):
+        # a polarization cached before the call is not read by it, so a
+        # command repeats the same work in a process that ran others
+        weylalg.standard_polarization(2)
+        counts = count_builds(monkeypatch)
+        for _ in range(2):
+            code, _ = run(["check-relations", "--algebra", "su22", "--format", "json"], capsys)
+            assert code == 0
+        assert counts["polarizations"] == 2
 
 
 class TestExitCodes:

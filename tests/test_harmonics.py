@@ -180,6 +180,16 @@ class TestVerification:
         failed = {r.check_id for r in rep.records if not r.passed}
         assert any("laplacian" in f for f in failed)
 
+    def test_a_failing_eigen_check_renders_its_defect(self):
+        # the Laplacian of z1^2 is the constant 2; a passing record keeps ""
+        p = Poly({(2, 0, 0, 0): QI(1)})
+        records = {r.check_id.rsplit("/", 1)[1]: r
+                   for r in verify_mode(p, 3, 0, 0, harmonics.operator_columns()).records}
+        assert not records["laplacian"].passed and records["laplacian"].defect == "(2)"
+        assert records["conformal-hamiltonian"].passed
+        assert records["conformal-hamiltonian"].defect == ""
+        assert all(records[k].defect for k in ("L2", "L3"))
+
     def test_hamiltonian_without_its_one_fails_the_conformal_hamiltonian(self, monkeypatch):
         # the Euler operator alone has eigenvalue n - 1 on h_{n,l,m}, not n
         modes = [build_harmonic(n, l, m) for n, l, m in [(1, 0, 0), (3, 1, -1), (4, 2, 1)]]

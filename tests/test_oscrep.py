@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import generator_oracle
 from minrep import fockspace, linalg, oscrep, reports, weylalg
 from minrep.scalars import QI, sum_products
 from minrep.weylalg import WeylElement, commutator, mode_action_matrix, normal_product
@@ -146,6 +147,44 @@ class TestUnn:
         assert br == g.extras["E_theta"].scale(2)
 
 
+def _assert_same_terms(new: oscrep.GeneratorSet, old: oscrep.GeneratorSet):
+    """Each E, F, H and extra of `new` equals `old`'s term for term, with
+    the extras in the same order."""
+    assert (new.algebra_label, new.cartan_matrix) == (old.algebra_label, old.cartan_matrix)
+    assert list(new.extras) == list(old.extras)
+    for kind in ("E", "F", "H"):
+        assert len(getattr(new, kind)) == len(getattr(old, kind))
+        for x, y in zip(getattr(new, kind), getattr(old, kind)):
+            assert x.terms == y.terms
+    for name in old.extras:
+        assert new.extras[name].terms == old.extras[name].terms, name
+
+
+class TestMatrixImages:
+    """Every generator is phi~ X phi of its matrix; generator_oracle spells
+    the same sets as signed monomials."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_unn_equals_the_monomial_oracle(self, n):
+        _assert_same_terms(oscrep.unn_generators(n), generator_oracle.unn_generators(n))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_so_star_equals_the_monomial_oracle(self, n):
+        _assert_same_terms(oscrep.so_star_generators(n), generator_oracle.so_star_generators(n))
+
+    def test_su22_equals_the_relabelled_oracle(self):
+        old = generator_oracle.unn_generators(2)
+        extras = {k: old.extras[k] for k in ("E_theta", "F_theta", "H_theta")}
+        extras["h"] = old.extras["Q"]
+        _assert_same_terms(oscrep.su22_generators(),
+                           oscrep.GeneratorSet("su22", old.cartan_matrix, old.E, old.F, old.H,
+                                               extras))
+
+    def test_builders_share_one_polarization(self):
+        # frozen and cached: the set's quadratics and the pair read one table
+        assert weylalg.standard_polarization(4) is fockspace.dual_pair("so_star", 2).polarization
+
+
 def _sign_mutant(x, y):
     """[x, y] with y.x's contractions added where they must be taken off."""
     return WeylElement._nonzero(sum_products(itertools.chain(
@@ -153,7 +192,7 @@ def _sign_mutant(x, y):
 
 
 class TestCartanRoutes:
-    """Each H is written in number operators, not as the bracket [E, F], so
+    """Each H is the image of its matrix, not the Weyl bracket [E, F], so
     the EF and theta/EF records compare two routes."""
 
     @pytest.mark.parametrize("build", [lambda: oscrep.unn_generators(2),
