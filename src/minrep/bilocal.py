@@ -18,11 +18,12 @@ cancel, and its transposed half is formed once per total, not once per
 product.  The closed form writes each label product as an index sum over
 the nonzero entries, keyed like the Wick terms, a route apart from the
 Wick combinatorics.  The formula check hands the Wick commutator's terms
-and minus the closed form's to one ``scalars.sum_products`` call and
-passes when no total is left; the totals left, with their transposed
-halves, are the defect, of which a failing check renders the first
-terms.  Both routes sum through that kernel, so the check does not test
-it; its oracle tests do.  On top of the engine sit the closed commutator
+and minus the closed form's of any number of tagged label pairs to one
+``scalars.sum_products`` call, keyed by tag; a pair passes when none of
+its totals is left, and the totals left, grouped pair by pair with their
+transposed halves, are its defect, of which a failing check renders the
+first terms.  Both routes sum through that kernel, so the check does not
+test it; its oracle tests do.  On top of the engine sit the closed commutator
 formula for matrix-labeled bilinears, the Frobenius pairing of the
 labeling matrix algebra, and the real/complex/quaternionic commutant
 classification.  Every matrix here, from the Wick labels of the formula
@@ -196,10 +197,15 @@ def bilocal_field(m, p: int, q: int) -> WickElement:
 
 
 def _field(entries, p: int, q: int) -> WickElement:
-    """V_M(x_p, x_q) of the ((i, j), M_ij) entries of M, 0-based i and j."""
-    return WickElement(combine(
-        (((tuple(sorted(((p, i + 1), (q, j + 1)))), _EMPTY), QI.of(c))
-         for (i, j), c in entries if c), {}))
+    """V_M(x_p, x_q) of the ((i, j), M_ij) entries of M, 0-based i and j, at
+    two distinct points, so each nonzero entry is its own term; the lower
+    point comes first, as V_M(x_p, x_q) = V_tM(x_q, x_p)."""
+    if p == q:
+        raise ValueError(f"a bilocal field takes two distinct points, got {p} twice")
+    if p > q:
+        return _field((((j, i), c) for (i, j), c in entries), q, p)
+    return WickElement._nonzero({(((p, i + 1), (q, j + 1)), _EMPTY): QI.of(c)
+                                 for (i, j), c in entries if c})
 
 
 # The four single contractions of the closed form: D_kl V(p, x; q, y) times
@@ -228,31 +234,33 @@ def _single_keys(size: int) -> tuple:
 
 def _closed_form_items(m: dict, mp: dict, size: int, w: int):
     """((normal product, (), S), x, y, w) for every product of the closed
-    form, each label product written as an index sum over the nonzero
-    entries: S is +D+_kl for a single contraction and D+_{1i} D+_{2j} for a
-    central one, whose transposed halves _grouped forms.  w = -1 gives minus
-    the closed form.  Raises ValueError, before its first item, on an entry
-    of M or M' outside size x size."""
+    form, each label product an index sum over the nonzero entries: each
+    entry of M meets one row or column of M', read from dicts, so a pair
+    of labels costs its entries, not its size.  S is +D+_kl for a single
+    contraction and D+_{1i} D+_{2j} for a central one, whose transposed
+    halves _grouped forms.  w = -1 gives minus the closed form.  Raises
+    ValueError, before its first item, on an entry of M or M' outside
+    size x size."""
     _require_size((m, mp), size)
-    rows = [[[] for _ in range(size)] for _ in range(2)]
-    cols = [[[] for _ in range(size)] for _ in range(2)]
-    for label, by_row, by_col in zip((m, mp), rows, cols):
-        for (i, j), c in label.items():
-            if c:
-                by_row[i].append((j, c))
-                by_col[j].append((i, c))
-    for (m_cols, mp_cols, *_), table in zip(_SINGLES, _single_keys(size)):
-        for a_s, b_s in zip((cols if m_cols else rows)[0], (cols if mp_cols else rows)[1]):
-            for x, a in a_s:
-                row = table[x]
-                for y, b in b_s:
-                    yield row[y], a, b, w
-    # tr(tM M') DD_{12,34} + tr(M M') DD_{12,43}: sum_xy M_xy M'_xy and M_xy M'_yx
-    for (x, y), a in m.items():
-        if a:
-            for key, b in zip(_CENTRALS, (mp.get((x, y)), mp.get((y, x)))):
-                if b:
-                    yield key, a, b, w
+    rows, cols = {}, {}
+    for (i, j), c in mp.items():
+        if c:
+            rows.setdefault(i, []).append((j, c))
+            cols.setdefault(j, []).append((i, c))
+    tables = _single_keys(size)
+    for (i, j), a in m.items():
+        if not a:
+            continue
+        for (m_cols, mp_cols, *_), table in zip(_SINGLES, tables):
+            # the summed index s and the free index x of A_x = M_sx, or of M_xs
+            s, x = (j, i) if m_cols else (i, j)
+            row = table[x]
+            for y, b in (cols if mp_cols else rows).get(s, ()):
+                yield row[y], a, b, w
+        # tr(tM M') DD_{12,34} + tr(M M') DD_{12,43}: M_ij M'_ij and M_ij M'_ji
+        for key, b in zip(_CENTRALS, (mp.get((i, j)), mp.get((j, i)))):
+            if b:
+                yield key, a, b, w
 
 
 def commutator_rhs(m: dict, mp: dict, size: int) -> WickElement:
@@ -270,21 +278,39 @@ def commutator_rhs(m: dict, mp: dict, size: int) -> WickElement:
     return _grouped(sum_products(_closed_form_items(m, mp, size, 1)), True)
 
 
+def _formula_items(label_pairs, size: int):
+    """((tag, key), x, y, w) of each (tag, M, M') pair: minus the closed
+    form's products, then the Wick commutator's, under the pair's tag.  The
+    closed form goes first, so a label entry outside the size is refused
+    before any Wick term of its pair is formed."""
+    for tag, m, mp in label_pairs:
+        wick = _wick_items(_flavor_sharing_pairs(_field(m.items(), 1, 2),
+                                                 _field(mp.items(), 3, 4)), True)
+        for key, x, y, w in chain(_closed_form_items(m, mp, size, -1), wick):
+            yield (tag, key), x, y, w
+
+
+def formula_defects(label_pairs, size: int) -> dict:
+    """{tag: defect} of each (tag, M, M') pair of size x size labels whose
+    Wick commutator [V_M(1,2), V_M'(3,4)] misses the closed form.  Every
+    pair's Wick terms and minus its closed form's, each summed once under
+    its contraction set S, go to one sum_products call keyed by tag, and
+    the totals left are grouped pair by pair, the transposed half formed
+    per total.  Every S runs from point 1 or 2 to point 3 or 4, so no tS
+    meets an S: the formula holds on every pair exactly when the dict is
+    empty."""
+    by_tag: dict = {}
+    for (tag, key), c in sum_products(_formula_items(label_pairs, size)).items():
+        by_tag.setdefault(tag, {})[key] = c
+    return {tag: _grouped(totals, True) for tag, totals in by_tag.items()}
+
+
 def verify_commutator_formula(m: dict, mp: dict, size: int) -> Report:
     """Exact equality of the Wick commutator against the closed form for
-    two size x size labels: the Wick terms and minus the closed form's
-    terms, each summed once under its contraction set S, go to one
-    sum_products call, whose totals are the defect, with its transposed
-    half formed per total.  Every S runs from point 1 or 2 to point 3 or
-    4, so no tS meets an S, and the defect is zero exactly when no total
-    is left."""
+    two size x size labels: the one-pair case of formula_defects."""
     rep = Report("bilocal/commutator-formula")
-    # the closed form goes first, so a label with an entry outside the size
-    # is refused before any Wick term is formed
-    wick = _wick_items(_flavor_sharing_pairs(_field(m.items(), 1, 2), _field(mp.items(), 3, 4)),
-                       True)
-    defect = sum_products(chain(_closed_form_items(m, mp, size, -1), wick))
-    rep.identity(f"bilocal/formula/L{size}", _grouped(defect, True))
+    rep.identity(f"bilocal/formula/L{size}",
+                 formula_defects(((0, m, mp),), size).get(0, WickElement()))
     return rep
 
 

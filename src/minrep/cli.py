@@ -26,7 +26,7 @@ import sys
 from itertools import product
 
 from . import bilocal, fockspace, harmonics, massless, oscrep, rootsys
-from .reports import Report
+from .reports import Report, render_defect
 from .scalars import QI, QI_ONE
 from .weylalg import WeylElement, commutator, standard_polarization
 
@@ -52,7 +52,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 DESK_SCALE_N = 8
-TABLE1_MAX_RANK = 30   # table1 costs about rank^4.6 in type A; CI runs up to A30
+TABLE1_MAX_RANK = 30   # a table1 row costs about rank^2.4 (A30 7 ms, B30 13 ms); CI runs
+                       # every family up to it
 MAX_TRIALS = 1000      # check-bilocal runs 1000 trials at --L 8 in about 1.0 s
 HELICITY_LEVEL = 2     # massless counts helicities on its four modes' Fock levels 0..2
 
@@ -278,12 +279,15 @@ def run_check_bilocal(args) -> Report:
         rep.extend(sub)
     # both sides of the formula are bilinear in (M, M'), so equality on the
     # L^4 pairs (E_ab, E_cd) of elementary labels proves it for every label
-    # pair; a failing pair's defect starts with its (a, b, c, d)
+    # pair; the pairs stream into one defect sum keyed by (a, b, c, d), and
+    # the record's defect is the first failing pair's, led by its (a, b, c, d)
     units = list(product(range(args.L), repeat=2))
-    failed = [f"(a, b, c, d) = {ab + cd}: {r.records[0].defect}" for ab in units for cd in units
-              if not (r := bilocal.verify_commutator_formula({ab: 1}, {cd: 1}, args.L)).ok]
-    rep.add(f"bilocal/basis/L{args.L}", bool(units) and not failed,
-            detail=f"{len(units) ** 2} elementary pairs", defect=failed[0] if failed else "")
+    defects = bilocal.formula_defects(
+        ((ab + cd, {ab: 1}, {cd: 1}) for ab in units for cd in units), args.L)
+    first = min(defects, default=None)
+    rep.add(f"bilocal/basis/L{args.L}", bool(units) and not defects,
+            detail=f"{len(units) ** 2} elementary pairs",
+            defect=f"(a, b, c, d) = {first}: {render_defect(defects[first])}" if defects else "")
     # each trial label is a seeded draw of entries k/r scaled by 12 into
     # ints (_random_label); a record that compared no trial fails, so it
     # does not pass vacuously

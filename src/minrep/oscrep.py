@@ -51,7 +51,7 @@ class FormSpec:
         object.__setattr__(self, "index", {
             name: _by_row_and_col(form) for name in ("beta", "sigma", "sympl")
             if (form := getattr(self, name)) is not None})
-        one = {(i, i): QI_ONE for i in range(self.size)}
+        one = _identity(self.size)
         if self.beta is not None:
             if _star(self.beta) != self.beta:
                 raise AlgebraError("beta must be hermitean")
@@ -248,10 +248,10 @@ def so_star_generators(n: int) -> GeneratorSet:
         return quad(_compact_block(u, k))
 
     def raising(i, j):    # [[0, v], [0, 0]] with v = e_ij - e_ji
-        return quad({(i, k + j): QI_ONE, (j, k + i): QI(-1)})
+        return quad(_noncompact_block(_antisymmetric(i, j, QI_ONE), {}, k))
 
     def lowering(i, j):   # [[0, 0], [v*, 0]]
-        return quad({(k + j, i): QI_ONE, (k + i, j): QI(-1)})
+        return quad(_noncompact_block({}, _star(_antisymmetric(i, j, QI_ONE)), k))
 
     extras = {f"E_{i + 1}{j + 1}": raising(i, j) for i in range(k) for j in range(i + 1, k)}
     extras.update(E_theta=extras["E_12"], F_theta=lowering(0, 1),
@@ -461,8 +461,8 @@ def so_star_basis(n: int) -> list[dict]:
     for a in range(k):
         for b in range(a + 1, k):
             for c in (QI_ONE, QI_I):
-                out.append({(a, k + b): c, (b, k + a): -c,
-                            (k + b, a): c.conj(), (k + a, b): -c.conj()})
+                v = _antisymmetric(a, b, c)
+                out.append(_noncompact_block(v, _star(v), k))
     for x in out:
         if not matrix_membership(x, spec):
             raise AlgebraError("constructed basis element fails membership")
@@ -481,6 +481,19 @@ def so_star_matrix_basis(n: int):
 def _compact_block(u: dict, k: int) -> dict:
     """The so*(4n) element [[u, 0], [0, -t(u)]] of a k x k block u."""
     return {**u, **{(k + b, k + a): -c for (a, b), c in u.items()}}
+
+
+def _noncompact_block(v: dict, w: dict, k: int) -> dict:
+    """The matrix [[0, v], [w, 0]] of two k x k blocks v and w: an so*(4n)
+    element when w = v*, a raising operator's when w = 0 and a lowering
+    operator's when v = 0."""
+    return {**{(i, k + j): c for (i, j), c in v.items()},
+            **{(k + i, j): c for (i, j), c in w.items()}}
+
+
+def _antisymmetric(i: int, j: int, c: QI) -> dict:
+    """c (e_ij - e_ji)."""
+    return {(i, j): c, (j, i): -c}
 
 
 def unitary_basis(signs, traceless: bool = False) -> list[dict]:

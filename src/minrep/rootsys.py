@@ -2,11 +2,13 @@
 
 Each family is one entry of an integer Dynkin table: its Cartan matrix and
 the squared lengths of its simple roots (Bourbaki numbering, short simple
-roots of length 1).  Roots are integer tuples in simple-root coordinates,
-generated by the simple reflections s_i(b) = b - <b, a_i^v> a_i.  Every
-inner product comes from the doubled Gram matrix G_ij = A_ij |a_j|^2 =
-2(a_i|a_j), which is integral, so all derived data (grading, centralizer
-type, orbit dimensions) is integer arithmetic with no tolerances.
+roots of length 1).  Roots are integer tuples in simple-root coordinates:
+the positive roots are generated from the simple roots by the raising
+simple reflections s_i(b) = b - <b, a_i^v> a_i, those with <b, a_i^v> < 0,
+and the negative roots are their negations.  Every inner product comes
+from the doubled Gram matrix G_ij = A_ij |a_j|^2 = 2(a_i|a_j), which is
+integral, so all derived data (grading, centralizer type, orbit
+dimensions) is integer arithmetic with no tolerances.
 """
 
 from __future__ import annotations
@@ -108,7 +110,10 @@ class RootSystem:
 
 
 def build_root_system(family: str, rank: int | None = None) -> RootSystem:
-    """Generate the full root system by reflection closure of the base."""
+    """Generate the positive roots by closing the base under the raising
+    simple reflections, and take the negative roots as their negations;
+    the root count must be DIM_FORMULA's, and the closure stops once it
+    passes it, so a Cartan matrix of no finite type cannot loop."""
     family = family.upper()
     if family in EXCEPTIONAL_RANK:
         expected = EXCEPTIONAL_RANK[family]
@@ -129,33 +134,36 @@ def build_root_system(family: str, rank: int | None = None) -> RootSystem:
 
     expected_count = DIM_FORMULA[family](rank) - rank
     simples = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    roots = set(simples)
+    reached = set(simples)
     # each frontier root beta carries the ints p with s_i beta = beta - p_i alpha_i,
     # which are row j of the Cartan matrix for alpha_j; s_i beta carries
-    # p - p_i (row i), and s_i fixes beta when p_i = 0
+    # p - p_i (row i).  Only the raising ones, p_i < 0, are taken: a positive
+    # root that is not simple has some p_i > 0 and is raised back from the
+    # positive root s_i beta, so by height every positive root is reached
     frontier = list(zip(simples, cartan))
     while frontier:
         new = []
         for beta, p in frontier:
             for i, c in enumerate(p):
-                if not c:
+                if c >= 0:
                     continue
                 refl = beta[:i] + (beta[i] - c,) + beta[i + 1:]
-                if refl not in roots:
-                    roots.add(refl)
+                if refl not in reached:
+                    reached.add(refl)
                     new.append((refl, [x - c * y for x, y in zip(p, cartan[i])]))
-        if len(roots) > expected_count:
+        if 2 * len(reached) > expected_count:
             raise RootSystemError(f"{family}{rank}: the reflection closure passed "
                                   f"{expected_count} roots")
         frontier = new
-    all_roots = sorted(roots)
-    if len(all_roots) != expected_count:
+    if 2 * len(reached) != expected_count:
         raise RootSystemError(
-            f"{family}{rank}: generated {len(all_roots)} roots, expected {expected_count}")
-
-    positives = [r for r in all_roots if all(k >= 0 for k in r)]
-    if 2 * len(positives) != len(all_roots):
-        raise RootSystemError("positive roots are not half of all roots")
+            f"{family}{rank}: generated {2 * len(reached)} roots, expected {expected_count}")
+    positives = sorted(reached)
+    # negation reverses the order of integer tuples, and every negative root
+    # sorts before every positive one, so this is the sorted list of all roots;
+    # each negation goes through a list, since a tuple built from an iterator
+    # is resized, which raised the peak RSS of repeated table1 runs
+    all_roots = [tuple([-k for k in r]) for r in reversed(positives)] + positives
 
     max_height = max(sum(r) for r in positives)
     tops = [r for r in positives if sum(r) == max_height]

@@ -342,6 +342,13 @@ class TestBilocalFields:
             m = {(i, j): Fraction(rng.randint(-5, 5)) for i in range(3) for j in range(3)}
             assert field(transpose(m), 2, 1) == field(m, 1, 2)
 
+    def test_refuses_one_point_twice(self):
+        # each entry of a label is its own term only at two distinct points
+        with pytest.raises(ValueError, match="two distinct points"):
+            field(bilocal.unit_matrix(2), 1, 1)
+        with pytest.raises(ValueError, match="two distinct points"):
+            bilocal_field([[QI(1)]], 3, 3)
+
 
 class TestCommutatorFormula:
     def test_identity_labels(self):
@@ -593,12 +600,15 @@ class TestClosedForm:
                     (((1, 3),), a == c), (((2, 4),), b == d), (((2, 3),), b == c),
                     (((1, 4),), a == d), (((1, 3), (2, 4)), (a, b) == (c, d)),
                     (((1, 4), (2, 3)), (a, b) == (d, c))) if hit)
+        # each item is keyed by the one pair's tag and its Wick key
+        assert len({tag for (tag, _), *_ in items}) == 1
         for w in (1, -1):
-            side = [key for key, _, _, weight in items if weight == w]
+            side = [key for (_, key), _, _, weight in items if weight == w]
             assert Counter(pairs for _, _, pairs in side) == want
             assert all(mono == () for _, mono, _ in side)
         assert sum(want.values()) * 2 == len(items)
-        assert all(k in (1, 2) and l in (3, 4) for (_, _, pairs), *_ in items for k, l in pairs)
+        assert all(k in (1, 2) and l in (3, 4)
+                   for (_, (_, _, pairs)), *_ in items for k, l in pairs)
 
     @pytest.mark.parametrize("control", ["transposed", *sorted(_CLOSED_FORM_TERMS)])
     def test_a_failing_defect_is_the_commutator_less_the_oracle(self, monkeypatch, control):

@@ -303,14 +303,33 @@ def _first_failure(size):
 class TestBasisRecord:
     @pytest.mark.parametrize("size", range(1, 9))
     def test_every_elementary_pair_passes(self, monkeypatch, size):
-        pairs, verify = [], bilocal.verify_commutator_formula
-        monkeypatch.setattr(bilocal, "verify_commutator_formula",
-                            lambda m, mp, n: pairs.append((m, mp)) or verify(m, mp, n))
+        # every label pair reaches a sum through its closed form, noted as
+        # the sum reads it; each sum_products call of bilocal notes how many
+        # pairs it read
+        pairs, items = [], bilocal._closed_form_items
+
+        def noting(m, mp, n, w):
+            pairs.append((m, mp))
+            yield from items(m, mp, n, w)
+
+        monkeypatch.setattr(bilocal, "_closed_form_items", noting)
+        consumed, kernel = [], bilocal.sum_products
+
+        def counting(it):
+            before = len(pairs)
+            out = kernel(it)
+            consumed.append(len(pairs) - before)
+            return out
+
+        monkeypatch.setattr(bilocal, "sum_products", counting)
         rec = _basis_record(size)
         assert rec.passed and rec.defect == ""
-        # the identity label at each size up to L, then every E_ab x E_cd
+        # the identity label at each size up to L, one sum each, then every
+        # E_ab x E_cd exactly once, all in one sum, then the transposed-rhs
+        # control's closed form
         basis = [{(a, b): 1} for a in range(size) for b in range(size)]
-        assert pairs[size:] == [(e, f) for e in basis for f in basis]
+        assert pairs[size:-1] == [(e, f) for e in basis for f in basis]
+        assert [n for n in consumed if n] == [1] * size + [size ** 4, 1]
 
     def test_the_closed_form_at_the_transposed_label_fails(self, monkeypatch):
         # the closed form taken at tM' in place of M' misses the Wick

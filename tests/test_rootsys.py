@@ -3,7 +3,8 @@ from functools import partial
 
 import pytest
 
-from minrep import rootsys
+import rootsys_oracle
+from minrep import cli, rootsys
 from minrep.rootsys import build_root_system, grade_by_highest_root, minimal_orbit_report
 
 
@@ -428,3 +429,28 @@ def _closure_oracle(cartan) -> set:
 def test_closure_carrying_pairings_gives_the_oracle_roots(family, rank):
     cartan, _ = rootsys.DYNKIN[family](rank)
     assert set(build_root_system(family, rank).roots) == _closure_oracle(cartan)
+
+
+# every rank the table1 command accepts, and each exceptional type
+_CLI_RANKS = ([(fam, r) for fam, least in rootsys._MIN_RANK.items()
+               for r in range(least, cli.TABLE1_MAX_RANK + 1)]
+              + [(fam, None) for fam in rootsys.EXCEPTIONAL_RANK])
+
+
+def test_positive_closure_matches_the_full_reflection_closure():
+    assert len(_CLI_RANKS) == 30 + 29 + 29 + 28 + 5
+    for family, rank in _CLI_RANKS:
+        got = build_root_system(family, rank)
+        want = rootsys_oracle.build_root_system(family, rank)
+        assert got.roots == want.roots, got.label
+        assert got.positive_roots == want.positive_roots, got.label
+        assert got.highest_root == want.highest_root, got.label
+
+
+def test_an_affine_matrix_raises_through_the_overflow_guard(monkeypatch):
+    # affine A2, the 3-cycle, has infinitely many positive real roots, so
+    # the raising closure never ends without its bound: A3's 12 roots
+    monkeypatch.setitem(rootsys.DYNKIN, "A", lambda r: (
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [1, 1, 1]))
+    with pytest.raises(rootsys.RootSystemError, match="A3: the reflection closure passed 12 roots"):
+        build_root_system("A", 3)
