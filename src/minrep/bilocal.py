@@ -19,7 +19,8 @@ product.  The closed form writes each label product as an index sum over
 the nonzero entries, keyed like the Wick terms, a route apart from the
 Wick combinatorics.  The formula check hands the Wick commutator's terms
 and minus the closed form's of any number of tagged label pairs to one
-``scalars.sum_products`` call, keyed by tag; a pair passes when none of
+``scalars.sum_products`` call, keyed by tag, each label's field built
+once per call at each of its point pairs; a pair passes when none of
 its totals is left, and the totals left, grouped pair by pair with their
 transposed halves, are its defect, of which a failing check renders the
 first terms.  Both routes sum through that kernel, so the check does not
@@ -282,10 +283,20 @@ def _formula_items(label_pairs, size: int):
     """((tag, key), x, y, w) of each (tag, M, M') pair: minus the closed
     form's products, then the Wick commutator's, under the pair's tag.  The
     closed form goes first, so a label entry outside the size is refused
-    before any Wick term of its pair is formed."""
+    before any Wick term of its pair is formed.  Each label's field is
+    built once per call at each of its two point pairs, keyed by the
+    label's entries, however many pairs it is in."""
+    fields: dict = {}
+
+    def field(m: dict, p: int, q: int) -> WickElement:
+        key = (p, tuple(m.items()))
+        f = fields.get(key)
+        if f is None:
+            f = fields[key] = _field(m.items(), p, q)
+        return f
+
     for tag, m, mp in label_pairs:
-        wick = _wick_items(_flavor_sharing_pairs(_field(m.items(), 1, 2),
-                                                 _field(mp.items(), 3, 4)), True)
+        wick = _wick_items(_flavor_sharing_pairs(field(m, 1, 2), field(mp, 3, 4)), True)
         for key, x, y, w in chain(_closed_form_items(m, mp, size, -1), wick):
             yield (tag, key), x, y, w
 

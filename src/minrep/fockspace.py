@@ -21,10 +21,12 @@ pass.
 
 A dual pair (A, B), with B the flavor gauge algebra, is built once by
 ``dual_pair``; the decomposition, the closure and the helicity read it.
-The closure compares each sampled commutator's columns with the bracket
-of its two operators' columns in one ``linalg.bracket_defect`` call, and
-reads each bilinear's pairing blocks as {(i, j): entry} dicts, with no
-dense matrix.
+The closure sums each of its batches in one kernel call: the central
+terms of all pairs of bilinears, from their pairing blocks indexed by
+position, with no dense matrix; the brackets of all the sampled pairs;
+and the membership of all their matrices.  Its Fock cross-check compares
+each sampled commutator's columns with the bracket of its two operators'
+columns in one ``linalg.bracket_defect`` call.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from operator import mul
 from typing import NamedTuple
@@ -40,10 +42,10 @@ from typing import NamedTuple
 from . import linalg, oscrep
 from .lincomb import LinComb, column_sum
 from .reports import Report, render_defect
-from .scalars import QI, QI_I, QI_ONE, QI_ZERO, int_if_integer, sum_products
+from .scalars import QI_I, QI_ONE, QI_ZERO, int_if_integer, sum_products
 from .weylalg import (Mode, Polarization, SpanError, WeylElement, WeylMonomial, commutator,
-                      matrix_from_quadratic, mode_action_matrix, quadratic_blocks,
-                      quadratic_from_matrix, standard_polarization, walk, walker_terms)
+                      commutators, matrix_from_quadratic, mode_action_matrix, quadratic_blocks,
+                      quadratics_from_matrices, standard_polarization, walk, walker_terms)
 
 
 class FockError(ValueError):
@@ -385,13 +387,13 @@ class DualPair:
             return tuple(out)
         if self.family == "u_pq":
             mats = oscrep.unitary_basis([1] * self.k + [-1] * self.k)
-            if not all(oscrep.matrix_membership(m, self.spec) for m in mats):
+            if not all(oscrep.matrix_membership(mats, self.spec)):
                 raise FockError("u(p,q) basis element fails membership")
             if len(mats) != (2 * self.k) ** 2:
                 raise FockError("u(p,q) basis has the wrong dimension")
         else:
             mats = oscrep.so_star_basis(self.k)
-        return tuple(quadratic_from_matrix(m, self.polarization).without_scalar() for m in mats)
+        return tuple(q.without_scalar() for q in quadratics_from_matrices(mats, self.polarization))
 
     @cached_property
     def chevalley(self) -> oscrep.GeneratorSet | None:
@@ -449,20 +451,34 @@ def dual_pair(family: str, k: int, flavors: int = 1) -> DualPair:
     return DualPair(family, k, flavors)
 
 
-def central_pairing(x_blocks, y_blocks) -> QI:
-    """Closed-form central term 2 tr(gamma_x beta_y) - 2 tr(beta_x gamma_y).
+def central_pairing(blocks) -> dict:
+    """{(s, t): omega} of each pair s <= t of bilinears whose closed-form
+    central term omega = 2 tr(gamma_s beta_t) - 2 tr(beta_s gamma_t) is not
+    zero.
 
-    Each argument is a bilinear's (beta, gamma) blocks from
-    ``quadratic_blocks``, each as {(i, j): entry}, built once per bilinear
-    by the caller, so both traces are summed over nonzero entries only, in
-    one kernel call.  This is the trace-form cocycle produced by the double
-    contractions and serves as the matrix-side cross-check of the symbolic
-    scalar part.
+    blocks[s] is bilinear s's (beta, gamma) blocks from ``quadratic_blocks``,
+    each as {(i, j): entry}, built once per bilinear by the caller.  Every
+    pair's traces are summed in one kernel call keyed by (s, t), and each
+    entry meets only the entries at its transposed position, so only
+    products of nonzero entries are formed.  This is the trace-form
+    cocycle produced by the double contractions and serves as the
+    matrix-side cross-check of the symbolic scalar part.
     """
-    bx, gx = x_blocks
-    by, gy = y_blocks
-    return sum_products(chain(linalg.trace_items(gx, by, 2),
-                              linalg.trace_items(bx, gy, -2))).get(0, QI_ZERO)
+    return sum_products(_pairing_items(blocks))
+
+
+def _pairing_items(blocks):
+    """The trace items of each pair s <= t, s from the last bilinear down:
+    bilinear s joins the position indexes just before its own items are
+    formed, so the indexes then hold exactly the bilinears t >= s."""
+    beta_at: dict = {}
+    gamma_at: dict = {}
+    for s in reversed(range(len(blocks))):
+        beta, gamma = blocks[s]
+        linalg.index_positions(beta_at, s, beta)
+        linalg.index_positions(gamma_at, s, gamma)
+        yield from linalg.trace_items(gamma, beta_at, 2, s)
+        yield from linalg.trace_items(beta, gamma_at, -2, s)
 
 
 def cross_check_basis_size(family: str, k: int, flavors: int, level: int) -> int:
@@ -487,23 +503,22 @@ def truncated_closure_check(family: str, k: int, flavors: int, level: int,
 
     charges = []
     pairs = [(s, t) for s in range(len(elems)) for t in range(s, len(elems))]
-    blocks = [quadratic_blocks(e, modes)[1:] for e in elems]
-    omegas = {(s, t): central_pairing(blocks[s], blocks[t]) for s, t in pairs}
+    omegas = central_pairing([quadratic_blocks(e, modes)[1:] for e in elems])
     if pair_limit is not None and pair_limit < len(pairs):
         # keep every pair with a nonzero trace-form pairing (the central
         # charge is read off there), fill up with an even subsample
-        keep = {p for p in pairs if omegas[p]}
+        keep = set(omegas)
         step = max(1, len(pairs) // pair_limit)
         sampled = [p for p in pairs[::step] if p not in keep]
         pairs = sorted(keep.union(sampled[:max(0, pair_limit - len(keep))]))
-    for s, t in pairs:
-        br = commutator(flavored[s], flavored[t])
+    brackets = commutators([(flavored[s], flavored[t]) for s, t in pairs])
+    structure = _closure_structure((br.without_scalar() for br in brackets), family, flavors,
+                                   modes, pol, spec)
+    for (s, t), br, (same, member) in zip(pairs, brackets, structure):
         scalar = br.scalar_part()
-        quad = br.without_scalar()
-        same, member = _closure_structure(quad, family, flavors, modes, pol, spec)
         rep.add(f"{family}/k{k}N{flavors}/pair{s:03d},{t:03d}/closure", same and member,
                 detail="flavor-uniform quadratic inside the algebra")
-        omega = omegas[s, t]
+        omega = omegas.get((s, t), QI_ZERO)
         want = omega * flavors
         rep.add(f"{family}/k{k}N{flavors}/pair{s:03d},{t:03d}/central", scalar == want,
                 detail=f"scalar {scalar}, trace form {omega}",
@@ -518,20 +533,26 @@ def truncated_closure_check(family: str, k: int, flavors: int, level: int,
     return rep
 
 
-def _closure_structure(quad, family, flavors, modes, pol, spec):
-    """Split a commutator by flavor and test membership of its matrix."""
-    try:
-        parts = _flavor_parts(quad, flavors)
-        if family == "sp_real":
-            mats = [mode_action_matrix(p, modes) for p in parts]
+def _closure_structure(quads, family, flavors, modes, pol, spec) -> list:
+    """(same, member) of each commutator of quads: whether its flavor parts
+    have one matrix, and whether that matrix lies in the algebra, every
+    matrix tested in one membership call.  A commutator that is no flavor
+    sum of quadratics in the modes is (False, False)."""
+    split = []
+    for quad in quads:
+        try:
+            parts = _flavor_parts(quad, flavors)
+            if family == "sp_real":
+                mats = [mode_action_matrix(p, modes) for p in parts]
+            else:
+                mats = [matrix_from_quadratic(p, pol) for p in parts]
+        except SpanError:
+            split.append(None)
         else:
-            mats = [matrix_from_quadratic(p, pol) for p in parts]
-    except SpanError:
-        return False, False
+            split.append((all(m == mats[0] for m in mats[1:]), mats[0]))
     # sign and transpose are irrelevant for sp_real: the family is stable under both
-    member = oscrep.matrix_membership(mats[0], spec)
-    same = all(m == mats[0] for m in mats[1:])
-    return same, member
+    members = iter(oscrep.matrix_membership([x[1] for x in split if x is not None], spec))
+    return [(False, False) if x is None else (x[0], next(members)) for x in split]
 
 
 def _flavor_parts(w: WeylElement, flavors: int) -> list:

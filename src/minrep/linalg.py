@@ -33,8 +33,10 @@ Every algebra matrix is a ``{(row, col): entry}`` dict of its nonzero
 entries, which is also a sparse vector that ``rank``, ``kernel`` and
 ``in_span`` read.  ``product`` sums its products in ints through
 ``scalars.sum_products``, so its entries are ``QI``; ``dict_transpose``
-swaps the indices and ``trace_items`` hands the products of tr(ab) to
-``sum_products``.
+swaps the indices.  ``index_positions`` indexes matrices by the
+positions of their entries, and ``trace_items`` hands the products of
+tr(ab), for a matrix a against every b such an index holds, to
+``sum_products``, forming only the products of entries that meet.
 """
 
 from __future__ import annotations
@@ -95,10 +97,22 @@ def dict_transpose(m: dict) -> dict:
     return {(j, i): x for (i, j), x in m.items()}
 
 
-def trace_items(a: dict, b: dict, w: int):
-    """(0, a_ik, b_ki, w) for each product in tr(ab), for sum_products, with
-    a and b given as {(row, col): entry} of their nonzero entries."""
-    return ((0, x, y, w) for (i, k), x in a.items() if (y := b.get((k, i))))
+def index_positions(at: dict, key, m: dict) -> None:
+    """Add the matrix m, {(row, col): entry} of its nonzero entries, to the
+    position index at, {(row, col): [(key, entry)]}, under key."""
+    for ij, x in m.items():
+        at.setdefault(ij, []).append((key, x))
+
+
+def trace_items(a: dict, at: dict, w: int, tag):
+    """((tag, key), a_ik, b_ki, w) for each product in w tr(ab), for
+    sum_products, over every matrix b that the position index at holds
+    under key, a given as {(row, col): entry} of its nonzero entries.  Each
+    entry of a meets only the entries at its transposed position, so a
+    product is formed only where both factors are nonzero."""
+    for (i, k), x in a.items():
+        for key, y in at.get((k, i), ()):
+            yield (tag, key), x, y, w
 
 
 class ColumnMap(dict):

@@ -8,7 +8,9 @@ and the degree-two relation among the noncompact raising operators of
 so*(8) are all verified as exact symbolic identities.  The Lie algebra
 matrices (bases, duals, membership arguments) are {(row, col): entry}
 dicts of their nonzero entries, multiplied by ``linalg.product`` and
-summed through ``scalars.sum_products``.
+summed through ``scalars.sum_products``.  Each batch of them is one such
+call: the membership of a list of matrices, the Gram and the dual rows
+of a basis, and the quadratics the Casimir relation reads.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from itertools import chain
 from . import linalg
 from .reports import Report, render_defect
 from .rootsys import cartan_a_type, cartan_d_type
-from .scalars import QI, QI_I, QI_ONE, QI_ZERO, int_if_integer, sum_products
+from .scalars import QI, QI_I, QI_ONE, QI_ZERO, int_if_integer, sum_batches, sum_products
 from .weylalg import (WeylElement, Polarization, commutator, ad_power, normal_product,
-                      quadratic_from_matrix, standard_polarization, sum_of_products)
+                      quadratic_from_matrix, quadratics_from_matrices, standard_polarization,
+                      sum_of_products)
 
 
 class AlgebraError(ValueError):
@@ -104,44 +107,60 @@ def form_spec(family: str, k: int) -> FormSpec:
     raise AlgebraError(f"unknown form family {family!r}")
 
 
-def matrix_membership(x: dict, spec: FormSpec) -> bool:
-    """Whether X, given as {(row, col): entry} of its nonzero QI entries,
-    lies in the family's algebra: X*beta + beta X = 0 and t(X) sigma +
-    sigma X = 0 for the forms the spec has, or, for sp_real, X J + J t(X)
-    = 0 with X of the real shape [[a, conj b], [b, conj a]].
+# Each family's conditions L F + F R = 0 on X, as (L, form, R), with L
+# and R read off X: so_star's two forms fix the block shape [[u, v],
+# [v*, -u^T]] with u antihermitian and v antisymmetric, so X is traceless.
+_CONDITIONS = {"sp_real": (("x", "sympl", "trans"),),
+               "u_pq": (("star", "beta", "x"),),
+               "so_star": (("star", "beta", "x"), ("trans", "sigma", "x"))}
 
-    Each condition is summed over X's nonzero entries (and the form's), so
-    no dense product is formed.  An entry outside the form's size raises.
+
+def matrix_membership(xs: list, spec: FormSpec) -> list:
+    """Whether each X of xs, given as {(row, col): entry} of its nonzero QI
+    entries, lies in the family's algebra, one verdict per matrix, in
+    order: X*beta + beta X = 0 and t(X) sigma + sigma X = 0 for the forms
+    the spec has, or, for sp_real, X J + J t(X) = 0 with X of the real
+    shape [[a, conj b], [b, conj a]].
+
+    Every condition of every matrix is summed over X's nonzero entries (and
+    the form's) in one kernel call keyed by (matrix index, condition,
+    entry), so no dense product is formed.  An entry outside the form's
+    size raises.
     """
     n = spec.size
-    if not all(0 <= i < n and 0 <= k < n for i, k in x):
+    conditions = _CONDITIONS.get(spec.family)
+    if conditions is None:
+        raise AlgebraError(f"unknown form family {spec.family!r}")
+    if not all(0 <= i < n and 0 <= k < n for x in xs for i, k in x):
         raise AlgebraError(f"matrix size does not match the {spec.family} form ({n})")
-    nonzero = [(i, k, v) for (i, k), v in x.items()]
-    trans = [(k, i, v) for i, k, v in nonzero]
-    if spec.family == "sp_real":
-        # the real shape: moving an entry by half the size in both indices conjugates it
-        h = n // 2
-        return (_form_vanishes(nonzero, spec.index["sympl"], trans)
-                and {((i + h) % n, (k + h) % n): v.conj() for i, k, v in nonzero} == x)
-    star = [(k, i, v.conj()) for i, k, v in nonzero]
-    if spec.family == "u_pq":
-        return _form_vanishes(star, spec.index["beta"], nonzero)
-    if spec.family == "so_star":
-        # the two forms fix the block shape [[u, v], [v*, -u^T]] with u
-        # antihermitian and v antisymmetric, so X is traceless
-        return (_form_vanishes(star, spec.index["beta"], nonzero)
-                and _form_vanishes(trans, spec.index["sigma"], nonzero))
-    raise AlgebraError(f"unknown form family {spec.family!r}")
+    failing = {key[0] for key in sum_products(chain.from_iterable(
+        _condition_items(t, x, conditions, spec.index) for t, x in enumerate(xs)))}
+    verdicts = [t not in failing for t in range(len(xs))]
+    if spec.family != "sp_real":
+        return verdicts
+    # the real shape: moving an entry by half the size in both indices conjugates it
+    h = n // 2
+    return [ok and {((i + h) % n, (k + h) % n): v.conj() for (i, k), v in x.items()} == x
+            for ok, x in zip(verdicts, xs)]
 
 
-def _form_vanishes(left, form, right) -> bool:
-    """Whether L F + F R = 0, for L and R given as (row, col, value) lists
-    of their nonzero entries and F as its nonzero entries by row and by
-    column."""
-    rows, cols = form
-    return not sum_products(chain(
-        (((i, j), v, f, 1) for i, k, v in left for j, f in rows.get(k, ())),
-        (((i, j), f, v, 1) for k, j, v in right for i, f in cols.get(k, ()))))
+def _condition_items(t, x: dict, conditions, index):
+    """((t, c, i, j), ...) of each condition c's L F + F R, for
+    sum_products, with L and R the (row, col, value) entries of X, its
+    transpose or its conjugate transpose and F's nonzero entries by row
+    and by column from the spec's index."""
+    views = {"x": [(i, k, v) for (i, k), v in x.items()]}
+    views["trans"] = [(k, i, v) for i, k, v in views["x"]]
+    if any(left == "star" for left, _, _ in conditions):
+        views["star"] = [(k, i, v.conj()) for i, k, v in views["x"]]
+    for c, (left, form, right) in enumerate(conditions):
+        rows, cols = index[form]
+        for i, k, v in views[left]:
+            for j, f in rows.get(k, ()):
+                yield (t, c, i, j), v, f, 1
+        for k, j, v in views[right]:
+            for i, f in cols.get(k, ()):
+                yield (t, c, i, j), f, v, 1
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +482,8 @@ def so_star_basis(n: int) -> list[dict]:
             for c in (QI_ONE, QI_I):
                 v = _antisymmetric(a, b, c)
                 out.append(_noncompact_block(v, _star(v), k))
-    for x in out:
-        if not matrix_membership(x, spec):
-            raise AlgebraError("constructed basis element fails membership")
+    if not all(matrix_membership(out, spec)):
+        raise AlgebraError("constructed basis element fails membership")
     if len(out) != k * (2 * k - 1):
         raise AlgebraError("so* basis has the wrong dimension")
     return out
@@ -524,19 +542,21 @@ def _dual_basis(basis: list[dict]) -> list[dict]:
 
     The Gram entry tr(x_a x_b) sums v * w over the entries v = x_a[i][k]
     and w = x_b[k][i], so an index from each position to the basis
-    matrices nonzero there reaches only the pairs that share one.
+    matrices nonzero there reaches only the pairs that share one.  All the
+    Gram rows are summed in one kernel call keyed by (a, b), and all the
+    dual rows in another keyed by (a, position).
     """
+    n = len(basis)
     at: dict = {}
     for b, x in enumerate(basis):
-        for ik, v in x.items():
-            at.setdefault(ik, []).append((b, v))
-    gram = [sum_products((b, v, w, 1) for (i, k), v in x.items() for b, w in at.get((k, i), ()))
-            for x in basis]
+        linalg.index_positions(at, b, x)
+    gram = sum_batches(chain.from_iterable(linalg.trace_items(x, at, 1, a)
+                                           for a, x in enumerate(basis)), n)
     if not all(c.is_real() for row in gram for c in row.values()):
         raise AlgebraError("the trace form is not real on the basis")
     # dual a = sum_b inv[a][b] basis[b], over the nonzeros of both
-    return [sum_products((ik, c, v, 1) for b, c in inv_row.items() for ik, v in basis[b].items())
-            for inv_row in linalg.inverse(gram)]
+    return sum_batches((((a, ik), c, v, 1) for a, inv_row in enumerate(linalg.inverse(gram))
+                        for b, c in inv_row.items() for ik, v in basis[b].items()), n)
 
 
 def casimir_elements(gens: GeneratorSet, pol: Polarization):
@@ -548,20 +568,21 @@ def casimir_elements(gens: GeneratorSet, pol: Polarization):
     the maximal compact u(2n) then carries H^2/(4n), and the noncompact
     products enter Weyl (symmetrically) ordered.  In this normalization the
     Casimir relation C_so = C_u - sym(E E*) holds exactly, with unit scale
-    and no central constant, which casimir_defect certifies.  Each of the
-    three is summed over all of its products in one kernel call.
+    and no central constant, which casimir_defect certifies.  The
+    quadratics of both bases and their duals are read in one kernel call,
+    and each of the three is summed over all of its products in one more.
     """
     k = pol.size // 2
     n = k // 2
-
-    def dual_pairs(basis):
-        return [(quadratic_from_matrix(x, pol), quadratic_from_matrix(xd, pol))
-                for x, xd in zip(basis, _dual_basis(basis))]
-
-    c_so = sum_of_products(dual_pairs(so_star_basis(n)))
+    so_basis = so_star_basis(n)
     su_basis = [_compact_block(u, k) for u in unitary_basis([1] * k, traceless=True)]
+    m, p = len(so_basis), len(su_basis)
+    quads = quadratics_from_matrices(
+        so_basis + _dual_basis(so_basis) + su_basis + _dual_basis(su_basis), pol)
+    c_so = sum_of_products(zip(quads[:m], quads[m:2 * m]))
     h = gens.extras["H"]
-    c_u = sum_of_products(dual_pairs(su_basis) + [(h.scale(Fraction(1, 4 * n)), h)])
+    c_u = sum_of_products(chain(zip(quads[2 * m:2 * m + p], quads[2 * m + p:]),
+                                [(h.scale(Fraction(1, 4 * n)), h)]))
     ee = []
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):

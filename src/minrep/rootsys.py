@@ -196,14 +196,19 @@ def _theta_pairings(rs: RootSystem) -> list[int]:
 
 
 def grade_by_highest_root(rs: RootSystem) -> FiveGrading:
+    """The dimensions of the ad(H_theta) eigenspaces.  A root b has the
+    eigenvalue 2(b|theta)/(theta|theta), so only the positive roots are
+    paired with G theta: each negative root is the negation of one, with
+    minus its eigenvalue."""
     g_theta = _theta_pairings(rs)
     tt = sum(t * p for t, p in zip(rs.highest_root, g_theta))
     dims = {-2: 0, -1: 0, 0: rs.rank, 1: 0, 2: 0}
-    for r in rs.roots:
+    for r in rs.positive_roots:
         e, rem = divmod(2 * sum(b * p for b, p in zip(r, g_theta)), tt)
         if rem or not -2 <= e <= 2:
             raise RootSystemError(f"grading eigenvalue of {r} is not an integer in -2..2")
         dims[e] += 1
+        dims[-e] += 1
     if dims[2] != 1 or dims[-2] != 1 or dims[1] != dims[-1]:
         raise RootSystemError(f"grading shape violated: {dims}")
     if sum(dims.values()) != rs.dim:

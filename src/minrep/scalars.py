@@ -8,8 +8,10 @@ Equal values therefore have equal fields, and arithmetic runs on ints;
 ``sum_products`` sums many weighted products w*x*y per key in ints, w an
 int, and reduces each total once, giving the QI that ``+`` and ``*`` give
 without building one per operation; an int operand is read as it is,
-without building a QI.  Outside QI's own methods it is the one reader of
-the fields, and the Wick kernel, the matrix products, the polynomial
+without building a QI.  ``sum_batches`` sums many small sums in one such
+call, each item keyed by (batch index, key), and splits the totals once.
+Outside QI's own methods ``sum_products`` is the one reader of the
+fields, and the Wick kernel, the matrix products, the polynomial
 operators and the polynomial product all sum through it.  ``residues`` is the other reader: it
 maps a vector's entries to a prime field in which i has a square root,
 for ``linalg``'s rank certificate.  ``int_if_integer`` reads a real-integer
@@ -240,6 +242,17 @@ def sum_products(items) -> dict:
             s[1] = s[1] * u + im * v
             s[2] *= u
     return {key: _reduced(*s) for key, s in acc.items() if s[0] or s[1]}
+
+
+def sum_batches(items, n: int) -> list[dict]:
+    """The n batches' {key: total} dicts, in batch order, of items keyed
+    (batch index, key): one sum_products call, whose totals are split once.
+    Each batch's keys keep the order of its first items, as its own call
+    would give them; a batch whose totals are all zero is an empty dict."""
+    out = [{} for _ in range(n)]
+    for (i, key), total in sum_products(items).items():
+        out[i][key] = total
+    return out
 
 
 def residues(vector: dict, p: int, root: int) -> dict | None:

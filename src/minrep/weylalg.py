@@ -14,10 +14,12 @@ orders.  A pair that meets in one mode, once on each side, contracts once
 with weight 1 and its monomial is built directly; any other pair goes
 through every count of contractions.  Products and commutators hand their
 terms to ``scalars.sum_products``, which sums them in ints;
-``sum_of_products`` sums many products in one such call.
-Quadratics phi~ X phi are read off the polarization's table of
-normal-ordered products, with X a {(row, col): entry} dict of its nonzero
-entries, as are the matrices read back off a quadratic.
+``sum_of_products`` sums many products in one such call, and
+``commutators`` forms many brackets in one, each keyed by its pair's
+index, as the polarization forms its table.  Quadratics phi~ X phi are
+read off the polarization's table of normal-ordered products, with X a
+{(row, col): entry} dict of its nonzero entries, many matrices' in one
+call, as are the matrices read back off a quadratic.
 
 An element acts on the states a*^n|0>, or in the Bargmann picture
 (a* = z, a = d/dz) on the monomials z^n, both keyed by the exponent
@@ -38,7 +40,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .lincomb import LinComb
-from .scalars import QI, QI_ZERO, int_if_integer, sum_products
+from .scalars import QI, QI_ZERO, int_if_integer, sum_batches, sum_products
 
 Mode = tuple
 
@@ -219,8 +221,25 @@ def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
     cancels and is never formed, and a pair that does not contract in an
     order is not visited in it.
     """
-    return WeylElement._nonzero(sum_products(chain(_contraction_items(x, y, 1),
-                                                   _contraction_items(y, x, -1))))
+    return WeylElement._nonzero(sum_products(_commutator_items(x, y)))
+
+
+def commutators(pairs: list) -> list:
+    """[x, y] of each (x, y) of pairs, in order: every pair's contracted
+    terms are summed in one kernel call, keyed by (pair index, monomial)."""
+    return _batched(_commutator_items, pairs)
+
+
+def _commutator_items(x: WeylElement, y: WeylElement):
+    return chain(_contraction_items(x, y, 1), _contraction_items(y, x, -1))
+
+
+def _batched(items_of, pairs: list) -> list:
+    """The element of items_of(x, y) for each (x, y) of pairs, in order, all
+    summed in one kernel call keyed by (pair index, monomial)."""
+    return [WeylElement._nonzero(t) for t in sum_batches(
+        (((i, mono), qx, qy, w) for i, (x, y) in enumerate(pairs)
+         for mono, qx, qy, w in items_of(x, y)), len(pairs))]
 
 
 def _contraction_items(x: WeylElement, y: WeylElement, sign: int):
@@ -305,7 +324,9 @@ class Polarization:
     phi~_a phi^b must normal-order to a coefficient c_ab times a monomial
     of its own, plus a scalar; ``products`` maps that monomial to
     (a, b, c_ab), and ``table[a][b]`` is (monomial, c_ab, scalar), both
-    read-only.  Construction raises ValueError if either condition fails.
+    read-only.  Construction forms all the brackets [phi^b, phi~_a] in one
+    kernel call and all the products phi~_a phi^b in another, and raises
+    ValueError if either condition fails.
     """
 
     phi: tuple[WeylElement, ...]
@@ -314,23 +335,22 @@ class Polarization:
     table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        ab = [(a, b) for a in range(len(self.phi_tilde)) for b in range(len(self.phi))]
+        brackets = commutators([(self.phi[b], self.phi_tilde[a]) for a, b in ab])
+        if any(br != (_IDENTITY if a == b else _ZERO) for (a, b), br in zip(ab, brackets)):
+            raise ValueError("polarization does not satisfy the CCR pairing")
         products = {}
-        table = []
-        for a, ft in enumerate(self.phi_tilde):
-            row = []
-            for b, f in enumerate(self.phi):
-                if commutator(f, ft) != (_IDENTITY if a == b else _ZERO):
-                    raise ValueError("polarization does not satisfy the CCR pairing")
-                prod = normal_product(ft, f)
-                terms = prod.without_scalar().terms
-                if len(terms) != 1 or next(iter(terms)) in products:
-                    raise ValueError("phi~_a phi^b do not normal-order to distinct monomials")
-                (mono, c), = terms.items()
-                products[mono] = (a, b, c)
-                row.append((mono, c, prod.scalar_part()))
-            table.append(tuple(row))
+        table = [[] for _ in self.phi_tilde]
+        for (a, b), prod in zip(ab, _batched(_product_items,
+                                             [(self.phi_tilde[a], self.phi[b]) for a, b in ab])):
+            terms = prod.without_scalar().terms
+            if len(terms) != 1 or next(iter(terms)) in products:
+                raise ValueError("phi~_a phi^b do not normal-order to distinct monomials")
+            (mono, c), = terms.items()
+            products[mono] = (a, b, c)
+            table[a].append((mono, c, prod.scalar_part()))
         object.__setattr__(self, "products", MappingProxyType(products))
-        object.__setattr__(self, "table", tuple(table))
+        object.__setattr__(self, "table", tuple(map(tuple, table)))
 
     @property
     def size(self) -> int:
@@ -350,8 +370,15 @@ def standard_polarization(k: int) -> Polarization:
 
 
 def quadratic_from_matrix(x, pol: Polarization) -> WeylElement:
+    """phi~ X phi for X given as {(a, b): X_ab}: the one-matrix case of
+    quadratics_from_matrices."""
+    return quadratics_from_matrices([x], pol)[0]
+
+
+def quadratics_from_matrices(xs: list, pol: Polarization) -> list:
     """The literal bilinear sum_{ab} phi~_a X_ab phi^b, not normal subtracted,
-    for X given as {(a, b): X_ab}.
+    of each X of xs, given as {(a, b): X_ab}, in order, all summed in one
+    kernel call keyed by (matrix index, monomial).
 
     Reordering constants (e.g. b b* = b*b + 1) are kept, so the map is an
     exact Lie algebra homomorphism on matrices; any scalar offset against
@@ -360,15 +387,19 @@ def quadratic_from_matrix(x, pol: Polarization) -> WeylElement:
     of phi~_a phi^b, both from pol.table.
     """
     n = pol.size
-    items = []
-    for (a, b), v in x.items():
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"matrix must be {n}x{n} to match the polarization")
-        mono, c, scalar = pol.table[a][b]
-        items.append((mono, v, c, 1))
-        if scalar:
-            items.append((_ONE_MONO, v, scalar, 1))
-    return WeylElement._nonzero(sum_products(items))
+    table = pol.table
+
+    def items():
+        for t, x in enumerate(xs):
+            for (a, b), v in x.items():
+                if not (0 <= a < n and 0 <= b < n):
+                    raise ValueError(f"matrix must be {n}x{n} to match the polarization")
+                mono, c, scalar = table[a][b]
+                yield (t, mono), v, c, 1
+                if scalar:
+                    yield (t, _ONE_MONO), v, scalar, 1
+
+    return [WeylElement._nonzero(t) for t in sum_batches(items(), len(xs))]
 
 
 def matrix_from_quadratic(w: WeylElement, pol: Polarization) -> dict:

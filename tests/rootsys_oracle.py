@@ -1,10 +1,12 @@
 """The full reflection closure of a root system, the oracle of
 ``rootsys.build_root_system``: the simple roots are closed under every
 simple reflection, negatives included, and the positive roots are read
-off as the roots with no negative coordinate."""
+off as the roots with no negative coordinate.  ``grade_by_highest_root``
+is the oracle of the grading: every root, negatives included, is paired
+with G theta."""
 
-from minrep.rootsys import (DIM_FORMULA, DYNKIN, EXCEPTIONAL_RANK, _MIN_RANK, RootSystem,
-                            RootSystemError)
+from minrep.rootsys import (DIM_FORMULA, DYNKIN, EXCEPTIONAL_RANK, _MIN_RANK, FiveGrading,
+                            RootSystem, RootSystemError, _theta_pairings)
 
 
 def build_root_system(family: str, rank: int | None = None) -> RootSystem:
@@ -74,3 +76,18 @@ def build_root_system(family: str, rank: int | None = None) -> RootSystem:
         highest_root=theta,
     )
 
+
+def grade_by_highest_root(rs: RootSystem) -> FiveGrading:
+    g_theta = _theta_pairings(rs)
+    tt = sum(t * p for t, p in zip(rs.highest_root, g_theta))
+    dims = {-2: 0, -1: 0, 0: rs.rank, 1: 0, 2: 0}
+    for r in rs.roots:
+        e, rem = divmod(2 * sum(b * p for b, p in zip(r, g_theta)), tt)
+        if rem or not -2 <= e <= 2:
+            raise RootSystemError(f"grading eigenvalue of {r} is not an integer in -2..2")
+        dims[e] += 1
+    if dims[2] != 1 or dims[-2] != 1 or dims[1] != dims[-1]:
+        raise RootSystemError(f"grading shape violated: {dims}")
+    if sum(dims.values()) != rs.dim:
+        raise RootSystemError("grading does not sum to the algebra dimension")
+    return FiveGrading(dims=dims)

@@ -485,17 +485,15 @@ class TestClosure:
             flav = [fockspace.flavor_sum(e, flavors) for e in elems]
             blocks = [fockspace.quadratic_blocks(e, pair.modes)[1:] for e in elems]
             found = []
-            for s in range(len(elems)):
-                for t in range(len(elems)):
-                    omega = fockspace.central_pairing(blocks[s], blocks[t])
-                    if omega:
-                        scalar = commutator(flav[s], flav[t]).scalar_part()
-                        found.append(scalar / omega)
+            for (s, t), omega in fockspace.central_pairing(blocks).items():
+                assert omega and s <= t
+                scalar = commutator(flav[s], flav[t]).scalar_part()
+                found.append(scalar / omega)
             assert found and all(c == flavors for c in found)
 
     def test_blocks_and_pairings_are_computed_once(self, monkeypatch):
-        # one so*(4) check builds each bilinear's blocks once and pairs
-        # each pair once, for both the keep set and the central record
+        # one so*(4) check builds each bilinear's blocks once and pairs all
+        # of them in one call, for both the keep set and the central record
         calls = {"blocks": 0, "pairing": 0}
         blocks, pairing = fockspace.quadratic_blocks, fockspace.central_pairing
 
@@ -512,19 +510,20 @@ class TestClosure:
         n = len(fockspace.dual_pair("so_star", 1).a_span)
         rep = fockspace.truncated_closure_check("so_star", 1, 1, 0, 10, None)
         assert rep.ok
-        assert calls == {"blocks": n, "pairing": n * (n + 1) // 2}
+        assert calls == {"blocks": n, "pairing": 1}
 
     def test_structure_fails_span_errors_and_raises_breaches(self):
         modes, pol = [("a", 1), ("a", 2)], standard_polarization(2)
         spec = oscrep.form_spec("u_pq", 1)
         # a cross-flavor quadratic leaves the flavor-diagonal span: a failed check
         cross = WeylElement.monomial([("a", 1, 1)], [("a", 2, 1)])
-        assert fockspace._closure_structure(cross, "u_pq", 2, modes, pol, spec) == (False, False)
+        got = fockspace._closure_structure([cross], "u_pq", 2, modes, pol, spec)
+        assert got == [(False, False)]
         # a matrix entry outside the u(1,1) form's 2 x 2 is an internal
         # breach, which matrix_membership raises
         quad = WeylElement.monomial([("a", 1, 1), ("b", 1, 1)], [])
         with pytest.raises(oscrep.AlgebraError, match="does not match the u_pq form"):
-            fockspace._closure_structure(quad, "u_pq", 1, modes, pol, spec)
+            fockspace._closure_structure([quad], "u_pq", 1, modes, pol, spec)
 
     @pytest.mark.parametrize("family,k", [("so_star", 1), ("u_pq", 2)])
     @pytest.mark.parametrize("creators,annihilators", [
@@ -536,8 +535,8 @@ class TestClosure:
         # carrying one must not pass as a member of the algebra
         pair = fockspace.dual_pair(family, k)
         stray = mono(creators, annihilators)
-        got = fockspace._closure_structure(stray, family, 1, pair.modes, pair.polarization,
-                                           pair.spec)
+        got, = fockspace._closure_structure([stray], family, 1, pair.modes, pair.polarization,
+                                            pair.spec)
         assert got != (True, True)
 
 

@@ -215,8 +215,11 @@ def _trace(m):
 
 
 def _trace_of_items(a, b):
-    """tr(ab) of dense a and b, summed from linalg.trace_items of their entries."""
-    return sum_products(linalg.trace_items(_entries(a), _entries(b), 1)).get(0, QI(0))
+    """tr(ab) of dense a and b, summed from linalg.trace_items of their
+    entries, with b the one matrix of a position index."""
+    at = {}
+    linalg.index_positions(at, "b", _entries(b))
+    return sum_products(linalg.trace_items(_entries(a), at, 1, "a")).get(("a", "b"), QI(0))
 
 
 def _check_on_random_products(check, square_product=False):

@@ -53,7 +53,6 @@ EXEMPT = {
     "lincomb.LinComb.__hash__": "keeps an element hashable next to its __eq__",
     "lincomb.LinComb.__neg__": "the additive inverse, which the addition-law test and "
                                "the generator oracle read",
-    "scalars.QI.__hash__": "keeps a QI hashable next to its __eq__",
     "scalars.QI.__rsub__": "the test oracles subtract a QI from an int or Fraction",
     "scalars.QI.__rtruediv__": "the test oracles divide an int or Fraction by a QI",
     "lincomb.LinComb.__str__": "renders a failing identity's defect",

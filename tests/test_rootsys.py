@@ -447,6 +447,13 @@ def test_positive_closure_matches_the_full_reflection_closure():
         assert got.highest_root == want.highest_root, got.label
 
 
+def test_positive_grading_matches_the_grading_of_every_root():
+    for family, rank in _CLI_RANKS:
+        rs = build_root_system(family, rank)
+        got = grade_by_highest_root(rs).dims
+        assert got == rootsys_oracle.grade_by_highest_root(rs).dims, rs.label
+
+
 def test_an_affine_matrix_raises_through_the_overflow_guard(monkeypatch):
     # affine A2, the 3-cycle, has infinitely many positive real roots, so
     # the raising closure never ends without its bound: A3's 12 roots
