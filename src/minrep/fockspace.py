@@ -10,10 +10,10 @@ the columns that ``safe_columns`` derives from the level raises.  That
 level budget is the one overflow mechanism: every identity consumed from
 matrices is restricted to those columns.
 
-A column is one ``weylalg.walk`` of the state over the operator's terms,
-each tagged with a row offset, summed by ``lincomb.column_sum``: a
-real-integer operator's columns stay in ints, and one walk forms a
-state's column of one operator or, stacked, of several.  The
+A column is one ``weylalg.column`` walk of the state over the
+operator's terms, each tagged with a row offset, which sums the images
+as it walks: a real-integer operator's columns stay in ints, and one walk
+forms a state's column of one operator or, stacked, of several.  The
 lowest-weight decomposition forms each state's stacked lowering column
 in one walk.  Weights are read in ints off one table of the diagonal
 operators' terms, which keys every state's (level, weight) block in one
@@ -23,8 +23,8 @@ A dual pair (A, B), with B the flavor gauge algebra, is built once by
 ``dual_pair``; the decomposition, the closure and the helicity read it.
 The closure sums each of its batches in one kernel call: the central
 terms of all pairs of bilinears, from their pairing blocks indexed by
-position, with no dense matrix; the brackets of all the sampled pairs;
-and the membership of all their matrices.  Its Fock cross-check compares
+position, with no dense matrix; and, a fixed-size chunk of sampled pairs
+at a time, their brackets and their matrices' membership.  Its Fock cross-check compares
 each sampled commutator's columns with the bracket of its two operators'
 columns in one ``linalg.bracket_defect`` call.
 """
@@ -40,12 +40,13 @@ from operator import mul
 from typing import NamedTuple
 
 from . import linalg, oscrep
-from .lincomb import LinComb, column_sum
+from .lincomb import LinComb
 from .reports import Report, render_defect
 from .scalars import QI_I, QI_ONE, QI_ZERO, int_if_integer, sum_products
-from .weylalg import (Mode, Polarization, SpanError, WeylElement, WeylMonomial, commutator,
-                      commutators, matrix_from_quadratic, mode_action_matrix, quadratic_blocks,
-                      quadratics_from_matrices, standard_polarization, walk, walker_terms)
+from .weylalg import (Mode, Polarization, SpanError, WeylElement, WeylMonomial, column,
+                      column_terms, commutator, commutators, matrix_from_quadratic,
+                      mode_action_matrix, quadratic_blocks, quadratics_from_matrices,
+                      standard_polarization)
 
 
 class FockError(ValueError):
@@ -140,7 +141,7 @@ def _terms(ws, fock: TruncatedFock) -> list:
         for m in w.modes():
             if m not in pos:
                 raise FockError(f"mode {m} is not part of this Fock module")
-        terms += walker_terms(w, pos, k * fock.dim)
+        terms += column_terms(w, pos, k * fock.dim)
     top = max([len(cre) - len(ann) for _, _, ann, cre in terms] + [0])
     return [[t for t in terms if len(t[3]) - len(t[2]) <= r] for r in range(top + 1)]
 
@@ -155,8 +156,8 @@ def _column(terms, fock: TruncatedFock, col: int) -> dict:
     """
     state = fock.states[col]
     index = fock.index
-    return column_sum((offset + index[image], q * w) for offset, image, _, q, w in
-                      walk(terms[min(fock.cutoff - sum(state), len(terms) - 1)], ((state, 1),)))
+    return {offset + index[image]: v for (offset, image), v in
+            column(terms[min(fock.cutoff - sum(state), len(terms) - 1)], state).items()}
 
 
 def _weight_table(ws, fock: TruncatedFock) -> list:
@@ -486,6 +487,11 @@ def cross_check_basis_size(family: str, k: int, flavors: int, level: int) -> int
     return basis_size(len(dual_pair(family, k).modes) * flavors, level)
 
 
+# Pairs bracketed and tested per kernel call by the closure check, which
+# holds one chunk's brackets and matrices at a time, so its memory is bounded.
+_CLOSURE_CHUNK = 256
+
+
 def truncated_closure_check(family: str, k: int, flavors: int, level: int,
                             pair_limit: int | None, max_states: int | None) -> Report:
     """Commutators of flavored bilinears close with central charge = flavors.
@@ -493,6 +499,8 @@ def truncated_closure_check(family: str, k: int, flavors: int, level: int,
     Every pairwise commutator must decompose as (flavor-diagonal quadratic,
     identical across flavors, whose matrix lies in the family algebra) plus
     a scalar equal to flavors * (trace-form pairing of the two bilinears).
+    Each chunk of ``_CLOSURE_CHUNK`` pairs is bracketed in one call and its
+    matrices tested in one more; the records keep the order of the pairs.
     With level > 0 a sparse-matrix cross-check of a sample of commutators
     runs on a Fock truncation at that level, of at most `max_states` states.
     """
@@ -511,20 +519,22 @@ def truncated_closure_check(family: str, k: int, flavors: int, level: int,
         step = max(1, len(pairs) // pair_limit)
         sampled = [p for p in pairs[::step] if p not in keep]
         pairs = sorted(keep.union(sampled[:max(0, pair_limit - len(keep))]))
-    brackets = commutators([(flavored[s], flavored[t]) for s, t in pairs])
-    structure = _closure_structure((br.without_scalar() for br in brackets), family, flavors,
-                                   modes, pol, spec)
-    for (s, t), br, (same, member) in zip(pairs, brackets, structure):
-        scalar = br.scalar_part()
-        rep.add(f"{family}/k{k}N{flavors}/pair{s:03d},{t:03d}/closure", same and member,
-                detail="flavor-uniform quadratic inside the algebra")
-        omega = omegas.get((s, t), QI_ZERO)
-        want = omega * flavors
-        rep.add(f"{family}/k{k}N{flavors}/pair{s:03d},{t:03d}/central", scalar == want,
-                detail=f"scalar {scalar}, trace form {omega}",
-                defect=str(scalar - want))
-        if omega:
-            charges.append(scalar / omega)
+    for start in range(0, len(pairs), _CLOSURE_CHUNK):
+        chunk = pairs[start:start + _CLOSURE_CHUNK]
+        brackets = commutators([(flavored[s], flavored[t]) for s, t in chunk])
+        structure = _closure_structure((br.without_scalar() for br in brackets), family,
+                                       flavors, modes, pol, spec)
+        for (s, t), br, (same, member) in zip(chunk, brackets, structure):
+            scalar = br.scalar_part()
+            rep.add(f"{family}/k{k}N{flavors}/pair{s:03d},{t:03d}/closure", same and member,
+                    detail="flavor-uniform quadratic inside the algebra")
+            omega = omegas.get((s, t), QI_ZERO)
+            want = omega * flavors
+            rep.add(f"{family}/k{k}N{flavors}/pair{s:03d},{t:03d}/central", scalar == want,
+                    detail=f"scalar {scalar}, trace form {omega}",
+                    defect=str(scalar - want))
+            if omega:
+                charges.append(scalar / omega)
     rep.add(f"{family}/k{k}N{flavors}/central-charge",
             bool(charges) and all(c == flavors for c in charges),
             detail=f"{len(charges)} nonzero pairings, all at charge {flavors}")

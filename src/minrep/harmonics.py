@@ -16,11 +16,11 @@ creator and d/dz_i the annihilator, so the Laplacian is sum a_i a_i,
 H = sum a*_i a_i + 1 and L_j = i (a*_b a_a - a*_a a_b).
 L^2 = L- L+ + (L3 + 1) L3, which rests on [L1, L2] = i L3, is formed once
 by ``weylalg.sum_of_products``.
-``operator_columns`` holds the Laplacian, H, L^2 and L3 as
-``poly.columns``; one command builds them once and shares them, so each
-operator's image of a unit monomial is one walk, formed once.
-``verify_mode`` reads each eigen-defect (X - c) h off those columns, as
-one ``scalars.sum_products`` call over the terms of h.  The angular
+``operator_columns`` stacks the Laplacian, H, L^2 and L3, tagged 0 to
+3, in one column map, so a monomial's images under all four are one
+``weylalg.column`` walk, formed once per command.  ``verify_mode`` sums
+the four eigen-defects (X - c) h off those columns in one
+``scalars.sum_products`` call keyed (operator, monomial).  The angular
 algebra check forms each bracket's defect as one exact Weyl element with
 ``weylalg.commutator``; the Bargmann action is faithful, so an identity
 of the elements holds on polynomials of every degree.  The level counts
@@ -37,15 +37,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from math import comb
 
 from . import linalg
 from .linalg import ColumnMap
-from .poly import Poly, apply, columns, operator_terms
+from .poly import Poly, apply, operator_terms
 from .reports import Report, render_defect
-from .scalars import QI, QI_I, QI_ONE, sum_products
-from .weylalg import WeylElement, WeylMonomial, commutator, sum_of_products
+from .scalars import QI, QI_I, QI_ONE, sum_batches
+from .weylalg import WeylElement, WeylMonomial, column, commutator, sum_of_products
 
 NVARS = 4
 
@@ -161,35 +162,34 @@ def build_harmonic(n: int, l: int, m: int) -> HarmonicMode:
     return harmonic_ladder(n, l, _solid_harmonics(l))[l - m]
 
 
-def operator_columns() -> dict:
-    """A new ``poly.columns`` map of each operator the eigen-checks read,
-    keyed "laplacian", "H", "L^2" and "L3": each column, the image of a
-    unit monomial, is walked on its first read and then kept, so one
-    command that shares these maps forms each column once."""
-    return {"laplacian": columns(_LAPLACIAN), "H": columns(_HAMILTONIAN),
-            "L^2": columns(_L_SQUARED), "L3": columns(_L[3])}
+def operator_columns() -> ColumnMap:
+    """A new column map of the Laplacian, H, L^2 and L3 stacked, tagged 0
+    to 3: column m holds their images of x^m keyed (tag, image), walked on
+    its first read and then kept.  The operators are read at this call, so
+    one replaced on the module changes the map."""
+    ops = (_LAPLACIAN, _HAMILTONIAN, _L_SQUARED, _L[3])
+    return ColumnMap(partial(column, [t for tag, op in enumerate(ops)
+                                      for t in operator_terms(op, tag)]))
 
 
-def verify_mode(h: Poly, n: int, l: int, m: int, cols: dict) -> Report:
-    """Exact eigen-checks: harmonicity, H, L^2 and L3, read off the column
-    maps `cols` of ``operator_columns``.  Each defect (X - c) h is one
-    ``sum_products`` call over the terms of h, each term's column of X
-    and -c times the term, so no operator is applied to h.  A failing
-    record renders its defect as a bounded ``Poly``."""
+def verify_mode(h: Poly, n: int, l: int, m: int, cols: ColumnMap) -> Report:
+    """Exact eigen-checks: harmonicity, H, L^2 and L3, read off the
+    stacked columns `cols` of ``operator_columns``.  The four defects
+    (X - c) h are summed in one ``sum_products`` call keyed (operator,
+    monomial), over the terms of h, each term's stacked column and -c
+    times the term, so no operator is applied to h.  A failing record
+    renders its defect as a bounded ``Poly``."""
     rep = Report(f"harmonic/{n},{l},{m}")
-    for record, op, eigen in (("laplacian", "laplacian", 0), ("conformal-hamiltonian", "H", n),
-                              ("L2", "L^2", l * (l + 1)), ("L3", "L3", m)):
-        defect = Poly._nonzero(_eigen_defect(cols[op], h.terms, eigen))
+    records = (("laplacian", 0), ("conformal-hamiltonian", n), ("L2", l * (l + 1)), ("L3", m))
+    defects = sum_batches(chain(
+        ((key, c, u, 1) for mono, c in h.terms.items() for key, u in cols[mono].items()),
+        (((tag, mono), c, -eigen, 1) for tag, (_, eigen) in enumerate(records) if eigen
+         for mono, c in h.terms.items())), len(records))
+    for (record, _), defect in zip(records, defects):
+        defect = Poly._nonzero(defect)
         rep.add(f"mode/{n},{l},{m}/{record}", defect.is_zero(), defect=render_defect(defect))
     rep.add(f"mode/{n},{l},{m}/nonzero", not h.is_zero())
     return rep
-
-
-def _eigen_defect(op: ColumnMap, terms: dict, eigen: int) -> dict:
-    """The nonzero {monomial: total} of (X - eigen) h, for X's column map
-    and h's terms, summed in one ``sum_products`` call."""
-    return sum_products(chain(((r, c, u, 1) for mono, c in terms.items() for r, u in op[mono].items()),
-                              ((mono, c, -eigen, 1) for mono, c in terms.items() if eigen)))
 
 
 def level_count_check(modes: list[HarmonicMode]) -> Report:

@@ -4,7 +4,9 @@ Every algebraic object the package certifies identities between is a
 finite sum of basis keys with exact coefficients: Weyl and Wick elements,
 harmonic polynomials and Fock matrices.  They all store it the same way,
 as a ``{key: coefficient}`` dict holding no zero coefficient, so equality
-of two dicts is equality of the elements.
+of two dicts is equality of the elements.  The columns of every linear
+map, the Fock matrices and the polynomial operators alike, are such dicts
+too; ``weylalg.column``, the one walker, sums each as it walks it.
 """
 
 from __future__ import annotations
@@ -24,13 +26,6 @@ def combine(pairs, acc: dict) -> dict:
         s = get(key)
         acc[key] = c if s is None else s + c
     return acc
-
-
-def column_sum(items) -> dict:
-    """The {key: total} of (key, value) items with no zero total: one column
-    of a linear map.  Int values are summed as ints, so an int column stays
-    in ints."""
-    return {k: v for k, v in combine(items, {}).items() if v}
 
 
 class LinComb:

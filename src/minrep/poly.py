@@ -11,26 +11,23 @@ Every linear operator on them is a ``WeylElement`` in the Bargmann
 picture: a mode (name, i) stands for the variable x_i, its creator for
 multiplication by x_i and its annihilator for d/dx_i, so a normal-ordered
 monomial is x^a d^b and a monomial is its own occupation state.
-``operator_terms`` reads an element's terms once for ``weylalg.walk``,
-whose images of a monomial are keyed by the image monomial itself.
-``columns`` holds an operator as a ``linalg.ColumnMap``: column m, the
-image of the unit monomial x^m, is one walk summed by
-``lincomb.column_sum`` the first time it is read, so a real-integer
-operator's columns stay in ints; the harmonic eigen-checks read them.
-``apply`` maps a ``Poly`` through an operator's terms in one
-``scalars.sum_products`` call over their images.  The action is
-faithful, so an identity of operators is checked on their elements.
+``operator_terms`` reads an element's terms once for ``weylalg.column``,
+the one walker, whose column of a monomial is keyed by (tag, image
+monomial): the harmonic eigen-checks stack several operators' terms
+under their own tags and read each monomial's column of all of them in
+one walk.  ``apply`` maps a ``Poly`` through an operator's terms, summing
+c times the column of each term c x^m in one ``scalars.sum_products``
+call.  The action is faithful, so an identity of operators is checked on
+their elements.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from operator import add
 
-from .linalg import ColumnMap
-from .lincomb import LinComb, column_sum
+from .lincomb import LinComb
 from .scalars import QI_ONE, sum_products
-from .weylalg import WeylElement, walk, walker_terms
+from .weylalg import WeylElement, column, column_terms
 
 
 class Poly(LinComb):
@@ -100,24 +97,15 @@ class Poly(LinComb):
         return f"({c})" + (f"*{mono}" if mono else "")
 
 
-def operator_terms(w: WeylElement) -> list:
-    """w's walker terms over polynomials: the mode (name, i) is x_i."""
-    return walker_terms(w, {m: m[1] for m in w.modes()})
-
-
-def columns(w: WeylElement) -> ColumnMap:
-    """w as a map of its columns, each the image of a unit monomial,
-    formed by one walk on its first read."""
-    return ColumnMap(partial(_column, operator_terms(w)))
-
-
-def _column(terms, m: tuple) -> dict:
-    return column_sum((image, q * w) for _, image, _, q, w in walk(terms, ((m, 1),)))
+def operator_terms(w: WeylElement, tag=0) -> list:
+    """w's walker terms over polynomials, under `tag`: the mode (name, i)
+    is x_i."""
+    return column_terms(w, {m: m[1] for m in w.modes()}, tag)
 
 
 def apply(terms, p: Poly) -> Poly:
-    """The operator of the walker terms applied to p: the images of its
-    terms on p's terms, summed in one ``sum_products`` call, which leaves
-    the zero totals out."""
+    """The operator of the walker terms applied to p: c times the column
+    of each term c x^m of p, summed in one ``sum_products`` call, which
+    leaves the zero totals out."""
     return Poly._nonzero(sum_products(
-        (image, c, q, w) for _, image, c, q, w in walk(terms, p.terms.items())))
+        (image, c, v, 1) for m, c in p.terms.items() for (_, image), v in column(terms, m).items()))

@@ -23,10 +23,10 @@ call, as are the matrices read back off a quadratic.
 
 An element acts on the states a*^n|0>, or in the Bargmann picture
 (a* = z, a = d/dz) on the monomials z^n, both keyed by the exponent
-tuple n.  ``walk`` is the one walker of that action: it reads an
-element's terms from ``walker_terms``, with real-integer coefficients as
-ints, and yields each term's image of each state it is handed, so the
-Fock matrices and the polynomial operators form their columns alike.
+tuple n.  ``column`` is the one walker of that action: it reads terms
+from ``column_terms``, real-integer coefficients as ints, and sums their
+images of one state as it walks, so the Fock matrices and the polynomial
+operators form their columns alike, several elements' tagged terms in one.
 """
 
 from __future__ import annotations
@@ -275,40 +275,45 @@ def ad_power(x: WeylElement, y: WeylElement, k: int) -> WeylElement:
 # Acting on states
 
 
-def walker_terms(w: WeylElement, pos: dict, tag=0) -> list:
+def column_terms(w: WeylElement, pos: dict, tag=0) -> list:
     """w's terms as (tag, q, annihilator positions, creator positions) for
-    ``walk``, pos mapping each mode to its position in a state tuple.  q
+    ``column``, pos mapping each mode to its position in a state tuple.  q
     is read by ``int_if_integer``, so a real-integer coefficient is an int
     and the images it gives stay in ints."""
     return [(tag, int_if_integer(q), [pos[m] for m in mono.annihilators],
              [pos[m] for m in mono.creators]) for mono, q in w.terms.items()]
 
 
-def walk(terms, states):
-    """(tag, image, c, q, weight) for each (state, c) of states and each of
-    the walker terms that does not annihilate the state: the term q c*..c
-    maps c times the state to c * q * weight times the image.
+def column(terms, state) -> dict:
+    """{(tag, image): total} of the walker terms on one state, with no zero
+    total: the term q c*..c maps the state to q * weight times the image.
 
     A state is an occupation or exponent tuple n, standing for a*^n|0> or
     for z^n.  Each annihilator takes one from its entry k and brings down
     the int k, each creator adds one, and weight is the product of those
-    ints.  The tags are the caller's: a Fock module tags each term with
-    the row offset of its operator.
+    ints.  Each image is summed as it is reached, its first value stored
+    as given, so int terms give ints, and a zero total is dropped at the
+    end.  The tags are the caller's: a Fock module tags each term with the
+    row offset of its operator.
     """
-    for state, c in states:
-        for tag, q, ann, cre in terms:
-            occ = list(state)
-            weight = 1
-            for i in ann:
-                k = occ[i]
-                if not k:
-                    break
-                weight *= k
-                occ[i] = k - 1
-            else:
-                for i in cre:
-                    occ[i] += 1
-                yield tag, tuple(occ), c, q, weight
+    out: dict = {}
+    get = out.get
+    for tag, q, ann, cre in terms:
+        occ = list(state)
+        weight = 1
+        for i in ann:
+            k = occ[i]
+            if not k:
+                break
+            weight *= k
+            occ[i] = k - 1
+        else:
+            for i in cre:
+                occ[i] += 1
+            key = tag, tuple(occ)
+            s = get(key)
+            out[key] = q * weight if s is None else s + q * weight
+    return out if all(out.values()) else {key: v for key, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ import pytest
 
 from minrep import cli, harmonics, linalg
 from minrep.harmonics import HarmonicError, build_harmonic, verify_mode
-from minrep.poly import Poly, apply, columns, operator_terms
+from minrep.poly import Poly, apply, operator_terms
 from minrep.scalars import QI
 from minrep.weylalg import WeylElement, WeylMonomial, commutator
 from monomials import monomials_of_degree, monomials_up_to
+from walk_oracle import columns
 
 
 def _applied(op: WeylElement, p: Poly) -> Poly:

@@ -10,6 +10,7 @@ from minrep.scalars import QI, QIS
 from minrep.weylalg import WeylElement, commutator
 from monomials import monomials_up_to
 from test_poly import DIFFOPS
+from walk_oracle import columns
 
 
 def _applied(w: WeylElement, p: Poly) -> Poly:
@@ -52,7 +53,7 @@ def _functorial_brackets():
 def _columns_of(w: WeylElement, monos) -> dict:
     """w's walker columns on the monomials, keyed (column, row) as
     ``linalg.bracket_defect`` keys them."""
-    cols = poly.columns(w)
+    cols = columns(w)
     return {(m, r): v for m in monos for r, v in cols[m].items()}
 
 
@@ -65,11 +66,11 @@ def _column_defects(brackets, degree: int) -> dict:
     monos = list(monomials_up_to(4, degree))
     out = {}
     for cid, x, y, z in brackets:
-        cx, cy = poly.columns(x), poly.columns(y)
+        cx, cy = columns(x), columns(y)
         bracket = commutator(x, y)
-        assert linalg.bracket_defect(cx, cy, monos, poly.columns(WeylElement.zero())) == \
+        assert linalg.bracket_defect(cx, cy, monos, columns(WeylElement.zero())) == \
             _columns_of(bracket, monos), cid
-        out[cid] = linalg.bracket_defect(cx, cy, monos, poly.columns(z))
+        out[cid] = linalg.bracket_defect(cx, cy, monos, columns(z))
         assert out[cid] == _columns_of(bracket - z, monos), cid
     return out
 
@@ -216,7 +217,7 @@ class TestColumnRealization:
         # bracket of two Chevalley generators on those of degree <= 3
         for elements, degree in ((generators, 7), (brackets, 3)):
             for w in elements:
-                cols = poly.columns(realize(w))
+                cols = columns(realize(w))
                 for m in monomials_up_to(4, degree):
                     unit = Poly({m: QI(1)})
                     want = self._applied_in_turn(w, unit)

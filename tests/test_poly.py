@@ -16,12 +16,12 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minrep import harmonics, linalg, massless, poly
-from minrep.lincomb import column_sum
+from minrep import harmonics, linalg, massless
 from minrep.poly import Poly, apply, operator_terms
 from minrep.scalars import QI
-from minrep.weylalg import WeylElement, WeylMonomial
+from minrep.weylalg import WeylElement, WeylMonomial, column
 from monomials import monomials_up_to
+from walk_oracle import _column, column_sum, columns
 
 NVARS = 4
 _I = QI(0, 1)
@@ -182,8 +182,9 @@ def test_an_int_unit_monomials_image_keeps_int_coefficients():
                      WeylMonomial.make([z1], [z0]): QI(-2),
                      WeylMonomial.make([], []): QI(3)})
     want = {(1, 1, 0, 0): 6, (2, 2, 0, 0): -6, (3, 1, 0, 0): 3}
-    column = poly.columns(w)[(3, 1, 0, 0)]
-    assert column == want and all(type(c) is int for c in column.values())
+    col = column(operator_terms(w), (3, 1, 0, 0))
+    assert col == {(0, r): v for r, v in want.items()}
+    assert all(type(c) is int for c in col.values())
     for unit in (1, QI(1)):
         image = _applied(w, Poly({(3, 1, 0, 0): unit}))
         assert image.terms == want
@@ -211,8 +212,8 @@ def test_the_bargmann_action_is_faithful(w):
     b = min((_exponents(m.annihilators) for m in w.terms), key=sum)
     want = {_exponents(m.creators): c * prod(map(factorial, b))
             for m, c in w.terms.items() if _exponents(m.annihilators) == b}
-    column = poly.columns(w)[b]
-    assert column and Poly(column) == Poly(want)
+    col = column(operator_terms(w), b)
+    assert col and Poly({r: v for (_, r), v in col.items()}) == Poly(want)
 
 
 def test_zero_polynomial_evaluates_to_the_rings_zero():
@@ -223,8 +224,10 @@ def test_zero_polynomial_evaluates_to_the_rings_zero():
 
 
 # ---------------------------------------------------------------------------
-# Columns: each operator's image of a unit monomial, one walk held in a
-# ColumnMap and bracketed by linalg.bracket_defect, against the DiffOp form
+# Columns: each operator's image of a unit monomial, one walk of the
+# walk_oracle route (which tests/test_walker.py pins to weylalg.column) held
+# in a ColumnMap and bracketed by linalg.bracket_defect, against the DiffOp
+# form
 
 
 def _angular(j) -> DiffOp:
@@ -291,7 +294,7 @@ def test_diffop_columns_match_the_named_operators():
     monos = list(monomials_up_to(NVARS, 7))
     assert len(monos) == 330
     for name, w in WEYL.items():
-        cols = poly.columns(w)
+        cols = columns(w)
         for m in monos:
             assert cols[m] == DIFFOPS[name](Poly({m: QI(1)})).terms, (name, m)
 
@@ -300,7 +303,7 @@ def test_diffop_columns_match_the_named_operators():
 @given(p=_polys)
 def test_column_map_image_equals_the_map(p):
     for name, w in WEYL.items():
-        assert _image(poly.columns(w), p) == _applied(w, p), name
+        assert _image(columns(w), p) == _applied(w, p), name
 
 
 def test_column_map_forms_each_column_once_from_an_int_unit():
@@ -309,7 +312,7 @@ def test_column_map_forms_each_column_once_from_an_int_unit():
 
     def counted(m):
         calls.append(m)
-        return poly._column(terms, m)
+        return _column(terms, m)
 
     lap = linalg.ColumnMap(counted)
     monos = list(monomials_up_to(NVARS, 3))
@@ -328,8 +331,8 @@ def test_bracket_columns_are_the_composed_bracket(p):
                  ("L^2", "L-")):
         x, y = DIFFOPS[a], DIFFOPS[b]
         want = x(y(p)) - y(x(p))
-        defect = linalg.bracket_defect(poly.columns(WEYL[a]), poly.columns(WEYL[b]),
-                                       list(p.terms), poly.columns(WeylElement.zero()))
+        defect = linalg.bracket_defect(columns(WEYL[a]), columns(WEYL[b]),
+                                       list(p.terms), columns(WeylElement.zero()))
         got = Poly(column_sum((r, p.terms[m] * v) for (m, r), v in defect.items()))
         assert got == want, (a, b)
 
@@ -342,16 +345,16 @@ _names = st.sampled_from(sorted(WEYL))
 def test_bracket_defect_is_the_composed_bracket_on_each_column(p, x, y, z, c):
     cols = list(p.terms)
     cz = WEYL[z].scale(c) if z else WeylElement.zero()
-    got = linalg.bracket_defect(poly.columns(WEYL[x]), poly.columns(WEYL[y]), cols,
-                                poly.columns(cz))
+    got = linalg.bracket_defect(columns(WEYL[x]), columns(WEYL[y]), cols,
+                                columns(cz))
     assert got == _composed_bracket_defect(DIFFOPS[x], DIFFOPS[y], cols, z and DIFFOPS[z], c)
     assert all(v for v in got.values())
 
 
 def test_bracket_defect_is_empty_exactly_on_an_identity():
     monos = list(monomials_up_to(NVARS, 4))
-    cols = {name: poly.columns(w) for name, w in WEYL.items()}
-    il3, minus_il3 = (poly.columns(WEYL["L3"].scale(c)) for c in (_I, -_I))
+    cols = {name: columns(w) for name, w in WEYL.items()}
+    il3, minus_il3 = (columns(WEYL["L3"].scale(c)) for c in (_I, -_I))
     assert not linalg.bracket_defect(cols["L1"], cols["L2"], monos, il3)
     wrong = linalg.bracket_defect(cols["L1"], cols["L2"], monos, minus_il3)
     assert wrong == _composed_bracket_defect(DIFFOPS["L1"], DIFFOPS["L2"], monos,
